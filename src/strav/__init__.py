@@ -10,115 +10,22 @@ perturbations, :mod:`~strav.superiorize` steers it by an objective, and
 :mod:`~strav.dsa` maps string-averaging descriptions onto plans.
 """
 
-from .numeric import DEFAULT_TOL, Tolerance, as_vector, inner, lincomb, norm
-from .operators import (
-    CheckReport,
-    Composition,
-    ConvexComb,
-    Identity,
-    OperatorNode,
-    Primitive,
-    Relaxation,
-    SampleBudget,
-    check_fne,
-    check_nonexpansive,
-    check_sqne,
-    structurally_equal,
-)
-from .sets import (
-    AffineSubspace,
-    Ball,
-    Box,
-    Halfspace,
-    Hyperplane,
-    OperatorFamily,
-    ProjectableSet,
-)
-from .gmsa import (
-    InputAssumptions,
-    IterationPlan,
-    PlanValidation,
-    StepSpec,
-    build_module,
-    fne_bound,
-    index_set,
-    output_operator,
-    rho_uniform,
-    sqne_bound,
-    validate_plan,
-)
-from .control import (
-    AdmissibilityReport,
-    ControlSchedule,
-    CustomSchedule,
-    CyclicSchedule,
-    ExplicitSchedule,
-    PowerOfTwoSchedule,
-    f_value,
-    fit_check,
-    uniform_modulus,
-    verify_admissible,
-)
-from .solver import (
-    ConvergenceReport,
-    FejerReport,
-    PerturbationSchedule,
-    RelaxationSchedule,
-    StopRule,
-    Trace,
-    away_from,
-    check_fejer,
-    constant_direction,
-    convergence_report,
-    random_unit_directions,
-    run,
-    run_perturbed,
-)
-from .superiorize import (
-    AlternativesReport,
-    BetaGrid,
-    ObjectiveOracle,
-    alternatives_diagnostic,
-    inner_directions,
-    linear_objective,
-    max_affine_objective,
-    run_superiorized,
-    squared_distance_objective,
-)
-from .dsa import (
-    StringSpec,
-    StringStage,
-    direct_eval,
-    gdsa_to_gmsa,
-    msa_embed,
-    rho_gdsa,
-)
-from .config import ConfigError, RunConfig, parse_config
+from . import config, control, dsa, gmsa, numeric, operators, sets, solver, superiorize
+from .config import *
+from .control import *
+from .dsa import *
+from .gmsa import *
+from .numeric import *
+from .operators import *
+from .sets import *
+from .solver import *
+from .superiorize import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one export list; the package re-exports them all
 __all__ = [
-    "DEFAULT_TOL", "Tolerance", "as_vector", "inner", "lincomb", "norm",
-    "CheckReport", "Composition", "ConvexComb", "Identity", "OperatorNode",
-    "Primitive", "Relaxation", "SampleBudget", "check_fne",
-    "check_nonexpansive", "check_sqne", "structurally_equal",
-    "AffineSubspace", "Ball", "Box", "Halfspace", "Hyperplane",
-    "OperatorFamily", "ProjectableSet",
-    "InputAssumptions", "IterationPlan", "PlanValidation", "StepSpec",
-    "build_module", "fne_bound", "index_set", "output_operator",
-    "rho_uniform", "sqne_bound", "validate_plan",
-    "AdmissibilityReport", "ControlSchedule", "CustomSchedule",
-    "CyclicSchedule", "ExplicitSchedule", "PowerOfTwoSchedule", "f_value",
-    "fit_check", "uniform_modulus", "verify_admissible",
-    "ConvergenceReport", "FejerReport", "PerturbationSchedule",
-    "RelaxationSchedule", "StopRule", "Trace", "away_from", "check_fejer",
-    "constant_direction", "convergence_report", "random_unit_directions",
-    "run", "run_perturbed",
-    "AlternativesReport", "BetaGrid", "ObjectiveOracle",
-    "alternatives_diagnostic", "inner_directions", "linear_objective",
-    "max_affine_objective", "run_superiorized", "squared_distance_objective",
-    "StringSpec", "StringStage", "direct_eval", "gdsa_to_gmsa", "msa_embed",
-    "rho_gdsa",
-    "ConfigError", "RunConfig", "parse_config",
-    "__version__",
-]
+    name
+    for module in (numeric, operators, sets, gmsa, control, solver, superiorize, dsa, config)
+    for name in module.__all__
+] + ["__version__"]

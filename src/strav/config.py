@@ -18,7 +18,7 @@ import numpy as np
 from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
 from .fixtures import axis_halfspace_family
-from .gmsa import IterationPlan, StepSpec, validate_plan
+from .gmsa import IterationPlan, StepSpec
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -36,8 +36,7 @@ from .superiorize import (
     squared_distance_objective,
 )
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "step_to_record", "step_from_record",
-           "plan_to_record", "plan_from_record"]
+__all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -133,7 +132,7 @@ def plan_from_record(rec, path, errors):
         if step is not None:
             steps[n] = step
     plan = IterationPlan(k=k, N=N, eps=eps, steps=steps)
-    verdict = validate_plan(plan)
+    verdict = plan.validate()
     if not verdict.ok:
         for n, msg in verdict.issues:
             where = path if n == 0 else f"{path}.steps (n={n})"
@@ -270,9 +269,8 @@ def _plans_from(sec, path, errors):
 
 def _plan_floor(schedule):
     """The eps floor shared by the schedule's plans, if discoverable."""
-    plans = getattr(schedule, "templates", None) or getattr(schedule, "plans", None)
-    if plans:
-        return min(p.eps for p in plans)
+    if schedule.plans:
+        return min(p.eps for p in schedule.plans)
     return getattr(schedule, "eps", None)
 
 

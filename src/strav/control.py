@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gmsa import IterationPlan, StepSpec
+from .gmsa import IterationPlan, StepSpec, rho_uniform
 
 __all__ = [
     "f_value",
@@ -19,9 +19,9 @@ __all__ = [
     "CyclicSchedule",
     "PowerOfTwoSchedule",
     "CustomSchedule",
+    "uniform_modulus",
     "AdmissibilityReport",
     "verify_admissible",
-    "fit_check",
 ]
 
 
@@ -49,18 +49,33 @@ def _normalize_bounds(bounds):
 
 
 class ControlSchedule:
-    """Base schedule; subclasses fill in ``plan_at``."""
+    """Base schedule; subclasses fill in ``plan_at``.
+
+    ``window_bounds`` (a mapping n -> M_n or a callable) declares the
+    windows; undeclared indices get ``None``.  A schedule backed by a
+    finite list keeps it as ``plans`` and derives its (K, M) metadata from it.
+    """
+
+    plans = None
+    _bound = staticmethod(lambda n: None)  # for subclasses that skip __init__
+
+    def __init__(self, window_bounds=None):
+        self._bound = _normalize_bounds(window_bounds)
 
     def plan_at(self, k):
         raise NotImplementedError
 
     def window_bound(self, n):
         """Declared window M_n for input index n, or None when unknown."""
-        return None
+        return self._bound(n)
 
     def plan_metadata(self):
         """(K, M) = (max step count, max step width) over all plans, or None."""
-        return None
+        if self.plans is None:
+            return None
+        K = max(p.N for p in self.plans)
+        M = max(max(p.steps[n].P for n in range(1, p.N + 1)) for p in self.plans)
+        return (K, M)
 
 
 class ExplicitSchedule(ControlSchedule):
@@ -70,7 +85,7 @@ class ExplicitSchedule(ControlSchedule):
         self.plans = list(plans)
         if not self.plans:
             raise ValueError("explicit schedule needs at least one plan")
-        self._bound = _normalize_bounds(window_bounds)
+        super().__init__(window_bounds)
 
     def plan_at(self, k):
         k = int(k)
@@ -79,12 +94,6 @@ class ExplicitSchedule(ControlSchedule):
                 f"horizon-exceeded: plan {k} requested, schedule ends at {len(self.plans) - 1}"
             )
         return self.plans[k]
-
-    def window_bound(self, n):
-        return self._bound(n)
-
-    def plan_metadata(self):
-        return _metadata_from(self.plans)
 
 
 class CyclicSchedule(ControlSchedule):
@@ -95,28 +104,23 @@ class CyclicSchedule(ControlSchedule):
     """
 
     def __init__(self, templates, window_bounds=None):
-        self.templates = list(templates)
-        if not self.templates:
+        self.plans = list(templates)
+        if not self.plans:
             raise ValueError("cyclic schedule needs at least one template plan")
-        self._bound = _normalize_bounds(window_bounds)
+        super().__init__(window_bounds)
         self._covered = None
 
     def plan_at(self, k):
         k = int(k)
-        return self.templates[k % len(self.templates)].replaced(k=k)
+        return self.plans[k % len(self.plans)].replaced(k=k)
 
     def window_bound(self, n):
         declared = self._bound(n)
         if declared is not None:
             return declared
         if self._covered is None:
-            self._covered = frozenset().union(
-                *(t.output_indices() for t in self.templates)
-            )
-        return len(self.templates) if n in self._covered else None
-
-    def plan_metadata(self):
-        return _metadata_from(self.templates)
+            self._covered = frozenset().union(*(t.output_indices() for t in self.plans))
+        return len(self.plans) if n in self._covered else None
 
     @classmethod
     def over_indices(cls, indices, eps=1.0, alpha=1.0):
@@ -134,6 +138,7 @@ class PowerOfTwoSchedule(ControlSchedule):
     def __init__(self, eps=1.0, alpha=1.0):
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        super().__init__(lambda n: 2 ** (int(n) + 1))
         self.eps = float(eps)
         self.alpha = float(alpha)
 
@@ -145,9 +150,6 @@ class PowerOfTwoSchedule(ControlSchedule):
             steps=[StepSpec.relaxation(-f_value(k), self.alpha)],
         )
 
-    def window_bound(self, n):
-        return 2 ** (int(n) + 1)
-
     def plan_metadata(self):
         return (1, 1)
 
@@ -156,30 +158,19 @@ class CustomSchedule(ControlSchedule):
     """Arbitrary rule k -> plan; the caller declares window bounds and metadata."""
 
     def __init__(self, rule, window_bounds=None, metadata=None):
+        super().__init__(window_bounds)
         self._rule = rule
-        self._bound = _normalize_bounds(window_bounds)
         self._metadata = metadata
 
     def plan_at(self, k):
         return self._rule(int(k))
 
-    def window_bound(self, n):
-        return self._bound(n)
-
     def plan_metadata(self):
         return self._metadata
 
 
-def _metadata_from(plans):
-    K = max(p.N for p in plans)
-    M = max(max(p.steps[n].P for n in range(1, p.N + 1)) for p in plans)
-    return (K, M)
-
-
 def uniform_modulus(schedule, eps):
     """``rho_uniform`` fed from the schedule's own (K, M) metadata."""
-    from .gmsa import rho_uniform
-
     meta = schedule.plan_metadata()
     if meta is None:
         raise ValueError("schedule declares no (K, M) metadata; pass rho explicitly")
@@ -243,28 +234,3 @@ def verify_admissible(schedule, horizon, indices):
         hit_sets.append(plan.output_indices())
     return _window_audit(hit_sets, indices, schedule.window_bound, horizon)
 
-
-def _stage_indices(stage):
-    # a string stage (has .strings), or a bare iterable of index strings
-    strings = getattr(stage, "strings", stage)
-    out = set()
-    for s in strings:
-        out.update(int(i) for i in getattr(s, "indices", s))
-    return frozenset(out)
-
-
-def fit_check(stages, horizon, window_bounds, indices):
-    """Window audit for string stages: per-k union of string images covers n.
-
-    ``stages`` is a callable k -> stage or a sequence cycled over the
-    horizon; a stage is anything with ``.strings`` (each with ``.indices``)
-    or a bare iterable of index sequences.
-    """
-    horizon = int(horizon)
-    if callable(stages):
-        stage_at = stages
-    else:
-        seq = list(stages)
-        stage_at = lambda k: seq[k % len(seq)]
-    hit_sets = [_stage_indices(stage_at(k)) for k in range(horizon + 1)]
-    return _window_audit(hit_sets, indices, _normalize_bounds(window_bounds), horizon)

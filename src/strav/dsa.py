@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import CustomSchedule, f_value
+from .control import CustomSchedule, CyclicSchedule, f_value
 from .gmsa import IterationPlan, StepSpec
+from .numeric import DEFAULT_TOL
 from .operators import Identity
 from .sets import OperatorFamily
 
@@ -73,7 +74,7 @@ class StringStage:
         floor = float(eps) if eps is not None else 0.0
         if any(w <= 0.0 or w > 1.0 or w < floor for w in self.weights):
             raise ValueError(f"weights {self.weights} outside ({floor}, 1]")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if abs(sum(self.weights) - 1.0) > DEFAULT_TOL.abs_eps:
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
         self.eps = floor if eps is not None else min(self.weights)
 
@@ -140,6 +141,10 @@ def rho_gdsa(gammas, q, form="product"):
 def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
     """Pad a finite-family schedule into an infinite-family one.
 
+    The base plans run as a :class:`~strav.control.CyclicSchedule`, which
+    owns the declared window bounds, the cycle-length default and the
+    (K, M) metadata; the padding only adds what the identity tail needs.
+
     Parameters
     ----------
     operators : sequence
@@ -150,9 +155,10 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
     msa_plans : sequence of IterationPlan
         Base plans, cycled over k; they may reference only indices 0..m.
     window_bounds : mapping or callable, optional
-        Window bounds for the base indices 0..m; padded indices n > m get
-        2^{n+1} automatically.  A base index some cycled plan touches
-        defaults to the cycle length, which is always sound.
+        Window bounds for the base indices 0..m, declared as for
+        :class:`~strav.control.CyclicSchedule`: a base index some cycled
+        plan touches defaults to the cycle length, which is always sound.
+        Padded indices n > m get 2^{n+1} automatically.
 
     Returns
     -------
@@ -160,16 +166,18 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
         At iterations whose power-of-two index f_value(k) exceeds m, the
         base plan gains one trailing composition step with the identity
         pad U_{f_value(k)}, which changes the touched index set but not a
-        single output value.
+        single output value.  The metadata is the base cycle's (K, M)
+        widened by that step: (K + 1, max(M, 2)).
     """
     ops = list(operators)
     m_top = len(ops) - 1
     if m_top < 0:
         raise ValueError("msa-index-error: need at least one operator")
-    base = [p for p in msa_plans]
-    if not base:
+    plans = list(msa_plans)
+    if not plans:
         raise ValueError("msa-index-error: need at least one base plan")
-    for p in base:
+    base = CyclicSchedule(plans, window_bounds)
+    for p in base.plans:
         used = p.output_indices()
         if any(i > m_top for i in used):
             raise ValueError(
@@ -184,39 +192,18 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
     family = OperatorFamily(generator, witness)
 
     def rule(k):
-        template = base[k % len(base)]
+        plan = base.plan_at(k)
         f = f_value(k)
         if f <= m_top:
-            return template.replaced(k=k)
-        steps = dict(template.steps)
-        tail = template.N + 1
-        steps[tail] = StepSpec(2, (template.N, -f), order=(template.N, -f))
-        return template.replaced(k=k, N=tail, steps=steps)
-
-    if window_bounds is None:
-        base_bound = lambda n: None
-    elif callable(window_bounds):
-        base_bound = window_bounds
-    else:
-        table = {int(n): int(v) for n, v in dict(window_bounds).items()}
-        base_bound = lambda n: table.get(n)
-    covered = frozenset().union(*(p.output_indices() for p in base))
+            return plan
+        steps = dict(plan.steps)
+        steps[plan.N + 1] = StepSpec(2, (plan.N, -f), order=(plan.N, -f))
+        return plan.replaced(N=plan.N + 1, steps=steps)
 
     def bound(n):
         n = int(n)
-        if n > m_top:
-            return 2 ** (n + 1)
-        declared = base_bound(n)
-        if declared is not None:
-            return declared
-        return len(base) if n in covered else None
+        return 2 ** (n + 1) if n > m_top else base.window_bound(n)
 
-    K, M = _metadata(base)
+    K, M = base.plan_metadata()
     schedule = CustomSchedule(rule, window_bounds=bound, metadata=(K + 1, max(M, 2)))
     return family, schedule
-
-
-def _metadata(plans):
-    K = max(p.N for p in plans)
-    M = max(max(p.steps[n].P for n in range(1, p.N + 1)) for p in plans)
-    return K, M

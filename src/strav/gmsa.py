@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .numeric import _SLACK, DEFAULT_TOL
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
@@ -40,16 +41,12 @@ __all__ = [
     "StepSpec",
     "IterationPlan",
     "PlanValidation",
-    "validate_plan",
-    "index_set",
     "build_module",
     "output_operator",
     "sqne_bound",
     "fne_bound",
     "rho_uniform",
 ]
-
-_SLACK = 1e-12  # float slack on interval-membership checks
 
 
 @dataclass(frozen=True)
@@ -168,6 +165,7 @@ class IterationPlan:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        """Structural validation; returns a :class:`PlanValidation`, raises nothing."""
         if self._validation is None:
             self._validation = _validate(self)
         return self._validation
@@ -180,7 +178,7 @@ class IterationPlan:
     # -- recursion ----------------------------------------------------------
 
     def index_set(self, n):
-        """Set of input-operator indices reachable from module n."""
+        """Input indices reachable from module n (``n <= 0``: the singleton ``{-n}``)."""
         n = int(n)
         if n <= 0:
             return frozenset({-n})
@@ -237,7 +235,7 @@ def _validate(plan):
             else:
                 if any(w < plan.eps - _SLACK or w > 1.0 + _SLACK for w in s.weights):
                     issues.append((n, f"weights {s.weights} outside [eps, 1]"))
-                if abs(sum(s.weights) - 1.0) > 1e-9:
+                if abs(sum(s.weights) - 1.0) > DEFAULT_TOL.abs_eps:
                     issues.append((n, f"weights sum to {sum(s.weights)}, need 1"))
             if s.alpha is not None or s.order is not None:
                 issues.append((n, "kind-1 steps carry neither alpha nor order"))
@@ -254,16 +252,6 @@ def _validate(plan):
         else:
             issues.append((n, f"unknown step kind {s.c}"))
     return PlanValidation(not issues, issues)
-
-
-def validate_plan(plan):
-    """Structural validation; returns a :class:`PlanValidation`, raises nothing."""
-    return plan.validate()
-
-
-def index_set(plan, n):
-    """Input indices reachable from module ``n`` (``n <= 0``: the singleton ``{-n}``)."""
-    return plan.index_set(n)
 
 
 def build_module(plan, n, family):

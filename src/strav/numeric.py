@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "as_vector", "inner", "norm", "lincomb"]
+__all__ = ["Tolerance", "DEFAULT_TOL", "as_vector", "norm"]
+
+_SLACK = 1e-12  # float slack on interval-membership checks
 
 
 @dataclass(frozen=True)
@@ -59,38 +61,7 @@ def as_vector(x, dim=None):
     return v
 
 
-def _same_last_dim(x, y):
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"dim-mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-
-
-def inner(x, y):
-    """Euclidean inner product along the last axis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _same_last_dim(x, y)
-    return np.sum(x * y, axis=-1)
-
-
 def norm(x):
     """Euclidean norm along the last axis."""
     return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
 
-
-def lincomb(terms):
-    """Evaluate ``sum_i c_i * v_i`` for ``terms = [(c_1, v_1), ...]``.
-
-    All vectors must share one dimension; an empty term list is rejected.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty-lincomb: need at least one (coefficient, vector) term")
-    vecs = [np.asarray(v, dtype=float) for _, v in terms]
-    d = vecs[0].shape[-1]
-    for v in vecs[1:]:
-        if v.shape[-1] != d:
-            raise ValueError(f"dim-mismatch: {v.shape[-1]} vs {d}")
-    out = float(terms[0][0]) * vecs[0]
-    for (c, _), v in zip(terms[1:], vecs[1:]):
-        out = out + float(c) * v
-    return out

@@ -95,6 +95,14 @@ def _min_over(values):
     return out
 
 
+def _combined_constants(children):
+    # (sqne, fne, m): minima over the m non-identity children, with sqne
+    # taking the better of the direct and the two-point route
+    active = [c for c in children if c.kind != "identity"]
+    fne = _min_over(c.fne_rho for c in active)
+    return _best(_min_over(c.sqne_rho for c in active), fne), fne, len(active)
+
+
 class OperatorNode:
     """Abstract immutable operator; concrete kinds derive the constants."""
 
@@ -237,12 +245,7 @@ class ConvexComb(OperatorNode):
         self.children_ = children
         self.weights = weights
         self.dim = _common_dim(children)
-        active = [c for c in children if c.kind != "identity"]
-        self.sqne_rho = _best(
-            _min_over(c.sqne_rho for c in active),
-            _min_over(c.fne_rho for c in active),
-        )
-        self.fne_rho = _min_over(c.fne_rho for c in active)
+        self.sqne_rho, self.fne_rho, _ = _combined_constants(children)
         self.is_nonexpansive = all(c.is_nonexpansive for c in children)
         self.is_cutter = self.sqne_rho is not None and self.sqne_rho >= 1.0
 
@@ -268,19 +271,10 @@ class Composition(OperatorNode):
             raise ValueError("composition needs at least one child")
         self.children_ = children
         self.dim = _common_dim(children)
-        active = [c for c in children if c.kind != "identity"]
-        m = len(active)
-        if m == 0:
-            self.sqne_rho = math.inf
-            self.fne_rho = math.inf
-        else:
-            sqne = _best(
-                _min_over(c.sqne_rho for c in active),
-                _min_over(c.fne_rho for c in active),
-            )
-            fne = _min_over(c.fne_rho for c in active)
-            self.sqne_rho = None if sqne is None else sqne / m
-            self.fne_rho = None if fne is None else fne / m
+        sqne, fne, m = _combined_constants(children)
+        m = max(m, 1)  # identities only: both constants stay +inf
+        self.sqne_rho = None if sqne is None else sqne / m
+        self.fne_rho = None if fne is None else fne / m
         self.is_nonexpansive = all(c.is_nonexpansive for c in children)
         self.is_cutter = self.sqne_rho is not None and self.sqne_rho >= 1.0
 
@@ -365,12 +359,30 @@ def _ball_samples(rng, center, radius, count):
     return center + (g / lengths[:, None]) * radii[:, None]
 
 
-def _resolve_center(node, center):
+def _sample_pairs(node, center, budget):
+    # budget.count pairs drawn around center (the origin by default)
     if center is not None:
-        return as_vector(center, node.dim)
-    if node.dim is None:
+        center = as_vector(center, node.dim)
+    elif node.dim is None:
         raise ValueError("node has no intrinsic dimension; pass an explicit center")
-    return np.zeros(node.dim)
+    else:
+        center = np.zeros(node.dim)
+    rng = np.random.default_rng(budget.seed)
+    pts = _ball_samples(rng, center, budget.radius, 2 * budget.count)
+    return pts[: budget.count], pts[budget.count :]
+
+
+def _report(name, viol, budget, tol, points):
+    # the worst sample decides; its points are kept only when it fails
+    worst = int(np.argmax(viol))
+    max_v = float(viol[worst])
+    return CheckReport(
+        name=name,
+        passed=max_v <= tol.abs_eps,
+        max_violation=max_v,
+        samples=budget.count,
+        worst=tuple(p[worst].copy() for p in points) if max_v > tol.abs_eps else None,
+    )
 
 
 def check_sqne(node, rho, z, budget=SampleBudget(), tol=DEFAULT_TOL):
@@ -388,53 +400,23 @@ def check_sqne(node, rho, z, budget=SampleBudget(), tol=DEFAULT_TOL):
     xs = _ball_samples(rng, z, budget.radius, budget.count)
     tx = node.apply(xs)
     viol = norm(tx - z) ** 2 - norm(xs - z) ** 2 + float(rho) * norm(tx - xs) ** 2
-    worst = int(np.argmax(viol))
-    max_v = float(viol[worst])
-    return CheckReport(
-        name=f"sqne(rho={rho})",
-        passed=max_v <= tol.abs_eps,
-        max_violation=max_v,
-        samples=budget.count,
-        worst=(xs[worst].copy(),) if max_v > tol.abs_eps else None,
-    )
+    return _report(f"sqne(rho={rho})", viol, budget, tol, (xs,))
 
 
 def check_fne(node, rho, budget=SampleBudget(), tol=DEFAULT_TOL, center=None):
     """Probe the two-point inequality at modulus ``rho`` on sampled pairs."""
-    c = _resolve_center(node, center)
-    rng = np.random.default_rng(budget.seed)
-    pts = _ball_samples(rng, c, budget.radius, 2 * budget.count)
-    xs, ys = pts[: budget.count], pts[budget.count :]
+    xs, ys = _sample_pairs(node, center, budget)
     tx, ty = node.apply(xs), node.apply(ys)
     viol = (
         norm(tx - ty) ** 2
         - norm(xs - ys) ** 2
         + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
     )
-    worst = int(np.argmax(viol))
-    max_v = float(viol[worst])
-    return CheckReport(
-        name=f"fne(rho={rho})",
-        passed=max_v <= tol.abs_eps,
-        max_violation=max_v,
-        samples=budget.count,
-        worst=(xs[worst].copy(), ys[worst].copy()) if max_v > tol.abs_eps else None,
-    )
+    return _report(f"fne(rho={rho})", viol, budget, tol, (xs, ys))
 
 
 def check_nonexpansive(node, budget=SampleBudget(), tol=DEFAULT_TOL, center=None):
     """Probe plain Lipschitz-1 behavior on sampled pairs."""
-    c = _resolve_center(node, center)
-    rng = np.random.default_rng(budget.seed)
-    pts = _ball_samples(rng, c, budget.radius, 2 * budget.count)
-    xs, ys = pts[: budget.count], pts[budget.count :]
+    xs, ys = _sample_pairs(node, center, budget)
     viol = norm(node.apply(xs) - node.apply(ys)) - norm(xs - ys)
-    worst = int(np.argmax(viol))
-    max_v = float(viol[worst])
-    return CheckReport(
-        name="nonexpansive",
-        passed=max_v <= tol.abs_eps,
-        max_violation=max_v,
-        samples=budget.count,
-        worst=(xs[worst].copy(), ys[worst].copy()) if max_v > tol.abs_eps else None,
-    )
+    return _report("nonexpansive", viol, budget, tol, (xs, ys))

@@ -26,9 +26,14 @@ __all__ = [
 
 
 class ProjectableSet:
-    """Base class: a nonempty closed convex subset of R^dim with exact projection."""
+    """Base class: a nonempty closed convex subset of R^dim with exact projection.
+
+    ``_fields`` names the constructor data that identifies a set; two sets
+    are the same when they share a class and every field is equal.
+    """
 
     dim = None
+    _fields = ()
 
     def project(self, x):
         raise NotImplementedError
@@ -41,65 +46,54 @@ class ProjectableSet:
         return self.distance(x) <= tol.abs_eps
 
     def same_as(self, other):
-        raise NotImplementedError
+        if not self._fields:
+            raise NotImplementedError
+        return isinstance(other, type(self)) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields
+        )
 
     def _check_dim(self, x):
         if x.shape[-1] != self.dim:
             raise ValueError(f"dim-mismatch: point of dimension {x.shape[-1]}, set of {self.dim}")
 
 
-class Halfspace(ProjectableSet):
-    """``{x : <a, x> <= b}`` with a != 0."""
+class _LinearConstraint(ProjectableSet):
+    """``<a, x> <= b`` (one-sided) or ``<a, x> = b`` with a != 0."""
+
+    _fields = ("a", "b")
+    _one_sided = True
 
     def __init__(self, a, b):
         self.a = as_vector(a)
         self.b = float(b)
         self._asq = float(self.a @ self.a)
         if self._asq == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        self.dim = self.a.shape[0]
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x)
-        excess = np.maximum(x @ self.a - self.b, 0.0)
-        return x - (excess / self._asq)[..., None] * self.a
-
-    def same_as(self, other):
-        return (
-            isinstance(other, Halfspace)
-            and np.array_equal(self.a, other.a)
-            and self.b == other.b
-        )
-
-
-class Hyperplane(ProjectableSet):
-    """``{x : <a, x> = b}`` with a != 0."""
-
-    def __init__(self, a, b):
-        self.a = as_vector(a)
-        self.b = float(b)
-        self._asq = float(self.a @ self.a)
-        if self._asq == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
+            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         self.dim = self.a.shape[0]
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
         offset = x @ self.a - self.b
+        if self._one_sided:
+            offset = np.maximum(offset, 0.0)
         return x - (offset / self._asq)[..., None] * self.a
 
-    def same_as(self, other):
-        return (
-            isinstance(other, Hyperplane)
-            and np.array_equal(self.a, other.a)
-            and self.b == other.b
-        )
+
+class Halfspace(_LinearConstraint):
+    """``{x : <a, x> <= b}`` with a != 0."""
+
+
+class Hyperplane(_LinearConstraint):
+    """``{x : <a, x> = b}`` with a != 0."""
+
+    _one_sided = False
 
 
 class Ball(ProjectableSet):
     """Closed Euclidean ball of positive radius."""
+
+    _fields = ("center", "radius")
 
     def __init__(self, center, radius):
         self.center = as_vector(center)
@@ -118,16 +112,11 @@ class Ball(ProjectableSet):
         pulled = self.center + (self.radius / safe)[..., None] * diff
         return np.where(np.asarray(outside)[..., None], pulled, x)
 
-    def same_as(self, other):
-        return (
-            isinstance(other, Ball)
-            and np.array_equal(self.center, other.center)
-            and self.radius == other.radius
-        )
-
 
 class Box(ProjectableSet):
     """Coordinate box ``{x : lo <= x <= hi}``."""
+
+    _fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
         self.lo = as_vector(lo)
@@ -141,16 +130,11 @@ class Box(ProjectableSet):
         self._check_dim(x)
         return np.clip(x, self.lo, self.hi)
 
-    def same_as(self, other):
-        return (
-            isinstance(other, Box)
-            and np.array_equal(self.lo, other.lo)
-            and np.array_equal(self.hi, other.hi)
-        )
-
 
 class AffineSubspace(ProjectableSet):
     """``offset + span(basis)`` for an orthonormal basis, given row-wise."""
+
+    _fields = ("basis", "offset")
 
     def __init__(self, basis, offset, tol=DEFAULT_TOL):
         basis = np.asarray(basis, dtype=float)
@@ -168,13 +152,6 @@ class AffineSubspace(ProjectableSet):
         self._check_dim(x)
         shifted = x - self.offset
         return self.offset + (shifted @ self.basis.T) @ self.basis
-
-    def same_as(self, other):
-        return (
-            isinstance(other, AffineSubspace)
-            and np.array_equal(self.basis, other.basis)
-            and np.array_equal(self.offset, other.offset)
-        )
 
 
 class OperatorFamily:

@@ -16,17 +16,20 @@ by ``record_stride`` to bound memory, with the final iterate always kept.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import DEFAULT_TOL, as_vector, norm
+from .numeric import _SLACK, DEFAULT_TOL, as_vector, norm
 
 __all__ = [
     "RelaxationSchedule",
     "PerturbationSchedule",
+    "constant_direction",
+    "away_from",
+    "random_unit_directions",
     "StopRule",
     "Trace",
     "run",
@@ -36,8 +39,6 @@ __all__ = [
     "ConvergenceReport",
     "convergence_report",
 ]
-
-_SLACK = 1e-12
 
 
 class RelaxationSchedule:
@@ -93,7 +94,9 @@ class RelaxationSchedule:
 
     @classmethod
     def sweep(cls, eps, rho, points=17, **kw):
-        """Cycle a uniform grid over the whole admissible interval."""
+        """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
+        if points < 2:
+            raise ValueError(f"a sweep needs at least 2 points, got {points}")
         lo = eps
         hi = (2.0 - eps) if kw.get("permissive") else (1.0 + rho - eps)
         pts = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
@@ -103,22 +106,16 @@ class RelaxationSchedule:
 class PerturbationSchedule:
     """Summable magnitudes beta_k paired with unit-ball directions.
 
-    ``direction`` may take ``(k)`` or ``(k, x)``; the two-argument form
-    lets adversarial rules react to the current iterate.  Direction norms
-    are clamped-checked at use (<= 1 within slack).
+    ``beta`` maps k to beta_k >= 0.  ``direction`` always takes ``(k, x)``,
+    so adversarial rules can react to the current iterate; a rule that
+    ignores x still accepts it.  Direction norms are checked at use
+    (<= 1 within slack).
     """
 
     def __init__(self, beta, direction, *, tol=DEFAULT_TOL):
         self._beta = beta
+        self._direction = direction
         self._tol = tol
-        try:
-            n_params = len(inspect.signature(direction).parameters)
-        except (TypeError, ValueError):
-            n_params = 1
-        if n_params >= 2:
-            self._direction = direction
-        else:
-            self._direction = lambda k, x: direction(k)
 
     def at(self, k, x):
         b = float(self._beta(int(k)))
@@ -194,6 +191,10 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("iteration cap must be nonnegative")
+        for name in ("residual_tol", "step_tol"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, Real) or not v >= 0.0):
+                raise ValueError(f"{name} must be None or a nonnegative real, got {v!r}")
 
 
 class Trace:

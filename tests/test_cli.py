@@ -1,6 +1,7 @@
 """End-to-end runs of the ``strav`` command line, in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,11 @@ def solve_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def demo_doc(name="stage_solve.json"):
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / name
+    return json.loads(path.read_text())
 
 
 def superiorize_doc():
@@ -192,3 +198,19 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "solve", "--config", str(p))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_sweep_with_fewer_than_two_points(self, capsys, tmp_path, points):
+        doc = demo_doc()
+        doc["relaxation"]["lambda"] = {"kind": "sweep", "points": points}
+        code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert "\n  relaxation.lambda: " in err
+
+    @pytest.mark.parametrize("stop", [{"residual_tol": "tight"}, {"step_tol": -1}])
+    def test_bad_stop_tolerance(self, capsys, tmp_path, stop):
+        doc = demo_doc()
+        doc["stop"].update(stop)
+        code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert "\n  stop: " in err

@@ -9,11 +9,10 @@ from strav.control import (
     ExplicitSchedule,
     PowerOfTwoSchedule,
     f_value,
-    fit_check,
     uniform_modulus,
     verify_admissible,
 )
-from strav.dsa import StringStage
+from strav.dsa import StringStage, gdsa_to_gmsa
 from strav.gmsa import IterationPlan, StepSpec
 
 FIRST_TWENTY = [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4, 0, 1, 0, 2]
@@ -168,25 +167,48 @@ class TestVerifyAdmissible:
         assert rep.passed and rep.windows == {1: 1, 2: 1}
 
 
+def stage_cycle(strings_per_stage, window_bounds):
+    # one single-weight (or evenly weighted) string stage per entry, cycled
+    plans = [
+        gdsa_to_gmsa(StringStage(strings, [1.0 / len(strings)] * len(strings), k=k))
+        for k, strings in enumerate(strings_per_stage)
+    ]
+    return CyclicSchedule(plans, window_bounds=window_bounds)
+
+
 class TestFitCheck:
+    """Window audits of string stages, through their rewritten plans.
+
+    A rewritten plan touches exactly the stage's image, so
+    ``verify_admissible`` over ``gdsa_to_gmsa`` plans is the stage audit.
+    """
+
     def test_stage_sequence_passes(self):
         stages = [
             StringStage([(0, 1)], [1.0]),
             StringStage([(2,), (0,)], [0.5, 0.5]),
         ]
-        rep = fit_check(stages, 40, {0: 2, 1: 2, 2: 2}, [0, 1, 2])
+        plans = [gdsa_to_gmsa(st) for st in stages]
+        assert [p.output_indices() for p in plans] == [st.image() for st in stages]
+        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2})
+        rep = verify_admissible(s, 40, [0, 1, 2])
         assert rep.passed
 
     def test_bare_index_tuples_accepted(self):
-        rep = fit_check([[(0,)], [(1,)]], 20, {0: 2, 1: 2}, [0, 1])
+        rep = verify_admissible(stage_cycle([[(0,)], [(1,)]], {0: 2, 1: 2}), 20, [0, 1])
         assert rep.passed
 
     def test_detects_starved_index(self):
         # index 1 only every 4th iteration, but a window of 3 is promised
-        rep = fit_check([[(0,)], [(0,)], [(1,)], [(0,)]], 30, {0: 3, 1: 3}, [0, 1])
+        s = stage_cycle([[(0,)], [(0,)], [(1,)], [(0,)]], {0: 3, 1: 3})
+        rep = verify_admissible(s, 30, [0, 1])
         assert not rep.passed
         assert rep.first_violation == (1, 3)
 
     def test_callable_stages(self):
-        rep = fit_check(lambda k: [(k % 2,)], 20, {0: 2, 1: 2}, [0, 1])
+        s = CustomSchedule(
+            lambda k: gdsa_to_gmsa(StringStage([(k % 2,)], [1.0], k=k)),
+            window_bounds={0: 2, 1: 2},
+        )
+        rep = verify_admissible(s, 20, [0, 1])
         assert rep.passed

@@ -1,6 +1,6 @@
 """Iteration plans: validation, recursion, materialization, and bounds.
 
-``index_set`` is cross-checked against an independent recursive oracle,
+``IterationPlan.index_set`` is cross-checked against an independent recursive oracle,
 and the modulus bounds against hand-computed width products, so the
 module under test never certifies itself.
 """
@@ -18,11 +18,9 @@ from strav.gmsa import (
     StepSpec,
     build_module,
     fne_bound,
-    index_set,
     output_operator,
     rho_uniform,
     sqne_bound,
-    validate_plan,
 )
 from strav.operators import Composition, ConvexComb, Relaxation
 
@@ -65,7 +63,7 @@ class TestStepSpec:
 
 class TestValidation:
     def test_good_plan(self):
-        v = validate_plan(three_step_plan())
+        v = three_step_plan().validate()
         assert v.ok
         assert str(v) == "valid"
 
@@ -147,17 +145,17 @@ class TestIndexSets:
     def test_against_recursive_oracle(self):
         for plan in random_plan_corpus(60, seed=17, n_inputs=6):
             for n in range(1, plan.N + 1):
-                assert index_set(plan, n) == oracle_index_set(plan, n)
+                assert plan.index_set(n) == oracle_index_set(plan, n)
 
     def test_input_ref_is_singleton(self):
-        assert index_set(three_step_plan(), -4) == {4}
+        assert three_step_plan().index_set(-4) == {4}
 
     def test_output_indices(self):
         assert three_step_plan().output_indices() == {0, 1, 2}
 
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError, match="invalid-plan"):
-            index_set(three_step_plan(), 9)
+            three_step_plan().index_set(9)
 
 
 class TestBuild:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.numeric import Tolerance, as_vector, inner, lincomb, norm
+from strav.numeric import Tolerance, as_vector, norm
 
 
 class TestTolerance:
@@ -55,43 +55,8 @@ class TestAsVector:
 
 
 class TestInnerNorm:
-    def test_inner_matches_dot(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(7)
-        y = rng.standard_normal(7)
-        assert_allclose(inner(x, y), np.dot(x, y), rtol=1e-15)
-
-    def test_inner_broadcasts_over_rows(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((4, 3))
-        y = rng.standard_normal(3)
-        assert_allclose(inner(X, y), X @ y, rtol=1e-15)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim-mismatch"):
-            inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
     def test_norm_last_axis(self):
         X = np.array([[3.0, 4.0], [0.0, 0.0]])
         assert_allclose(norm(X), [5.0, 0.0])
         assert norm(np.array([3.0, 4.0])) == 5.0
 
-
-class TestLincomb:
-    def test_matches_manual_sum(self):
-        rng = np.random.default_rng(2)
-        vs = [rng.standard_normal(5) for _ in range(4)]
-        cs = [0.5, -1.0, 2.0, 0.25]
-        want = sum(c * v for c, v in zip(cs, vs))
-        assert_allclose(lincomb(zip(cs, vs)), want, rtol=1e-15)
-
-    def test_single_term(self):
-        assert_array_equal(lincomb([(2.0, np.array([1.0, 0.0]))]), [2.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty-lincomb"):
-            lincomb([])
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(ValueError, match="dim-mismatch"):
-            lincomb([(1.0, np.zeros(2)), (1.0, np.zeros(3))])

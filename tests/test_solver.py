@@ -62,6 +62,11 @@ class TestRelaxationSchedule:
         for k in range(20):
             assert r.lo - 1e-12 <= r.lam(k) <= r.hi + 1e-12
 
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_sweep_needs_two_points(self, points):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            RelaxationSchedule.sweep(0.1, 0.05, points=points)
+
 
 class TestPerturbationSchedule:
     def test_power_betas(self):
@@ -112,6 +117,16 @@ class TestStopRule:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             StopRule(max_iters=-1)
+
+    @pytest.mark.parametrize("field", ["residual_tol", "step_tol"])
+    @pytest.mark.parametrize("bad", ["1e-10", -1.0, -1, float("nan"), True, [1e-10]])
+    def test_tolerances_must_be_none_or_nonnegative_real(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            StopRule(**{field: bad})
+
+    def test_tolerances_accept_none_zero_and_reals(self):
+        StopRule(residual_tol=None, step_tol=None)
+        StopRule(residual_tol=0, step_tol=np.float64(1e-3))
 
 
 class TestDriverAgainstHandLoop:
