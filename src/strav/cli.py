@@ -71,8 +71,8 @@ given and is cross-checked against the step's width.
 
     {"eps": 0.1,
      "rho": 0.05,                   # omit to derive from the schedule
-     "permissive": false,           # true widens to (0, 2) and voids the
-                                    # strong monotonicity constant
+     "permissive": false,           # JSON boolean; true widens to (0, 2)
+                                    # and voids the strong monotonicity constant
      "lambda": {"kind": "constant", "value": 1.0}
                 | {"kind": "cycle", "values": [...]}
                 | {"kind": "sweep", "points": 17}}
@@ -152,11 +152,14 @@ def _load_config(args):
         raise ConfigError([("document", "top level must be a record")])
     if args.seed is not None:
         doc["seed"] = args.seed
-    out = doc.setdefault("output", {})
-    if args.stride is not None:
-        out["stride"] = args.stride
-    if args.out is not None:
-        out["trace"] = args.out
+    out = doc.get("output")
+    if out is None:
+        out = doc["output"] = {}
+    if isinstance(out, dict):  # any other value is reported by parse_config
+        if args.stride is not None:
+            out["stride"] = args.stride
+        if args.out is not None:
+            out["trace"] = args.out
     return parse_config(doc)
 
 

@@ -69,6 +69,27 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+_REQUIRED = object()
+
+
+def _container(value, kind, path, errors, default=_REQUIRED):
+    """``value`` when it is a record (``kind=dict``) or a list (``kind=list``).
+
+    ``None`` (absent or JSON null) gives ``default``, or is reported as
+    missing when no default is given.  Any other type is reported under
+    ``path``.  A reported value gives ``None``.
+    """
+    if value is None:
+        if default is _REQUIRED:
+            errors.append((path, "missing"))
+            return None
+        return default
+    if isinstance(value, kind):
+        return value
+    errors.append((path, "not a record" if kind is dict else "not a list"))
+    return None
+
+
 # -- plan/step records ------------------------------------------------------
 
 
@@ -117,6 +138,9 @@ def plan_to_record(plan):
 
 
 def plan_from_record(rec, path, errors):
+    rec = _container(rec, dict, path, errors)
+    if rec is None:
+        return None
     try:
         k = int(rec.get("k", 0))
         N = int(rec["N"])
@@ -127,6 +151,9 @@ def plan_from_record(rec, path, errors):
         return None
     steps = {}
     for i, srec in enumerate(raw_steps):
+        srec = _container(srec, dict, f"{path}.steps[{i}]", errors)
+        if srec is None:
+            continue
         n = int(srec.get("n", i + 1))
         step = step_from_record(srec, f"{path}.steps[{i}]", errors)
         if step is not None:
@@ -172,9 +199,8 @@ def _build_set(rec, dim, path, errors):
 
 
 def _build_family(doc, dim, errors):
-    sec = doc.get("family")
-    if not isinstance(sec, dict):
-        errors.append(("family", "missing or not a record"))
+    sec = _container(doc.get("family"), dict, "family", errors)
+    if sec is None:
         return None
     witness = sec.get("witness")
     if witness is None:
@@ -185,13 +211,15 @@ def _build_family(doc, dim, errors):
         glist = [float(g) for g in gammas]
         gammas = lambda n: glist[n % len(glist)]
     if "sets" in sec:
+        recs = _container(sec["sets"], list, "family.sets", errors)
+        if recs is None:
+            return None
         sets = []
-        ok = True
-        for i, rec in enumerate(sec["sets"]):
-            s = _build_set(rec, dim, f"family.sets[{i}]", errors)
-            ok = ok and s is not None
-            sets.append(s)
-        if not ok:
+        for i, rec in enumerate(recs):
+            path = f"family.sets[{i}]"
+            rec = _container(rec, dict, path, errors)
+            sets.append(None if rec is None else _build_set(rec, dim, path, errors))
+        if any(s is None for s in sets):
             return None
         try:
             return OperatorFamily.from_sets(sets, witness, gammas=gammas)
@@ -210,9 +238,8 @@ def _build_family(doc, dim, errors):
 
 
 def _build_schedule(doc, errors):
-    sec = doc.get("schedule")
-    if not isinstance(sec, dict):
-        errors.append(("schedule", "missing or not a record"))
+    sec = _container(doc.get("schedule"), dict, "schedule", errors)
+    if sec is None:
         return None
     variant = sec.get("variant")
     try:
@@ -220,8 +247,11 @@ def _build_schedule(doc, errors):
             return PowerOfTwoSchedule(eps=sec.get("eps", 1.0), alpha=sec.get("alpha", 1.0))
         if variant == "cyclic":
             if "indices" in sec:
+                indices = _container(sec["indices"], list, "schedule.indices", errors)
+                if indices is None:
+                    return None
                 return CyclicSchedule.over_indices(
-                    [int(i) for i in sec["indices"]],
+                    [int(i) for i in indices],
                     eps=sec.get("eps", 1.0),
                     alpha=sec.get("alpha", 1.0),
                 )
@@ -275,12 +305,18 @@ def _plan_floor(schedule):
 
 
 def _build_relax(doc, schedule, errors):
-    sec = doc.get("relaxation", {})
-    if not isinstance(sec, dict):
-        errors.append(("relaxation", "not a record"))
+    sec = _container(doc.get("relaxation"), dict, "relaxation", errors, {})
+    if sec is None:
         return None
-    eps = float(sec.get("eps", 1.0))
-    permissive = bool(sec.get("permissive", False))
+    try:
+        eps = float(sec.get("eps", 1.0))
+    except (TypeError, ValueError):
+        errors.append(("relaxation.eps", f"need a number, got {sec['eps']!r}"))
+        return None
+    permissive = sec.get("permissive", False)
+    if not isinstance(permissive, bool):
+        errors.append(("relaxation.permissive", f"need true or false, got {permissive!r}"))
+        return None
     rho = sec.get("rho")
     if rho is None:
         if schedule is None:
@@ -296,7 +332,17 @@ def _build_relax(doc, schedule, errors):
         except ValueError as exc:
             errors.append(("relaxation.rho", str(exc)))
             return None
-    rule = sec.get("lambda", {"kind": "constant", "value": 1.0})
+    else:
+        try:
+            rho = float(rho)
+        except (TypeError, ValueError):
+            errors.append(("relaxation.rho", f"need a number, got {rho!r}"))
+            return None
+    rule = _container(
+        sec.get("lambda"), dict, "relaxation.lambda", errors, {"kind": "constant", "value": 1.0}
+    )
+    if rule is None:
+        return None
     kind = rule.get("kind")
     try:
         if kind == "constant":
@@ -307,7 +353,7 @@ def _build_relax(doc, schedule, errors):
             return RelaxationSchedule.sweep(
                 eps, rho, points=int(rule.get("points", 17)), permissive=permissive
             )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         errors.append(("relaxation.lambda", str(exc)))
         return None
     errors.append(("relaxation.lambda.kind", f"unknown rule {kind!r}"))
@@ -315,14 +361,16 @@ def _build_relax(doc, schedule, errors):
 
 
 def _build_perturbation(doc, dim, seed, witness, errors):
-    sec = doc.get("perturbation")
+    sec = _container(doc.get("perturbation"), dict, "perturbation", errors, None)
     if sec is None:
         return None
-    beta = sec.get("beta", {})
+    beta = _container(sec.get("beta"), dict, "perturbation.beta", errors, {})
+    drec = _container(sec.get("direction"), dict, "perturbation.direction", errors, {})
+    if beta is None or drec is None:
+        return None
     if beta.get("form") != "power":
         errors.append(("perturbation.beta.form", "only the 'power' form c/(k+1)^p is built in"))
         return None
-    drec = sec.get("direction", {})
     kind = drec.get("kind")
     try:
         if kind == "constant":
@@ -335,13 +383,13 @@ def _build_perturbation(doc, dim, seed, witness, errors):
             errors.append(("perturbation.direction.kind", f"unknown direction {kind!r}"))
             return None
         return PerturbationSchedule.power(beta.get("c", 0.0), beta.get("p", 2.0), direction)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         errors.append(("perturbation", str(exc)))
         return None
 
 
 def _build_objective(doc, errors):
-    sec = doc.get("objective")
+    sec = _container(doc.get("objective"), dict, "objective", errors, None)
     if sec is None:
         return None
     kind = sec.get("kind")
@@ -396,7 +444,7 @@ def parse_config(source):
 
     grid = None
     zero_tol = DEFAULT_ZERO_TOL
-    sup = doc.get("superiorization")
+    sup = _container(doc.get("superiorization"), dict, "superiorization", errors, None)
     if sup is not None:
         try:
             grid = BetaGrid.geometric(sup.get("scale", 1.0), M=int(sup.get("inner_steps", 1)))
@@ -404,7 +452,7 @@ def parse_config(source):
         except (TypeError, ValueError) as exc:
             errors.append(("superiorization", str(exc)))
 
-    ssec = doc.get("stop", {})
+    ssec = _container(doc.get("stop"), dict, "stop", errors, {}) or {}
     try:
         stop = StopRule(
             max_iters=int(ssec.get("max_iters", 100_000)),
@@ -425,7 +473,7 @@ def parse_config(source):
         if start_v.shape != (dim,):
             errors.append(("start", f"needs {dim} coordinates"))
 
-    out = doc.get("output", {})
+    out = _container(doc.get("output"), dict, "output", errors, {}) or {}
     trace_path = out.get("trace")
     stride = int(out.get("stride", 1))
     if stride < 1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import CustomSchedule, CyclicSchedule, f_value
 from .gmsa import IterationPlan, StepSpec
-from .numeric import DEFAULT_TOL
+from .numeric import _within
 from .operators import Identity
 from .sets import OperatorFamily
 
@@ -74,7 +74,7 @@ class StringStage:
         floor = float(eps) if eps is not None else 0.0
         if any(w <= 0.0 or w > 1.0 or w < floor for w in self.weights):
             raise ValueError(f"weights {self.weights} outside ({floor}, 1]")
-        if abs(sum(self.weights) - 1.0) > DEFAULT_TOL.abs_eps:
+        if not _within(abs(sum(self.weights) - 1.0)):
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
         self.eps = floor if eps is not None else min(self.weights)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numeric import _SLACK, DEFAULT_TOL
+from .numeric import _SLACK, _within
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
@@ -235,7 +235,7 @@ def _validate(plan):
             else:
                 if any(w < plan.eps - _SLACK or w > 1.0 + _SLACK for w in s.weights):
                     issues.append((n, f"weights {s.weights} outside [eps, 1]"))
-                if abs(sum(s.weights) - 1.0) > DEFAULT_TOL.abs_eps:
+                if not _within(abs(sum(s.weights) - 1.0)):
                     issues.append((n, f"weights sum to {sum(s.weights)}, need 1"))
             if s.alpha is not None or s.order is not None:
                 issues.append((n, "kind-1 steps carry neither alpha nor order"))
@@ -290,13 +290,30 @@ def output_operator(plan, family):
     return build_module(plan, plan.N, family)
 
 
+def _plan_bound(plan, route, half, relaxed):
+    # eps / (2 * prod P_i) once the plan asserts the flag ``half`` (inputs at
+    # modulus >= 1/2) and, for a kind-0 step with alpha != 1, ``relaxed``
+    plan.require_valid()
+    if not getattr(plan.assume, half):
+        raise ValueError(f"{route}-hypotheses-unmet: inputs not asserted {half}")
+    for n in range(1, plan.N + 1):
+        s = plan.steps[n]
+        if s.c == 0 and abs(s.alpha - 1.0) > _SLACK and not getattr(plan.assume, relaxed):
+            raise ValueError(
+                f"{route}-hypotheses-unmet: step {n} relaxes with alpha={s.alpha} "
+                f"but inputs are not asserted {relaxed}"
+            )
+    return plan.eps / (2.0 * plan.width_product())
+
+
 def sqne_bound(plan):
     """Guaranteed one-point modulus ``eps / (2 * prod P_i)`` of the output.
 
-    Valid under the plan's asserted hypotheses: inputs at modulus >= 1/2,
-    and each kind-0 step either uses alpha = 1 or relaxes a cutter.
+    Raises ``sqne-hypotheses-unmet`` unless the plan asserts inputs at
+    one-point modulus >= 1/2 and every kind-0 step uses alpha = 1 or
+    relaxes a cutter.
     """
-    return plan.eps / (2.0 * plan.width_product())
+    return _plan_bound(plan, "sqne", "half_sqne", "cutters")
 
 
 def fne_bound(plan):
@@ -306,17 +323,7 @@ def fne_bound(plan):
     two-point modulus >= 1/2 and every kind-0 step uses alpha = 1 or a
     firmly nonexpansive input.
     """
-    plan.require_valid()
-    if not plan.assume.half_fne:
-        raise ValueError("fne-hypotheses-unmet: inputs not asserted 1/2-firmly nonexpansive")
-    for n in range(1, plan.N + 1):
-        s = plan.steps[n]
-        if s.c == 0 and abs(s.alpha - 1.0) > _SLACK and not plan.assume.firmly_nonexpansive:
-            raise ValueError(
-                f"fne-hypotheses-unmet: step {n} relaxes with alpha={s.alpha} "
-                "but inputs are not asserted firmly nonexpansive"
-            )
-    return plan.eps / (2.0 * plan.width_product())
+    return _plan_bound(plan, "fne", "half_fne", "firmly_nonexpansive")
 
 
 def rho_uniform(K, M, eps):

@@ -3,34 +3,33 @@
 Vectors are plain 1-D numpy float arrays.  All helpers broadcast over
 leading axes so a batch of points, stacked row-wise, can be pushed through
 in a single call; reductions run along the last axis.
+
+Tolerances
+----------
+An audited inequality (a sampled modulus, Fejer monotonicity, a fixed
+point, a weight sum) holds when its excess passes :func:`_within`:
+``excess <= 1e-9 + 1e-12 * scale``, with ``scale`` the largest term of the
+inequality, which every caller already computes.  The relative part absorbs
+the rounding of large terms, so a check at radius 1e6 raises no false
+alarm, while a genuine violation grows with the terms too.
+
+``_SLACK`` is the smaller slack for interval membership of exact user
+constants (step sizes, alpha, weight floors): they are chosen, not
+computed, so they need room only for the rounding of the bound itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["Tolerance", "DEFAULT_TOL", "as_vector", "norm"]
+__all__ = ["as_vector", "norm"]
 
 _SLACK = 1e-12  # float slack on interval-membership checks
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative comparison slack used by checkers and monitors."""
-
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
-
-    def __post_init__(self):
-        if self.abs_eps < 0.0 or self.rel_eps < 0.0:
-            raise ValueError("tolerance slacks must be nonnegative")
-        if self.abs_eps == 0.0 and self.rel_eps == 0.0:
-            raise ValueError("at least one of abs_eps, rel_eps must be positive")
-
-
-DEFAULT_TOL = Tolerance()
+def _within(excess, scale=1.0):
+    """True where ``excess <= 1e-9 + 1e-12 * scale``, elementwise."""
+    return excess <= 1e-9 + 1e-12 * scale
 
 
 def as_vector(x, dim=None):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, as_vector, norm
+from .numeric import _within, as_vector, norm
 
 __all__ = [
     "OperatorNode",
@@ -231,7 +231,7 @@ class ConvexComb(OperatorNode):
 
     kind = "convex_comb"
 
-    def __init__(self, children, weights, *, tol=DEFAULT_TOL):
+    def __init__(self, children, weights):
         children = tuple(children)
         weights = tuple(float(w) for w in weights)
         if not children:
@@ -240,7 +240,7 @@ class ConvexComb(OperatorNode):
             raise ValueError("one weight per child required")
         if any(w <= 0.0 or w > 1.0 for w in weights):
             raise ValueError("weights must lie in (0, 1]")
-        if abs(sum(weights) - 1.0) > tol.abs_eps:
+        if not _within(abs(sum(weights) - 1.0)):
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")
         self.children_ = children
         self.weights = weights
@@ -372,51 +372,52 @@ def _sample_pairs(node, center, budget):
     return pts[: budget.count], pts[budget.count :]
 
 
-def _report(name, viol, budget, tol, points):
-    # the worst sample decides; its points are kept only when it fails
-    worst = int(np.argmax(viol))
-    max_v = float(viol[worst])
+def _report(name, viol, scale, budget, points):
+    # max_violation is the largest raw violation; a failing report keeps
+    # the worst sample among those that fail at their own scale
+    ok = _within(viol, scale)
+    passed = bool(ok.all())
+    i = None if passed else int(np.argmax(np.where(ok, -np.inf, viol)))
     return CheckReport(
         name=name,
-        passed=max_v <= tol.abs_eps,
-        max_violation=max_v,
+        passed=passed,
+        max_violation=float(viol.max()),
         samples=budget.count,
-        worst=tuple(p[worst].copy() for p in points) if max_v > tol.abs_eps else None,
+        worst=None if passed else tuple(p[i].copy() for p in points),
     )
 
 
-def check_sqne(node, rho, z, budget=SampleBudget(), tol=DEFAULT_TOL):
+def check_sqne(node, rho, z, budget=SampleBudget()):
     """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``.
 
-    ``z`` must actually be fixed by the node (within ``tol.abs_eps``);
-    otherwise the check is vacuous and a ``witness-not-fixed`` error is
-    raised instead of reporting anything.
+    Each sample is judged at scale ``||x - z||^2``.  ``z`` must be fixed by
+    the node (at scale ``||z||``); otherwise the check is vacuous and a
+    ``witness-not-fixed`` error is raised instead of reporting anything.
     """
     z = as_vector(z, node.dim)
     rz = float(node.residual(z))
-    if rz > tol.abs_eps:
+    if not _within(rz, float(norm(z))):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     rng = np.random.default_rng(budget.seed)
     xs = _ball_samples(rng, z, budget.radius, budget.count)
     tx = node.apply(xs)
-    viol = norm(tx - z) ** 2 - norm(xs - z) ** 2 + float(rho) * norm(tx - xs) ** 2
-    return _report(f"sqne(rho={rho})", viol, budget, tol, (xs,))
+    dxz = norm(xs - z) ** 2
+    viol = norm(tx - z) ** 2 - dxz + float(rho) * norm(tx - xs) ** 2
+    return _report(f"sqne(rho={rho})", viol, dxz, budget, (xs,))
 
 
-def check_fne(node, rho, budget=SampleBudget(), tol=DEFAULT_TOL, center=None):
-    """Probe the two-point inequality at modulus ``rho`` on sampled pairs."""
+def check_fne(node, rho, budget=SampleBudget(), center=None):
+    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
     xs, ys = _sample_pairs(node, center, budget)
     tx, ty = node.apply(xs), node.apply(ys)
-    viol = (
-        norm(tx - ty) ** 2
-        - norm(xs - ys) ** 2
-        + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
-    )
-    return _report(f"fne(rho={rho})", viol, budget, tol, (xs, ys))
+    dxy = norm(xs - ys) ** 2
+    viol = norm(tx - ty) ** 2 - dxy + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
+    return _report(f"fne(rho={rho})", viol, dxy, budget, (xs, ys))
 
 
-def check_nonexpansive(node, budget=SampleBudget(), tol=DEFAULT_TOL, center=None):
-    """Probe plain Lipschitz-1 behavior on sampled pairs."""
+def check_nonexpansive(node, budget=SampleBudget(), center=None):
+    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``."""
     xs, ys = _sample_pairs(node, center, budget)
-    viol = norm(node.apply(xs) - node.apply(ys)) - norm(xs - ys)
-    return _report("nonexpansive", viol, budget, tol, (xs, ys))
+    dxy = norm(xs - ys)
+    viol = norm(node.apply(xs) - node.apply(ys)) - dxy
+    return _report("nonexpansive", viol, dxy, budget, (xs, ys))

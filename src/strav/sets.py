@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, as_vector, norm
+from .numeric import _within, as_vector, norm
 from .operators import Identity, OperatorNode, Primitive
 
 __all__ = [
@@ -42,8 +42,8 @@ class ProjectableSet:
         x = np.asarray(x, dtype=float)
         return norm(x - self.project(x))
 
-    def contains(self, x, tol=DEFAULT_TOL):
-        return self.distance(x) <= tol.abs_eps
+    def contains(self, x):
+        return _within(self.distance(x), norm(x))
 
     def same_as(self, other):
         if not self._fields:
@@ -136,12 +136,12 @@ class AffineSubspace(ProjectableSet):
 
     _fields = ("basis", "offset")
 
-    def __init__(self, basis, offset, tol=DEFAULT_TOL):
+    def __init__(self, basis, offset):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.size == 0:
             raise ValueError("basis must be a nonempty 2-D array of row vectors")
         gram = basis @ basis.T
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > tol.abs_eps:
+        if not _within(np.max(np.abs(gram - np.eye(basis.shape[0])))):
             raise ValueError("basis rows must be orthonormal")
         self.basis = basis
         self.offset = as_vector(offset, basis.shape[1])
@@ -164,7 +164,7 @@ class OperatorFamily:
         as a relaxed projection) or a prebuilt :class:`~strav.operators.OperatorNode`.
     witness : array_like
         Declared common point.  Materializing index n spot-checks that the
-        witness is fixed by U_n within ``tol.abs_eps``; a violation is a
+        witness is fixed by U_n (at scale ``||witness||``); a violation is a
         construction error, not a silent degradation.
     gammas : float or callable, optional
         Per-index projection relaxation (default 1.0); ignored for indices
@@ -174,12 +174,12 @@ class OperatorFamily:
     memo insert is idempotent and nodes are immutable.
     """
 
-    def __init__(self, generator, witness, *, gammas=None, tol=DEFAULT_TOL):
+    def __init__(self, generator, witness, *, gammas=None):
         self._generator = generator
         self.witness = as_vector(witness)
+        self._witness_norm = float(norm(self.witness))
         self.dim = self.witness.shape[0]
         self._gammas = gammas
-        self._tol = tol
         self._ops = {}
 
     def gamma(self, n):
@@ -214,7 +214,7 @@ class OperatorFamily:
                 f"family-error: operator {n} has dimension {node.dim}, family has {self.dim}"
             )
         rz = float(node.residual(self.witness))
-        if rz > self._tol.abs_eps:
+        if not _within(rz, self._witness_norm):
             raise ValueError(
                 f"family-error: declared common point not fixed by operator {n} (residual {rz:.3e})"
             )
@@ -242,17 +242,16 @@ class OperatorFamily:
     def materialized(self):
         return sorted(self._ops)
 
-    def check_common_point(self, z, tol=None):
-        """Max residual of z over all materialized operators vs the slack."""
-        tol = tol or self._tol
+    def check_common_point(self, z):
+        """Whether z is fixed by every materialized operator, at scale ``||z||``."""
         z = as_vector(z, self.dim)
         worst = 0.0
         for n in self.materialized:
             worst = max(worst, float(self._ops[n].residual(z)))
-        return worst <= tol.abs_eps
+        return _within(worst, float(norm(z)))
 
     @classmethod
-    def from_sets(cls, sets, witness, *, gammas=None, tol=DEFAULT_TOL):
+    def from_sets(cls, sets, witness, *, gammas=None):
         """Finite family over an explicit list of sets (or operator nodes)."""
         sets = list(sets)
 
@@ -261,6 +260,6 @@ class OperatorFamily:
                 raise IndexError(f"finite family of size {len(sets)} has no index {n}")
             return sets[n]
 
-        fam = cls(generator, witness, gammas=gammas, tol=tol)
+        fam = cls(generator, witness, gammas=gammas)
         fam.size = len(sets)
         return fam

@@ -22,7 +22,7 @@ from numbers import Real
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import _SLACK, DEFAULT_TOL, as_vector, norm
+from .numeric import _SLACK, _within, as_vector, norm
 
 __all__ = [
     "RelaxationSchedule",
@@ -112,10 +112,9 @@ class PerturbationSchedule:
     (<= 1 within slack).
     """
 
-    def __init__(self, beta, direction, *, tol=DEFAULT_TOL):
+    def __init__(self, beta, direction):
         self._beta = beta
         self._direction = direction
-        self._tol = tol
 
     def at(self, k, x):
         b = float(self._beta(int(k)))
@@ -123,7 +122,7 @@ class PerturbationSchedule:
             raise ValueError(f"perturbation magnitude must be nonnegative, got {b} at k={k}")
         v = np.asarray(self._direction(int(k), x), dtype=float)
         nv = float(norm(v))
-        if nv > 1.0 + self._tol.abs_eps:
+        if not _within(nv - 1.0):
             raise ValueError(f"direction norm {nv} exceeds 1 at k={k}")
         return b, v
 
@@ -433,15 +432,16 @@ class FejerReport:
         )
 
 
-def check_fejer(trace, z, constant, tol=DEFAULT_TOL):
+def check_fejer(trace, z, constant):
     """Audit ``||x^{k+1}-z||^2 <= ||x^k-z||^2 - c * ||x^{k+1}-x^k||^2`` on a trace.
 
     ``z`` must be fixed by every operator materialized during the run.  For
     the run's own witness the stored per-iteration scalars suffice; any
-    other z needs a stride-1 trace (full iterates).
+    other z needs a stride-1 trace (full iterates).  Step k is judged at
+    scale ``||x^k - z||^2``.
     """
     z = as_vector(z, trace.witness.shape[0])
-    if not trace.family.check_common_point(z, tol):
+    if not trace.family.check_common_point(z):
         raise ValueError("witness-not-fixed: z is not fixed by the materialized operators")
     K = trace.n_updates
     if np.array_equal(z, trace.witness):
@@ -451,17 +451,16 @@ def check_fejer(trace, z, constant, tol=DEFAULT_TOL):
             raise ValueError("full iterates unavailable (record_stride > 1); rerun with stride 1")
         d = norm(trace.xs - z)
     steps = trace.step[:K]
-    slack = d[:K] ** 2 - d[1 : K + 1] ** 2 - float(constant) * steps**2
+    dk = d[:K] ** 2
+    slack = dk - d[1 : K + 1] ** 2 - float(constant) * steps**2
     if K == 0:
         return FejerReport(True, float(constant), 0.0, None, 0)
     viol = -slack
-    worst = int(np.argmax(viol))
-    max_v = float(viol[worst])
-    bad = np.flatnonzero(viol > tol.abs_eps)
+    bad = np.flatnonzero(~_within(viol, dk))
     return FejerReport(
         passed=bad.size == 0,
         constant=float(constant),
-        max_violation=max_v,
+        max_violation=float(np.max(viol)),
         first_violating_k=int(bad[0]) if bad.size else None,
         checked=K,
     )
@@ -493,7 +492,7 @@ class ConvergenceReport:
         return out
 
 
-def convergence_report(trace, family, monitored, tol=DEFAULT_TOL):
+def convergence_report(trace, family, monitored):
     """Distances of the final iterate plus step-tail diagnostics.
 
     The Cauchy tail is the summed step norm over the last quarter of the
@@ -506,7 +505,8 @@ def convergence_report(trace, family, monitored, tol=DEFAULT_TOL):
     steps = trace.step[:K]
     if K >= 8:
         q = K // 4
-        tail_dec = bool(np.max(steps[-q:]) <= np.max(steps[:q]) + tol.abs_eps)
+        head = np.max(steps[:q])
+        tail_dec = bool(_within(np.max(steps[-q:]) - head, head))
         cauchy = float(np.sum(steps[-q:]))
     else:
         tail_dec = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, as_vector, norm
+from .numeric import _within, as_vector, norm
 from .solver import StopRule, _drive
 
 __all__ = [
@@ -238,24 +238,24 @@ class AlternativesReport:
         )
 
 
-def alternatives_diagnostic(
-    trace, oracle, tol=DEFAULT_TOL, *, strictness_margin=0.0, min_tail=10
-):
+def alternatives_diagnostic(trace, oracle, *, strictness_margin=0.0, min_tail=10):
     """Classify a finished superiorized run against the oracle's minimizers.
 
-    First limb: the final iterate sits within ``tol.abs_eps`` of some
-    declared minimizer, in both distance and objective value.  Second
-    limb: there is a k0 such that for every recorded k >= k0 and every
-    minimizer z, ``||y^{k+1} - z|| < ||y^k - z|| - strictness_margin``;
+    First limb: the final iterate sits at some declared minimizer w, in
+    both distance and objective value (at scales ``||w||`` and
+    ``|phi(w)|``).  Second limb: there is a k0 such that for every
+    recorded k >= k0 and every minimizer z,
+    ``||y^{k+1} - z|| < ||y^k - z|| - strictness_margin``;
     at least ``min_tail`` strict steps must back the claim.  Needs a
     stride-1 trace for the scan.
     """
     witnesses = oracle.witnesses()
     yK = trace.final_x
     for w in witnesses:
+        phi_w = float(oracle.value(w))
         gap_d = float(norm(yK - w))
-        gap_v = abs(float(oracle.value(yK)) - float(oracle.value(w)))
-        if gap_d <= tol.abs_eps and gap_v <= tol.abs_eps:
+        gap_v = abs(float(oracle.value(yK)) - phi_w)
+        if _within(gap_d, float(norm(w))) and _within(gap_v, abs(phi_w)):
             return AlternativesReport("alternative-1", final_gap=max(gap_d, gap_v))
 
     if trace.record_stride != 1:

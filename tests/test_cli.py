@@ -214,3 +214,40 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
         assert code == 1
         assert "\n  stop: " in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("relaxation.lambda", 5),
+            ("relaxation.lambda", {"kind": "cycle", "values": 0.5}),
+            ("relaxation.eps", "big"),
+            ("relaxation.rho", "big"),
+            ("relaxation.permissive", "false"),
+            ("relaxation.permissive", "no"),
+            ("relaxation.permissive", 1),
+            ("stop", [1]),
+            ("output", "trace.csv"),
+            ("superiorization", 3),
+            ("objective", [1]),
+            ("perturbation", 1),
+            ("perturbation.beta", 1),
+            ("perturbation.direction", "random"),
+            ("family.sets", {"kind": "box"}),
+            ("family.sets[1]", 7),
+            ("schedule.stages[0]", 7),
+        ],
+    )
+    def test_malformed_field_reports_its_path(self, capsys, tmp_path, path, value):
+        doc = demo_doc()
+        *parents, leaf = path.replace("[", ".").replace("]", "").split(".")
+        rec = doc
+        for key in parents:
+            rec = rec[int(key)] if key.isdigit() else rec.setdefault(key, {})
+        rec[int(leaf) if leaf.isdigit() else leaf] = value
+        cfg = write(tmp_path, doc)
+        code, _, err = run_cli(
+            capsys, "solve", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--stride", "1"
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"\n  {path}: " in err

@@ -239,6 +239,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="fne-hypotheses-unmet"):
             fne_bound(plan)
 
+    def test_sqne_bound_enforces_its_hypotheses(self):
+        # the one-point route mirrors the two-point one: inputs at modulus
+        # >= 1/2, and a relaxed input must be a cutter
+        steps = {1: StepSpec.relaxation(0, 1.5)}
+        for weak in (InputAssumptions(half_sqne=False), InputAssumptions(cutters=False)):
+            plan = IterationPlan(k=0, N=1, eps=0.5, steps=steps, assume=weak)
+            with pytest.raises(ValueError, match="sqne-hypotheses-unmet"):
+                sqne_bound(plan)
+        # alpha = 1 everywhere needs no cutter assertion
+        assert sqne_bound(three_step_plan(assume=InputAssumptions(cutters=False))) == 0.5 / 8.0
+
     def test_rho_uniform(self):
         assert_allclose(rho_uniform(3, 4, 0.5), 0.5 / (2.0 * 64.0), rtol=1e-15)
         assert rho_uniform(1, 1, 1.0) == 0.5

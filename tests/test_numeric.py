@@ -2,27 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.numeric import Tolerance, as_vector, norm
-
-
-class TestTolerance:
-    def test_defaults(self):
-        t = Tolerance()
-        assert t.abs_eps == 1e-9
-        assert t.rel_eps == 1e-9
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_eps=-1e-9)
-        with pytest.raises(ValueError):
-            Tolerance(rel_eps=-1.0)
-
-    def test_rejects_both_zero(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_eps=0.0, rel_eps=0.0)
-
-    def test_one_zero_is_fine(self):
-        assert Tolerance(abs_eps=0.0, rel_eps=1e-6).rel_eps == 1e-6
+from strav.numeric import as_vector, norm
 
 
 class TestAsVector:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.numeric import Tolerance
+from strav.fixtures import random_halfspace_family, random_plan_corpus
+from strav.gmsa import output_operator, sqne_bound
 from strav.operators import (
     Composition,
     ConvexComb,
@@ -17,6 +18,7 @@ from strav.operators import (
     Primitive,
     Relaxation,
     SampleBudget,
+    _report,
     check_fne,
     check_nonexpansive,
     check_sqne,
@@ -247,6 +249,44 @@ class TestSamplingCheckers:
 
     def test_strict_tolerance_still_passes_exact_identity(self):
         # identity satisfies the inequality with equality at every rho
-        rep = check_sqne(Identity(), 3.0, np.zeros(2), self.budget,
-                         tol=Tolerance(abs_eps=1e-14, rel_eps=1e-14))
+        rep = check_sqne(Identity(), 3.0, np.zeros(2), self.budget)
         assert rep.passed
+        assert rep.max_violation == 0.0
+
+
+class TestCheckerScale:
+    """Rounding grows with the size of the terms; genuine violations grow faster."""
+
+    proj = Primitive(Halfspace([0.6, 0.8, 0.0], 0.0))
+
+    @pytest.mark.parametrize("radius", [1e4, 1e6])
+    def test_exact_modulus_passes_at_large_radius(self, radius):
+        budget = SampleBudget(count=300, seed=42, radius=radius)
+        assert check_sqne(self.proj, 1.0, np.zeros(3), budget).passed
+        assert check_fne(self.proj, 1.0, budget).passed
+
+    @pytest.mark.parametrize("radius", [2.0, 1e4, 1e6])
+    def test_tight_overreach_is_caught_at_every_radius(self, radius):
+        budget = SampleBudget(count=300, seed=42, radius=radius)
+        rep = check_sqne(self.proj, 1.0 + 1e-6, np.zeros(3), budget)
+        assert not rep.passed
+        assert rep.worst is not None
+        assert not check_fne(self.proj, 1.001, budget).passed
+
+    def test_worst_is_a_failing_sample(self):
+        # the largest raw violation passes at its own scale while a smaller
+        # one fails at unit scale; the report keeps the failing sample
+        xs = np.arange(6.0).reshape(3, 2)
+        viol, scale = np.array([1e-6, 1e-8, -1.0]), np.array([1e8, 1.0, 1.0])
+        rep = _report("probe", viol, scale, SampleBudget(count=3), (xs,))
+        assert not rep.passed
+        assert rep.max_violation == 1e-6
+        assert_array_equal(rep.worst[0], xs[1])
+
+    def test_corpus_raises_no_false_alarm_at_large_radius(self):
+        family = random_halfspace_family(5, 8, seed=7)
+        for plan in random_plan_corpus(50, 3):
+            T = output_operator(plan, family)
+            budget = SampleBudget(count=200, seed=plan.k, radius=1e4)
+            rep = check_sqne(T, sqne_bound(plan), family.witness, budget)
+            assert rep.passed, f"plan {plan.k}: {rep}"

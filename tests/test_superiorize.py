@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.control import CyclicSchedule
 from strav.fixtures import box_linear_fixture, two_halfspace_family
-from strav.numeric import Tolerance
 from strav.solver import PerturbationSchedule, RelaxationSchedule, StopRule, run
 from strav.superiorize import (
     BetaGrid,
