@@ -19,6 +19,7 @@ from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, unifo
 from .dsa import StringStage, gdsa_to_gmsa
 from .fixtures import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
+from .numeric import as_vector
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -88,6 +89,44 @@ def _container(value, kind, path, errors, default=_REQUIRED):
         return value
     errors.append((path, "not a record" if kind is dict else "not a list"))
     return None
+
+
+def _scalar(value, kind, path, errors, default=_REQUIRED):
+    """``kind(value)`` for ``kind`` ``int`` or ``float``.
+
+    ``None`` (absent or JSON null) gives ``default``, or is reported as
+    missing when no default is given.  A boolean, a string, a value ``kind``
+    refuses, or one that ``int`` would truncate, is reported under ``path``.
+    A reported value gives ``None``.
+    """
+    if value is None:
+        if default is _REQUIRED:
+            errors.append((path, "missing"))
+            return None
+        return default
+    v = None
+    if not isinstance(value, (bool, str)):
+        try:
+            v = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if v is None or (kind is int and v != value):
+        noun = "an integer" if kind is int else "a number"
+        errors.append((path, f"need {noun}, got {value!r}"))
+        return None
+    return v
+
+
+def _vector(value, dim, path, errors):
+    """``value`` as a finite vector of ``dim`` coordinates; ``None`` when reported."""
+    if value is None:
+        errors.append((path, "missing"))
+        return None
+    try:
+        return as_vector(value, dim)
+    except (TypeError, ValueError) as exc:
+        errors.append((path, f"need {dim} finite coordinates ({exc})"))
+        return None
 
 
 # -- plan/step records ------------------------------------------------------
@@ -170,13 +209,14 @@ def plan_from_record(rec, path, errors):
 
 # -- section builders -------------------------------------------------------
 
-_SET_KINDS = {"halfspace", "hyperplane", "ball", "box", "affine"}
+# a tuple, so testing a JSON list or record for membership reports it instead of raising
+_SET_KINDS = ("affine", "ball", "box", "halfspace", "hyperplane")
 
 
 def _build_set(rec, dim, path, errors):
     kind = rec.get("kind")
     if kind not in _SET_KINDS:
-        errors.append((path, f"unknown set kind {kind!r} (expected one of {sorted(_SET_KINDS)})"))
+        errors.append((path, f"unknown set kind {kind!r} (expected one of {list(_SET_KINDS)})"))
         return None
     try:
         if kind == "halfspace":
@@ -202,14 +242,19 @@ def _build_family(doc, dim, errors):
     sec = _container(doc.get("family"), dict, "family", errors)
     if sec is None:
         return None
-    witness = sec.get("witness")
+    witness = _vector(sec.get("witness"), dim, "family.witness", errors)
     if witness is None:
-        errors.append(("family.witness", "missing"))
         return None
     gammas = sec.get("gammas")
     if isinstance(gammas, list):
-        glist = [float(g) for g in gammas]
+        glist = [_scalar(g, float, f"family.gammas[{i}]", errors) for i, g in enumerate(gammas)]
+        if None in glist:
+            return None
         gammas = lambda n: glist[n % len(glist)]
+    elif gammas is not None:
+        gammas = _scalar(gammas, float, "family.gammas", errors)
+        if gammas is None:
+            return None
     if "sets" in sec:
         recs = _container(sec["sets"], list, "family.sets", errors)
         if recs is None:
@@ -229,7 +274,7 @@ def _build_family(doc, dim, errors):
     gen = sec.get("generator")
     if isinstance(gen, dict) and gen.get("kind") == "axis_halfspaces":
         fam = axis_halfspace_family(dim)
-        if not np.array_equal(fam.witness, np.asarray(witness, dtype=float)):
+        if not np.array_equal(fam.witness, witness):
             errors.append(("family.witness", "axis_halfspaces generator fixes the origin witness"))
             return None
         return fam
@@ -308,10 +353,8 @@ def _build_relax(doc, schedule, errors):
     sec = _container(doc.get("relaxation"), dict, "relaxation", errors, {})
     if sec is None:
         return None
-    try:
-        eps = float(sec.get("eps", 1.0))
-    except (TypeError, ValueError):
-        errors.append(("relaxation.eps", f"need a number, got {sec['eps']!r}"))
+    eps = _scalar(sec.get("eps"), float, "relaxation.eps", errors, 1.0)
+    if eps is None:
         return None
     permissive = sec.get("permissive", False)
     if not isinstance(permissive, bool):
@@ -333,31 +376,37 @@ def _build_relax(doc, schedule, errors):
             errors.append(("relaxation.rho", str(exc)))
             return None
     else:
-        try:
-            rho = float(rho)
-        except (TypeError, ValueError):
-            errors.append(("relaxation.rho", f"need a number, got {rho!r}"))
+        rho = _scalar(rho, float, "relaxation.rho", errors)
+        if rho is None:
             return None
+    try:
+        RelaxationSchedule.interval(eps, rho, permissive)
+    except ValueError as exc:
+        msg = str(exc)
+        errors.append(("relaxation.rho" if msg.startswith("rho") else "relaxation.eps", msg))
+        eps = None
     rule = _container(
         sec.get("lambda"), dict, "relaxation.lambda", errors, {"kind": "constant", "value": 1.0}
     )
     if rule is None:
         return None
     kind = rule.get("kind")
+    if kind not in ("constant", "cycle", "sweep"):
+        errors.append(("relaxation.lambda.kind", f"unknown rule {kind!r}"))
+        return None
+    if eps is None:
+        return None
     try:
         if kind == "constant":
             return RelaxationSchedule.constant(rule["value"], eps, rho, permissive=permissive)
         if kind == "cycle":
             return RelaxationSchedule.cycle(rule["values"], eps, rho, permissive=permissive)
-        if kind == "sweep":
-            return RelaxationSchedule.sweep(
-                eps, rho, points=int(rule.get("points", 17)), permissive=permissive
-            )
+        return RelaxationSchedule.sweep(
+            eps, rho, points=int(rule.get("points", 17)), permissive=permissive
+        )
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(("relaxation.lambda", str(exc)))
         return None
-    errors.append(("relaxation.lambda.kind", f"unknown rule {kind!r}"))
-    return None
 
 
 def _build_perturbation(doc, dim, seed, witness, errors):
@@ -429,17 +478,18 @@ def parse_config(source):
         raise ConfigError([("document", "top level must be a record")])
 
     errors = []
-    dim = doc.get("ambient_dim")
-    if not isinstance(dim, int) or dim < 1:
-        errors.append(("ambient_dim", "need a positive integer"))
+    dim = _scalar(doc.get("ambient_dim"), int, "ambient_dim", errors)
+    if dim is not None and dim < 1:
+        errors.append(("ambient_dim", f"need a positive integer, got {dim}"))
+    if errors:
         raise ConfigError(errors)
-    seed = int(doc.get("seed", 0))
+    seed = _scalar(doc.get("seed"), int, "seed", errors, 0)
 
     family = _build_family(doc, dim, errors)
     schedule = _build_schedule(doc, errors)
     relax = _build_relax(doc, schedule, errors)
     witness = family.witness if family is not None else np.zeros(dim)
-    perturb = _build_perturbation(doc, dim, seed, witness, errors)
+    perturb = _build_perturbation(doc, dim, seed or 0, witness, errors)
     oracle = _build_objective(doc, errors)
 
     grid = None
@@ -463,20 +513,18 @@ def parse_config(source):
         errors.append(("stop", str(exc)))
         stop = StopRule()
 
-    monitored = tuple(int(n) for n in doc.get("monitored_indices", ()))
-    start = doc.get("start")
-    if start is None:
-        errors.append(("start", "missing starting point"))
-        start_v = np.zeros(dim)
-    else:
-        start_v = np.asarray(start, dtype=float)
-        if start_v.shape != (dim,):
-            errors.append(("start", f"needs {dim} coordinates"))
+    raw = _container(doc.get("monitored_indices"), list, "monitored_indices", errors, []) or []
+    monitored = tuple(
+        _scalar(n, int, f"monitored_indices[{i}]", errors) for i, n in enumerate(raw)
+    )
+    start = _vector(doc.get("start"), dim, "start", errors)
 
     out = _container(doc.get("output"), dict, "output", errors, {}) or {}
     trace_path = out.get("trace")
-    stride = int(out.get("stride", 1))
-    if stride < 1:
+    if trace_path is not None and not isinstance(trace_path, str):
+        errors.append(("output.trace", f"need a file path, got {trace_path!r}"))
+    stride = _scalar(out.get("stride"), int, "output.stride", errors, 1)
+    if stride is not None and stride < 1:
         errors.append(("output.stride", "must be >= 1"))
 
     if errors:
@@ -493,7 +541,7 @@ def parse_config(source):
         zero_tol=zero_tol,
         stop=stop,
         monitored=monitored,
-        start=start_v,
+        start=start,
         trace_path=trace_path,
         stride=stride,
         raw=doc,

@@ -61,6 +61,11 @@ def as_vector(x, dim=None):
 
 
 def norm(x):
-    """Euclidean norm along the last axis."""
-    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+    """Euclidean norm along the last axis.
+
+    The same sum of squares ``np.linalg.norm(x, axis=-1)`` computes for real
+    input, bit for bit, without its dispatch cost.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 

@@ -5,6 +5,13 @@ a single vector or a row-stacked batch and returns the same shape; a point
 already inside comes back unchanged (bitwise for the polyhedral variants).
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
+
+:meth:`OperatorFamily.distances` answers many sets at once: it stacks the
+halfspaces and hyperplanes into one normal matrix and repeats each set's
+own arithmetic row by row.
+Axis-aligned normals therefore give the per-set values bit for bit; other
+normals agree to rounding, because a matrix-vector product may sum its
+terms in another order than the per-set dot product.
 """
 
 from __future__ import annotations
@@ -181,6 +188,7 @@ class OperatorFamily:
         self.dim = self.witness.shape[0]
         self._gammas = gammas
         self._ops = {}
+        self._stacks = {}
 
     def gamma(self, n):
         if self._gammas is None:
@@ -238,6 +246,25 @@ class OperatorFamily:
             return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
         raise ValueError(f"family-error: no set distance available for index {n}")
 
+    def distances(self, indices, x):
+        """Distances from one point x to the sets at ``indices``, in that order.
+
+        Agrees with ``[self.distance(n, x) for n in indices]`` to rounding
+        (see the module docstring).  The first call for an index tuple
+        materializes its operators and stacks their polyhedral sets; later
+        calls reuse the stacks.
+        """
+        key = tuple(indices)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks.setdefault(key, _DistanceStack(self, key))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(
+                f"dim-mismatch: expected one point of dimension {self.dim}, got shape {x.shape}"
+            )
+        return stack.distances(self, x)
+
     @property
     def materialized(self):
         return sorted(self._ops)
@@ -263,3 +290,40 @@ class OperatorFamily:
         fam = cls(generator, witness, gammas=gammas)
         fam.size = len(sets)
         return fam
+
+
+class _DistanceStack:
+    """The sets at one index tuple, grouped for :meth:`OperatorFamily.distances`.
+
+    The halfspaces and hyperplanes repeat their ``project`` arithmetic, then
+    ``distance``'s norm of ``x - project(x)``.  Every other index (boxes,
+    balls, affine subspaces, identity pads, operator nodes without a set) is
+    asked of the family's per-set ``distance``.
+    """
+
+    def __init__(self, family, indices):
+        linear, self.rest = [], []
+        for pos, n in enumerate(indices):
+            op = family.operator(n)
+            s = op.set if isinstance(op, Primitive) else None
+            if isinstance(s, _LinearConstraint):
+                linear.append((pos, s))
+            else:
+                self.rest.append((pos, n))
+        self.size = len(indices)
+        self.linear_pos = np.array([pos for pos, _ in linear], dtype=np.intp)
+        self.normals = np.array([s.a for _, s in linear])
+        self.offsets = np.array([s.b for _, s in linear])
+        self.asq = np.array([s._asq for _, s in linear])
+        # np.maximum with -inf leaves an equality row's offset unclamped
+        self.floor = np.array([0.0 if s._one_sided else -np.inf for _, s in linear])
+
+    def distances(self, family, x):
+        out = np.empty(self.size)
+        if self.linear_pos.size:
+            offset = np.maximum(self.normals @ x - self.offsets, self.floor)
+            diff = x - (x - (offset / self.asq)[:, None] * self.normals)
+            out[self.linear_pos] = norm(diff)
+        for pos, n in self.rest:
+            out[pos] = family.distance(n, x)
+        return out

@@ -12,6 +12,10 @@ them hold bitwise, not just to rounding.
 Scalar diagnostics (residual, step, witness distance, monotonicity slack,
 per-set distances) are recorded every iteration; full iterates are thinned
 by ``record_stride`` to bound memory, with the final iterate always kept.
+The monitored distances of one iterate come from one
+:meth:`~strav.sets.OperatorFamily.distances` call, which answers the
+halfspaces and hyperplanes with one stacked matrix-vector product instead
+of one projection per set.
 """
 
 from __future__ import annotations
@@ -53,20 +57,30 @@ class RelaxationSchedule:
 
     def __init__(self, rule, eps, rho, *, permissive=False):
         eps, rho = float(eps), float(rho)
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        if rho < 0.0:
-            raise ValueError(f"rho must be nonnegative, got {rho}")
-        if not permissive and eps > (1.0 + rho) / 2.0 + _SLACK:
-            raise ValueError(
-                f"empty step range: eps={eps} exceeds (1 + rho)/2 with rho={rho}"
-            )
+        self.lo, self.hi = self.interval(eps, rho, permissive)
         self.eps = eps
         self.rho = rho
         self.permissive = bool(permissive)
         self._rule = rule if callable(rule) else (lambda k, v=float(rule): v)
-        self.lo = eps
-        self.hi = (2.0 - eps) if permissive else (1.0 + rho - eps)
+
+    @staticmethod
+    def interval(eps, rho, permissive=False):
+        """The step interval ``(lo, hi)`` that ``eps`` and ``rho`` certify.
+
+        Raises ValueError when eps lies outside (0, 1], rho is negative or NaN, or
+        the interval is empty (permissive mode widens it to ``2 - eps``).
+        """
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        if not rho >= 0.0:
+            raise ValueError(f"rho must be nonnegative, got {rho}")
+        if permissive:
+            return eps, 2.0 - eps
+        if eps > (1.0 + rho) / 2.0 + _SLACK:
+            raise ValueError(
+                f"empty step range: eps={eps} exceeds (1 + rho)/2 with rho={rho}"
+            )
+        return eps, 1.0 + rho - eps
 
     def lam(self, k):
         v = float(self._rule(int(k)))
@@ -97,8 +111,7 @@ class RelaxationSchedule:
         """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
         if points < 2:
             raise ValueError(f"a sweep needs at least 2 points, got {points}")
-        lo = eps
-        hi = (2.0 - eps) if kw.get("permissive") else (1.0 + rho - eps)
+        lo, hi = cls.interval(float(eps), float(rho), kw.get("permissive", False))
         pts = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
         return cls(lambda k: pts[k % len(pts)], eps, rho, **kw)
 
@@ -308,7 +321,7 @@ def _drive(
         residual.append(res)
         dist_w.append(float(norm(x - z)))
         if monitored:
-            dists.append([float(family.distance(n, x)) for n in monitored])
+            dists.append(family.distances(monitored, x))
         if objective is not None:
             phis.append(float(objective.value(x)))
         if k % record_stride == 0:
@@ -498,8 +511,8 @@ def convergence_report(trace, family, monitored):
     The Cauchy tail is the summed step norm over the last quarter of the
     run, an upper bound on how far the iterate can still have moved there.
     """
-    xK = trace.final_x
-    finals = {int(n): float(family.distance(int(n), xK)) for n in monitored}
+    monitored = tuple(int(n) for n in monitored)
+    finals = dict(zip(monitored, family.distances(monitored, trace.final_x).tolist()))
     max_d = max(finals.values()) if finals else 0.0
     K = trace.n_updates
     steps = trace.step[:K]

@@ -235,6 +235,20 @@ class TestErrorHandling:
             ("family.sets", {"kind": "box"}),
             ("family.sets[1]", 7),
             ("schedule.stages[0]", 7),
+            ("seed", [1]),
+            ("output.stride", [1]),
+            ("output.trace", 2),
+            ("monitored_indices", 3),
+            ("monitored_indices[1]", None),
+            ("start", {"x": 1.0}),
+            ("family.witness", {"x": 0.0}),
+            ("family.gammas", "x"),
+            ("relaxation.eps", 2.0),
+            ("relaxation.eps", 0.9),
+            ("relaxation.rho", -1.0),
+            ("relaxation.rho", float("nan")),
+            ("relaxation.eps", "0.5"),
+            ("ambient_dim", True),
         ],
     )
     def test_malformed_field_reports_its_path(self, capsys, tmp_path, path, value):
@@ -245,9 +259,11 @@ class TestErrorHandling:
             rec = rec[int(key)] if key.isdigit() else rec.setdefault(key, {})
         rec[int(leaf) if leaf.isdigit() else leaf] = value
         cfg = write(tmp_path, doc)
-        code, _, err = run_cli(
-            capsys, "solve", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--stride", "1"
-        )
+        # --out and --stride would replace a mutated output.trace or output.stride
+        overrides = [] if path.startswith("output.") else [
+            "--out", str(tmp_path / "t.csv"), "--stride", "1"
+        ]
+        code, _, err = run_cli(capsys, "solve", "--config", cfg, *overrides)
         assert code == 1
         assert "Traceback" not in err
         assert f"\n  {path}: " in err

@@ -122,6 +122,19 @@ class TestFamilySection:
         with pytest.raises(ConfigError, match="family.sets\\[1\\]"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("kind", [["halfspace"], {"halfspace": 1}, None])
+    def test_non_string_set_kind_located(self, kind):
+        doc = minimal_doc()
+        doc["family"]["sets"][0]["kind"] = kind
+        with pytest.raises(ConfigError, match="family.sets\\[0\\]: unknown set kind"):
+            parse_config(doc)
+
+    def test_gamma_list_entries_located(self):
+        doc = minimal_doc()
+        doc["family"]["gammas"] = [1.0, {"g": 1.0}]
+        with pytest.raises(ConfigError, match="family.gammas\\[1\\]: need a number"):
+            parse_config(doc)
+
     def test_witness_required(self):
         doc = minimal_doc()
         del doc["family"]["witness"]
@@ -338,6 +351,22 @@ class TestStopStartOutput:
 
     def test_monitored_indices(self):
         assert parse_config(minimal_doc(monitored_indices=[1, 0])).monitored == (1, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("monitored_indices", [0, 1.5], "monitored_indices[1]"),
+            ("seed", 2.5, "seed"),
+            ("seed", "3", "seed"),
+            ("seed", True, "seed"),
+            ("monitored_indices", [True, False], "monitored_indices[0]"),
+            ("output", {"stride": 1.5}, "output.stride"),
+        ],
+    )
+    def test_integer_fields_are_not_truncated(self, field, value, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{field: value}))
+        assert path in [p for p, _ in err.value.errors]
 
     def test_start_missing(self):
         doc = minimal_doc()

@@ -40,3 +40,8 @@ class TestInnerNorm:
         assert_allclose(norm(X), [5.0, 0.0])
         assert norm(np.array([3.0, 4.0])) == 5.0
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (20,), (130,), (7, 3), (64, 20)])
+    def test_norm_equals_linalg_norm_bitwise(self, shape):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape)
+        assert_array_equal(norm(x), np.linalg.norm(x, axis=-1))

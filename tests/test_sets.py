@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.operators import Identity, Primitive
+from strav.fixtures import axis_halfspace_family, random_halfspace_family
+from strav.numeric import _within, norm
+from strav.operators import Identity, Primitive, Relaxation
 from strav.sets import (
     AffineSubspace,
     Ball,
@@ -252,3 +254,60 @@ class TestOperatorFamily:
         fam.operator(1)
         with pytest.raises(ValueError, match="family-error"):
             fam.operator(2)
+
+
+class TestFamilyDistances:
+    """``distances`` against the per-set oracle ``[family.distance(n, x)]``."""
+
+    @staticmethod
+    def _oracle(fam, indices, x):
+        return np.array([fam.distance(n, x) for n in indices])
+
+    def test_axis_family_bitwise(self):
+        fam = axis_halfspace_family(5)
+        indices = tuple(range(21))
+        for x in np.random.default_rng(40).standard_normal((50, 5)) * 3.0:
+            assert_array_equal(fam.distances(indices, x), self._oracle(fam, indices, x))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_general_normals_agree_to_rounding(self, seed):
+        fam = random_halfspace_family(20, 60, seed)
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-3, 7, size=(30, 1))
+        for x in rng.standard_normal((30, 20)) * scales:
+            got = fam.distances(range(60), x)
+            assert np.all(_within(np.abs(got - self._oracle(fam, range(60), x)), norm(x)))
+
+    def test_mixed_family_keeps_order(self):
+        sets = [
+            Ball([0.0, 0.0, 0.2], 1.0),
+            Halfspace([1.0, 1.0, 0.0], 1.0),
+            Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+            Hyperplane([0.0, 0.0, 1.0], 0.0),
+            Identity(),
+            Halfspace([0.0, 2.0, 0.0], 0.5),
+            Box([-0.5, -2.0, -0.5], [0.5, 2.0, 0.5]),
+            AffineSubspace([[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0]),
+        ]
+        fam = OperatorFamily.from_sets(sets, np.zeros(3))
+        indices = (4, 3, 0, 6, 2, 1, 7, 5, 3)
+        for x in np.random.default_rng(41).standard_normal((40, 3)) * 2.0:
+            got = fam.distances(indices, x)
+            assert got.shape == (len(indices),)
+            assert_array_equal(got, self._oracle(fam, indices, x))
+
+    def test_non_projection_node_raises_family_error(self):
+        fam = OperatorFamily.from_sets(
+            [Halfspace([1.0, 0.0], 0.0), Relaxation(Primitive(Box([-1.0, -1.0], [1.0, 1.0])), 0.5)],
+            np.zeros(2),
+        )
+        x = np.array([2.0, 3.0])
+        with pytest.raises(ValueError, match="family-error: no set distance") as oracle:
+            fam.distance(1, x)
+        with pytest.raises(ValueError, match="family-error: no set distance") as stacked:
+            fam.distances((0, 1), x)
+        assert str(stacked.value) == str(oracle.value)
+
+    def test_point_dimension_checked(self):
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            axis_halfspace_family(3).distances((0, 1), np.zeros(4))

@@ -50,6 +50,11 @@ class TestRelaxationSchedule:
         with pytest.raises(ValueError, match="outside"):
             r.lam(0)
 
+    @pytest.mark.parametrize("rho", [-1.0, float("nan")])
+    def test_interval_rejects_bad_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            RelaxationSchedule.interval(0.5, rho)
+
     def test_cycle(self):
         r = RelaxationSchedule.cycle([0.3, 0.6], 0.25, 0.5)
         assert [r.lam(k) for k in range(4)] == [0.3, 0.6, 0.3, 0.6]
@@ -312,6 +317,18 @@ class TestTraceRecording:
                  StopRule(10, None, None), monitored=(0, 1))
         assert tr.set_distances.shape == (11, 2)
         assert_allclose(tr.set_distances[0], [2.0, 1.0])
+
+    def test_monitored_distances_match_per_set_oracle(self):
+        fam = axis_halfspace_family(5)
+        monitored = tuple(range(21))
+        relax = RelaxationSchedule.constant(1.0, 1.0, 1.0)
+        tr = run(fam, PowerOfTwoSchedule(), relax, np.full(5, 3.0), StopRule(200, None, None),
+                 monitored=monitored)
+        assert tr.set_distances.shape == (tr.n_rows, 21)
+        for x, row in zip(tr.xs, tr.set_distances):
+            assert_array_equal(row, [fam.distance(n, x) for n in monitored])
+        finals = convergence_report(tr, fam, list(monitored)).final_distances
+        assert finals == {n: fam.distance(n, tr.final_x) for n in monitored}
 
     def test_csv_layout(self):
         tr = run(self.fam, self.sched, self.relax, np.array([2.0, 1.0]),
