@@ -22,7 +22,8 @@ Top-level fields::
     objective          optional, required by ``superiorize``
     superiorization    optional inner-loop sizes, ``superiorize`` only
     stop               {"max_iters", "residual_tol", "step_tol"}
-    monitored_indices  list of input indices to track distances for
+    monitored_indices  list of input indices to track distances for (each
+                       below the number of sets of an explicit family)
     output             {"trace": path or null, "stride": int}
 
 ``family`` is either explicit sets with a declared common point::
@@ -76,6 +77,10 @@ given and is cross-checked against the step's width.
      "lambda": {"kind": "constant", "value": 1.0}
                 | {"kind": "cycle", "values": [...]}
                 | {"kind": "sweep", "points": 17}}
+
+Every ``value`` and each entry of ``values`` must lie in the certified
+interval ``[eps, 1 + rho - eps]`` (``[eps, 2 - eps]`` when permissive); an
+absent ``lambda`` is the constant 1.0 and must lie there too.
 
 ``perturbation``::
 

@@ -396,17 +396,29 @@ def _build_relax(doc, schedule, errors):
         return None
     if eps is None:
         return None
+    # a step size outside the interval is reported under its own entry, and
+    # the default 1.0 of an absent lambda under relaxation.lambda
+    path = "relaxation.lambda"
     try:
         if kind == "constant":
+            if sec.get("lambda") is not None:
+                path = "relaxation.lambda.value"
             return RelaxationSchedule.constant(rule["value"], eps, rho, permissive=permissive)
         if kind == "cycle":
-            return RelaxationSchedule.cycle(rule["values"], eps, rho, permissive=permissive)
+            values = list(rule["values"])
+            for i, v in enumerate(values):
+                path = f"relaxation.lambda.values[{i}]"
+                RelaxationSchedule.constant(v, eps, rho, permissive=permissive)
+            path = "relaxation.lambda"
+            return RelaxationSchedule.cycle(values, eps, rho, permissive=permissive)
         return RelaxationSchedule.sweep(
             eps, rho, points=int(rule.get("points", 17)), permissive=permissive
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(("relaxation.lambda", str(exc)))
-        return None
+    except KeyError as exc:
+        errors.append(("relaxation.lambda", f"missing {exc}"))
+    except (TypeError, ValueError) as exc:
+        errors.append((path, str(exc)))
+    return None
 
 
 def _build_perturbation(doc, dim, seed, witness, errors):
@@ -517,6 +529,12 @@ def parse_config(source):
     monitored = tuple(
         _scalar(n, int, f"monitored_indices[{i}]", errors) for i, n in enumerate(raw)
     )
+    size = getattr(family, "size", None)  # set on finite families only
+    for i, n in enumerate(monitored):
+        if n is not None and n < 0:
+            errors.append((f"monitored_indices[{i}]", f"need a natural number, got {n}"))
+        elif n is not None and size is not None and n >= size:
+            errors.append((f"monitored_indices[{i}]", f"no set {n} in a family of {size} sets"))
     start = _vector(doc.get("start"), dim, "start", errors)
 
     out = _container(doc.get("output"), dict, "output", errors, {}) or {}

@@ -133,7 +133,11 @@ class CyclicSchedule(ControlSchedule):
 
 
 class PowerOfTwoSchedule(ControlSchedule):
-    """Iteration k relaxes the single input ``f_value(k)``; window M_n = 2^{n+1}."""
+    """Iteration k relaxes the single input ``f_value(k)``; window M_n = 2^{n+1}.
+
+    One template plan per value of ``f_value`` is kept; ``plan_at(k)`` is
+    its ``replaced(k=k)`` copy, which shares the template's memo.
+    """
 
     def __init__(self, eps=1.0, alpha=1.0):
         if not 0.0 < eps <= 1.0:
@@ -141,14 +145,17 @@ class PowerOfTwoSchedule(ControlSchedule):
         super().__init__(lambda n: 2 ** (int(n) + 1))
         self.eps = float(eps)
         self.alpha = float(alpha)
+        self._templates = {}
 
     def plan_at(self, k):
-        return IterationPlan(
-            k=int(k),
-            N=1,
-            eps=self.eps,
-            steps=[StepSpec.relaxation(-f_value(k), self.alpha)],
-        )
+        k = int(k)
+        n = f_value(k)
+        template = self._templates.get(n)
+        if template is None:
+            template = self._templates[n] = IterationPlan(
+                k=k, N=1, eps=self.eps, steps=[StepSpec.relaxation(-n, self.alpha)]
+            )
+        return template.replaced(k=k)
 
     def plan_metadata(self):
         return (1, 1)
@@ -223,7 +230,8 @@ def verify_admissible(schedule, horizon, indices):
     For each n in ``indices`` and each window start i with
     ``i + M_n - 1 <= horizon``, the union of the plans' output index sets
     over the window must contain n.  All plans for k = 0..horizon are
-    materialized and validated along the way.
+    materialized along the way; plans that share a memo (``replaced(k=...)``
+    copies of one template) are validated once.
     """
     horizon = int(horizon)
     if horizon < 0:

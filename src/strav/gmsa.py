@@ -129,10 +129,16 @@ class PlanValidation:
 class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
+    Everything derived from the plan depends on its structure only (``N``,
+    ``eps``, ``assume`` and the step contents), never on ``k``.  So
+    ``replaced(k=...)`` copies share one memo with their source: the
+    validation verdict, the index sets and :meth:`structure_key`.  A copy
+    that swaps any other field starts a memo of its own.
+
     Parameters
     ----------
     k : int
-        Iteration index the plan is meant for (metadata).
+        Iteration index the plan is meant for (metadata only).
     N : int
         Number of build steps, >= 1.
     eps : float
@@ -153,22 +159,42 @@ class IterationPlan:
         else:
             self.steps = {n: s for n, s in enumerate(steps, start=1)}
         self.assume = assume
-        self._validation = None
-        self._index_sets = {}
+        self._memo = _PlanMemo()
 
     def replaced(self, **kw):
-        """Copy with some constructor fields swapped (steps are shared)."""
+        """Copy with some constructor fields swapped (steps are shared).
+
+        A copy that swaps only ``k`` shares this plan's memo.
+        """
+        if kw.keys() == {"k"}:
+            plan = object.__new__(type(self))
+            plan.__dict__.update(self.__dict__)
+            plan.k = int(kw["k"])
+            return plan
         args = dict(k=self.k, N=self.N, eps=self.eps, steps=self.steps, assume=self.assume)
         args.update(kw)
         return IterationPlan(**args)
+
+    def structure_key(self):
+        """Hashable identity of the plan without ``k``.
+
+        Plans with equal keys validate alike and build equal trees over one
+        family, so a driver may build one tree per key.
+        """
+        memo = self._memo
+        if memo.key is None:
+            steps = tuple((n, _step_key(s)) for n, s in sorted(self.steps.items()))
+            memo.key = (self.N, self.eps, self.assume, steps)
+        return memo.key
 
     # -- validation ---------------------------------------------------------
 
     def validate(self):
         """Structural validation; returns a :class:`PlanValidation`, raises nothing."""
-        if self._validation is None:
-            self._validation = _validate(self)
-        return self._validation
+        memo = self._memo
+        if memo.validation is None:
+            memo.validation = _validate(self)
+        return memo.validation
 
     def require_valid(self):
         v = self.validate()
@@ -185,10 +211,13 @@ class IterationPlan:
         self.require_valid()
         if n > self.N:
             raise ValueError(f"invalid-plan: no step {n} in a plan of {self.N} steps")
-        got = self._index_sets.get(n)
+        memo = self._memo
+        if memo.index_sets is None:
+            memo.index_sets = {}
+        got = memo.index_sets.get(n)
         if got is None:
             got = frozenset().union(*(self.index_set(j) for j in self.steps[n].J))
-            self._index_sets[n] = got
+            memo.index_sets[n] = got
         return got
 
     def output_indices(self):
@@ -198,6 +227,23 @@ class IterationPlan:
         """Product of the step widths P_1 ... P_N."""
         self.require_valid()
         return math.prod(self.steps[n].P for n in range(1, self.N + 1))
+
+
+class _PlanMemo:
+    """What a plan and its ``replaced(k=...)`` copies compute once."""
+
+    __slots__ = ("validation", "index_sets", "key")
+
+    def __init__(self):
+        self.validation = None
+        self.index_sets = None  # made on first use: many plans are only validated
+        self.key = None
+
+
+def _step_key(s):
+    if isinstance(s, StepSpec):
+        return (s.c, s.J, s.alpha, s.weights, s.order)
+    return (id(s),)  # not a StepSpec: the plan fails validation, so no tree is built for it
 
 
 def _validate(plan):

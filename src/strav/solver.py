@@ -16,10 +16,18 @@ The monitored distances of one iterate come from one
 :meth:`~strav.sets.OperatorFamily.distances` call, which answers the
 halfspaces and hyperplanes with one stacked matrix-vector product instead
 of one projection per set.
+
+A run builds one output operator per plan structure: ``_drive`` keeps a
+dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
+:func:`~strav.gmsa.output_operator` built, for that run only.  The key
+leaves out ``k`` and keeps ``eps``, so an invalid plan never meets a tree
+built for a valid one.  A power-of-two run of 20,000 updates builds 15
+trees instead of 20,001.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -53,6 +61,7 @@ class RelaxationSchedule:
     is checked against that interval at use.  ``permissive=True`` widens
     the interval to ``[eps, 2 - eps]`` and zeroes the strong-monotonicity
     constant, since no quantitative guarantee survives out there.
+    ``constant`` and ``cycle`` also check their values at construction.
     """
 
     def __init__(self, rule, eps, rho, *, permissive=False):
@@ -83,11 +92,11 @@ class RelaxationSchedule:
         return eps, 1.0 + rho - eps
 
     def lam(self, k):
-        v = float(self._rule(int(k)))
+        return self._admit(float(self._rule(int(k))), f" at iteration {k}")
+
+    def _admit(self, v, where=""):
         if not self.lo - _SLACK <= v <= self.hi + _SLACK:
-            raise ValueError(
-                f"step size {v} at iteration {k} outside [{self.lo}, {self.hi}]"
-            )
+            raise ValueError(f"step size {v}{where} outside [{self.lo}, {self.hi}]")
         return v
 
     @property
@@ -99,12 +108,17 @@ class RelaxationSchedule:
 
     @classmethod
     def constant(cls, value, eps, rho, **kw):
-        return cls(float(value), eps, rho, **kw)
+        return cls.cycle([value], eps, rho, **kw)
 
     @classmethod
     def cycle(cls, values, eps, rho, **kw):
         vals = [float(v) for v in values]
-        return cls(lambda k: vals[k % len(vals)], eps, rho, **kw)
+        if not vals:
+            raise ValueError("a cycle needs at least one step size")
+        relax = cls(lambda k: vals[k % len(vals)], eps, rho, **kw)
+        for v in vals:
+            relax._admit(v)
+        return relax
 
     @classmethod
     def sweep(cls, eps, rho, points=17, **kw):
@@ -219,6 +233,11 @@ class Trace:
     ``fejer_slack[k]`` is the strong-monotonicity surplus at the run's own
     constant.  ``pert_betas``/``pert_vectors`` hold the aggregate
     perturbations actually applied, for bitwise replay.
+
+    ``stop_reason == "residual"`` means the residual at ``u^k`` met the
+    tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did
+    ``||T_k(x^k) - x^k||``: the reported final iterate is itself within
+    tolerance of a fixed point of ``T_k``.
     """
 
     def __init__(self, **fields):
@@ -293,12 +312,17 @@ def _drive(
     betas_log, vecs_log = [], []
     xs, xs_k = [], []
 
+    trees = {}
+    dz = float(norm(x - z))
     pending = None
     reason = None
     k = 0
     while True:
         plan = schedule.plan_at(k)
-        T = output_operator(plan, family)
+        key = plan.structure_key()
+        T = trees.get(key)
+        if T is None:
+            T = trees[key] = output_operator(plan, family)
         if pert is not None:
             b, v = pert(k, x)
             betas_log.append(b)
@@ -315,11 +339,12 @@ def _drive(
             u = x
         tu = T.apply(u)
         res = float(norm(tu - u))
-        if not np.all(np.isfinite(tu)):
+        # a finite residual implies a finite tu; it may overflow while tu stays finite
+        if not math.isfinite(res) and not np.all(np.isfinite(tu)):
             raise ValueError(f"numerical-divergence: non-finite iterate at k={k}")
 
         residual.append(res)
-        dist_w.append(float(norm(x - z)))
+        dist_w.append(dz)
         if monitored:
             dists.append(family.distances(monitored, x))
         if objective is not None:
@@ -330,7 +355,11 @@ def _drive(
 
         if pending is not None:
             reason = pending
-        elif stop.residual_tol is not None and res <= stop.residual_tol:
+        elif (
+            stop.residual_tol is not None
+            and res <= stop.residual_tol
+            and (u is x or float(norm(T.apply(x) - x)) <= stop.residual_tol)
+        ):
             reason = "residual"
         elif k >= stop.max_iters:
             reason = "max_iters"
@@ -342,9 +371,10 @@ def _drive(
         lam = relax.lam(k)
         x_next = tu if lam == 1.0 else u + lam * (tu - u)
         st = float(norm(x_next - x))
-        slack.append(dist_w[-1] ** 2 - float(norm(x_next - z)) ** 2 - c_fejer * st**2)
+        dz_next = float(norm(x_next - z))
+        slack.append(dz**2 - dz_next**2 - c_fejer * st**2)
         step.append(st)
-        x = x_next
+        x, dz = x_next, dz_next
         k += 1
         if stop.step_tol is not None and st <= stop.step_tol:
             pending = "step"

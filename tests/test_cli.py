@@ -249,6 +249,12 @@ class TestErrorHandling:
             ("relaxation.rho", float("nan")),
             ("relaxation.eps", "0.5"),
             ("ambient_dim", True),
+            ("relaxation.lambda.value", 2.0),
+            ("relaxation.lambda.value", -1),
+            ("relaxation.lambda", None),  # the default 1.0 exceeds the derived 1 + rho - eps
+            ("relaxation.lambda", {"kind": "cycle", "values": []}),
+            ("monitored_indices[1]", 3),
+            ("monitored_indices[1]", -1),
         ],
     )
     def test_malformed_field_reports_its_path(self, capsys, tmp_path, path, value):
@@ -267,3 +273,11 @@ class TestErrorHandling:
         assert code == 1
         assert "Traceback" not in err
         assert f"\n  {path}: " in err
+
+    def test_out_of_range_cycle_entry_reports_its_index(self, capsys, tmp_path):
+        doc = demo_doc()
+        doc["relaxation"]["lambda"] = {"kind": "cycle", "values": [0.5, 2.0]}
+        code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "\n  relaxation.lambda.values[1]: step size 2.0 outside" in err

@@ -31,7 +31,7 @@ def minimal_doc(**overrides):
             ],
         },
         "schedule": {"variant": "cyclic", "indices": [0, 1]},
-        "relaxation": {"eps": 0.25, "lambda": {"kind": "constant", "value": 0.9}},
+        "relaxation": {"eps": 0.25, "lambda": {"kind": "constant", "value": 0.7}},
         "start": [2.0, 1.0],
     }
     doc.update(overrides)
@@ -229,7 +229,7 @@ class TestRelaxationSection:
 
     def test_explicit_rho_wins(self):
         doc = minimal_doc(
-            relaxation={"eps": 0.25, "rho": 0.125, "lambda": {"kind": "constant", "value": 0.9}}
+            relaxation={"eps": 0.25, "rho": 0.125, "lambda": {"kind": "constant", "value": 0.7}}
         )
         assert parse_config(doc).relax.rho == 0.125
 

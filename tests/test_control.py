@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import strav.gmsa
 from strav.control import (
     CustomSchedule,
     CyclicSchedule,
@@ -110,6 +111,48 @@ class TestExplicitSchedule:
         )
         s = ExplicitSchedule([one_index_plan(0, 0), two_wide])
         assert s.plan_metadata() == (2, 2)
+
+
+class TestPlanMemo:
+    """Plans for different k share everything their structure decides."""
+
+    def test_power_of_two_plans_share_their_template(self):
+        s = PowerOfTwoSchedule()
+        a, b = s.plan_at(0), s.plan_at(2)  # f_value 0 both
+        assert (a.k, b.k) == (0, 2)
+        assert a.validate() is b.validate()
+        assert a.output_indices() is b.output_indices()
+        assert a.structure_key() == b.structure_key() != s.plan_at(1).structure_key()
+
+    def test_cyclic_plans_share_their_template(self):
+        template = one_index_plan(0, 3)
+        s = CyclicSchedule([template, one_index_plan(1, 4)])
+        p = s.plan_at(6)
+        assert p.k == 6 and template.k == 0
+        assert p.validate() is template.validate()
+        assert p.output_indices() is template.output_indices()
+
+    def test_structure_key_ignores_k_only(self):
+        p = one_index_plan(0, 3)
+        assert one_index_plan(9, 3).structure_key() == p.structure_key()
+        assert p.replaced(k=9).structure_key() == p.structure_key()
+        for other in (p.replaced(eps=0.5), one_index_plan(0, 4), one_index_plan(0, 3, alpha=0.5)):
+            assert other.structure_key() != p.structure_key()
+        assert p.replaced(eps=0.5).validate() is not p.validate()
+        assert not p.replaced(eps=1.5).validate().ok and p.validate().ok
+
+    def test_verify_admissible_validates_each_structure_once(self, monkeypatch):
+        calls = []
+        validate = strav.gmsa._validate
+
+        def spy(plan):
+            calls.append(plan.k)
+            return validate(plan)
+
+        monkeypatch.setattr(strav.gmsa, "_validate", spy)
+        rep = verify_admissible(PowerOfTwoSchedule(), 1000, range(9))
+        assert rep.passed
+        assert calls == [2**n - 1 for n in range(10)]
 
 
 class TestUniformModulus:

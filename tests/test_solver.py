@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.control import CyclicSchedule, PowerOfTwoSchedule
+import strav.solver
+from strav.control import (
+    CustomSchedule,
+    CyclicSchedule,
+    PowerOfTwoSchedule,
+    f_value,
+    uniform_modulus,
+)
 from strav.fixtures import axis_halfspace_family, two_halfspace_family
+from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.operators import Identity
 from strav.sets import OperatorFamily
 from strav.solver import (
@@ -27,6 +35,7 @@ from strav.solver import (
     run,
     run_perturbed,
 )
+from strav.superiorize import BetaGrid, linear_objective, run_superiorized
 
 
 class TestRelaxationSchedule:
@@ -46,9 +55,26 @@ class TestRelaxationSchedule:
         assert r.lam(0) == 1.7
 
     def test_lam_outside_interval_rejected(self):
-        r = RelaxationSchedule.constant(1.5, 0.25, 0.05)  # hi = 0.8
+        r = RelaxationSchedule(lambda k: 1.5, 0.25, 0.05)  # hi = 0.8
         with pytest.raises(ValueError, match="outside"):
             r.lam(0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RelaxationSchedule.constant(1.5, 0.25, 0.05),
+            lambda: RelaxationSchedule.constant(-1.0, 0.25, 0.05),
+            lambda: RelaxationSchedule.cycle([0.5, 1.5], 0.25, 0.05),
+        ],
+        ids=["constant-above", "constant-below", "cycle-entry"],
+    )
+    def test_constant_and_cycle_check_values_at_construction(self, make):
+        with pytest.raises(ValueError, match=r"step size .* outside \[0.25, 0.8"):
+            make()
+
+    def test_empty_cycle_rejected(self):
+        with pytest.raises(ValueError, match="at least one step size"):
+            RelaxationSchedule.cycle([], 0.25, 0.05)
 
     @pytest.mark.parametrize("rho", [-1.0, float("nan")])
     def test_interval_rejects_bad_rho(self, rho):
@@ -256,6 +282,116 @@ class TestDivergenceGuard:
         relax = RelaxationSchedule.constant(0.5, 0.25, 0.5)
         with pytest.raises(ValueError, match="numerical-divergence"):
             run(fam, sched, relax, np.array([1.0, 1.0]), StopRule(5, None, None))
+
+    def test_overflowing_residual_of_a_finite_iterate_is_not_divergence(self):
+        class Flip(Identity):
+            def apply(self, x):
+                return -np.asarray(x, dtype=float)
+
+        fam = OperatorFamily(lambda n: Flip(), np.zeros(2))
+        sched = CyclicSchedule.over_indices([0])
+        relax = RelaxationSchedule.constant(0.5, 0.25, 0.5)
+        with np.errstate(over="ignore"):
+            tr = run(fam, sched, relax, np.array([1e200, 1e200]), StopRule(0, None, None))
+        assert tr.residual[0] == np.inf
+        assert tr.stop_reason == "max_iters"
+
+
+def composition_schedule():
+    """Criterion 06/07 geometry: inputs 0..4 composed with one dyadic tail index."""
+
+    def rule(k):
+        order = (0, -1, -2, -3, -4, -(5 + f_value(k)))
+        return IterationPlan(k=k, N=1, eps=1.0, steps=[StepSpec(2, set(order), order=order)])
+
+    return CustomSchedule(
+        rule, window_bounds=lambda n: 1 if n <= 4 else 2 ** (n - 4), metadata=(1, 6)
+    )
+
+
+class TestResidualStopAtReportedIterate:
+    """A residual stop holds at x^k too, not only at the perturbed point u^k."""
+
+    fam = axis_halfspace_family(5)
+    sched = composition_schedule()
+    relax = RelaxationSchedule.constant(0.95, 0.05, uniform_modulus(sched, 1.0))
+    stop = StopRule(10**5, 1e-10, None)
+
+    def _start(self):
+        # criterion 07's seed 0, with the direction flipped inward
+        rng = np.random.default_rng(0)
+        x0 = 3.0 + rng.uniform(0.0, 2.0, size=5)
+        v = np.abs(rng.standard_normal(5))
+        return x0, v / np.linalg.norm(v)
+
+    def test_inward_perturbation_stops_near_every_set(self):
+        x0, v = self._start()
+        pert = PerturbationSchedule.power(1e-2, 2.0, constant_direction(-v))
+        tr = run_perturbed(self.fam, self.sched, self.relax, pert, x0, self.stop,
+                           monitored=range(21))
+        assert tr.stop_reason == "residual"
+        assert tr.set_distances[-1].max() <= 1e-6
+
+    def test_inward_superiorization_stops_near_every_set(self):
+        x0, v = self._start()
+        tr = run_superiorized(self.fam, self.sched, self.relax, linear_objective(v),
+                              BetaGrid.geometric(0.5, M=2), x0, self.stop, monitored=range(21))
+        assert tr.stop_reason == "residual"
+        assert tr.set_distances[-1].max() <= 1e-6
+
+
+class TestTreeMemo:
+    """One output operator per plan structure and run."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        built = []
+
+        def spy(plan, family):
+            built.append(plan.k)
+            return output_operator(plan, family)
+
+        monkeypatch.setattr(strav.solver, "output_operator", spy)
+        return built
+
+    def test_power_of_two_run_builds_one_tree_per_structure(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        tr = run(axis_halfspace_family(5), sched, relax, 3.0 * np.ones(5),
+                 StopRule(1000, None, None))
+        assert tr.n_updates == 1000
+        assert built == [2**n - 1 for n in range(10)]  # first k with f_value(k) = n
+
+    def test_cyclic_run_builds_one_tree_per_template(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        fam = two_halfspace_family()
+        sched = CyclicSchedule.over_indices([0, 1])
+        relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
+        run(fam, sched, relax, np.array([3.0, 2.0]), StopRule(30, None, None))
+        assert built == [0, 1]
+        run(fam, sched, relax, np.array([3.0, 2.0]), StopRule(30, None, None))
+        assert built == [0, 1, 0, 1]  # the memo lives for one run
+
+    def test_memoized_trees_give_the_fresh_build_iterates(self):
+        fam = axis_halfspace_family(5)
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        tr = run(fam, sched, relax, 3.0 * np.ones(5), StopRule(100, None, None))
+        x = 3.0 * np.ones(5)
+        for k in range(100):
+            tx = output_operator(sched.plan_at(k), fam).apply(x)
+            lam = relax.lam(k)
+            x = tx if lam == 1.0 else x + lam * (tx - x)
+            assert_array_equal(tr.xs[k + 1], x)
+
+    def test_same_steps_with_invalid_eps_still_raise(self):
+        valid = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, 1.0)])
+        sched = CustomSchedule(lambda k: valid.replaced(k=k) if k == 0 else valid.replaced(eps=1.5))
+        relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
+        with pytest.raises(ValueError, match="invalid-plan"):
+            run(two_halfspace_family(), sched, relax, np.array([3.0, 2.0]),
+                StopRule(5, None, None))
 
 
 class TestFejerAudit:
