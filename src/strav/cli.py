@@ -10,9 +10,16 @@ Exit codes: 0 when the run stopped on a residual or step criterion (for
 
 Config grammar
 --------------
+Leaf types: *int* is a whole number (``100000.0`` reads as ``100000``),
+*nat* an int >= 0, *number* any finite number.  Booleans and strings are
+refused as numbers, and NaN and the infinities as well.  A field left out
+or set to null takes its default; only ``stop.residual_tol``,
+``stop.step_tol`` and ``output.trace`` take null to mean "disabled".  Each
+problem is reported under its field path, e.g. ``schedule.plans[0].steps[1].n``.
+
 Top-level fields::
 
-    ambient_dim        positive int, the dimension of every vector below
+    ambient_dim        int >= 1, the dimension of every vector below
     seed               int, the single source of randomness (default 0)
     start              starting point, ``ambient_dim`` numbers
     family             input operators, see below
@@ -21,10 +28,12 @@ Top-level fields::
     perturbation       optional, enables the perturbed driver
     objective          optional, required by ``superiorize``
     superiorization    optional inner-loop sizes, ``superiorize`` only
-    stop               {"max_iters", "residual_tol", "step_tol"}
-    monitored_indices  list of input indices to track distances for (each
-                       below the number of sets of an explicit family)
-    output             {"trace": path or null, "stride": int}
+    stop               {"max_iters": nat (100000),
+                        "residual_tol": number >= 0 or null (1e-10),
+                        "step_tol": number >= 0 or null (1e-12)}
+    monitored_indices  list of nat, the input indices to track distances for
+                       (each below the number of sets of an explicit family)
+    output             {"trace": path or null, "stride": int >= 1 (1)}
 
 ``family`` is either explicit sets with a declared common point::
 
@@ -40,6 +49,9 @@ or a named generator for an infinite family::
 
     {"witness": [0, 0, 0, 0, 0], "generator": {"kind": "axis_halfspaces"}}
 
+Every set field is a number or a list of ``ambient_dim`` numbers (``basis``
+a list of them); ``gammas`` is one number or a nonempty list of numbers.
+
 ``schedule`` variants::
 
     {"variant": "power_of_two", "eps": 1.0, "alpha": 1.0}
@@ -49,12 +61,15 @@ or a named generator for an infinite family::
     {"variant": "stages", "stages": [
         {"strings": [[0, 1], [2]], "weights": [0.5, 0.5]}, ...]}
 
-The ``stages`` variant cycles string-averaging stages: each string is an
-index list applied first-to-last, and the stage averages its strings
-with the given weights.
+``indices`` are nats; ``eps`` and ``alpha`` numbers.  The ``stages``
+variant cycles string-averaging stages: each string is a nonempty list of
+nats applied first-to-last, and the stage averages its strings with the
+given ``weights``, one number in (0, 1] per string, summing to 1 (at least
+``eps``, a number, when a stage gives it).
 
-A PLAN names its iteration index ``k``, its step count ``N``, its floor
-``eps`` and one record per step ``n`` in 1..N::
+A PLAN names its iteration index ``k`` (int, default 0), its step count
+``N`` (int >= 1), its floor ``eps`` (a number in (0, 1]) and one record per
+step ``n`` in 1..N::
 
     {"k": 0, "N": 3, "eps": 0.25, "steps": [
         {"n": 1, "c": 0, "J": [0], "alpha": 1.0},
@@ -65,31 +80,33 @@ Step kinds: ``c = 0`` relaxes one input by ``alpha``; ``c = 1`` takes the
 convex combination with the given ``weights`` (keys are index strings);
 ``c = 2`` composes the referenced operators, ``order[0]`` applied first.
 Entries of ``J``: 0 or negative means input operator ``-j``; positive
-means the output of that earlier step of the same plan.  ``P`` may be
-given and is cross-checked against the step's width.
+means the output of that earlier step of the same plan.  ``n`` (default:
+the step's position), ``c``, the entries of ``J`` and ``order``, and ``P``
+are ints; ``alpha`` and each weight are numbers.  ``P`` may be given and is
+cross-checked against the step's width.
 
 ``relaxation``::
 
-    {"eps": 0.1,
-     "rho": 0.05,                   # omit to derive from the schedule
+    {"eps": 0.1,                    # number in (0, 1] (1.0)
+     "rho": 0.05,                   # number >= 0; omit to derive from the schedule
      "permissive": false,           # JSON boolean; true widens to (0, 2)
                                     # and voids the strong monotonicity constant
      "lambda": {"kind": "constant", "value": 1.0}
                 | {"kind": "cycle", "values": [...]}
-                | {"kind": "sweep", "points": 17}}
+                | {"kind": "sweep", "points": 17}}     # int >= 2
 
-Every ``value`` and each entry of ``values`` must lie in the certified
-interval ``[eps, 1 + rho - eps]`` (``[eps, 2 - eps]`` when permissive); an
-absent ``lambda`` is the constant 1.0 and must lie there too.
+Every ``value`` and each entry of ``values`` is a number that must lie in
+the certified interval ``[eps, 1 + rho - eps]`` (``[eps, 2 - eps]`` when
+permissive); an absent ``lambda`` is the constant 1.0 and must lie there too.
 
 ``perturbation``::
 
-    {"beta": {"form": "power", "c": 1e-2, "p": 2.0},
+    {"beta": {"form": "power", "c": 1e-2, "p": 2.0},   # c >= 0 (0); p > 1 (2)
      "direction": {"kind": "constant", "v": [...]}
                   | {"kind": "away_from_witness"}
-                  | {"kind": "random_unit", "seed": 7}}
+                  | {"kind": "random_unit", "seed": 7}}  # nat (the config seed)
 
-``objective``::
+``objective`` (vectors are lists of numbers, ``argmin`` a list of them)::
 
     {"kind": "linear", "c": [...], "argmin": [[...], ...]}
     {"kind": "squared_distance", "target": [...]}
@@ -97,7 +114,9 @@ absent ``lambda`` is the constant 1.0 and must lie there too.
 
 ``superiorization``::
 
-    {"inner_steps": 2, "scale": 0.5, "zero_tol": 1e-12}
+    {"inner_steps": 2,              # nat (1)
+     "scale": 0.5,                  # number >= 0 (1.0)
+     "zero_tol": 1e-12}             # number >= 0 (1e-12)
 """
 
 from __future__ import annotations

@@ -1,17 +1,24 @@
 """Run configuration: one JSON document in, fully validated objects out.
 
 Parsing is eager and aggregating: every plan in the document is validated
-and every semantic problem is collected with its field path before a
-single :class:`ConfigError` is raised, so a config author sees the whole
-damage at once instead of fixing errors one re-run at a time.
+and every problem is collected with its field path before a single
+:class:`ConfigError` is raised, so a config author sees the whole damage
+at once instead of fixing errors one re-run at a time.
 
-See :mod:`strav.cli` for the field-by-field grammar.
+Every value is read through one table per record kind.  A row is
+``(key, kind, default)`` or ``(key, kind, default, lo)``, ``lo`` being the
+least value admitted.  The tables own the types, the defaults and the
+ranges no library constructor checks; the constructors own every other
+check, and a ``ValueError`` one raises is reported under the path of its
+record.  See :mod:`strav.cli` for the field-by-field grammar.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -70,63 +77,236 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+# -- the reader ---------------------------------------------------------------
+#
+# A leaf kind is ``kind(value, path, errors)``: the value read, or None once
+# the value is reported under ``path``.  In a row, ``[kind]`` is a list of
+# kind, a tuple of rows a nested record, and ``{tag: tables}`` a record whose
+# own ``tag`` names its rows in ``tables``.
+
 _REQUIRED = object()
 
 
-def _container(value, kind, path, errors, default=_REQUIRED):
-    """``value`` when it is a record (``kind=dict``) or a list (``kind=list``).
-
-    ``None`` (absent or JSON null) gives ``default``, or is reported as
-    missing when no default is given.  Any other type is reported under
-    ``path``.  A reported value gives ``None``.
-    """
-    if value is None:
-        if default is _REQUIRED:
-            errors.append((path, "missing"))
-            return None
-        return default
-    if isinstance(value, kind):
-        return value
-    errors.append((path, "not a record" if kind is dict else "not a list"))
-    return None
+def _refuse(errors, path, msg):
+    errors.append((path, msg))
 
 
-def _scalar(value, kind, path, errors, default=_REQUIRED):
-    """``kind(value)`` for ``kind`` ``int`` or ``float``.
+# ``type(v) in _NUMBERS`` answers JSON numbers without the slower ABC checks
+_NUMBERS = (int, float)
 
-    ``None`` (absent or JSON null) gives ``default``, or is reported as
-    missing when no default is given.  A boolean, a string, a value ``kind``
-    refuses, or one that ``int`` would truncate, is reported under ``path``.
-    A reported value gives ``None``.
-    """
-    if value is None:
-        if default is _REQUIRED:
-            errors.append((path, "missing"))
-            return None
-        return default
-    v = None
-    if not isinstance(value, (bool, str)):
-        try:
-            v = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if v is None or (kind is int and v != value):
-        noun = "an integer" if kind is int else "a number"
-        errors.append((path, f"need {noun}, got {value!r}"))
-        return None
+
+def _int(v, path, errors):
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if type(v) is int or isinstance(v, Integral) and not isinstance(v, bool):
+        return int(v)
+    return _refuse(errors, path, f"need an integer, got {v!r}")
+
+
+def _real(v, path, errors):
+    # NaN and the infinities fail the comparison
+    if type(v) in _NUMBERS or isinstance(v, Real) and not isinstance(v, bool):
+        if abs(v) <= sys.float_info.max:
+            return float(v)
+    return _refuse(errors, path, f"need a number, got {v!r}")
+
+
+def _flag(v, path, errors):
+    return v if isinstance(v, bool) else _refuse(errors, path, f"need true or false, got {v!r}")
+
+
+def _text(v, path, errors):
+    return v if isinstance(v, str) else _refuse(errors, path, f"need a string, got {v!r}")
+
+
+def _dict(v, path, errors):
+    return v if isinstance(v, dict) else _refuse(errors, path, "not a record")
+
+
+def _as_given(v, path, errors):
+    """For a leaf its constructor checks; a null reaches it as given."""
     return v
 
 
-def _vector(value, dim, path, errors):
-    """``value`` as a finite vector of ``dim`` coordinates; ``None`` when reported."""
-    if value is None:
-        errors.append((path, "missing"))
+def _gammas(v, path, errors):
+    """One relaxation for every index, or a nonempty list cycled over the indices."""
+    if v == []:
+        return _refuse(errors, path, "need at least one relaxation")
+    return _read([_real] if isinstance(v, list) else _real, v, path, errors)
+
+
+def _weights(v, path, errors):
+    """Combination weights keyed by reference strings such as ``"-1"``."""
+    if _dict(v, path, errors) is None:
         return None
+    before, out = len(errors), {}
+    for key, w in v.items():
+        if str(key).removeprefix("-").isdecimal():
+            out[int(key)] = _read(_real, w, f"{path}.{key}", errors)
+        else:
+            _refuse(errors, f"{path}.{key}", f"need an integer reference, got key {key!r}")
+    return out if len(errors) == before else None
+
+
+def _record(rec, table, path, errors):
+    """Each entry of record ``rec`` read through ``table``, by key.
+
+    An absent key or a JSON null reads the row's default, and ``_REQUIRED``
+    reports it missing; a null reaches an ``_as_given`` leaf as given.
+    Each entry that was reported reads None, as does an absent one whose
+    default is None.
+    """
+    if _dict(rec, path, errors) is None:
+        return None
+    if isinstance(table, dict):
+        (tag, tables), = table.items()
+        name = rec.get(tag)
+        if not isinstance(name, str) or name not in tables:
+            msg = f"unknown {tag} {name!r} (expected one of {list(tables)})"
+            return _refuse(errors, f"{path}.{tag}", msg)
+        table = ((tag, _as_given, None),) + tables[name]
+    out = {}
+    for key, kind, default, *lo in table:
+        where = f"{path}.{key}" if path else key
+        v = rec.get(key)
+        if v is None and not (kind is _as_given and key in rec):
+            v = default
+        if v is _REQUIRED:
+            out[key] = _refuse(errors, where, "missing")
+        else:
+            out[key] = None if v is None else _read(kind, v, where, errors, *lo)
+    return out
+
+
+def _read(kind, v, path, errors, lo=None):
+    """``v`` read as ``kind``, or None once anything in it is reported.
+
+    ``lo`` bounds a value, or each entry of a list.
+    """
+    if isinstance(kind, (list, tuple, dict)):
+        before = len(errors)
+        if not isinstance(kind, list):
+            v = _record(v, kind, path, errors)
+        elif isinstance(v, list):
+            v = [_read(kind[0], x, f"{path}[{i}]", errors, lo) for i, x in enumerate(v)]
+        else:
+            _refuse(errors, path, "not a list")
+        return v if len(errors) == before else None
+    v = kind(v, path, errors)
+    if lo is not None and v is not None and v < lo:
+        return _refuse(errors, path, f"need at least {lo}, got {v}")
+    return v
+
+
+def _make(path, errors, build, *args, **kw):
+    """``build(*args, **kw)``, or None with the ValueError it raised reported under ``path``."""
     try:
-        return as_vector(value, dim)
-    except (TypeError, ValueError) as exc:
-        errors.append((path, f"need {dim} finite coordinates ({exc})"))
+        return build(*args, **kw)
+    except ValueError as exc:
+        errors.append((path, str(exc)))
         return None
+
+
+# -- the tables ---------------------------------------------------------------
+
+_LINEAR = (("a", [_real], _REQUIRED), ("b", _real, _REQUIRED))
+_SETS = {  # kind -> (class, rows named after its parameters)
+    "affine": (AffineSubspace, (("basis", [[_real]], _REQUIRED), ("offset", [_real], _REQUIRED))),
+    "ball": (Ball, (("center", [_real], _REQUIRED), ("radius", _real, _REQUIRED))),
+    "box": (Box, (("lo", [_real], _REQUIRED), ("hi", [_real], _REQUIRED))),
+    "halfspace": (Halfspace, _LINEAR),
+    "hyperplane": (Hyperplane, _LINEAR),
+}
+_FAMILY = (
+    ("witness", [_real], _REQUIRED),
+    ("gammas", _gammas, None),
+    ("sets", [_dict], None),
+    ("generator", {"kind": {"axis_halfspaces": ()}}, None),
+)
+
+_STEP = (
+    ("n", _int, None),  # None: the step's position, from 1
+    ("c", _int, _REQUIRED),
+    ("J", [_int], _REQUIRED),
+    ("alpha", _real, None),
+    ("weights", _weights, None),
+    ("order", [_int], None),
+    ("P", _int, None),
+)
+_PLAN = (
+    ("k", _int, 0),
+    ("N", _int, _REQUIRED),
+    ("eps", _real, _REQUIRED),
+    ("steps", [_STEP], _REQUIRED),
+)
+_STAGE = (("strings", [[_int]], _REQUIRED), ("weights", [_real], _REQUIRED), ("eps", _real, None))
+_SCHEDULE = {"variant": {
+    "power_of_two": (("eps", _real, 1.0), ("alpha", _real, 1.0)),
+    "cyclic": (
+        ("indices", [_int], None, 0),
+        ("plans", [_dict], []),
+        ("eps", _real, 1.0),
+        ("alpha", _real, 1.0),
+    ),
+    "explicit": (("plans", [_dict], _REQUIRED),),
+    "stages": (("stages", [_STAGE], _REQUIRED),),
+}}
+
+_DEFAULT_LAMBDA = {"kind": "constant", "value": 1.0}
+_RELAXATION = (
+    ("eps", _real, 1.0),
+    ("rho", _real, None),  # None: derived from the schedule
+    ("permissive", _flag, False),
+    ("lambda", {"kind": {
+        "constant": (("value", _real, _REQUIRED),),
+        # RelaxationSchedule.cycle checks its list of step sizes
+        "cycle": (("values", _as_given, _REQUIRED),),
+        "sweep": (("points", _int, 17),),
+    }}, None),  # None: _DEFAULT_LAMBDA
+)
+
+_PERTURBATION = (
+    ("beta", {"form": {"power": (("c", _real, 0.0), ("p", _real, 2.0))}}, _REQUIRED),
+    ("direction", {"kind": {
+        "constant": (("v", [_real], _REQUIRED),),
+        "away_from_witness": (),
+        "random_unit": (("seed", _int, None),),  # None: the config seed
+    }}, _REQUIRED),
+)
+
+_ARGMIN = ("argmin", [[_real]], None)
+_OBJECTIVES = {  # kind -> (constructor, rows named after its parameters)
+    "linear": (linear_objective, (("c", [_real], _REQUIRED), _ARGMIN)),
+    "squared_distance": (squared_distance_objective, (("target", [_real], _REQUIRED), _ARGMIN)),
+    "max_affine": (
+        max_affine_objective,
+        (("rows", [[_real]], _REQUIRED), ("offsets", [_real], _REQUIRED), _ARGMIN),
+    ),
+}
+
+_DOC = (
+    ("ambient_dim", _int, _REQUIRED, 1),
+    ("seed", _int, 0),
+    ("family", _FAMILY, _REQUIRED),
+    ("schedule", _SCHEDULE, _REQUIRED),
+    ("relaxation", _RELAXATION, {}),
+    ("perturbation", _PERTURBATION, None),
+    ("objective", {"kind": {kind: rows for kind, (_, rows) in _OBJECTIVES.items()}}, None),
+    ("superiorization", (
+        ("scale", _real, 1.0),
+        ("inner_steps", _int, 1, 0),
+        ("zero_tol", _real, DEFAULT_ZERO_TOL, 0),
+    ), None),
+    ("stop", (
+        ("max_iters", _int, 100_000),
+        # StopRule checks the tolerances; a null disables the criterion
+        ("residual_tol", _as_given, 1e-10),
+        ("step_tol", _as_given, 1e-12),
+    ), {}),
+    ("monitored_indices", [_int], [], 0),
+    ("start", [_real], _REQUIRED),
+    ("output", (("trace", _text, None), ("stride", _int, 1, 1)), {}),
+)
 
 
 # -- plan/step records ------------------------------------------------------
@@ -143,28 +323,20 @@ def step_to_record(n, step):
     return rec
 
 
-def step_from_record(rec, path, errors):
-    try:
-        c = int(rec["c"])
-        J = [int(j) for j in rec["J"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append((path, f"step needs integer 'c' and integer list 'J' ({exc})"))
-        return None
-    alpha = rec.get("alpha")
-    weights = rec.get("weights")
-    order = rec.get("order")
-    try:
-        if weights is not None:
-            weights = {int(j): float(w) for j, w in weights.items()}
-        if order is not None:
-            order = [int(o) for o in order]
-        step = StepSpec(c, J, alpha=alpha, weights=weights, order=order)
-    except (TypeError, ValueError) as exc:
-        errors.append((path, str(exc)))
-        return None
-    if "P" in rec and int(rec["P"]) != step.P:
-        errors.append((path, f"declared P={rec['P']} but the step has width {step.P}"))
+def _step(v, path, errors):
+    """The StepSpec of a step record read through ``_STEP``."""
+    step = _make(
+        path, errors, StepSpec, v["c"], v["J"],
+        alpha=v["alpha"], weights=v["weights"], order=v["order"],
+    )
+    if step is not None and v["P"] is not None and v["P"] != step.P:
+        errors.append((path, f"declared P={v['P']} but the step has width {step.P}"))
     return step
+
+
+def step_from_record(rec, path, errors):
+    v = _read(_STEP, rec, path, errors)
+    return None if v is None else _step(v, path, errors)
 
 
 def plan_to_record(plan):
@@ -177,27 +349,14 @@ def plan_to_record(plan):
 
 
 def plan_from_record(rec, path, errors):
-    rec = _container(rec, dict, path, errors)
-    if rec is None:
+    v = _read(_PLAN, rec, path, errors)
+    if v is None:
         return None
-    try:
-        k = int(rec.get("k", 0))
-        N = int(rec["N"])
-        eps = float(rec["eps"])
-        raw_steps = list(rec["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append((path, f"plan needs 'N', 'eps' and a 'steps' list ({exc})"))
+    steps = [_step(s, f"{path}.steps[{i}]", errors) for i, s in enumerate(v["steps"])]
+    if None in steps:
         return None
-    steps = {}
-    for i, srec in enumerate(raw_steps):
-        srec = _container(srec, dict, f"{path}.steps[{i}]", errors)
-        if srec is None:
-            continue
-        n = int(srec.get("n", i + 1))
-        step = step_from_record(srec, f"{path}.steps[{i}]", errors)
-        if step is not None:
-            steps[n] = step
-    plan = IterationPlan(k=k, N=N, eps=eps, steps=steps)
+    keys = [i + 1 if s["n"] is None else s["n"] for i, s in enumerate(v["steps"])]
+    plan = IterationPlan(k=v["k"], N=v["N"], eps=v["eps"], steps=dict(zip(keys, steps)))
     verdict = plan.validate()
     if not verdict.ok:
         for n, msg in verdict.issues:
@@ -207,266 +366,132 @@ def plan_from_record(rec, path, errors):
     return plan
 
 
-# -- section builders -------------------------------------------------------
-
-# a tuple, so testing a JSON list or record for membership reports it instead of raising
-_SET_KINDS = ("affine", "ball", "box", "halfspace", "hyperplane")
+# -- section builders: each takes its section as read, None once reported --
 
 
 def _build_set(rec, dim, path, errors):
     kind = rec.get("kind")
-    if kind not in _SET_KINDS:
-        errors.append((path, f"unknown set kind {kind!r} (expected one of {list(_SET_KINDS)})"))
+    if not isinstance(kind, str) or kind not in _SETS:
+        errors.append((path, f"unknown set kind {kind!r} (expected one of {list(_SETS)})"))
         return None
-    try:
-        if kind == "halfspace":
-            s = Halfspace(rec["a"], rec["b"])
-        elif kind == "hyperplane":
-            s = Hyperplane(rec["a"], rec["b"])
-        elif kind == "ball":
-            s = Ball(rec["center"], rec["radius"])
-        elif kind == "box":
-            s = Box(rec["lo"], rec["hi"])
-        else:
-            s = AffineSubspace(rec["basis"], rec["offset"])
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append((path, str(exc)))
-        return None
-    if s.dim != dim:
+    cls, table = _SETS[kind]
+    v = _read(table, rec, path, errors)
+    s = None if v is None else _make(path, errors, cls, **v)
+    if s is not None and s.dim != dim:
         errors.append((path, f"set has dimension {s.dim}, config says {dim}"))
         return None
     return s
 
 
-def _build_family(doc, dim, errors):
-    sec = _container(doc.get("family"), dict, "family", errors)
-    if sec is None:
-        return None
-    witness = _vector(sec.get("witness"), dim, "family.witness", errors)
+def _build_family(v, dim, errors):
+    witness = None if v is None else _make("family.witness", errors, as_vector, v["witness"], dim)
     if witness is None:
         return None
-    gammas = sec.get("gammas")
+    gammas = v["gammas"]
     if isinstance(gammas, list):
-        glist = [_scalar(g, float, f"family.gammas[{i}]", errors) for i, g in enumerate(gammas)]
-        if None in glist:
+        gammas = lambda n, glist=gammas: glist[n % len(glist)]
+    if v["sets"] is not None:
+        sets = [
+            _build_set(rec, dim, f"family.sets[{i}]", errors) for i, rec in enumerate(v["sets"])
+        ]
+        if None in sets:
             return None
-        gammas = lambda n: glist[n % len(glist)]
-    elif gammas is not None:
-        gammas = _scalar(gammas, float, "family.gammas", errors)
-        if gammas is None:
-            return None
-    if "sets" in sec:
-        recs = _container(sec["sets"], list, "family.sets", errors)
-        if recs is None:
-            return None
-        sets = []
-        for i, rec in enumerate(recs):
-            path = f"family.sets[{i}]"
-            rec = _container(rec, dict, path, errors)
-            sets.append(None if rec is None else _build_set(rec, dim, path, errors))
-        if any(s is None for s in sets):
-            return None
-        try:
-            return OperatorFamily.from_sets(sets, witness, gammas=gammas)
-        except ValueError as exc:
-            errors.append(("family", str(exc)))
-            return None
-    gen = sec.get("generator")
-    if isinstance(gen, dict) and gen.get("kind") == "axis_halfspaces":
-        fam = axis_halfspace_family(dim)
-        if not np.array_equal(fam.witness, witness):
-            errors.append(("family.witness", "axis_halfspaces generator fixes the origin witness"))
-            return None
-        return fam
-    errors.append(("family", "needs either 'sets' or a known 'generator'"))
-    return None
-
-
-def _build_schedule(doc, errors):
-    sec = _container(doc.get("schedule"), dict, "schedule", errors)
-    if sec is None:
+        return _make("family", errors, OperatorFamily.from_sets, sets, witness, gammas=gammas)
+    if v["generator"] is None:
+        errors.append(("family", "needs either 'sets' or a known 'generator'"))
         return None
-    variant = sec.get("variant")
-    try:
-        if variant == "power_of_two":
-            return PowerOfTwoSchedule(eps=sec.get("eps", 1.0), alpha=sec.get("alpha", 1.0))
-        if variant == "cyclic":
-            if "indices" in sec:
-                indices = _container(sec["indices"], list, "schedule.indices", errors)
-                if indices is None:
-                    return None
-                return CyclicSchedule.over_indices(
-                    [int(i) for i in indices],
-                    eps=sec.get("eps", 1.0),
-                    alpha=sec.get("alpha", 1.0),
-                )
-            plans = _plans_from(sec, "schedule", errors)
-            return None if plans is None else CyclicSchedule(plans)
-        if variant == "explicit":
-            plans = _plans_from(sec, "schedule", errors)
-            return None if plans is None else ExplicitSchedule(plans)
-        if variant == "stages":
-            return _stages_schedule(sec, errors)
-    except ValueError as exc:
-        errors.append(("schedule", str(exc)))
+    fam = axis_halfspace_family(dim)
+    if not np.array_equal(fam.witness, witness):
+        errors.append(("family.witness", "axis_halfspaces generator fixes the origin witness"))
         return None
-    errors.append(("schedule.variant", f"unknown variant {variant!r}"))
-    return None
+    return fam
 
 
-def _stages_schedule(sec, errors):
-    raw = sec.get("stages")
-    if not isinstance(raw, list) or not raw:
-        errors.append(("schedule.stages", "need a nonempty stage list"))
+def _stage_plan(v, path, k, errors):
+    stage = _make(path, errors, StringStage, k=k, **v)
+    return None if stage is None else gdsa_to_gmsa(stage)
+
+
+def _build_schedule(v, errors):
+    if v is None:
         return None
-    plans = []
-    for i, rec in enumerate(raw):
-        try:
-            stage = StringStage(
-                rec["strings"], rec["weights"], k=i, eps=rec.get("eps")
-            )
-            plans.append(gdsa_to_gmsa(stage))
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append((f"schedule.stages[{i}]", str(exc)))
-    if len(plans) != len(raw):
-        return None
-    return CyclicSchedule(plans)
-
-
-def _plans_from(sec, path, errors):
-    raw = sec.get("plans")
-    if not isinstance(raw, list) or not raw:
-        errors.append((f"{path}.plans", "need a nonempty plan list"))
-        return None
-    plans = [plan_from_record(rec, f"{path}.plans[{i}]", errors) for i, rec in enumerate(raw)]
-    return None if any(p is None for p in plans) else plans
-
-
-def _plan_floor(schedule):
-    """The eps floor shared by the schedule's plans, if discoverable."""
-    if schedule.plans:
-        return min(p.eps for p in schedule.plans)
-    return getattr(schedule, "eps", None)
-
-
-def _build_relax(doc, schedule, errors):
-    sec = _container(doc.get("relaxation"), dict, "relaxation", errors, {})
-    if sec is None:
-        return None
-    eps = _scalar(sec.get("eps"), float, "relaxation.eps", errors, 1.0)
-    if eps is None:
-        return None
-    permissive = sec.get("permissive", False)
-    if not isinstance(permissive, bool):
-        errors.append(("relaxation.permissive", f"need true or false, got {permissive!r}"))
-        return None
-    rho = sec.get("rho")
-    if rho is None:
-        if schedule is None:
-            return None
-        floor = _plan_floor(schedule)
-        if floor is None:
-            errors.append(
-                ("relaxation.rho", "cannot derive a modulus from this schedule; give rho")
-            )
-            return None
-        try:
-            rho = uniform_modulus(schedule, floor)
-        except ValueError as exc:
-            errors.append(("relaxation.rho", str(exc)))
-            return None
+    variant = v.pop("variant")
+    if variant == "power_of_two":
+        return _make("schedule", errors, PowerOfTwoSchedule, **v)
+    if variant == "cyclic" and v["indices"] is not None:
+        return _make(
+            "schedule", errors, CyclicSchedule.over_indices, v["indices"], v["eps"], v["alpha"]
+        )
+    if variant == "stages":
+        plans = [
+            _stage_plan(s, f"schedule.stages[{i}]", i, errors) for i, s in enumerate(v["stages"])
+        ]
     else:
-        rho = _scalar(rho, float, "relaxation.rho", errors)
+        plans = [
+            plan_from_record(p, f"schedule.plans[{i}]", errors) for i, p in enumerate(v["plans"])
+        ]
+    if None in plans:
+        return None
+    cls = ExplicitSchedule if variant == "explicit" else CyclicSchedule
+    return _make("schedule", errors, cls, plans)
+
+
+def _build_relax(v, schedule, errors):
+    if v is None or (v["rho"] is None and schedule is None):
+        return None
+    rho = v["rho"]
+    if rho is None:
+        # the eps floor of the plans; a power-of-two schedule keeps no plan list
+        floor = min(p.eps for p in schedule.plans) if schedule.plans else schedule.eps
+        rho = _make("relaxation.rho", errors, uniform_modulus, schedule, floor)
         if rho is None:
             return None
+    kw = dict(eps=v["eps"], rho=rho, permissive=v["permissive"])
     try:
-        RelaxationSchedule.interval(eps, rho, permissive)
+        RelaxationSchedule.interval(**kw)
     except ValueError as exc:
         msg = str(exc)
         errors.append(("relaxation.rho" if msg.startswith("rho") else "relaxation.eps", msg))
-        eps = None
-    rule = _container(
-        sec.get("lambda"), dict, "relaxation.lambda", errors, {"kind": "constant", "value": 1.0}
-    )
-    if rule is None:
         return None
-    kind = rule.get("kind")
-    if kind not in ("constant", "cycle", "sweep"):
-        errors.append(("relaxation.lambda.kind", f"unknown rule {kind!r}"))
-        return None
-    if eps is None:
-        return None
-    # a step size outside the interval is reported under its own entry, and
-    # the default 1.0 of an absent lambda under relaxation.lambda
-    path = "relaxation.lambda"
-    try:
-        if kind == "constant":
-            if sec.get("lambda") is not None:
-                path = "relaxation.lambda.value"
-            return RelaxationSchedule.constant(rule["value"], eps, rho, permissive=permissive)
-        if kind == "cycle":
-            values = list(rule["values"])
-            for i, v in enumerate(values):
-                path = f"relaxation.lambda.values[{i}]"
-                RelaxationSchedule.constant(v, eps, rho, permissive=permissive)
-            path = "relaxation.lambda"
-            return RelaxationSchedule.cycle(values, eps, rho, permissive=permissive)
-        return RelaxationSchedule.sweep(
-            eps, rho, points=int(rule.get("points", 17)), permissive=permissive
-        )
-    except KeyError as exc:
-        errors.append(("relaxation.lambda", f"missing {exc}"))
-    except (TypeError, ValueError) as exc:
-        errors.append((path, str(exc)))
-    return None
-
-
-def _build_perturbation(doc, dim, seed, witness, errors):
-    sec = _container(doc.get("perturbation"), dict, "perturbation", errors, None)
-    if sec is None:
-        return None
-    beta = _container(sec.get("beta"), dict, "perturbation.beta", errors, {})
-    drec = _container(sec.get("direction"), dict, "perturbation.direction", errors, {})
-    if beta is None or drec is None:
-        return None
-    if beta.get("form") != "power":
-        errors.append(("perturbation.beta.form", "only the 'power' form c/(k+1)^p is built in"))
-        return None
-    kind = drec.get("kind")
-    try:
-        if kind == "constant":
-            direction = constant_direction(drec["v"])
-        elif kind == "away_from_witness":
-            direction = away_from(witness)
-        elif kind == "random_unit":
-            direction = random_unit_directions(dim, int(drec.get("seed", seed)))
-        else:
-            errors.append(("perturbation.direction.kind", f"unknown direction {kind!r}"))
+    rule = v["lambda"] or _DEFAULT_LAMBDA
+    if rule["kind"] == "sweep":
+        points = rule["points"]
+        return _make("relaxation.lambda", errors, RelaxationSchedule.sweep, points=points, **kw)
+    if rule["kind"] == "constant":
+        # the default 1.0 of an absent lambda is reported under relaxation.lambda
+        where = "relaxation.lambda" if rule is _DEFAULT_LAMBDA else "relaxation.lambda.value"
+        return _make(where, errors, RelaxationSchedule.constant, rule["value"], **kw)
+    values = rule["values"]
+    for i, x in enumerate(values if isinstance(values, list) else ()):
+        # a step size outside the interval is reported under its own entry
+        where = f"relaxation.lambda.values[{i}]"
+        if _make(where, errors, RelaxationSchedule.constant, x, **kw) is None:
             return None
-        return PerturbationSchedule.power(beta.get("c", 0.0), beta.get("p", 2.0), direction)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(("perturbation", str(exc)))
-        return None
+    return _make("relaxation.lambda", errors, RelaxationSchedule.cycle, values, **kw)
 
 
-def _build_objective(doc, errors):
-    sec = _container(doc.get("objective"), dict, "objective", errors, None)
-    if sec is None:
+def _build_perturbation(v, dim, seed, family, errors):
+    if v is None or family is None:
         return None
-    kind = sec.get("kind")
-    witnesses = sec.get("argmin")
-    try:
-        if kind == "linear":
-            return linear_objective(sec["c"], argmin_witnesses=witnesses)
-        if kind == "squared_distance":
-            return squared_distance_objective(sec["target"], argmin_witnesses=witnesses)
-        if kind == "max_affine":
-            return max_affine_objective(sec["rows"], sec["offsets"], argmin_witnesses=witnesses)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(("objective", str(exc)))
+    d, path = v["direction"], "perturbation.direction"
+    if d["kind"] == "constant":
+        direction = _make(path, errors, constant_direction, d["v"])
+    elif d["kind"] == "away_from_witness":
+        direction = away_from(family.witness)
+    else:
+        s = seed if d["seed"] is None else d["seed"]
+        direction = _make(path, errors, random_unit_directions, dim, s)
+    if direction is None:
         return None
-    errors.append(("objective.kind", f"unknown objective {kind!r}"))
-    return None
+    c, p = v["beta"]["c"], v["beta"]["p"]
+    return _make("perturbation.beta", errors, PerturbationSchedule.power, c, p, direction)
+
+
+def _build_objective(v, errors):
+    if v is None:
+        return None
+    make, argmin = _OBJECTIVES[v.pop("kind")][0], v.pop("argmin")
+    return _make("objective", errors, make, argmin_witnesses=argmin, **v)
 
 
 def parse_config(source):
@@ -490,60 +515,27 @@ def parse_config(source):
         raise ConfigError([("document", "top level must be a record")])
 
     errors = []
-    dim = _scalar(doc.get("ambient_dim"), int, "ambient_dim", errors)
-    if dim is not None and dim < 1:
-        errors.append(("ambient_dim", f"need a positive integer, got {dim}"))
-    if errors:
+    top = _record(doc, _DOC, "", errors)
+    dim, seed, sup, stop = (top[key] for key in ("ambient_dim", "seed", "superiorization", "stop"))
+    if dim is None:
         raise ConfigError(errors)
-    seed = _scalar(doc.get("seed"), int, "seed", errors, 0)
-
-    family = _build_family(doc, dim, errors)
-    schedule = _build_schedule(doc, errors)
-    relax = _build_relax(doc, schedule, errors)
-    witness = family.witness if family is not None else np.zeros(dim)
-    perturb = _build_perturbation(doc, dim, seed or 0, witness, errors)
-    oracle = _build_objective(doc, errors)
-
+    family = _build_family(top["family"], dim, errors)
+    schedule = _build_schedule(top["schedule"], errors)
+    relax = _build_relax(top["relaxation"], schedule, errors)
+    perturb = _build_perturbation(top["perturbation"], dim, seed, family, errors)
+    oracle = _build_objective(top["objective"], errors)
     grid = None
-    zero_tol = DEFAULT_ZERO_TOL
-    sup = _container(doc.get("superiorization"), dict, "superiorization", errors, None)
     if sup is not None:
-        try:
-            grid = BetaGrid.geometric(sup.get("scale", 1.0), M=int(sup.get("inner_steps", 1)))
-            zero_tol = float(sup.get("zero_tol", DEFAULT_ZERO_TOL))
-        except (TypeError, ValueError) as exc:
-            errors.append(("superiorization", str(exc)))
-
-    ssec = _container(doc.get("stop"), dict, "stop", errors, {}) or {}
-    try:
-        stop = StopRule(
-            max_iters=int(ssec.get("max_iters", 100_000)),
-            residual_tol=ssec.get("residual_tol", 1e-10),
-            step_tol=ssec.get("step_tol", 1e-12),
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(("stop", str(exc)))
-        stop = StopRule()
-
-    raw = _container(doc.get("monitored_indices"), list, "monitored_indices", errors, []) or []
-    monitored = tuple(
-        _scalar(n, int, f"monitored_indices[{i}]", errors) for i, n in enumerate(raw)
-    )
+        scale, m = sup["scale"], sup["inner_steps"]
+        grid = _make("superiorization", errors, BetaGrid.geometric, scale, m)
+    if stop is not None:
+        stop = _make("stop", errors, StopRule, **stop)
+    monitored = tuple(top["monitored_indices"] or ())
     size = getattr(family, "size", None)  # set on finite families only
     for i, n in enumerate(monitored):
-        if n is not None and n < 0:
-            errors.append((f"monitored_indices[{i}]", f"need a natural number, got {n}"))
-        elif n is not None and size is not None and n >= size:
+        if size is not None and n >= size:
             errors.append((f"monitored_indices[{i}]", f"no set {n} in a family of {size} sets"))
-    start = _vector(doc.get("start"), dim, "start", errors)
-
-    out = _container(doc.get("output"), dict, "output", errors, {}) or {}
-    trace_path = out.get("trace")
-    if trace_path is not None and not isinstance(trace_path, str):
-        errors.append(("output.trace", f"need a file path, got {trace_path!r}"))
-    stride = _scalar(out.get("stride"), int, "output.stride", errors, 1)
-    if stride is not None and stride < 1:
-        errors.append(("output.stride", "must be >= 1"))
+    start = None if top["start"] is None else _make("start", errors, as_vector, top["start"], dim)
 
     if errors:
         raise ConfigError(errors)
@@ -556,11 +548,11 @@ def parse_config(source):
         perturb=perturb,
         oracle=oracle,
         grid=grid,
-        zero_tol=zero_tol,
+        zero_tol=DEFAULT_ZERO_TOL if sup is None else sup["zero_tol"],
         stop=stop,
         monitored=monitored,
         start=start,
-        trace_path=trace_path,
-        stride=stride,
+        trace_path=top["output"]["trace"],
+        stride=top["output"]["stride"],
         raw=doc,
     )

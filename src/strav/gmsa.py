@@ -252,8 +252,8 @@ def _validate(plan):
         issues.append((0, f"N must be >= 1, got {plan.N}"))
     if not 0.0 < plan.eps <= 1.0:
         issues.append((0, f"eps must lie in (0, 1], got {plan.eps}"))
-    expected = set(range(1, plan.N + 1))
-    if set(plan.steps) != expected:
+    # the count first: a huge N is refused without building its key set
+    if len(plan.steps) != max(plan.N, 0) or set(plan.steps) != set(range(1, plan.N + 1)):
         issues.append((0, f"steps must be keyed 1..{plan.N}, got {sorted(plan.steps)}"))
         return PlanValidation(False, issues)
     for n in range(1, plan.N + 1):

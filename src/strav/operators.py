@@ -59,7 +59,6 @@ __all__ = [
     "Relaxation",
     "ConvexComb",
     "Composition",
-    "structurally_equal",
     "SampleBudget",
     "CheckReport",
     "check_sqne",
@@ -286,29 +285,6 @@ class Composition(OperatorNode):
 
     def children(self):
         return self.children_
-
-
-def structurally_equal(a, b):
-    """True when two trees have the same shape and parameters, leaves included."""
-    if a.kind != b.kind:
-        return False
-    if a.kind == "primitive":
-        return a.gamma == b.gamma and a.set.same_as(b.set)
-    if a.kind == "identity":
-        return True
-    if a.kind == "relaxation":
-        return a.alpha == b.alpha and structurally_equal(a.child, b.child)
-    if a.kind == "convex_comb":
-        return (
-            a.weights == b.weights
-            and len(a.children_) == len(b.children_)
-            and all(structurally_equal(u, v) for u, v in zip(a.children_, b.children_))
-        )
-    if a.kind == "composition":
-        return len(a.children_) == len(b.children_) and all(
-            structurally_equal(u, v) for u, v in zip(a.children_, b.children_)
-        )
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,9 @@ __all__ = [
 
 
 class ProjectableSet:
-    """Base class: a nonempty closed convex subset of R^dim with exact projection.
-
-    ``_fields`` names the constructor data that identifies a set; two sets
-    are the same when they share a class and every field is equal.
-    """
+    """Base class: a nonempty closed convex subset of R^dim with exact projection."""
 
     dim = None
-    _fields = ()
 
     def project(self, x):
         raise NotImplementedError
@@ -52,13 +47,6 @@ class ProjectableSet:
     def contains(self, x):
         return _within(self.distance(x), norm(x))
 
-    def same_as(self, other):
-        if not self._fields:
-            raise NotImplementedError
-        return isinstance(other, type(self)) and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields
-        )
-
     def _check_dim(self, x):
         if x.shape[-1] != self.dim:
             raise ValueError(f"dim-mismatch: point of dimension {x.shape[-1]}, set of {self.dim}")
@@ -67,7 +55,6 @@ class ProjectableSet:
 class _LinearConstraint(ProjectableSet):
     """``<a, x> <= b`` (one-sided) or ``<a, x> = b`` with a != 0."""
 
-    _fields = ("a", "b")
     _one_sided = True
 
     def __init__(self, a, b):
@@ -100,8 +87,6 @@ class Hyperplane(_LinearConstraint):
 class Ball(ProjectableSet):
     """Closed Euclidean ball of positive radius."""
 
-    _fields = ("center", "radius")
-
     def __init__(self, center, radius):
         self.center = as_vector(center)
         self.radius = float(radius)
@@ -123,8 +108,6 @@ class Ball(ProjectableSet):
 class Box(ProjectableSet):
     """Coordinate box ``{x : lo <= x <= hi}``."""
 
-    _fields = ("lo", "hi")
-
     def __init__(self, lo, hi):
         self.lo = as_vector(lo)
         self.hi = as_vector(hi, self.lo.shape[0])
@@ -140,8 +123,6 @@ class Box(ProjectableSet):
 
 class AffineSubspace(ProjectableSet):
     """``offset + span(basis)`` for an orthonormal basis, given row-wise."""
-
-    _fields = ("basis", "offset")
 
     def __init__(self, basis, offset):
         basis = np.asarray(basis, dtype=float)

@@ -112,6 +112,10 @@ class RelaxationSchedule:
 
     @classmethod
     def cycle(cls, values, eps, rho, **kw):
+        if not isinstance(values, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, Real) for v in values
+        ):
+            raise ValueError(f"a cycle needs a list of real step sizes, got {values!r}")
         vals = [float(v) for v in values]
         if not vals:
             raise ValueError("a cycle needs at least one step size")
@@ -126,8 +130,9 @@ class RelaxationSchedule:
         if points < 2:
             raise ValueError(f"a sweep needs at least 2 points, got {points}")
         lo, hi = cls.interval(float(eps), float(rho), kw.get("permissive", False))
-        pts = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-        return cls(lambda k: pts[k % len(pts)], eps, rho, **kw)
+        # each grid value is computed at use, so a huge ``points`` costs nothing
+        span, den = hi - lo, points - 1
+        return cls(lambda k: lo + span * (k % points) / den, eps, rho, **kw)
 
 
 class PerturbationSchedule:

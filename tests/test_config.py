@@ -1,7 +1,11 @@
-"""Config parsing: aggregated errors and per-section builders, plus the
-plan record round-trips."""
+"""Config parsing: aggregated errors and per-section builders, the plan
+record round-trips, and a generated mutation corpus over every field."""
 
+import copy
 import json
+import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from numpy.testing import assert_array_equal
 
 from strav.config import (
     ConfigError,
+    RunConfig,
     parse_config,
     plan_from_record,
     plan_to_record,
@@ -417,3 +422,102 @@ class TestRecordRoundTrips:
         errors = []
         assert plan_from_record(rec, "the.plan", errors) is None
         assert errors[0][0] == "the.plan"
+
+
+# -- generated mutation corpus -------------------------------------------------
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+PLAN_RECORD_DOC = {
+    "ambient_dim": 2,
+    "seed": 3,
+    "family": {
+        "witness": [0.0, 0.0],
+        "gammas": [1.0, 0.5],
+        "sets": [
+            {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+            {"kind": "hyperplane", "a": [0.0, 1.0], "b": 0.0},
+        ],
+    },
+    "schedule": {
+        "variant": "cyclic",
+        "plans": [
+            {"k": 0, "N": 3, "eps": 0.25, "steps": [
+                {"n": 1, "c": 0, "J": [0], "alpha": 1.0},
+                {"n": 2, "c": 1, "J": [-1, 1], "weights": {"-1": 0.5, "1": 0.5}, "P": 2},
+                {"n": 3, "c": 2, "J": [-1, 2], "order": [2, -1, 2]},
+            ]},
+        ],
+    },
+    "relaxation": {"eps": 0.25, "lambda": {"kind": "sweep", "points": 5}},
+    "perturbation": {
+        "beta": {"form": "power", "c": 0.01, "p": 2.0},
+        "direction": {"kind": "random_unit", "seed": 7},
+    },
+    "stop": {"max_iters": 500, "residual_tol": 1e-9, "step_tol": None},
+    "monitored_indices": [0, 1],
+    "start": [2.0, 1.0],
+    "output": {"trace": None, "stride": 1},
+}
+
+SUBSTITUTES = [None, True, "x", [], {}, -1, 0, 1e308, math.nan, [1.0], {"k": 1.0}, 2.5]
+
+
+def corpus_documents():
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(DEMO_CONFIGS.glob("*.json"))}
+    docs["plan_records"] = copy.deepcopy(PLAN_RECORD_DOC)
+    return docs
+
+
+def fields(node, path=""):
+    """``(path, keys, value)`` of every value below a JSON document's root, records
+    and lists included, in field-path form."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{path}[{key}]" if isinstance(node, list) else (f"{path}.{key}" if path else key)
+        yield sub, (key,), value
+        if isinstance(value, (dict, list)):
+            for field_path, keys, leaf in fields(value, sub):
+                yield field_path, (key,) + keys, leaf
+
+
+def located(leaf_path, errors):
+    """Whether some error names the leaf or one of its ancestors below the root."""
+    return any(
+        p == leaf_path or leaf_path.startswith(p + ".") or leaf_path.startswith(p + "[")
+        for p, _ in errors
+    )
+
+
+def test_every_field_mutation_parses_or_reports():
+    start = time.perf_counter()
+    cases = 0
+    for name, doc in corpus_documents().items():
+        assert isinstance(parse_config(doc), RunConfig), name
+        for leaf_path, keys, original in fields(doc):
+            numeric = isinstance(original, (int, float)) and not isinstance(original, bool)
+            rec = doc
+            for key in keys[:-1]:
+                rec = rec[key]
+            for value in SUBSTITUTES:
+                rec[keys[-1]] = value  # mutated in place, restored below
+                case = f"{name}: {leaf_path} = {value!r}"
+                cases += 1
+                try:
+                    cfg = parse_config(doc)
+                except ConfigError as exc:
+                    errors = exc.errors
+                else:
+                    assert isinstance(cfg, RunConfig), case
+                    errors = []
+                finally:
+                    rec[keys[-1]] = original
+                refused = (
+                    isinstance(value, (bool, str))
+                    or (isinstance(value, float) and math.isnan(value))
+                    or (value == 2.5 and isinstance(original, int))
+                )
+                if numeric and refused:
+                    assert located(leaf_path, errors), f"{case} accepted: {errors}"
+    assert cases > 1000
+    assert time.perf_counter() - start < 2.0

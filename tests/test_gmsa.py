@@ -77,6 +77,12 @@ class TestValidation:
         p = IterationPlan(k=0, N=2, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
         assert not p.validate().ok
 
+    def test_huge_step_count_refused_at_once(self):
+        p = IterationPlan(k=0, N=10**18, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
+        v = p.validate()
+        assert not v.ok
+        assert (0, f"steps must be keyed 1..{10**18}, got [1]") in v.issues
+
     def test_forward_reference(self):
         steps = {1: StepSpec(2, (2, -1), order=(2, -1)), 2: StepSpec.relaxation(0, 1.0)}
         p = IterationPlan(k=0, N=2, eps=1.0, steps=steps)

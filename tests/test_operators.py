@@ -22,7 +22,6 @@ from strav.operators import (
     check_fne,
     check_nonexpansive,
     check_sqne,
-    structurally_equal,
 )
 from strav.sets import Halfspace, Hyperplane
 
@@ -185,16 +184,6 @@ class TestCompositionConstants:
             if node.fne_rho is not None:
                 assert node.sqne_rho is not None
                 assert node.sqne_rho >= node.fne_rho
-
-
-class TestStructuralEquality:
-    def test_equal_trees(self):
-        mk = lambda: Composition([_halfspace_proj(seed=23), Relaxation(_halfspace_proj(seed=24), 0.5)])
-        assert structurally_equal(mk(), mk())
-
-    def test_different_alpha_differs(self):
-        p = _halfspace_proj(seed=25)
-        assert not structurally_equal(Relaxation(p, 0.5), Relaxation(p, 0.6))
 
 
 class TestSamplingCheckers:

@@ -171,13 +171,6 @@ class TestDimChecks:
             Ball(np.zeros(2), 1.0).distance(np.zeros(4))
 
 
-class TestSameAs:
-    def test_recognizes_equal_content(self):
-        assert Halfspace([1.0, 0.0], 2.0).same_as(Halfspace([1.0, 0.0], 2.0))
-        assert not Halfspace([1.0, 0.0], 2.0).same_as(Halfspace([1.0, 0.0], 3.0))
-        assert not Halfspace([1.0, 0.0], 2.0).same_as(Hyperplane([1.0, 0.0], 2.0))
-
-
 class TestOperatorFamily:
     def _family(self, **kw):
         def generator(n):

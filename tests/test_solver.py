@@ -93,6 +93,22 @@ class TestRelaxationSchedule:
         for k in range(20):
             assert r.lo - 1e-12 <= r.lam(k) <= r.hi + 1e-12
 
+    def test_sweep_with_huge_point_count_builds_at_once(self):
+        r = RelaxationSchedule.sweep(0.1, 0.05, points=10**18)
+        assert r.lam(0) == r.lo
+        assert r.lo <= r.lam(10**17) <= r.hi
+
+    def test_sweep_repeats_the_materialized_grid_bitwise(self):
+        r = RelaxationSchedule.sweep(0.1, 0.05, points=17)
+        lo, hi = RelaxationSchedule.interval(0.1, 0.05)
+        grid = [lo + (hi - lo) * i / 16 for i in range(17)]
+        assert [r.lam(k) for k in range(41)] == [grid[k % 17] for k in range(41)]
+
+    @pytest.mark.parametrize("values", [0.5, [0.5, True], [0.5, "0.5"], [None]])
+    def test_cycle_refuses_anything_but_a_list_of_numbers(self, values):
+        with pytest.raises(ValueError, match="list of real step sizes"):
+            RelaxationSchedule.cycle(values, 0.25, 0.05)
+
     @pytest.mark.parametrize("points", [1, 0, -3])
     def test_sweep_needs_two_points(self, points):
         with pytest.raises(ValueError, match="at least 2 points"):
