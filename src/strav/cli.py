@@ -10,12 +10,13 @@ Exit codes: 0 when the run stopped on a residual or step criterion (for
 
 Config grammar
 --------------
-Leaf types: *int* is a whole number (``100000.0`` reads as ``100000``),
-*nat* an int >= 0, *number* any finite number.  Booleans and strings are
-refused as numbers, and NaN and the infinities as well.  A field left out
-or set to null takes its default; only ``stop.residual_tol``,
-``stop.step_tol`` and ``output.trace`` take null to mean "disabled".  Each
-problem is reported under its field path, e.g. ``schedule.plans[0].steps[1].n``.
+Leaf types: *int* is a whole number (``100000.0`` reads as ``100000``)
+no larger in size than the largest float, *nat* an int >= 0, *number* any
+finite number.  Booleans and strings are refused as numbers, and NaN and
+the infinities as well.  A field left out or set to null takes its
+default; only ``stop.residual_tol``, ``stop.step_tol`` and ``output.trace``
+take null to mean "disabled".  Each problem is reported under its field
+path, e.g. ``schedule.plans[0].steps[1].n``.
 
 Top-level fields::
 
@@ -51,6 +52,8 @@ or a named generator for an infinite family::
 
 Every set field is a number or a list of ``ambient_dim`` numbers (``basis``
 a list of them); ``gammas`` is one number or a nonempty list of numbers.
+A normal ``a`` must be nonzero with a squared norm below the largest
+float, and the witness's norm must stay below it too.
 
 ``schedule`` variants::
 

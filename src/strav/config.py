@@ -99,7 +99,10 @@ def _int(v, path, errors):
     if isinstance(v, float) and v.is_integer():
         return int(v)
     if type(v) is int or isinstance(v, Integral) and not isinstance(v, bool):
-        return int(v)
+        # like _real: a count beyond the float range overflows wherever it meets a float
+        if abs(v) <= sys.float_info.max:
+            return int(v)
+        return _refuse(errors, path, "need an integer within the float range")
     return _refuse(errors, path, f"need an integer, got {v!r}")
 
 
@@ -376,7 +379,9 @@ def _build_set(rec, dim, path, errors):
         return None
     cls, table = _SETS[kind]
     v = _read(table, rec, path, errors)
-    s = None if v is None else _make(path, errors, cls, **v)
+    # a halfspace or hyperplane constructor checks only its normal
+    where = f"{path}.a" if table is _LINEAR else path
+    s = None if v is None else _make(where, errors, cls, **v)
     if s is not None and s.dim != dim:
         errors.append((path, f"set has dimension {s.dim}, config says {dim}"))
         return None

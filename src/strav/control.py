@@ -206,6 +206,13 @@ class AdmissibilityReport:
 
 
 def _window_audit(hit_sets, indices, bound_of, horizon):
+    # membership is tested once per distinct set; replaced(k=...) copies of
+    # one plan share their set, so coding the sets is one lookup per k
+    distinct = {}
+    codes = np.fromiter(
+        (distinct.setdefault(s, len(distinct)) for s in hit_sets),
+        dtype=np.intp, count=len(hit_sets),
+    )
     windows, violations = {}, []
     for n in sorted(int(n) for n in indices):
         M = bound_of(n)
@@ -215,7 +222,7 @@ def _window_audit(hit_sets, indices, bound_of, horizon):
         if M < 1 or M - 1 > horizon:
             raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
         windows[n] = M
-        hits = np.fromiter((n in s for s in hit_sets), dtype=np.int64, count=len(hit_sets))
+        hits = np.fromiter((n in s for s in distinct), dtype=np.int64, count=len(distinct))[codes]
         cum = np.concatenate(([0], np.cumsum(hits)))
         counts = cum[M:] - cum[: len(hit_sets) - M + 1]  # one entry per window start
         miss = np.flatnonzero(counts == 0)

@@ -11,7 +11,8 @@ point, a weight sum) holds when its excess passes :func:`_within`:
 ``excess <= 1e-9 + 1e-12 * scale``, with ``scale`` the largest term of the
 inequality, which every caller already computes.  The relative part absorbs
 the rounding of large terms, so a check at radius 1e6 raises no false
-alarm, while a genuine violation grows with the terms too.
+alarm, while a genuine violation grows with the terms too.  An inequality
+whose scale overflowed to infinity never passes.
 
 ``_SLACK`` is the smaller slack for interval membership of exact user
 constants (step sizes, alpha, weight floors): they are chosen, not
@@ -28,8 +29,9 @@ _SLACK = 1e-12  # float slack on interval-membership checks
 
 
 def _within(excess, scale=1.0):
-    """True where ``excess <= 1e-9 + 1e-12 * scale``, elementwise."""
-    return excess <= 1e-9 + 1e-12 * scale
+    """True where ``excess <= 1e-9 + 1e-12 * scale`` at a finite scale, elementwise."""
+    # an infinite scale would pass any excess, an overflowed one included
+    return (excess <= 1e-9 + 1e-12 * scale) & (scale < np.inf)
 
 
 def as_vector(x, dim=None):

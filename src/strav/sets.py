@@ -3,6 +3,8 @@
 Every set variant carries an exact nearest-point rule.  ``project`` accepts
 a single vector or a row-stacked batch and returns the same shape; a point
 already inside comes back unchanged (bitwise for the polyhedral variants).
+A single point inside a halfspace may come back as the very array passed
+in, so a caller must not modify a projection in place.
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
 
@@ -15,6 +17,8 @@ terms in another order than the per-set dot product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +42,11 @@ class ProjectableSet:
     dim = None
 
     def project(self, x):
+        """Nearest point of the set to each row of ``x``, in the shape of ``x``.
+
+        The result may be ``x`` itself (a single point inside a halfspace),
+        so it must not be modified in place.
+        """
         raise NotImplementedError
 
     def distance(self, x):
@@ -60,13 +69,24 @@ class _LinearConstraint(ProjectableSet):
     def __init__(self, a, b):
         self.a = as_vector(a)
         self.b = float(b)
-        self._asq = float(self.a @ self.a)
+        with np.errstate(over="ignore"):
+            self._asq = float(self.a @ self.a)
+        name = type(self).__name__.lower()
         if self._asq == 0.0:
-            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
+            raise ValueError(f"{name} normal must be nonzero")
+        if not math.isfinite(self._asq):
+            raise ValueError(f"{name} normal's squared norm overflows")
         self.dim = self.a.shape[0]
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
+        if x.shape == self.a.shape:
+            # one point, one dot product (x.dot(a) is x @ a with less dispatch);
+            # an inactive halfspace hands x back untouched
+            t = float(x.dot(self.a)) - self.b
+            if t <= 0.0 and self._one_sided:
+                return x
+            return x - (t / self._asq) * self.a
         self._check_dim(x)
         offset = x @ self.a - self.b
         if self._one_sided:
@@ -165,7 +185,10 @@ class OperatorFamily:
     def __init__(self, generator, witness, *, gammas=None):
         self._generator = generator
         self.witness = as_vector(witness)
-        self._witness_norm = float(norm(self.witness))
+        with np.errstate(over="ignore"):
+            self._witness_norm = float(norm(self.witness))
+        if not math.isfinite(self._witness_norm):
+            raise ValueError("family-error: the witness's norm overflows")
         self.dim = self.witness.shape[0]
         self._gammas = gammas
         self._ops = {}

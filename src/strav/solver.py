@@ -28,6 +28,7 @@ trees instead of 20,001.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -129,6 +130,8 @@ class RelaxationSchedule:
         """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
         if points < 2:
             raise ValueError(f"a sweep needs at least 2 points, got {points}")
+        if points > sys.float_info.max:  # the grid divides by points - 1 as a float
+            raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
         lo, hi = cls.interval(float(eps), float(rho), kw.get("permissive", False))
         # each grid value is computed at use, so a huge ``points`` costs nothing
         span, den = hi - lo, points - 1

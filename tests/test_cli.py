@@ -207,6 +207,22 @@ class TestErrorHandling:
         assert code == 1
         assert "\n  relaxation.lambda: " in err
 
+    def test_sweep_with_a_309_digit_point_count(self, capsys, tmp_path):
+        doc = demo_doc()
+        # 2e308 passes the float range of 1.8e308
+        doc["relaxation"]["lambda"] = {"kind": "sweep", "points": 2 * 10**308}
+        code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "\n  relaxation.lambda.points: " in err
+
+    def test_overflowing_normal_reports_its_field(self, capsys, tmp_path):
+        doc = demo_doc()
+        doc["family"]["sets"][0]["a"][0] = 1e308
+        code, _, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert "\n  family.sets[0].a: " in err
+
     @pytest.mark.parametrize("stop", [{"residual_tol": "tight"}, {"step_tol": -1}])
     def test_bad_stop_tolerance(self, capsys, tmp_path, stop):
         doc = demo_doc()

@@ -210,6 +210,63 @@ class TestVerifyAdmissible:
         assert rep.passed and rep.windows == {1: 1, 2: 1}
 
 
+def _audit_oracle(schedule, horizon, indices):
+    """(windows, violations) by brute force: every window asks every plan in it."""
+    windows, violations = {}, []
+    for n in sorted(indices):
+        M = windows[n] = schedule.window_bound(n)
+        for i in range(horizon - M + 2):
+            if not any(n in schedule.plan_at(k).output_indices() for k in range(i, i + M)):
+                violations.append((n, i))
+                break
+    return windows, violations
+
+
+class TestWindowAuditOracle:
+    """``verify_admissible`` against a per-window oracle on random schedules."""
+
+    @staticmethod
+    def _random_schedule(rng, kind):
+        n_inputs = int(rng.integers(2, 7))
+        templates = []
+        for t in range(int(rng.integers(1, 9))):
+            width = int(rng.integers(1, min(n_inputs, 3) + 1))
+            refs = tuple(-int(n) for n in rng.choice(n_inputs, width, replace=False))
+            w = 1.0 / len(refs)
+            steps = [StepSpec(1, refs, weights={r: w for r in refs})]
+            templates.append(IterationPlan(k=t, N=1, eps=w, steps=steps))
+        # declared windows from 1 up to past the period: some schedules violate them
+        bounds = {n: int(rng.integers(1, len(templates) + 3)) for n in range(n_inputs)}
+        if kind == "cyclic":
+            return CyclicSchedule(templates, window_bounds=bounds), n_inputs
+        # a custom rule: a random sequence over the templates, and a fresh
+        # plan (no shared index set) at every k
+        order = rng.integers(0, len(templates), 200)
+
+        def rule(k):
+            t = templates[order[k]]
+            return t.replaced(k=k, eps=t.eps)
+
+        return CustomSchedule(rule, window_bounds=bounds), n_inputs
+
+    @pytest.mark.parametrize("kind", ["cyclic", "custom"])
+    def test_agrees_with_brute_force(self, kind):
+        rng = np.random.default_rng(17 if kind == "cyclic" else 18)
+        verdicts = set()
+        for _ in range(40):
+            schedule, n_inputs = self._random_schedule(rng, kind)
+            horizon = int(rng.integers(10, 60))
+            indices = range(n_inputs)
+            rep = verify_admissible(schedule, horizon, indices)
+            windows, violations = _audit_oracle(schedule, horizon, indices)
+            assert rep.windows == windows
+            assert rep.violations == violations
+            assert rep.passed == (not violations)
+            assert rep.first_violation == (violations[0] if violations else None)
+            verdicts.add(rep.passed)
+        assert verdicts == {True, False}
+
+
 def stage_cycle(strings_per_stage, window_bounds):
     # one single-weight (or evenly weighted) string stage per entry, cycled
     plans = [

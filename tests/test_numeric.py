@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.numeric import as_vector, norm
+from strav.numeric import _within, as_vector, norm
 
 
 class TestAsVector:
@@ -45,3 +45,16 @@ class TestInnerNorm:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape)
         assert_array_equal(norm(x), np.linalg.norm(x, axis=-1))
+
+
+class TestWithin:
+    def test_slack_grows_with_the_scale(self):
+        assert _within(1e-9) and not _within(2e-9)
+        assert _within(1e-4, 1e8) and not _within(1e-3, 1e8)
+
+    def test_an_infinite_scale_never_passes(self):
+        # an overflowed scale would otherwise admit any excess, inf included
+        assert not _within(np.inf, np.inf)
+        assert not _within(0.0, np.inf)
+        scales = np.array([1.0, np.inf, np.nan])
+        assert_array_equal(_within(np.zeros(3), scales), [True, False, False])

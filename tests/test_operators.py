@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.fixtures import random_halfspace_family, random_plan_corpus
-from strav.gmsa import output_operator, sqne_bound
+from strav.gmsa import fne_bound, output_operator, sqne_bound
+from strav.numeric import _within, as_vector, norm
 from strav.operators import (
     Composition,
     ConvexComb,
@@ -18,6 +19,7 @@ from strav.operators import (
     Primitive,
     Relaxation,
     SampleBudget,
+    _ball_samples,
     _report,
     check_fne,
     check_nonexpansive,
@@ -279,3 +281,79 @@ class TestCheckerScale:
             budget = SampleBudget(count=200, seed=plan.k, radius=1e4)
             rep = check_sqne(T, sqne_bound(plan), family.witness, budget)
             assert rep.passed, f"plan {plan.k}: {rep}"
+
+
+class Overshoot(Halfspace):
+    """A broken projection: the step toward the halfspace is 2.5 times too long."""
+
+    def project(self, x):
+        x = np.asarray(x, dtype=float)
+        return x + 2.5 * (super().project(x) - x)
+
+
+class CountingComposition(Composition):
+    """Records the number of points of every apply."""
+
+    def __init__(self, children):
+        super().__init__(children)
+        self.applied = []
+
+    def apply(self, x):
+        self.applied.append(np.asarray(x).shape[:-1])
+        return super().apply(x)
+
+
+def _pairs_reference(node, budget, center):
+    # the pair sample as check_fne and check_nonexpansive draw it, each half
+    # applied on its own
+    rng = np.random.default_rng(budget.seed)
+    pts = _ball_samples(rng, as_vector(center), budget.radius, 2 * budget.count)
+    xs, ys = pts[: budget.count], pts[budget.count :]
+    return xs, ys, node.apply(xs), node.apply(ys)
+
+
+class TestPairSample:
+    """A two-point checker applies the node once, to all its 2 * count points."""
+
+    def test_each_check_applies_the_node_once(self):
+        node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
+        budget = SampleBudget(count=40, seed=3)
+        assert check_fne(node, 0.5, budget).passed
+        assert check_nonexpansive(node, budget).passed
+        assert node.applied == [(80,), (80,)]
+
+    @pytest.mark.parametrize("corpus", ["criterion 03", "criterion 04"])
+    def test_verdicts_match_separate_applies(self, corpus):
+        if corpus == "criterion 03":
+            family = random_halfspace_family(5, 8, seed=7)
+            plans = random_plan_corpus(60, seed=13, n_inputs=8)
+        else:
+            gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
+            family = random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n])
+            plans = random_plan_corpus(60, seed=13, n_inputs=8, c0_alpha_one=True)
+        for plan in plans:
+            T = output_operator(plan, family)
+            budget = SampleBudget(count=200, seed=plan.k)
+            xs, ys, tx, ty = _pairs_reference(T, budget, family.witness)
+            dxy = norm(xs - ys)
+            rep = check_nonexpansive(T, budget, center=family.witness)
+            assert rep.passed == bool(_within(norm(tx - ty) - dxy, dxy).all())
+            assert rep.max_violation == pytest.approx(float((norm(tx - ty) - dxy).max()), abs=1e-12)
+            if corpus == "criterion 04":
+                rho = fne_bound(plan)
+                viol = norm(tx - ty) ** 2 - dxy**2 + rho * norm((xs - tx) - (ys - ty)) ** 2
+                rep = check_fne(T, rho, budget, center=family.witness)
+                assert rep.passed == bool(_within(viol, dxy**2).all())
+                assert rep.passed
+
+    def test_overshooting_halfspace_flagged_by_every_checker(self):
+        # x - 2.5 (x - P(x)) claims rho = 1 as a projection, but it is no
+        # cutter and expands distances across the boundary
+        node = Primitive(Overshoot([0.6, 0.8, 0.0], 0.0))
+        budget = SampleBudget(count=300, seed=11)
+        assert not check_sqne(node, 1.0, np.zeros(3), budget).passed
+        assert not check_fne(node, 1.0, budget).passed
+        assert not check_nonexpansive(node, budget).passed
+        # its single points take the same broken step
+        x = np.array([1.0, 1.0, 0.0])
+        assert_allclose(node.apply(x), x - 2.5 * 1.4 * np.array([0.6, 0.8, 0.0]))

@@ -5,6 +5,8 @@ nearest point: p = P_C(x) iff p is in C and <x - p, c - p> <= 0 for all
 c in C.  Each set type is probed against it with sampled feasible points.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -94,6 +96,53 @@ class TestHalfspace:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    def test_overflowing_normal_rejected_without_warning(self, cls):
+        # |a|^2 = 1e616 overflows; the set used to build and project to NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                cls([1e308, 0.0], 0.0)
+
+    def test_inactive_point_returns_its_values(self):
+        s = Halfspace([1.0, -2.0, 0.5], 0.25)
+        x = np.array([-3.0, 1.5, 0.7])
+        p = s.project(x)
+        assert_array_equal(p, x)
+        assert Primitive(s, gamma=0.6).apply(x).tobytes() == x.tobytes()
+
+
+def _row_formula(s, x):
+    """``project``'s formula for a row of a batch, applied to one point."""
+    offset = x @ s.a - s.b
+    if isinstance(s, Halfspace):
+        offset = np.maximum(offset, 0.0)
+    return x - (offset / s._asq)[..., None] * s.a
+
+
+class TestSinglePointProjection:
+    """One point takes one dot product, with the batch rows' IEEE arithmetic."""
+
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_the_row_formula(self, cls, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 30))
+        s = cls(rng.standard_normal(dim), float(rng.standard_normal()))
+        # an axis-aligned set has exact boundary points: <a, x> = b exactly
+        axis = cls(np.eye(dim)[0] * 2.0, 1.0)
+        points = [(s, x) for x in rng.standard_normal((40, dim)) * 3.0]
+        points += [(axis, np.concatenate(([v], rng.standard_normal(dim - 1))))
+                   for v in (-1.5, 0.5, 2.5)]  # inside, on the boundary, outside
+        for t, x in points:
+            assert t.project(x).tobytes() == _row_formula(t, x).tobytes()
+
+    def test_hyperplane_moves_points_on_both_sides(self):
+        s = Hyperplane([0.0, 2.0], 1.0)
+        for x in ([3.0, -1.0], [3.0, 4.0]):
+            p = s.project(np.array(x))
+            assert p[1] == 0.5 and p[0] == 3.0
 
 
 class TestHyperplane:
@@ -238,6 +287,14 @@ class TestOperatorFamily:
         fam.operator(1)
         assert fam.check_common_point(np.zeros(3))
         assert not fam.check_common_point(np.array([9.0, 9.0, 9.0]))
+
+    def test_overflowing_witness_is_a_family_error(self):
+        # ||(1e308, 1e308)|| overflows: every audit at that scale used to pass,
+        # so operator 0 materialized and the witness counted as a common point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="family-error"):
+                OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0)], [1e308, 1e308])
 
     def test_from_sets_size_and_bounds(self):
         fam = OperatorFamily.from_sets(

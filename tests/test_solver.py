@@ -109,6 +109,12 @@ class TestRelaxationSchedule:
         with pytest.raises(ValueError, match="list of real step sizes"):
             RelaxationSchedule.cycle(values, 0.25, 0.05)
 
+    def test_sweep_refuses_a_point_count_beyond_the_float_range(self):
+        # lam(k) divides by points - 1 as a float: 10**400 used to build and
+        # then raise OverflowError at the first use
+        with pytest.raises(ValueError, match="at most"):
+            RelaxationSchedule.sweep(0.25, 0.1, points=10**400)
+
     @pytest.mark.parametrize("points", [1, 0, -3])
     def test_sweep_needs_two_points(self, points):
         with pytest.raises(ValueError, match="at least 2 points"):
