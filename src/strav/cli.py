@@ -1,12 +1,17 @@
 """Command line front end: ``strav solve | superiorize | verify``.
 
-Every subcommand reads one JSON config file (``--config``).  Output is a
-block of ``key: value`` lines on stdout plus an optional CSV trace; given
-an identical config and seed the CSV is reproduced bit for bit.
+Every subcommand reads one JSON config file (``--config``) and takes
+``--seed`` to override its seed.  ``solve`` and ``superiorize`` also take
+``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
+``--horizon`` and ``--indices``.  Output is a block of ``key: value`` lines
+on stdout plus an optional CSV trace; given an identical config and seed
+the CSV is reproduced bit for bit.
 
 Exit codes: 0 when the run stopped on a residual or step criterion (for
-``verify``: all audits passed), 2 when the iteration cap cut it off, and
-1 for any error, including an invalid config.
+``verify``: all audits passed) and after ``--help``, 2 when the iteration
+cap cut it off, and 1 for any error, including an invalid config and a
+bad command line (a missing ``--config``, an option the subcommand does
+not take).
 
 Config grammar
 --------------
@@ -154,20 +159,21 @@ def _build_parser():
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", help="write the CSV trace here (overrides output.trace)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--stride", type=int, help="override output.stride")
-        p.add_argument(
-            "--horizon",
-            type=int,
-            default=200,
-            help="verify: audit iterations 0..N inclusive (default 200)",
-        )
-        p.add_argument(
-            "--indices",
-            help="verify: comma separated input indices to audit "
-            "(default: monitored_indices from the config)",
-        )
+        if name == "verify":
+            p.add_argument(
+                "--horizon", type=int, default=200,
+                help="audit iterations 0..N inclusive (default 200)",
+            )
+            p.add_argument(
+                "--indices",
+                help="comma separated input indices to audit "
+                "(default: monitored_indices from the config)",
+            )
+            p.set_defaults(out=None, stride=None)  # verify writes no trace
+        else:
+            p.add_argument("--out", help="write the CSV trace here (overrides output.trace)")
+            p.add_argument("--stride", type=int, help="override output.stride")
         p.set_defaults(handler=handler)
     return parser
 
@@ -293,7 +299,10 @@ def cmd_verify(cfg, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         cfg = _load_config(args)
         return args.handler(cfg, args)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Resolved objects for one run; ``raw`` keeps the source document."""
+    """Resolved objects for one run."""
 
     dim: int
     seed: int
@@ -74,7 +74,6 @@ class RunConfig:
     start: np.ndarray
     trace_path: str | None
     stride: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 # -- the reader ---------------------------------------------------------------
@@ -401,7 +400,12 @@ def _build_family(v, dim, errors):
         ]
         if None in sets:
             return None
-        return _make("family", errors, OperatorFamily.from_sets, sets, witness, gammas=gammas)
+        fam = _make("family", errors, OperatorFamily.from_sets, sets, witness, gammas=gammas)
+        if fam is None:
+            return None
+        # materializing each set checks its gamma and that it holds the witness
+        ops = [_make(f"family.sets[{i}]", errors, fam.operator, i) for i in range(len(sets))]
+        return None if None in ops else fam
     if v["generator"] is None:
         errors.append(("family", "needs either 'sets' or a known 'generator'"))
         return None
@@ -559,5 +563,4 @@ def parse_config(source):
         start=start,
         trace_path=top["output"]["trace"],
         stride=top["output"]["stride"],
-        raw=doc,
     )

@@ -45,10 +45,6 @@ class StringSpec:
             raise ValueError("string indices are input-operator indices, >= 0")
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def length(self):
-        return len(self.indices)
-
     def image(self):
         return frozenset(self.indices)
 

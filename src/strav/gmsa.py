@@ -41,7 +41,6 @@ __all__ = [
     "StepSpec",
     "IterationPlan",
     "PlanValidation",
-    "build_module",
     "output_operator",
     "sqne_bound",
     "fne_bound",
@@ -300,16 +299,13 @@ def _validate(plan):
     return PlanValidation(not issues, issues)
 
 
-def build_module(plan, n, family):
-    """Materialize module ``n`` of the plan as an operator tree.
+def output_operator(plan, family):
+    """The plan's output operator: module ``N`` over the given family.
 
     Sub-modules are memoized per call, so a step referenced from several
     places is built exactly once and shared inside the tree.
     """
-    if n > 0:
-        plan.require_valid()
-        if n > plan.N:
-            raise ValueError(f"invalid-plan: no step {n} in a plan of {plan.N} steps")
+    plan.require_valid()
     memo = {}
 
     def build(m):
@@ -327,13 +323,7 @@ def build_module(plan, n, family):
             memo[m] = node
         return node
 
-    return build(int(n))
-
-
-def output_operator(plan, family):
-    """The plan's output operator: module ``N`` over the given family."""
-    plan.require_valid()
-    return build_module(plan, plan.N, family)
+    return build(plan.N)
 
 
 def _plan_bound(plan, route, half, relaxed):

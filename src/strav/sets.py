@@ -225,20 +225,15 @@ class OperatorFamily:
             raise ValueError(
                 f"family-error: operator {n} has dimension {node.dim}, family has {self.dim}"
             )
-        rz = float(node.residual(self.witness))
+        # an overflowing residual is inf or NaN, which fails _within below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rz = float(node.residual(self.witness))
         if not _within(rz, self._witness_norm):
             raise ValueError(
                 f"family-error: declared common point not fixed by operator {n} (residual {rz:.3e})"
             )
         self._ops.setdefault(n, node)
         return self._ops[n]
-
-    def set_for(self, n):
-        """The projectable set behind index n, if the operator is projection-backed."""
-        op = self.operator(n)
-        if isinstance(op, Primitive):
-            return op.set
-        raise ValueError(f"family-error: index {n} is not backed by a projectable set")
 
     def distance(self, n, x):
         """Distance from x to the n-th set (0 for an identity pad)."""

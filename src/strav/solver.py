@@ -49,8 +49,6 @@ __all__ = [
     "run_perturbed",
     "FejerReport",
     "check_fejer",
-    "ConvergenceReport",
-    "convergence_report",
 ]
 
 
@@ -162,17 +160,17 @@ class PerturbationSchedule:
         return b, v
 
     @classmethod
-    def power(cls, c, p, direction, **kw):
+    def power(cls, c, p, direction):
         """beta_k = c / (k+1)^p with p > 1 (summable); c = 0 is the unperturbed limit."""
         c, p = float(c), float(p)
         if c < 0.0:
             raise ValueError("magnitude scale must be nonnegative")
         if c > 0.0 and p <= 1.0:
             raise ValueError(f"exponent must exceed 1 for a summable series, got {p}")
-        return cls(lambda k: c / (k + 1) ** p, direction, **kw)
+        return cls(lambda k: c / (k + 1) ** p, direction)
 
     @classmethod
-    def from_lists(cls, betas, vectors, **kw):
+    def from_lists(cls, betas, vectors):
         """Replay recorded (beta_k, v^k) pairs verbatim."""
         betas = [float(b) for b in betas]
         vectors = [np.asarray(v, dtype=float) for v in vectors]
@@ -183,7 +181,7 @@ class PerturbationSchedule:
         def direction(k, x):
             return vectors[k] if k < len(vectors) else np.zeros_like(x)
 
-        return cls(beta, direction, **kw)
+        return cls(beta, direction)
 
 
 def constant_direction(v):
@@ -231,6 +229,7 @@ class StopRule:
                 raise ValueError(f"{name} must be None or a nonnegative real, got {v!r}")
 
 
+@dataclass(eq=False)
 class Trace:
     """Complete record of one driver run.
 
@@ -248,8 +247,26 @@ class Trace:
     tolerance of a fixed point of ``T_k``.
     """
 
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
+    n_updates: int
+    stop_reason: str
+    residual: np.ndarray
+    step: np.ndarray
+    dist_witness: np.ndarray
+    fejer_slack: np.ndarray
+    set_distances: np.ndarray  # (rows, len(monitored))
+    monitored: tuple
+    phi: np.ndarray | None  # objective values, superiorized runs only
+    pert_mag: np.ndarray | None  # ||beta_k v^k||, perturbed runs only
+    pert_betas: list | None
+    pert_vectors: list | None
+    xs: np.ndarray  # every record_stride-th iterate, and the final one
+    xs_k: np.ndarray
+    witness: np.ndarray
+    fejer_constant: float
+    eps: float
+    rho: float
+    record_stride: int
+    family: object
 
     @property
     def n_rows(self):
@@ -259,33 +276,21 @@ class Trace:
     def final_x(self):
         return self.xs[-1]
 
+    def _columns(self):
+        """The CSV's ``(name, column)`` pairs after ``k``, in order."""
+        cols = [(n, getattr(self, n)) for n in ("residual", "step", "dist_witness", "fejer_slack")]
+        cols += [(f"d{j}", self.set_distances[:, j]) for j in range(len(self.monitored))]
+        optional = (("phi", self.phi), ("pert_mag", self.pert_mag))
+        return cols + [(n, col) for n, col in optional if col is not None]
+
     def csv_header(self):
-        cols = ["k", "residual", "step", "dist_witness", "fejer_slack"]
-        cols += [f"d{i}" for i in range(len(self.monitored))]
-        if self.phi is not None:
-            cols.append("phi")
-        if self.pert_mag is not None:
-            cols.append("pert_mag")
-        return ",".join(cols)
+        return ",".join(["k"] + [name for name, _ in self._columns()])
 
     def to_csv(self, path):
         """Write the scalar diagnostics, one row per iterate, full precision."""
+        table = np.column_stack([col for _, col in self._columns()]).tolist()
         lines = [self.csv_header()]
-        for k in range(self.n_rows):
-            row = [
-                str(k),
-                repr(float(self.residual[k])),
-                repr(float(self.step[k])),
-                repr(float(self.dist_witness[k])),
-                repr(float(self.fejer_slack[k])),
-            ]
-            for j in range(len(self.monitored)):
-                row.append(repr(float(self.set_distances[k, j])))
-            if self.phi is not None:
-                row.append(repr(float(self.phi[k])))
-            if self.pert_mag is not None:
-                row.append(repr(float(self.pert_mag[k])))
-            lines.append(",".join(row))
+        lines += [",".join([str(k)] + [repr(v) for v in row]) for k, row in enumerate(table)]
         text = "\n".join(lines) + "\n"
         if hasattr(path, "write"):
             path.write(text)
@@ -516,59 +521,3 @@ def check_fejer(trace, z, constant):
         checked=K,
     )
 
-
-@dataclass
-class ConvergenceReport:
-    """Post-run summary: where the final iterate stands and how the tail behaved."""
-
-    stop_reason: str
-    iterations: int
-    final_residual: float
-    final_distances: dict
-    max_distance: float
-    final_step: float
-    tail_decreasing: bool | None
-    cauchy_tail: float
-
-    def lines(self):
-        out = [
-            f"stop_reason: {self.stop_reason}",
-            f"iterations: {self.iterations}",
-            f"final_residual: {self.final_residual:.6e}",
-            f"max_monitored_distance: {self.max_distance:.6e}",
-            f"final_step: {self.final_step:.6e}",
-            f"tail_decreasing: {self.tail_decreasing}",
-            f"cauchy_tail: {self.cauchy_tail:.6e}",
-        ]
-        return out
-
-
-def convergence_report(trace, family, monitored):
-    """Distances of the final iterate plus step-tail diagnostics.
-
-    The Cauchy tail is the summed step norm over the last quarter of the
-    run, an upper bound on how far the iterate can still have moved there.
-    """
-    monitored = tuple(int(n) for n in monitored)
-    finals = dict(zip(monitored, family.distances(monitored, trace.final_x).tolist()))
-    max_d = max(finals.values()) if finals else 0.0
-    K = trace.n_updates
-    steps = trace.step[:K]
-    if K >= 8:
-        q = K // 4
-        head = np.max(steps[:q])
-        tail_dec = bool(_within(np.max(steps[-q:]) - head, head))
-        cauchy = float(np.sum(steps[-q:]))
-    else:
-        tail_dec = None
-        cauchy = float(np.sum(steps))
-    return ConvergenceReport(
-        stop_reason=trace.stop_reason,
-        iterations=K,
-        final_residual=float(trace.residual[-1]),
-        final_distances=finals,
-        max_distance=max_d,
-        final_step=float(steps[-1]) if K else 0.0,
-        tail_decreasing=tail_dec,
-        cauchy_tail=cauchy,
-    )

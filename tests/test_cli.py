@@ -290,6 +290,17 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert f"\n  {path}: " in err
 
+    @pytest.mark.parametrize("field, value", [("witness", [5.0, 0.0, 0.0]), ("gammas", 2.0)])
+    def test_witness_or_gamma_refused_under_each_set(self, capsys, tmp_path, field, value):
+        doc = demo_doc()
+        doc["family"][field] = value
+        code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        for i in range(len(doc["family"]["sets"])):
+            assert f"\n  family.sets[{i}]: " in err
+
     def test_out_of_range_cycle_entry_reports_its_index(self, capsys, tmp_path):
         doc = demo_doc()
         doc["relaxation"]["lambda"] = {"kind": "cycle", "values": [0.5, 2.0]}
@@ -297,3 +308,41 @@ class TestErrorHandling:
         assert code == 1
         assert "Traceback" not in err
         assert "\n  relaxation.lambda.values[1]: step size 2.0 outside" in err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--horizon", "5"],
+            ["superiorize", "--indices", "0"],
+            ["verify", "--out", "x.csv"],
+            ["verify", "--stride", "3"],
+        ],
+    )
+    def test_option_of_another_subcommand_exits_1(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--config", write(tmp_path, solve_doc()))
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["verify", "--config", "c.json", "--seed", "x"], ["bogus"], []]
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage: strav" in err
+
+    @pytest.mark.parametrize("command", ["solve", "superiorize", "verify"])
+    def test_help_exits_0_and_lists_own_options(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert ("--horizon" in out) == ("--indices" in out) == (command == "verify")
+        assert ("--out" in out) == ("--stride" in out) == (command != "verify")
+
+    def test_top_level_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "solve" in out and "verify" in out

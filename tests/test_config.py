@@ -149,9 +149,10 @@ class TestFamilySection:
     def test_bad_witness_surfaces_at_materialization(self):
         doc = minimal_doc()
         doc["family"]["witness"] = [1.0, 1.0]
-        cfg = parse_config(doc)
-        with pytest.raises(ValueError, match="family-error"):
-            cfg.family.operator(0)
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert [path for path, _ in info.value.errors] == ["family.sets[0]", "family.sets[1]"]
+        assert all("not fixed by operator" in msg for _, msg in info.value.errors)
 
     def test_gammas_list_cycles(self):
         doc = minimal_doc()

@@ -28,7 +28,7 @@ from strav.sets import Halfspace, OperatorFamily
 class TestStringSpec:
     def test_basic(self):
         s = StringSpec((2, 0, 2))
-        assert s.length == 3
+        assert len(s.indices) == 3
         assert s.image() == {0, 2}
 
     def test_empty_rejected(self):

@@ -16,7 +16,6 @@ from strav.gmsa import (
     InputAssumptions,
     IterationPlan,
     StepSpec,
-    build_module,
     fne_bound,
     output_operator,
     rho_uniform,
@@ -183,7 +182,7 @@ class TestBuild:
             3: StepSpec(2, (1, 2), order=(1, 2)),
         }
         plan = IterationPlan(k=0, N=3, eps=0.5, steps=steps)
-        node = build_module(plan, 3, self.fam)
+        node = output_operator(plan, self.fam)
         relax = node.children()[0]
         via_comb = node.children()[1].children()[1]  # sorted J = (-1, 1)
         assert relax is via_comb

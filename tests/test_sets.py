@@ -276,11 +276,6 @@ class TestOperatorFamily:
         fam = OperatorFamily(lambda n: Identity(), np.zeros(2))
         assert fam.distance(0, np.array([5.0, 5.0])) == 0.0
 
-    def test_set_for_requires_projection_backing(self):
-        fam = OperatorFamily(lambda n: Identity(), np.zeros(2))
-        with pytest.raises(ValueError, match="family-error"):
-            fam.set_for(0)
-
     def test_check_common_point(self):
         fam = self._family()
         fam.operator(0)

@@ -5,6 +5,7 @@ the same floating-point operations; driver traces must match it bitwise,
 not merely to a tolerance.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -27,10 +28,10 @@ from strav.solver import (
     PerturbationSchedule,
     RelaxationSchedule,
     StopRule,
+    Trace,
     away_from,
     check_fejer,
     constant_direction,
-    convergence_report,
     random_unit_directions,
     run,
     run_perturbed,
@@ -190,7 +191,7 @@ class TestDriverAgainstHandLoop:
         x0 = np.array([2.0, 3.0])
         tr = run(fam, sched, relax, x0, StopRule(50, None, None), record_stride=1)
 
-        sets = [fam.set_for(0), fam.set_for(1)]
+        sets = [fam.operator(0).set, fam.operator(1).set]
         lams = [0.8, 1.2]
         x = x0.copy()
         for k in range(50):
@@ -207,7 +208,7 @@ class TestDriverAgainstHandLoop:
         relax = RelaxationSchedule.constant(1.0, 0.25, 0.5)
         x0 = np.array([1.7, -0.3])
         tr = run(fam, sched, relax, x0, StopRule(1, None, None), record_stride=1)
-        assert_array_equal(tr.xs[1], fam.set_for(0).project(x0))
+        assert_array_equal(tr.xs[1], fam.operator(0).set.project(x0))
 
 
 class TestStopping:
@@ -485,8 +486,6 @@ class TestTraceRecording:
         assert tr.set_distances.shape == (tr.n_rows, 21)
         for x, row in zip(tr.xs, tr.set_distances):
             assert_array_equal(row, [fam.distance(n, x) for n in monitored])
-        finals = convergence_report(tr, fam, list(monitored)).final_distances
-        assert finals == {n: fam.distance(n, tr.final_x) for n in monitored}
 
     def test_csv_layout(self):
         tr = run(self.fam, self.sched, self.relax, np.array([2.0, 1.0]),
@@ -508,12 +507,40 @@ class TestTraceRecording:
                            StopRule(4, None, None))
         assert tr.csv_header().endswith(",pert_mag")
 
+    def test_csv_bytes_match_per_element_writer(self):
+        sup = run_superiorized(self.fam, self.sched, self.relax, linear_objective([1.0, 1.0]),
+                               BetaGrid.geometric(0.5, M=2), np.array([2.0, 1.0]),
+                               StopRule(12, None, None), monitored=(1, 0))
+        pert = PerturbationSchedule.power(0.1, 2.0, away_from(self.fam.witness))
+        per = run_perturbed(self.fam, self.sched, self.relax, pert, np.array([2.0, 1.0]),
+                            StopRule(12, None, None))
+        assert sup.csv_header() == "k,residual,step,dist_witness,fejer_slack,d0,d1,phi,pert_mag"
+        for tr in (sup, per, self._trace(monitored=(0,))):
+            assert tr.to_csv(io.StringIO()) == reference_csv(tr)
 
-class TestConvergenceReport:
-    def test_lines_mention_monitored_sets(self):
-        fam = two_halfspace_family()
-        sched = CyclicSchedule.over_indices([0, 1])
-        relax = RelaxationSchedule.constant(1.0, 0.25, 0.5)
-        tr = run(fam, sched, relax, np.array([2.0, 1.0]), StopRule(), monitored=(0, 1))
-        rep = convergence_report(tr, fam, (0, 1))
-        assert rep.lines()
+    def test_fields_are_typed_and_closed(self):
+        tr = self._trace()
+        names = [f.name for f in dataclasses.fields(Trace)]
+        assert names == [
+            "n_updates", "stop_reason", "residual", "step", "dist_witness", "fejer_slack",
+            "set_distances", "monitored", "phi", "pert_mag", "pert_betas", "pert_vectors",
+            "xs", "xs_k", "witness", "fejer_constant", "eps", "rho", "record_stride", "family",
+        ]
+        fields = {name: getattr(tr, name) for name in names}
+        assert Trace(**fields).to_csv(io.StringIO()) == tr.to_csv(io.StringIO())
+        with pytest.raises(TypeError):
+            Trace(**fields, iterations=20)
+
+
+def reference_csv(tr):
+    """The CSV layout spelled out one element at a time."""
+    scalars = ["residual", "step", "dist_witness", "fejer_slack"]
+    optional = [name for name in ("phi", "pert_mag") if getattr(tr, name) is not None]
+    monitored = [f"d{j}" for j in range(len(tr.monitored))]
+    lines = [",".join(["k"] + scalars + monitored + optional)]
+    for k in range(tr.n_rows):
+        row = [str(k)] + [repr(float(getattr(tr, name)[k])) for name in scalars]
+        row += [repr(float(tr.set_distances[k, j])) for j in range(len(tr.monitored))]
+        row += [repr(float(getattr(tr, name)[k])) for name in optional]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

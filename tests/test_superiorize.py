@@ -133,7 +133,7 @@ class TestSuperiorizedDriver:
                 shift = shift + b * v
             beta_k = sum(betas)
             u = y + beta_k * (shift / beta_k)
-            t = self.fam.set_for(k % 2).project(u)
+            t = self.fam.operator(k % 2).set.project(u)
             y = u + 0.9 * (t - u)
             assert_array_equal(tr.xs[k + 1], y)
 
