@@ -3,9 +3,11 @@
 Every subcommand reads one JSON config file (``--config``) and takes
 ``--seed`` to override its seed.  ``solve`` and ``superiorize`` also take
 ``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
-``--horizon`` and ``--indices``.  Output is a block of ``key: value`` lines
-on stdout plus an optional CSV trace; given an identical config and seed
-the CSV is reproduced bit for bit.
+``--horizon`` and ``--indices`` (natural numbers) and probes each distinct
+plan structure among the first eight plans once, under the first ``k``
+that uses it.  Output is a block of ``key: value`` lines on stdout plus an
+optional CSV trace; given an identical config and seed the CSV is
+reproduced bit for bit.
 
 Exit codes: 0 when the run stopped on a residual or step criterion (for
 ``verify``: all audits passed) and after ``--help``, 2 when the iteration
@@ -20,8 +22,9 @@ no larger in size than the largest float, *nat* an int >= 0, *number* any
 finite number.  Booleans and strings are refused as numbers, and NaN and
 the infinities as well.  A field left out or set to null takes its
 default; only ``stop.residual_tol``, ``stop.step_tol`` and ``output.trace``
-take null to mean "disabled".  Each problem is reported under its field
-path, e.g. ``schedule.plans[0].steps[1].n``.
+take null to mean "disabled".  A field the grammar does not name is
+refused.  Each problem is reported under its field path, e.g.
+``schedule.plans[0].steps[1].n``.
 
 Top-level fields::
 
@@ -123,8 +126,7 @@ permissive); an absent ``lambda`` is the constant 1.0 and must lie there too.
 ``superiorization``::
 
     {"inner_steps": 2,              # nat (1)
-     "scale": 0.5,                  # number >= 0 (1.0)
-     "zero_tol": 1e-12}             # number >= 0 (1e-12)
+     "scale": 0.5}                  # number >= 0 (1.0)
 """
 
 from __future__ import annotations
@@ -144,6 +146,13 @@ __all__ = ["main", "console_main"]
 
 _PROBE_PLANS = 8
 _PROBE_SAMPLES = 200
+
+
+def _indices(text):
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isdecimal() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"need comma separated natural numbers, got {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _build_parser():
@@ -166,7 +175,7 @@ def _build_parser():
                 help="audit iterations 0..N inclusive (default 200)",
             )
             p.add_argument(
-                "--indices",
+                "--indices", type=_indices,
                 help="comma separated input indices to audit "
                 "(default: monitored_indices from the config)",
             )
@@ -246,8 +255,7 @@ def cmd_superiorize(cfg, args):
     )
     trace = run_superiorized(
         cfg.family, cfg.schedule, cfg.relax, cfg.oracle, cfg.grid, cfg.start,
-        cfg.stop, zero_tol=cfg.zero_tol, monitored=cfg.monitored,
-        record_stride=cfg.stride,
+        cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
     )
     _emit("driver", "superiorized")
     _emit("objective at plain final", f"{cfg.oracle.value(baseline.final_x):.6e}")
@@ -261,23 +269,21 @@ def cmd_superiorize(cfg, args):
     return _finish(cfg, trace)
 
 
-def _verify_indices(cfg, args):
-    if args.indices:
-        return [int(tok) for tok in args.indices.split(",") if tok.strip()]
-    if cfg.monitored:
-        return list(cfg.monitored)
-    raise ValueError("no indices to audit; pass --indices or set monitored_indices")
-
-
 def cmd_verify(cfg, args):
-    indices = _verify_indices(cfg, args)
+    indices = args.indices or list(cfg.monitored)
+    if not indices:
+        raise ValueError("no indices to audit; pass --indices or set monitored_indices")
     report = verify_admissible(cfg.schedule, args.horizon, indices)
     _emit("coverage", report)
     all_passed = report.passed
 
     budget = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed)
+    probed = set()  # one probe per plan structure, labelled by its first k
     for k in range(min(args.horizon, _PROBE_PLANS - 1) + 1):
         plan = cfg.schedule.plan_at(k)
+        if plan.structure_key() in probed:
+            continue
+        probed.add(plan.structure_key())
         T = output_operator(plan, cfg.family)
         rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget)
         all_passed = all_passed and rep.passed

@@ -24,7 +24,6 @@ import numpy as np
 
 from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
-from .fixtures import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
 from .numeric import as_vector
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
@@ -36,13 +35,7 @@ from .solver import (
     constant_direction,
     random_unit_directions,
 )
-from .superiorize import (
-    BetaGrid,
-    DEFAULT_ZERO_TOL,
-    linear_objective,
-    max_affine_objective,
-    squared_distance_objective,
-)
+from .superiorize import BetaGrid, linear_objective, max_affine_objective, squared_distance_objective
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -68,7 +61,6 @@ class RunConfig:
     perturb: PerturbationSchedule | None
     oracle: object | None
     grid: BetaGrid | None
-    zero_tol: float
     stop: StopRule
     monitored: tuple
     start: np.ndarray
@@ -156,7 +148,7 @@ def _record(rec, table, path, errors):
     An absent key or a JSON null reads the row's default, and ``_REQUIRED``
     reports it missing; a null reaches an ``_as_given`` leaf as given.
     Each entry that was reported reads None, as does an absent one whose
-    default is None.
+    default is None.  A key no row names is reported as unknown.
     """
     if _dict(rec, path, errors) is None:
         return None
@@ -167,6 +159,10 @@ def _record(rec, table, path, errors):
             msg = f"unknown {tag} {name!r} (expected one of {list(tables)})"
             return _refuse(errors, f"{path}.{tag}", msg)
         table = ((tag, _as_given, None),) + tables[name]
+    keys = [row[0] for row in table]
+    for key in rec:
+        if key not in keys:
+            _refuse(errors, f"{path}.{key}" if path else key, f"unknown field (expected {keys})")
     out = {}
     for key, kind, default, *lo in table:
         where = f"{path}.{key}" if path else key
@@ -210,6 +206,26 @@ def _make(path, errors, build, *args, **kw):
 
 
 # -- the tables ---------------------------------------------------------------
+
+
+def axis_halfspace_family(dim=5):
+    """The ``axis_halfspaces`` generator: ``x_{n mod dim} <= (2 - 1/(n+1)) / (n mod dim + 1)``.
+
+    An infinite lazy family: all sets contain the origin with positive
+    margin (the witness), all thresholds are distinct, and within each
+    coordinate class the first (tightest) constraint is the binding one.
+    """
+    dim = int(dim)
+
+    def generator(n):
+        j = n % dim
+        a = np.zeros(dim)
+        a[j] = 1.0
+        b = (2.0 - 1.0 / (n + 1)) / (j + 1)
+        return Halfspace(a, b)
+
+    return OperatorFamily(generator, np.zeros(dim))
+
 
 _LINEAR = (("a", [_real], _REQUIRED), ("b", _real, _REQUIRED))
 _SETS = {  # kind -> (class, rows named after its parameters)
@@ -297,7 +313,6 @@ _DOC = (
     ("superiorization", (
         ("scale", _real, 1.0),
         ("inner_steps", _int, 1, 0),
-        ("zero_tol", _real, DEFAULT_ZERO_TOL, 0),
     ), None),
     ("stop", (
         ("max_iters", _int, 100_000),
@@ -377,10 +392,13 @@ def _build_set(rec, dim, path, errors):
         errors.append((path, f"unknown set kind {kind!r} (expected one of {list(_SETS)})"))
         return None
     cls, table = _SETS[kind]
-    v = _read(table, rec, path, errors)
+    v = _read({"kind": {kind: table}}, rec, path, errors)
+    if v is None:
+        return None
+    del v["kind"]
     # a halfspace or hyperplane constructor checks only its normal
     where = f"{path}.a" if table is _LINEAR else path
-    s = None if v is None else _make(where, errors, cls, **v)
+    s = _make(where, errors, cls, **v)
     if s is not None and s.dim != dim:
         errors.append((path, f"set has dimension {s.dim}, config says {dim}"))
         return None
@@ -557,7 +575,6 @@ def parse_config(source):
         perturb=perturb,
         oracle=oracle,
         grid=grid,
-        zero_tol=DEFAULT_ZERO_TOL if sup is None else sup["zero_tol"],
         stop=stop,
         monitored=monitored,
         start=start,

@@ -8,6 +8,8 @@ over a finite horizon; it refuses to guess bounds that were not declared.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .gmsa import IterationPlan, StepSpec, rho_uniform
@@ -185,14 +187,14 @@ def uniform_modulus(schedule, eps):
     return rho_uniform(K, M, eps)
 
 
+@dataclass
 class AdmissibilityReport:
     """Outcome of a finite-horizon window audit."""
 
-    def __init__(self, passed, horizon, windows, violations):
-        self.passed = passed
-        self.horizon = horizon
-        self.windows = windows  # {n: M_n actually used}
-        self.violations = violations  # [(n, window start i)], first per index
+    passed: bool
+    horizon: int
+    windows: dict  # {n: M_n actually used}
+    violations: list  # [(n, window start i)], first per index
 
     @property
     def first_violation(self):

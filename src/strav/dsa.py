@@ -45,9 +45,6 @@ class StringSpec:
             raise ValueError("string indices are input-operator indices, >= 0")
         object.__setattr__(self, "indices", idx)
 
-    def image(self):
-        return frozenset(self.indices)
-
 
 class StringStage:
     """Weighted set of strings used at one iteration.
@@ -73,10 +70,6 @@ class StringStage:
         if not _within(abs(sum(self.weights) - 1.0)):
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
         self.eps = floor if eps is not None else min(self.weights)
-
-    def image(self):
-        """Union of the string images: every input index the stage touches."""
-        return frozenset().union(*(s.image() for s in self.strings))
 
 
 def direct_eval(stage, family, x):
@@ -109,15 +102,15 @@ def gdsa_to_gmsa(stage):
     return IterationPlan(k=stage.k, N=n_strings + 1, eps=stage.eps, steps=steps)
 
 
-def rho_gdsa(gammas, q, form="product"):
+def rho_gdsa(gammas, q):
     """Stage modulus ``min(q^{-1} * inf_n (2 - gamma_n) * gamma_n, 1)``.
 
     ``gammas`` are the projection relaxations actually materialized (or any
     certified sub-collection bounding the infimum from below) and ``q`` the
-    longest string length.  ``form="quotient"`` swaps the per-leaf term for
-    ``(2 - gamma)/gamma``; the two agree at gamma = 1 and the product form
-    is the smaller, safe reading for gamma <= 1.  Validate empirically via
-    ``check_fne`` before relying on either at gamma > 1.
+    longest string length.  The per-leaf term ``(2 - gamma) * gamma`` is at
+    most the leaf's certified ``(2 - gamma)/gamma`` for gamma <= 1, with
+    equality at gamma = 1.  Validate empirically via ``check_fne`` before
+    relying on it at gamma > 1.
     """
     q = int(q)
     if q < 1:
@@ -125,13 +118,7 @@ def rho_gdsa(gammas, q, form="product"):
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("need at least one relaxation value")
-    if form == "product":
-        leaf = min((2.0 - g) * g for g in gammas)
-    elif form == "quotient":
-        leaf = min((2.0 - g) / g for g in gammas)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return min(leaf / q, 1.0)
+    return min(min((2.0 - g) * g for g in gammas) / q, 1.0)
 
 
 def msa_embed(operators, witness, msa_plans, *, window_bounds=None):

@@ -1,5 +1,8 @@
 """Ready-made problem instances shared by the tests and the demos.
 
+No library module imports this one.  :func:`axis_halfspace_family`, the
+config's ``axis_halfspaces`` generator, is re-exported from :mod:`strav.config`.
+
 The geometry here is chosen so that finite runs can certify the
 asymptotic statements: in :func:`axis_halfspace_family` the thresholds
 widen within each coordinate class, so once the iterate satisfies the
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
 from .sets import Box, Halfspace, OperatorFamily
 from .superiorize import linear_objective
@@ -25,25 +29,6 @@ __all__ = [
     "random_plan",
     "random_plan_corpus",
 ]
-
-
-def axis_halfspace_family(dim=5):
-    """Infinite lazy family: ``x_{n mod dim} <= (2 - 1/(n+1)) / (n mod dim + 1)``.
-
-    All sets contain the origin with positive margin (the witness), the
-    family is genuinely infinite (all thresholds distinct), and within
-    each coordinate class the first constraint is the binding one.
-    """
-    dim = int(dim)
-
-    def generator(n):
-        j = n % dim
-        a = np.zeros(dim)
-        a[j] = 1.0
-        b = (2.0 - 1.0 / (n + 1)) / (j + 1)
-        return Halfspace(a, b)
-
-    return OperatorFamily(generator, np.zeros(dim))
 
 
 def random_halfspace_family(dim, count, seed, witness=None, gammas=None):

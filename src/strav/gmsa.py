@@ -61,8 +61,9 @@ class InputAssumptions:
 class StepSpec:
     """One build step.  Immutable after construction.
 
-    ``J`` is stored sorted; combination weights are stored aligned with the
-    sorted ``J`` so two plans with equal content build identical trees.
+    ``J`` is stored sorted; combination ``weights`` are given as a
+    ``{reference: weight}`` mapping and stored aligned with the sorted ``J``
+    so two plans with equal content build identical trees.
     """
 
     __slots__ = ("c", "J", "alpha", "weights", "order")
@@ -71,18 +72,12 @@ class StepSpec:
         self.c = int(c)
         self.J = tuple(sorted({int(j) for j in J}))
         self.alpha = None if alpha is None else float(alpha)
-        if weights is None:
-            self.weights = None
-        elif isinstance(weights, dict):
-            try:
-                self.weights = tuple(float(weights[j]) for j in self.J)
-            except KeyError as exc:
-                raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
-        else:
-            w = tuple(float(v) for v in weights)
-            if len(w) != len(self.J):
-                raise ValueError("invalid-plan: one weight per reference required")
-            self.weights = w
+        if weights is not None and not isinstance(weights, dict):
+            raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
+        try:
+            self.weights = None if weights is None else tuple(float(weights[j]) for j in self.J)
+        except KeyError as exc:
+            raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
         self.order = None if order is None else tuple(int(o) for o in order)
 
     @property
@@ -97,15 +92,6 @@ class StepSpec:
     @classmethod
     def relaxation(cls, j, alpha):
         return cls(0, (j,), alpha=alpha)
-
-    @classmethod
-    def combination(cls, weights):
-        """Build a kind-1 step from a ``{reference: weight}`` mapping."""
-        return cls(1, tuple(weights), weights=dict(weights))
-
-    @classmethod
-    def composition(cls, order):
-        return cls(2, set(order), order=tuple(order))
 
     def __repr__(self):
         extras = {0: f"alpha={self.alpha}", 1: f"weights={self.weights}", 2: f"order={self.order}"}

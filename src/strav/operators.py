@@ -17,7 +17,7 @@ Constants attached to a node
     ``||T(x)-T(y)||^2 <= ||x-y||^2 - rho*||(x-T(x))-(y-T(y))||^2``.
 ``is_cutter``
     Every fixed point z obeys ``<z - T(x), x - T(x)> <= 0``; equivalent to
-    ``sqne_rho >= 1``.
+    ``sqne_rho >= 1``, and read off ``sqne_rho`` by a property.
 ``is_nonexpansive``
     Plain Lipschitz-1 guarantee.
 
@@ -99,7 +99,7 @@ def _min_over(values):
 def _combined_constants(children):
     # (sqne, fne, m): minima over the m non-identity children, with sqne
     # taking the better of the direct and the two-point route
-    active = [c for c in children if c.kind != "identity"]
+    active = [c for c in children if not isinstance(c, Identity)]
     fne = _min_over(c.fne_rho for c in active)
     return _best(_min_over(c.sqne_rho for c in active), fne), fne, len(active)
 
@@ -107,13 +107,14 @@ def _combined_constants(children):
 class OperatorNode:
     """Abstract immutable operator; concrete kinds derive the constants."""
 
-    kind = "abstract"
-
     sqne_rho = None
     fne_rho = None
-    is_cutter = False
     is_nonexpansive = False
     dim = None
+
+    @property
+    def is_cutter(self):
+        return self.sqne_rho is not None and self.sqne_rho >= 1.0
 
     def apply(self, x):
         raise NotImplementedError
@@ -144,8 +145,6 @@ class Primitive(OperatorNode):
         Relaxation in (0, 4/3].  gamma = 1 is the plain projection.
     """
 
-    kind = "primitive"
-
     def __init__(self, set_, gamma=1.0):
         gamma = float(gamma)
         if not 0.0 < gamma <= 4.0 / 3.0:
@@ -156,7 +155,6 @@ class Primitive(OperatorNode):
         self.dim = set_.dim
         self.sqne_rho = rho
         self.fne_rho = rho
-        self.is_cutter = gamma <= 1.0
         self.is_nonexpansive = True
 
     def apply(self, x):
@@ -170,14 +168,9 @@ class Primitive(OperatorNode):
 class Identity(OperatorNode):
     """The identity; fixed by everything, inert in every derivation."""
 
-    kind = "identity"
-
-    def __init__(self, dim=None):
-        self.dim = dim
-        self.sqne_rho = math.inf
-        self.fne_rho = math.inf
-        self.is_cutter = True
-        self.is_nonexpansive = True
+    sqne_rho = math.inf
+    fne_rho = math.inf
+    is_nonexpansive = True
 
     def apply(self, x):
         return np.asarray(x, dtype=float)
@@ -189,8 +182,6 @@ class Relaxation(OperatorNode):
     Fixed points of the child are preserved for every alpha > 0; alpha = 2
     is the reflection.
     """
-
-    kind = "relaxation"
 
     def __init__(self, child, alpha):
         alpha = float(alpha)
@@ -206,7 +197,6 @@ class Relaxation(OperatorNode):
         self.is_nonexpansive = (two_point is not None) or (
             child.is_nonexpansive and alpha <= 1.0
         )
-        self.is_cutter = self.sqne_rho is not None and self.sqne_rho >= 1.0
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -230,8 +220,6 @@ def _common_dim(children):
 class ConvexComb(OperatorNode):
     """Weighted average ``sum_j w_j * child_j(x)`` with positive weights summing to 1."""
 
-    kind = "convex_comb"
-
     def __init__(self, children, weights):
         children = tuple(children)
         weights = tuple(float(w) for w in weights)
@@ -248,7 +236,6 @@ class ConvexComb(OperatorNode):
         self.dim = _common_dim(children)
         self.sqne_rho, self.fne_rho, _ = _combined_constants(children)
         self.is_nonexpansive = all(c.is_nonexpansive for c in children)
-        self.is_cutter = self.sqne_rho is not None and self.sqne_rho >= 1.0
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -264,8 +251,6 @@ class ConvexComb(OperatorNode):
 class Composition(OperatorNode):
     """Composition of children applied left to right (first listed, first applied)."""
 
-    kind = "composition"
-
     def __init__(self, children):
         children = tuple(children)
         if not children:
@@ -277,7 +262,6 @@ class Composition(OperatorNode):
         self.sqne_rho = None if sqne is None else sqne / m
         self.fne_rho = None if fne is None else fne / m
         self.is_nonexpansive = all(c.is_nonexpansive for c in children)
-        self.is_cutter = self.sqne_rho is not None and self.sqne_rho >= 1.0
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)

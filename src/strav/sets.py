@@ -53,9 +53,6 @@ class ProjectableSet:
         x = np.asarray(x, dtype=float)
         return norm(x - self.project(x))
 
-    def contains(self, x):
-        return _within(self.distance(x), norm(x))
-
     def _check_dim(self, x):
         if x.shape[-1] != self.dim:
             raise ValueError(f"dim-mismatch: point of dimension {x.shape[-1]}, set of {self.dim}")

@@ -53,7 +53,7 @@ __all__ = [
 
 
 class RelaxationSchedule:
-    """Step sizes lambda_k kept inside the certified interval.
+    """Step sizes lambda_k = rule(k) kept inside the certified interval.
 
     The monotonicity theory needs ``lambda_k in [eps, 1 + rho - eps]`` for a
     uniform modulus ``rho`` of the plan outputs; every value the rule emits
@@ -69,7 +69,7 @@ class RelaxationSchedule:
         self.eps = eps
         self.rho = rho
         self.permissive = bool(permissive)
-        self._rule = rule if callable(rule) else (lambda k, v=float(rule): v)
+        self._rule = rule
 
     @staticmethod
     def interval(eps, rho, permissive=False):

@@ -2,7 +2,8 @@
 
 Before the k-th feasibility update, a short inner loop takes M_k steps of
 size beta_{k,n} along negated normalized subgradients, each direction
-evaluated at the partially shifted point.  The shifted point then feeds
+evaluated at the partially shifted point; a subgradient of norm at most
+1e-12 counts as 0 and its step is skipped.  The shifted point then feeds
 the relaxed feasibility operator.  Because the double series of step sizes
 is summable, the perturbations are bounded and the feasibility guarantees
 survive; the objective values are merely coaxed, not optimized.
@@ -35,7 +36,7 @@ __all__ = [
     "alternatives_diagnostic",
 ]
 
-DEFAULT_ZERO_TOL = 1e-12
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,13 @@ class BetaGrid:
         return cls(m_of, lambda k, n: c * 2.0 ** (-k) / m_of(k))
 
 
-def inner_directions(oracle, y, betas, zero_tol=DEFAULT_ZERO_TOL):
+def inner_directions(oracle, y, betas):
     """Directions v^1..v^M of the inner loop at base point y.
 
     Direction m is the negated normalized subgradient taken at
-    ``y + sum_{i<m} betas[i] * v^i``; a subgradient of norm <= ``zero_tol``
-    is treated as 0 in the subdifferential and yields the zero direction
-    (the shift for that inner step is skipped).
+    ``y + sum_{i<m} betas[i] * v^i``; a subgradient of norm <= 1e-12 is
+    treated as 0 in the subdifferential and yields the zero direction (the
+    shift for that inner step is skipped).
     """
     y = np.asarray(y, dtype=float)
     point = y
@@ -151,7 +152,7 @@ def inner_directions(oracle, y, betas, zero_tol=DEFAULT_ZERO_TOL):
     for b in betas:
         s = np.asarray(oracle.subgradient(point), dtype=float)
         ns = float(norm(s))
-        if ns <= zero_tol:
+        if ns <= _ZERO_TOL:
             v = np.zeros_like(y)
         else:
             v = -s / ns
@@ -169,16 +170,15 @@ def run_superiorized(
     y0,
     stop=StopRule(),
     *,
-    zero_tol=DEFAULT_ZERO_TOL,
     monitored=(),
     record_stride=1,
 ):
     """Feasibility run with objective-reducing inner perturbations.
 
-    Per iteration: inner directions and sizes from ``grid`` and ``oracle``,
-    aggregated into a single perturbation, then the relaxed feasibility
-    update.  The trace gains ``phi`` (objective at each iterate) and
-    ``pert_mag`` columns, plus the raw aggregates for bitwise replay.
+    Per iteration: the :func:`inner_directions` of ``oracle`` and the sizes
+    from ``grid``, aggregated into a single perturbation, then the relaxed
+    feasibility update.  The trace gains ``phi`` (objective at each iterate)
+    and ``pert_mag`` columns, plus the raw aggregates for bitwise replay.
 
     Returns
     -------
@@ -189,7 +189,7 @@ def run_superiorized(
         betas = grid.betas(k)
         if not betas:
             return 0.0, np.zeros_like(y)
-        vs = inner_directions(oracle, y, betas, zero_tol)
+        vs = inner_directions(oracle, y, betas)
         shift = betas[0] * vs[0]
         for b, v in zip(betas[1:], vs[1:]):
             shift = shift + b * v

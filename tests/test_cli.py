@@ -178,6 +178,22 @@ class TestVerify:
         assert code == 1
         assert "no indices to audit" in err
 
+    @pytest.mark.parametrize("indices", ["zz", "-1", "0,1.5"])
+    def test_indices_must_be_natural_numbers(self, capsys, tmp_path, indices):
+        cfg = write(tmp_path, solve_doc())
+        code, out, err = run_cli(capsys, "verify", "--config", cfg, "--indices", indices)
+        assert code == 1
+        assert "argument --indices: need comma separated natural numbers" in err
+        assert out == ""
+
+    def test_each_plan_structure_probed_once(self, capsys, tmp_path):
+        # the demo's two stages alternate: 8 probed plans, 2 structures
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
+        assert code == 0
+        probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
+        assert probes == ["plan 0 sqne", "plan 1 sqne"]
+        assert kv(out)["verdict"] == "pass"
+
 
 class TestErrorHandling:
     def test_invalid_config_aggregates(self, capsys, tmp_path):

@@ -94,6 +94,33 @@ class TestParseBasics:
         assert "start" in paths
         assert "output.stride" in paths
 
+    def test_unknown_fields_refused_by_path(self):
+        doc = minimal_doc(
+            comment="not a field",
+            stop={"residul_tol": 1e-6},  # a typo of residual_tol
+            superiorization={"scale": 0.1, "zero_tol": 1e-8},  # a retired field
+            objective={"kind": "linear", "c": [1.0, 0.0], "argmin_witnesses": None},
+        )
+        doc["family"]["sets"][0]["B"] = 0.0
+        doc["relaxation"]["lambda"]["values"] = [0.7]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert sorted(err.value.errors) == sorted(
+            (path, f"unknown field (expected {keys})")
+            for path, keys in [
+                ("comment", [
+                    "ambient_dim", "seed", "family", "schedule", "relaxation", "perturbation",
+                    "objective", "superiorization", "stop", "monitored_indices", "start",
+                    "output",
+                ]),
+                ("stop.residul_tol", ["max_iters", "residual_tol", "step_tol"]),
+                ("superiorization.zero_tol", ["scale", "inner_steps"]),
+                ("objective.argmin_witnesses", ["kind", "c", "argmin"]),
+                ("family.sets[0].B", ["kind", "a", "b"]),
+                ("relaxation.lambda.values", ["kind", "value"]),
+            ]
+        )
+
     def test_message_lists_one_problem_per_line(self):
         doc = minimal_doc(start=[1.0], output={"stride": -3})
         with pytest.raises(ConfigError) as err:
@@ -338,13 +365,6 @@ class TestObjectiveAndSuperiorization:
         doc = minimal_doc(objective={"kind": "entropy"})
         with pytest.raises(ConfigError, match="objective.kind"):
             parse_config(doc)
-
-    def test_zero_tol_override(self):
-        doc = minimal_doc(
-            objective={"kind": "linear", "c": [1.0, 0.0]},
-            superiorization={"scale": 0.1, "zero_tol": 1e-8},
-        )
-        assert parse_config(doc).zero_tol == 1e-8
 
 
 class TestStopStartOutput:

@@ -289,7 +289,8 @@ class TestFitCheck:
             StringStage([(2,), (0,)], [0.5, 0.5]),
         ]
         plans = [gdsa_to_gmsa(st) for st in stages]
-        assert [p.output_indices() for p in plans] == [st.image() for st in stages]
+        images = [set().union(*(s.indices for s in st.strings)) for st in stages]
+        assert [p.output_indices() for p in plans] == images
         s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2})
         rep = verify_admissible(s, 40, [0, 1, 2])
         assert rep.passed

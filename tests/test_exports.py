@@ -1,6 +1,10 @@
 """The public surface: each module's ``__all__`` is the one export list."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +51,17 @@ def test_star_import_provides(module, names):
     "name",
     # removed helpers, then config's record helpers, which stay module-level only
     ["inner", "lincomb", "validate_plan", "index_set", "fit_check", "Tolerance", "DEFAULT_TOL",
-     "structurally_equal", "build_module", "convergence_report", "ConvergenceReport", "step_to_record", "step_from_record", "plan_to_record", "plan_from_record"],
+     "structurally_equal", "build_module", "convergence_report", "ConvergenceReport", "step_to_record", "step_from_record", "plan_to_record", "plan_from_record",
+     "axis_halfspace_family"],
 )
 def test_not_exported(name):
     assert name not in strav.__all__
     assert not hasattr(strav, name)
+
+
+def test_library_does_not_import_fixtures():
+    # the test and demo module stays out of a process that only runs the library
+    src = str(Path(strav.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, strav, strav.cli; assert 'strav.fixtures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

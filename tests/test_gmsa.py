@@ -44,6 +44,10 @@ class TestStepSpec:
         assert s.J == (-1, 2)
         assert s.weights == (0.75, 0.25)
 
+    def test_weights_need_a_mapping(self):
+        with pytest.raises(TypeError, match="weights must map each reference"):
+            StepSpec(1, (-1, -2), weights=(0.5, 0.5))
+
     def test_weight_missing_for_ref(self):
         with pytest.raises(ValueError, match="invalid-plan"):
             StepSpec(1, (1, 2), weights={1: 1.0})
@@ -55,9 +59,8 @@ class TestStepSpec:
         assert StepSpec(2, (1, -1), order=(1, -1, 1)).P == 3
 
     def test_classmethods(self):
-        assert StepSpec.relaxation(-2, 1.5).c == 0
-        assert StepSpec.combination({-1: 0.5, -2: 0.5}).c == 1
-        assert StepSpec.composition((-1, -2)).c == 2
+        s = StepSpec.relaxation(-2, 1.5)
+        assert (s.c, s.J, s.alpha) == (0, (-2,), 1.5)
 
 
 class TestValidation:
