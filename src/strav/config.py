@@ -273,7 +273,7 @@ _SCHEDULE = {"variant": {
 _DEFAULT_LAMBDA = {"kind": "constant", "value": 1.0}
 _RELAXATION = (
     ("eps", _real, 1.0),
-    ("rho", _real, None),  # None: derived from the schedule
+    ("rho", _real, None, 0.0),  # None: derived from the schedule
     ("permissive", _flag, False),
     ("lambda", {"kind": {
         "constant": (("value", _real, _REQUIRED),),
@@ -474,11 +474,8 @@ def _build_relax(v, schedule, errors):
         if rho is None:
             return None
     kw = dict(eps=v["eps"], rho=rho, permissive=v["permissive"])
-    try:
-        RelaxationSchedule.interval(**kw)
-    except ValueError as exc:
-        msg = str(exc)
-        errors.append(("relaxation.rho" if msg.startswith("rho") else "relaxation.eps", msg))
+    # rho is read as nonnegative, so the interval can only refuse eps
+    if _make("relaxation.eps", errors, RelaxationSchedule.interval, **kw) is None:
         return None
     rule = v["lambda"] or _DEFAULT_LAMBDA
     if rule["kind"] == "sweep":

@@ -53,13 +53,17 @@ def _normalize_bounds(bounds):
 class ControlSchedule:
     """Base schedule; subclasses fill in ``plan_at``.
 
+    ``plan_at(k)`` returns the plan iteration k runs.  A schedule that
+    stores its plans hands out those very objects, so one plan serves every
+    iteration that runs it and its ``k`` is only the label it was built
+    with; callers must not modify a plan.
+
     ``window_bounds`` (a mapping n -> M_n or a callable) declares the
     windows; undeclared indices get ``None``.  A schedule backed by a
     finite list keeps it as ``plans`` and derives its (K, M) metadata from it.
     """
 
     plans = None
-    _bound = staticmethod(lambda n: None)  # for subclasses that skip __init__
 
     def __init__(self, window_bounds=None):
         self._bound = _normalize_bounds(window_bounds)
@@ -99,7 +103,7 @@ class ExplicitSchedule(ControlSchedule):
 
 
 class CyclicSchedule(ControlSchedule):
-    """Template plans cycled: iteration k runs template ``k mod len``.
+    """Template plans cycled: iteration k runs the stored ``plans[k mod len]``.
 
     Without an explicit declaration the window bound for any index used
     somewhere in the cycle defaults to the period, which is always sound.
@@ -113,8 +117,7 @@ class CyclicSchedule(ControlSchedule):
         self._covered = None
 
     def plan_at(self, k):
-        k = int(k)
-        return self.plans[k % len(self.plans)].replaced(k=k)
+        return self.plans[int(k) % len(self.plans)]
 
     def window_bound(self, n):
         declared = self._bound(n)
@@ -137,8 +140,9 @@ class CyclicSchedule(ControlSchedule):
 class PowerOfTwoSchedule(ControlSchedule):
     """Iteration k relaxes the single input ``f_value(k)``; window M_n = 2^{n+1}.
 
-    One template plan per value of ``f_value`` is kept; ``plan_at(k)`` is
-    its ``replaced(k=k)`` copy, which shares the template's memo.
+    One plan per value n of ``f_value`` is built on first use, labelled
+    ``k = 2^n - 1`` (the first iteration with that value), and handed out
+    for every k with ``f_value(k) == n``.
     """
 
     def __init__(self, eps=1.0, alpha=1.0):
@@ -150,14 +154,13 @@ class PowerOfTwoSchedule(ControlSchedule):
         self._templates = {}
 
     def plan_at(self, k):
-        k = int(k)
         n = f_value(k)
-        template = self._templates.get(n)
-        if template is None:
-            template = self._templates[n] = IterationPlan(
-                k=k, N=1, eps=self.eps, steps=[StepSpec.relaxation(-n, self.alpha)]
+        plan = self._templates.get(n)
+        if plan is None:
+            plan = self._templates[n] = IterationPlan(
+                k=2**n - 1, N=1, eps=self.eps, steps=[StepSpec.relaxation(-n, self.alpha)]
             )
-        return template.replaced(k=k)
+        return plan
 
     def plan_metadata(self):
         return (1, 1)
@@ -208,8 +211,8 @@ class AdmissibilityReport:
 
 
 def _window_audit(hit_sets, indices, bound_of, horizon):
-    # membership is tested once per distinct set; replaced(k=...) copies of
-    # one plan share their set, so coding the sets is one lookup per k
+    # membership is tested once per distinct set; a plan a schedule hands
+    # out again keeps its set, so coding the sets is one lookup per k
     distinct = {}
     codes = np.fromiter(
         (distinct.setdefault(s, len(distinct)) for s in hit_sets),
@@ -238,16 +241,13 @@ def verify_admissible(schedule, horizon, indices):
 
     For each n in ``indices`` and each window start i with
     ``i + M_n - 1 <= horizon``, the union of the plans' output index sets
-    over the window must contain n.  All plans for k = 0..horizon are
-    materialized along the way; plans that share a memo (``replaced(k=...)``
-    copies of one template) are validated once.
+    over the window must contain n.  The plan of every k = 0..horizon is
+    looked up; a plan the schedule hands out for several k is validated
+    once.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
-    hit_sets = []
-    for k in range(horizon + 1):
-        plan = schedule.plan_at(k)
-        hit_sets.append(plan.output_indices())
+    hit_sets = [schedule.plan_at(k).output_indices() for k in range(horizon + 1)]
     return _window_audit(hit_sets, indices, schedule.window_bound, horizon)
 

@@ -62,8 +62,9 @@ class StepSpec:
     """One build step.  Immutable after construction.
 
     ``J`` is stored sorted; combination ``weights`` are given as a
-    ``{reference: weight}`` mapping and stored aligned with the sorted ``J``
-    so two plans with equal content build identical trees.
+    ``{reference: weight}`` mapping with one key per reference in ``J``,
+    and stored aligned with the sorted ``J`` so two plans with equal
+    content build identical trees.
     """
 
     __slots__ = ("c", "J", "alpha", "weights", "order")
@@ -78,6 +79,9 @@ class StepSpec:
             self.weights = None if weights is None else tuple(float(weights[j]) for j in self.J)
         except KeyError as exc:
             raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
+        for j in weights or ():
+            if j not in self.J:
+                raise ValueError(f"invalid-plan: weight for reference {j} outside J")
         self.order = None if order is None else tuple(int(o) for o in order)
 
     @property
@@ -115,15 +119,16 @@ class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
     Everything derived from the plan depends on its structure only (``N``,
-    ``eps``, ``assume`` and the step contents), never on ``k``.  So
-    ``replaced(k=...)`` copies share one memo with their source: the
-    validation verdict, the index sets and :meth:`structure_key`.  A copy
-    that swaps any other field starts a memo of its own.
+    ``eps``, ``assume`` and the step contents), never on ``k``, and is
+    computed once per plan: the validation verdict, the index sets and
+    :meth:`structure_key`.  A schedule hands out the plans it stores, so
+    one plan serves every iteration that runs it.
 
     Parameters
     ----------
     k : int
-        Iteration index the plan is meant for (metadata only).
+        Label the plan was built with, such as the first iteration meant
+        to run it (metadata only; the driver passes its own ``k``).
     N : int
         Number of build steps, >= 1.
     eps : float
@@ -144,18 +149,12 @@ class IterationPlan:
         else:
             self.steps = {n: s for n, s in enumerate(steps, start=1)}
         self.assume = assume
-        self._memo = _PlanMemo()
+        self._validation = None
+        self._index_sets = None  # made on first use: many plans are only validated
+        self._key = None
 
     def replaced(self, **kw):
-        """Copy with some constructor fields swapped (steps are shared).
-
-        A copy that swaps only ``k`` shares this plan's memo.
-        """
-        if kw.keys() == {"k"}:
-            plan = object.__new__(type(self))
-            plan.__dict__.update(self.__dict__)
-            plan.k = int(kw["k"])
-            return plan
+        """A new plan with some constructor fields swapped (steps are shared)."""
         args = dict(k=self.k, N=self.N, eps=self.eps, steps=self.steps, assume=self.assume)
         args.update(kw)
         return IterationPlan(**args)
@@ -166,20 +165,18 @@ class IterationPlan:
         Plans with equal keys validate alike and build equal trees over one
         family, so a driver may build one tree per key.
         """
-        memo = self._memo
-        if memo.key is None:
+        if self._key is None:
             steps = tuple((n, _step_key(s)) for n, s in sorted(self.steps.items()))
-            memo.key = (self.N, self.eps, self.assume, steps)
-        return memo.key
+            self._key = (self.N, self.eps, self.assume, steps)
+        return self._key
 
     # -- validation ---------------------------------------------------------
 
     def validate(self):
         """Structural validation; returns a :class:`PlanValidation`, raises nothing."""
-        memo = self._memo
-        if memo.validation is None:
-            memo.validation = _validate(self)
-        return memo.validation
+        if self._validation is None:
+            self._validation = _validate(self)
+        return self._validation
 
     def require_valid(self):
         v = self.validate()
@@ -196,13 +193,12 @@ class IterationPlan:
         self.require_valid()
         if n > self.N:
             raise ValueError(f"invalid-plan: no step {n} in a plan of {self.N} steps")
-        memo = self._memo
-        if memo.index_sets is None:
-            memo.index_sets = {}
-        got = memo.index_sets.get(n)
+        if self._index_sets is None:
+            self._index_sets = {}
+        got = self._index_sets.get(n)
         if got is None:
             got = frozenset().union(*(self.index_set(j) for j in self.steps[n].J))
-            memo.index_sets[n] = got
+            self._index_sets[n] = got
         return got
 
     def output_indices(self):
@@ -212,17 +208,6 @@ class IterationPlan:
         """Product of the step widths P_1 ... P_N."""
         self.require_valid()
         return math.prod(self.steps[n].P for n in range(1, self.N + 1))
-
-
-class _PlanMemo:
-    """What a plan and its ``replaced(k=...)`` copies compute once."""
-
-    __slots__ = ("validation", "index_sets", "key")
-
-    def __init__(self):
-        self.validation = None
-        self.index_sets = None  # made on first use: many plans are only validated
-        self.key = None
 
 
 def _step_key(s):

@@ -19,7 +19,9 @@ Constants attached to a node
     Every fixed point z obeys ``<z - T(x), x - T(x)> <= 0``; equivalent to
     ``sqne_rho >= 1``, and read off ``sqne_rho`` by a property.
 ``is_nonexpansive``
-    Plain Lipschitz-1 guarantee.
+    Plain Lipschitz-1 guarantee, read off ``fne_rho`` by a property: the
+    two-point inequality at ``rho >= 0`` implies it, and the calculus never
+    derives a negative ``rho``.
 
 The identity carries ``+inf`` for both constants (it satisfies the
 inequalities for every rho) and is skipped when counting composition or
@@ -109,12 +111,15 @@ class OperatorNode:
 
     sqne_rho = None
     fne_rho = None
-    is_nonexpansive = False
     dim = None
 
     @property
     def is_cutter(self):
         return self.sqne_rho is not None and self.sqne_rho >= 1.0
+
+    @property
+    def is_nonexpansive(self):
+        return self.fne_rho is not None
 
     def apply(self, x):
         raise NotImplementedError
@@ -155,7 +160,6 @@ class Primitive(OperatorNode):
         self.dim = set_.dim
         self.sqne_rho = rho
         self.fne_rho = rho
-        self.is_nonexpansive = True
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -170,7 +174,6 @@ class Identity(OperatorNode):
 
     sqne_rho = math.inf
     fne_rho = math.inf
-    is_nonexpansive = True
 
     def apply(self, x):
         return np.asarray(x, dtype=float)
@@ -194,9 +197,6 @@ class Relaxation(OperatorNode):
         two_point = _relaxed_constant(child.fne_rho, alpha)
         self.fne_rho = two_point
         self.sqne_rho = _best(direct, two_point)
-        self.is_nonexpansive = (two_point is not None) or (
-            child.is_nonexpansive and alpha <= 1.0
-        )
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -235,7 +235,6 @@ class ConvexComb(OperatorNode):
         self.weights = weights
         self.dim = _common_dim(children)
         self.sqne_rho, self.fne_rho, _ = _combined_constants(children)
-        self.is_nonexpansive = all(c.is_nonexpansive for c in children)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -261,7 +260,6 @@ class Composition(OperatorNode):
         m = max(m, 1)  # identities only: both constants stay +inf
         self.sqne_rho = None if sqne is None else sqne / m
         self.fne_rho = None if fne is None else fne / m
-        self.is_nonexpansive = all(c.is_nonexpansive for c in children)
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)

@@ -248,6 +248,18 @@ class TestScheduleSection:
         with pytest.raises(ConfigError, match=r"schedule.plans\[0\].steps \(n=1\)"):
             parse_config(doc)
 
+    def test_weight_outside_refs_located(self):
+        step = {"c": 1, "J": [-1, -2], "weights": {"-1": 0.5, "-2": 0.5, "-3": 0.2}}
+        good = {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
+        bad = {"N": 1, "eps": 0.5, "steps": [step]}
+        doc = minimal_doc(schedule={"variant": "cyclic", "plans": [good, bad]})
+        doc["family"]["sets"].append({"kind": "halfspace", "a": [1.0, 1.0], "b": 0.0})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [
+            ("schedule.plans[1].steps[0]", "invalid-plan: weight for reference -3 outside J"),
+        ]
+
 
 class TestRelaxationSection:
     def test_rho_derived_from_schedule_floor(self):

@@ -55,7 +55,8 @@ class TestPowerOfTwoSchedule:
         for k in (0, 1, 7, 30, 63):
             p = s.plan_at(k)
             assert p.output_indices() == {f_value(k)}
-            assert p.k == k
+            # labelled by the first index with its value, whatever k asked first
+            assert p.k == 2 ** f_value(k) - 1
 
     def test_window_bound(self):
         s = PowerOfTwoSchedule()
@@ -70,10 +71,11 @@ class TestPowerOfTwoSchedule:
 
 
 class TestCyclicSchedule:
-    def test_wraps_and_stamps_k(self):
+    def test_wraps_to_its_stored_plan(self):
         s = CyclicSchedule([one_index_plan(0, 0), one_index_plan(1, 3)])
         assert s.plan_at(5).output_indices() == {3}
-        assert s.plan_at(5).k == 5
+        assert s.plan_at(5) is s.plans[1]
+        assert s.plan_at(5).k == 1
 
     def test_default_bound_is_period_for_covered(self):
         s = CyclicSchedule([one_index_plan(0, 0), one_index_plan(1, 3), one_index_plan(2, 1)])
@@ -104,6 +106,10 @@ class TestExplicitSchedule:
         with pytest.raises(ValueError, match="horizon-exceeded"):
             s.plan_at(-1)
 
+    def test_hands_out_its_plans(self):
+        s = ExplicitSchedule([one_index_plan(0, 0), one_index_plan(1, 1)])
+        assert all(s.plan_at(k) is p for k, p in enumerate(s.plans))
+
     def test_metadata_from_plans(self):
         two_wide = IterationPlan(
             k=0, N=2, eps=1.0,
@@ -114,23 +120,24 @@ class TestExplicitSchedule:
 
 
 class TestPlanMemo:
-    """Plans for different k share everything their structure decides."""
+    """A schedule hands out the plans it stores: every k that runs a plan reads its memo."""
 
     def test_power_of_two_plans_share_their_template(self):
         s = PowerOfTwoSchedule()
-        a, b = s.plan_at(0), s.plan_at(2)  # f_value 0 both
-        assert (a.k, b.k) == (0, 2)
-        assert a.validate() is b.validate()
-        assert a.output_indices() is b.output_indices()
-        assert a.structure_key() == b.structure_key() != s.plan_at(1).structure_key()
+        plans = [s.plan_at(k) for k in range(64)]
+        for k, p in enumerate(plans):
+            assert p is plans[2 ** f_value(k) - 1]  # one object per f_value
+        assert plans[0].structure_key() != plans[1].structure_key()
+        late = PowerOfTwoSchedule()
+        a = late.plan_at(2)  # f_value 0, asked before k = 0
+        assert a.k == 0 and late.plan_at(0) is a
 
     def test_cyclic_plans_share_their_template(self):
         template = one_index_plan(0, 3)
         s = CyclicSchedule([template, one_index_plan(1, 4)])
-        p = s.plan_at(6)
-        assert p.k == 6 and template.k == 0
-        assert p.validate() is template.validate()
-        assert p.output_indices() is template.output_indices()
+        for k in range(6):
+            assert s.plan_at(k) is s.plans[k % 2]
+        assert s.plan_at(6) is template and template.k == 0
 
     def test_structure_key_ignores_k_only(self):
         p = one_index_plan(0, 3)
@@ -244,8 +251,7 @@ class TestWindowAuditOracle:
         order = rng.integers(0, len(templates), 200)
 
         def rule(k):
-            t = templates[order[k]]
-            return t.replaced(k=k, eps=t.eps)
+            return templates[order[k]].replaced(k=k)
 
         return CustomSchedule(rule, window_bounds=bounds), n_inputs
 

@@ -52,6 +52,10 @@ class TestStepSpec:
         with pytest.raises(ValueError, match="invalid-plan"):
             StepSpec(1, (1, 2), weights={1: 1.0})
 
+    def test_weight_outside_refs_refused(self):
+        with pytest.raises(ValueError, match="invalid-plan: weight for reference -3 outside J"):
+            StepSpec(1, (-1, -2), weights={-1: 0.5, -2: 0.5, -3: 0.2})
+
     def test_widths(self):
         assert StepSpec.relaxation(-3, 1.0).P == 1
         assert StepSpec(1, (1, 2, -1), weights={1: 0.4, 2: 0.3, -1: 0.3}).P == 3
@@ -286,6 +290,12 @@ class TestReplaced:
         q = p.replaced(k=7)
         assert q.k == 7 and q.N == p.N
         assert all(q.steps[n] is p.steps[n] for n in q.steps)
+
+    def test_copy_derives_its_own_verdict(self):
+        p = three_step_plan()
+        q = p.replaced(k=7)
+        assert q.validate() is not p.validate() and q.validate().ok
+        assert q.structure_key() == p.structure_key()
 
     def test_assume_swap(self):
         weak = InputAssumptions(cutters=False)

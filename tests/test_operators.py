@@ -188,6 +188,58 @@ class TestCompositionConstants:
                 assert node.sqne_rho >= node.fne_rho
 
 
+def _stored_nonexpansive(node):
+    # the flag each constructor once stored: leaves are nonexpansive, a
+    # relaxation when its two-point constant is set or it underrelaxes a
+    # nonexpansive child, a combination or composition when all children are
+    if isinstance(node, (Primitive, Identity)):
+        return True
+    if isinstance(node, Relaxation):
+        return node.fne_rho is not None or (_stored_nonexpansive(node.child) and node.alpha <= 1.0)
+    return all(_stored_nonexpansive(c) for c in node.children())
+
+
+def _nodes(node):
+    yield node
+    for c in node.children():
+        yield from _nodes(c)
+
+
+class TestNonexpansiveFlag:
+    """``is_nonexpansive`` is read off ``fne_rho``; it agrees with the old stored rule."""
+
+    def _check(self, trees):
+        verdicts = set()
+        for tree in trees:
+            for node in _nodes(tree):
+                assert node.is_nonexpansive == _stored_nonexpansive(node), node
+                verdicts.add(node.is_nonexpansive)
+        assert verdicts == {True, False}
+
+    def test_plan_corpora_over_plain_and_relaxed_leaves(self):
+        trees = []
+        for seed in (13, 14, 15):
+            gammas = np.random.default_rng(seed).uniform(0.05, 4.0 / 3.0, 8)
+            families = [
+                random_halfspace_family(5, 8, seed=7),
+                random_halfspace_family(5, 8, seed=7, gammas=gammas.__getitem__),
+            ]
+            plans = random_plan_corpus(500, seed, n_inputs=8)
+            trees += [output_operator(p, fam) for p in plans for fam in families]
+        self._check(trees)
+
+    def test_relaxation_chains(self):
+        alphas = np.linspace(0.0, 2.0, 9)
+        trees = []
+        for gamma in (0.5, 1.0, 4.0 / 3.0):
+            for a in alphas:
+                for b in alphas:
+                    inner = Relaxation(_halfspace_proj(gamma=gamma), a)
+                    trees.append(Relaxation(Composition([inner, Identity()]), b))
+                    trees.append(Relaxation(ConvexComb([inner, Identity()], [0.5, 0.5]), b))
+        self._check(trees)
+
+
 class TestSamplingCheckers:
     budget = SampleBudget(count=300, seed=42)
 

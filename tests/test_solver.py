@@ -7,23 +7,28 @@ not merely to a tolerance.
 
 import dataclasses
 import io
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import strav.solver
+from strav.config import parse_config
 from strav.control import (
     CustomSchedule,
     CyclicSchedule,
     PowerOfTwoSchedule,
     f_value,
     uniform_modulus,
+    verify_admissible,
 )
+from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.operators import Identity
-from strav.sets import OperatorFamily
+from strav.sets import Halfspace, OperatorFamily
 from strav.solver import (
     PerturbationSchedule,
     RelaxationSchedule,
@@ -410,11 +415,58 @@ class TestTreeMemo:
 
     def test_same_steps_with_invalid_eps_still_raise(self):
         valid = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, 1.0)])
-        sched = CustomSchedule(lambda k: valid.replaced(k=k) if k == 0 else valid.replaced(eps=1.5))
+        sched = CustomSchedule(lambda k: valid if k == 0 else valid.replaced(eps=1.5))
         relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
         with pytest.raises(ValueError, match="invalid-plan"):
             run(two_halfspace_family(), sched, relax, np.array([3.0, 2.0]),
                 StopRule(5, None, None))
+
+
+class TestSharedPlans:
+    """Schedules hand out their stored plans; no run or audit may change one."""
+
+    @staticmethod
+    def _stage_schedule():
+        # the seeded stage config the benchmark's stage_cli workload solves
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        cfg = parse_config(runpy.run_path(str(path))["stage_config"](0))
+        return cfg.family, cfg.schedule, cfg.relax, cfg.start, cfg.schedule.plans
+
+    @staticmethod
+    def _power_of_two_schedule():
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        plans = [sched.plan_at(2**n - 1) for n in range(10)]
+        return axis_halfspace_family(5), sched, relax, 3.0 * np.ones(5), plans
+
+    @staticmethod
+    def _embedded_schedule():
+        rng = np.random.default_rng(23)
+        normals = rng.standard_normal((3, 4))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        plans = [
+            gdsa_to_gmsa(StringStage([(0, 1), (2,)], [0.5, 0.5], k=0)),
+            gdsa_to_gmsa(StringStage([(1, 2)], [1.0], k=1)),
+        ]
+        fam, sched = msa_embed([Halfspace(a, 0.0) for a in normals], np.zeros(4), plans)
+        relax = RelaxationSchedule.sweep(0.5, uniform_modulus(sched, 0.5))
+        return fam, sched, relax, np.full(4, 2.0), plans
+
+    @pytest.mark.parametrize("make", ["_stage_schedule", "_power_of_two_schedule",
+                                      "_embedded_schedule"])
+    def test_runs_and_audits_leave_stored_plans_unchanged(self, make):
+        fam, sched, relax, x0, plans = getattr(self, make)()
+
+        def state(p):
+            # a fresh copy derives its key anew, so an edit to the steps shows
+            return p.k, p.N, dict(p.steps), p.replaced().structure_key()
+
+        before = [state(p) for p in plans]
+        tr = run(fam, sched, relax, x0, StopRule(300, None, None), monitored=range(3))
+        assert tr.n_updates == 300
+        assert verify_admissible(sched, 1000, range(3)).passed
+        assert [state(p) for p in plans] == before
+        assert all(p.structure_key() == b[-1] for p, b in zip(plans, before))
 
 
 class TestFejerAudit:
