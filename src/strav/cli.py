@@ -117,7 +117,7 @@ permissive); an absent ``lambda`` is the constant 1.0 and must lie there too.
                   | {"kind": "away_from_witness"}
                   | {"kind": "random_unit", "seed": 7}}  # nat (the config seed)
 
-``objective`` (vectors are lists of numbers, ``argmin`` a list of them)::
+``objective`` (vectors, each row and each ``argmin`` entry hold ``ambient_dim`` numbers)::
 
     {"kind": "linear", "c": [...], "argmin": [[...], ...]}
     {"kind": "squared_distance", "target": [...]}

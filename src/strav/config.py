@@ -329,40 +329,15 @@ _DOC = (
 # -- plan/step records ------------------------------------------------------
 
 
-def step_to_record(n, step):
-    rec = {"n": int(n), "c": step.c, "J": list(step.J), "P": step.P}
-    if step.c == 0:
-        rec["alpha"] = step.alpha
-    elif step.c == 1:
-        rec["weights"] = {str(j): w for j, w in zip(step.J, step.weights)}
-    else:
-        rec["order"] = list(step.order)
-    return rec
-
-
 def _step(v, path, errors):
-    """The StepSpec of a step record read through ``_STEP``."""
+    """The StepSpec of a step record read through ``_STEP``, or None once reported."""
     step = _make(
         path, errors, StepSpec, v["c"], v["J"],
         alpha=v["alpha"], weights=v["weights"], order=v["order"],
     )
-    if step is not None and v["P"] is not None and v["P"] != step.P:
-        errors.append((path, f"declared P={v['P']} but the step has width {step.P}"))
+    if step is not None and v["P"] not in (None, step.P):
+        return _refuse(errors, path, f"declared P={v['P']} but the step has width {step.P}")
     return step
-
-
-def step_from_record(rec, path, errors):
-    v = _read(_STEP, rec, path, errors)
-    return None if v is None else _step(v, path, errors)
-
-
-def plan_to_record(plan):
-    return {
-        "k": plan.k,
-        "N": plan.N,
-        "eps": plan.eps,
-        "steps": [step_to_record(n, plan.steps[n]) for n in sorted(plan.steps)],
-    }
 
 
 def plan_from_record(rec, path, errors):
@@ -499,7 +474,8 @@ def _build_perturbation(v, dim, seed, family, errors):
         return None
     d, path = v["direction"], "perturbation.direction"
     if d["kind"] == "constant":
-        direction = _make(path, errors, constant_direction, d["v"])
+        vec = _make(f"{path}.v", errors, as_vector, d["v"], dim)
+        direction = None if vec is None else constant_direction(vec)
     elif d["kind"] == "away_from_witness":
         direction = away_from(family.witness)
     else:
@@ -511,10 +487,17 @@ def _build_perturbation(v, dim, seed, family, errors):
     return _make("perturbation.beta", errors, PerturbationSchedule.power, c, p, direction)
 
 
-def _build_objective(v, errors):
+def _build_objective(v, dim, errors):
     if v is None:
         return None
     make, argmin = _OBJECTIVES[v.pop("kind")][0], v.pop("argmin")
+    # each vector is checked against ambient_dim as ``start`` is, under its own path
+    vectors = [(key, v[key]) for key in ("c", "target") if key in v]
+    for key, rows in (("rows", v.get("rows")), ("argmin", argmin)):
+        vectors += [(f"{key}[{i}]", w) for i, w in enumerate(rows or ())]
+    checked = [_make(f"objective.{key}", errors, as_vector, w, dim) for key, w in vectors]
+    if any(w is None for w in checked):
+        return None
     return _make("objective", errors, make, argmin_witnesses=argmin, **v)
 
 
@@ -547,7 +530,7 @@ def parse_config(source):
     schedule = _build_schedule(top["schedule"], errors)
     relax = _build_relax(top["relaxation"], schedule, errors)
     perturb = _build_perturbation(top["perturbation"], dim, seed, family, errors)
-    oracle = _build_objective(top["objective"], errors)
+    oracle = _build_objective(top["objective"], dim, errors)
     grid = None
     if sup is not None:
         scale, m = sup["scale"], sup["inner_steps"]

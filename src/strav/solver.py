@@ -9,9 +9,13 @@ optional (u^k = x^k exactly when beta_k = 0).  The plain, perturbed, and
 superiorized entry points all share this kernel, so reductions between
 them hold bitwise, not just to rounding.
 
-Scalar diagnostics (residual, step, witness distance, monotonicity slack,
-per-set distances) are recorded every iteration; full iterates are thinned
-by ``record_stride`` to bound memory, with the final iterate always kept.
+Each iterate's scalars are one float64 row of a flat ``array("d")``, in
+the CSV's column order (residual, step, witness distance, monotonicity
+slack, m monitored distances, then objective and perturbation size when
+present): at most 8 * (4 + m + 2) bytes per update.  A perturbed update
+adds 8 * (1 + d) bytes, beta_k at the end of its row and v^k in a second
+buffer; each full iterate kept (every ``record_stride``-th, and the final
+one) adds 8 * d bytes to a third.
 The monitored distances of one iterate come from one
 :meth:`~strav.sets.OperatorFamily.distances` call, which answers the
 halfspaces and hyperplanes with one stacked matrix-vector product instead
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from numbers import Real
 
@@ -139,10 +144,10 @@ class RelaxationSchedule:
 class PerturbationSchedule:
     """Summable magnitudes beta_k paired with unit-ball directions.
 
-    ``beta`` maps k to beta_k >= 0.  ``direction`` always takes ``(k, x)``,
-    so adversarial rules can react to the current iterate; a rule that
-    ignores x still accepts it.  Direction norms are checked at use
-    (<= 1 within slack).
+    ``beta`` maps k to a finite beta_k >= 0.  ``direction`` always takes
+    ``(k, x)``, so adversarial rules can react to the current iterate; a
+    rule that ignores x still accepts it.  Each direction is checked at use:
+    x's shape, and norm <= 1 within slack.
     """
 
     def __init__(self, beta, direction):
@@ -151,9 +156,11 @@ class PerturbationSchedule:
 
     def at(self, k, x):
         b = float(self._beta(int(k)))
-        if b < 0.0:
-            raise ValueError(f"perturbation magnitude must be nonnegative, got {b} at k={k}")
+        if not 0.0 <= b < math.inf:
+            raise ValueError(f"perturbation magnitude {b} at k={k} must be finite and nonnegative")
         v = np.asarray(self._direction(int(k), x), dtype=float)
+        if v.shape != np.shape(x):
+            raise ValueError(f"direction of shape {v.shape} at k={k}, iterate shape {np.shape(x)}")
         nv = float(norm(v))
         if not _within(nv - 1.0):
             raise ValueError(f"direction norm {nv} exceeds 1 at k={k}")
@@ -238,8 +245,9 @@ class Trace:
     ``||T_k(u^k) - u^k||`` at the k-th input point (perturbed if a
     perturbation was applied), ``dist_witness[k] = ||x^k - z||``, and
     ``fejer_slack[k]`` is the strong-monotonicity surplus at the run's own
-    constant.  ``pert_betas``/``pert_vectors`` hold the aggregate
-    perturbations actually applied, for bitwise replay.
+    constant.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold the
+    aggregate perturbations actually applied, for bitwise replay.  The
+    scalar columns, ``pert_betas`` included, view one float64 table.
 
     ``stop_reason == "residual"`` means the residual at ``u^k`` met the
     tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did
@@ -257,9 +265,9 @@ class Trace:
     monitored: tuple
     phi: np.ndarray | None  # objective values, superiorized runs only
     pert_mag: np.ndarray | None  # ||beta_k v^k||, perturbed runs only
-    pert_betas: list | None
-    pert_vectors: list | None
-    xs: np.ndarray  # every record_stride-th iterate, and the final one
+    pert_betas: np.ndarray | None  # beta_k, perturbed runs only
+    pert_vectors: np.ndarray | None  # (rows, d): v^k, perturbed runs only
+    xs: np.ndarray  # (kept, d): every record_stride-th iterate, and the final one
     xs_k: np.ndarray
     witness: np.ndarray
     fejer_constant: float
@@ -320,10 +328,8 @@ def _drive(
     c_fejer = relax.fejer_constant
     monitored = tuple(int(n) for n in monitored)
 
-    residual, step, dist_w, slack = [], [], [], []
-    dists, phis, mags = [], [], []
-    betas_log, vecs_log = [], []
-    xs, xs_k = [], []
+    # float64 buffers: one row per iterate (the CSV's columns, then beta_k), kept iterates, v^k
+    rows, kept, directions = array("d"), array("d"), array("d")
 
     trees = {}
     dz = float(norm(x - z))
@@ -336,35 +342,20 @@ def _drive(
         T = trees.get(key)
         if T is None:
             T = trees[key] = output_operator(plan, family)
+        u, mag = x, 0.0
         if pert is not None:
             b, v = pert(k, x)
-            betas_log.append(b)
-            vecs_log.append(np.array(v, dtype=float))
+            directions.frombytes(v.tobytes())
             if b != 0.0:
                 p = b * v
-                u = x + p
-                mag = float(norm(p))
-            else:
-                u = x
-                mag = 0.0
-            mags.append(mag)
-        else:
-            u = x
+                u, mag = x + p, float(norm(p))
         tu = T.apply(u)
         res = float(norm(tu - u))
         # a finite residual implies a finite tu; it may overflow while tu stays finite
         if not math.isfinite(res) and not np.all(np.isfinite(tu)):
             raise ValueError(f"numerical-divergence: non-finite iterate at k={k}")
-
-        residual.append(res)
-        dist_w.append(dz)
-        if monitored:
-            dists.append(family.distances(monitored, x))
-        if objective is not None:
-            phis.append(float(objective.value(x)))
         if k % record_stride == 0:
-            xs.append(x.copy())
-            xs_k.append(k)
+            kept.frombytes(x.tobytes())
 
         if pending is not None:
             reason = pending
@@ -376,41 +367,48 @@ def _drive(
             reason = "residual"
         elif k >= stop.max_iters:
             reason = "max_iters"
-        if reason is not None:
-            step.append(0.0)
-            slack.append(0.0)
-            break
+        st = sl = 0.0
+        if reason is None:
+            lam = relax.lam(k)
+            x_next = tu if lam == 1.0 else u + lam * (tu - u)
+            st = float(norm(x_next - x))
+            dz_next = float(norm(x_next - z))
+            sl = dz**2 - dz_next**2 - c_fejer * st**2
 
-        lam = relax.lam(k)
-        x_next = tu if lam == 1.0 else u + lam * (tu - u)
-        st = float(norm(x_next - x))
-        dz_next = float(norm(x_next - z))
-        slack.append(dz**2 - dz_next**2 - c_fejer * st**2)
-        step.append(st)
+        rows.extend((res, st, dz, sl))
+        if monitored:
+            rows.frombytes(family.distances(monitored, x).tobytes())
+        if objective is not None:
+            rows.append(float(objective.value(x)))
+        if pert is not None:
+            rows.extend((mag, b))
+        if reason is not None:
+            break
         x, dz = x_next, dz_next
         k += 1
         if stop.step_tol is not None and st <= stop.step_tol:
             pending = "step"
 
-    if not xs_k or xs_k[-1] != k:
-        xs.append(x.copy())
-        xs_k.append(k)
+    if k % record_stride:
+        kept.frombytes(x.tobytes())
+    table = np.frombuffer(rows).reshape(k + 1, -1)
+    m = len(monitored)
 
     return Trace(
         n_updates=k,
         stop_reason=reason,
-        residual=np.asarray(residual),
-        step=np.asarray(step),
-        dist_witness=np.asarray(dist_w),
-        fejer_slack=np.asarray(slack),
-        set_distances=np.asarray(dists) if monitored else np.zeros((k + 1, 0)),
+        residual=table[:, 0],
+        step=table[:, 1],
+        dist_witness=table[:, 2],
+        fejer_slack=table[:, 3],
+        set_distances=table[:, 4 : 4 + m],
         monitored=monitored,
-        phi=np.asarray(phis) if objective is not None else None,
-        pert_mag=np.asarray(mags) if pert is not None else None,
-        pert_betas=betas_log if pert is not None else None,
-        pert_vectors=vecs_log if pert is not None else None,
-        xs=np.asarray(xs),
-        xs_k=np.asarray(xs_k),
+        phi=table[:, 4 + m] if objective is not None else None,
+        pert_mag=table[:, -2] if pert is not None else None,
+        pert_betas=table[:, -1] if pert is not None else None,
+        pert_vectors=np.frombuffer(directions).reshape(-1, x.size) if pert is not None else None,
+        xs=np.frombuffer(kept).reshape(-1, x.size),
+        xs_k=np.append(np.arange(0, k, record_stride), k),
         witness=z.copy(),
         fejer_constant=c_fejer,
         eps=relax.eps,

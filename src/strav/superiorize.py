@@ -122,8 +122,8 @@ class BetaGrid:
 
     def beta(self, k, n):
         b = float(self._beta(int(k), int(n)))
-        if b < 0.0:
-            raise ValueError(f"inner step size must be nonnegative, got {b} at (k={k}, n={n})")
+        if not 0.0 <= b < np.inf:
+            raise ValueError(f"inner step {b} at (k={k}, n={n}) must be finite and nonnegative")
         return b
 
     def betas(self, k):

@@ -306,6 +306,33 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert f"\n  {path}: " in err
 
+    @pytest.mark.parametrize(
+        "name, section, record, path",
+        [
+            ("stage_solve.json", "perturbation",
+             {"beta": {"form": "power", "c": 0.1}, "direction": {"kind": "constant", "v": [1.0]}},
+             "perturbation.direction.v"),
+            ("box_superiorize.json", "objective", {"kind": "linear", "c": [1.0]}, "objective.c"),
+            ("box_superiorize.json", "objective",
+             {"kind": "linear", "c": [1.0, 1.0], "argmin": [[0.0]]}, "objective.argmin[0]"),
+            ("box_superiorize.json", "objective",
+             {"kind": "squared_distance", "target": [1.0, 0.0, 0.0]}, "objective.target"),
+            ("box_superiorize.json", "objective",
+             {"kind": "max_affine", "rows": [[1.0]], "offsets": [0.0]}, "objective.rows[0]"),
+        ],
+    )
+    def test_vector_of_another_dimension_reports_its_path(
+        self, capsys, tmp_path, name, section, record, path
+    ):
+        doc = demo_doc(name)
+        doc[section] = record
+        command = "solve" if section == "perturbation" else "superiorize"
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"\n  {path}: dim-mismatch" in err
+
     @pytest.mark.parametrize("field, value", [("witness", [5.0, 0.0, 0.0]), ("gammas", 2.0)])
     def test_witness_or_gamma_refused_under_each_set(self, capsys, tmp_path, field, value):
         doc = demo_doc()

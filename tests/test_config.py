@@ -11,18 +11,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from strav.config import (
-    ConfigError,
-    RunConfig,
-    parse_config,
-    plan_from_record,
-    plan_to_record,
-    step_from_record,
-    step_to_record,
-)
+from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
 from strav.control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule
 from strav.fixtures import random_plan_corpus
 from strav.gmsa import rho_uniform
+
+
+def plan_record(plan):
+    """The plan record that ``plan_from_record`` reads back as ``plan``."""
+    steps = []
+    for n in sorted(plan.steps):
+        s = plan.steps[n]
+        rec = {"n": n, "c": s.c, "J": list(s.J), "P": s.P}
+        if s.c == 0:
+            rec["alpha"] = s.alpha
+        elif s.c == 1:
+            rec["weights"] = {str(j): w for j, w in zip(s.J, s.weights)}
+        else:
+            rec["order"] = list(s.order)
+        steps.append(rec)
+    return {"k": plan.k, "N": plan.N, "eps": plan.eps, "steps": steps}
 
 
 def minimal_doc(**overrides):
@@ -206,14 +214,14 @@ class TestFamilySection:
 class TestScheduleSection:
     def test_cyclic_from_plan_records(self):
         plan = random_plan_corpus(1, seed=61, n_inputs=2)[0]
-        doc = minimal_doc(schedule={"variant": "cyclic", "plans": [plan_to_record(plan)]})
+        doc = minimal_doc(schedule={"variant": "cyclic", "plans": [plan_record(plan)]})
         cfg = parse_config(doc)
         assert isinstance(cfg.schedule, CyclicSchedule)
         assert cfg.schedule.plan_at(0).output_indices() == plan.output_indices()
 
     def test_explicit_variant(self):
         plan = random_plan_corpus(1, seed=62, n_inputs=2)[0]
-        doc = minimal_doc(schedule={"variant": "explicit", "plans": [plan_to_record(plan)]})
+        doc = minimal_doc(schedule={"variant": "explicit", "plans": [plan_record(plan)]})
         doc["stop"] = {"max_iters": 0}
         assert isinstance(parse_config(doc).schedule, ExplicitSchedule)
 
@@ -265,7 +273,7 @@ class TestRelaxationSection:
     def test_rho_derived_from_schedule_floor(self):
         plan = random_plan_corpus(1, seed=63, n_inputs=2, eps_choices=(0.4,))[0]
         doc = minimal_doc(
-            schedule={"variant": "cyclic", "plans": [plan_to_record(plan)]},
+            schedule={"variant": "cyclic", "plans": [plan_record(plan)]},
             relaxation={"eps": 0.25, "lambda": {"kind": "constant", "value": 0.5}},
         )
         cfg = parse_config(doc)
@@ -426,29 +434,29 @@ class TestStopStartOutput:
 class TestRecordRoundTrips:
     def test_step_round_trip(self):
         for plan in random_plan_corpus(30, seed=64, n_inputs=5):
-            for n in sorted(plan.steps):
-                rec = step_to_record(n, plan.steps[n])
-                errors = []
-                back = step_from_record(rec, "p", errors)
-                assert errors == []
-                s = plan.steps[n]
-                assert (back.c, back.J, back.alpha, back.weights, back.order) == (
+            errors = []
+            back = plan_from_record(plan_record(plan), "p", errors)
+            assert errors == []
+            assert sorted(back.steps) == sorted(plan.steps)
+            for n, s in plan.steps.items():
+                b = back.steps[n]
+                assert (b.c, b.J, b.alpha, b.weights, b.order) == (
                     s.c, s.J, s.alpha, s.weights, s.order,
                 )
 
     def test_plan_round_trip(self):
         for plan in random_plan_corpus(20, seed=65, n_inputs=5):
             errors = []
-            back = plan_from_record(plan_to_record(plan), "p", errors)
+            back = plan_from_record(plan_record(plan), "p", errors)
             assert errors == []
             assert back.N == plan.N and back.eps == plan.eps
             assert back.output_indices() == plan.output_indices()
 
     def test_declared_width_cross_checked(self):
-        rec = {"n": 1, "c": 0, "J": [0], "alpha": 1.0, "P": 3}
+        rec = {"N": 1, "eps": 0.5, "steps": [{"n": 1, "c": 0, "J": [0], "alpha": 1.0, "P": 3}]}
         errors = []
-        step_from_record(rec, "p", errors)
-        assert errors and "width" in errors[0][1]
+        assert plan_from_record(rec, "p", errors) is None
+        assert errors == [("p.steps[0]", "declared P=3 but the step has width 1")]
 
     def test_plan_level_issue_points_at_plan(self):
         rec = {"N": 1, "eps": 7.0, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
@@ -554,3 +562,31 @@ def test_every_field_mutation_parses_or_reports():
                     assert located(leaf_path, errors), f"{case} accepted: {errors}"
     assert cases > 1000
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "name, section, record, path",
+    [
+        ("stage_solve.json", "perturbation",
+         {"beta": {"form": "power", "c": 0.1}, "direction": {"kind": "constant", "v": [1.0]}},
+         "perturbation.direction.v"),
+        ("box_superiorize.json", "objective", {"kind": "linear", "c": [1.0, 1.0, 1.0]},
+         "objective.c"),
+        ("box_superiorize.json", "objective",
+         {"kind": "linear", "c": [1.0, 1.0], "argmin": [[0.0, 0.0], [0.0]]},
+         "objective.argmin[1]"),
+        ("box_superiorize.json", "objective",
+         {"kind": "squared_distance", "target": [1.0, 0.0, 0.0]}, "objective.target"),
+        ("box_superiorize.json", "objective",
+         {"kind": "max_affine", "rows": [[1.0, 0.0], [1.0]], "offsets": [0.0, 1.0]},
+         "objective.rows[1]"),
+    ],
+)
+def test_vector_of_another_dimension_located(name, section, record, path):
+    # each is checked against ambient_dim as ``start`` is, not broadcast at run time
+    doc = corpus_documents()[name]
+    doc[section] = record
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert [p for p, _ in info.value.errors] == [path]
+    assert info.value.errors[0][1].startswith("dim-mismatch")

@@ -49,7 +49,8 @@ def test_star_import_provides(module, names):
 
 @pytest.mark.parametrize(
     "name",
-    # removed helpers, then config's record helpers, which stay module-level only
+    # removed helpers (config's record writers among them), then config's plan reader,
+    # which stays module-level only
     ["inner", "lincomb", "validate_plan", "index_set", "fit_check", "Tolerance", "DEFAULT_TOL",
      "structurally_equal", "build_module", "convergence_report", "ConvergenceReport", "step_to_record", "step_from_record", "plan_to_record", "plan_from_record",
      "axis_halfspace_family"],

@@ -8,6 +8,7 @@ not merely to a tolerance.
 import dataclasses
 import io
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from strav.control import (
 from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
+from strav.numeric import norm
 from strav.operators import Identity
 from strav.sets import Halfspace, OperatorFamily
 from strav.solver import (
@@ -150,6 +152,19 @@ class TestPerturbationSchedule:
         p = PerturbationSchedule(lambda k: -0.1, lambda k, x: np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             p.at(0, np.zeros(2))
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        p = PerturbationSchedule(lambda k: beta, constant_direction([1.0, 0.0]))
+        with pytest.raises(ValueError, match="at k=3 must be finite"):
+            p.at(3, np.zeros(2))
+
+    @pytest.mark.parametrize("v", [[1.0], [0.5, 0.5, 0.0], [[0.5, 0.5]]])
+    def test_direction_of_another_shape_rejected(self, v):
+        # a 1-vector broadcasts over every coordinate, a row vector over a 2-D point
+        p = PerturbationSchedule.power(0.5, 2.0, lambda k, x: np.array(v))
+        with pytest.raises(ValueError, match="at k=4, iterate shape"):
+            p.at(4, np.array([-3.0, -3.0]))
 
     def test_from_lists_replay(self):
         betas = [0.5, 0.25]
@@ -286,6 +301,28 @@ class TestPerturbedDriver:
         tr2 = run_perturbed(self.fam, self.sched, self.relax, replay, self.x0,
                             StopRule(10, None, None))
         assert_array_equal(tr2.dist_witness, tr.dist_witness)
+
+    def test_broadcast_direction_stops_the_run_at_k0(self):
+        # the bounded-perturbation contract: ||x^0 + beta v - x^0|| would be 0.5 * sqrt(2),
+        # not the 0.5 the pert_mag column records
+        pert = PerturbationSchedule(lambda k: 0.5, constant_direction([1.0]))
+        with pytest.raises(ValueError, match="shape \\(1,\\) at k=0"):
+            run_perturbed(self.fam, self.sched, self.relax, pert, np.array([-3.0, -3.0]),
+                          StopRule(3, None, None))
+
+    def test_recorded_aggregates_are_float64_arrays(self):
+        pert = PerturbationSchedule.power(0.1, 2.0, away_from(self.fam.witness))
+        tr = run_perturbed(self.fam, self.sched, self.relax, pert, self.x0,
+                           StopRule(10, None, None))
+        assert isinstance(tr.pert_vectors, np.ndarray)
+        assert tr.pert_vectors.dtype == np.float64 and tr.pert_vectors.shape == (tr.n_rows, 2)
+        assert isinstance(tr.pert_betas, np.ndarray)
+        assert tr.pert_betas.dtype == np.float64 and tr.pert_betas.shape == (tr.n_rows,)
+        for k, x in enumerate(tr.xs):
+            b, v = pert.at(k, x)
+            assert tr.pert_betas[k] == b
+            assert_array_equal(tr.pert_vectors[k], v)
+            assert tr.pert_mag[k] == norm(b * v)
 
     def test_residual_measured_at_perturbed_point(self):
         # a perturbation strong enough to push the feasible start back
@@ -519,6 +556,16 @@ class TestTraceRecording:
         tr1 = self._trace(record_stride=1)
         assert list(tr1.xs_k) == list(range(21))
 
+    @pytest.mark.parametrize(
+        "stride, ks", [(5, [0, 5, 10, 15, 20]), (20, [0, 20]), (7, [0, 7, 14, 20]), (30, [0, 20])]
+    )
+    def test_kept_iterates_match_their_indices(self, stride, ks):
+        # K = 20 updates: strides that divide K keep the final iterate once
+        tr = self._trace(record_stride=stride)
+        assert tr.xs_k.dtype.kind == "i"
+        assert list(tr.xs_k) == ks
+        assert_array_equal(tr.xs, self._trace(record_stride=1).xs[ks])
+
     def test_stride_validated(self):
         with pytest.raises(ValueError):
             self._trace(record_stride=0)
@@ -582,6 +629,21 @@ class TestTraceRecording:
         assert Trace(**fields).to_csv(io.StringIO()) == tr.to_csv(io.StringIO())
         with pytest.raises(TypeError):
             Trace(**fields, iterations=20)
+
+
+def test_recorder_memory_per_update():
+    # every update records 4 + 15 float64 scalars; the iterates are thinned to 3
+    fam = axis_halfspace_family(5)
+    relax = RelaxationSchedule.constant(1.0, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        tr = run(fam, PowerOfTwoSchedule(), relax, np.full(5, 3.0), StopRule(2000, None, None),
+                 monitored=tuple(range(15)), record_stride=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.n_updates == 2000 and tr.set_distances.shape == (2001, 15)
+    assert peak <= 250 * 2000, f"{peak / 2000:.0f} B per update"
 
 
 def reference_csv(tr):

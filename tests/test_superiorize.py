@@ -78,6 +78,11 @@ class TestBetaGrid:
         with pytest.raises(ValueError):
             BetaGrid(1, lambda k, n: -0.1).beta(0, 1)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf])
+    def test_non_finite_step_refused(self, b):
+        with pytest.raises(ValueError, match=r"at \(k=2, n=1\) must be finite"):
+            BetaGrid(1, lambda k, n: b).beta(2, 1)
+
 
 class TestInnerDirections:
     def test_linear_objective_constant_direction(self):
