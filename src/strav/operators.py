@@ -44,7 +44,9 @@ set with ``sqne_rho >= fne_rho``.
 The sampling checkers at the bottom probe these inequalities empirically
 on seeded points and report the worst violation found.  The two-point
 checkers draw their pairs as one array of ``2 * count`` points and apply
-the node to that array in one batch.
+the node to that array in one batch.  Every inequality audit, these
+checkers and :func:`strav.solver.check_fejer` on a trace, returns a
+:class:`CheckReport` judged by one rule.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one empirical inequality check."""
+    """Outcome of one inequality audit: sampled points or the steps of a trace."""
 
     name: str
     passed: bool
@@ -335,17 +337,18 @@ def _sample_pairs(node, center, budget):
     return pts[:n], pts[n:], images[:n], images[n:]
 
 
-def _report(name, viol, scale, budget, points):
-    # max_violation is the largest raw violation; a failing report keeps
-    # the worst sample among those that fail at their own scale
+def _report(name, viol, scale, points):
+    # one sample per entry of viol; max_violation is the largest raw
+    # violation (0.0 for an empty audit, which passes); a failing report
+    # keeps the worst sample among those that fail at their own scale
     ok = _within(viol, scale)
     passed = bool(ok.all())
     i = None if passed else int(np.argmax(np.where(ok, -np.inf, viol)))
     return CheckReport(
         name=name,
         passed=passed,
-        max_violation=float(viol.max()),
-        samples=budget.count,
+        max_violation=float(viol.max()) if viol.size else 0.0,
+        samples=viol.size,
         worst=None if passed else tuple(p[i].copy() for p in points),
     )
 
@@ -366,7 +369,7 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     tx = node.apply(xs)
     dxz = norm(xs - z) ** 2
     viol = norm(tx - z) ** 2 - dxz + float(rho) * norm(tx - xs) ** 2
-    return _report(f"sqne(rho={rho})", viol, dxz, budget, (xs,))
+    return _report(f"sqne(rho={rho})", viol, dxz, (xs,))
 
 
 def check_fne(node, rho, budget=SampleBudget(), center=None):
@@ -374,7 +377,7 @@ def check_fne(node, rho, budget=SampleBudget(), center=None):
     xs, ys, tx, ty = _sample_pairs(node, center, budget)
     dxy = norm(xs - ys) ** 2
     viol = norm(tx - ty) ** 2 - dxy + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
-    return _report(f"fne(rho={rho})", viol, dxy, budget, (xs, ys))
+    return _report(f"fne(rho={rho})", viol, dxy, (xs, ys))
 
 
 def check_nonexpansive(node, budget=SampleBudget(), center=None):
@@ -382,4 +385,4 @@ def check_nonexpansive(node, budget=SampleBudget(), center=None):
     xs, ys, tx, ty = _sample_pairs(node, center, budget)
     dxy = norm(xs - ys)
     viol = norm(tx - ty) - dxy
-    return _report("nonexpansive", viol, dxy, budget, (xs, ys))
+    return _report("nonexpansive", viol, dxy, (xs, ys))

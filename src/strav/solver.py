@@ -1,4 +1,4 @@
-"""Relaxed fixed-point drivers, plain and perturbed, with trace audits.
+"""Relaxed fixed-point drivers, plain and perturbed, and a Fejer audit of their traces.
 
 One private kernel runs the recurrence
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from .gmsa import output_operator
 from .numeric import _SLACK, _within, as_vector, norm
+from .operators import _report
 
 __all__ = [
     "RelaxationSchedule",
@@ -52,7 +53,6 @@ __all__ = [
     "Trace",
     "run",
     "run_perturbed",
-    "FejerReport",
     "check_fejer",
 ]
 
@@ -96,10 +96,11 @@ class RelaxationSchedule:
         return eps, 1.0 + rho - eps
 
     def lam(self, k):
-        return self._admit(float(self._rule(int(k))), f" at iteration {k}")
+        return self._admit(float(self._rule(int(k))), k)
 
-    def _admit(self, v, where=""):
+    def _admit(self, v, k=None):
         if not self.lo - _SLACK <= v <= self.hi + _SLACK:
+            where = "" if k is None else f" at iteration {k}"
             raise ValueError(f"step size {v}{where} outside [{self.lo}, {self.hi}]")
         return v
 
@@ -468,31 +469,15 @@ def run_perturbed(
     )
 
 
-@dataclass
-class FejerReport:
-    """Monotonicity audit at a caller-chosen constant."""
-
-    passed: bool
-    constant: float
-    max_violation: float
-    first_violating_k: int | None
-    checked: int
-
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (
-            f"fejer(c={self.constant:.6g}): {verdict} "
-            f"(max violation {self.max_violation:.3e} over {self.checked} steps)"
-        )
-
-
 def check_fejer(trace, z, constant):
     """Audit ``||x^{k+1}-z||^2 <= ||x^k-z||^2 - c * ||x^{k+1}-x^k||^2`` on a trace.
 
     ``z`` must be fixed by every operator materialized during the run.  For
     the run's own witness the stored per-iteration scalars suffice; any
-    other z needs a stride-1 trace (full iterates).  Step k is judged at
-    scale ``||x^k - z||^2``.
+    other z needs a stride-1 trace (full iterates).  Like every inequality
+    audit it returns a :class:`~strav.operators.CheckReport`: each step k is
+    a sample judged at scale ``||x^k - z||^2``, and a failure's ``worst`` is
+    ``(k,)`` for the worst failing step.
     """
     z = as_vector(z, trace.witness.shape[0])
     if not trace.family.check_common_point(z):
@@ -504,18 +489,6 @@ def check_fejer(trace, z, constant):
         if trace.record_stride != 1:
             raise ValueError("full iterates unavailable (record_stride > 1); rerun with stride 1")
         d = norm(trace.xs - z)
-    steps = trace.step[:K]
     dk = d[:K] ** 2
-    slack = dk - d[1 : K + 1] ** 2 - float(constant) * steps**2
-    if K == 0:
-        return FejerReport(True, float(constant), 0.0, None, 0)
-    viol = -slack
-    bad = np.flatnonzero(~_within(viol, dk))
-    return FejerReport(
-        passed=bad.size == 0,
-        constant=float(constant),
-        max_violation=float(np.max(viol)),
-        first_violating_k=int(bad[0]) if bad.size else None,
-        checked=K,
-    )
-
+    excess = d[1 : K + 1] ** 2 - dk + float(constant) * trace.step[:K] ** 2
+    return _report(f"fejer(c={float(constant):.6g})", excess, dk, (np.arange(K),))

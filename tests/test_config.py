@@ -590,3 +590,13 @@ def test_vector_of_another_dimension_located(name, section, record, path):
         parse_config(doc)
     assert [p for p, _ in info.value.errors] == [path]
     assert info.value.errors[0][1].startswith("dim-mismatch")
+
+
+def test_inner_step_count_above_the_ceiling_located():
+    # 1e308 inner steps per update would never finish; the grid refuses the count
+    doc = corpus_documents()["box_superiorize.json"]
+    doc["superiorization"]["inner_steps"] = 1e308
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert [p for p, _ in info.value.errors] == ["superiorization"]
+    assert "inner step count" in info.value.errors[0][1]

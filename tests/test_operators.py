@@ -321,8 +321,9 @@ class TestCheckerScale:
         # one fails at unit scale; the report keeps the failing sample
         xs = np.arange(6.0).reshape(3, 2)
         viol, scale = np.array([1e-6, 1e-8, -1.0]), np.array([1e8, 1.0, 1.0])
-        rep = _report("probe", viol, scale, SampleBudget(count=3), (xs,))
+        rep = _report("probe", viol, scale, (xs,))
         assert not rep.passed
+        assert rep.samples == 3
         assert rep.max_violation == 1e-6
         assert_array_equal(rep.worst[0], xs[1])
 

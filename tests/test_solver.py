@@ -516,13 +516,35 @@ class TestFejerAudit:
         tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(200, None, None))
         rep = check_fejer(tr, self.fam.witness, self.relax.fejer_constant)
         assert rep.passed
-        assert rep.checked == 200
+        assert rep.samples == 200
+        assert rep.worst is None
 
     def test_fails_at_absurd_constant(self):
         tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(200, None, None))
         rep = check_fejer(tr, self.fam.witness, 1e6)
         assert not rep.passed
-        assert rep.first_violating_k is not None
+        (k,) = rep.worst
+        assert 0 <= k < 200 and tr.step[k] > 0.0
+        assert str(rep).startswith("fejer(c=1e+06): FAIL")
+
+    def test_run_stopped_at_k0_is_an_empty_pass(self):
+        tr = run(self.fam, self.sched, self.relax, self.fam.witness, StopRule(200, 1e-10, None))
+        assert tr.n_updates == 0
+        rep = check_fejer(tr, self.fam.witness, self.relax.fejer_constant)
+        assert (rep.passed, rep.samples, rep.max_violation, rep.worst) == (True, 0, 0.0, None)
+
+    def test_worst_is_the_largest_failing_step(self):
+        tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(200, None, None))
+        c = 10.0
+        d = tr.dist_witness
+        excess = d[1:] ** 2 - d[:-1] ** 2 + c * tr.step[:200] ** 2
+        failing = np.flatnonzero(excess > 1e-9 + 1e-12 * d[:-1] ** 2)
+        worst = int(failing[np.argmax(excess[failing])])
+        assert worst != failing[0]  # the worst failing step, not the first
+        rep = check_fejer(tr, self.fam.witness, c)
+        assert not rep.passed
+        assert rep.worst == (worst,)
+        assert rep.max_violation == excess.max()
 
     def test_other_common_point_needs_full_iterates(self):
         tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(64, None, None),

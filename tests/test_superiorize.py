@@ -4,10 +4,13 @@ The superiorized driver is checked against a hand-rolled inner loop plus
 the perturbed driver fed the recorded aggregates; equality is bitwise.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import strav.superiorize
 from strav.control import CyclicSchedule
 from strav.fixtures import box_linear_fixture, two_halfspace_family
 from strav.solver import PerturbationSchedule, RelaxationSchedule, StopRule, run
@@ -77,6 +80,18 @@ class TestBetaGrid:
             BetaGrid(lambda k: -1, lambda k, n: 0.1).M(0)
         with pytest.raises(ValueError):
             BetaGrid(1, lambda k, n: -0.1).beta(0, 1)
+
+    def test_step_count_ceiling(self):
+        ceiling = strav.superiorize._MAX_INNER_STEPS
+        assert BetaGrid.geometric(1.0, M=ceiling).M(5) == ceiling
+        # a constant count is refused when the grid is built, a callable one at use
+        with pytest.raises(ValueError, match=r"inner step count at k=0 exceeds"):
+            BetaGrid.geometric(1.0, M=ceiling + 1)
+        with pytest.raises(ValueError, match=r"inner step count at k=0 exceeds"):
+            BetaGrid(1e308, lambda k, n: 0.1)
+        grid = BetaGrid(lambda k: 10**k, lambda k, n: 0.1)
+        with pytest.raises(ValueError, match=r"inner step count at k=5 exceeds"):
+            grid.betas(5)
 
     @pytest.mark.parametrize("b", [np.nan, np.inf])
     def test_non_finite_step_refused(self, b):
@@ -155,6 +170,14 @@ class TestSuperiorizedDriver:
         assert_array_equal(tr2.xs, tr.xs)
         assert_array_equal(tr2.residual, tr.residual)
         assert_array_equal(tr2.step, tr.step)
+
+    def test_overflowing_inner_step_sum_refused(self):
+        # each step is finite, their sum is not: refused before any numpy overflow
+        grid = BetaGrid(2, lambda k, n: 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"inner steps at k=0 sum to inf"):
+                run_superiorized(self.fam, self.sched, self.relax, self.phi, grid, self.y0)
 
     def test_zero_inner_steps_equals_plain_run(self):
         grid = BetaGrid(0, lambda k, n: 0.1)
