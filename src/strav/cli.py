@@ -5,9 +5,10 @@ Every subcommand reads one JSON config file (``--config``) and takes
 ``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
 ``--horizon`` and ``--indices`` (natural numbers) and probes each distinct
 plan structure among the first eight plans once, under the first ``k``
-that uses it.  Output is a block of ``key: value`` lines on stdout plus an
-optional CSV trace; given an identical config and seed the CSV is
-reproduced bit for bit.
+that uses it, on one pair sample whose first half the SQNE check judges.
+Output is a block of ``key: value`` lines on stdout plus an optional CSV
+trace; given an identical config and seed the CSV is reproduced bit for
+bit.
 
 Exit codes: 0 when the run stopped on a residual or step criterion (for
 ``verify``: all audits passed) and after ``--help``, 2 when the iteration
@@ -138,7 +139,7 @@ import sys
 from .config import ConfigError, parse_config
 from .control import verify_admissible
 from .gmsa import fne_bound, output_operator, sqne_bound
-from .operators import SampleBudget, check_fne, check_nonexpansive, check_sqne
+from .operators import PairSample, SampleBudget, check_fne, check_nonexpansive, check_sqne
 from .solver import check_fejer, run, run_perturbed
 from .superiorize import alternatives_diagnostic, run_superiorized
 
@@ -285,19 +286,25 @@ def cmd_verify(cfg, args):
             continue
         probed.add(plan.structure_key())
         T = output_operator(plan, cfg.family)
-        rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget)
+        try:
+            bound, skipped = fne_bound(plan), None
+        except ValueError as exc:
+            bound, skipped = None, f"skipped ({exc})"
+        # the checks of one tree judge one pair sample, drawn by the first
+        # of them; a tree probed for SQNE alone draws only its count points
+        paired = bound is not None or T.is_nonexpansive
+        sample = PairSample(T, budget, cfg.family.witness) if paired else None
+        rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget, sample=sample)
         all_passed = all_passed and rep.passed
         _emit(f"plan {k} sqne", rep)
-        try:
-            bound = fne_bound(plan)
-        except ValueError as exc:
-            _emit(f"plan {k} fne", f"skipped ({exc})")
+        if skipped:
+            _emit(f"plan {k} fne", skipped)
         else:
-            rep = check_fne(T, bound, budget, center=cfg.family.witness)
+            rep = check_fne(T, bound, budget, center=cfg.family.witness, sample=sample)
             all_passed = all_passed and rep.passed
             _emit(f"plan {k} fne", rep)
         if T.is_nonexpansive:
-            rep = check_nonexpansive(T, budget, center=cfg.family.witness)
+            rep = check_nonexpansive(T, budget, center=cfg.family.witness, sample=sample)
             all_passed = all_passed and rep.passed
             _emit(f"plan {k} nonexpansive", rep)
     _emit("verdict", "pass" if all_passed else "FAIL")

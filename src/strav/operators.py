@@ -43,16 +43,20 @@ set with ``sqne_rho >= fne_rho``.
 
 The sampling checkers at the bottom probe these inequalities empirically
 on seeded points and report the worst violation found.  The two-point
-checkers draw their pairs as one array of ``2 * count`` points and apply
-the node to that array in one batch.  Every inequality audit, these
-checkers and :func:`strav.solver.check_fejer` on a trace, returns a
-:class:`CheckReport` judged by one rule.
+checkers judge a :class:`PairSample`: ``count`` pairs drawn as one array
+of ``2 * count`` points and applied in one batch.  One sample serves all
+three checks of a node: the first checker that reads it draws and applies,
+the others judge the same pairs, and :func:`check_sqne` judges its first
+``count`` points when the sample is drawn around the fixed point.  Every
+inequality audit, these checkers and :func:`strav.solver.check_fejer` on a
+trace, returns a :class:`CheckReport` judged by one rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +70,7 @@ __all__ = [
     "ConvexComb",
     "Composition",
     "SampleBudget",
+    "PairSample",
     "CheckReport",
     "check_sqne",
     "check_fne",
@@ -321,20 +326,42 @@ def _ball_samples(rng, center, radius, count):
     return center + (g / lengths[:, None]) * radii[:, None]
 
 
-def _sample_pairs(node, center, budget):
-    # budget.count pairs drawn around center (the origin by default), and
-    # their images from one apply to all 2 * count points
-    if center is not None:
-        center = as_vector(center, node.dim)
-    elif node.dim is None:
-        raise ValueError("node has no intrinsic dimension; pass an explicit center")
-    else:
-        center = np.zeros(node.dim)
-    rng = np.random.default_rng(budget.seed)
-    pts = _ball_samples(rng, center, budget.radius, 2 * budget.count)
-    images = node.apply(pts)
-    n = budget.count
-    return pts[:n], pts[n:], images[:n], images[n:]
+class PairSample:
+    """``budget.count`` seeded pairs around ``center`` (the origin by default)
+    and their images under ``node``.
+
+    Creating a sample draws nothing.  The first checker that reads
+    :attr:`pairs` draws the ``2 * count`` points and applies the node to
+    them in one batch; every later checker handed the sample judges the
+    same points.
+    """
+
+    def __init__(self, node, budget=SampleBudget(), center=None):
+        if center is not None:
+            center = as_vector(center, node.dim)
+        elif node.dim is None:
+            raise ValueError("node has no intrinsic dimension; pass an explicit center")
+        else:
+            center = np.zeros(node.dim)
+        self.node, self.budget, self.center = node, budget, center
+
+    @cached_property
+    def pairs(self):
+        """``(xs, ys, T(xs), T(ys))``, each ``(count, d)``."""
+        rng = np.random.default_rng(self.budget.seed)
+        pts = _ball_samples(rng, self.center, self.budget.radius, 2 * self.budget.count)
+        images = self.node.apply(pts)
+        n = self.budget.count
+        return pts[:n], pts[n:], images[:n], images[n:]
+
+
+def _pairs(node, budget, center, sample):
+    # the pairs of the given sample, or of a fresh one when none is given
+    if sample is None:
+        sample = PairSample(node, budget, center)
+    elif sample.node is not node:
+        raise ValueError("pair sample drawn for another node")
+    return sample.pairs
 
 
 def _report(name, viol, scale, points):
@@ -353,36 +380,49 @@ def _report(name, viol, scale, points):
     )
 
 
-def check_sqne(node, rho, z, budget=SampleBudget()):
+def check_sqne(node, rho, z, budget=SampleBudget(), *, sample=None):
     """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``.
 
     Each sample is judged at scale ``||x - z||^2``.  ``z`` must be fixed by
     the node (at scale ``||z||``); otherwise the check is vacuous and a
     ``witness-not-fixed`` error is raised instead of reporting anything.
+    A ``sample`` of the node drawn around ``z`` stands in for ``budget``:
+    its first ``count`` points and their images are judged.
     """
     z = as_vector(z, node.dim)
+    if sample is not None and not np.array_equal(sample.center, z):
+        raise ValueError("pair sample drawn around another center than the fixed point")
     rz = float(node.residual(z))
     if not _within(rz, float(norm(z))):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
-    rng = np.random.default_rng(budget.seed)
-    xs = _ball_samples(rng, z, budget.radius, budget.count)
-    tx = node.apply(xs)
+    if sample is None:
+        rng = np.random.default_rng(budget.seed)
+        xs = _ball_samples(rng, z, budget.radius, budget.count)
+        tx = node.apply(xs)
+    else:
+        xs, _, tx, _ = _pairs(node, budget, z, sample)
     dxz = norm(xs - z) ** 2
     viol = norm(tx - z) ** 2 - dxz + float(rho) * norm(tx - xs) ** 2
     return _report(f"sqne(rho={rho})", viol, dxz, (xs,))
 
 
-def check_fne(node, rho, budget=SampleBudget(), center=None):
-    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
-    xs, ys, tx, ty = _sample_pairs(node, center, budget)
+def check_fne(node, rho, budget=SampleBudget(), center=None, *, sample=None):
+    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``.
+
+    A ``sample`` of the node stands in for ``budget`` and ``center``.
+    """
+    xs, ys, tx, ty = _pairs(node, budget, center, sample)
     dxy = norm(xs - ys) ** 2
     viol = norm(tx - ty) ** 2 - dxy + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
     return _report(f"fne(rho={rho})", viol, dxy, (xs, ys))
 
 
-def check_nonexpansive(node, budget=SampleBudget(), center=None):
-    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``."""
-    xs, ys, tx, ty = _sample_pairs(node, center, budget)
+def check_nonexpansive(node, budget=SampleBudget(), center=None, *, sample=None):
+    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``.
+
+    A ``sample`` of the node stands in for ``budget`` and ``center``.
+    """
+    xs, ys, tx, ty = _pairs(node, budget, center, sample)
     dxy = norm(xs - ys)
     viol = norm(tx - ty) - dxy
     return _report("nonexpansive", viol, dxy, (xs, ys))

@@ -79,16 +79,20 @@ class _LinearConstraint(ProjectableSet):
         x = np.asarray(x, dtype=float)
         if x.shape == self.a.shape:
             # one point, one dot product (x.dot(a) is x @ a with less dispatch);
-            # an inactive halfspace hands x back untouched
+            # a point of the set (t == 0, or t < 0 in a halfspace) is handed back
             t = float(x.dot(self.a)) - self.b
-            if t <= 0.0 and self._one_sided:
+            if t == 0.0 or (t < 0.0 and self._one_sided):
                 return x
             return x - (t / self._asq) * self.a
         self._check_dim(x)
         offset = x @ self.a - self.b
         if self._one_sided:
             offset = np.maximum(offset, 0.0)
-        return x - (offset / self._asq)[..., None] * self.a
+        # adding 0.0 turns the -0.0 of a zero offset times a negative a_i
+        # into 0.0, so x - step keeps a -0.0 coordinate of an inactive row
+        step = (offset / self._asq)[..., None] * self.a
+        step += 0.0
+        return np.subtract(x, step, out=step)
 
 
 class Halfspace(_LinearConstraint):

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import strav.cli
+import strav.operators
 from strav.cli import main
+from strav.operators import OperatorNode
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -193,6 +196,71 @@ class TestVerify:
         probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
         assert probes == ["plan 0 sqne", "plan 1 sqne"]
         assert kv(out)["verdict"] == "pass"
+
+
+class _Opaque(OperatorNode):
+    """A tree's map with no certified constant, so not known to be nonexpansive."""
+
+    def __init__(self, tree):
+        self.tree, self.dim = tree, tree.dim
+
+    def apply(self, x):
+        return self.tree.apply(x)
+
+
+class TestVerifyChecks:
+    """``verify`` calls the checkers through ``strav.cli``'s names, as the
+    benchmark tracer rebinds them, and each probed tree draws one sample
+    inside the first checker's call."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events, active = [], []
+
+        def counting(name, fn):
+            def check(*args, **kw):
+                events.append(name)
+                active.append(name)
+                try:
+                    return fn(*args, **kw)
+                finally:
+                    active.pop()
+
+            return check
+
+        for name in ("check_sqne", "check_fne", "check_nonexpansive"):
+            monkeypatch.setattr(strav.cli, name, counting(name, getattr(strav.cli, name)))
+        draw = strav.operators._ball_samples
+
+        def counting_draw(rng, center, radius, count):
+            events.append((count, active[-1] if active else None))
+            return draw(rng, center, radius, count)
+
+        monkeypatch.setattr(strav.operators, "_ball_samples", counting_draw)
+        return events
+
+    def test_one_draw_per_plan_structure(self, capsys, tmp_path, events):
+        # the demo's two plan structures each get all three checks
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
+        assert code == 0
+        pairs = 2 * strav.cli._PROBE_SAMPLES
+        per_plan = ["check_sqne", (pairs, "check_sqne"), "check_fne", "check_nonexpansive"]
+        assert events == per_plan * 2
+        assert kv(out)["plan 1 sqne"].endswith(f"{strav.cli._PROBE_SAMPLES} samples)")
+
+    def test_sqne_alone_draws_its_own_points(self, capsys, tmp_path, events, monkeypatch):
+        build = strav.cli.output_operator
+
+        def unmet(plan):
+            raise ValueError("fne-hypotheses-unmet: inputs not asserted half_fne")
+
+        monkeypatch.setattr(strav.cli, "output_operator", lambda p, f: _Opaque(build(p, f)))
+        monkeypatch.setattr(strav.cli, "fne_bound", unmet)
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
+        assert code == 0
+        assert events == ["check_sqne", (strav.cli._PROBE_SAMPLES, "check_sqne")] * 2
+        assert kv(out)["plan 0 fne"] == "skipped (fne-hypotheses-unmet: inputs not asserted half_fne)"
+        assert "plan 0 nonexpansive" not in out
 
 
 class TestErrorHandling:

@@ -16,6 +16,7 @@ from strav.operators import (
     Composition,
     ConvexComb,
     Identity,
+    PairSample,
     Primitive,
     Relaxation,
     SampleBudget,
@@ -410,3 +411,89 @@ class TestPairSample:
         # its single points take the same broken step
         x = np.array([1.0, 1.0, 0.0])
         assert_allclose(node.apply(x), x - 2.5 * 1.4 * np.array([0.6, 0.8, 0.0]))
+
+
+def _assert_same_report(shared, alone):
+    assert (shared.name, shared.passed, shared.samples) == (alone.name, alone.passed, alone.samples)
+    assert shared.max_violation == alone.max_violation
+    assert (shared.worst is None) == (alone.worst is None)
+    for a, b in zip(shared.worst or (), alone.worst or ()):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSharedSample:
+    """The three checkers of one node judge one pair sample, drawn and applied once."""
+
+    def test_three_checks_apply_the_node_once(self):
+        node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
+        sample = PairSample(node, SampleBudget(count=40, seed=3), np.zeros(3))
+        assert node.applied == []  # creating a sample draws nothing
+        assert check_sqne(node, 0.5, np.zeros(3), sample=sample).passed
+        assert check_fne(node, 0.5, sample=sample).passed
+        assert check_nonexpansive(node, sample=sample).passed
+        # one apply to the witness (the fixed-point check), one to the 80 points
+        assert node.applied == [(), (80,)]
+
+    @pytest.mark.parametrize("inflate", [1.0, 50.0])
+    def test_two_point_reports_equal_the_ones_drawn_alone(self, inflate):
+        gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
+        family = random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n])
+        plans = random_plan_corpus(40, seed=13, n_inputs=8, c0_alpha_one=True)
+        nodes = [(output_operator(p, family), inflate * fne_bound(p)) for p in plans]
+        nodes.append((Primitive(Overshoot([0.6, 0.8, 0.0, 0.0, 0.0], 0.0)), 1.0))
+        verdicts = set()
+        for i, (T, rho) in enumerate(nodes):
+            budget = SampleBudget(count=150, seed=i)
+            sample = PairSample(T, budget, family.witness)
+            check_sqne(T, 0.0, family.witness, budget, sample=sample)
+            for shared, alone in [
+                (check_fne(T, rho, budget, family.witness, sample=sample),
+                 check_fne(T, rho, budget, center=family.witness)),
+                (check_nonexpansive(T, budget, family.witness, sample=sample),
+                 check_nonexpansive(T, budget, center=family.witness)),
+            ]:
+                _assert_same_report(shared, alone)
+                verdicts.add(shared.passed)
+        assert verdicts == {True, False}
+
+    def test_sqne_flags_the_inflated_corpus_modulus(self):
+        # the certify_corpus negative control: plain corpus plans at 1e3
+        family = random_halfspace_family(5, 8, 7)
+        for plan in random_plan_corpus(20, seed=5, n_inputs=8):
+            T = output_operator(plan, family)
+            budget = SampleBudget(count=500, seed=plan.k)
+            sample = PairSample(T, budget, family.witness)
+            assert check_sqne(T, sqne_bound(plan), family.witness, budget, sample=sample).passed
+            rep = check_sqne(T, 1e3, family.witness, budget, sample=sample)
+            assert not rep.passed, f"plan {plan.k}"
+            assert rep.samples == 500
+
+    def test_sqne_flags_a_node_beyond_its_modulus(self):
+        budget = SampleBudget(count=300, seed=11)
+        for node, rho in [
+            (_halfspace_proj(seed=27), 10.0),
+            (Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), 1.0),
+            (Relaxation(Primitive(Hyperplane([1.0, 0.0, 0.0], 0.0)), 2.0), 0.5),
+        ]:
+            sample = PairSample(node, budget, np.zeros(3))
+            rep = check_sqne(node, rho, np.zeros(3), budget, sample=sample)
+            assert not rep.passed
+            assert rep.worst is not None
+
+    def test_sample_around_another_center_refused(self):
+        node = _halfspace_proj(seed=4)
+        sample = PairSample(node, SampleBudget(count=10), np.ones(3))
+        with pytest.raises(ValueError, match="another center"):
+            check_sqne(node, 1.0, np.zeros(3), sample=sample)
+        assert "pairs" not in vars(sample)  # refused before anything was drawn
+
+    def test_sample_of_another_node_refused(self):
+        sample = PairSample(_halfspace_proj(seed=4), SampleBudget(count=10))
+        other = _halfspace_proj(seed=5)
+        for check in (
+            lambda: check_sqne(other, 1.0, np.zeros(3), sample=sample),
+            lambda: check_fne(other, 1.0, sample=sample),
+            lambda: check_nonexpansive(other, sample=sample),
+        ):
+            with pytest.raises(ValueError, match="another node"):
+                check()

@@ -117,7 +117,7 @@ def _row_formula(s, x):
     offset = x @ s.a - s.b
     if isinstance(s, Halfspace):
         offset = np.maximum(offset, 0.0)
-    return x - (offset / s._asq)[..., None] * s.a
+    return x - ((offset / s._asq)[..., None] * s.a + 0.0)
 
 
 class TestSinglePointProjection:
@@ -142,6 +142,28 @@ class TestSinglePointProjection:
         for x in ([3.0, -1.0], [3.0, 4.0]):
             p = s.project(np.array(x))
             assert p[1] == 0.5 and p[0] == 3.0
+
+
+class TestSignedZeros:
+    """A batch row already in the set comes back bitwise, -0.0 coordinates included."""
+
+    @staticmethod
+    def _check(s, x):
+        assert s.project(x).tobytes() == x.tobytes()
+        for row, projected in zip(x, s.project(x)):
+            assert s.project(row).tobytes() == projected.tobytes()
+
+    def test_halfspace_inactive_rows(self):
+        # a_1 < 0: the zero offset of an inactive row times a_1 is -0.0
+        s = Halfspace([1.0, -2.0, 0.5], 0.25)
+        x = np.array([[-0.0, -0.0, -0.0], [-3.0, -0.0, 1.5], [-0.0, 1.5, -0.0]])
+        self._check(s, x)
+
+    def test_hyperplane_rows_at_zero_offset(self):
+        # <a, x> = b = 0 exactly on every row
+        s = Hyperplane([1.0, -2.0, 0.5], 0.0)
+        x = np.array([[-0.0, -0.0, -0.0], [2.0, 1.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, 0.25, 1.0]])
+        self._check(s, x)
 
 
 class TestHyperplane:
