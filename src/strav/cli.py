@@ -5,7 +5,7 @@ Every subcommand reads one JSON config file (``--config``) and takes
 ``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
 ``--horizon`` and ``--indices`` (natural numbers) and probes each distinct
 plan structure among the first eight plans once, under the first ``k``
-that uses it, on one pair sample whose first half the SQNE check judges.
+that uses it; its checks share one draw of points around the witness.
 Output is a block of ``key: value`` lines on stdout plus an optional CSV
 trace; given an identical config and seed the CSV is reproduced bit for
 bit.
@@ -30,7 +30,7 @@ refused.  Each problem is reported under its field path, e.g.
 Top-level fields::
 
     ambient_dim        int >= 1, the dimension of every vector below
-    seed               int, the single source of randomness (default 0)
+    seed               nat, the single source of randomness (default 0)
     start              starting point, ``ambient_dim`` numbers
     family             input operators, see below
     schedule           which plan runs at iteration k
@@ -77,7 +77,7 @@ float, and the witness's norm must stay below it too.
 variant cycles string-averaging stages: each string is a nonempty list of
 nats applied first-to-last, and the stage averages its strings with the
 given ``weights``, one number in (0, 1] per string, summing to 1 (at least
-``eps``, a number, when a stage gives it).
+``eps``, a number in (0, 1], when a stage gives it).
 
 A PLAN names its iteration index ``k`` (int, default 0), its step count
 ``N`` (int >= 1), its floor ``eps`` (a number in (0, 1]) and one record per
@@ -139,7 +139,7 @@ import sys
 from .config import ConfigError, parse_config
 from .control import verify_admissible
 from .gmsa import fne_bound, output_operator, sqne_bound
-from .operators import PairSample, SampleBudget, check_fne, check_nonexpansive, check_sqne
+from .operators import SampleBudget, check_fne, check_nonexpansive, check_sqne
 from .solver import check_fejer, run, run_perturbed
 from .superiorize import alternatives_diagnostic, run_superiorized
 
@@ -290,21 +290,17 @@ def cmd_verify(cfg, args):
             bound, skipped = fne_bound(plan), None
         except ValueError as exc:
             bound, skipped = None, f"skipped ({exc})"
-        # the checks of one tree judge one pair sample, drawn by the first
-        # of them; a tree probed for SQNE alone draws only its count points
-        paired = bound is not None or T.is_nonexpansive
-        sample = PairSample(T, budget, cfg.family.witness) if paired else None
-        rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget, sample=sample)
+        rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget)
         all_passed = all_passed and rep.passed
         _emit(f"plan {k} sqne", rep)
         if skipped:
             _emit(f"plan {k} fne", skipped)
         else:
-            rep = check_fne(T, bound, budget, center=cfg.family.witness, sample=sample)
+            rep = check_fne(T, bound, budget, center=cfg.family.witness)
             all_passed = all_passed and rep.passed
             _emit(f"plan {k} fne", rep)
         if T.is_nonexpansive:
-            rep = check_nonexpansive(T, budget, center=cfg.family.witness, sample=sample)
+            rep = check_nonexpansive(T, budget, center=cfg.family.witness)
             all_passed = all_passed and rep.passed
             _emit(f"plan {k} nonexpansive", rep)
     _emit("verdict", "pass" if all_passed else "FAIL")

@@ -257,7 +257,7 @@ _PLAN = (
     ("eps", _real, _REQUIRED),
     ("steps", [_STEP], _REQUIRED),
 )
-_STAGE = (("strings", [[_int]], _REQUIRED), ("weights", [_real], _REQUIRED), ("eps", _real, None))
+_STAGE = (("strings", [[_int]], _REQUIRED, 0), ("weights", [_real], _REQUIRED), ("eps", _real, None))
 _SCHEDULE = {"variant": {
     "power_of_two": (("eps", _real, 1.0), ("alpha", _real, 1.0)),
     "cyclic": (
@@ -288,7 +288,7 @@ _PERTURBATION = (
     ("direction", {"kind": {
         "constant": (("v", [_real], _REQUIRED),),
         "away_from_witness": (),
-        "random_unit": (("seed", _int, None),),  # None: the config seed
+        "random_unit": (("seed", _int, None, 0),),  # None: the config seed
     }}, _REQUIRED),
 )
 
@@ -304,7 +304,7 @@ _OBJECTIVES = {  # kind -> (constructor, rows named after its parameters)
 
 _DOC = (
     ("ambient_dim", _int, _REQUIRED, 1),
-    ("seed", _int, 0),
+    ("seed", _int, 0, 0),
     ("family", _FAMILY, _REQUIRED),
     ("schedule", _SCHEDULE, _REQUIRED),
     ("relaxation", _RELAXATION, {}),
@@ -315,7 +315,7 @@ _DOC = (
         ("inner_steps", _int, 1, 0),
     ), None),
     ("stop", (
-        ("max_iters", _int, 100_000),
+        ("max_iters", _int, 100_000, 0),
         # StopRule checks the tolerances; a null disables the criterion
         ("residual_tol", _as_given, 1e-10),
         ("step_tol", _as_given, 1e-12),

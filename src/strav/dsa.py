@@ -49,9 +49,9 @@ class StringSpec:
 class StringStage:
     """Weighted set of strings used at one iteration.
 
-    Weights are positive and sum to 1; with an explicit ``eps`` they must
-    additionally stay >= eps, matching the plan-level floor the stage
-    translates into.
+    Weights are positive and sum to 1; with an explicit ``eps`` in (0, 1]
+    they must additionally stay >= eps, matching the plan-level floor the
+    stage translates into.
     """
 
     def __init__(self, strings, weights, k=0, eps=None):
@@ -65,6 +65,8 @@ class StringStage:
         if len(self.strings) != len(self.weights):
             raise ValueError("one weight per string required")
         floor = float(eps) if eps is not None else 0.0
+        if eps is not None and not 0.0 < floor <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got {floor}")
         if any(w <= 0.0 or w > 1.0 or w < floor for w in self.weights):
             raise ValueError(f"weights {self.weights} outside ({floor}, 1]")
         if not _within(abs(sum(self.weights) - 1.0)):

@@ -42,12 +42,11 @@ takes the larger certified value, so ``fne_rho`` set implies ``sqne_rho``
 set with ``sqne_rho >= fne_rho``.
 
 The sampling checkers at the bottom probe these inequalities empirically
-on seeded points and report the worst violation found.  The two-point
-checkers judge a :class:`PairSample`: ``count`` pairs drawn as one array
-of ``2 * count`` points and applied in one batch.  One sample serves all
-three checks of a node: the first checker that reads it draws and applies,
-the others judge the same pairs, and :func:`check_sqne` judges its first
-``count`` points when the sample is drawn around the fixed point.  Every
+on seeded points and report the worst violation found.  All three judge one
+probe: ``count`` seeded points around the anchor and their images, drawn
+and applied once and memoised, so checks of one node with one budget and
+center share the draw.  :func:`check_sqne` judges the points; the two-point
+checkers judge the ``count`` pairs ``(x_i, x_{(i+1) mod count})``.  Every
 inequality audit, these checkers and :func:`strav.solver.check_fejer` on a
 trace, returns a :class:`CheckReport` judged by one rule.
 """
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,7 +69,6 @@ __all__ = [
     "ConvexComb",
     "Composition",
     "SampleBudget",
-    "PairSample",
     "CheckReport",
     "check_sqne",
     "check_fne",
@@ -326,42 +324,34 @@ def _ball_samples(rng, center, radius, count):
     return center + (g / lengths[:, None]) * radii[:, None]
 
 
-class PairSample:
-    """``budget.count`` seeded pairs around ``center`` (the origin by default)
-    and their images under ``node``.
+@lru_cache(maxsize=1)
+def _probe(node, budget, center):
+    """``budget.count`` seeded points around ``center`` (float64 bytes) and
+    their images under ``node``, each a read-only ``(count, d)`` array.
 
-    Creating a sample draws nothing.  The first checker that reads
-    :attr:`pairs` draws the ``2 * count`` points and applies the node to
-    them in one batch; every later checker handed the sample judges the
-    same points.
+    The draw is pure, so a memo hit returns bitwise what a fresh call
+    would.  The memo keys the node by identity and keeps it alive, and it
+    holds one probe until the next (6.4 MB at 200 points in R^2000).
     """
-
-    def __init__(self, node, budget=SampleBudget(), center=None):
-        if center is not None:
-            center = as_vector(center, node.dim)
-        elif node.dim is None:
-            raise ValueError("node has no intrinsic dimension; pass an explicit center")
-        else:
-            center = np.zeros(node.dim)
-        self.node, self.budget, self.center = node, budget, center
-
-    @cached_property
-    def pairs(self):
-        """``(xs, ys, T(xs), T(ys))``, each ``(count, d)``."""
-        rng = np.random.default_rng(self.budget.seed)
-        pts = _ball_samples(rng, self.center, self.budget.radius, 2 * self.budget.count)
-        images = self.node.apply(pts)
-        n = self.budget.count
-        return pts[:n], pts[n:], images[:n], images[n:]
+    rng = np.random.default_rng(budget.seed)
+    xs = _ball_samples(rng, np.frombuffer(center), budget.radius, budget.count)
+    tx = node.apply(xs)
+    xs.flags.writeable = tx.flags.writeable = False
+    return xs, tx
 
 
-def _pairs(node, budget, center, sample):
-    # the pairs of the given sample, or of a fresh one when none is given
-    if sample is None:
-        sample = PairSample(node, budget, center)
-    elif sample.node is not node:
-        raise ValueError("pair sample drawn for another node")
-    return sample.pairs
+def _pairs(node, budget, center):
+    # the probe's points paired with their successors, wrapping around
+    if budget.count < 2:
+        raise ValueError("a pair check needs a sample count of at least 2")
+    if center is not None:
+        center = as_vector(center, node.dim)
+    elif node.dim is None:
+        raise ValueError("node has no intrinsic dimension; pass an explicit center")
+    else:
+        center = np.zeros(node.dim)
+    xs, tx = _probe(node, budget, center.tobytes())
+    return xs, np.roll(xs, -1, axis=0), tx, np.roll(tx, -1, axis=0)
 
 
 def _report(name, viol, scale, points):
@@ -380,49 +370,34 @@ def _report(name, viol, scale, points):
     )
 
 
-def check_sqne(node, rho, z, budget=SampleBudget(), *, sample=None):
+def check_sqne(node, rho, z, budget=SampleBudget()):
     """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``.
 
     Each sample is judged at scale ``||x - z||^2``.  ``z`` must be fixed by
     the node (at scale ``||z||``); otherwise the check is vacuous and a
     ``witness-not-fixed`` error is raised instead of reporting anything.
-    A ``sample`` of the node drawn around ``z`` stands in for ``budget``:
-    its first ``count`` points and their images are judged.
     """
     z = as_vector(z, node.dim)
-    if sample is not None and not np.array_equal(sample.center, z):
-        raise ValueError("pair sample drawn around another center than the fixed point")
     rz = float(node.residual(z))
     if not _within(rz, float(norm(z))):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
-    if sample is None:
-        rng = np.random.default_rng(budget.seed)
-        xs = _ball_samples(rng, z, budget.radius, budget.count)
-        tx = node.apply(xs)
-    else:
-        xs, _, tx, _ = _pairs(node, budget, z, sample)
+    xs, tx = _probe(node, budget, z.tobytes())
     dxz = norm(xs - z) ** 2
     viol = norm(tx - z) ** 2 - dxz + float(rho) * norm(tx - xs) ** 2
     return _report(f"sqne(rho={rho})", viol, dxz, (xs,))
 
 
-def check_fne(node, rho, budget=SampleBudget(), center=None, *, sample=None):
-    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``.
-
-    A ``sample`` of the node stands in for ``budget`` and ``center``.
-    """
-    xs, ys, tx, ty = _pairs(node, budget, center, sample)
+def check_fne(node, rho, budget=SampleBudget(), center=None):
+    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
+    xs, ys, tx, ty = _pairs(node, budget, center)
     dxy = norm(xs - ys) ** 2
     viol = norm(tx - ty) ** 2 - dxy + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
     return _report(f"fne(rho={rho})", viol, dxy, (xs, ys))
 
 
-def check_nonexpansive(node, budget=SampleBudget(), center=None, *, sample=None):
-    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``.
-
-    A ``sample`` of the node stands in for ``budget`` and ``center``.
-    """
-    xs, ys, tx, ty = _pairs(node, budget, center, sample)
+def check_nonexpansive(node, budget=SampleBudget(), center=None):
+    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``."""
+    xs, ys, tx, ty = _pairs(node, budget, center)
     dxy = norm(xs - ys)
     viol = norm(tx - ty) - dxy
     return _report("nonexpansive", viol, dxy, (xs, ys))

@@ -210,8 +210,8 @@ class _Opaque(OperatorNode):
 
 class TestVerifyChecks:
     """``verify`` calls the checkers through ``strav.cli``'s names, as the
-    benchmark tracer rebinds them, and each probed tree draws one sample
-    inside the first checker's call."""
+    benchmark tracer rebinds them, and each probed tree draws one probe
+    inside the SQNE check, which the pair checks share."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -243,8 +243,8 @@ class TestVerifyChecks:
         # the demo's two plan structures each get all three checks
         code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
         assert code == 0
-        pairs = 2 * strav.cli._PROBE_SAMPLES
-        per_plan = ["check_sqne", (pairs, "check_sqne"), "check_fne", "check_nonexpansive"]
+        draw = (strav.cli._PROBE_SAMPLES, "check_sqne")
+        per_plan = ["check_sqne", draw, "check_fne", "check_nonexpansive"]
         assert events == per_plan * 2
         assert kv(out)["plan 1 sqne"].endswith(f"{strav.cli._PROBE_SAMPLES} samples)")
 
@@ -270,6 +270,17 @@ class TestErrorHandling:
         assert code == 1
         assert "invalid configuration" in err
         assert "start" in err and "output.stride" in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_refused_before_any_output(self, capsys, tmp_path, where):
+        doc = demo_doc()
+        if where == "config":
+            doc["seed"] = -3
+        extra = ["--seed", "-1"] if where == "flag" else []
+        code, out, err = run_cli(capsys, "verify", "--config", write(tmp_path, doc), *extra)
+        assert code == 1
+        assert "\n  seed: need at least 0" in err
+        assert out == ""
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--config", str(tmp_path / "nope.json"))

@@ -250,6 +250,16 @@ class TestScheduleSection:
         with pytest.raises(ConfigError, match="schedule.stages\\[0\\]"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("eps", [0, -0.5, 1.5])
+    def test_stage_eps_outside_unit_interval_located(self, eps):
+        stage = {"strings": [[0], [1]], "weights": [0.5, 0.5], "eps": eps}
+        doc = minimal_doc(schedule={"variant": "stages", "stages": [stage]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [
+            ("schedule.stages[0]", f"eps must lie in (0, 1], got {float(eps)}"),
+        ]
+
     def test_plan_validation_failures_located(self):
         bad = {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.9}]}
         doc = minimal_doc(schedule={"variant": "cyclic", "plans": [bad]})
@@ -413,6 +423,25 @@ class TestStopStartOutput:
         with pytest.raises(ConfigError) as err:
             parse_config(minimal_doc(**{field: value}))
         assert path in [p for p, _ in err.value.errors]
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("seed", -3, "seed"),
+            ("perturbation",
+             {"beta": {"form": "power"}, "direction": {"kind": "random_unit", "seed": -1}},
+             "perturbation.direction.seed"),
+            ("stop", {"max_iters": -1}, "stop.max_iters"),
+            ("schedule",
+             {"variant": "stages", "stages": [{"strings": [[0], [1, -1]], "weights": [0.5, 0.5]}]},
+             "schedule.stages[0].strings[1][1]"),
+        ],
+    )
+    def test_negative_nat_located(self, field, value, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_doc(**{field: value}))
+        assert [p for p, _ in info.value.errors] == [path]
+        assert info.value.errors[0][1].startswith("need at least 0, got -")
 
     def test_start_missing(self):
         doc = minimal_doc()

@@ -16,11 +16,11 @@ from strav.operators import (
     Composition,
     ConvexComb,
     Identity,
-    PairSample,
     Primitive,
     Relaxation,
     SampleBudget,
     _ball_samples,
+    _probe,
     _report,
     check_fne,
     check_nonexpansive,
@@ -358,23 +358,25 @@ class CountingComposition(Composition):
 
 
 def _pairs_reference(node, budget, center):
-    # the pair sample as check_fne and check_nonexpansive draw it, each half
-    # applied on its own
+    # the count pairs (x_i, x_{i+1 mod count}) as check_fne and
+    # check_nonexpansive form them, each half applied on its own
     rng = np.random.default_rng(budget.seed)
-    pts = _ball_samples(rng, as_vector(center), budget.radius, 2 * budget.count)
-    xs, ys = pts[: budget.count], pts[budget.count :]
+    xs = _ball_samples(rng, as_vector(center), budget.radius, budget.count)
+    ys = np.roll(xs, -1, axis=0)
     return xs, ys, node.apply(xs), node.apply(ys)
 
 
 class TestPairSample:
-    """A two-point checker applies the node once, to all its 2 * count points."""
+    """A two-point checker judges ``count`` pairs of successive probe points,
+    drawn and applied once."""
 
     def test_each_check_applies_the_node_once(self):
         node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
         budget = SampleBudget(count=40, seed=3)
         assert check_fne(node, 0.5, budget).passed
+        _probe.cache_clear()
         assert check_nonexpansive(node, budget).passed
-        assert node.applied == [(80,), (80,)]
+        assert node.applied == [(40,), (40,)]
 
     @pytest.mark.parametrize("corpus", ["criterion 03", "criterion 04"])
     def test_verdicts_match_separate_applies(self, corpus):
@@ -398,6 +400,7 @@ class TestPairSample:
                 viol = norm(tx - ty) ** 2 - dxy**2 + rho * norm((xs - tx) - (ys - ty)) ** 2
                 rep = check_fne(T, rho, budget, center=family.witness)
                 assert rep.passed == bool(_within(viol, dxy**2).all())
+                assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
                 assert rep.passed
 
     def test_overshooting_halfspace_flagged_by_every_checker(self):
@@ -412,6 +415,15 @@ class TestPairSample:
         x = np.array([1.0, 1.0, 0.0])
         assert_allclose(node.apply(x), x - 2.5 * 1.4 * np.array([0.6, 0.8, 0.0]))
 
+    def test_a_single_point_refused(self):
+        # one point would be paired with itself and pass vacuously
+        node = _halfspace_proj(seed=4)
+        budget = SampleBudget(count=1)
+        for check in (lambda: check_fne(node, 1.0, budget), lambda: check_nonexpansive(node, budget)):
+            with pytest.raises(ValueError, match="at least 2"):
+                check()
+        assert check_sqne(node, 1.0, np.zeros(3), budget).samples == 1
+
 
 def _assert_same_report(shared, alone):
     assert (shared.name, shared.passed, shared.samples) == (alone.name, alone.passed, alone.samples)
@@ -422,39 +434,44 @@ def _assert_same_report(shared, alone):
 
 
 class TestSharedSample:
-    """The three checkers of one node judge one pair sample, drawn and applied once."""
+    """Checks of one node with one budget and center share one memoised probe."""
 
     def test_three_checks_apply_the_node_once(self):
         node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
-        sample = PairSample(node, SampleBudget(count=40, seed=3), np.zeros(3))
-        assert node.applied == []  # creating a sample draws nothing
-        assert check_sqne(node, 0.5, np.zeros(3), sample=sample).passed
-        assert check_fne(node, 0.5, sample=sample).passed
-        assert check_nonexpansive(node, sample=sample).passed
-        # one apply to the witness (the fixed-point check), one to the 80 points
-        assert node.applied == [(), (80,)]
+        budget = SampleBudget(count=40, seed=3)
+        assert check_sqne(node, 0.5, np.zeros(3), budget).passed
+        assert check_fne(node, 0.5, budget).passed
+        assert check_nonexpansive(node, budget).passed
+        # one apply to the witness (the fixed-point check), one to the 40 points
+        assert node.applied == [(), (40,)]
 
     @pytest.mark.parametrize("inflate", [1.0, 50.0])
     def test_two_point_reports_equal_the_ones_drawn_alone(self, inflate):
+        # each report judged on the memoised probe equals the one from a
+        # fresh draw, field for field
         gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
         family = random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n])
         plans = random_plan_corpus(40, seed=13, n_inputs=8, c0_alpha_one=True)
         nodes = [(output_operator(p, family), inflate * fne_bound(p)) for p in plans]
         nodes.append((Primitive(Overshoot([0.6, 0.8, 0.0, 0.0, 0.0], 0.0)), 1.0))
-        verdicts = set()
+        passed = []  # the fne and nonexpansive verdicts of each node in turn
         for i, (T, rho) in enumerate(nodes):
             budget = SampleBudget(count=150, seed=i)
-            sample = PairSample(T, budget, family.witness)
-            check_sqne(T, 0.0, family.witness, budget, sample=sample)
-            for shared, alone in [
-                (check_fne(T, rho, budget, family.witness, sample=sample),
-                 check_fne(T, rho, budget, center=family.witness)),
-                (check_nonexpansive(T, budget, family.witness, sample=sample),
-                 check_nonexpansive(T, budget, center=family.witness)),
-            ]:
-                _assert_same_report(shared, alone)
-                verdicts.add(shared.passed)
-        assert verdicts == {True, False}
+            check_sqne(T, 0.0, family.witness, budget)  # draws the probe
+            for check in (
+                lambda: check_fne(T, rho, budget, family.witness),
+                lambda: check_nonexpansive(T, budget, family.witness),
+            ):
+                hit = check()
+                _probe.cache_clear()
+                _assert_same_report(hit, check())
+                passed.append(hit.passed)
+        fne = passed[:-2:2]  # the corpus trees at inflate times their bound
+        if inflate == 1.0:
+            assert all(fne)
+        else:
+            assert 0 < fne.count(False) < len(fne)
+        assert passed[-2:] == [False, False]  # the overshooting halfspace
 
     def test_sqne_flags_the_inflated_corpus_modulus(self):
         # the certify_corpus negative control: plain corpus plans at 1e3
@@ -462,9 +479,8 @@ class TestSharedSample:
         for plan in random_plan_corpus(20, seed=5, n_inputs=8):
             T = output_operator(plan, family)
             budget = SampleBudget(count=500, seed=plan.k)
-            sample = PairSample(T, budget, family.witness)
-            assert check_sqne(T, sqne_bound(plan), family.witness, budget, sample=sample).passed
-            rep = check_sqne(T, 1e3, family.witness, budget, sample=sample)
+            assert check_sqne(T, sqne_bound(plan), family.witness, budget).passed
+            rep = check_sqne(T, 1e3, family.witness, budget)
             assert not rep.passed, f"plan {plan.k}"
             assert rep.samples == 500
 
@@ -475,25 +491,48 @@ class TestSharedSample:
             (Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), 1.0),
             (Relaxation(Primitive(Hyperplane([1.0, 0.0, 0.0], 0.0)), 2.0), 0.5),
         ]:
-            sample = PairSample(node, budget, np.zeros(3))
-            rep = check_sqne(node, rho, np.zeros(3), budget, sample=sample)
+            check_nonexpansive(node, budget)  # draws the probe the SQNE check judges
+            rep = check_sqne(node, rho, np.zeros(3), budget)
             assert not rep.passed
             assert rep.worst is not None
 
     def test_sample_around_another_center_refused(self):
-        node = _halfspace_proj(seed=4)
-        sample = PairSample(node, SampleBudget(count=10), np.ones(3))
-        with pytest.raises(ValueError, match="another center"):
-            check_sqne(node, 1.0, np.zeros(3), sample=sample)
-        assert "pairs" not in vars(sample)  # refused before anything was drawn
+        # a check around z never judges the probe memoised around another
+        # center: it draws its own around z
+        node = CountingComposition([_halfspace_proj(seed=4)])
+        budget = SampleBudget(count=10)
+        check_nonexpansive(node, budget, np.ones(3))
+        rep = check_sqne(node, 1.0, np.zeros(3), budget)
+        assert node.applied == [(10,), (), (10,)]
+        xs, _ = _probe(node, budget, np.zeros(3).tobytes())
+        assert (norm(xs) <= budget.radius).all()
+        assert not np.array_equal(xs, _probe(node, budget, np.ones(3).tobytes())[0])
+        _probe.cache_clear()
+        _assert_same_report(rep, check_sqne(node, 1.0, np.zeros(3), budget))
 
     def test_sample_of_another_node_refused(self):
-        sample = PairSample(_halfspace_proj(seed=4), SampleBudget(count=10))
-        other = _halfspace_proj(seed=5)
+        # an equal tree that is another object never judges the memoised
+        # probe of the first: each checker applies its own node
+        node = CountingComposition([_halfspace_proj(seed=4)])
+        budget = SampleBudget(count=10)
         for check in (
-            lambda: check_sqne(other, 1.0, np.zeros(3), sample=sample),
-            lambda: check_fne(other, 1.0, sample=sample),
-            lambda: check_nonexpansive(other, sample=sample),
+            lambda n: check_sqne(n, 1.0, np.zeros(3), budget),
+            lambda n: check_fne(n, 1.0, budget),
+            lambda n: check_nonexpansive(n, budget),
         ):
-            with pytest.raises(ValueError, match="another node"):
-                check()
+            check(node)
+            other = CountingComposition([_halfspace_proj(seed=4)])
+            rep = check(other)
+            assert (10,) in other.applied
+            _probe.cache_clear()
+            _assert_same_report(rep, check(other))
+        assert node.applied.count((10,)) == 3
+
+    def test_another_seed_draws_anew(self):
+        node = CountingComposition([_halfspace_proj(seed=5)])
+        ones = np.ones(3).tobytes()
+        xs, _ = _probe(node, SampleBudget(count=10), ones)
+        ys, ty = _probe(node, SampleBudget(count=10, seed=1), ones)
+        assert node.applied == [(10,)] * 2
+        assert not np.array_equal(xs, ys)
+        assert not ys.flags.writeable and not ty.flags.writeable
