@@ -84,6 +84,7 @@ def _refuse(errors, path, msg):
 
 # ``type(v) in _NUMBERS`` answers JSON numbers without the slower ABC checks
 _NUMBERS = (int, float)
+_MAX = sys.float_info.max
 
 
 def _int(v, path, errors):
@@ -91,7 +92,7 @@ def _int(v, path, errors):
         return int(v)
     if type(v) is int or isinstance(v, Integral) and not isinstance(v, bool):
         # like _real: a count beyond the float range overflows wherever it meets a float
-        if abs(v) <= sys.float_info.max:
+        if abs(v) <= _MAX:
             return int(v)
         return _refuse(errors, path, "need an integer within the float range")
     return _refuse(errors, path, f"need an integer, got {v!r}")
@@ -100,7 +101,7 @@ def _int(v, path, errors):
 def _real(v, path, errors):
     # NaN and the infinities fail the comparison
     if type(v) in _NUMBERS or isinstance(v, Real) and not isinstance(v, bool):
-        if abs(v) <= sys.float_info.max:
+        if abs(v) <= _MAX:
             return float(v)
     return _refuse(errors, path, f"need a number, got {v!r}")
 
@@ -186,6 +187,12 @@ def _read(kind, v, path, errors, lo=None):
         if not isinstance(kind, list):
             v = _record(v, kind, path, errors)
         elif isinstance(v, list):
+            if kind[0] is _real and lo is None:
+                # a list of plain finite numbers reads in one pass, with no path per entry;
+                # any other entry sends the list through _real, which names it by path
+                out = [float(x) if type(x) in _NUMBERS and abs(x) <= _MAX else None for x in v]
+                if None not in out:
+                    return out
             v = [_read(kind[0], x, f"{path}[{i}]", errors, lo) for i, x in enumerate(v)]
         else:
             _refuse(errors, path, "not a list")

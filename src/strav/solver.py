@@ -27,6 +27,16 @@ dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
 leaves out ``k`` and keeps ``eps``, so an invalid plan never meets a tree
 built for a valid one.  A power-of-two run of 20,000 updates builds 15
 trees instead of 20,001.
+
+An update at a fixed point does no vector arithmetic.  When T_k hands u^k
+back as the same array (an inactive halfspace or hyperplane, a relaxation
+with alpha 1, a composition of such nodes), the residual is 0 and
+x^{k+1} = u^k + lambda_k * 0.0, which turns a -0.0 coordinate into +0.0
+just as the general formula does (u^k itself at lambda_k = 1); if also
+u^k = x^k, the step is 0 and the witness distance carries over.  A moving
+update forms T_k(u^k) - u^k once and reads its step and witness distance
+from one row-wise norm of x^{k+1} against the rows [x^k; z].  Both paths
+give the general formula's bits.
 """
 
 from __future__ import annotations
@@ -334,6 +344,7 @@ def _drive(
 
     trees = {}
     dz = float(norm(x - z))
+    xz = np.stack([x, z])  # row 0 tracks x^k: one row-wise norm of x^{k+1} - xz gives step and dz
     pending = None
     reason = None
     k = 0
@@ -351,9 +362,18 @@ def _drive(
                 p = b * v
                 u, mag = x + p, float(norm(p))
         tu = T.apply(u)
-        res = float(norm(tu - u))
-        # a finite residual implies a finite tu; it may overflow while tu stays finite
-        if not math.isfinite(res) and not np.all(np.isfinite(tu)):
+        fixed = tu is u  # T_k fixes u exactly: the update is a zero step
+        if fixed:
+            # the scalar r keeps the bits of u - u below; norm(u - u) would be NaN exactly at
+            # a non-finite u, which a finite dz rules out for u = x
+            r = res = 0.0
+            finite = u is x and math.isfinite(dz) or np.all(np.isfinite(u))
+        else:
+            r = tu - u
+            res = float(norm(r))
+            # a finite residual implies a finite tu; it may overflow while tu stays finite
+            finite = math.isfinite(res) or np.all(np.isfinite(tu))
+        if not finite:
             raise ValueError(f"numerical-divergence: non-finite iterate at k={k}")
         if k % record_stride == 0:
             kept.frombytes(x.tobytes())
@@ -371,9 +391,14 @@ def _drive(
         st = sl = 0.0
         if reason is None:
             lam = relax.lam(k)
-            x_next = tu if lam == 1.0 else u + lam * (tu - u)
-            st = float(norm(x_next - x))
-            dz_next = float(norm(x_next - z))
+            x_next = tu if lam == 1.0 else u + lam * r
+            if fixed and u is x:
+                # x_next differs from x at most in the sign of a zero, which no square sees,
+                # so xz[0] may keep x
+                st, dz_next = 0.0, dz
+            else:
+                st, dz_next = norm(x_next - xz).tolist()
+                xz[0] = x_next
             sl = dz**2 - dz_next**2 - c_fejer * st**2
 
         rows.extend((res, st, dz, sl))

@@ -629,3 +629,38 @@ def test_inner_step_count_above_the_ceiling_located():
         parse_config(doc)
     assert [p for p, _ in info.value.errors] == ["superiorization"]
     assert "inner step count" in info.value.errors[0][1]
+
+
+class TestLongNumberLists:
+    """A list of plain finite numbers reads in one pass; any other entry is named by path."""
+
+    DIM = 2000
+
+    def _text(self, a):
+        doc = minimal_doc(ambient_dim=self.DIM, start=[1.0] * self.DIM)
+        doc["family"] = {
+            "witness": [0.0] * self.DIM,
+            "sets": [{"kind": "halfspace", "a": a, "b": 0.0}],
+        }
+        doc["schedule"] = {"variant": "cyclic", "indices": [0]}
+        return json.dumps(doc)
+
+    def _normal(self):
+        return np.random.default_rng(3).standard_normal(self.DIM).tolist()
+
+    @pytest.mark.parametrize("entry", ["true", '"x"', "NaN", "Infinity", "1e400", "1" + "0" * 400])
+    def test_bad_entry_located_with_the_per_entry_message(self, entry):
+        a = self._normal()
+        a[1234] = "@entry@"
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._text(a).replace('"@entry@"', entry))
+        value = json.loads(entry)
+        assert info.value.errors == [("family.sets[0].a[1234]", f"need a number, got {value!r}")]
+
+    def test_valid_long_list_reads_its_floats(self):
+        a = self._normal()
+        a[:4] = [1, -2, 0, 10**100]
+        got = parse_config(self._text(a)).family.operator(0).set.a
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([float(x) for x in a]).tobytes()
+        assert got[:4].tolist() == [1.0, -2.0, 0.0, 1e100]

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import strav.solver
+import strav.superiorize
 from strav.config import parse_config
 from strav.control import (
     CustomSchedule,
@@ -28,7 +29,7 @@ from strav.control import (
 from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
-from strav.numeric import norm
+from strav.numeric import as_vector, norm
 from strav.operators import Identity
 from strav.sets import Halfspace, OperatorFamily
 from strav.solver import (
@@ -361,6 +362,19 @@ class TestDivergenceGuard:
         assert tr.residual[0] == np.inf
         assert tr.stop_reason == "max_iters"
 
+    def test_non_finite_iterate_handed_back_raises(self):
+        # the overflowing update lands on -inf; the identity then hands that point back
+        class Flip(Identity):
+            def apply(self, x):
+                return -np.asarray(x, dtype=float)
+
+        fam = OperatorFamily(lambda n: Flip() if n == 0 else Identity(), np.zeros(2))
+        sched = CyclicSchedule.over_indices([0, 1])
+        relax = RelaxationSchedule.constant(0.5, 0.25, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="numerical-divergence: non-finite iterate at k=1"):
+                run(fam, sched, relax, np.array([1e308, 1e308]), StopRule(5, None, None))
+
 
 def composition_schedule():
     """Criterion 06/07 geometry: inputs 0..4 composed with one dyadic tail index."""
@@ -680,3 +694,164 @@ def reference_csv(tr):
         row += [repr(float(getattr(tr, name)[k])) for name in optional]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def reference_drive(family, schedule, relax, x0, stop, *, pert=None, objective=None,
+                    monitored=(), record_stride=1):
+    """The driver's generic update loop, spelled out: every update does the vector arithmetic.
+
+    Each update builds its tree afresh and always computes ``T_k(u) - u``,
+    ``u + lambda (T_k(u) - u)`` and both norms, whether or not T_k fixes u.
+    """
+    x = as_vector(x0, family.dim)
+    z = family.witness
+    monitored = tuple(int(n) for n in monitored)
+    rows, kept, directions = [], [], []
+    dz = float(norm(x - z))
+    pending = reason = None
+    k = 0
+    while True:
+        T = output_operator(schedule.plan_at(k), family)
+        u, mag = x, 0.0
+        if pert is not None:
+            b, v = pert(k, x)
+            directions.append(np.array(v, dtype=float))
+            if b != 0.0:
+                p = b * v
+                u, mag = x + p, float(norm(p))
+        tu = T.apply(u)
+        res = float(norm(tu - u))
+        if k % record_stride == 0:
+            kept.append(x)
+        if pending is not None:
+            reason = pending
+        elif (
+            stop.residual_tol is not None
+            and res <= stop.residual_tol
+            and (u is x or float(norm(T.apply(x) - x)) <= stop.residual_tol)
+        ):
+            reason = "residual"
+        elif k >= stop.max_iters:
+            reason = "max_iters"
+        st = sl = 0.0
+        if reason is None:
+            lam = relax.lam(k)
+            x_next = tu if lam == 1.0 else u + lam * (tu - u)
+            st = float(norm(x_next - x))
+            dz_next = float(norm(x_next - z))
+            sl = dz**2 - dz_next**2 - relax.fejer_constant * st**2
+        row = [res, st, dz, sl]
+        row += family.distances(monitored, x).tolist() if monitored else []
+        row += [float(objective.value(x))] if objective is not None else []
+        row += [mag, b] if pert is not None else []
+        rows.append(row)
+        if reason is not None:
+            break
+        x, dz = x_next, dz_next
+        k += 1
+        if stop.step_tol is not None and st <= stop.step_tol:
+            pending = "step"
+    if k % record_stride:
+        kept.append(x)
+    table = np.array(rows, dtype=float)
+    m = len(monitored)
+    return Trace(
+        n_updates=k, stop_reason=reason, residual=table[:, 0], step=table[:, 1],
+        dist_witness=table[:, 2], fejer_slack=table[:, 3], set_distances=table[:, 4 : 4 + m],
+        monitored=monitored, phi=table[:, 4 + m] if objective is not None else None,
+        pert_mag=table[:, -2] if pert is not None else None,
+        pert_betas=table[:, -1] if pert is not None else None,
+        pert_vectors=np.array(directions).reshape(-1, x.size) if pert is not None else None,
+        xs=np.array(kept), xs_k=np.append(np.arange(0, k, record_stride), k), witness=z.copy(),
+        fejer_constant=relax.fejer_constant, eps=relax.eps, rho=relax.rho,
+        record_stride=record_stride, family=family,
+    )
+
+
+class TestDriverParity:
+    """The driver's traces equal the generic loop's byte for byte.
+
+    An update at a fixed point (T_k hands u back) skips the zero step's
+    vector arithmetic, and a moving update reads its step and witness
+    distance from one row-wise norm; neither may change a bit of any column.
+    """
+
+    COLUMNS = ("residual", "step", "dist_witness", "fejer_slack", "set_distances", "phi",
+               "pert_mag", "pert_betas", "pert_vectors", "xs", "xs_k")
+
+    def _assert_parity(self, monkeypatch, module, driver, *args, **kw):
+        tr = driver(*args, **kw)
+        monkeypatch.setattr(module, "_drive", reference_drive)
+        ref = driver(*args, **kw)
+        assert (tr.n_updates, tr.stop_reason) == (ref.n_updates, ref.stop_reason)
+        for name in self.COLUMNS:
+            got, want = getattr(tr, name), getattr(ref, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert got.shape == want.shape, name
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+        return tr
+
+    @staticmethod
+    def _power_of_two(lam=None):
+        sched = PowerOfTwoSchedule(eps=0.1)
+        if lam is None:
+            return sched, RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        return sched, RelaxationSchedule.constant(lam, 0.25, 1.0)
+
+    def test_power_of_two_run_mostly_at_fixed_points(self, monkeypatch):
+        sched, relax = self._power_of_two()
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, axis_halfspace_family(5), sched, relax,
+            np.array([3.0, 4.5, 3.25, 4.0, 3.5]), StopRule(600, None, None),
+            monitored=range(3), record_stride=7,
+        )
+        assert np.count_nonzero(tr.residual == 0.0) > 300  # 417 of 601
+
+    @pytest.mark.parametrize("lam, signbit", [(0.7, False), (1.0, True)])
+    def test_feasible_start_with_a_negative_zero(self, monkeypatch, lam, signbit):
+        sched, relax = self._power_of_two(lam)
+        x0 = np.array([-0.0, -1.0, 0.5, -0.0, 0.25])
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, axis_halfspace_family(5), sched, relax, x0,
+            StopRule(40, None, None),
+        )
+        assert not tr.residual.any() and not tr.step.any()
+        # u + lam * (u - u) turns -0.0 into +0.0; lambda 1 hands u itself on
+        assert np.signbit(tr.xs[0, 0]) and np.signbit(tr.xs[-1, 0]) == signbit
+
+    def test_perturbed_run_whose_points_land_inside(self, monkeypatch):
+        sched, relax = self._power_of_two()
+        v = np.array([1.0, -2.0, 0.5, 1.0, -1.0]) / np.sqrt(7.25)
+        pert = PerturbationSchedule.power(0.2, 2.0, constant_direction(v))
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run_perturbed, axis_halfspace_family(5), sched, relax,
+            pert, np.array([2.5, -1.0, 0.5, -0.0, 0.25]), StopRule(300, None, None),
+            monitored=range(5),
+        )
+        inside = (tr.residual == 0.0) & (tr.pert_mag > 0.0)
+        assert inside.sum() > 100 and (tr.residual > 0.0).any()
+
+    def test_superiorized_run(self, monkeypatch):
+        sched, relax = self._power_of_two()
+        oracle = linear_objective(np.array([1.0, 1.0, -1.0, 0.5, 0.0]))
+        self._assert_parity(
+            monkeypatch, strav.superiorize, run_superiorized, axis_halfspace_family(5), sched,
+            relax, oracle, BetaGrid.geometric(0.5, M=2), np.array([3.0, 2.0, 4.0, 1.0, 2.5]),
+            StopRule(300, 1e-10, None), monitored=range(5), record_stride=3,
+        )
+
+    def test_fixed_point_updates_take_no_norm(self, monkeypatch):
+        calls = []
+
+        def counting_norm(x):
+            calls.append(1)
+            return norm(x)
+
+        monkeypatch.setattr(strav.solver, "norm", counting_norm)
+        sched, relax = self._power_of_two()
+        tr = run(axis_halfspace_family(5), sched, relax, np.full(5, -1.0),
+                 StopRule(200, None, None))
+        assert tr.n_updates == 200
+        assert len(calls) == 1  # the initial distance to the witness
