@@ -46,7 +46,12 @@ on seeded points and report the worst violation found.  All three judge one
 probe: ``count`` seeded points around the anchor and their images, drawn
 and applied once and memoised, so checks of one node with one budget and
 center share the draw.  :func:`check_sqne` judges the points; the two-point
-checkers judge the ``count`` pairs ``(x_i, x_{(i+1) mod count})``.  Every
+checkers judge the ``count`` pairs ``(x_i, x_{(i+1) mod count})``.  With
+``d = x - z``, ``f = T(x) - x``, ``h = x - y``, ``g = T(x) - T(y)`` and
+``r = h - g``, a sample's violation is a row-wise inner product:
+``<f, (1+rho) f + 2d>`` at scale ``<d, d>`` (one point), ``<r, rho r - g - h>``
+at scale ``<h, h>`` (two points), or ``sqrt<g, g> - sqrt<h, h>``.  These
+factored forms cancel no two rounded squares of size ``radius^2``.  Every
 inequality audit, these checkers and :func:`strav.solver.check_fejer` on a
 trace, returns a :class:`CheckReport` judged by one rule.
 """
@@ -81,26 +86,19 @@ def _relaxed_constant(rho, alpha):
     # identity, and the rule is only valid up to alpha = 1 + rho.
     if alpha == 0.0:
         return math.inf
-    if rho is None:
+    if rho is None or alpha > 1.0 + rho:
         return None
-    if alpha <= 1.0 + rho:
-        return (1.0 + rho - alpha) / alpha
-    return None
+    return (1.0 + rho - alpha) / alpha
 
 
 def _best(*values):
-    known = [v for v in values if v is not None]
-    return max(known) if known else None
+    return max((v for v in values if v is not None), default=None)
 
 
 def _min_over(values):
     # None propagates: a single unknown child voids the guarantee.
-    out = math.inf
-    for v in values:
-        if v is None:
-            return None
-        out = min(out, v)
-    return out
+    values = list(values)
+    return None if None in values else min(values, default=math.inf)
 
 
 def _combined_constants(children):
@@ -294,10 +292,10 @@ class SampleBudget:
     radius: float = 2.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("sample count must be positive")
-        if self.radius <= 0.0:
-            raise ValueError("sampling radius must be positive")
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValueError(f"sample count must be a positive integer, got {self.count!r}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"sampling radius must be finite and positive, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ class CheckReport:
 def _ball_samples(rng, center, radius, count):
     d = center.shape[0]
     g = rng.standard_normal((count, d))
-    lengths = np.linalg.norm(g, axis=1)
+    lengths = norm(g)
     lengths[lengths == 0.0] = 1.0
     radii = radius * rng.random(count) ** (1.0 / d)
     return center + (g / lengths[:, None]) * radii[:, None]
@@ -340,8 +338,13 @@ def _probe(node, budget, center):
     return xs, tx
 
 
+def _dot(a, b):
+    # row-wise inner products of two (count, d) arrays
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _pairs(node, budget, center):
-    # the probe's points paired with their successors, wrapping around
+    # the probe's points x, their successors y (wrapping around), x - y, T(x) - T(y)
     if budget.count < 2:
         raise ValueError("a pair check needs a sample count of at least 2")
     if center is not None:
@@ -351,7 +354,8 @@ def _pairs(node, budget, center):
     else:
         center = np.zeros(node.dim)
     xs, tx = _probe(node, budget, center.tobytes())
-    return xs, np.roll(xs, -1, axis=0), tx, np.roll(tx, -1, axis=0)
+    ys = np.concatenate((xs[1:], xs[:1]))
+    return xs, ys, xs - ys, tx - np.concatenate((tx[1:], tx[:1]))
 
 
 def _report(name, viol, scale, points):
@@ -382,22 +386,20 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     if not _within(rz, float(norm(z))):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx = _probe(node, budget, z.tobytes())
-    dxz = norm(xs - z) ** 2
-    viol = norm(tx - z) ** 2 - dxz + float(rho) * norm(tx - xs) ** 2
-    return _report(f"sqne(rho={rho})", viol, dxz, (xs,))
+    d, f = xs - z, tx - xs
+    viol = _dot(f, (1.0 + float(rho)) * f + 2.0 * d)
+    return _report(f"sqne(rho={rho})", viol, _dot(d, d), (xs,))
 
 
 def check_fne(node, rho, budget=SampleBudget(), center=None):
     """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
-    xs, ys, tx, ty = _pairs(node, budget, center)
-    dxy = norm(xs - ys) ** 2
-    viol = norm(tx - ty) ** 2 - dxy + float(rho) * norm((xs - tx) - (ys - ty)) ** 2
-    return _report(f"fne(rho={rho})", viol, dxy, (xs, ys))
+    xs, ys, h, g = _pairs(node, budget, center)
+    r = h - g
+    return _report(f"fne(rho={rho})", _dot(r, float(rho) * r - g - h), _dot(h, h), (xs, ys))
 
 
 def check_nonexpansive(node, budget=SampleBudget(), center=None):
     """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``."""
-    xs, ys, tx, ty = _pairs(node, budget, center)
-    dxy = norm(xs - ys)
-    viol = norm(tx - ty) - dxy
-    return _report("nonexpansive", viol, dxy, (xs, ys))
+    xs, ys, h, g = _pairs(node, budget, center)
+    dxy = np.sqrt(_dot(h, h))
+    return _report("nonexpansive", np.sqrt(_dot(g, g)) - dxy, dxy, (xs, ys))

@@ -19,7 +19,7 @@ from strav.operators import (
     Primitive,
     Relaxation,
     SampleBudget,
-    _ball_samples,
+    _pairs,
     _probe,
     _report,
     check_fne,
@@ -286,6 +286,21 @@ class TestSamplingCheckers:
         with pytest.raises(ValueError):
             SampleBudget(radius=-1.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    def test_budget_refuses_a_radius_not_finite_and_positive(self, radius):
+        # a NaN or infinite ball would fail the SQNE check of an exact projection
+        with pytest.raises(ValueError, match="finite and positive"):
+            SampleBudget(radius=radius)
+
+    @pytest.mark.parametrize("count", [2.5, True, False, 3.0, "3"])
+    def test_budget_refuses_a_count_not_an_integer(self, count):
+        with pytest.raises(ValueError, match="positive integer"):
+            SampleBudget(count=count)
+
+    def test_budget_takes_a_numpy_integer_count(self):
+        rep = check_sqne(_halfspace_proj(seed=30), 1.0, np.zeros(3), SampleBudget(count=np.int64(7)))
+        assert rep.passed and rep.samples == 7
+
     def test_report_counts_samples(self):
         p = _halfspace_proj(seed=30)
         rep = check_sqne(p, 1.0, np.zeros(3), SampleBudget(count=123, seed=2))
@@ -330,11 +345,20 @@ class TestCheckerScale:
 
     def test_corpus_raises_no_false_alarm_at_large_radius(self):
         family = random_halfspace_family(5, 8, seed=7)
-        for plan in random_plan_corpus(50, 3):
-            T = output_operator(plan, family)
-            budget = SampleBudget(count=200, seed=plan.k, radius=1e4)
-            rep = check_sqne(T, sqne_bound(plan), family.witness, budget)
-            assert rep.passed, f"plan {plan.k}: {rep}"
+        gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
+        relaxed = random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n])
+        for radius in (1e4, 1e6):
+            for plan in random_plan_corpus(50, 3):
+                T = output_operator(plan, family)
+                budget = SampleBudget(count=200, seed=plan.k, radius=radius)
+                rep = check_sqne(T, sqne_bound(plan), family.witness, budget)
+                assert rep.passed, f"plan {plan.k}: {rep}"
+            # the criterion 04 corpus at its two-point bound
+            for plan in random_plan_corpus(50, seed=13, n_inputs=8, c0_alpha_one=True):
+                T = output_operator(plan, relaxed)
+                budget = SampleBudget(count=200, seed=plan.k, radius=radius)
+                rep = check_fne(T, fne_bound(plan), budget, center=relaxed.witness)
+                assert rep.passed, f"plan {plan.k}: {rep}"
 
 
 class Overshoot(Halfspace):
@@ -358,10 +382,15 @@ class CountingComposition(Composition):
 
 
 def _pairs_reference(node, budget, center):
-    # the count pairs (x_i, x_{i+1 mod count}) as check_fne and
-    # check_nonexpansive form them, each half applied on its own
-    rng = np.random.default_rng(budget.seed)
-    xs = _ball_samples(rng, as_vector(center), budget.radius, budget.count)
+    # the seeded draw around center and the count pairs (x_i, x_{i+1 mod
+    # count}) as check_fne and check_nonexpansive form them, each half
+    # applied on its own
+    center, rng = as_vector(center), np.random.default_rng(budget.seed)
+    g = rng.standard_normal((budget.count, center.size))
+    lengths = np.linalg.norm(g, axis=1)
+    lengths[lengths == 0.0] = 1.0
+    radii = budget.radius * rng.random(budget.count) ** (1.0 / center.size)
+    xs = center + (g / lengths[:, None]) * radii[:, None]
     ys = np.roll(xs, -1, axis=0)
     return xs, ys, node.apply(xs), node.apply(ys)
 
@@ -387,18 +416,33 @@ class TestPairSample:
             gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
             family = random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n])
             plans = random_plan_corpus(60, seed=13, n_inputs=8, c0_alpha_one=True)
+        z = family.witness
         for plan in plans:
             T = output_operator(plan, family)
             budget = SampleBudget(count=200, seed=plan.k)
-            xs, ys, tx, ty = _pairs_reference(T, budget, family.witness)
+            xs, ys, tx, ty = _pairs_reference(T, budget, z)
+            # the probe is the reference draw, and the partners are its roll
+            px, py, h, g = _pairs(T, budget, z)
+            assert px.tobytes() == xs.tobytes()
+            assert py.tobytes() == np.roll(px, -1, axis=0).tobytes()
+            assert h.tobytes() == (xs - ys).tobytes()
+            assert g.tobytes() == (tx - ty).tobytes()
+            if corpus == "criterion 03":
+                rho = sqne_bound(plan)
+                dxz = norm(xs - z) ** 2
+                viol = norm(tx - z) ** 2 - dxz + rho * norm(tx - xs) ** 2
+                rep = check_sqne(T, rho, z, budget)
+                assert rep.passed == bool(_within(viol, dxz).all())
+                assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
+                assert rep.passed
             dxy = norm(xs - ys)
-            rep = check_nonexpansive(T, budget, center=family.witness)
+            rep = check_nonexpansive(T, budget, center=z)
             assert rep.passed == bool(_within(norm(tx - ty) - dxy, dxy).all())
             assert rep.max_violation == pytest.approx(float((norm(tx - ty) - dxy).max()), abs=1e-12)
             if corpus == "criterion 04":
                 rho = fne_bound(plan)
                 viol = norm(tx - ty) ** 2 - dxy**2 + rho * norm((xs - tx) - (ys - ty)) ** 2
-                rep = check_fne(T, rho, budget, center=family.witness)
+                rep = check_fne(T, rho, budget, center=z)
                 assert rep.passed == bool(_within(viol, dxy**2).all())
                 assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
                 assert rep.passed
