@@ -21,7 +21,7 @@ def main():
 
     stage = StringStage([(0, 1, 2), (3,), (4, 0)], [0.5, 0.3, 0.2], k=0)
     plan = gdsa_to_gmsa(stage)
-    print(f"stage with strings {[s.indices for s in stage.strings]}")
+    print(f"stage with strings {list(stage.strings)}")
     print(f"rewritten plan: N = {plan.N}, floor eps = {plan.eps}")
 
     x = rng.uniform(-2.0, 2.0, size=(6, 4))

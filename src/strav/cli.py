@@ -274,9 +274,8 @@ def cmd_verify(cfg, args):
     indices = args.indices or list(cfg.monitored)
     if not indices:
         raise ValueError("no indices to audit; pass --indices or set monitored_indices")
-    report = verify_admissible(cfg.schedule, args.horizon, indices)
-    _emit("coverage", report)
-    all_passed = report.passed
+    reports = [verify_admissible(cfg.schedule, args.horizon, indices)]
+    _emit("coverage", reports[0])
 
     budget = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed)
     probed = set()  # one probe per plan structure, labelled by its first k
@@ -290,21 +289,19 @@ def cmd_verify(cfg, args):
             bound, skipped = fne_bound(plan), None
         except ValueError as exc:
             bound, skipped = None, f"skipped ({exc})"
-        rep = check_sqne(T, sqne_bound(plan), cfg.family.witness, budget)
-        all_passed = all_passed and rep.passed
-        _emit(f"plan {k} sqne", rep)
+        reports.append(check_sqne(T, sqne_bound(plan), cfg.family.witness, budget))
+        _emit(f"plan {k} sqne", reports[-1])
         if skipped:
             _emit(f"plan {k} fne", skipped)
         else:
-            rep = check_fne(T, bound, budget, center=cfg.family.witness)
-            all_passed = all_passed and rep.passed
-            _emit(f"plan {k} fne", rep)
+            reports.append(check_fne(T, bound, budget, center=cfg.family.witness))
+            _emit(f"plan {k} fne", reports[-1])
         if T.is_nonexpansive:
-            rep = check_nonexpansive(T, budget, center=cfg.family.witness)
-            all_passed = all_passed and rep.passed
-            _emit(f"plan {k} nonexpansive", rep)
-    _emit("verdict", "pass" if all_passed else "FAIL")
-    return 0 if all_passed else 1
+            reports.append(check_nonexpansive(T, budget, center=cfg.family.witness))
+            _emit(f"plan {k} nonexpansive", reports[-1])
+    passed = all(r.passed for r in reports)
+    _emit("verdict", "pass" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def main(argv=None):

@@ -356,13 +356,10 @@ def plan_from_record(rec, path, errors):
         return None
     keys = [i + 1 if s["n"] is None else s["n"] for i, s in enumerate(v["steps"])]
     plan = IterationPlan(k=v["k"], N=v["N"], eps=v["eps"], steps=dict(zip(keys, steps)))
-    verdict = plan.validate()
-    if not verdict.ok:
-        for n, msg in verdict.issues:
-            where = path if n == 0 else f"{path}.steps (n={n})"
-            errors.append((where, msg))
-        return None
-    return plan
+    issues = plan.validate()
+    for n, msg in issues:
+        errors.append((path if n == 0 else f"{path}.steps (n={n})", msg))
+    return None if issues else plan
 
 
 # -- section builders: each takes its section as read, None once reported --

@@ -4,15 +4,18 @@ A schedule maps k to an :class:`~strav.gmsa.IterationPlan` and declares,
 per input index n, a window bound M_n: every M_n consecutive iterations
 must touch index n.  ``verify_admissible`` checks that promise exhaustively
 over a finite horizon; it refuses to guess bounds that were not declared.
+Each audited index n is one sample of a ``CheckReport``: with ``g_n`` the
+longest run of consecutive k in 0..horizon whose plans all miss n, its
+excess ``g_n - M_n + 1`` is judged at scale 0, and is positive exactly when
+some full window (start i with ``i + M_n - 1 <= horizon``) misses n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gmsa import IterationPlan, StepSpec, rho_uniform
+from .operators import _report
 
 __all__ = [
     "f_value",
@@ -22,7 +25,6 @@ __all__ = [
     "PowerOfTwoSchedule",
     "CustomSchedule",
     "uniform_modulus",
-    "AdmissibilityReport",
     "verify_admissible",
 ]
 
@@ -190,64 +192,42 @@ def uniform_modulus(schedule, eps):
     return rho_uniform(K, M, eps)
 
 
-@dataclass
-class AdmissibilityReport:
-    """Outcome of a finite-horizon window audit."""
-
-    passed: bool
-    horizon: int
-    windows: dict  # {n: M_n actually used}
-    violations: list  # [(n, window start i)], first per index
-
-    @property
-    def first_violation(self):
-        return self.violations[0] if self.violations else None
-
-    def __str__(self):
-        if self.passed:
-            return f"admissible up to horizon {self.horizon} (exhaustive)"
-        n, i = self.first_violation
-        return f"index {n} missed by the window starting at {i} (horizon {self.horizon})"
-
-
-def _window_audit(hit_sets, indices, bound_of, horizon):
-    # membership is tested once per distinct set; a plan a schedule hands
-    # out again keeps its set, so coding the sets is one lookup per k
-    distinct = {}
-    codes = np.fromiter(
-        (distinct.setdefault(s, len(distinct)) for s in hit_sets),
-        dtype=np.intp, count=len(hit_sets),
-    )
-    windows, violations = {}, []
-    for n in sorted(int(n) for n in indices):
-        M = bound_of(n)
-        if M is None:
-            raise ValueError(f"window bound for index {n} not declared; refusing to guess")
-        M = int(M)
-        if M < 1 or M - 1 > horizon:
-            raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
-        windows[n] = M
-        hits = np.fromiter((n in s for s in distinct), dtype=np.int64, count=len(distinct))[codes]
-        cum = np.concatenate(([0], np.cumsum(hits)))
-        counts = cum[M:] - cum[: len(hit_sets) - M + 1]  # one entry per window start
-        miss = np.flatnonzero(counts == 0)
-        if miss.size:
-            violations.append((n, int(miss[0])))
-    return AdmissibilityReport(not violations, horizon, windows, violations)
-
-
 def verify_admissible(schedule, horizon, indices):
     """Exhaustively audit every full window of every requested index.
 
-    For each n in ``indices`` and each window start i with
-    ``i + M_n - 1 <= horizon``, the union of the plans' output index sets
-    over the window must contain n.  The plan of every k = 0..horizon is
-    looked up; a plan the schedule hands out for several k is validated
-    once.
+    Returns a :class:`~strav.operators.CheckReport` named
+    ``windows(horizon=H)``, one sample per index as the module docstring
+    says; a failing report's ``worst`` is ``(n, i)``, the index that
+    exceeds most and the first k of its longest miss run.  Every bound is
+    checked before any plan is looked up; then the plan of every
+    k = 0..horizon is looked up, and a plan handed out for several k is
+    validated once.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
-    hit_sets = [schedule.plan_at(k).output_indices() for k in range(horizon + 1)]
-    return _window_audit(hit_sets, indices, schedule.window_bound, horizon)
-
+    ns = sorted(int(n) for n in indices)
+    bounds = [schedule.window_bound(n) for n in ns]
+    for n, M in zip(ns, bounds):
+        if M is None:
+            raise ValueError(f"window bound for index {n} not declared; refusing to guess")
+        if not 1 <= int(M) <= horizon + 1:
+            raise ValueError(f"window {int(M)} for index {n} does not fit horizon {horizon}")
+    # membership is tested once per distinct set; a plan a schedule hands
+    # out again keeps its set, so coding the sets is one lookup per k
+    distinct = {}
+    codes = np.fromiter(
+        (distinct.setdefault(schedule.plan_at(k).output_indices(), len(distinct))
+         for k in range(horizon + 1)),
+        dtype=np.intp, count=horizon + 1,
+    )
+    viol, starts = [], []  # per index: g_n - M_n + 1, start of its first longest miss run
+    for n, M in zip(ns, bounds):
+        hit = np.fromiter((n in s for s in distinct), dtype=bool, count=len(distinct))[codes]
+        # the touches fenced by -1 and horizon + 1: the gaps between them are the miss runs
+        fence = np.concatenate(([-1], np.flatnonzero(hit), [horizon + 1]))
+        gaps = np.diff(fence) - 1
+        i = int(np.argmax(gaps))
+        viol.append(float(gaps[i] - int(M) + 1))
+        starts.append(fence[i] + 1)
+    return _report(f"windows(horizon={horizon})", np.array(viol), 0.0, (np.array(ns), np.array(starts)))

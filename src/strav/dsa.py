@@ -11,8 +11,6 @@ conditions hold over all indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .control import CustomSchedule, CyclicSchedule, f_value
@@ -22,7 +20,6 @@ from .operators import Identity
 from .sets import OperatorFamily
 
 __all__ = [
-    "StringSpec",
     "StringStage",
     "direct_eval",
     "gdsa_to_gmsa",
@@ -31,33 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StringSpec:
-    """One index string; ``indices[0]`` is applied first."""
-
-    indices: tuple
-
-    def __init__(self, indices):
-        idx = tuple(int(i) for i in indices)
-        if not idx:
-            raise ValueError("strings must be nonempty")
-        if any(i < 0 for i in idx):
-            raise ValueError("string indices are input-operator indices, >= 0")
-        object.__setattr__(self, "indices", idx)
-
-
 class StringStage:
     """Weighted set of strings used at one iteration.
 
-    Weights are positive and sum to 1; with an explicit ``eps`` in (0, 1]
-    they must additionally stay >= eps, matching the plan-level floor the
-    stage translates into.
+    ``strings`` holds each string as a tuple of input indices, the first
+    applied first.  Weights are positive and sum to 1; with an explicit
+    ``eps`` in (0, 1] they must additionally stay >= eps, matching the
+    plan-level floor the stage translates into.
     """
 
     def __init__(self, strings, weights, k=0, eps=None):
-        self.strings = tuple(
-            s if isinstance(s, StringSpec) else StringSpec(s) for s in strings
-        )
+        self.strings = tuple(tuple(int(i) for i in s) for s in strings)
+        if not all(self.strings):
+            raise ValueError("strings must be nonempty")
+        if any(i < 0 for s in self.strings for i in s):
+            raise ValueError("string indices are input-operator indices, >= 0")
         self.weights = tuple(float(w) for w in weights)
         self.k = int(k)
         if not self.strings:
@@ -80,7 +65,7 @@ def direct_eval(stage, family, x):
     out = None
     for w, s in zip(stage.weights, stage.strings):
         y = x
-        for i in s.indices:
+        for i in s:
             y = family.operator(i).apply(y)
         out = w * y if out is None else out + w * y
     return out
@@ -96,7 +81,7 @@ def gdsa_to_gmsa(stage):
     steps = {}
     n_strings = len(stage.strings)
     for n, s in enumerate(stage.strings, start=1):
-        order = tuple(-i for i in s.indices)
+        order = tuple(-i for i in s)
         steps[n] = StepSpec(2, set(order), order=order)
     steps[n_strings + 1] = StepSpec(
         1, range(1, n_strings + 1), weights=dict(zip(range(1, n_strings + 1), stage.weights))

@@ -31,7 +31,7 @@ inferred, because leaves may be black boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numeric import _SLACK, _within
 from .operators import Composition, ConvexComb, Relaxation
@@ -40,7 +40,6 @@ __all__ = [
     "InputAssumptions",
     "StepSpec",
     "IterationPlan",
-    "PlanValidation",
     "output_operator",
     "sqne_bound",
     "fne_bound",
@@ -102,25 +101,12 @@ class StepSpec:
         return f"<StepSpec c={self.c} J={self.J} {extras.get(self.c, '')}>"
 
 
-@dataclass
-class PlanValidation:
-    """Validation verdict: ``ok`` plus per-step issue messages."""
-
-    ok: bool
-    issues: list = field(default_factory=list)
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "; ".join(f"step {n}: {msg}" for n, msg in self.issues)
-
-
 class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
     Everything derived from the plan depends on its structure only (``N``,
     ``eps``, ``assume`` and the step contents), never on ``k``, and is
-    computed once per plan: the validation verdict, the index sets and
+    computed once per plan: the validation issues, the index sets and
     :meth:`structure_key`.  A schedule hands out the plans it stores, so
     one plan serves every iteration that runs it.
 
@@ -173,15 +159,16 @@ class IterationPlan:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Structural validation; returns a :class:`PlanValidation`, raises nothing."""
+        """Structural validation: a tuple of ``(step, message)`` issues, empty
+        when the plan is valid (step 0 is the plan as a whole).  Raises nothing."""
         if self._validation is None:
             self._validation = _validate(self)
         return self._validation
 
     def require_valid(self):
-        v = self.validate()
-        if not v.ok:
-            raise ValueError(f"invalid-plan: {v}")
+        issues = self.validate()
+        if issues:
+            raise ValueError("invalid-plan: " + "; ".join(f"step {n}: {m}" for n, m in issues))
 
     # -- recursion ----------------------------------------------------------
 
@@ -225,7 +212,7 @@ def _validate(plan):
     # the count first: a huge N is refused without building its key set
     if len(plan.steps) != max(plan.N, 0) or set(plan.steps) != set(range(1, plan.N + 1)):
         issues.append((0, f"steps must be keyed 1..{plan.N}, got {sorted(plan.steps)}"))
-        return PlanValidation(False, issues)
+        return tuple(issues)
     for n in range(1, plan.N + 1):
         s = plan.steps[n]
         if not isinstance(s, StepSpec):
@@ -267,7 +254,7 @@ def _validate(plan):
                 issues.append((n, "kind-2 steps carry neither alpha nor weights"))
         else:
             issues.append((n, f"unknown step kind {s.c}"))
-    return PlanValidation(not issues, issues)
+    return tuple(issues)
 
 
 def output_operator(plan, family):

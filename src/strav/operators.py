@@ -284,7 +284,7 @@ class SampleBudget:
 
     ``radius`` bounds the sampling ball around the anchor point (the
     declared fixed point for the one-point check, a caller-supplied center
-    otherwise).
+    otherwise); at most 1e150, so the judged squares stay finite.
     """
 
     count: int = 500
@@ -294,8 +294,8 @@ class SampleBudget:
     def __post_init__(self):
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise ValueError(f"sample count must be a positive integer, got {self.count!r}")
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"sampling radius must be finite and positive, got {self.radius!r}")
+        if not 0.0 < self.radius <= 1e150:
+            raise ValueError(f"sampling radius must be finite and positive, at most 1e150, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -343,6 +343,12 @@ def _dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
+def _moved(f):
+    # the violation at rho = inf: +inf where the row moves, 0 where the node
+    # fixes it (the finite form would multiply inf by 0 there)
+    return np.where(f.any(axis=1), math.inf, 0.0)
+
+
 def _pairs(node, budget, center):
     # the probe's points x, their successors y (wrapping around), x - y, T(x) - T(y)
     if budget.count < 2:
@@ -387,7 +393,7 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx = _probe(node, budget, z.tobytes())
     d, f = xs - z, tx - xs
-    viol = _dot(f, (1.0 + float(rho)) * f + 2.0 * d)
+    viol = _moved(f) if rho == math.inf else _dot(f, (1.0 + float(rho)) * f + 2.0 * d)
     return _report(f"sqne(rho={rho})", viol, _dot(d, d), (xs,))
 
 
@@ -395,7 +401,8 @@ def check_fne(node, rho, budget=SampleBudget(), center=None):
     """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
     xs, ys, h, g = _pairs(node, budget, center)
     r = h - g
-    return _report(f"fne(rho={rho})", _dot(r, float(rho) * r - g - h), _dot(h, h), (xs, ys))
+    viol = _moved(r) if rho == math.inf else _dot(r, float(rho) * r - g - h)
+    return _report(f"fne(rho={rho})", viol, _dot(h, h), (xs, ys))
 
 
 def check_nonexpansive(node, budget=SampleBudget(), center=None):

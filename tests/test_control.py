@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import strav.gmsa
 from strav.control import (
     CustomSchedule,
     CyclicSchedule,
@@ -139,27 +138,21 @@ class TestPlanMemo:
             assert s.plan_at(k) is s.plans[k % 2]
         assert s.plan_at(6) is template and template.k == 0
 
-    def test_structure_key_ignores_k_only(self):
+    def test_structure_key_ignores_k_only(self, validations):
         p = one_index_plan(0, 3)
         assert one_index_plan(9, 3).structure_key() == p.structure_key()
         assert p.replaced(k=9).structure_key() == p.structure_key()
         for other in (p.replaced(eps=0.5), one_index_plan(0, 4), one_index_plan(0, 3, alpha=0.5)):
             assert other.structure_key() != p.structure_key()
-        assert p.replaced(eps=0.5).validate() is not p.validate()
-        assert not p.replaced(eps=1.5).validate().ok and p.validate().ok
+        assert p.replaced(k=1, eps=0.5).validate() == () and p.validate() == ()
+        assert validations == [1, 0]  # the copy derives its own issues
+        assert p.replaced(eps=1.5).validate() != () and p.validate() == ()
 
-    def test_verify_admissible_validates_each_structure_once(self, monkeypatch):
-        calls = []
-        validate = strav.gmsa._validate
 
-        def spy(plan):
-            calls.append(plan.k)
-            return validate(plan)
-
-        monkeypatch.setattr(strav.gmsa, "_validate", spy)
+    def test_verify_admissible_validates_each_structure_once(self, validations):
         rep = verify_admissible(PowerOfTwoSchedule(), 1000, range(9))
         assert rep.passed
-        assert calls == [2**n - 1 for n in range(10)]
+        assert validations == [2**n - 1 for n in range(10)]
 
 
 class TestUniformModulus:
@@ -174,10 +167,12 @@ class TestUniformModulus:
 
 class TestVerifyAdmissible:
     def test_power_of_two_exhaustive(self):
-        rep = verify_admissible(PowerOfTwoSchedule(), 200, range(5))
+        s = PowerOfTwoSchedule()
+        rep = verify_admissible(s, 200, range(5))
         assert rep.passed
-        assert rep.violations == []
-        assert rep.windows == {n: 2 ** (n + 1) for n in range(5)}
+        assert rep.name == "windows(horizon=200)"
+        assert (rep.samples, rep.max_violation, rep.worst) == (5, 0.0, None)
+        assert [s.window_bound(n) for n in range(5)] == [2 ** (n + 1) for n in range(5)]
 
     def test_detects_missed_window(self):
         # index 1 appears only at k = 0 and k = 4; with a declared window of
@@ -186,13 +181,14 @@ class TestVerifyAdmissible:
         s = ExplicitSchedule(plans, window_bounds={0: 2, 1: 3})
         rep = verify_admissible(s, 5, [0, 1])
         assert not rep.passed
-        assert rep.first_violation == (1, 1)
+        assert rep.worst == (1, 1)
+        assert rep.max_violation == 1.0  # a miss run of 3 against a window of 3
 
     def test_cycle_passes_at_default_bound(self):
         s = CyclicSchedule([one_index_plan(0, 2), one_index_plan(1, 5)])
         rep = verify_admissible(s, 100, [2, 5])
         assert rep.passed
-        assert rep.windows == {2: 2, 5: 2}
+        assert (s.window_bound(2), s.window_bound(5)) == (2, 2)
 
     def test_refuses_undeclared_bound(self):
         s = CustomSchedule(lambda k: one_index_plan(k, 0))
@@ -202,6 +198,20 @@ class TestVerifyAdmissible:
     def test_window_must_fit_horizon(self):
         with pytest.raises(ValueError, match="does not fit"):
             verify_admissible(PowerOfTwoSchedule(), 10, [4])  # window 32 > 11
+
+    @pytest.mark.parametrize(
+        "bounds, message", [({0: 2}, "not declared"), ({0: 2, 1: 12}, "does not fit")]
+    )
+    def test_refuses_a_bound_before_any_plan_lookup(self, bounds, message):
+        looked_up = []
+
+        def rule(k):
+            looked_up.append(k)
+            return one_index_plan(k, k % 2)
+
+        with pytest.raises(ValueError, match=message):
+            verify_admissible(CustomSchedule(rule, window_bounds=bounds), 10, [0, 1])
+        assert looked_up == []
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -214,19 +224,27 @@ class TestVerifyAdmissible:
         )
         s = CyclicSchedule([pair])
         rep = verify_admissible(s, 50, [1, 2])
-        assert rep.passed and rep.windows == {1: 1, 2: 1}
+        assert rep.passed and (s.window_bound(1), s.window_bound(2)) == (1, 1)
+        assert rep.max_violation == 0.0  # touched at every k: a miss run of 0 against 1
 
 
 def _audit_oracle(schedule, horizon, indices):
-    """(windows, violations) by brute force: every window asks every plan in it."""
-    windows, violations = {}, []
+    """Per sorted index n, by brute force: ``(n, excess, i, missed)``.  The
+    longest run of plans that miss n (the first on a tie) starts at k = i,
+    ``excess`` is its length minus M_n plus 1, and ``missed`` says whether
+    some full window, asking every plan in it, misses n."""
+    out = []
     for n in sorted(indices):
-        M = windows[n] = schedule.window_bound(n)
-        for i in range(horizon - M + 2):
-            if not any(n in schedule.plan_at(k).output_indices() for k in range(i, i + M)):
-                violations.append((n, i))
-                break
-    return windows, violations
+        M = schedule.window_bound(n)
+        touched = [n in schedule.plan_at(k).output_indices() for k in range(horizon + 1)]
+        longest = start = run = 0
+        for k, hit in enumerate(touched):
+            run = 0 if hit else run + 1
+            if run > longest:
+                longest, start = run, k - run + 1
+        missed = any(not any(touched[i : i + M]) for i in range(horizon - M + 2))
+        out.append((n, longest - M + 1, start, missed))
+    return out
 
 
 class TestWindowAuditOracle:
@@ -264,11 +282,14 @@ class TestWindowAuditOracle:
             horizon = int(rng.integers(10, 60))
             indices = range(n_inputs)
             rep = verify_admissible(schedule, horizon, indices)
-            windows, violations = _audit_oracle(schedule, horizon, indices)
-            assert rep.windows == windows
-            assert rep.violations == violations
-            assert rep.passed == (not violations)
-            assert rep.first_violation == (violations[0] if violations else None)
+            oracle = _audit_oracle(schedule, horizon, indices)
+            # a full window misses n exactly when the excess is positive
+            assert [excess > 0 for _, excess, _, _ in oracle] == [m for *_, m in oracle]
+            n, excess, start, _ = max(oracle, key=lambda t: t[1])  # the first on a tie
+            assert rep.samples == len(oracle) == n_inputs
+            assert rep.max_violation == float(excess)
+            assert rep.passed == (excess <= 0)
+            assert rep.worst == (None if rep.passed else (n, start))
             verdicts.add(rep.passed)
         assert verdicts == {True, False}
 
@@ -295,7 +316,7 @@ class TestFitCheck:
             StringStage([(2,), (0,)], [0.5, 0.5]),
         ]
         plans = [gdsa_to_gmsa(st) for st in stages]
-        images = [set().union(*(s.indices for s in st.strings)) for st in stages]
+        images = [set().union(*st.strings) for st in stages]
         assert [p.output_indices() for p in plans] == images
         s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2})
         rep = verify_admissible(s, 40, [0, 1, 2])
@@ -310,7 +331,7 @@ class TestFitCheck:
         s = stage_cycle([[(0,)], [(0,)], [(1,)], [(0,)]], {0: 3, 1: 3})
         rep = verify_admissible(s, 30, [0, 1])
         assert not rep.passed
-        assert rep.first_violation == (1, 3)
+        assert rep.worst == (1, 3)
 
     def test_callable_stages(self):
         s = CustomSchedule(

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.control import f_value, verify_admissible
 from strav.dsa import (
-    StringSpec,
     StringStage,
     direct_eval,
     gdsa_to_gmsa,
@@ -25,21 +24,20 @@ from strav.operators import SampleBudget
 from strav.sets import Halfspace, OperatorFamily
 
 
-class TestStringSpec:
-    def test_basic(self):
-        s = StringSpec((2, 0, 2))
-        assert s.indices == (2, 0, 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            StringSpec(())
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            StringSpec((0, -1))
-
-
 class TestStringStage:
+    def test_strings_are_index_tuples(self):
+        st = StringStage([(2, 0, 2), np.array([1, 3])], [0.5, 0.5])
+        assert st.strings == ((2, 0, 2), (1, 3))
+        assert all(type(i) is int for s in st.strings for i in s)
+
+    def test_empty_string_rejected(self):
+        with pytest.raises(ValueError, match="strings must be nonempty"):
+            StringStage([(0,), ()], [0.5, 0.5])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="input-operator indices, >= 0"):
+            StringStage([(0, -1)], [1.0])
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             StringStage([(0,)], [0.9])  # does not sum to 1
@@ -196,8 +194,8 @@ class TestMsaEmbed:
         _, sched = msa_embed(sets, np.zeros(4), plans)
         rep = verify_admissible(sched, 500, range(8))
         assert rep.passed
-        assert rep.windows[0] == 2  # cycle length for base indices
-        assert rep.windows[5] == 2**6
+        assert sched.window_bound(0) == 2  # cycle length for base indices
+        assert sched.window_bound(5) == 2**6
 
     def test_single_operator_family(self):
         s = Halfspace([1.0, 0.0], 0.0)

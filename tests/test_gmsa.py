@@ -69,43 +69,41 @@ class TestStepSpec:
 
 class TestValidation:
     def test_good_plan(self):
-        v = three_step_plan().validate()
-        assert v.ok
-        assert str(v) == "valid"
+        assert three_step_plan().validate() == ()
 
     def test_eps_out_of_range(self):
         p = three_step_plan().replaced(eps=0.0)
-        assert not p.validate().ok
+        assert p.validate() != ()
         p = three_step_plan().replaced(eps=1.5)
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_step_keys_must_cover_1_to_n(self):
         p = IterationPlan(k=0, N=2, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_huge_step_count_refused_at_once(self):
         p = IterationPlan(k=0, N=10**18, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
         v = p.validate()
-        assert not v.ok
-        assert (0, f"steps must be keyed 1..{10**18}, got [1]") in v.issues
+        assert v != ()
+        assert (0, f"steps must be keyed 1..{10**18}, got [1]") in v
 
     def test_forward_reference(self):
         steps = {1: StepSpec(2, (2, -1), order=(2, -1)), 2: StepSpec.relaxation(0, 1.0)}
         p = IterationPlan(k=0, N=2, eps=1.0, steps=steps)
         v = p.validate()
-        assert not v.ok
-        assert any("below step" in msg for _, msg in v.issues)
+        assert v != ()
+        assert any("below step" in msg for _, msg in v)
 
     def test_kind0_shape(self):
         p = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec(0, (-1, -2), alpha=1.0)])
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_kind0_alpha_window(self):
         mk = lambda a: IterationPlan(k=0, N=1, eps=0.25, steps=[StepSpec.relaxation(0, a)])
-        assert mk(0.25).validate().ok
-        assert mk(1.75).validate().ok
-        assert not mk(0.1).validate().ok
-        assert not mk(1.9).validate().ok
+        assert mk(0.25).validate() == ()
+        assert mk(1.75).validate() == ()
+        assert mk(0.1).validate() != ()
+        assert mk(1.9).validate() != ()
 
     def test_kind1_weights(self):
         def mk(w):
@@ -113,33 +111,36 @@ class TestValidation:
                 k=0, N=1, eps=0.3, steps=[StepSpec(1, tuple(w), weights=w)]
             )
 
-        assert mk({-1: 0.5, -2: 0.5}).validate().ok
-        assert not mk({-1: 0.8, -2: 0.1}).validate().ok      # 0.1 below eps
-        assert not mk({-1: 0.7, -2: 0.7}).validate().ok      # sum != 1
+        assert mk({-1: 0.5, -2: 0.5}).validate() == ()
+        assert mk({-1: 0.8, -2: 0.1}).validate() != ()      # 0.1 below eps
+        assert mk({-1: 0.7, -2: 0.7}).validate() != ()      # sum != 1
 
     def test_kind2_order_onto(self):
         p = IterationPlan(
             k=0, N=1, eps=1.0, steps=[StepSpec(2, (-1, -2), order=(-1, -1))]
         )
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_unknown_kind(self):
         p = IterationPlan(k=0, N=1, eps=1.0, steps=[StepSpec(7, (-1,))])
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_mixed_parameters_rejected(self):
         spec = StepSpec(0, (-1,), alpha=1.0, order=(-1,))
         p = IterationPlan(k=0, N=1, eps=1.0, steps=[spec])
-        assert not p.validate().ok
+        assert p.validate() != ()
 
     def test_require_valid_raises(self):
         p = three_step_plan().replaced(eps=2.0)
         with pytest.raises(ValueError, match="invalid-plan"):
             p.require_valid()
 
-    def test_validation_memoized(self):
-        p = three_step_plan()
+    def test_validation_memoized(self, validations):
+        p = three_step_plan().replaced(k=5, eps=2.0)
         assert p.validate() is p.validate()
+        with pytest.raises(ValueError, match="invalid-plan"):
+            p.require_valid()
+        assert validations == [5]  # derived once, read three times
 
 
 def oracle_index_set(plan, n):
@@ -291,10 +292,11 @@ class TestReplaced:
         assert q.k == 7 and q.N == p.N
         assert all(q.steps[n] is p.steps[n] for n in q.steps)
 
-    def test_copy_derives_its_own_verdict(self):
+    def test_copy_derives_its_own_verdict(self, validations):
         p = three_step_plan()
         q = p.replaced(k=7)
-        assert q.validate() is not p.validate() and q.validate().ok
+        assert q.validate() == () and p.validate() == ()
+        assert validations == [7, p.k]
         assert q.structure_key() == p.structure_key()
 
     def test_assume_swap(self):

@@ -5,6 +5,8 @@ construction rules, so a regression in the calculus cannot hide behind a
 matching regression in the expectation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -286,11 +288,18 @@ class TestSamplingCheckers:
         with pytest.raises(ValueError):
             SampleBudget(radius=-1.0)
 
-    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, 1e160])
     def test_budget_refuses_a_radius_not_finite_and_positive(self, radius):
-        # a NaN or infinite ball would fail the SQNE check of an exact projection
+        # a NaN or infinite ball, or one whose squares overflow, would fail
+        # the checks of an exact projection
         with pytest.raises(ValueError, match="finite and positive"):
             SampleBudget(radius=radius)
+
+    def test_exact_projection_passes_at_the_largest_radius(self):
+        proj, budget = Primitive(Halfspace([1.0, 0.0], 0.0)), SampleBudget(radius=1e150)
+        assert check_sqne(proj, 1.0, np.zeros(2), budget).passed
+        assert check_fne(proj, 1.0, budget, center=np.zeros(2)).passed
+        assert check_nonexpansive(proj, budget, center=np.zeros(2)).passed
 
     @pytest.mark.parametrize("count", [2.5, True, False, 3.0, "3"])
     def test_budget_refuses_a_count_not_an_integer(self, count):
@@ -305,6 +314,22 @@ class TestSamplingCheckers:
         p = _halfspace_proj(seed=30)
         rep = check_sqne(p, 1.0, np.zeros(3), SampleBudget(count=123, seed=2))
         assert rep.samples == 123
+
+    def test_identity_passes_at_an_infinite_modulus(self):
+        # Identity().sqne_rho is inf: a sample the node fixes never violates
+        for rep in (
+            check_sqne(Identity(), math.inf, np.zeros(2), self.budget),
+            check_fne(Identity(), math.inf, self.budget, center=np.zeros(2)),
+        ):
+            assert rep.passed and rep.max_violation == 0.0
+
+    def test_a_moving_node_fails_at_an_infinite_modulus(self):
+        node = Relaxation(Primitive(Halfspace([1.0, 0.0], 0.0)), 0.5)
+        for rep in (
+            check_sqne(node, math.inf, np.zeros(2), self.budget),
+            check_fne(node, math.inf, self.budget, center=np.zeros(2)),
+        ):
+            assert not rep.passed and rep.max_violation == math.inf
 
     def test_strict_tolerance_still_passes_exact_identity(self):
         # identity satisfies the inequality with equality at every rho
