@@ -3,18 +3,18 @@
 Every subcommand reads one JSON config file (``--config``) and takes
 ``--seed`` to override its seed.  ``solve`` and ``superiorize`` also take
 ``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
-``--horizon`` and ``--indices`` (natural numbers) and probes each distinct
-plan structure among the first eight plans once, under the first ``k``
-that uses it; its checks share one draw of points around the witness.
-Output is a block of ``key: value`` lines on stdout plus an optional CSV
-trace; given an identical config and seed the CSV is reproduced bit for
-bit.
+``--horizon`` (at most 10,000,000) and ``--indices`` (natural numbers)
+and probes each distinct plan structure among the first eight plans
+once, under the first ``k`` that uses it; its checks share one draw of
+points around the witness.  Output is a block of ``key: value`` lines on
+stdout plus an optional CSV trace; given an identical config and seed
+the CSV is reproduced bit for bit.
 
 Exit codes: 0 when the run stopped on a residual or step criterion (for
 ``verify``: all audits passed) and after ``--help``, 2 when the iteration
-cap cut it off, and 1 for any error, including an invalid config and a
-bad command line (a missing ``--config``, an option the subcommand does
-not take).
+cap cut it off, and 1 for any error: an invalid config (one that does not
+decode names its line and column), a bad command line (a missing
+``--config``, an option the subcommand does not take).
 
 Config grammar
 --------------
@@ -133,10 +133,9 @@ permissive); an absent ``lambda`` is the constant 1.0 and must lie there too.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _decode, parse_config
 from .control import verify_admissible
 from .gmsa import fne_bound, output_operator, sqne_bound
 from .operators import SampleBudget, check_fne, check_nonexpansive, check_sqne
@@ -190,9 +189,7 @@ def _build_parser():
 
 def _load_config(args):
     with open(args.config) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError([("document", "top level must be a record")])
+        doc = _decode(fh.read())
     if args.seed is not None:
         doc["seed"] = args.seed
     out = doc.get("output")

@@ -53,7 +53,6 @@ class ConfigError(ValueError):
 class RunConfig:
     """Resolved objects for one run."""
 
-    dim: int
     seed: int
     family: OperatorFamily
     schedule: object
@@ -505,25 +504,29 @@ def _build_objective(v, dim, errors):
     return _make("objective", errors, make, argmin_witnesses=argmin, **v)
 
 
+def _decode(text):
+    """The record a JSON text holds, or a ConfigError naming where decoding failed."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([(f"line {exc.lineno}, column {exc.colno}", exc.msg)]) from exc
+    except RecursionError as exc:
+        raise ConfigError([("document", "nested too deeply to decode")]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError([("document", "top level must be a record")])
+    return doc
+
+
 def parse_config(source):
-    """Parse a JSON document (text, mapping, or open file) into a :class:`RunConfig`.
+    """Parse a JSON document, given as text or as a mapping, into a :class:`RunConfig`.
 
     Raises
     ------
     ConfigError
-        With every collected (path, message) pair; syntax errors surface
-        with line and column.
+        With every collected (path, message) pair; a text that does not
+        decode is reported with its line and column.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source.read() if hasattr(source, "read") else source
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([(f"line {exc.lineno}, column {exc.colno}", exc.msg)]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError([("document", "top level must be a record")])
+    doc = source if isinstance(source, dict) else _decode(source)
 
     errors = []
     top = _record(doc, _DOC, "", errors)
@@ -551,7 +554,6 @@ def parse_config(source):
     if errors:
         raise ConfigError(errors)
     return RunConfig(
-        dim=dim,
         seed=seed,
         family=family,
         schedule=schedule,

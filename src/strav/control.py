@@ -1,9 +1,10 @@
 """Control schedules: which plan runs at iteration k, and coverage audits.
 
 A schedule maps k to an :class:`~strav.gmsa.IterationPlan` and declares,
-per input index n, a window bound M_n: every M_n consecutive iterations
-must touch index n.  ``verify_admissible`` checks that promise exhaustively
-over a finite horizon; it refuses to guess bounds that were not declared.
+through a callable n -> M_n, a window bound per input index n: every M_n
+consecutive iterations must touch index n.  ``verify_admissible`` checks
+that promise exhaustively over a finite horizon; it refuses to guess
+bounds that were not declared.
 Each audited index n is one sample of a ``CheckReport``: with ``g_n`` the
 longest run of consecutive k in 0..horizon whose plans all miss n, its
 excess ``g_n - M_n + 1`` is judged at scale 0, and is positive exactly when
@@ -28,6 +29,8 @@ __all__ = [
     "verify_admissible",
 ]
 
+_MAX_HORIZON = 10**7  # one intp code and one plan lookup per k: 80 MB and about 10 s on 2 cores
+
 
 def f_value(i):
     """Largest v with 2^v dividing i + 1.
@@ -43,15 +46,6 @@ def f_value(i):
     return (v & -v).bit_length() - 1
 
 
-def _normalize_bounds(bounds):
-    if bounds is None:
-        return lambda n: None
-    if callable(bounds):
-        return bounds
-    table = {int(n): int(m) for n, m in dict(bounds).items()}
-    return lambda n: table.get(int(n))
-
-
 class ControlSchedule:
     """Base schedule; subclasses fill in ``plan_at``.
 
@@ -60,15 +54,16 @@ class ControlSchedule:
     iteration that runs it and its ``k`` is only the label it was built
     with; callers must not modify a plan.
 
-    ``window_bounds`` (a mapping n -> M_n or a callable) declares the
-    windows; undeclared indices get ``None``.  A schedule backed by a
-    finite list keeps it as ``plans`` and derives its (K, M) metadata from it.
+    ``window_bounds``, a callable n -> M_n or None, declares the windows;
+    an index it maps to None, or every index when it is None, is
+    undeclared.  A schedule backed by a finite list keeps it as ``plans``
+    and derives its (K, M) metadata from it.
     """
 
     plans = None
 
     def __init__(self, window_bounds=None):
-        self._bound = _normalize_bounds(window_bounds)
+        self._bound = window_bounds or (lambda n: None)
 
     def plan_at(self, k):
         raise NotImplementedError
@@ -116,7 +111,6 @@ class CyclicSchedule(ControlSchedule):
         if not self.plans:
             raise ValueError("cyclic schedule needs at least one template plan")
         super().__init__(window_bounds)
-        self._covered = None
 
     def plan_at(self, k):
         return self.plans[int(k) % len(self.plans)]
@@ -125,9 +119,7 @@ class CyclicSchedule(ControlSchedule):
         declared = self._bound(n)
         if declared is not None:
             return declared
-        if self._covered is None:
-            self._covered = frozenset().union(*(t.output_indices() for t in self.plans))
-        return len(self.plans) if n in self._covered else None
+        return len(self.plans) if any(n in t.output_indices() for t in self.plans) else None
 
     @classmethod
     def over_indices(cls, indices, eps=1.0, alpha=1.0):
@@ -198,14 +190,16 @@ def verify_admissible(schedule, horizon, indices):
     Returns a :class:`~strav.operators.CheckReport` named
     ``windows(horizon=H)``, one sample per index as the module docstring
     says; a failing report's ``worst`` is ``(n, i)``, the index that
-    exceeds most and the first k of its longest miss run.  Every bound is
-    checked before any plan is looked up; then the plan of every
-    k = 0..horizon is looked up, and a plan handed out for several k is
-    validated once.
+    exceeds most and the first k of its longest miss run.  A horizon above
+    ``_MAX_HORIZON`` is refused, and every bound is checked, before any
+    plan is looked up; then the plan of every k = 0..horizon is looked up,
+    and a plan handed out for several k derives its output indices once.
     """
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be a natural number")
+    if horizon > _MAX_HORIZON:
+        raise ValueError(f"horizon above the audit ceiling {_MAX_HORIZON:,}")
     ns = sorted(int(n) for n in indices)
     bounds = [schedule.window_bound(n) for n in ns]
     for n, M in zip(ns, bounds):

@@ -124,7 +124,7 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
         Common point declared for the padded family.
     msa_plans : sequence of IterationPlan
         Base plans, cycled over k; they may reference only indices 0..m.
-    window_bounds : mapping or callable, optional
+    window_bounds : callable, optional
         Window bounds for the base indices 0..m, declared as for
         :class:`~strav.control.CyclicSchedule`: a base index some cycled
         plan touches defaults to the cycle length, which is always sound.

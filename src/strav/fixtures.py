@@ -26,7 +26,6 @@ __all__ = [
     "random_halfspace_family",
     "two_halfspace_family",
     "box_linear_fixture",
-    "random_plan",
     "random_plan_corpus",
 ]
 
@@ -67,7 +66,7 @@ def _combination_weights(rng, size, eps):
     return tuple(eps + free * c for c in cuts)
 
 
-def random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=False):
+def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=False):
     """One random valid plan over input indices 0..n_inputs-1.
 
     Kind-1 sizes respect the weight floor (|J| <= 1/eps); ``c0_alpha_one``
@@ -116,5 +115,5 @@ def random_plan_corpus(size, seed, n_inputs=8, eps_choices=(0.1, 0.5, 1.0), **kw
     plans = []
     for k in range(int(size)):
         eps = float(rng.choice(eps_choices))
-        plans.append(random_plan(rng, k, n_inputs, eps, **kw))
+        plans.append(_random_plan(rng, k, n_inputs, eps, **kw))
     return plans

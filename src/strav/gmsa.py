@@ -106,7 +106,7 @@ class IterationPlan:
 
     Everything derived from the plan depends on its structure only (``N``,
     ``eps``, ``assume`` and the step contents), never on ``k``, and is
-    computed once per plan: the validation issues, the index sets and
+    computed once per plan: the validation issues, the output indices and
     :meth:`structure_key`.  A schedule hands out the plans it stores, so
     one plan serves every iteration that runs it.
 
@@ -136,7 +136,7 @@ class IterationPlan:
             self.steps = {n: s for n, s in enumerate(steps, start=1)}
         self.assume = assume
         self._validation = None
-        self._index_sets = None  # made on first use: many plans are only validated
+        self._outputs = None  # made on first use: many plans are only validated
         self._key = None
 
     def replaced(self, **kw):
@@ -170,26 +170,17 @@ class IterationPlan:
         if issues:
             raise ValueError("invalid-plan: " + "; ".join(f"step {n}: {m}" for n, m in issues))
 
-    # -- recursion ----------------------------------------------------------
-
-    def index_set(self, n):
-        """Input indices reachable from module n (``n <= 0``: the singleton ``{-n}``)."""
-        n = int(n)
-        if n <= 0:
-            return frozenset({-n})
-        self.require_valid()
-        if n > self.N:
-            raise ValueError(f"invalid-plan: no step {n} in a plan of {self.N} steps")
-        if self._index_sets is None:
-            self._index_sets = {}
-        got = self._index_sets.get(n)
-        if got is None:
-            got = frozenset().union(*(self.index_set(j) for j in self.steps[n].J))
-            self._index_sets[n] = got
-        return got
-
     def output_indices(self):
-        return self.index_set(self.N)
+        """Input indices reachable from step ``N``: a frozenset derived on the
+        first call in one pass over the steps, each built from the earlier
+        steps it references (validation keeps references below their step)."""
+        if self._outputs is None:
+            self.require_valid()
+            sets = {}
+            for n in range(1, self.N + 1):
+                sets[n] = frozenset().union(*(sets[j] if j > 0 else (-j,) for j in self.steps[n].J))
+            self._outputs = sets[self.N]
+        return self._outputs
 
     def width_product(self):
         """Product of the step widths P_1 ... P_N."""

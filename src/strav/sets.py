@@ -176,8 +176,9 @@ class OperatorFamily:
         witness is fixed by U_n (at scale ``||witness||``); a violation is a
         construction error, not a silent degradation.
     gammas : float or callable, optional
-        Per-index projection relaxation (default 1.0); ignored for indices
-        whose generator already returns an operator node.
+        Per-index projection relaxation (default 1.0), resolved once into
+        one rule n -> gamma; ignored for indices whose generator already
+        returns an operator node.
 
     Two concurrent materializations of the same index are harmless: the
     memo insert is idempotent and nodes are immutable.
@@ -191,16 +192,10 @@ class OperatorFamily:
         if not math.isfinite(self._witness_norm):
             raise ValueError("family-error: the witness's norm overflows")
         self.dim = self.witness.shape[0]
-        self._gammas = gammas
+        g = 1.0 if gammas is None else gammas
+        self._gamma = gammas if callable(gammas) else lambda n: g
         self._ops = {}
         self._stacks = {}
-
-    def gamma(self, n):
-        if self._gammas is None:
-            return 1.0
-        if callable(self._gammas):
-            return float(self._gammas(n))
-        return float(self._gammas)
 
     def operator(self, n):
         """Materialize (once) and return the input operator U_n."""
@@ -217,7 +212,7 @@ class OperatorFamily:
         if isinstance(raw, OperatorNode):
             node = raw
         elif isinstance(raw, ProjectableSet):
-            node = Primitive(raw, gamma=self.gamma(n))
+            node = Primitive(raw, gamma=float(self._gamma(n)))
         else:
             raise ValueError(
                 f"family-error: generator returned {type(raw).__name__} at index {n}"

@@ -306,16 +306,14 @@ class Trace:
         return ",".join(["k"] + [name for name, _ in self._columns()])
 
     def to_csv(self, path):
-        """Write the scalar diagnostics, one row per iterate, full precision."""
+        """Write the scalar diagnostics to the file at ``path``, one row per
+        iterate at full precision, and return the text written."""
         table = np.column_stack([col for _, col in self._columns()]).tolist()
         lines = [self.csv_header()]
         lines += [",".join([str(k)] + [repr(v) for v in row]) for k, row in enumerate(table)]
         text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+        with open(path, "w") as fh:
+            fh.write(text)
         return text
 
 

@@ -40,6 +40,7 @@ _ZERO_TOL = 1e-12
 # An inner step costs about 11 us (linear objective, d = 2, numpy 2.4 on a
 # 2-core host), so this ceiling keeps one update's inner loop near 0.1 s.
 _MAX_INNER_STEPS = 10_000
+_MIN_TAIL = 10  # strict decreases that back an alternative-2 verdict
 
 
 @dataclass(frozen=True)
@@ -246,16 +247,15 @@ class AlternativesReport:
         )
 
 
-def alternatives_diagnostic(trace, oracle, *, strictness_margin=0.0, min_tail=10):
+def alternatives_diagnostic(trace, oracle):
     """Classify a finished superiorized run against the oracle's minimizers.
 
     First limb: the final iterate sits at some declared minimizer w, in
     both distance and objective value (at scales ``||w||`` and
     ``|phi(w)|``).  Second limb: there is a k0 such that for every
-    recorded k >= k0 and every minimizer z,
-    ``||y^{k+1} - z|| < ||y^k - z|| - strictness_margin``;
-    at least ``min_tail`` strict steps must back the claim.  Needs a
-    stride-1 trace for the scan.
+    recorded k >= k0 and every minimizer z, ``||y^{k+1} - z|| < ||y^k - z||``
+    strictly; at least ``_MIN_TAIL`` such steps must back the claim.  Needs
+    a stride-1 trace for the scan.
     """
     witnesses = oracle.witnesses()
     yK = trace.final_x
@@ -269,19 +269,18 @@ def alternatives_diagnostic(trace, oracle, *, strictness_margin=0.0, min_tail=10
     if trace.record_stride != 1:
         raise ValueError("full iterates unavailable (record_stride > 1); rerun with stride 1")
     K = trace.n_updates
-    if K < min_tail:
+    if K < _MIN_TAIL:
         return AlternativesReport("inconclusive", violating_k=K, violating_witness=None)
 
-    margin = float(strictness_margin)
     last_bad, bad_w = -1, None
     for idx, w in enumerate(witnesses):
         d = norm(trace.xs - w)
-        broken = np.flatnonzero(~(d[1:] < d[:-1] - margin))
+        broken = np.flatnonzero(~(d[1:] < d[:-1]))
         if broken.size:
             b = int(broken[-1])
             if b > last_bad:
                 last_bad, bad_w = b, idx
     k0 = last_bad + 1
-    if K - k0 >= min_tail:
+    if K - k0 >= _MIN_TAIL:
         return AlternativesReport("alternative-2", k0=k0)
     return AlternativesReport("inconclusive", violating_k=last_bad, violating_witness=bad_w)

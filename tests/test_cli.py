@@ -292,7 +292,25 @@ class TestErrorHandling:
         p.write_text("{oops")
         code, _, err = run_cli(capsys, "solve", "--config", str(p))
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("invalid configuration:")
+        assert "line 1, column 2" in err
+
+    def test_deeply_nested_document_is_a_config_error(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "solve", "--config", str(p))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert "\n  document: nested too deeply" in err
+
+    @pytest.mark.parametrize("horizon", [10_000_001, 10**400])
+    def test_horizon_above_the_audit_ceiling_exits_1(self, capsys, horizon):
+        cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "stage_solve.json")
+        code, out, err = run_cli(capsys, "verify", "--config", cfg, "--horizon", str(horizon))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "ceiling" in err
 
     @pytest.mark.parametrize("points", [1, 0])
     def test_sweep_with_fewer_than_two_points(self, capsys, tmp_path, points):

@@ -54,7 +54,7 @@ def minimal_doc(**overrides):
 class TestParseBasics:
     def test_minimal_document(self):
         cfg = parse_config(minimal_doc())
-        assert cfg.dim == 2
+        assert cfg.start.size == 2
         assert cfg.seed == 0
         assert isinstance(cfg.schedule, CyclicSchedule)
         assert cfg.perturb is None and cfg.oracle is None and cfg.grid is None
@@ -65,19 +65,24 @@ class TestParseBasics:
 
     def test_accepts_json_text(self):
         cfg = parse_config(json.dumps(minimal_doc()))
-        assert cfg.dim == 2
+        assert cfg.start.size == 2
 
     def test_accepts_open_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_doc()))
         with open(p) as fh:
-            assert parse_config(fh).dim == 2
+            assert parse_config(fh.read()).start.size == 2
 
     def test_syntax_error_carries_line_and_column(self):
         with pytest.raises(ConfigError) as err:
             parse_config('{\n  "ambient_dim": 2,\n}')
         (path, _msg), = err.value.errors
         assert path.startswith("line 3")
+
+    def test_deeply_nested_text_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[" * 100_000 + "]" * 100_000)
+        assert err.value.errors == [("document", "nested too deeply to decode")]
 
     def test_top_level_must_be_record(self):
         with pytest.raises(ConfigError, match="top level"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from strav import control
 from strav.control import (
     CustomSchedule,
     CyclicSchedule,
@@ -83,7 +84,7 @@ class TestCyclicSchedule:
         assert s.window_bound(7) is None
 
     def test_declared_bound_wins(self):
-        s = CyclicSchedule([one_index_plan(0, 0)], window_bounds={0: 5})
+        s = CyclicSchedule([one_index_plan(0, 0)], window_bounds={0: 5}.get)
         assert s.window_bound(0) == 5
 
     def test_over_indices(self):
@@ -178,7 +179,7 @@ class TestVerifyAdmissible:
         # index 1 appears only at k = 0 and k = 4; with a declared window of
         # 3 the first full window missing it starts at k = 1
         plans = [one_index_plan(k, n) for k, n in enumerate([1, 0, 0, 0, 1, 0])]
-        s = ExplicitSchedule(plans, window_bounds={0: 2, 1: 3})
+        s = ExplicitSchedule(plans, window_bounds={0: 2, 1: 3}.get)
         rep = verify_admissible(s, 5, [0, 1])
         assert not rep.passed
         assert rep.worst == (1, 1)
@@ -210,12 +211,45 @@ class TestVerifyAdmissible:
             return one_index_plan(k, k % 2)
 
         with pytest.raises(ValueError, match=message):
-            verify_admissible(CustomSchedule(rule, window_bounds=bounds), 10, [0, 1])
+            verify_admissible(CustomSchedule(rule, window_bounds=bounds.get), 10, [0, 1])
         assert looked_up == []
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             verify_admissible(PowerOfTwoSchedule(), -1, [0])
+
+    @pytest.mark.parametrize("horizon", [control._MAX_HORIZON + 1, 10**400])
+    def test_refuses_a_horizon_above_the_ceiling_before_any_lookup(self, horizon):
+        # refused unaudited: a horizon this large is never run
+        looked_up = []
+
+        def rule(k):
+            looked_up.append(("plan", k))
+            return one_index_plan(k, 0)
+
+        def bound(n):
+            looked_up.append(("bound", n))
+            return 1
+
+        with pytest.raises(ValueError, match="ceiling"):
+            verify_admissible(CustomSchedule(rule, window_bounds=bound), horizon, [0])
+        assert looked_up == []
+
+    def test_repeat_audit_validates_nothing(self, monkeypatch):
+        calls = []
+        require_valid = IterationPlan.require_valid
+        monkeypatch.setattr(
+            IterationPlan, "require_valid", lambda plan: calls.append(plan) or require_valid(plan)
+        )
+        s = CyclicSchedule([one_index_plan(0, 0), one_index_plan(1, 3), one_index_plan(2, 1)])
+        first = verify_admissible(s, 100, [0, 1, 3])
+        assert calls == s.plans  # each stored plan validated once, on its first output_indices()
+        calls.clear()
+        again = verify_admissible(s, 100, [0, 1, 3])
+        assert calls == []
+        assert (again.passed, again.max_violation, again.worst) == (
+            first.passed, first.max_violation, first.worst,
+        )
 
     def test_multi_index_plans_count_every_touch(self):
         pair = IterationPlan(
@@ -263,7 +297,7 @@ class TestWindowAuditOracle:
         # declared windows from 1 up to past the period: some schedules violate them
         bounds = {n: int(rng.integers(1, len(templates) + 3)) for n in range(n_inputs)}
         if kind == "cyclic":
-            return CyclicSchedule(templates, window_bounds=bounds), n_inputs
+            return CyclicSchedule(templates, window_bounds=bounds.get), n_inputs
         # a custom rule: a random sequence over the templates, and a fresh
         # plan (no shared index set) at every k
         order = rng.integers(0, len(templates), 200)
@@ -271,7 +305,7 @@ class TestWindowAuditOracle:
         def rule(k):
             return templates[order[k]].replaced(k=k)
 
-        return CustomSchedule(rule, window_bounds=bounds), n_inputs
+        return CustomSchedule(rule, window_bounds=bounds.get), n_inputs
 
     @pytest.mark.parametrize("kind", ["cyclic", "custom"])
     def test_agrees_with_brute_force(self, kind):
@@ -318,17 +352,17 @@ class TestFitCheck:
         plans = [gdsa_to_gmsa(st) for st in stages]
         images = [set().union(*st.strings) for st in stages]
         assert [p.output_indices() for p in plans] == images
-        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2})
+        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2}.get)
         rep = verify_admissible(s, 40, [0, 1, 2])
         assert rep.passed
 
     def test_bare_index_tuples_accepted(self):
-        rep = verify_admissible(stage_cycle([[(0,)], [(1,)]], {0: 2, 1: 2}), 20, [0, 1])
+        rep = verify_admissible(stage_cycle([[(0,)], [(1,)]], {0: 2, 1: 2}.get), 20, [0, 1])
         assert rep.passed
 
     def test_detects_starved_index(self):
         # index 1 only every 4th iteration, but a window of 3 is promised
-        s = stage_cycle([[(0,)], [(0,)], [(1,)], [(0,)]], {0: 3, 1: 3})
+        s = stage_cycle([[(0,)], [(0,)], [(1,)], [(0,)]], {0: 3, 1: 3}.get)
         rep = verify_admissible(s, 30, [0, 1])
         assert not rep.passed
         assert rep.worst == (1, 3)
@@ -336,7 +370,7 @@ class TestFitCheck:
     def test_callable_stages(self):
         s = CustomSchedule(
             lambda k: gdsa_to_gmsa(StringStage([(k % 2,)], [1.0], k=k)),
-            window_bounds={0: 2, 1: 2},
+            window_bounds={0: 2, 1: 2}.get,
         )
         rep = verify_admissible(s, 20, [0, 1])
         assert rep.passed

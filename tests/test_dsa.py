@@ -207,7 +207,7 @@ class TestMsaEmbed:
 
     def test_declared_bounds_override_default(self):
         sets, plans = self._base()
-        _, sched = msa_embed(sets, np.zeros(4), plans, window_bounds={0: 7})
+        _, sched = msa_embed(sets, np.zeros(4), plans, window_bounds={0: 7}.get)
         assert sched.window_bound(0) == 7
         assert sched.window_bound(1) == 2
 

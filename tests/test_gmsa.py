@@ -1,6 +1,6 @@
 """Iteration plans: validation, recursion, materialization, and bounds.
 
-``IterationPlan.index_set`` is cross-checked against an independent recursive oracle,
+``IterationPlan.output_indices`` is cross-checked against an independent recursive oracle,
 and the modulus bounds against hand-computed width products, so the
 module under test never certifies itself.
 """
@@ -157,18 +157,18 @@ def oracle_index_set(plan, n):
 class TestIndexSets:
     def test_against_recursive_oracle(self):
         for plan in random_plan_corpus(60, seed=17, n_inputs=6):
-            for n in range(1, plan.N + 1):
-                assert plan.index_set(n) == oracle_index_set(plan, n)
-
-    def test_input_ref_is_singleton(self):
-        assert three_step_plan().index_set(-4) == {4}
+            assert plan.output_indices() == oracle_index_set(plan, plan.N)
 
     def test_output_indices(self):
         assert three_step_plan().output_indices() == {0, 1, 2}
 
-    def test_unknown_step_rejected(self):
+    def test_derived_once(self):
+        p = three_step_plan()
+        assert p.output_indices() is p.output_indices()
+
+    def test_invalid_plan_refused_on_first_call(self):
         with pytest.raises(ValueError, match="invalid-plan"):
-            three_step_plan().index_set(9)
+            three_step_plan().replaced(eps=2.0).output_indices()
 
 
 class TestBuild:

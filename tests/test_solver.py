@@ -6,7 +6,6 @@ not merely to a tolerance.
 """
 
 import dataclasses
-import io
 import runpy
 import tracemalloc
 from pathlib import Path
@@ -622,11 +621,12 @@ class TestTraceRecording:
         for x, row in zip(tr.xs, tr.set_distances):
             assert_array_equal(row, [fam.distance(n, x) for n in monitored])
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         tr = run(self.fam, self.sched, self.relax, np.array([2.0, 1.0]),
                  StopRule(4, None, None), monitored=(0, 1))
-        buf = io.StringIO()
-        text = tr.to_csv(buf)
+        path = tmp_path / "trace.csv"
+        text = tr.to_csv(path)
+        assert path.read_text() == text
         lines = text.strip().split("\n")
         assert lines[0] == "k,residual,step,dist_witness,fejer_slack,d0,d1"
         assert len(lines) == 1 + tr.n_rows
@@ -642,7 +642,7 @@ class TestTraceRecording:
                            StopRule(4, None, None))
         assert tr.csv_header().endswith(",pert_mag")
 
-    def test_csv_bytes_match_per_element_writer(self):
+    def test_csv_bytes_match_per_element_writer(self, tmp_path):
         sup = run_superiorized(self.fam, self.sched, self.relax, linear_objective([1.0, 1.0]),
                                BetaGrid.geometric(0.5, M=2), np.array([2.0, 1.0]),
                                StopRule(12, None, None), monitored=(1, 0))
@@ -650,10 +650,11 @@ class TestTraceRecording:
         per = run_perturbed(self.fam, self.sched, self.relax, pert, np.array([2.0, 1.0]),
                             StopRule(12, None, None))
         assert sup.csv_header() == "k,residual,step,dist_witness,fejer_slack,d0,d1,phi,pert_mag"
+        path = tmp_path / "trace.csv"
         for tr in (sup, per, self._trace(monitored=(0,))):
-            assert tr.to_csv(io.StringIO()) == reference_csv(tr)
+            assert tr.to_csv(path) == reference_csv(tr) == path.read_text()
 
-    def test_fields_are_typed_and_closed(self):
+    def test_fields_are_typed_and_closed(self, tmp_path):
         tr = self._trace()
         names = [f.name for f in dataclasses.fields(Trace)]
         assert names == [
@@ -662,7 +663,9 @@ class TestTraceRecording:
             "xs", "xs_k", "witness", "fejer_constant", "eps", "rho", "record_stride", "family",
         ]
         fields = {name: getattr(tr, name) for name in names}
-        assert Trace(**fields).to_csv(io.StringIO()) == tr.to_csv(io.StringIO())
+        rebuilt, path = tmp_path / "rebuilt.csv", tmp_path / "trace.csv"
+        assert Trace(**fields).to_csv(rebuilt) == tr.to_csv(path)
+        assert rebuilt.read_bytes() == path.read_bytes()
         with pytest.raises(TypeError):
             Trace(**fields, iterations=20)
 

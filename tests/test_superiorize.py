@@ -256,14 +256,6 @@ class TestAlternativesDiagnostic:
         with pytest.raises(ValueError, match="record_stride"):
             alternatives_diagnostic(synthetic_trace(xs, stride=2), self.phi)
 
-    def test_strictness_margin(self):
-        # steps of size ~0.05 toward the minimizer fail a margin of 0.5
-        xs = np.linspace(2.0, 0.5, 31)[:, None] * np.ones(2)
-        rep = alternatives_diagnostic(
-            synthetic_trace(xs), self.phi, strictness_margin=0.5
-        )
-        assert rep.outcome == "inconclusive"
-
     def test_on_real_fixture_run(self):
         fam, phi = box_linear_fixture()
         sched = CyclicSchedule.over_indices([0])
