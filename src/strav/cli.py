@@ -13,8 +13,9 @@ the CSV is reproduced bit for bit.
 Exit codes: 0 when the run stopped on a residual or step criterion (for
 ``verify``: all audits passed) and after ``--help``, 2 when the iteration
 cap cut it off, and 1 for any error: an invalid config (one that does not
-decode names its line and column), a bad command line (a missing
-``--config``, an option the subcommand does not take).
+decode names its line and column, one that is not UTF-8 its byte
+position), a bad command line (a missing ``--config``, an option the
+subcommand does not take).
 
 Config grammar
 --------------
@@ -101,15 +102,13 @@ cross-checked against the step's width.
 
     {"eps": 0.1,                    # number in (0, 1] (1.0)
      "rho": 0.05,                   # number >= 0; omit to derive from the schedule
-     "permissive": false,           # JSON boolean; true widens to (0, 2)
-                                    # and voids the strong monotonicity constant
      "lambda": {"kind": "constant", "value": 1.0}
                 | {"kind": "cycle", "values": [...]}
                 | {"kind": "sweep", "points": 17}}     # int >= 2
 
 Every ``value`` and each entry of ``values`` is a number that must lie in
-the certified interval ``[eps, 1 + rho - eps]`` (``[eps, 2 - eps]`` when
-permissive); an absent ``lambda`` is the constant 1.0 and must lie there too.
+the certified interval ``[eps, 1 + rho - eps]``; an absent ``lambda`` is the
+constant 1.0 and must lie there too.
 
 ``perturbation``::
 
@@ -188,7 +187,7 @@ def _build_parser():
 
 
 def _load_config(args):
-    with open(args.config) as fh:
+    with open(args.config, "rb") as fh:
         doc = _decode(fh.read())
     if args.seed is not None:
         doc["seed"] = args.seed

@@ -105,10 +105,6 @@ def _real(v, path, errors):
     return _refuse(errors, path, f"need a number, got {v!r}")
 
 
-def _flag(v, path, errors):
-    return v if isinstance(v, bool) else _refuse(errors, path, f"need true or false, got {v!r}")
-
-
 def _text(v, path, errors):
     return v if isinstance(v, str) else _refuse(errors, path, f"need a string, got {v!r}")
 
@@ -280,7 +276,6 @@ _DEFAULT_LAMBDA = {"kind": "constant", "value": 1.0}
 _RELAXATION = (
     ("eps", _real, 1.0),
     ("rho", _real, None, 0.0),  # None: derived from the schedule
-    ("permissive", _flag, False),
     ("lambda", {"kind": {
         "constant": (("value", _real, _REQUIRED),),
         # RelaxationSchedule.cycle checks its list of step sizes
@@ -451,7 +446,7 @@ def _build_relax(v, schedule, errors):
         rho = _make("relaxation.rho", errors, uniform_modulus, schedule, floor)
         if rho is None:
             return None
-    kw = dict(eps=v["eps"], rho=rho, permissive=v["permissive"])
+    kw = dict(eps=v["eps"], rho=rho)
     # rho is read as nonnegative, so the interval can only refuse eps
     if _make("relaxation.eps", errors, RelaxationSchedule.interval, **kw) is None:
         return None
@@ -505,9 +500,12 @@ def _build_objective(v, dim, errors):
 
 
 def _decode(text):
-    """The record a JSON text holds, or a ConfigError naming where decoding failed."""
+    """The record a JSON text or its UTF-8 bytes hold, or a ConfigError naming where decoding failed."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        where = f"byte {exc.object[exc.start]:#04x} at position {exc.start}"
+        raise ConfigError([("document", f"{where} is not UTF-8 ({exc.reason})")]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([(f"line {exc.lineno}, column {exc.colno}", exc.msg)]) from exc
     except RecursionError as exc:

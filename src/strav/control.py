@@ -46,6 +46,11 @@ def f_value(i):
     return (v & -v).bit_length() - 1
 
 
+def _dyadic_window(n):
+    """M_n = 2^{n+1}, and inf for n >= 64, far beyond any audit horizon: no n-bit integer is built."""
+    return 2 ** (int(n) + 1) if int(n) < 64 else np.inf
+
+
 class ControlSchedule:
     """Base schedule; subclasses fill in ``plan_at``.
 
@@ -132,7 +137,7 @@ class CyclicSchedule(ControlSchedule):
 
 
 class PowerOfTwoSchedule(ControlSchedule):
-    """Iteration k relaxes the single input ``f_value(k)``; window M_n = 2^{n+1}.
+    """Iteration k relaxes the single input ``f_value(k)``; window M_n = 2^{n+1} (inf for n >= 64).
 
     One plan per value n of ``f_value`` is built on first use, labelled
     ``k = 2^n - 1`` (the first iteration with that value), and handed out
@@ -142,7 +147,7 @@ class PowerOfTwoSchedule(ControlSchedule):
     def __init__(self, eps=1.0, alpha=1.0):
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        super().__init__(lambda n: 2 ** (int(n) + 1))
+        super().__init__(_dyadic_window)
         self.eps = float(eps)
         self.alpha = float(alpha)
         self._templates = {}
@@ -205,8 +210,8 @@ def verify_admissible(schedule, horizon, indices):
     for n, M in zip(ns, bounds):
         if M is None:
             raise ValueError(f"window bound for index {n} not declared; refusing to guess")
-        if not 1 <= int(M) <= horizon + 1:
-            raise ValueError(f"window {int(M)} for index {n} does not fit horizon {horizon}")
+        if not 1 <= M <= horizon + 1:
+            raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
     # membership is tested once per distinct set; a plan a schedule hands
     # out again keeps its set, so coding the sets is one lookup per k
     distinct = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .control import CustomSchedule, CyclicSchedule, f_value
+from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
 from .numeric import _within
 from .operators import Identity
@@ -128,7 +128,7 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
         Window bounds for the base indices 0..m, declared as for
         :class:`~strav.control.CyclicSchedule`: a base index some cycled
         plan touches defaults to the cycle length, which is always sound.
-        Padded indices n > m get 2^{n+1} automatically.
+        Padded indices n > m get 2^{n+1} automatically (inf for n >= 64).
 
     Returns
     -------
@@ -172,7 +172,7 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
 
     def bound(n):
         n = int(n)
-        return 2 ** (n + 1) if n > m_top else base.window_bound(n)
+        return _dyadic_window(n) if n > m_top else base.window_bound(n)
 
     K, M = base.plan_metadata()
     schedule = CustomSchedule(rule, window_bounds=bound, metadata=(K + 1, max(M, 2)))

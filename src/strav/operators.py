@@ -15,9 +15,6 @@ Constants attached to a node
 ``fne_rho``
     The node satisfies the two-point strengthening
     ``||T(x)-T(y)||^2 <= ||x-y||^2 - rho*||(x-T(x))-(y-T(y))||^2``.
-``is_cutter``
-    Every fixed point z obeys ``<z - T(x), x - T(x)> <= 0``; equivalent to
-    ``sqne_rho >= 1``, and read off ``sqne_rho`` by a property.
 ``is_nonexpansive``
     Plain Lipschitz-1 guarantee, read off ``fne_rho`` by a property: the
     two-point inequality at ``rho >= 0`` implies it, and the calculus never
@@ -115,10 +112,6 @@ class OperatorNode:
     sqne_rho = None
     fne_rho = None
     dim = None
-
-    @property
-    def is_cutter(self):
-        return self.sqne_rho is not None and self.sqne_rho >= 1.0
 
     @property
     def is_nonexpansive(self):
@@ -353,12 +346,7 @@ def _pairs(node, budget, center):
     # the probe's points x, their successors y (wrapping around), x - y, T(x) - T(y)
     if budget.count < 2:
         raise ValueError("a pair check needs a sample count of at least 2")
-    if center is not None:
-        center = as_vector(center, node.dim)
-    elif node.dim is None:
-        raise ValueError("node has no intrinsic dimension; pass an explicit center")
-    else:
-        center = np.zeros(node.dim)
+    center = as_vector(center, node.dim)
     xs, tx = _probe(node, budget, center.tobytes())
     ys = np.concatenate((xs[1:], xs[:1]))
     return xs, ys, xs - ys, tx - np.concatenate((tx[1:], tx[:1]))
@@ -397,16 +385,16 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     return _report(f"sqne(rho={rho})", viol, _dot(d, d), (xs,))
 
 
-def check_fne(node, rho, budget=SampleBudget(), center=None):
-    """Probe the two-point inequality at modulus ``rho`` on pairs, at scale ``||x - y||^2``."""
+def check_fne(node, rho, budget=SampleBudget(), *, center):
+    """Probe the two-point inequality at modulus ``rho`` on pairs around ``center``, at scale ``||x - y||^2``."""
     xs, ys, h, g = _pairs(node, budget, center)
     r = h - g
     viol = _moved(r) if rho == math.inf else _dot(r, float(rho) * r - g - h)
     return _report(f"fne(rho={rho})", viol, _dot(h, h), (xs, ys))
 
 
-def check_nonexpansive(node, budget=SampleBudget(), center=None):
-    """Probe plain Lipschitz-1 behavior on sampled pairs, at scale ``||x - y||``."""
+def check_nonexpansive(node, budget=SampleBudget(), *, center):
+    """Probe plain Lipschitz-1 behavior on pairs around ``center``, at scale ``||x - y||``."""
     xs, ys, h, g = _pairs(node, budget, center)
     dxy = np.sqrt(_dot(h, h))
     return _report("nonexpansive", np.sqrt(_dot(g, g)) - dxy, dxy, (xs, ys))

@@ -72,37 +72,27 @@ class RelaxationSchedule:
 
     The monotonicity theory needs ``lambda_k in [eps, 1 + rho - eps]`` for a
     uniform modulus ``rho`` of the plan outputs; every value the rule emits
-    is checked against that interval at use.  ``permissive=True`` widens
-    the interval to ``[eps, 2 - eps]`` and zeroes the strong-monotonicity
-    constant, since no quantitative guarantee survives out there.
-    ``constant`` and ``cycle`` also check their values at construction.
+    is checked against that interval at use.  ``constant`` and ``cycle``
+    also check their values at construction.
     """
 
-    def __init__(self, rule, eps, rho, *, permissive=False):
+    def __init__(self, rule, eps, rho):
         eps, rho = float(eps), float(rho)
-        self.lo, self.hi = self.interval(eps, rho, permissive)
+        self.lo, self.hi = self.interval(eps, rho)
         self.eps = eps
         self.rho = rho
-        self.permissive = bool(permissive)
         self._rule = rule
 
     @staticmethod
-    def interval(eps, rho, permissive=False):
-        """The step interval ``(lo, hi)`` that ``eps`` and ``rho`` certify.
-
-        Raises ValueError when eps lies outside (0, 1], rho is negative or NaN, or
-        the interval is empty (permissive mode widens it to ``2 - eps``).
-        """
+    def interval(eps, rho):
+        """The step interval ``(lo, hi) = (eps, 1 + rho - eps)`` that ``eps`` and ``rho``
+        certify; ValueError when eps is outside (0, 1], rho negative or NaN, or it is empty."""
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
         if not rho >= 0.0:
             raise ValueError(f"rho must be nonnegative, got {rho}")
-        if permissive:
-            return eps, 2.0 - eps
         if eps > (1.0 + rho) / 2.0 + _SLACK:
-            raise ValueError(
-                f"empty step range: eps={eps} exceeds (1 + rho)/2 with rho={rho}"
-            )
+            raise ValueError(f"empty step range: eps={eps} exceeds (1 + rho)/2 with rho={rho}")
         return eps, 1.0 + rho - eps
 
     def lam(self, k):
@@ -116,17 +106,15 @@ class RelaxationSchedule:
 
     @property
     def fejer_constant(self):
-        """Strong-monotonicity constant eps/(1 + rho - eps); 0 in permissive mode."""
-        if self.permissive:
-            return 0.0
+        """Strong-monotonicity constant eps/(1 + rho - eps), which is positive."""
         return self.eps / (1.0 + self.rho - self.eps)
 
     @classmethod
-    def constant(cls, value, eps, rho, **kw):
-        return cls.cycle([value], eps, rho, **kw)
+    def constant(cls, value, eps, rho):
+        return cls.cycle([value], eps, rho)
 
     @classmethod
-    def cycle(cls, values, eps, rho, **kw):
+    def cycle(cls, values, eps, rho):
         if not isinstance(values, (list, tuple)) or any(
             isinstance(v, bool) or not isinstance(v, Real) for v in values
         ):
@@ -134,22 +122,22 @@ class RelaxationSchedule:
         vals = [float(v) for v in values]
         if not vals:
             raise ValueError("a cycle needs at least one step size")
-        relax = cls(lambda k: vals[k % len(vals)], eps, rho, **kw)
+        relax = cls(lambda k: vals[k % len(vals)], eps, rho)
         for v in vals:
             relax._admit(v)
         return relax
 
     @classmethod
-    def sweep(cls, eps, rho, points=17, **kw):
+    def sweep(cls, eps, rho, points=17):
         """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
         if points < 2:
             raise ValueError(f"a sweep needs at least 2 points, got {points}")
         if points > sys.float_info.max:  # the grid divides by points - 1 as a float
             raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
-        lo, hi = cls.interval(float(eps), float(rho), kw.get("permissive", False))
+        lo, hi = cls.interval(float(eps), float(rho))
         # each grid value is computed at use, so a huge ``points`` costs nothing
         span, den = hi - lo, points - 1
-        return cls(lambda k: lo + span * (k % points) / den, eps, rho, **kw)
+        return cls(lambda k: lo + span * (k % points) / den, eps, rho)
 
 
 class PerturbationSchedule:
@@ -179,13 +167,21 @@ class PerturbationSchedule:
 
     @classmethod
     def power(cls, c, p, direction):
-        """beta_k = c / (k+1)^p with p > 1 (summable); c = 0 is the unperturbed limit."""
+        """beta_k = c / (k+1)^p with p > 1 (summable); c = 0 is the unperturbed limit.  Past
+        the float range of (k+1)^p, beta_k is exp(log c - p log(k+1)), at most c / max."""
         c, p = float(c), float(p)
         if c < 0.0:
             raise ValueError("magnitude scale must be nonnegative")
         if c > 0.0 and p <= 1.0:
             raise ValueError(f"exponent must exceed 1 for a summable series, got {p}")
-        return cls(lambda k: c / (k + 1) ** p, direction)
+
+        def beta(k):
+            try:
+                return c / (k + 1) ** p
+            except (OverflowError, ZeroDivisionError):  # c = 0 hands back c: the bits of 0 / (k+1)^p
+                return c and min(c / sys.float_info.max, math.exp(math.log(c) - p * math.log(k + 1)))
+
+        return cls(beta, direction)
 
     @classmethod
     def from_lists(cls, betas, vectors):
@@ -302,14 +298,12 @@ class Trace:
         optional = (("phi", self.phi), ("pert_mag", self.pert_mag))
         return cols + [(n, col) for n, col in optional if col is not None]
 
-    def csv_header(self):
-        return ",".join(["k"] + [name for name, _ in self._columns()])
-
     def to_csv(self, path):
-        """Write the scalar diagnostics to the file at ``path``, one row per
-        iterate at full precision, and return the text written."""
-        table = np.column_stack([col for _, col in self._columns()]).tolist()
-        lines = [self.csv_header()]
+        """Write a ``k,<column names>`` header and the scalar diagnostics, one row
+        per iterate at full precision, to ``path``; return the text written."""
+        cols = self._columns()
+        table = np.column_stack([col for _, col in cols]).tolist()
+        lines = [",".join(["k"] + [name for name, _ in cols])]
         lines += [",".join([str(k)] + [repr(v) for v in row]) for k, row in enumerate(table)]
         text = "\n".join(lines) + "\n"
         with open(path, "w") as fh:

@@ -304,6 +304,41 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert "\n  document: nested too deeply" in err
 
+    def test_config_not_utf8_is_a_config_error(self, capsys, tmp_path):
+        p = tmp_path / "latin.json"
+        p.write_bytes(b'{"a": "\xff\xfe"}')
+        code, out, err = run_cli(capsys, "solve", "--config", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid configuration:")
+        assert "\n  document: byte 0xff at position 7 is not UTF-8" in err
+
+    def test_large_perturbation_exponent_runs(self, capsys, tmp_path):
+        # (k+1)^400 leaves the float range at k = 5
+        doc = demo_doc()
+        doc["perturbation"] = {
+            "beta": {"form": "power", "c": 0.01, "p": 400},
+            "direction": {"kind": "away_from_witness"},
+        }
+        code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert code in (0, 2)
+        assert "Traceback" not in err and kv(out)["driver"] == "perturbed"
+
+    @pytest.mark.parametrize("index, window", [("30", "2147483648"), ("20000", "inf")])
+    def test_power_of_two_index_beyond_the_horizon_refused_by_name(
+        self, capsys, tmp_path, index, window
+    ):
+        doc = solve_doc(
+            family={"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}},
+            schedule={"variant": "power_of_two", "eps": 1.0},
+            relaxation={"eps": 0.5},
+            ambient_dim=5,
+            start=[3.0] * 5,
+        )
+        cfg = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "verify", "--config", cfg, "--indices", index)
+        assert (code, out) == (1, "")
+        assert err == f"error: window {window} for index {index} does not fit horizon 200\n"
+
     @pytest.mark.parametrize("horizon", [10_000_001, 10**400])
     def test_horizon_above_the_audit_ceiling_exits_1(self, capsys, horizon):
         cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "stage_solve.json")

@@ -301,17 +301,14 @@ class TestRelaxationSection:
         )
         assert parse_config(doc).relax.rho == 0.125
 
-    def test_permissive_interval(self):
-        doc = minimal_doc(
-            relaxation={
-                "eps": 0.25,
-                "permissive": True,
-                "lambda": {"kind": "constant", "value": 1.7},
-            }
-        )
-        cfg = parse_config(doc)
-        assert cfg.relax.fejer_constant == 0.0
-        assert cfg.relax.lam(0) == 1.7
+    def test_permissive_is_an_unknown_field(self):
+        # a step interval wider than [eps, 1 + rho - eps] is not certified, so no field opens one
+        doc = minimal_doc(relaxation={"eps": 0.25, "permissive": True})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        [(path, msg)] = exc.value.errors
+        assert path == "relaxation.permissive"
+        assert msg.startswith("unknown field (expected [")
 
     def test_lambda_cycle_and_sweep(self):
         doc = minimal_doc(relaxation={"eps": 0.25, "lambda": {"kind": "cycle", "values": [0.5, 1.0]}})

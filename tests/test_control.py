@@ -200,6 +200,17 @@ class TestVerifyAdmissible:
         with pytest.raises(ValueError, match="does not fit"):
             verify_admissible(PowerOfTwoSchedule(), 10, [4])  # window 32 > 11
 
+    @pytest.mark.parametrize("n", [10**7, 10**12])
+    def test_huge_power_of_two_index_refused_by_name(self, n):
+        # the window 2^(n+1) is never built: it stands at inf past n = 63
+        with pytest.raises(ValueError) as exc:
+            verify_admissible(PowerOfTwoSchedule(), 200, [n])
+        assert str(exc.value) == f"window inf for index {n} does not fit horizon 200"
+
+    def test_largest_exact_power_of_two_window(self):
+        s = PowerOfTwoSchedule()
+        assert (s.window_bound(62), s.window_bound(63), s.window_bound(64)) == (2**63, 2**64, np.inf)
+
     @pytest.mark.parametrize(
         "bounds, message", [({0: 2}, "not declared"), ({0: 2, 1: 12}, "does not fit")]
     )

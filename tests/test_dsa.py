@@ -133,14 +133,14 @@ class TestStageModulus:
         for q, string in [(2, (0, 1)), (3, (0, 1, 2)), (4, (3, 2, 1, 0))]:
             plan = gdsa_to_gmsa(StringStage([string], [1.0]))
             node = output_operator(plan, fam)
-            rep = check_fne(node, 1.0 / (2.0 * q), SampleBudget(count=300, seed=q))
+            rep = check_fne(node, 1.0 / (2.0 * q), SampleBudget(count=300, seed=q), center=np.zeros(3))
             assert rep.passed, str(rep)
 
     def test_stage_keeps_min_over_strings(self):
         fam = random_halfspace_family(3, 4, seed=57)
         st = StringStage([(0, 1), (2,)], [0.5, 0.5])
         node = output_operator(gdsa_to_gmsa(st), fam)
-        rep = check_fne(node, 0.25, SampleBudget(count=300, seed=58))
+        rep = check_fne(node, 0.25, SampleBudget(count=300, seed=58), center=np.zeros(3))
         assert rep.passed, str(rep)
 
 
@@ -196,6 +196,7 @@ class TestMsaEmbed:
         assert rep.passed
         assert sched.window_bound(0) == 2  # cycle length for base indices
         assert sched.window_bound(5) == 2**6
+        assert sched.window_bound(10**12) == np.inf  # no 10^12-bit integer is built
 
     def test_single_operator_family(self):
         s = Halfspace([1.0, 0.0], 0.0)

@@ -43,7 +43,7 @@ class TestPrimitiveConstants:
         p = _halfspace_proj(gamma=1.0)
         assert p.sqne_rho == 1.0
         assert p.fne_rho == 1.0
-        assert p.is_cutter
+        assert p.sqne_rho >= 1
         assert p.is_nonexpansive
 
     def test_underrelaxed_two_thirds(self):
@@ -51,12 +51,12 @@ class TestPrimitiveConstants:
         p = _halfspace_proj(gamma=2.0 / 3.0)
         assert_allclose(p.sqne_rho, 2.0, rtol=1e-15)
         assert_allclose(p.fne_rho, 2.0, rtol=1e-15)
-        assert p.is_cutter
+        assert p.sqne_rho >= 1
 
     def test_overrelaxed_loses_cutter(self):
         p = _halfspace_proj(gamma=4.0 / 3.0)
         assert_allclose(p.sqne_rho, (2.0 - 4.0 / 3.0) / (4.0 / 3.0), rtol=1e-15)
-        assert not p.is_cutter
+        assert not p.sqne_rho >= 1
 
     def test_gamma_range_enforced(self):
         for bad in (0.0, -0.5, 4.0 / 3.0 + 1e-9, 2.0):
@@ -268,11 +268,11 @@ class TestSamplingCheckers:
 
     def test_fne_check(self):
         p = _halfspace_proj(seed=28)
-        assert check_fne(p, 1.0, self.budget).passed
-        assert not check_fne(p, 5.0, self.budget).passed
+        assert check_fne(p, 1.0, self.budget, center=np.zeros(3)).passed
+        assert not check_fne(p, 5.0, self.budget, center=np.zeros(3)).passed
 
     def test_nonexpansive_check(self):
-        assert check_nonexpansive(_halfspace_proj(seed=29), self.budget).passed
+        assert check_nonexpansive(_halfspace_proj(seed=29), self.budget, center=np.zeros(3)).passed
 
     def test_nonexpansive_detects_expansion(self):
         class Doubler(Identity):
@@ -347,7 +347,7 @@ class TestCheckerScale:
     def test_exact_modulus_passes_at_large_radius(self, radius):
         budget = SampleBudget(count=300, seed=42, radius=radius)
         assert check_sqne(self.proj, 1.0, np.zeros(3), budget).passed
-        assert check_fne(self.proj, 1.0, budget).passed
+        assert check_fne(self.proj, 1.0, budget, center=np.zeros(3)).passed
 
     @pytest.mark.parametrize("radius", [2.0, 1e4, 1e6])
     def test_tight_overreach_is_caught_at_every_radius(self, radius):
@@ -355,7 +355,7 @@ class TestCheckerScale:
         rep = check_sqne(self.proj, 1.0 + 1e-6, np.zeros(3), budget)
         assert not rep.passed
         assert rep.worst is not None
-        assert not check_fne(self.proj, 1.001, budget).passed
+        assert not check_fne(self.proj, 1.001, budget, center=np.zeros(3)).passed
 
     def test_worst_is_a_failing_sample(self):
         # the largest raw violation passes at its own scale while a smaller
@@ -427,9 +427,9 @@ class TestPairSample:
     def test_each_check_applies_the_node_once(self):
         node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
         budget = SampleBudget(count=40, seed=3)
-        assert check_fne(node, 0.5, budget).passed
+        assert check_fne(node, 0.5, budget, center=np.zeros(3)).passed
         _probe.cache_clear()
-        assert check_nonexpansive(node, budget).passed
+        assert check_nonexpansive(node, budget, center=np.zeros(3)).passed
         assert node.applied == [(40,), (40,)]
 
     @pytest.mark.parametrize("corpus", ["criterion 03", "criterion 04"])
@@ -478,8 +478,8 @@ class TestPairSample:
         node = Primitive(Overshoot([0.6, 0.8, 0.0], 0.0))
         budget = SampleBudget(count=300, seed=11)
         assert not check_sqne(node, 1.0, np.zeros(3), budget).passed
-        assert not check_fne(node, 1.0, budget).passed
-        assert not check_nonexpansive(node, budget).passed
+        assert not check_fne(node, 1.0, budget, center=np.zeros(3)).passed
+        assert not check_nonexpansive(node, budget, center=np.zeros(3)).passed
         # its single points take the same broken step
         x = np.array([1.0, 1.0, 0.0])
         assert_allclose(node.apply(x), x - 2.5 * 1.4 * np.array([0.6, 0.8, 0.0]))
@@ -488,7 +488,10 @@ class TestPairSample:
         # one point would be paired with itself and pass vacuously
         node = _halfspace_proj(seed=4)
         budget = SampleBudget(count=1)
-        for check in (lambda: check_fne(node, 1.0, budget), lambda: check_nonexpansive(node, budget)):
+        for check in (
+            lambda: check_fne(node, 1.0, budget, center=np.zeros(3)),
+            lambda: check_nonexpansive(node, budget, center=np.zeros(3)),
+        ):
             with pytest.raises(ValueError, match="at least 2"):
                 check()
         assert check_sqne(node, 1.0, np.zeros(3), budget).samples == 1
@@ -509,8 +512,8 @@ class TestSharedSample:
         node = CountingComposition([_halfspace_proj(seed=5), _halfspace_proj(seed=6)])
         budget = SampleBudget(count=40, seed=3)
         assert check_sqne(node, 0.5, np.zeros(3), budget).passed
-        assert check_fne(node, 0.5, budget).passed
-        assert check_nonexpansive(node, budget).passed
+        assert check_fne(node, 0.5, budget, center=np.zeros(3)).passed
+        assert check_nonexpansive(node, budget, center=np.zeros(3)).passed
         # one apply to the witness (the fixed-point check), one to the 40 points
         assert node.applied == [(), (40,)]
 
@@ -528,8 +531,8 @@ class TestSharedSample:
             budget = SampleBudget(count=150, seed=i)
             check_sqne(T, 0.0, family.witness, budget)  # draws the probe
             for check in (
-                lambda: check_fne(T, rho, budget, family.witness),
-                lambda: check_nonexpansive(T, budget, family.witness),
+                lambda: check_fne(T, rho, budget, center=family.witness),
+                lambda: check_nonexpansive(T, budget, center=family.witness),
             ):
                 hit = check()
                 _probe.cache_clear()
@@ -560,7 +563,7 @@ class TestSharedSample:
             (Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), 1.0),
             (Relaxation(Primitive(Hyperplane([1.0, 0.0, 0.0], 0.0)), 2.0), 0.5),
         ]:
-            check_nonexpansive(node, budget)  # draws the probe the SQNE check judges
+            check_nonexpansive(node, budget, center=np.zeros(3))  # draws the probe the SQNE check judges
             rep = check_sqne(node, rho, np.zeros(3), budget)
             assert not rep.passed
             assert rep.worst is not None
@@ -570,7 +573,7 @@ class TestSharedSample:
         # center: it draws its own around z
         node = CountingComposition([_halfspace_proj(seed=4)])
         budget = SampleBudget(count=10)
-        check_nonexpansive(node, budget, np.ones(3))
+        check_nonexpansive(node, budget, center=np.ones(3))
         rep = check_sqne(node, 1.0, np.zeros(3), budget)
         assert node.applied == [(10,), (), (10,)]
         xs, _ = _probe(node, budget, np.zeros(3).tobytes())
@@ -586,8 +589,8 @@ class TestSharedSample:
         budget = SampleBudget(count=10)
         for check in (
             lambda n: check_sqne(n, 1.0, np.zeros(3), budget),
-            lambda n: check_fne(n, 1.0, budget),
-            lambda n: check_nonexpansive(n, budget),
+            lambda n: check_fne(n, 1.0, budget, center=np.zeros(3)),
+            lambda n: check_nonexpansive(n, budget, center=np.zeros(3)),
         ):
             check(node)
             other = CountingComposition([_halfspace_proj(seed=4)])

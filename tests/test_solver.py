@@ -6,7 +6,9 @@ not merely to a tolerance.
 """
 
 import dataclasses
+import math
 import runpy
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -55,12 +57,6 @@ class TestRelaxationSchedule:
     def test_fejer_constant_formula(self):
         r = RelaxationSchedule.constant(0.5, 0.1, 0.05)
         assert_allclose(r.fejer_constant, 0.1 / (1.0 + 0.05 - 0.1), rtol=1e-15)
-
-    def test_permissive_widens_and_zeroes_constant(self):
-        r = RelaxationSchedule.constant(1.7, 0.25, 0.05, permissive=True)
-        assert_allclose(r.hi, 1.75)
-        assert r.fejer_constant == 0.0
-        assert r.lam(0) == 1.7
 
     def test_lam_outside_interval_rejected(self):
         r = RelaxationSchedule(lambda k: 1.5, 0.25, 0.05)  # hi = 0.8
@@ -142,6 +138,31 @@ class TestPerturbationSchedule:
             PerturbationSchedule.power(0.01, 1.0, constant_direction([1.0]))
         # zero scale is allowed at any exponent: there is nothing to sum
         PerturbationSchedule.power(0.0, 1.0, constant_direction([1.0]))
+
+    @pytest.mark.parametrize(
+        "c, p", [(0.01, 400.0), (0.0, 400.0), (0.01, 1e308), (0.0, 1e308), (0.0, -400.0)]
+    )
+    def test_power_past_the_float_range(self, c, p):
+        # (k+1)^p overflows at k = 5 for p = 400 and at k = 1 for p = 1e308;
+        # for c = 0, p = -400 it underflows to 0.0 by k = 10**6, and 0 / 0.0 raises
+        sched = PerturbationSchedule.power(c, p, constant_direction([1.0]))
+        betas = [sched.at(k, np.zeros(1))[0] for k in (0, 4, 5, 10**6)]
+        assert all(type(b) is float and 0.0 <= b < math.inf for b in betas)
+        assert betas == sorted(betas, reverse=True)
+        if c == 0.0:
+            assert betas == [0.0] * 4
+
+    def test_power_tail_stays_below_its_finite_head(self):
+        # p = 100: the power leaves the float range near k = 1,200
+        sched = PerturbationSchedule.power(1e300, 100.0, constant_direction([1.0]))
+        betas = [sched.at(k, np.zeros(1))[0] for k in range(1_150, 1_300)]
+        assert betas == sorted(betas, reverse=True)
+        assert betas[0] > 0.0 and betas[-1] < 1e300 / sys.float_info.max
+
+    def test_power_keeps_its_bits_where_finite(self):
+        sched = PerturbationSchedule.power(0.01, 2.0, constant_direction([1.0]))
+        x = np.zeros(1)
+        assert all(sched.at(k, x)[0] == 0.01 / (k + 1) ** 2.0 for k in range(10**5))
 
     def test_direction_norm_capped(self):
         p = PerturbationSchedule(lambda k: 0.1, lambda k, x: np.array([3.0, 4.0]))
@@ -636,11 +657,11 @@ class TestTraceRecording:
         assert float(first[3]) == tr.dist_witness[0]
         assert "np.float64" not in text
 
-    def test_csv_gains_pert_column(self):
+    def test_csv_gains_pert_column(self, tmp_path):
         pert = PerturbationSchedule.power(0.1, 2.0, constant_direction([1.0, 0.0]))
         tr = run_perturbed(self.fam, self.sched, self.relax, pert, np.array([2.0, 1.0]),
                            StopRule(4, None, None))
-        assert tr.csv_header().endswith(",pert_mag")
+        assert tr.to_csv(tmp_path / "trace.csv").split("\n", 1)[0].endswith(",pert_mag")
 
     def test_csv_bytes_match_per_element_writer(self, tmp_path):
         sup = run_superiorized(self.fam, self.sched, self.relax, linear_objective([1.0, 1.0]),
@@ -649,8 +670,9 @@ class TestTraceRecording:
         pert = PerturbationSchedule.power(0.1, 2.0, away_from(self.fam.witness))
         per = run_perturbed(self.fam, self.sched, self.relax, pert, np.array([2.0, 1.0]),
                             StopRule(12, None, None))
-        assert sup.csv_header() == "k,residual,step,dist_witness,fejer_slack,d0,d1,phi,pert_mag"
         path = tmp_path / "trace.csv"
+        header = sup.to_csv(path).split("\n", 1)[0]
+        assert header == "k,residual,step,dist_witness,fejer_slack,d0,d1,phi,pert_mag"
         for tr in (sup, per, self._trace(monitored=(0,))):
             assert tr.to_csv(path) == reference_csv(tr) == path.read_text()
 
