@@ -255,12 +255,10 @@ def cmd_superiorize(cfg, args):
         cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
     )
     _emit("driver", "superiorized")
-    _emit("objective at plain final", f"{cfg.oracle.value(baseline.final_x):.6e}")
-    _emit("objective at superiorized final", f"{cfg.oracle.value(trace.final_x):.6e}")
-    _emit(
-        "objective reduction",
-        f"{cfg.oracle.value(baseline.final_x) - cfg.oracle.value(trace.final_x):.6e}",
-    )
+    plain, superiorized = cfg.oracle.value(baseline.final_x), cfg.oracle.value(trace.final_x)
+    _emit("objective at plain final", f"{plain:.6e}")
+    _emit("objective at superiorized final", f"{superiorized:.6e}")
+    _emit("objective reduction", f"{plain - superiorized:.6e}")
     if cfg.oracle.argmin_witnesses and cfg.stride == 1:
         _emit("behavior", alternatives_diagnostic(trace, cfg.oracle))
     return _finish(cfg, trace)

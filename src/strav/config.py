@@ -25,7 +25,7 @@ import numpy as np
 from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec
-from .numeric import as_vector
+from .numeric import _SLACK, as_vector
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -407,11 +407,6 @@ def _build_family(v, dim, errors):
     return fam
 
 
-def _stage_plan(v, path, k, errors):
-    stage = _make(path, errors, StringStage, k=k, **v)
-    return None if stage is None else gdsa_to_gmsa(stage)
-
-
 def _build_schedule(v, errors):
     if v is None:
         return None
@@ -423,9 +418,9 @@ def _build_schedule(v, errors):
             "schedule", errors, CyclicSchedule.over_indices, v["indices"], v["eps"], v["alpha"]
         )
     if variant == "stages":
-        plans = [
-            _stage_plan(s, f"schedule.stages[{i}]", i, errors) for i, s in enumerate(v["stages"])
-        ]
+        stages = [_make(f"schedule.stages[{i}]", errors, StringStage, k=i, **s)
+                  for i, s in enumerate(v["stages"])]
+        plans = [None if s is None else gdsa_to_gmsa(s) for s in stages]
     else:
         plans = [
             plan_from_record(p, f"schedule.plans[{i}]", errors) for i, p in enumerate(v["plans"])
@@ -436,14 +431,29 @@ def _build_schedule(v, errors):
     return _make("schedule", errors, cls, plans)
 
 
-def _build_relax(v, schedule, errors):
+def _derived_rho(schedule, family, eps):
+    """``uniform_modulus``, refused when a kind-0 step with alpha != 1 relaxes a projection of
+    gamma > 1: the bound assumes a cutter or firmly nonexpansive input, and it is neither."""
+    size = getattr(family, "size", 0)  # only a set list carries gammas
+    # a power-of-two schedule keeps no plan list: its plan n relaxes input n
+    for i, plan in enumerate(schedule.plans or [schedule.plan_at(2**n - 1) for n in range(size)]):
+        for n, s in plan.steps.items():
+            j = -s.J[0]
+            g = family.operator(j).gamma if s.c == 0 and j < size else 1.0
+            if g > 1.0 and abs(s.alpha - 1.0) > _SLACK:
+                raise ValueError(f"plan {i} step {n} relaxes input {j} of gamma {g} by alpha "
+                                 f"{s.alpha}; the derived rho does not hold, so give rho explicitly")
+    return uniform_modulus(schedule, eps)
+
+
+def _build_relax(v, schedule, family, errors):
     if v is None or (v["rho"] is None and schedule is None):
         return None
     rho = v["rho"]
     if rho is None:
         # the eps floor of the plans; a power-of-two schedule keeps no plan list
         floor = min(p.eps for p in schedule.plans) if schedule.plans else schedule.eps
-        rho = _make("relaxation.rho", errors, uniform_modulus, schedule, floor)
+        rho = _make("relaxation.rho", errors, _derived_rho, schedule, family, floor)
         if rho is None:
             return None
     kw = dict(eps=v["eps"], rho=rho)
@@ -533,7 +543,7 @@ def parse_config(source):
         raise ConfigError(errors)
     family = _build_family(top["family"], dim, errors)
     schedule = _build_schedule(top["schedule"], errors)
-    relax = _build_relax(top["relaxation"], schedule, errors)
+    relax = _build_relax(top["relaxation"], schedule, family, errors)
     perturb = _build_perturbation(top["perturbation"], dim, seed, family, errors)
     oracle = _build_objective(top["objective"], dim, errors)
     grid = None

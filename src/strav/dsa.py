@@ -155,9 +155,7 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
             )
 
     def generator(n):
-        if n <= m_top:
-            return ops[n]
-        return Identity()
+        return ops[n] if n <= m_top else Identity()
 
     family = OperatorFamily(generator, witness)
 

@@ -146,14 +146,16 @@ class IterationPlan:
         return IterationPlan(**args)
 
     def structure_key(self):
-        """Hashable identity of the plan without ``k``.
+        """Hashable identity of the plan without ``k``: plain data, which hashes in C.
 
         Plans with equal keys validate alike and build equal trees over one
         family, so a driver may build one tree per key.
         """
         if self._key is None:
             steps = tuple((n, _step_key(s)) for n, s in sorted(self.steps.items()))
-            self._key = (self.N, self.eps, self.assume, steps)
+            a = self.assume  # its flags, not the dataclass, whose __hash__ is Python code
+            flags = (a.half_sqne, a.half_fne, a.cutters, a.firmly_nonexpansive)
+            self._key = (self.N, self.eps, flags, steps)
         return self._key
 
     # -- validation ---------------------------------------------------------

@@ -4,7 +4,10 @@ A node is one of five kinds: a relaxed metric projection onto a convex set
 (``Primitive``), the identity, a relaxation of a child, a convex
 combination of children, or a composition applied left to right.  Nodes
 are immutable; the quantitative constants below are derived once at
-construction and never recomputed.
+construction and never recomputed.  So is a pass-through node's ``apply``,
+with no frame of its own: a projection at gamma 1 applies its set's
+``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
+identity's); a point it fixes comes back as the very array passed in.
 
 Constants attached to a node
 ----------------------------
@@ -156,13 +159,13 @@ class Primitive(OperatorNode):
         self.dim = set_.dim
         self.sqne_rho = rho
         self.fne_rho = rho
+        if gamma == 1.0:
+            self.apply = set_.project
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)  # so a list's point inside comes back as its array's bits
         p = self.set.project(x)
-        if self.gamma == 1.0 or p is x:  # p is x: x lies in the set
-            return p
-        return x + self.gamma * (p - x)
+        return p if p is x else x + self.gamma * (p - x)  # p is x: x lies in the set
 
 
 class Identity(OperatorNode):
@@ -193,13 +196,11 @@ class Relaxation(OperatorNode):
         two_point = _relaxed_constant(child.fne_rho, alpha)
         self.fne_rho = two_point
         self.sqne_rho = _best(direct, two_point)
+        if alpha in (0.0, 1.0):  # the identity, or the child itself
+            self.apply = child.apply if alpha else Identity().apply
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        if self.alpha == 0.0:
-            return x
-        if self.alpha == 1.0:
-            return self.child.apply(x)
         return x + self.alpha * (self.child.apply(x) - x)
 
     def children(self):

@@ -30,9 +30,14 @@ trees instead of 20,001.
 
 An update at a fixed point does no vector arithmetic.  When T_k hands u^k
 back as the same array (an inactive halfspace or hyperplane, a relaxation
-with alpha 1, a composition of such nodes), the residual is 0 and
-x^{k+1} = u^k + lambda_k * 0.0, which turns a -0.0 coordinate into +0.0
-just as the general formula does (u^k itself at lambda_k = 1); if also
+with alpha 1, a composition of such nodes), the residual is 0 and u^k
+itself is x^{k+1} when lambda_k = 1 or u^k holds no -0.0; otherwise u^k +
+lambda_k * 0.0 turns each -0.0 into +0.0, as the general formula does.
+Whether x^k may hold a -0.0 is tracked, not scanned for: x^0 is checked
+once; a sum is -0.0 only where both terms are, so u^k = x^k + beta_k v^k
+holds one only where x^k does, and u^k + lambda_k r only where u^k does
+(lambda_k r may underflow to -0.0); u^k + lambda_k * 0.0 at lambda_k > 0
+holds none; and T_k(u^k) handed on at lambda_k = 1 may hold one.  If also
 u^k = x^k, the step is 0 and the witness distance carries over.  A moving
 update forms T_k(u^k) - u^k once and reads its step and witness distance
 from one row-wise norm of x^{k+1} against the rows [x^k; z].  Both paths
@@ -335,10 +340,10 @@ def _drive(
     rows, kept, directions = array("d"), array("d"), array("d")
 
     trees = {}
+    clean = not np.signbit(x[x == 0.0]).any()  # x^k holds no -0.0 (see the module docstring)
     dz = float(norm(x - z))
     xz = np.stack([x, z])  # row 0 tracks x^k: one row-wise norm of x^{k+1} - xz gives step and dz
-    pending = None
-    reason = None
+    pending = reason = None
     k = 0
     while True:
         plan = schedule.plan_at(k)
@@ -383,7 +388,10 @@ def _drive(
         st = sl = 0.0
         if reason is None:
             lam = relax.lam(k)
-            x_next = tu if lam == 1.0 else u + lam * r
+            if lam == 1.0 or fixed and clean:  # at a fixed point tu is u
+                x_next, clean = tu, clean and fixed
+            else:
+                x_next, clean = u + lam * r, clean or fixed and lam > 0.0
             if fixed and u is x:
                 # x_next differs from x at most in the sign of a zero, which no square sees,
                 # so xz[0] may keep x
@@ -474,16 +482,8 @@ def run_perturbed(
     point; with beta identically 0 the arithmetic path is the plain run's,
     so the traces agree bitwise.
     """
-    return _drive(
-        family,
-        schedule,
-        relax,
-        y0,
-        stop,
-        pert=perturb.at,
-        monitored=monitored,
-        record_stride=record_stride,
-    )
+    return _drive(family, schedule, relax, y0, stop, pert=perturb.at, monitored=monitored,
+                  record_stride=record_stride)
 
 
 def check_fejer(trace, z, constant):

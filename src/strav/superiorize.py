@@ -207,17 +207,8 @@ def run_superiorized(
             shift = shift + b * v
         return beta_k, shift / beta_k
 
-    return _drive(
-        family,
-        schedule,
-        relax,
-        y0,
-        stop,
-        pert=pert,
-        objective=oracle,
-        monitored=monitored,
-        record_stride=record_stride,
-    )
+    return _drive(family, schedule, relax, y0, stop, pert=pert, objective=oracle,
+                  monitored=monitored, record_stride=record_stride)
 
 
 @dataclass

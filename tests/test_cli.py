@@ -8,6 +8,7 @@ import pytest
 import strav.cli
 import strav.operators
 from strav.cli import main
+from strav.config import parse_config
 from strav.operators import OperatorNode
 
 
@@ -475,6 +476,33 @@ class TestErrorHandling:
         assert "Traceback" not in err
         for i in range(len(doc["family"]["sets"])):
             assert f"\n  family.sets[{i}]: " in err
+
+    @pytest.mark.parametrize("schedule", [
+        {"variant": "cyclic", "plans": [
+            {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [j], "alpha": 1.5}]} for j in (0, -1)
+        ]},
+        {"variant": "power_of_two", "eps": 0.5, "alpha": 1.5},
+        {"variant": "cyclic", "indices": [1, 0], "eps": 0.5, "alpha": 1.5},
+    ])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_derived_rho_refused_over_a_projection_relaxed_past_one(
+        self, capsys, tmp_path, schedule, command
+    ):
+        # alpha 1.5 on a projection at gamma 1.3, which is neither a cutter nor firmly
+        # nonexpansive: the derived rho 0.25 does not hold (its own Fejer audit failed)
+        doc = solve_doc(schedule=schedule, relaxation={"eps": 0.25}, start=[3.0, 4.0])
+        doc["family"]["gammas"] = [1.3]
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert code == 1 and out == "" and "Traceback" not in err
+        j = schedule.get("indices", [0])[0]
+        assert f"\n  relaxation.rho: plan 0 step 1 relaxes input {j} of gamma 1.3 by alpha 1.5;" in err
+        assert "give rho explicitly" in err
+        # an explicit rho, alpha 1 or gamma 1 is not refused
+        for rho, alpha, gamma in ((0.02, 1.5, 1.3), (None, 1.0, 1.3), (None, 1.5, 1.0)):
+            doc["relaxation"] = {"eps": 0.25, "rho": rho, "lambda": {"kind": "constant", "value": 0.5}}
+            doc["family"]["gammas"] = [gamma]
+            text = json.dumps(doc).replace('"alpha": 1.5', f'"alpha": {alpha}')
+            assert parse_config(text).relax.rho == (0.25 if rho is None else rho)
 
     def test_out_of_range_cycle_entry_reports_its_index(self, capsys, tmp_path):
         doc = demo_doc()

@@ -5,6 +5,7 @@ and the modulus bounds against hand-computed width products, so the
 module under test never certifies itself.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -302,3 +303,16 @@ class TestReplaced:
     def test_assume_swap(self):
         weak = InputAssumptions(cutters=False)
         assert three_step_plan().replaced(assume=weak).assume.cutters is False
+
+    def test_structure_key_is_plain_data_equal_exactly_when_the_plans_are(self):
+        flags = list(itertools.product([False, True], repeat=4))
+        plans = [three_step_plan(assume=InputAssumptions(*f)) for f in flags]
+        for p, f in zip(plans, flags):
+            for q in plans:
+                assert (p.structure_key() == q.structure_key()) == (p.assume == q.assume)
+            assert p.replaced(k=3, assume=InputAssumptions(*f)).structure_key() == p.structure_key()
+
+        def plain(v):  # builtins only, so hashing the key runs no Python-level __hash__
+            return type(v) in (int, float, bool, type(None)) or type(v) is tuple and all(map(plain, v))
+
+        assert all(plain(p.structure_key()) for p in plans)

@@ -120,6 +120,43 @@ class TestRelaxationConstants:
         assert_allclose(Relaxation(p, 0.7).apply(x), x + 0.7 * (p.apply(x) - x), rtol=1e-15)
 
 
+class TestPassThroughNodes:
+    """A projection at gamma 1 and a relaxation at alpha 1 add no frame of their own."""
+
+    H = Halfspace(np.array([1.0, -2.0, 0.5]), 0.25)
+
+    def _nodes(self):
+        p = Primitive(self.H)
+        r = Relaxation(p, 1.0)
+        return [p, r, Relaxation(r, 1.0), Composition([r, Primitive(self.H), Relaxation(p, 1.0)])]
+
+    def test_a_fixed_point_comes_back_as_the_array_passed_in(self):
+        u = np.array([-1.0, 0.5, -0.0])  # <a, u> = -2 < 0.25
+        for node in self._nodes():
+            assert node.apply(u) is u, node
+
+    def test_apply_is_chosen_at_construction(self):
+        p = Primitive(self.H)
+        assert p.apply == self.H.project and Relaxation(p, 1.0).apply == self.H.project
+        assert Primitive(self.H, 0.5).apply.__func__ is Primitive.apply
+        assert Relaxation(p, 0.5).apply.__func__ is Relaxation.apply
+
+    @pytest.mark.parametrize("point", [[2.0, -1.0, 3.0], [-1.0, 0.5, -0.0], [[2.0, 1.0, 0.0]] * 2])
+    def test_a_list_gives_the_bits_of_an_array(self, point):
+        nodes = self._nodes() + [Primitive(self.H, 0.5), Relaxation(Primitive(self.H), 1.5)]
+        for node in nodes:
+            want = node.apply(np.array(point))
+            assert node.apply(point).tobytes() == want.tobytes(), node
+
+    def test_constants_keep_their_values(self):
+        for gamma in (1.0, 0.5, 4.0 / 3.0):
+            child = Primitive(self.H, gamma)
+            rho = (2.0 - gamma) / gamma
+            assert child.sqne_rho == child.fne_rho == rho
+            r = Relaxation(child, 1.0)  # (1 + rho - 1) / 1, which need not be rho bitwise
+            assert r.sqne_rho == r.fne_rho == (1.0 + rho - 1.0) / 1.0
+
+
 class TestConvexCombConstants:
     def test_min_over_children(self):
         a = _halfspace_proj(gamma=1.0)        # rho = 1

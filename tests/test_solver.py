@@ -32,7 +32,7 @@ from strav.fixtures import axis_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import as_vector, norm
 from strav.operators import Identity
-from strav.sets import Halfspace, OperatorFamily
+from strav.sets import Box, Halfspace, OperatorFamily
 from strav.solver import (
     PerturbationSchedule,
     RelaxationSchedule,
@@ -880,3 +880,63 @@ class TestDriverParity:
                  StopRule(200, None, None))
         assert tr.n_updates == 200
         assert len(calls) == 1  # the initial distance to the witness
+
+    def test_lambda_one_hands_on_a_negative_zero(self, monkeypatch):
+        # the lambda-1 projection hands T(u) on with the start's -0.0; the fixed update
+        # at 0.5 that follows must turn it into +0.0, as u + 0.5 * (u - u) does
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, two_halfspace_family(),
+            CyclicSchedule.over_indices([0, 1]), RelaxationSchedule.cycle([1.0, 0.5], 0.25, 1.0),
+            np.array([0.5, -0.0]), StopRule(6, None, None),
+        )
+        assert tr.residual[0] > 0.0 and not tr.residual[1:].any()
+        assert np.signbit(tr.xs[1, 1]) and not np.signbit(tr.xs[2:, 1]).any()
+
+    def test_lambda_one_makes_a_negative_zero_from_a_clean_start(self, monkeypatch):
+        # the box's upper bound -0.0 enters a start that holds none; the halfspace
+        # that fixes the point next must still see u + 0.5 * (u - u)
+        fam = OperatorFamily.from_sets(
+            [Box([-1.0, -1.0], [-0.0, 1.0]), Halfspace([0.0, 1.0], 1.0)], np.array([-0.5, 0.0])
+        )
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, fam, CyclicSchedule.over_indices([0, 1]),
+            RelaxationSchedule.cycle([1.0, 0.5], 0.25, 1.0), np.array([0.5, 0.5]),
+            StopRule(6, None, None),
+        )
+        assert np.signbit(tr.xs[1, 0]) and not np.signbit(tr.xs[2, 0])
+
+    def test_moving_update_keeps_a_negative_zero_where_its_step_underflows(self, monkeypatch):
+        # T(u) - u is -5e-324 in both coordinates and 0.5 times it underflows to -0.0, so
+        # u + 0.5 * r keeps u's -0.0 although the update moved; the fixed update after it
+        # must turn it into +0.0
+        fam = OperatorFamily.from_sets(
+            [Halfspace([1.0, 1.0], 0.0), Halfspace([1.0, 0.0], 0.0)], np.zeros(2)
+        )
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, fam, CyclicSchedule.over_indices([0, 1]),
+            RelaxationSchedule.constant(0.5, 0.25, 1.0), np.array([-0.0, 1e-323]),
+            StopRule(4, None, None),
+        )
+        assert np.signbit(tr.xs[1, 0]) and not np.signbit(tr.xs[2:, 0]).any()
+
+    def test_perturbed_run_with_some_zero_betas(self, monkeypatch):
+        # beta_k = 0 leaves u^k = x^k and any other beta_k moves it, so the two alternate
+        sched, relax = self._power_of_two()
+        vs = np.random.default_rng(5).standard_normal((60, 5))
+        vs /= norm(vs)[:, None]
+        betas = [0.0 if k % 3 else 0.1 / (k + 1) for k in range(60)]
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run_perturbed, axis_halfspace_family(5), sched, relax,
+            PerturbationSchedule.from_lists(betas, vs), np.array([2.5, -0.0, 0.5, -1.0, 0.25]),
+            StopRule(80, None, None), monitored=range(3),
+        )
+        assert (tr.pert_betas == 0.0).sum() > 40 and (tr.pert_betas > 0.0).sum() == 20
+
+    @pytest.mark.parametrize("lam", [None, 1.0])
+    def test_negative_zero_start_with_a_stride(self, monkeypatch, lam):
+        sched, relax = self._power_of_two(lam)
+        tr = self._assert_parity(
+            monkeypatch, strav.solver, run, axis_halfspace_family(5), sched, relax,
+            np.array([-0.0, 2.0, -0.0, 0.5, 3.0]), StopRule(100, None, None), record_stride=7,
+        )
+        assert len(tr.xs) == 16
