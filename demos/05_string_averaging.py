@@ -28,7 +28,7 @@ def main():
     gap = np.abs(output_operator(plan, family)(x) - direct_eval(stage, family, x)).max()
     print(f"largest rewrite gap over 6 points: {gap:.2e}")
 
-    print(f"plan modulus guarantee: {sqne_bound(plan):.4f}")
+    print(f"plan modulus guarantee over the family's leaves: {sqne_bound(plan, family):.4f}")
     print(f"stage modulus at gamma = 1, q = 3: {rho_gdsa([1.0], 3):.4f}")
 
     normals = rng.standard_normal((3, 4))

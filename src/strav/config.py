@@ -24,8 +24,8 @@ import numpy as np
 
 from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
-from .gmsa import IterationPlan, StepSpec
-from .numeric import _SLACK, as_vector
+from .gmsa import IterationPlan, StepSpec, sqne_bound
+from .numeric import as_vector
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -400,11 +400,12 @@ def _build_family(v, dim, errors):
     if v["generator"] is None:
         errors.append(("family", "needs either 'sets' or a known 'generator'"))
         return None
-    fam = axis_halfspace_family(dim)
+    before, fam = len(errors), axis_halfspace_family(dim)
+    if gammas is not None:
+        errors.append(("family.gammas", "the axis_halfspaces generator takes no gammas"))
     if not np.array_equal(fam.witness, witness):
         errors.append(("family.witness", "axis_halfspaces generator fixes the origin witness"))
-        return None
-    return fam
+    return fam if len(errors) == before else None
 
 
 def _build_schedule(v, errors):
@@ -432,17 +433,14 @@ def _build_schedule(v, errors):
 
 
 def _derived_rho(schedule, family, eps):
-    """``uniform_modulus``, refused when a kind-0 step with alpha != 1 relaxes a projection of
-    gamma > 1: the bound assumes a cutter or firmly nonexpansive input, and it is neither."""
-    size = getattr(family, "size", 0)  # only a set list carries gammas
+    """``uniform_modulus``, refused unless every plan's leaves meet the hypotheses of its bound."""
     # a power-of-two schedule keeps no plan list: its plan n relaxes input n
+    size = getattr(family, "size", 0)
     for i, plan in enumerate(schedule.plans or [schedule.plan_at(2**n - 1) for n in range(size)]):
-        for n, s in plan.steps.items():
-            j = -s.J[0]
-            g = family.operator(j).gamma if s.c == 0 and j < size else 1.0
-            if g > 1.0 and abs(s.alpha - 1.0) > _SLACK:
-                raise ValueError(f"plan {i} step {n} relaxes input {j} of gamma {g} by alpha "
-                                 f"{s.alpha}; the derived rho does not hold, so give rho explicitly")
+        try:
+            sqne_bound(plan, family)
+        except ValueError as exc:
+            raise ValueError(f"plan {i}: {exc}; give rho explicitly") from None
     return uniform_modulus(schedule, eps)
 
 

@@ -20,24 +20,24 @@ of the output is ``eps / (2 * P_1 * ... * P_N)``, and a whole schedule of
 plans is covered uniformly by ``eps / (2 * M^K)`` where ``K`` bounds the
 step counts and ``M`` the widths.
 
-These guarantees assume the input operators behind the leaves are strong
-enough (modulus >= 1/2, and for kind-0 steps with alpha != 1 the referenced
-input additionally a cutter on the one-point route or firmly nonexpansive
-on the two-point route).  Those hypotheses live on the plan as
-caller-asserted :class:`InputAssumptions` flags; they are deliberately not
-inferred, because leaves may be black boxes.
+These guarantees need the input operators behind the leaves to be strong
+enough, which :func:`sqne_bound` and :func:`fne_bound` read off the leaves
+of a given family: every input a step references must carry a constant of
+at least 1/2, and every input a kind-0 step relaxes with alpha != 1 one of
+at least 1 (a cutter on the one-point route, firmly nonexpansive on the
+two-point route).  :func:`sqne_bound` reads each leaf's ``sqne_rho``,
+:func:`fne_bound` its ``fne_rho``; a leaf whose constant is None (a black
+box) meets neither condition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .numeric import _SLACK, _within
+from .numeric import _SLACK, _admits, _within
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
-    "InputAssumptions",
     "StepSpec",
     "IterationPlan",
     "output_operator",
@@ -45,16 +45,6 @@ __all__ = [
     "fne_bound",
     "rho_uniform",
 ]
-
-
-@dataclass(frozen=True)
-class InputAssumptions:
-    """Caller-asserted properties of the input operators behind the leaves."""
-
-    half_sqne: bool = True
-    half_fne: bool = True
-    cutters: bool = True
-    firmly_nonexpansive: bool = True
 
 
 class StepSpec:
@@ -105,7 +95,7 @@ class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
     Everything derived from the plan depends on its structure only (``N``,
-    ``eps``, ``assume`` and the step contents), never on ``k``, and is
+    ``eps`` and the step contents), never on ``k``, and is
     computed once per plan: the validation issues, the output indices and
     :meth:`structure_key`.  A schedule hands out the plans it stores, so
     one plan serves every iteration that runs it.
@@ -122,11 +112,9 @@ class IterationPlan:
         relaxations stay in [eps, 1] resp. [eps, 2 - eps].
     steps : dict or sequence
         ``{n: StepSpec}`` keyed 1..N, or a sequence in step order.
-    assume : InputAssumptions
-        Hypotheses on the input operators, asserted by the caller.
     """
 
-    def __init__(self, k, N, eps, steps, assume=InputAssumptions()):
+    def __init__(self, k, N, eps, steps):
         self.k = int(k)
         self.N = int(N)
         self.eps = float(eps)
@@ -134,14 +122,13 @@ class IterationPlan:
             self.steps = {int(n): s for n, s in steps.items()}
         else:
             self.steps = {n: s for n, s in enumerate(steps, start=1)}
-        self.assume = assume
         self._validation = None
         self._outputs = None  # made on first use: many plans are only validated
         self._key = None
 
     def replaced(self, **kw):
         """A new plan with some constructor fields swapped (steps are shared)."""
-        args = dict(k=self.k, N=self.N, eps=self.eps, steps=self.steps, assume=self.assume)
+        args = dict(k=self.k, N=self.N, eps=self.eps, steps=self.steps)
         args.update(kw)
         return IterationPlan(**args)
 
@@ -153,9 +140,7 @@ class IterationPlan:
         """
         if self._key is None:
             steps = tuple((n, _step_key(s)) for n, s in sorted(self.steps.items()))
-            a = self.assume  # its flags, not the dataclass, whose __hash__ is Python code
-            flags = (a.half_sqne, a.half_fne, a.cutters, a.firmly_nonexpansive)
-            self._key = (self.N, self.eps, flags, steps)
+            self._key = (self.N, self.eps, steps)
         return self._key
 
     # -- validation ---------------------------------------------------------
@@ -221,7 +206,7 @@ def _validate(plan):
                 issues.append((n, "kind-0 steps take exactly one input reference (j <= 0)"))
             if s.alpha is None:
                 issues.append((n, "kind-0 steps need alpha"))
-            elif not plan.eps - _SLACK <= s.alpha <= 2.0 - plan.eps + _SLACK:
+            elif not _admits(s.alpha, plan.eps, 2.0 - plan.eps):
                 issues.append((n, f"alpha {s.alpha} outside [eps, 2 - eps]"))
             if s.weights is not None or s.order is not None:
                 issues.append((n, "kind-0 steps carry neither weights nor order"))
@@ -229,7 +214,7 @@ def _validate(plan):
             if s.weights is None:
                 issues.append((n, "kind-1 steps need weights"))
             else:
-                if any(w < plan.eps - _SLACK or w > 1.0 + _SLACK for w in s.weights):
+                if not all(_admits(w, plan.eps, 1.0) for w in s.weights):
                     issues.append((n, f"weights {s.weights} outside [eps, 1]"))
                 if not _within(abs(sum(s.weights) - 1.0)):
                     issues.append((n, f"weights sum to {sum(s.weights)}, need 1"))
@@ -277,40 +262,44 @@ def output_operator(plan, family):
     return build(plan.N)
 
 
-def _plan_bound(plan, route, half, relaxed):
-    # eps / (2 * prod P_i) once the plan asserts the flag ``half`` (inputs at
-    # modulus >= 1/2) and, for a kind-0 step with alpha != 1, ``relaxed``
+def _plan_bound(plan, family, route, attr):
+    # eps / (2 * prod P_i) once, over ``family``, every input a step references carries
+    # ``attr`` >= 1/2 and every input a kind-0 step relaxes with alpha != 1 carries it >= 1
     plan.require_valid()
-    if not getattr(plan.assume, half):
-        raise ValueError(f"{route}-hypotheses-unmet: inputs not asserted {half}")
-    for n in range(1, plan.N + 1):
+    for n in range(1, plan.N + 1) if family is not None else ():
         s = plan.steps[n]
-        if s.c == 0 and abs(s.alpha - 1.0) > _SLACK and not getattr(plan.assume, relaxed):
-            raise ValueError(
-                f"{route}-hypotheses-unmet: step {n} relaxes with alpha={s.alpha} "
-                f"but inputs are not asserted {relaxed}"
-            )
+        relaxed = s.c == 0 and abs(s.alpha - 1.0) > _SLACK
+        need = 1.0 if relaxed else 0.5
+        for j in s.J:
+            # a positive reference is a module of this plan, judged through its own step
+            rho = getattr(family.operator(-j), attr) if j <= 0 else math.inf
+            if rho is None or rho < need:
+                what = f"relaxes input {-j} by alpha {s.alpha}" if relaxed else f"references input {-j}"
+                raise ValueError(
+                    f"{route}-hypotheses-unmet: step {n} {what}, whose {attr} is {rho}, not at least {need}"
+                )
     return plan.eps / (2.0 * plan.width_product())
 
 
-def sqne_bound(plan):
+def sqne_bound(plan, family=None):
     """Guaranteed one-point modulus ``eps / (2 * prod P_i)`` of the output.
 
-    Raises ``sqne-hypotheses-unmet`` unless the plan asserts inputs at
-    one-point modulus >= 1/2 and every kind-0 step uses alpha = 1 or
-    relaxes a cutter.
+    Over ``family``, raises ``sqne-hypotheses-unmet`` unless every input a
+    step references has ``sqne_rho >= 1/2`` and every input a kind-0 step
+    relaxes with alpha != 1 has ``sqne_rho >= 1`` (a cutter).  With no
+    family, no leaf is judged.
     """
-    return _plan_bound(plan, "sqne", "half_sqne", "cutters")
+    return _plan_bound(plan, family, "sqne", "sqne_rho")
 
 
-def fne_bound(plan):
+def fne_bound(plan, family=None):
     """Two-point modulus, same numeric value, under the two-point hypotheses.
 
-    Raises ``fne-hypotheses-unmet`` unless the plan asserts inputs at
-    two-point modulus >= 1/2 and every kind-0 step uses alpha = 1 or a
-    firmly nonexpansive input.
+    Over ``family``, raises ``fne-hypotheses-unmet`` unless every input a
+    step references has ``fne_rho >= 1/2`` and every input a kind-0 step
+    relaxes with alpha != 1 has ``fne_rho >= 1`` (firmly nonexpansive).
     """
-    return _plan_bound(plan, "fne", "half_fne", "firmly_nonexpansive")
+    return _plan_bound(plan, family, "fne", "fne_rho")
 
 
 def rho_uniform(K, M, eps):

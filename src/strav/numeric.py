@@ -17,6 +17,8 @@ whose scale overflowed to infinity never passes.
 ``_SLACK`` is the smaller slack for interval membership of exact user
 constants (step sizes, alpha, weight floors): they are chosen, not
 computed, so they need room only for the rounding of the bound itself.
+:func:`_admits` is the one membership rule: its slack is relative at the
+positive floor, so a floor of 1e-13 refuses 0, and absolute at the top.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ def _within(excess, scale=1.0):
     """True where ``excess <= 1e-9 + 1e-12 * scale`` at a finite scale, elementwise."""
     # an infinite scale would pass any excess, an overflowed one included
     return (excess <= 1e-9 + 1e-12 * scale) & (scale < np.inf)
+
+
+def _admits(v, lo, hi):
+    """True when ``lo <= v <= hi`` up to ``_SLACK``: relative to ``lo`` below, absolute above."""
+    return lo - _SLACK * lo <= v <= hi + _SLACK
 
 
 def as_vector(x, dim=None):

@@ -55,7 +55,7 @@ from numbers import Real
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import _SLACK, _within, as_vector, norm
+from .numeric import _admits, _within, as_vector, norm
 from .operators import _report
 
 __all__ = [
@@ -96,7 +96,7 @@ class RelaxationSchedule:
             raise ValueError(f"eps must lie in (0, 1], got {eps}")
         if not rho >= 0.0:
             raise ValueError(f"rho must be nonnegative, got {rho}")
-        if eps > (1.0 + rho) / 2.0 + _SLACK:
+        if not _admits(eps, eps, 1.0 + rho - eps):  # the interval admits its own floor
             raise ValueError(f"empty step range: eps={eps} exceeds (1 + rho)/2 with rho={rho}")
         return eps, 1.0 + rho - eps
 
@@ -104,7 +104,7 @@ class RelaxationSchedule:
         return self._admit(float(self._rule(int(k))), k)
 
     def _admit(self, v, k=None):
-        if not self.lo - _SLACK <= v <= self.hi + _SLACK:
+        if not _admits(v, self.lo, self.hi):
             where = "" if k is None else f" at iteration {k}"
             raise ValueError(f"step size {v}{where} outside [{self.lo}, {self.hi}]")
         return v

@@ -9,7 +9,6 @@ import strav.cli
 import strav.operators
 from strav.cli import main
 from strav.config import parse_config
-from strav.operators import OperatorNode
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -199,16 +198,6 @@ class TestVerify:
         assert kv(out)["verdict"] == "pass"
 
 
-class _Opaque(OperatorNode):
-    """A tree's map with no certified constant, so not known to be nonexpansive."""
-
-    def __init__(self, tree):
-        self.tree, self.dim = tree, tree.dim
-
-    def apply(self, x):
-        return self.tree.apply(x)
-
-
 class TestVerifyChecks:
     """``verify`` calls the checkers through ``strav.cli``'s names, as the
     benchmark tracer rebinds them, and each probed tree draws one probe
@@ -249,19 +238,27 @@ class TestVerifyChecks:
         assert events == per_plan * 2
         assert kv(out)["plan 1 sqne"].endswith(f"{strav.cli._PROBE_SAMPLES} samples)")
 
-    def test_sqne_alone_draws_its_own_points(self, capsys, tmp_path, events, monkeypatch):
-        build = strav.cli.output_operator
-
-        def unmet(plan):
-            raise ValueError("fne-hypotheses-unmet: inputs not asserted half_fne")
-
-        monkeypatch.setattr(strav.cli, "output_operator", lambda p, f: _Opaque(build(p, f)))
-        monkeypatch.setattr(strav.cli, "fne_bound", unmet)
-        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
+    def test_unmet_hypotheses_skip_both_routes(self, capsys, tmp_path, events):
+        # plan 0 relaxes input 0, a projection at gamma 1.3 (both constants 0.54), by
+        # alpha 1.5: neither bound holds, so its nonexpansive check draws its probe; plan 1
+        # relaxes input 1 by alpha 1 and keeps its three checks: still one draw per plan
+        plans = [
+            {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [-j], "alpha": alpha}]}
+            for j, alpha in ((0, 1.5), (1, 1.0))
+        ]
+        relaxation = {"eps": 0.25, "rho": 0.02, "lambda": {"kind": "constant", "value": 0.5}}
+        doc = solve_doc(schedule={"variant": "cyclic", "plans": plans}, relaxation=relaxation)
+        doc["family"]["gammas"] = [1.3]
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
         assert code == 0
-        assert events == ["check_sqne", (strav.cli._PROBE_SAMPLES, "check_sqne")] * 2
-        assert kv(out)["plan 0 fne"] == "skipped (fne-hypotheses-unmet: inputs not asserted half_fne)"
-        assert "plan 0 nonexpansive" not in out
+        for route in ("sqne", "fne"):
+            unmet = f"{route}-hypotheses-unmet: step 1 relaxes input 0 by alpha 1.5, whose {route}_rho is 0.53"
+            assert kv(out)[f"plan 0 {route}"].startswith(f"skipped ({unmet}")
+        lines = [key for key in kv(out) if key.startswith("plan ")]
+        assert lines == [f"plan {k} {check}" for k in (0, 1) for check in ("sqne", "fne", "nonexpansive")]
+        count = strav.cli._PROBE_SAMPLES
+        per_plan = ["check_sqne", (count, "check_sqne"), "check_fne", "check_nonexpansive"]
+        assert events == ["check_nonexpansive", (count, "check_nonexpansive")] + per_plan
 
 
 class TestErrorHandling:
@@ -495,8 +492,9 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
         assert code == 1 and out == "" and "Traceback" not in err
         j = schedule.get("indices", [0])[0]
-        assert f"\n  relaxation.rho: plan 0 step 1 relaxes input {j} of gamma 1.3 by alpha 1.5;" in err
-        assert "give rho explicitly" in err
+        unmet = f"sqne-hypotheses-unmet: step 1 relaxes input {j} by alpha 1.5, whose sqne_rho is 0.53"
+        assert f"\n  relaxation.rho: plan 0: {unmet}" in err
+        assert "; give rho explicitly\n" in err
         # an explicit rho, alpha 1 or gamma 1 is not refused
         for rho, alpha, gamma in ((0.02, 1.5, 1.3), (None, 1.0, 1.3), (None, 1.5, 1.0)):
             doc["relaxation"] = {"eps": 0.25, "rho": rho, "lambda": {"kind": "constant", "value": 0.5}}

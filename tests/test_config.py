@@ -209,6 +209,17 @@ class TestFamilySection:
         assert isinstance(cfg.schedule, PowerOfTwoSchedule)
         assert cfg.family.distance(0, np.full(5, 3.0)) > 0.0
 
+    def test_axis_generator_refuses_gammas(self):
+        # the generator's halfspaces run at gamma 1, so a gamma would be silently dropped
+        doc = minimal_doc(ambient_dim=5, start=[1.0] * 5, schedule={"variant": "power_of_two"})
+        for gammas, witness in (([7.0], [0.0] * 5), (1.3, [1.0] + [0.0] * 4)):
+            doc["family"] = {"witness": witness, "generator": {"kind": "axis_halfspaces"}, "gammas": gammas}
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            paths = [path for path, _ in info.value.errors]
+            assert ("family.gammas", "the axis_halfspaces generator takes no gammas") in info.value.errors
+            assert ("family.witness" in paths) == (witness[0] == 1.0)  # both reported at once
+
     def test_axis_generator_pins_origin_witness(self):
         doc = minimal_doc(ambient_dim=2)
         doc["family"] = {"witness": [1.0, 0.0], "generator": {"kind": "axis_halfspaces"}}
@@ -316,6 +327,14 @@ class TestRelaxationSection:
         doc = minimal_doc(relaxation={"eps": 0.25, "lambda": {"kind": "sweep", "points": 5}})
         cfg = parse_config(doc)
         assert cfg.relax.lam(0) == pytest.approx(0.25)
+
+    def test_zero_step_at_a_floor_below_the_absolute_slack_located(self):
+        doc = minimal_doc(relaxation={"eps": 1e-13, "lambda": {"kind": "constant", "value": 0}})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        [(path, msg)] = info.value.errors
+        assert path == "relaxation.lambda.value"
+        assert msg.startswith("step size 0.0 outside [1e-13, ")
 
     def test_unknown_rule_kind(self):
         doc = minimal_doc(relaxation={"lambda": {"kind": "chaotic"}})

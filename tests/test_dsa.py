@@ -18,7 +18,7 @@ from strav.dsa import (
     rho_gdsa,
 )
 from strav.fixtures import random_halfspace_family
-from strav.gmsa import output_operator
+from strav.gmsa import fne_bound, output_operator, sqne_bound
 from strav.operators import Identity, check_fne
 from strav.operators import SampleBudget
 from strav.sets import Halfspace, OperatorFamily
@@ -177,6 +177,16 @@ class TestMsaEmbed:
         plan = sched.plan_at(k)
         assert 3 in plan.output_indices()
         assert isinstance(fam.operator(3), Identity)
+
+    def test_identity_pads_meet_both_hypotheses(self):
+        # a pad is an identity leaf, whose constants are +inf
+        sets, plans = self._base()
+        fam, sched = msa_embed(sets, np.zeros(4), plans)
+        for k in (1, 3, 7, 15):  # f_value 1 and 2 run a base plan, 3 and 4 pad it
+            plan = sched.plan_at(k)
+            assert (plan.N > plans[k % 2].N) == (f_value(k) > 2)
+            want = plan.eps / (2.0 * plan.width_product())
+            assert sqne_bound(plan, fam) == fne_bound(plan, fam) == want
 
     def test_low_iterations_unpadded(self):
         sets, plans = self._base()

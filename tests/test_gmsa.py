@@ -5,7 +5,6 @@ and the modulus bounds against hand-computed width products, so the
 module under test never certifies itself.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.fixtures import random_halfspace_family, random_plan_corpus
 from strav.gmsa import (
-    InputAssumptions,
     IterationPlan,
     StepSpec,
     fne_bound,
@@ -22,17 +20,44 @@ from strav.gmsa import (
     rho_uniform,
     sqne_bound,
 )
-from strav.operators import Composition, ConvexComb, Relaxation
+from strav.operators import Composition, ConvexComb, OperatorNode, Relaxation
+from strav.sets import OperatorFamily
 
 
-def three_step_plan(eps=0.5, assume=InputAssumptions()):
+def three_step_plan(eps=0.5):
     # relax U_0, average it with U_1, then compose with U_2
     steps = {
         1: StepSpec.relaxation(0, 1.0),
         2: StepSpec(1, (1, -1), weights={1: 0.5, -1: 0.5}),
         3: StepSpec(2, (2, -2), order=(2, -2)),
     }
-    return IterationPlan(k=0, N=3, eps=eps, steps=steps, assume=assume)
+    return IterationPlan(k=0, N=3, eps=eps, steps=steps)
+
+
+def relaxed_family(gamma):
+    # three projections relaxed by gamma: sqne_rho = fne_rho = (2 - gamma) / gamma,
+    # so below 1 (neither a cutter nor firmly nonexpansive) for gamma > 1
+    return random_halfspace_family(3, 3, seed=5, gammas=gamma)
+
+
+class Declared(OperatorNode):
+    """A projection's map under the constants declared here (None: a black box)."""
+
+    def __init__(self, inner, sqne_rho=None, fne_rho=None):
+        self.inner, self.dim = inner, inner.dim
+        self.sqne_rho, self.fne_rho = sqne_rho, fne_rho
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+
+def declared_family(sqne_rho=None, fne_rho=None):
+    base = relaxed_family(1.0)
+    nodes = [Declared(base.operator(n), sqne_rho, fne_rho) for n in range(3)]
+    return OperatorFamily.from_sets(nodes, base.witness)
+
+
+RELAXED = IterationPlan(k=0, N=1, eps=0.5, steps={1: StepSpec.relaxation(0, 1.5)})
 
 
 class TestStepSpec:
@@ -105,6 +130,16 @@ class TestValidation:
         assert mk(1.75).validate() == ()
         assert mk(0.1).validate() != ()
         assert mk(1.9).validate() != ()
+
+    def test_floor_below_the_absolute_slack_refuses_a_zero_alpha_or_weight(self):
+        # alpha 0 is the identity and a weight 0 drops its reference: at eps = 1e-13 the
+        # lower end is judged relative to eps, so neither counts as touching its input
+        relax = IterationPlan(k=0, N=1, eps=1e-13, steps=[StepSpec.relaxation(0, 0.0)])
+        assert relax.validate() == ((1, "alpha 0.0 outside [eps, 2 - eps]"),)
+        comb = IterationPlan(k=0, N=1, eps=1e-13, steps=[StepSpec(1, (0, -1), weights={0: 1.0, -1: 0.0})])
+        assert comb.validate() == ((1, "weights (0.0, 1.0) outside [eps, 1]"),)
+        ok = IterationPlan(k=0, N=1, eps=1e-13, steps=[StepSpec.relaxation(0, 1e-13)])
+        assert ok.validate() == ()
 
     def test_kind1_weights(self):
         def mk(w):
@@ -226,43 +261,51 @@ class TestBounds:
         assert_allclose(sqne_bound(plan), 0.5 / (2.0 * 4.0), rtol=1e-15)
 
     def test_bound_formula_on_corpus(self):
+        # with no family, no leaf is judged: both routes give the formula for every plan
         for plan in random_plan_corpus(40, seed=41, n_inputs=5):
             prod = math.prod(plan.steps[n].P for n in range(1, plan.N + 1))
             assert_allclose(sqne_bound(plan), plan.eps / (2.0 * prod), rtol=1e-15)
+            assert fne_bound(plan) == sqne_bound(plan)
 
     def test_fne_bound_same_value_when_hypotheses_hold(self):
         plan = three_step_plan()  # the only kind-0 step uses alpha = 1
-        assert fne_bound(plan) == sqne_bound(plan)
+        assert fne_bound(plan, relaxed_family(1.0)) == fne_bound(plan) == sqne_bound(plan)
 
     def test_fne_bound_alpha_one_route_needs_no_fne_inputs(self):
-        weak = InputAssumptions(firmly_nonexpansive=False)
-        plan = three_step_plan(assume=weak)
-        assert fne_bound(plan) == sqne_bound(plan)
+        family = relaxed_family(1.3)  # fne_rho 0.54: not firmly nonexpansive
+        assert family.operator(0).fne_rho < 1.0
+        assert fne_bound(three_step_plan(), family) == sqne_bound(three_step_plan())
 
     def test_fne_bound_rejects_off_one_alpha_without_assertion(self):
-        weak = InputAssumptions(firmly_nonexpansive=False)
-        steps = {1: StepSpec.relaxation(0, 1.5)}
-        plan = IterationPlan(k=0, N=1, eps=0.5, steps=steps, assume=weak)
-        with pytest.raises(ValueError, match="fne-hypotheses-unmet"):
-            fne_bound(plan)
-        # asserting the stronger input property restores the bound
-        assert fne_bound(plan.replaced(assume=InputAssumptions())) == sqne_bound(plan)
+        # alpha 1.5 over a leaf whose fne_rho is below 1: not firmly nonexpansive
+        with pytest.raises(ValueError, match="fne-hypotheses-unmet: step 1 relaxes input 0 by alpha 1.5"):
+            fne_bound(RELAXED, relaxed_family(1.3))
+        # a firmly nonexpansive leaf restores the bound, as does judging no leaf
+        assert fne_bound(RELAXED, relaxed_family(1.0)) == fne_bound(RELAXED) == sqne_bound(RELAXED)
 
     def test_fne_bound_requires_half_fne_inputs(self):
-        plan = three_step_plan(assume=InputAssumptions(half_fne=False))
-        with pytest.raises(ValueError, match="fne-hypotheses-unmet"):
-            fne_bound(plan)
+        family = declared_family(sqne_rho=1.0, fne_rho=0.4)
+        match = "fne-hypotheses-unmet: step 1 references input 0, whose fne_rho is 0.4"
+        with pytest.raises(ValueError, match=match):
+            fne_bound(three_step_plan(), family)
+        assert sqne_bound(three_step_plan(), family) == 0.5 / 8.0
 
     def test_sqne_bound_enforces_its_hypotheses(self):
         # the one-point route mirrors the two-point one: inputs at modulus
         # >= 1/2, and a relaxed input must be a cutter
-        steps = {1: StepSpec.relaxation(0, 1.5)}
-        for weak in (InputAssumptions(half_sqne=False), InputAssumptions(cutters=False)):
-            plan = IterationPlan(k=0, N=1, eps=0.5, steps=steps, assume=weak)
-            with pytest.raises(ValueError, match="sqne-hypotheses-unmet"):
-                sqne_bound(plan)
-        # alpha = 1 everywhere needs no cutter assertion
-        assert sqne_bound(three_step_plan(assume=InputAssumptions(cutters=False))) == 0.5 / 8.0
+        for family in (declared_family(sqne_rho=0.4, fne_rho=1.0), relaxed_family(1.3)):
+            with pytest.raises(ValueError, match="sqne-hypotheses-unmet: step 1 .* input 0"):
+                sqne_bound(RELAXED, family)
+        # alpha = 1 everywhere needs no cutter
+        assert sqne_bound(three_step_plan(), relaxed_family(1.3)) == 0.5 / 8.0
+
+    def test_black_box_leaf_meets_no_hypothesis(self):
+        for plan in (three_step_plan(), RELAXED):
+            for route, bound in (("sqne", sqne_bound), ("fne", fne_bound)):
+                match = f"{route}-hypotheses-unmet: step 1 .*input 0.*, whose {route}_rho is None"
+                with pytest.raises(ValueError, match=match):
+                    bound(plan, declared_family())
+                assert bound(plan, declared_family(1.0, 1.0)) == bound(plan)
 
     def test_rho_uniform(self):
         assert_allclose(rho_uniform(3, 4, 0.5), 0.5 / (2.0 * 64.0), rtol=1e-15)
@@ -300,17 +343,19 @@ class TestReplaced:
         assert validations == [7, p.k]
         assert q.structure_key() == p.structure_key()
 
-    def test_assume_swap(self):
-        weak = InputAssumptions(cutters=False)
-        assert three_step_plan().replaced(assume=weak).assume.cutters is False
-
     def test_structure_key_is_plain_data_equal_exactly_when_the_plans_are(self):
-        flags = list(itertools.product([False, True], repeat=4))
-        plans = [three_step_plan(assume=InputAssumptions(*f)) for f in flags]
-        for p, f in zip(plans, flags):
-            for q in plans:
-                assert (p.structure_key() == q.structure_key()) == (p.assume == q.assume)
-            assert p.replaced(k=3, assume=InputAssumptions(*f)).structure_key() == p.structure_key()
+        base = three_step_plan()
+        plans = [
+            base,
+            three_step_plan(eps=0.25),
+            base.replaced(steps={**base.steps, 1: StepSpec.relaxation(0, 1.5)}),
+            base.replaced(N=2, steps={n: base.steps[n] for n in (1, 2)}),
+        ]
+        for i, p in enumerate(plans):
+            for j, q in enumerate(plans):
+                assert (p.structure_key() == q.structure_key()) == (i == j)
+            assert p.replaced(k=3).structure_key() == p.structure_key()
+        assert three_step_plan().structure_key() == base.structure_key()  # equal content, built apart
 
         def plain(v):  # builtins only, so hashing the key runs no Python-level __hash__
             return type(v) in (int, float, bool, type(None)) or type(v) is tuple and all(map(plain, v))

@@ -76,6 +76,24 @@ class TestRelaxationSchedule:
         with pytest.raises(ValueError, match=r"step size .* outside \[0.25, 0.8"):
             make()
 
+    @pytest.mark.parametrize("value", [0.0, -5e-13])
+    def test_floor_below_the_absolute_slack_refuses_a_step_of_zero_or_less(self, value):
+        # the lower end is judged relative to eps, so eps = 1e-13 admits no lambda <= 0
+        with pytest.raises(ValueError, match="outside"):
+            RelaxationSchedule.constant(value, 1e-13, 0.5)
+        assert RelaxationSchedule.constant(1e-13, 1e-13, 0.5).lam(0) == 1e-13
+
+    @pytest.mark.parametrize("excess, empty", [(0.0, False), (4e-13, False), (6e-13, True), (2e-12, True)])
+    def test_interval_is_empty_exactly_when_it_refuses_its_own_floor(self, excess, empty):
+        # one rule judges the emptiness check and every step size, so an interval that
+        # builds admits its floor eps as a step size
+        eps = 0.5 + excess
+        if empty:
+            with pytest.raises(ValueError, match="empty step range"):
+                RelaxationSchedule.interval(eps, 0.0)
+        else:
+            assert RelaxationSchedule.constant(eps, eps, 0.0).lam(0) == eps
+
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError, match="at least one step size"):
             RelaxationSchedule.cycle([], 0.25, 0.05)
