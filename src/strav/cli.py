@@ -27,7 +27,7 @@ the infinities as well.  A field left out or set to null takes its
 default; only ``stop.residual_tol``, ``stop.step_tol`` and ``output.trace``
 take null to mean "disabled".  A field the grammar does not name is
 refused.  Each problem is reported under its field path, e.g.
-``schedule.plans[0].steps[1].n``.
+``schedule.plans[0].steps[1].alpha``.
 
 Top-level fields::
 
@@ -44,7 +44,7 @@ Top-level fields::
                         "residual_tol": number >= 0 or null (1e-10),
                         "step_tol": number >= 0 or null (1e-12)}
     monitored_indices  list of nat, the input indices to track distances for
-                       (each below the number of sets of an explicit family)
+                       (each one the family holds)
     output             {"trace": path or null, "stride": int >= 1 (1)}
 
 ``family`` is either explicit sets with a declared common point::
@@ -66,38 +66,39 @@ a list of them); ``gammas`` is one number or a nonempty list of numbers.
 A normal ``a`` must be nonzero with a squared norm below the largest
 float, and the witness's norm must stay below it too.
 
-``schedule`` variants::
+``schedule`` variants, each run forever::
 
     {"variant": "power_of_two", "eps": 1.0, "alpha": 1.0}
     {"variant": "cyclic", "indices": [0, 1, 2], "eps": 1.0, "alpha": 1.0}
     {"variant": "cyclic", "plans": [PLAN, ...]}
-    {"variant": "explicit", "plans": [PLAN, ...]}
     {"variant": "stages", "stages": [
         {"strings": [[0, 1], [2]], "weights": [0.5, 0.5]}, ...]}
 
-``indices`` are nats; ``eps`` and ``alpha`` numbers.  The ``stages``
+``indices`` are nats; ``eps`` a number in (0, 1] and ``alpha`` one in
+[eps, 2 - eps].  A ``cyclic`` schedule takes one form, ``indices`` or
+``plans``, and a field of the other form is refused.  Every input a
+schedule references must be one the family holds; ``power_of_two`` relaxes
+every input in turn, so it needs a generator family.  The ``stages``
 variant cycles string-averaging stages: each string is a nonempty list of
 nats applied first-to-last, and the stage averages its strings with the
 given ``weights``, one number in (0, 1] per string, summing to 1 (at least
 ``eps``, a number in (0, 1], when a stage gives it).
 
-A PLAN names its iteration index ``k`` (int, default 0), its step count
-``N`` (int >= 1), its floor ``eps`` (a number in (0, 1]) and one record per
-step ``n`` in 1..N::
+A PLAN gives its floor ``eps`` (a number in (0, 1]) and its steps, the
+n-th record being step n::
 
-    {"k": 0, "N": 3, "eps": 0.25, "steps": [
-        {"n": 1, "c": 0, "J": [0], "alpha": 1.0},
-        {"n": 2, "c": 1, "J": [-1, 1], "weights": {"-1": 0.5, "1": 0.5}},
-        {"n": 3, "c": 2, "J": [-2, 2], "order": [2, -2, 2]}]}
+    {"eps": 0.25, "steps": [
+        {"c": 0, "J": [0], "alpha": 1.0},
+        {"c": 1, "J": [-1, 1], "weights": {"-1": 0.5, "1": 0.5}},
+        {"c": 2, "J": [-2, 2], "order": [2, -2, 2]}]}
 
 Step kinds: ``c = 0`` relaxes one input by ``alpha``; ``c = 1`` takes the
 convex combination with the given ``weights`` (keys are index strings);
 ``c = 2`` composes the referenced operators, ``order[0]`` applied first.
 Entries of ``J``: 0 or negative means input operator ``-j``; positive
-means the output of that earlier step of the same plan.  ``n`` (default:
-the step's position), ``c``, the entries of ``J`` and ``order``, and ``P``
-are ints; ``alpha`` and each weight are numbers.  ``P`` may be given and is
-cross-checked against the step's width.
+means the output of that earlier step of the same plan.  ``c`` and the
+entries of ``J`` and ``order`` are ints; ``alpha`` and each weight are
+numbers.
 
 ``relaxation``::
 

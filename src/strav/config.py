@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule, uniform_modulus
+from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, sqne_bound
 from .numeric import as_vector
@@ -244,31 +244,25 @@ _FAMILY = (
     ("generator", {"kind": {"axis_halfspaces": ()}}, None),
 )
 
+# a step record's rows are StepSpec's parameters; the n-th record of ``steps`` is step n
 _STEP = (
-    ("n", _int, None),  # None: the step's position, from 1
     ("c", _int, _REQUIRED),
     ("J", [_int], _REQUIRED),
     ("alpha", _real, None),
     ("weights", _weights, None),
     ("order", [_int], None),
-    ("P", _int, None),
 )
-_PLAN = (
-    ("k", _int, 0),
-    ("N", _int, _REQUIRED),
-    ("eps", _real, _REQUIRED),
-    ("steps", [_STEP], _REQUIRED),
-)
+_PLAN = (("eps", _real, _REQUIRED), ("steps", [_STEP], _REQUIRED))
 _STAGE = (("strings", [[_int]], _REQUIRED, 0), ("weights", [_real], _REQUIRED), ("eps", _real, None))
 _SCHEDULE = {"variant": {
     "power_of_two": (("eps", _real, 1.0), ("alpha", _real, 1.0)),
+    # one form: indices, relaxed by alpha at floor eps (each None: 1.0), or plans
     "cyclic": (
         ("indices", [_int], None, 0),
-        ("plans", [_dict], []),
-        ("eps", _real, 1.0),
-        ("alpha", _real, 1.0),
+        ("plans", [_dict], None),
+        ("eps", _real, None),
+        ("alpha", _real, None),
     ),
-    "explicit": (("plans", [_dict], _REQUIRED),),
     "stages": (("stages", [_STAGE], _REQUIRED),),
 }}
 
@@ -330,29 +324,21 @@ _DOC = (
 # -- plan/step records ------------------------------------------------------
 
 
-def _step(v, path, errors):
-    """The StepSpec of a step record read through ``_STEP``, or None once reported."""
-    step = _make(
-        path, errors, StepSpec, v["c"], v["J"],
-        alpha=v["alpha"], weights=v["weights"], order=v["order"],
-    )
-    if step is not None and v["P"] not in (None, step.P):
-        return _refuse(errors, path, f"declared P={v['P']} but the step has width {step.P}")
-    return step
-
-
 def plan_from_record(rec, path, errors):
+    """The IterationPlan of a plan record, or None once its problems are reported:
+    an issue of step n under ``path.steps[n-1]``, one of the whole plan under ``path``."""
     v = _read(_PLAN, rec, path, errors)
     if v is None:
         return None
-    steps = [_step(s, f"{path}.steps[{i}]", errors) for i, s in enumerate(v["steps"])]
+    if not v["steps"]:
+        return _refuse(errors, f"{path}.steps", "need at least one step")
+    steps = [_make(f"{path}.steps[{i}]", errors, StepSpec, **s) for i, s in enumerate(v["steps"])]
     if None in steps:
         return None
-    keys = [i + 1 if s["n"] is None else s["n"] for i, s in enumerate(v["steps"])]
-    plan = IterationPlan(k=v["k"], N=v["N"], eps=v["eps"], steps=dict(zip(keys, steps)))
+    plan = IterationPlan(k=0, N=len(steps), eps=v["eps"], steps=steps)
     issues = plan.validate()
     for n, msg in issues:
-        errors.append((path if n == 0 else f"{path}.steps (n={n})", msg))
+        errors.append((path if n == 0 else f"{path}.steps[{n - 1}]", msg))
     return None if issues else plan
 
 
@@ -408,35 +394,61 @@ def _build_family(v, dim, errors):
     return fam if len(errors) == before else None
 
 
-def _build_schedule(v, errors):
+def _ask_family(family, where, refs, errors):
+    """Ask ``family`` for input n of each ``(i, n)`` in ``refs``; one it refuses is
+    reported under ``where[i]``, and one it holds is not asked again."""
+    held = set()
+    for i, n in dict.fromkeys(refs):
+        if n not in held and _make(f"{where}[{i}]", errors, family.operator, n) is not None:
+            held.add(n)
+
+
+def _build_schedule(v, family, errors):
+    """The schedule, or None once reported.  Every input a plan references must be
+    one ``family`` holds, so a power-of-two schedule needs an infinite family."""
     if v is None:
         return None
-    variant = v.pop("variant")
+    variant, before = v.pop("variant"), len(errors)
     if variant == "power_of_two":
-        return _make("schedule", errors, PowerOfTwoSchedule, **v)
-    if variant == "cyclic" and v["indices"] is not None:
-        return _make(
-            "schedule", errors, CyclicSchedule.over_indices, v["indices"], v["eps"], v["alpha"]
-        )
-    if variant == "stages":
-        stages = [_make(f"schedule.stages[{i}]", errors, StringStage, k=i, **s)
-                  for i, s in enumerate(v["stages"])]
-        plans = [None if s is None else gdsa_to_gmsa(s) for s in stages]
+        size = getattr(family, "size", None)  # set on finite families only
+        if size is not None:
+            msg = f"power_of_two relaxes every input in turn; the family has {size} sets"
+            return _refuse(errors, "schedule.variant", msg)
+        schedule, where = _make("schedule", errors, PowerOfTwoSchedule, **v), None
+    elif variant == "cyclic" and v["indices"] is not None:
+        where = "schedule.indices"
+        if v["plans"] is not None:
+            _refuse(errors, "schedule.plans", "not read with indices")
+        eps, alpha = (1.0 if v[key] is None else v[key] for key in ("eps", "alpha"))
+        schedule = _make("schedule", errors, CyclicSchedule.over_indices, v["indices"], eps, alpha)
     else:
-        plans = [
-            plan_from_record(p, f"schedule.plans[{i}]", errors) for i, p in enumerate(v["plans"])
-        ]
-    if None in plans:
-        return None
-    cls = ExplicitSchedule if variant == "explicit" else CyclicSchedule
-    return _make("schedule", errors, cls, plans)
+        if variant == "stages":
+            where = "schedule.stages"
+            stages = [_make(f"{where}[{i}]", errors, StringStage, k=i, **s)
+                      for i, s in enumerate(v["stages"])]
+            plans = [None if s is None else gdsa_to_gmsa(s) for s in stages]
+        else:
+            where = "schedule.plans"
+            for key in ("eps", "alpha"):
+                if v[key] is not None:
+                    _refuse(errors, f"schedule.{key}", "not read with plans")
+            plans = [plan_from_record(p, f"{where}[{i}]", errors)
+                     for i, p in enumerate(v["plans"] or ())]
+        schedule = None if None in plans else _make("schedule", errors, CyclicSchedule, plans)
+    if schedule is not None and where in (None, "schedule.indices"):
+        # power_of_two and indices plans differ only in their input: plan 0 judges eps and alpha
+        for n, msg in schedule.plan_at(0).validate():
+            _refuse(errors, "schedule.alpha" if n else "schedule.eps", msg)
+    if schedule is not None and family is not None:
+        _ask_family(family, where, ((i, -j) for i, p in enumerate(schedule.plans or ())
+                                    for s in p.steps.values() for j in s.J if j <= 0), errors)
+    return schedule if len(errors) == before else None
 
 
 def _derived_rho(schedule, family, eps):
     """``uniform_modulus``, refused unless every plan's leaves meet the hypotheses of its bound."""
-    # a power-of-two schedule keeps no plan list: its plan n relaxes input n
-    size = getattr(family, "size", 0)
-    for i, plan in enumerate(schedule.plans or [schedule.plan_at(2**n - 1) for n in range(size)]):
+    # a power-of-two schedule stores no plans; its generator family's projections meet both
+    for i, plan in enumerate(schedule.plans or ()):
         try:
             sqne_bound(plan, family)
         except ValueError as exc:
@@ -540,7 +552,7 @@ def parse_config(source):
     if dim is None:
         raise ConfigError(errors)
     family = _build_family(top["family"], dim, errors)
-    schedule = _build_schedule(top["schedule"], errors)
+    schedule = _build_schedule(top["schedule"], family, errors)
     relax = _build_relax(top["relaxation"], schedule, family, errors)
     perturb = _build_perturbation(top["perturbation"], dim, seed, family, errors)
     oracle = _build_objective(top["objective"], dim, errors)
@@ -551,10 +563,8 @@ def parse_config(source):
     if stop is not None:
         stop = _make("stop", errors, StopRule, **stop)
     monitored = tuple(top["monitored_indices"] or ())
-    size = getattr(family, "size", None)  # set on finite families only
-    for i, n in enumerate(monitored):
-        if size is not None and n >= size:
-            errors.append((f"monitored_indices[{i}]", f"no set {n} in a family of {size} sets"))
+    if family is not None:
+        _ask_family(family, "monitored_indices", enumerate(monitored), errors)
     start = None if top["start"] is None else _make("start", errors, as_vector, top["start"], dim)
 
     if errors:

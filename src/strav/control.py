@@ -21,7 +21,6 @@ from .operators import _report
 __all__ = [
     "f_value",
     "ControlSchedule",
-    "ExplicitSchedule",
     "CyclicSchedule",
     "PowerOfTwoSchedule",
     "CustomSchedule",
@@ -54,15 +53,15 @@ def _dyadic_window(n):
 class ControlSchedule:
     """Base schedule; subclasses fill in ``plan_at``.
 
-    ``plan_at(k)`` returns the plan iteration k runs.  A schedule that
-    stores its plans hands out those very objects, so one plan serves every
-    iteration that runs it and its ``k`` is only the label it was built
-    with; callers must not modify a plan.
+    ``plan_at(k)`` returns the plan iteration k runs, for every k >= 0: a
+    schedule never ends.  A schedule that stores its plans hands out those
+    very objects, so one plan serves every iteration that runs it and its
+    ``k`` is only the label it was built with; callers must not modify a plan.
 
     ``window_bounds``, a callable n -> M_n or None, declares the windows;
     an index it maps to None, or every index when it is None, is
-    undeclared.  A schedule backed by a finite list keeps it as ``plans``
-    and derives its (K, M) metadata from it.
+    undeclared.  Only a :class:`CyclicSchedule` keeps a finite plan list,
+    as ``plans``, and derives its (K, M) metadata from it.
     """
 
     plans = None
@@ -86,29 +85,12 @@ class ControlSchedule:
         return (K, M)
 
 
-class ExplicitSchedule(ControlSchedule):
-    """Finite list of plans; asking beyond the list is a horizon error."""
-
-    def __init__(self, plans, window_bounds=None):
-        self.plans = list(plans)
-        if not self.plans:
-            raise ValueError("explicit schedule needs at least one plan")
-        super().__init__(window_bounds)
-
-    def plan_at(self, k):
-        k = int(k)
-        if not 0 <= k < len(self.plans):
-            raise ValueError(
-                f"horizon-exceeded: plan {k} requested, schedule ends at {len(self.plans) - 1}"
-            )
-        return self.plans[k]
-
-
 class CyclicSchedule(ControlSchedule):
     """Template plans cycled: iteration k runs the stored ``plans[k mod len]``.
 
-    Without an explicit declaration the window bound for any index used
-    somewhere in the cycle defaults to the period, which is always sound.
+    A finite plan list runs only this way, so every index some plan uses is
+    revisited forever.  Without an explicit declaration its window bound
+    defaults to the period, which is always sound.
     """
 
     def __init__(self, templates, window_bounds=None):

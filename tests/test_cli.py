@@ -8,7 +8,7 @@ import pytest
 import strav.cli
 import strav.operators
 from strav.cli import main
-from strav.config import parse_config
+from strav.config import ConfigError, parse_config
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -243,7 +243,7 @@ class TestVerifyChecks:
         # alpha 1.5: neither bound holds, so its nonexpansive check draws its probe; plan 1
         # relaxes input 1 by alpha 1 and keeps its three checks: still one draw per plan
         plans = [
-            {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [-j], "alpha": alpha}]}
+            {"eps": 0.5, "steps": [{"c": 0, "J": [-j], "alpha": alpha}]}
             for j, alpha in ((0, 1.5), (1, 1.0))
         ]
         relaxation = {"eps": 0.25, "rho": 0.02, "lambda": {"kind": "constant", "value": 0.5}}
@@ -476,7 +476,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("schedule", [
         {"variant": "cyclic", "plans": [
-            {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [j], "alpha": 1.5}]} for j in (0, -1)
+            {"eps": 0.5, "steps": [{"c": 0, "J": [j], "alpha": 1.5}]} for j in (0, -1)
         ]},
         {"variant": "power_of_two", "eps": 0.5, "alpha": 1.5},
         {"variant": "cyclic", "indices": [1, 0], "eps": 0.5, "alpha": 1.5},
@@ -491,16 +491,40 @@ class TestErrorHandling:
         doc["family"]["gammas"] = [1.3]
         code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
         assert code == 1 and out == "" and "Traceback" not in err
-        j = schedule.get("indices", [0])[0]
-        unmet = f"sqne-hypotheses-unmet: step 1 relaxes input {j} by alpha 1.5, whose sqne_rho is 0.53"
-        assert f"\n  relaxation.rho: plan 0: {unmet}" in err
-        assert "; give rho explicitly\n" in err
-        # an explicit rho, alpha 1 or gamma 1 is not refused
+        if schedule["variant"] == "power_of_two":
+            # it relaxes every input in turn, past the family's two sets: refused before
+            # rho is derived, and with an explicit rho, alpha 1 or gamma 1 as well
+            refusal = ("schedule.variant", "power_of_two relaxes every input in turn; the family has 2 sets")
+            assert err == "invalid configuration:\n  %s: %s\n" % refusal
+        else:
+            j = schedule.get("indices", [0])[0]
+            unmet = f"sqne-hypotheses-unmet: step 1 relaxes input {j} by alpha 1.5, whose sqne_rho is 0.53"
+            assert f"\n  relaxation.rho: plan 0: {unmet}" in err
+            assert "; give rho explicitly\n" in err
+        # an explicit rho, alpha 1 or gamma 1 is not refused, unless the schedule is
         for rho, alpha, gamma in ((0.02, 1.5, 1.3), (None, 1.0, 1.3), (None, 1.5, 1.0)):
             doc["relaxation"] = {"eps": 0.25, "rho": rho, "lambda": {"kind": "constant", "value": 0.5}}
             doc["family"]["gammas"] = [gamma]
             text = json.dumps(doc).replace('"alpha": 1.5', f'"alpha": {alpha}')
-            assert parse_config(text).relax.rho == (0.25 if rho is None else rho)
+            if schedule["variant"] == "power_of_two":
+                with pytest.raises(ConfigError) as info:
+                    parse_config(text)
+                assert info.value.errors == [refusal]
+            else:
+                assert parse_config(text).relax.rho == (0.25 if rho is None else rho)
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_plan_past_the_family_refused_by_path(self, capsys, tmp_path, command):
+        # input 5 of two sets: refused at parse, not by the run's first lookup of it
+        plans = [{"eps": 0.5, "steps": [{"c": 0, "J": [-5], "alpha": 1.0}]}]
+        relaxation = {"eps": 0.25, "rho": 0.02, "lambda": {"kind": "constant", "value": 0.5}}
+        doc = solve_doc(schedule={"variant": "cyclic", "plans": plans}, relaxation=relaxation)
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == (
+            "invalid configuration:\n  schedule.plans[0]: family-error: generator failed"
+            " at index 5: finite family of size 2 has no index 5\n"
+        )
 
     def test_out_of_range_cycle_entry_reports_its_index(self, capsys, tmp_path):
         doc = demo_doc()

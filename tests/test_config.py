@@ -12,17 +12,18 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
-from strav.control import CyclicSchedule, ExplicitSchedule, PowerOfTwoSchedule
+from strav.control import CyclicSchedule, PowerOfTwoSchedule
 from strav.fixtures import random_plan_corpus
 from strav.gmsa import rho_uniform
 
 
 def plan_record(plan):
-    """The plan record that ``plan_from_record`` reads back as ``plan``."""
+    """The plan record that ``plan_from_record`` reads back as ``plan``: step n is
+    the n-th step record."""
     steps = []
     for n in sorted(plan.steps):
         s = plan.steps[n]
-        rec = {"n": n, "c": s.c, "J": list(s.J), "P": s.P}
+        rec = {"c": s.c, "J": list(s.J)}
         if s.c == 0:
             rec["alpha"] = s.alpha
         elif s.c == 1:
@@ -30,7 +31,7 @@ def plan_record(plan):
         else:
             rec["order"] = list(s.order)
         steps.append(rec)
-    return {"k": plan.k, "N": plan.N, "eps": plan.eps, "steps": steps}
+    return {"eps": plan.eps, "steps": steps}
 
 
 def minimal_doc(**overrides):
@@ -235,11 +236,99 @@ class TestScheduleSection:
         assert isinstance(cfg.schedule, CyclicSchedule)
         assert cfg.schedule.plan_at(0).output_indices() == plan.output_indices()
 
-    def test_explicit_variant(self):
-        plan = random_plan_corpus(1, seed=62, n_inputs=2)[0]
-        doc = minimal_doc(schedule={"variant": "explicit", "plans": [plan_record(plan)]})
-        doc["stop"] = {"max_iters": 0}
-        assert isinstance(parse_config(doc).schedule, ExplicitSchedule)
+    def test_retired_keys_and_variant_refused_by_path(self):
+        # a plan record states eps and its steps once: k, N, a step's n and P are gone
+        plan = plan_record(random_plan_corpus(1, seed=62, n_inputs=2)[0])
+        old = dict(plan, k=0, N=len(plan["steps"]))
+        old["steps"] = [dict(s, n=n, P=1) for n, s in enumerate(plan["steps"], start=1)]
+        doc = minimal_doc(schedule={"variant": "cyclic", "plans": [old]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        plan_keys, step_keys = ["eps", "steps"], ["c", "J", "alpha", "weights", "order"]
+        expected = [(f"schedule.plans[0].{key}", plan_keys) for key in ("k", "N")]
+        for i in range(len(plan["steps"])):
+            expected += [(f"schedule.plans[0].steps[{i}].{key}", step_keys) for key in ("n", "P")]
+        assert sorted(info.value.errors) == sorted(
+            (path, f"unknown field (expected {keys})") for path, keys in expected
+        )
+        doc = minimal_doc(schedule={"variant": "explicit", "plans": [plan]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        variants = ["power_of_two", "cyclic", "stages"]
+        assert info.value.errors == [
+            ("schedule.variant", f"unknown variant 'explicit' (expected one of {variants})"),
+        ]
+
+    def test_cyclic_takes_one_form(self):
+        plans = [{"eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}]
+        bad_plans = [{"N": 7, "eps": 5, "steps": []}]  # never read: the form is refused first
+        for schedule, errors in [
+            ({"indices": [0, 1], "plans": bad_plans},
+             [("schedule.plans", "not read with indices")]),
+            ({"plans": plans, "eps": 0.5, "alpha": 1.0},
+             [("schedule.eps", "not read with plans"), ("schedule.alpha", "not read with plans")]),
+            ({"plans": plans, "alpha": 1.0}, [("schedule.alpha", "not read with plans")]),
+        ]:
+            with pytest.raises(ConfigError) as info:
+                parse_config(minimal_doc(schedule=dict(schedule, variant="cyclic")))
+            assert info.value.errors == errors
+        # a null is an absent field
+        cfg = parse_config(minimal_doc(schedule={"variant": "cyclic", "plans": plans, "eps": None}))
+        assert cfg.schedule.plans[0].eps == 0.5
+        cfg = parse_config(minimal_doc(schedule={"variant": "cyclic", "indices": [1, 0], "plans": None}))
+        assert [p.steps[1].alpha for p in cfg.schedule.plans] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("rho", [0.02, None])
+    @pytest.mark.parametrize("schedule, path", [
+        ({"variant": "cyclic", "plans": [
+            {"eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]},
+            {"eps": 0.5, "steps": [{"c": 0, "J": [-5], "alpha": 1.0}]},
+        ]}, "schedule.plans[1]"),
+        ({"variant": "cyclic", "indices": [0, 5, 1]}, "schedule.indices[1]"),
+        ({"variant": "stages", "stages": [
+            {"strings": [[0, 1]], "weights": [1.0]},
+            {"strings": [[1], [0, 5]], "weights": [0.5, 0.5]},
+        ]}, "schedule.stages[1]"),
+    ])
+    def test_out_of_family_reference_located(self, schedule, path, rho):
+        # refused at parse under the plan that names input 5, not at run time nor under
+        # relaxation.rho, whichever way rho is given
+        doc = minimal_doc(schedule=schedule)
+        doc["relaxation"]["rho"] = rho
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        msg = "family-error: generator failed at index 5: finite family of size 2 has no index 5"
+        assert info.value.errors == [(path, msg)]
+
+    def test_power_of_two_over_sets_refused(self):
+        # input f_value(k) for every k: the run would fail at k = 3, past the last set
+        doc = minimal_doc(schedule={"variant": "power_of_two", "eps": 0.5})
+        msg = "power_of_two relaxes every input in turn; the family has 2 sets"
+        for rho in (0.02, None):
+            doc["relaxation"]["rho"] = rho
+            with pytest.raises(ConfigError) as info:
+                parse_config(doc)
+            assert info.value.errors == [("schedule.variant", msg)]
+
+    @pytest.mark.parametrize("schedule, errors", [
+        ({"variant": "cyclic", "indices": [0, 1], "eps": 0.5, "alpha": 1.9},
+         [("schedule.alpha", "alpha 1.9 outside [eps, 2 - eps]")]),
+        ({"variant": "cyclic", "indices": [0, 1], "eps": 5},
+         [("schedule.eps", "eps must lie in (0, 1], got 5.0"),
+          ("schedule.alpha", "alpha 1.0 outside [eps, 2 - eps]")]),
+        ({"variant": "power_of_two", "alpha": 1.5},
+         [("schedule.alpha", "alpha 1.5 outside [eps, 2 - eps]")]),
+    ])
+    def test_one_input_plans_judged_at_parse(self, schedule, errors):
+        # every plan of these forms relaxes one input by alpha at floor eps
+        doc = minimal_doc(schedule=schedule)
+        doc["relaxation"]["rho"] = 0.02
+        if schedule["variant"] == "power_of_two":
+            doc.update(ambient_dim=5, start=[1.0] * 5)
+            doc["family"] = {"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == errors
 
     def test_stages_variant(self):
         doc = minimal_doc(
@@ -277,15 +366,17 @@ class TestScheduleSection:
         ]
 
     def test_plan_validation_failures_located(self):
-        bad = {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.9}]}
+        bad = {"eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}, {"c": 0, "J": [-1], "alpha": 1.9}]}
         doc = minimal_doc(schedule={"variant": "cyclic", "plans": [bad]})
-        with pytest.raises(ConfigError, match=r"schedule.plans\[0\].steps \(n=1\)"):
+        with pytest.raises(ConfigError) as info:
             parse_config(doc)
+        # step n is the n-th record
+        assert info.value.errors == [("schedule.plans[0].steps[1]", "alpha 1.9 outside [eps, 2 - eps]")]
 
     def test_weight_outside_refs_located(self):
         step = {"c": 1, "J": [-1, -2], "weights": {"-1": 0.5, "-2": 0.5, "-3": 0.2}}
-        good = {"N": 1, "eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
-        bad = {"N": 1, "eps": 0.5, "steps": [step]}
+        good = {"eps": 0.5, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
+        bad = {"eps": 0.5, "steps": [step]}
         doc = minimal_doc(schedule={"variant": "cyclic", "plans": [good, bad]})
         doc["family"]["sets"].append({"kind": "halfspace", "a": [1.0, 1.0], "b": 0.0})
         with pytest.raises(ConfigError) as info:
@@ -429,6 +520,12 @@ class TestStopStartOutput:
     def test_monitored_indices(self):
         assert parse_config(minimal_doc(monitored_indices=[1, 0])).monitored == (1, 0)
 
+    def test_monitored_index_asked_of_the_family(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_doc(monitored_indices=[1, 5, 0, 5]))
+        msg = "family-error: generator failed at index 5: finite family of size 2 has no index 5"
+        assert info.value.errors == [("monitored_indices[1]", msg), ("monitored_indices[3]", msg)]
+
     @pytest.mark.parametrize(
         "field, value, path",
         [
@@ -502,17 +599,15 @@ class TestRecordRoundTrips:
             assert back.N == plan.N and back.eps == plan.eps
             assert back.output_indices() == plan.output_indices()
 
-    def test_declared_width_cross_checked(self):
-        rec = {"N": 1, "eps": 0.5, "steps": [{"n": 1, "c": 0, "J": [0], "alpha": 1.0, "P": 3}]}
-        errors = []
-        assert plan_from_record(rec, "p", errors) is None
-        assert errors == [("p.steps[0]", "declared P=3 but the step has width 1")]
-
     def test_plan_level_issue_points_at_plan(self):
-        rec = {"N": 1, "eps": 7.0, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
+        rec = {"eps": 7.0, "steps": [{"c": 0, "J": [0], "alpha": 1.0}]}
         errors = []
         assert plan_from_record(rec, "the.plan", errors) is None
         assert errors[0][0] == "the.plan"
+        # with no step count to state, an empty step list is refused as such
+        errors = []
+        assert plan_from_record({"eps": 0.5, "steps": []}, "the.plan", errors) is None
+        assert errors == [("the.plan.steps", "need at least one step")]
 
 
 # -- generated mutation corpus -------------------------------------------------
@@ -533,10 +628,10 @@ PLAN_RECORD_DOC = {
     "schedule": {
         "variant": "cyclic",
         "plans": [
-            {"k": 0, "N": 3, "eps": 0.25, "steps": [
-                {"n": 1, "c": 0, "J": [0], "alpha": 1.0},
-                {"n": 2, "c": 1, "J": [-1, 1], "weights": {"-1": 0.5, "1": 0.5}, "P": 2},
-                {"n": 3, "c": 2, "J": [-1, 2], "order": [2, -1, 2]},
+            {"eps": 0.25, "steps": [
+                {"c": 0, "J": [0], "alpha": 1.0},
+                {"c": 1, "J": [-1, 1], "weights": {"-1": 0.5, "1": 0.5}},
+                {"c": 2, "J": [-1, 2], "order": [2, -1, 2]},
             ]},
         ],
     },

@@ -7,7 +7,6 @@ from strav import control
 from strav.control import (
     CustomSchedule,
     CyclicSchedule,
-    ExplicitSchedule,
     PowerOfTwoSchedule,
     f_value,
     uniform_modulus,
@@ -96,26 +95,12 @@ class TestCyclicSchedule:
         with pytest.raises(ValueError):
             CyclicSchedule([])
 
-
-class TestExplicitSchedule:
-    def test_finite_horizon(self):
-        s = ExplicitSchedule([one_index_plan(0, 0), one_index_plan(1, 1)])
-        assert s.plan_at(1).output_indices() == {1}
-        with pytest.raises(ValueError, match="horizon-exceeded"):
-            s.plan_at(2)
-        with pytest.raises(ValueError, match="horizon-exceeded"):
-            s.plan_at(-1)
-
-    def test_hands_out_its_plans(self):
-        s = ExplicitSchedule([one_index_plan(0, 0), one_index_plan(1, 1)])
-        assert all(s.plan_at(k) is p for k, p in enumerate(s.plans))
-
     def test_metadata_from_plans(self):
         two_wide = IterationPlan(
             k=0, N=2, eps=1.0,
             steps={1: StepSpec.relaxation(0, 1.0), 2: StepSpec(2, (1, -1), order=(1, -1))},
         )
-        s = ExplicitSchedule([one_index_plan(0, 0), two_wide])
+        s = CyclicSchedule([one_index_plan(0, 0), two_wide])
         assert s.plan_metadata() == (2, 2)
 
 
@@ -179,7 +164,7 @@ class TestVerifyAdmissible:
         # index 1 appears only at k = 0 and k = 4; with a declared window of
         # 3 the first full window missing it starts at k = 1
         plans = [one_index_plan(k, n) for k, n in enumerate([1, 0, 0, 0, 1, 0])]
-        s = ExplicitSchedule(plans, window_bounds={0: 2, 1: 3}.get)
+        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 3}.get)
         rep = verify_admissible(s, 5, [0, 1])
         assert not rep.passed
         assert rep.worst == (1, 1)
