@@ -55,14 +55,14 @@ Top-level fields::
               {"kind": "ball", "center": ..., "radius": ...},
               {"kind": "box", "lo": ..., "hi": ...},
               {"kind": "affine", "basis": [[...]], "offset": ...}],
-     "gammas": [1.0, 0.5]}          # optional relaxation per index, cycled
+     "gammas": [1.0, 0.5]}          # optional: set i relaxed by gammas[i mod 2]
 
-or a named generator for an infinite family, which takes no ``gammas``::
+or, never with ``sets``, a named generator for an infinite family, which takes no ``gammas``::
 
     {"witness": [0, 0, 0, 0, 0], "generator": {"kind": "axis_halfspaces"}}
 
 Every set field is a number or a list of ``ambient_dim`` numbers (``basis``
-a list of them); ``gammas`` is one number or a nonempty list of numbers.
+a list of them); ``gammas`` is a nonempty list (``[1.2]`` relaxes every set by 1.2).
 A normal ``a`` must be nonzero with a squared norm below the largest
 float, and the witness's norm must stay below it too.
 

@@ -26,6 +26,7 @@ from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import StringStage, gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, sqne_bound
 from .numeric import as_vector
+from .operators import Primitive
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -116,13 +117,6 @@ def _dict(v, path, errors):
 def _as_given(v, path, errors):
     """For a leaf its constructor checks; a null reaches it as given."""
     return v
-
-
-def _gammas(v, path, errors):
-    """One relaxation for every index, or a nonempty list cycled over the indices."""
-    if v == []:
-        return _refuse(errors, path, "need at least one relaxation")
-    return _read([_real] if isinstance(v, list) else _real, v, path, errors)
 
 
 def _weights(v, path, errors):
@@ -239,7 +233,7 @@ _SETS = {  # kind -> (class, rows named after its parameters)
 }
 _FAMILY = (
     ("witness", [_real], _REQUIRED),
-    ("gammas", _gammas, None),
+    ("gammas", [_real], None),  # cycled over the sets
     ("sets", [_dict], None),
     ("generator", {"kind": {"axis_halfspaces": ()}}, None),
 )
@@ -345,11 +339,11 @@ def plan_from_record(rec, path, errors):
 # -- section builders: each takes its section as read, None once reported --
 
 
-def _build_set(rec, dim, path, errors):
+def _build_leaf(rec, dim, gamma, path, errors):
+    """The projection at relaxation ``gamma`` onto the set of record ``rec``."""
     kind = rec.get("kind")
     if not isinstance(kind, str) or kind not in _SETS:
-        errors.append((path, f"unknown set kind {kind!r} (expected one of {list(_SETS)})"))
-        return None
+        return _refuse(errors, path, f"unknown set kind {kind!r} (expected one of {list(_SETS)})")
     cls, table = _SETS[kind]
     v = _read({"kind": {kind: table}}, rec, path, errors)
     if v is None:
@@ -359,9 +353,8 @@ def _build_set(rec, dim, path, errors):
     where = f"{path}.a" if table is _LINEAR else path
     s = _make(where, errors, cls, **v)
     if s is not None and s.dim != dim:
-        errors.append((path, f"set has dimension {s.dim}, config says {dim}"))
-        return None
-    return s
+        return _refuse(errors, path, f"set has dimension {s.dim}, config says {dim}")
+    return None if s is None else _make(path, errors, Primitive, s, gamma)
 
 
 def _build_family(v, dim, errors):
@@ -369,25 +362,27 @@ def _build_family(v, dim, errors):
     if witness is None:
         return None
     gammas = v["gammas"]
-    if isinstance(gammas, list):
-        gammas = lambda n, glist=gammas: glist[n % len(glist)]
+    if gammas == []:
+        _refuse(errors, "family.gammas", "need at least one relaxation")
     if v["sets"] is not None:
-        sets = [
-            _build_set(rec, dim, f"family.sets[{i}]", errors) for i, rec in enumerate(v["sets"])
-        ]
-        if None in sets:
+        if v["generator"] is not None:
+            _refuse(errors, "family.generator", "not read with sets")
+        gammas = gammas or [1.0]
+        leaves = [_build_leaf(rec, dim, gammas[i % len(gammas)], f"family.sets[{i}]", errors)
+                  for i, rec in enumerate(v["sets"])]
+        if None in leaves:
             return None
-        fam = _make("family", errors, OperatorFamily.from_sets, sets, witness, gammas=gammas)
+        fam = _make("family", errors, OperatorFamily.from_sets, leaves, witness)
         if fam is None:
             return None
-        # materializing each set checks its gamma and that it holds the witness
-        ops = [_make(f"family.sets[{i}]", errors, fam.operator, i) for i in range(len(sets))]
+        # materializing each set checks that it holds the witness
+        ops = [_make(f"family.sets[{i}]", errors, fam.operator, i) for i in range(len(leaves))]
         return None if None in ops else fam
     if v["generator"] is None:
         errors.append(("family", "needs either 'sets' or a known 'generator'"))
         return None
     before, fam = len(errors), axis_halfspace_family(dim)
-    if gammas is not None:
+    if gammas:
         errors.append(("family.gammas", "the axis_halfspaces generator takes no gammas"))
     if not np.array_equal(fam.witness, witness):
         errors.append(("family.witness", "axis_halfspaces generator fixes the origin witness"))
@@ -410,9 +405,8 @@ def _build_schedule(v, family, errors):
         return None
     variant, before = v.pop("variant"), len(errors)
     if variant == "power_of_two":
-        size = getattr(family, "size", None)  # set on finite families only
-        if size is not None:
-            msg = f"power_of_two relaxes every input in turn; the family has {size} sets"
+        if family is not None and family.size is not None:
+            msg = f"power_of_two relaxes every input in turn; the family has {family.size} sets"
             return _refuse(errors, "schedule.variant", msg)
         schedule, where = _make("schedule", errors, PowerOfTwoSchedule, **v), None
     elif variant == "cyclic" and v["indices"] is not None:

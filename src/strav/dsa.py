@@ -15,7 +15,7 @@ import numpy as np
 
 from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
-from .numeric import _within
+from .numeric import _admits, _within
 from .operators import Identity
 from .sets import OperatorFamily
 
@@ -52,11 +52,11 @@ class StringStage:
         floor = float(eps) if eps is not None else 0.0
         if eps is not None and not 0.0 < floor <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {floor}")
-        if any(w <= 0.0 or w > 1.0 or w < floor for w in self.weights):
+        if not all(w > 0.0 and _admits(w, floor, 1.0) for w in self.weights):
             raise ValueError(f"weights {self.weights} outside ({floor}, 1]")
         if not _within(abs(sum(self.weights) - 1.0)):
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
-        self.eps = floor if eps is not None else min(self.weights)
+        self.eps = floor if eps is not None else min(*self.weights, 1.0)
 
 
 def direct_eval(stage, family, x):
@@ -78,15 +78,11 @@ def gdsa_to_gmsa(stage):
     step |strings|+1 averages them with the stage weights.  The plan always
     has that final combination step, even for a single string.
     """
-    steps = {}
-    n_strings = len(stage.strings)
-    for n, s in enumerate(stage.strings, start=1):
-        order = tuple(-i for i in s)
-        steps[n] = StepSpec(2, set(order), order=order)
-    steps[n_strings + 1] = StepSpec(
-        1, range(1, n_strings + 1), weights=dict(zip(range(1, n_strings + 1), stage.weights))
-    )
-    return IterationPlan(k=stage.k, N=n_strings + 1, eps=stage.eps, steps=steps)
+    orders = [tuple(-i for i in s) for s in stage.strings]
+    steps = [StepSpec(2, set(order), order=order) for order in orders]
+    refs = range(1, len(steps) + 1)
+    steps.append(StepSpec(1, refs, weights=dict(zip(refs, stage.weights))))
+    return IterationPlan(k=stage.k, N=len(steps), eps=stage.eps, steps=steps)
 
 
 def rho_gdsa(gammas, q):
@@ -164,9 +160,8 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
         f = f_value(k)
         if f <= m_top:
             return plan
-        steps = dict(plan.steps)
-        steps[plan.N + 1] = StepSpec(2, (plan.N, -f), order=(plan.N, -f))
-        return plan.replaced(N=plan.N + 1, steps=steps)
+        pad = StepSpec(2, (plan.N, -f), order=(plan.N, -f))
+        return IterationPlan(plan.k, plan.N + 1, plan.eps, [*plan.steps.values(), pad])
 
     def bound(n):
         n = int(n)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
+from .operators import Primitive
 from .sets import Box, Halfspace, OperatorFamily
 from .superiorize import linear_objective
 
@@ -31,15 +32,16 @@ __all__ = [
 
 
 def random_halfspace_family(dim, count, seed, witness=None, gammas=None):
-    """Finite family of halfspaces whose boundaries all pass through the witness."""
+    """Finite family of halfspaces through the witness; a rule ``gammas`` relaxes set n by ``gammas(n)``."""
     rng = np.random.default_rng(seed)
     w = np.zeros(dim) if witness is None else np.asarray(witness, dtype=float)
     sets = []
-    for _ in range(int(count)):
+    for n in range(int(count)):
         a = rng.standard_normal(dim)
         a /= np.linalg.norm(a)
-        sets.append(Halfspace(a, float(a @ w)))
-    return OperatorFamily.from_sets(sets, w, gammas=gammas)
+        h = Halfspace(a, float(a @ w))
+        sets.append(h if gammas is None else Primitive(h, gammas(n)))
+    return OperatorFamily.from_sets(sets, w)
 
 
 def two_halfspace_family():
@@ -74,7 +76,7 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
     hypotheses intact when leaves are relaxed beyond gamma = 1.
     """
     N = int(rng.integers(1, max_steps + 1))
-    steps = {}
+    steps = []
     for n in range(1, N + 1):
         inputs = [-int(i) for i in rng.choice(n_inputs, size=min(n_inputs, max_width), replace=False)]
         earlier = list(range(1, n))
@@ -90,13 +92,13 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
                 alpha = 1.0
             else:
                 alpha = float(rng.uniform(eps, 2.0 - eps))
-            steps[n] = StepSpec.relaxation(j, alpha)
+            steps.append(StepSpec.relaxation(j, alpha))
         elif c == 1:
             size = int(rng.integers(1, max_size + 1))
             chosen = list(rng.choice(len(pool), size=size, replace=False))
             refs = [pool[i] for i in chosen]
             w = _combination_weights(rng, size, eps)
-            steps[n] = StepSpec(1, refs, weights=dict(zip(sorted(refs), w)))
+            steps.append(StepSpec(1, refs, weights=dict(zip(sorted(refs), w))))
         else:
             size = int(rng.integers(1, min(max_width, len(pool)) + 1))
             chosen = list(rng.choice(len(pool), size=size, replace=False))
@@ -105,7 +107,7 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
             extra = [refs[int(rng.integers(size))] for _ in range(width - size)]
             order = list(refs) + extra
             rng.shuffle(order)
-            steps[n] = StepSpec(2, refs, order=tuple(order))
+            steps.append(StepSpec(2, refs, order=tuple(order)))
     return IterationPlan(k=k, N=N, eps=eps, steps=steps)
 
 

@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import _within, as_vector, norm
+from .numeric import _admits, _within, as_vector, norm
 
 __all__ = [
     "OperatorNode",
@@ -187,7 +187,7 @@ class Relaxation(OperatorNode):
 
     def __init__(self, child, alpha):
         alpha = float(alpha)
-        if not 0.0 <= alpha <= 2.0:
+        if not _admits(alpha, 0.0, 2.0):
             raise ValueError(f"relaxation parameter must lie in [0, 2], got {alpha}")
         self.child = child
         self.alpha = alpha
@@ -224,7 +224,7 @@ class ConvexComb(OperatorNode):
             raise ValueError("convex combination needs at least one child")
         if len(children) != len(weights):
             raise ValueError("one weight per child required")
-        if any(w <= 0.0 or w > 1.0 for w in weights):
+        if not all(w > 0.0 and _admits(w, 0.0, 1.0) for w in weights):
             raise ValueError("weights must lie in (0, 1]")
         if not _within(abs(sum(weights) - 1.0)):
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")

@@ -169,22 +169,23 @@ class OperatorFamily:
     Parameters
     ----------
     generator : callable
-        Maps a natural number to either a :class:`ProjectableSet` (wrapped
-        as a relaxed projection) or a prebuilt :class:`~strav.operators.OperatorNode`.
+        Maps a natural number to either a :class:`ProjectableSet` (projected
+        onto at gamma 1) or an :class:`~strav.operators.OperatorNode`, such
+        as ``Primitive(set, gamma)`` for a relaxed projection.
     witness : array_like
         Declared common point.  Materializing index n spot-checks that the
         witness is fixed by U_n (at scale ``||witness||``); a violation is a
         construction error, not a silent degradation.
-    gammas : float or callable, optional
-        Per-index projection relaxation (default 1.0), resolved once into
-        one rule n -> gamma; ignored for indices whose generator already
-        returns an operator node.
 
-    Two concurrent materializations of the same index are harmless: the
-    memo insert is idempotent and nodes are immutable.
+    ``size`` is the number of inputs of a finite family (see
+    :meth:`from_sets`) and None for a generated one.  Two concurrent
+    materializations of the same index are harmless: the memo insert is
+    idempotent and nodes are immutable.
     """
 
-    def __init__(self, generator, witness, *, gammas=None):
+    size = None
+
+    def __init__(self, generator, witness):
         self._generator = generator
         self.witness = as_vector(witness)
         with np.errstate(over="ignore"):
@@ -192,8 +193,6 @@ class OperatorFamily:
         if not math.isfinite(self._witness_norm):
             raise ValueError("family-error: the witness's norm overflows")
         self.dim = self.witness.shape[0]
-        g = 1.0 if gammas is None else gammas
-        self._gamma = gammas if callable(gammas) else lambda n: g
         self._ops = {}
         self._stacks = {}
 
@@ -212,7 +211,7 @@ class OperatorFamily:
         if isinstance(raw, OperatorNode):
             node = raw
         elif isinstance(raw, ProjectableSet):
-            node = Primitive(raw, gamma=float(self._gamma(n)))
+            node = Primitive(raw)
         else:
             raise ValueError(
                 f"family-error: generator returned {type(raw).__name__} at index {n}"
@@ -273,7 +272,7 @@ class OperatorFamily:
         return _within(worst, float(norm(z)))
 
     @classmethod
-    def from_sets(cls, sets, witness, *, gammas=None):
+    def from_sets(cls, sets, witness):
         """Finite family over an explicit list of sets (or operator nodes)."""
         sets = list(sets)
 
@@ -282,7 +281,7 @@ class OperatorFamily:
                 raise IndexError(f"finite family of size {len(sets)} has no index {n}")
             return sets[n]
 
-        fam = cls(generator, witness, gammas=gammas)
+        fam = cls(generator, witness)
         fam.size = len(sets)
         return fam
 

@@ -109,10 +109,10 @@ def _freeze(witnesses):
 class BetaGrid:
     """Inner step counts M_k and sizes beta_{k,n} (1-based n, n <= M_k).
 
-    The built-in :meth:`geometric` form ``c * 2^{-k} / M_k`` makes the
-    double series sum to ``2c`` by construction.  A custom grid is trusted
-    to be summable; the driver cannot verify an infinite tail.  A step
-    count above ``_MAX_INNER_STEPS`` is refused, a constant one at once.
+    The built-in :meth:`geometric` form ``c * 2^{-k} / M_k``, over the integer
+    M_k that :meth:`M` reads, makes the double series sum to ``2c``.  A custom
+    grid is trusted to be summable; the driver cannot verify an infinite tail.
+    A step count above ``_MAX_INNER_STEPS`` is refused, a constant one at once.
     """
 
     def __init__(self, M, beta):
@@ -143,8 +143,8 @@ class BetaGrid:
         c = float(c)
         if c < 0.0:
             raise ValueError("scale must be nonnegative")
-        m_of = M if callable(M) else (lambda k, m=int(M): m)
-        return cls(M, lambda k, n: c * 2.0 ** (-k) / m_of(k))
+        grid = cls(M, lambda k, n: c * 2.0 ** (-k) / grid.M(k))
+        return grid
 
 
 def inner_directions(oracle, y, betas):

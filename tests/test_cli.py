@@ -463,7 +463,7 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert f"\n  {path}: dim-mismatch" in err
 
-    @pytest.mark.parametrize("field, value", [("witness", [5.0, 0.0, 0.0]), ("gammas", 2.0)])
+    @pytest.mark.parametrize("field, value", [("witness", [5.0, 0.0, 0.0]), ("gammas", [2.0])])
     def test_witness_or_gamma_refused_under_each_set(self, capsys, tmp_path, field, value):
         doc = demo_doc()
         doc["family"][field] = value
@@ -525,6 +525,17 @@ class TestErrorHandling:
             "invalid configuration:\n  schedule.plans[0]: family-error: generator failed"
             " at index 5: finite family of size 2 has no index 5\n"
         )
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_plan_that_parses_runs(self, capsys, tmp_path, command):
+        # a weight a rounding above 1 passes the plan's range rule, and so the tree's
+        plans = [{"eps": 0.5, "steps": [{"c": 1, "J": [0], "weights": {"0": 1.0000000000001}}]},
+                 {"eps": 0.5, "steps": [{"c": 0, "J": [-1], "alpha": 1.0}]}]
+        doc = solve_doc(schedule={"variant": "cyclic", "plans": plans})
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert (code, err) == (0, "")
+        key, value = ("stop reason", "residual") if command == "solve" else ("verdict", "pass")
+        assert kv(out)[key] == value
 
     def test_out_of_range_cycle_entry_reports_its_index(self, capsys, tmp_path):
         doc = demo_doc()

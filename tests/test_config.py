@@ -175,11 +175,24 @@ class TestFamilySection:
         with pytest.raises(ConfigError, match="family.sets\\[0\\]: unknown set kind"):
             parse_config(doc)
 
-    def test_gamma_list_entries_located(self):
+    @pytest.mark.parametrize("gammas, error", [
+        ([1.0, {"g": 1.0}], ("family.gammas[1]", "need a number, got {'g': 1.0}")),
+        (1.2, ("family.gammas", "not a list")),  # one relaxation for every set is [1.2]
+        ([], ("family.gammas", "need at least one relaxation")),
+    ])
+    def test_gammas_refused_by_path(self, gammas, error):
         doc = minimal_doc()
-        doc["family"]["gammas"] = [1.0, {"g": 1.0}]
-        with pytest.raises(ConfigError, match="family.gammas\\[1\\]: need a number"):
+        doc["family"]["gammas"] = gammas
+        with pytest.raises(ConfigError) as info:
             parse_config(doc)
+        assert info.value.errors == [error]
+
+    def test_sets_and_generator_refused_together(self):
+        doc = minimal_doc()
+        doc["family"]["generator"] = {"kind": "axis_halfspaces"}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("family.generator", "not read with sets")]
 
     def test_witness_required(self):
         doc = minimal_doc()
@@ -201,6 +214,9 @@ class TestFamilySection:
         cfg = parse_config(doc)
         assert cfg.family.operator(0).gamma == 0.5
         assert cfg.family.operator(1).gamma == 1.0
+        doc["family"]["gammas"] = [1.2]
+        family = parse_config(doc).family
+        assert [family.operator(i).gamma for i in range(family.size)] == [1.2] * family.size
 
     def test_axis_generator(self):
         doc = minimal_doc(ambient_dim=5, start=[1.0] * 5)
@@ -213,7 +229,7 @@ class TestFamilySection:
     def test_axis_generator_refuses_gammas(self):
         # the generator's halfspaces run at gamma 1, so a gamma would be silently dropped
         doc = minimal_doc(ambient_dim=5, start=[1.0] * 5, schedule={"variant": "power_of_two"})
-        for gammas, witness in (([7.0], [0.0] * 5), (1.3, [1.0] + [0.0] * 4)):
+        for gammas, witness in (([7.0], [0.0] * 5), ([1.3], [1.0] + [0.0] * 4)):
             doc["family"] = {"witness": witness, "generator": {"kind": "axis_halfspaces"}, "gammas": gammas}
             with pytest.raises(ConfigError) as info:
                 parse_config(doc)

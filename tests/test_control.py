@@ -98,7 +98,7 @@ class TestCyclicSchedule:
     def test_metadata_from_plans(self):
         two_wide = IterationPlan(
             k=0, N=2, eps=1.0,
-            steps={1: StepSpec.relaxation(0, 1.0), 2: StepSpec(2, (1, -1), order=(1, -1))},
+            steps=[StepSpec.relaxation(0, 1.0), StepSpec(2, (1, -1), order=(1, -1))],
         )
         s = CyclicSchedule([one_index_plan(0, 0), two_wide])
         assert s.plan_metadata() == (2, 2)
@@ -127,12 +127,11 @@ class TestPlanMemo:
     def test_structure_key_ignores_k_only(self, validations):
         p = one_index_plan(0, 3)
         assert one_index_plan(9, 3).structure_key() == p.structure_key()
-        assert p.replaced(k=9).structure_key() == p.structure_key()
-        for other in (p.replaced(eps=0.5), one_index_plan(0, 4), one_index_plan(0, 3, alpha=0.5)):
+        for other in (one_index_plan(0, 3, eps=0.5), one_index_plan(0, 4), one_index_plan(0, 3, alpha=0.5)):
             assert other.structure_key() != p.structure_key()
-        assert p.replaced(k=1, eps=0.5).validate() == () and p.validate() == ()
-        assert validations == [1, 0]  # the copy derives its own issues
-        assert p.replaced(eps=1.5).validate() != () and p.validate() == ()
+        assert one_index_plan(1, 3, eps=0.5).validate() == () and p.validate() == ()
+        assert validations == [1, 0]  # a plan of equal steps derives its own issues
+        assert one_index_plan(0, 3, eps=1.5).validate() != () and p.validate() == ()
 
 
     def test_verify_admissible_validates_each_structure_once(self, validations):
@@ -299,7 +298,8 @@ class TestWindowAuditOracle:
         order = rng.integers(0, len(templates), 200)
 
         def rule(k):
-            return templates[order[k]].replaced(k=k)
+            t = templates[order[k]]
+            return IterationPlan(k=k, N=t.N, eps=t.eps, steps=t.steps.values())
 
         return CustomSchedule(rule, window_bounds=bounds.get), n_inputs
 

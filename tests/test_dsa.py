@@ -52,6 +52,14 @@ class TestStringStage:
         st = StringStage([(0,), (1,)], [0.7, 0.3])
         assert st.eps == 0.3
 
+    @pytest.mark.parametrize("weights, eps", [
+        ([0.2 * (1 - 1e-13), 1 - 0.2 * (1 - 1e-13)], 0.2),  # a rounding below the floor
+        ([1.0 + 1e-13], None),  # a rounding above 1, whose plan floor stays 1
+    ])
+    def test_stage_is_judged_as_its_plan(self, weights, eps):
+        st = StringStage([(i,) for i in range(len(weights))], weights, eps=eps)
+        assert gdsa_to_gmsa(st).validate() == ()
+
     def test_image_unions_strings(self):
         st = StringStage([(0, 1), (3,)], [0.5, 0.5])
         assert gdsa_to_gmsa(st).output_indices() == {0, 1, 3}

@@ -24,20 +24,22 @@ from strav.operators import Composition, ConvexComb, OperatorNode, Relaxation
 from strav.sets import OperatorFamily
 
 
-def three_step_plan(eps=0.5):
+THREE_STEPS = (
+    StepSpec.relaxation(0, 1.0),
+    StepSpec(1, (1, -1), weights={1: 0.5, -1: 0.5}),
+    StepSpec(2, (2, -2), order=(2, -2)),
+)
+
+
+def three_step_plan(eps=0.5, k=0):
     # relax U_0, average it with U_1, then compose with U_2
-    steps = {
-        1: StepSpec.relaxation(0, 1.0),
-        2: StepSpec(1, (1, -1), weights={1: 0.5, -1: 0.5}),
-        3: StepSpec(2, (2, -2), order=(2, -2)),
-    }
-    return IterationPlan(k=0, N=3, eps=eps, steps=steps)
+    return IterationPlan(k=k, N=3, eps=eps, steps=THREE_STEPS)
 
 
 def relaxed_family(gamma):
     # three projections relaxed by gamma: sqne_rho = fne_rho = (2 - gamma) / gamma,
     # so below 1 (neither a cutter nor firmly nonexpansive) for gamma > 1
-    return random_halfspace_family(3, 3, seed=5, gammas=gamma)
+    return random_halfspace_family(3, 3, seed=5, gammas=lambda n: gamma)
 
 
 class Declared(OperatorNode):
@@ -57,7 +59,7 @@ def declared_family(sqne_rho=None, fne_rho=None):
     return OperatorFamily.from_sets(nodes, base.witness)
 
 
-RELAXED = IterationPlan(k=0, N=1, eps=0.5, steps={1: StepSpec.relaxation(0, 1.5)})
+RELAXED = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, 1.5)])
 
 
 class TestStepSpec:
@@ -98,23 +100,25 @@ class TestValidation:
         assert three_step_plan().validate() == ()
 
     def test_eps_out_of_range(self):
-        p = three_step_plan().replaced(eps=0.0)
-        assert p.validate() != ()
-        p = three_step_plan().replaced(eps=1.5)
-        assert p.validate() != ()
+        assert three_step_plan(eps=0.0).validate() == ((0, "eps must lie in (0, 1], got 0.0"),)
+        assert (0, "eps must lie in (0, 1], got 1.5") in three_step_plan(eps=1.5).validate()
 
-    def test_step_keys_must_cover_1_to_n(self):
-        p = IterationPlan(k=0, N=2, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
-        assert p.validate() != ()
+    @pytest.mark.parametrize("N, issue", [(2, "need 2 steps, got 1"), (0, "N must be >= 1, got 0")])
+    def test_step_count_must_be_n(self, N, issue):
+        p = IterationPlan(k=0, N=N, eps=1.0, steps=[StepSpec.relaxation(0, 1.0)])
+        assert (0, issue) in p.validate()
 
     def test_huge_step_count_refused_at_once(self):
-        p = IterationPlan(k=0, N=10**18, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
-        v = p.validate()
-        assert v != ()
-        assert (0, f"steps must be keyed 1..{10**18}, got [1]") in v
+        p = IterationPlan(k=0, N=10**18, eps=1.0, steps=[StepSpec.relaxation(0, 1.0)])
+        assert p.validate() == ((0, f"need {10**18} steps, got 1"),)
+
+    def test_dict_of_steps_is_not_a_step_list(self):
+        # iterating a dict yields its keys: each step is the number 1, not a StepSpec
+        p = IterationPlan(k=0, N=1, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
+        assert p.validate() == ((1, "not a StepSpec"),)
 
     def test_forward_reference(self):
-        steps = {1: StepSpec(2, (2, -1), order=(2, -1)), 2: StepSpec.relaxation(0, 1.0)}
+        steps = [StepSpec(2, (2, -1), order=(2, -1)), StepSpec.relaxation(0, 1.0)]
         p = IterationPlan(k=0, N=2, eps=1.0, steps=steps)
         v = p.validate()
         assert v != ()
@@ -161,18 +165,22 @@ class TestValidation:
         p = IterationPlan(k=0, N=1, eps=1.0, steps=[StepSpec(7, (-1,))])
         assert p.validate() != ()
 
-    def test_mixed_parameters_rejected(self):
-        spec = StepSpec(0, (-1,), alpha=1.0, order=(-1,))
+    @pytest.mark.parametrize("spec, issue", [
+        (StepSpec(0, (-1,), alpha=1.0, order=(-1,)), "kind-0 steps carry neither weights nor order"),
+        (StepSpec(1, (-1,), alpha=1.0, weights={-1: 1.0}), "kind-1 steps carry neither alpha nor order"),
+        (StepSpec(2, (-1,), weights={-1: 1.0}, order=(-1,)), "kind-2 steps carry neither alpha nor weights"),
+    ])
+    def test_mixed_parameters_rejected(self, spec, issue):
         p = IterationPlan(k=0, N=1, eps=1.0, steps=[spec])
-        assert p.validate() != ()
+        assert p.validate() == ((1, issue),)
 
     def test_require_valid_raises(self):
-        p = three_step_plan().replaced(eps=2.0)
+        p = three_step_plan(eps=2.0)
         with pytest.raises(ValueError, match="invalid-plan"):
             p.require_valid()
 
     def test_validation_memoized(self, validations):
-        p = three_step_plan().replaced(k=5, eps=2.0)
+        p = three_step_plan(eps=2.0, k=5)
         assert p.validate() is p.validate()
         with pytest.raises(ValueError, match="invalid-plan"):
             p.require_valid()
@@ -204,7 +212,7 @@ class TestIndexSets:
 
     def test_invalid_plan_refused_on_first_call(self):
         with pytest.raises(ValueError, match="invalid-plan"):
-            three_step_plan().replaced(eps=2.0).output_indices()
+            three_step_plan(eps=2.0).output_indices()
 
 
 class TestBuild:
@@ -220,11 +228,7 @@ class TestBuild:
         assert isinstance(comb.children()[1], Relaxation)
 
     def test_shared_submodule_built_once(self):
-        steps = {
-            1: StepSpec.relaxation(0, 1.0),
-            2: StepSpec(1, (1, -1), weights={1: 0.5, -1: 0.5}),
-            3: StepSpec(2, (1, 2), order=(1, 2)),
-        }
+        steps = [*THREE_STEPS[:2], StepSpec(2, (1, 2), order=(1, 2))]
         plan = IterationPlan(k=0, N=3, eps=0.5, steps=steps)
         node = output_operator(plan, self.fam)
         relax = node.children()[0]
@@ -244,10 +248,22 @@ class TestBuild:
             node = output_operator(plan, self.fam)
             assert float(node.residual(self.fam.witness)) <= 1e-9
 
+    @pytest.mark.parametrize("eps, step, image", [
+        # a weight just above 1 and alpha just above 2 - eps, within the slack: the
+        # plan validates, so its tree builds: the projection, or the reflection
+        (0.5, StepSpec(1, [0], weights={0: 1 + 1e-13}), lambda x, p: p),
+        (1e-13, StepSpec.relaxation(0, 2 + 5e-13), lambda x, p: 2.0 * p - x),
+    ])
+    def test_a_plan_at_the_top_of_its_ranges_builds(self, eps, step, image):
+        plan = IterationPlan(k=0, N=1, eps=eps, steps=[step])
+        assert plan.validate() == ()
+        u = self.fam.operator(0)
+        x = 3.0 * u.set.a  # outside the halfspace
+        assert_allclose(output_operator(plan, self.fam).apply(x), image(x, u.apply(x)), atol=1e-11)
+
     def test_invalid_plan_refuses_to_build(self):
-        p = three_step_plan().replaced(eps=0.0)
         with pytest.raises(ValueError, match="invalid-plan"):
-            output_operator(p, self.fam)
+            output_operator(three_step_plan(eps=0.0), self.fam)
 
 
 class TestBounds:
@@ -329,16 +345,10 @@ class TestBounds:
             assert sqne_bound(p) >= cover
 
 
-class TestReplaced:
-    def test_steps_shared_fields_swapped(self):
-        p = three_step_plan()
-        q = p.replaced(k=7)
-        assert q.k == 7 and q.N == p.N
-        assert all(q.steps[n] is p.steps[n] for n in q.steps)
-
-    def test_copy_derives_its_own_verdict(self, validations):
-        p = three_step_plan()
-        q = p.replaced(k=7)
+class TestStructureKey:
+    def test_plans_of_shared_steps_derive_their_own_verdicts(self, validations):
+        p, q = three_step_plan(), three_step_plan(k=7)
+        assert q.steps == p.steps and q.steps is not p.steps
         assert q.validate() == () and p.validate() == ()
         assert validations == [7, p.k]
         assert q.structure_key() == p.structure_key()
@@ -348,13 +358,14 @@ class TestReplaced:
         plans = [
             base,
             three_step_plan(eps=0.25),
-            base.replaced(steps={**base.steps, 1: StepSpec.relaxation(0, 1.5)}),
-            base.replaced(N=2, steps={n: base.steps[n] for n in (1, 2)}),
+            IterationPlan(k=0, N=3, eps=0.5, steps=[StepSpec.relaxation(0, 1.5), *THREE_STEPS[1:]]),
+            IterationPlan(k=0, N=2, eps=0.5, steps=THREE_STEPS[:2]),
         ]
         for i, p in enumerate(plans):
             for j, q in enumerate(plans):
                 assert (p.structure_key() == q.structure_key()) == (i == j)
-            assert p.replaced(k=3).structure_key() == p.structure_key()
+            relabeled = IterationPlan(k=3, N=p.N, eps=p.eps, steps=p.steps.values())
+            assert relabeled.structure_key() == p.structure_key()
         assert three_step_plan().structure_key() == base.structure_key()  # equal content, built apart
 
         def plain(v):  # builtins only, so hashing the key runs no Python-level __hash__

@@ -107,6 +107,10 @@ class TestRelaxationConstants:
             Relaxation(_halfspace_proj(), 2.5)
         with pytest.raises(ValueError, match="relaxation parameter"):
             Relaxation(_halfspace_proj(), -0.1)
+        with pytest.raises(ValueError, match="relaxation parameter"):
+            Relaxation(_halfspace_proj(), 2.0 + 1e-11)
+        # the top of the interval is judged as a plan judges it: up to the slack
+        assert Relaxation(_halfspace_proj(), 2.0 + 5e-13).alpha == 2.0 + 5e-13
 
     def test_fixed_points_preserved(self):
         p = _halfspace_proj(seed=5)
@@ -178,10 +182,17 @@ class TestConvexCombConstants:
 
     def test_weight_validation(self):
         a, b = _halfspace_proj(seed=7), _halfspace_proj(seed=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must sum to 1"):
             ConvexComb([a, b], [0.7, 0.6])
-        with pytest.raises(ValueError):
-            ConvexComb([a, b], [1.2, -0.2])
+        for weights in ([1.2, -0.2], [1.0, 0.0], [1.0 + 1e-11]):
+            with pytest.raises(ValueError, match=r"weights must lie in \(0, 1\]"):
+                ConvexComb([a, b][: len(weights)], weights)
+        with pytest.raises(ValueError, match="one weight per child"):
+            ConvexComb([a, b], [1.0])
+        with pytest.raises(ValueError, match="at least one child"):
+            ConvexComb([], [])
+        # the top of the interval is judged as a plan judges it: up to the slack
+        assert ConvexComb([a], [1.0 + 1e-13]).weights == (1.0 + 1e-13,)
 
     def test_apply_is_weighted_sum(self):
         a, b = _halfspace_proj(seed=9), _halfspace_proj(seed=10)
@@ -204,6 +215,12 @@ class TestCompositionConstants:
         kids = [Relaxation(_halfspace_proj(seed=s), 4.0 / 3.0) for s in (14, 15, 16)]
         node = Composition(kids)
         assert_allclose(node.fne_rho, 1.0 / 6.0, rtol=1e-15)
+
+    def test_empty_or_mixed_dimensions_refused(self):
+        with pytest.raises(ValueError, match="at least one child"):
+            Composition([])
+        with pytest.raises(ValueError, match=r"dim-mismatch: children of dimensions \[2, 3\]"):
+            Composition([_halfspace_proj(dim=3), Identity(), _halfspace_proj(dim=2)])
 
     def test_identity_padding_is_free(self):
         a, b = _halfspace_proj(seed=17), _halfspace_proj(seed=18)
@@ -288,6 +305,10 @@ class TestSamplingCheckers:
         rep = check_sqne(p, 1.0, np.zeros(3), self.budget)
         assert rep.passed
         assert rep.max_violation <= 1e-9
+
+    def test_witness_not_fixed_refused(self):
+        with pytest.raises(ValueError, match="witness-not-fixed"):
+            check_sqne(Primitive(Halfspace([1.0, 0.0, 0.0], -1.0)), 1.0, np.zeros(3), self.budget)
 
     def test_projection_fails_at_overreaching_rho(self):
         p = _halfspace_proj(seed=27)

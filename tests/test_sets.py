@@ -230,6 +230,11 @@ class TestAffineSubspace:
         with pytest.raises(ValueError, match="orthonormal"):
             AffineSubspace([[1.0, 1.0, 0.0]], np.zeros(3))
 
+    @pytest.mark.parametrize("basis", [[1.0, 0.0, 0.0], np.zeros((0, 3))])
+    def test_basis_not_a_nonempty_matrix_rejected(self, basis):
+        with pytest.raises(ValueError, match="nonempty 2-D array"):
+            AffineSubspace(basis, np.zeros(3))
+
 
 class TestDimChecks:
     def test_projection_dim_mismatch(self):
@@ -242,13 +247,14 @@ class TestDimChecks:
 
 
 class TestOperatorFamily:
-    def _family(self, **kw):
+    def _family(self, gamma=None):
         def generator(n):
             a = np.zeros(3)
             a[n % 3] = 1.0
-            return Halfspace(a, float(n + 1))
+            h = Halfspace(a, float(n + 1))
+            return h if gamma is None else Primitive(h, gamma(n))
 
-        return OperatorFamily(generator, np.zeros(3), **kw)
+        return OperatorFamily(generator, np.zeros(3))
 
     def test_memoization(self):
         fam = self._family()
@@ -261,9 +267,13 @@ class TestOperatorFamily:
         assert isinstance(op, Primitive)
         assert op.gamma == 1.0
 
-    def test_gammas_callable(self):
-        fam = self._family(gammas=lambda n: 0.5 + 0.1 * n)
+    def test_generator_relaxes_its_own_leaves(self):
+        fam = self._family(gamma=lambda n: 0.5 + 0.1 * n)
         assert fam.operator(1).gamma == 0.6
+
+    def test_size_of_a_finite_family_only(self):
+        assert self._family().size is None
+        assert OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0)] * 3, np.zeros(2)).size == 3
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="family-error"):

@@ -504,7 +504,8 @@ class TestTreeMemo:
 
     def test_same_steps_with_invalid_eps_still_raise(self):
         valid = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, 1.0)])
-        sched = CustomSchedule(lambda k: valid if k == 0 else valid.replaced(eps=1.5))
+        invalid = IterationPlan(k=0, N=1, eps=1.5, steps=valid.steps.values())
+        sched = CustomSchedule(lambda k: valid if k == 0 else invalid)
         relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
         with pytest.raises(ValueError, match="invalid-plan"):
             run(two_halfspace_family(), sched, relax, np.array([3.0, 2.0]),
@@ -548,7 +549,8 @@ class TestSharedPlans:
 
         def state(p):
             # a fresh copy derives its key anew, so an edit to the steps shows
-            return p.k, p.N, dict(p.steps), p.replaced().structure_key()
+            fresh = IterationPlan(k=p.k, N=p.N, eps=p.eps, steps=p.steps.values())
+            return p.k, p.N, dict(p.steps), fresh.structure_key()
 
         before = [state(p) for p in plans]
         tr = run(fam, sched, relax, x0, StopRule(300, None, None), monitored=range(3))

@@ -47,6 +47,11 @@ class TestObjectives:
         assert_array_equal(phi.subgradient(np.array([3.0, 1.0])), [1.0, 0.0])
         assert_array_equal(phi.subgradient(np.array([1.0, 3.0])), [0.0, 1.0])
 
+    @pytest.mark.parametrize("rows, offsets", [([1.0, 0.0], [0.0]), ([[1.0, 0.0]], [0.0, 1.0]), ([[1.0]], 0.0)])
+    def test_max_affine_needs_one_offset_per_row(self, rows, offsets):
+        with pytest.raises(ValueError, match="one offset per row"):
+            max_affine_objective(rows, offsets)
+
     def test_witnesses_frozen(self):
         phi = linear_objective([1.0], argmin_witnesses=[[0.0]])
         assert isinstance(phi.argmin_witnesses, tuple)
@@ -72,6 +77,9 @@ class TestBetaGrid:
         g = BetaGrid.geometric(1.0, M=lambda k: k % 3)
         assert g.betas(0) == []
         assert len(g.betas(5)) == 2
+        # the sizes divide by the grid's own integer count, so row k sums to c * 2^-k
+        g = BetaGrid.geometric(1.0, M=lambda k: 2.5)
+        assert g.betas(0) == [0.5, 0.5]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +235,7 @@ class TestAlternativesDiagnostic:
         rep = alternatives_diagnostic(synthetic_trace(xs), self.phi)
         assert rep.outcome == "alternative-2"
         assert rep.k0 == 0
+        assert str(rep) == "ALTERNATIVE-2 (strict decrease from k0=0)"
         # re-verify the claim independently
         d = np.linalg.norm(xs - self.z, axis=1)
         assert np.all(d[rep.k0 + 1 :] < d[rep.k0 : -1])
