@@ -1,10 +1,11 @@
 """Control schedules: which plan runs at iteration k, and coverage audits.
 
-A schedule maps k to an :class:`~strav.gmsa.IterationPlan` and declares,
-through a callable n -> M_n, a window bound per input index n: every M_n
-consecutive iterations must touch index n.  ``verify_admissible`` checks
-that promise exhaustively over a finite horizon; it refuses to guess
-bounds that were not declared.
+A schedule maps k to an :class:`~strav.gmsa.IterationPlan` and gives a
+window bound M_n per input index n: every M_n consecutive iterations must
+touch index n.  A cyclic schedule derives it from its period and the
+power-of-two schedule as 2^{n+1}; only a :class:`CustomSchedule` declares
+it.  ``verify_admissible`` checks that promise exhaustively over a finite
+horizon; it refuses to guess bounds that were not given.
 Each audited index n is one sample of a ``CheckReport``: with ``g_n`` the
 longest run of consecutive k in 0..horizon whose plans all miss n, its
 excess ``g_n - M_n + 1`` is judged at scale 0, and is positive exactly when
@@ -51,62 +52,48 @@ def _dyadic_window(n):
 
 
 class ControlSchedule:
-    """Base schedule; subclasses fill in ``plan_at``.
+    """Base schedule: ``plan_at``, ``window_bound`` and ``plan_metadata``.
 
     ``plan_at(k)`` returns the plan iteration k runs, for every k >= 0: a
     schedule never ends.  A schedule that stores its plans hands out those
     very objects, so one plan serves every iteration that runs it and its
     ``k`` is only the label it was built with; callers must not modify a plan.
 
-    ``window_bounds``, a callable n -> M_n or None, declares the windows;
-    an index it maps to None, or every index when it is None, is
-    undeclared.  Only a :class:`CyclicSchedule` keeps a finite plan list,
-    as ``plans``, and derives its (K, M) metadata from it.
+    Every subclass also gives ``window_bound(n)``, the window M_n for input
+    index n or None when unknown, and ``plan_metadata()``, (K, M) = (max
+    step count, max step width) over all plans or None.  Only a
+    :class:`CyclicSchedule` keeps a finite plan list, as ``plans``.
     """
 
     plans = None
 
-    def __init__(self, window_bounds=None):
-        self._bound = window_bounds or (lambda n: None)
-
     def plan_at(self, k):
         raise NotImplementedError
-
-    def window_bound(self, n):
-        """Declared window M_n for input index n, or None when unknown."""
-        return self._bound(n)
-
-    def plan_metadata(self):
-        """(K, M) = (max step count, max step width) over all plans, or None."""
-        if self.plans is None:
-            return None
-        K = max(p.N for p in self.plans)
-        M = max(max(p.steps[n].P for n in range(1, p.N + 1)) for p in self.plans)
-        return (K, M)
 
 
 class CyclicSchedule(ControlSchedule):
     """Template plans cycled: iteration k runs the stored ``plans[k mod len]``.
 
     A finite plan list runs only this way, so every index some plan uses is
-    revisited forever.  Without an explicit declaration its window bound
-    defaults to the period, which is always sound.
+    revisited forever: its window is the period, which is always sound, and
+    any other index has none.  (K, M) is read off the plans.
     """
 
-    def __init__(self, templates, window_bounds=None):
+    def __init__(self, templates):
         self.plans = list(templates)
         if not self.plans:
             raise ValueError("cyclic schedule needs at least one template plan")
-        super().__init__(window_bounds)
 
     def plan_at(self, k):
         return self.plans[int(k) % len(self.plans)]
 
     def window_bound(self, n):
-        declared = self._bound(n)
-        if declared is not None:
-            return declared
         return len(self.plans) if any(n in t.output_indices() for t in self.plans) else None
+
+    def plan_metadata(self):
+        K = max(p.N for p in self.plans)
+        M = max(max(p.steps[n].P for n in range(1, p.N + 1)) for p in self.plans)
+        return (K, M)
 
     @classmethod
     def over_indices(cls, indices, eps=1.0, alpha=1.0):
@@ -123,13 +110,11 @@ class PowerOfTwoSchedule(ControlSchedule):
 
     One plan per value n of ``f_value`` is built on first use, labelled
     ``k = 2^n - 1`` (the first iteration with that value), and handed out
-    for every k with ``f_value(k) == n``.
+    for every k with ``f_value(k) == n``.  ``eps`` and ``alpha`` are judged
+    by those plans' validation, before any update runs.
     """
 
     def __init__(self, eps=1.0, alpha=1.0):
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        super().__init__(_dyadic_window)
         self.eps = float(eps)
         self.alpha = float(alpha)
         self._templates = {}
@@ -143,20 +128,27 @@ class PowerOfTwoSchedule(ControlSchedule):
             )
         return plan
 
+    def window_bound(self, n):
+        return _dyadic_window(n)
+
     def plan_metadata(self):
         return (1, 1)
 
 
 class CustomSchedule(ControlSchedule):
-    """Arbitrary rule k -> plan; the caller declares window bounds and metadata."""
+    """Arbitrary rule k -> plan; the caller declares the metadata and, as a
+    callable n -> M_n or None, the window bounds (None: every index undeclared)."""
 
     def __init__(self, rule, window_bounds=None, metadata=None):
-        super().__init__(window_bounds)
         self._rule = rule
+        self._bound = window_bounds or (lambda n: None)
         self._metadata = metadata
 
     def plan_at(self, k):
         return self._rule(int(k))
+
+    def window_bound(self, n):
+        return self._bound(n)
 
     def plan_metadata(self):
         return self._metadata

@@ -104,12 +104,13 @@ def rho_gdsa(gammas, q):
     return min(min((2.0 - g) * g for g in gammas) / q, 1.0)
 
 
-def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
+def msa_embed(operators, witness, msa_plans):
     """Pad a finite-family schedule into an infinite-family one.
 
     The base plans run as a :class:`~strav.control.CyclicSchedule`, which
-    owns the declared window bounds, the cycle-length default and the
-    (K, M) metadata; the padding only adds what the identity tail needs.
+    gives each base index it touches the cycle length as its window and the
+    (K, M) metadata; the padding only adds what the identity tail needs:
+    a padded index n > m gets the window 2^{n+1} (inf for n >= 64).
 
     Parameters
     ----------
@@ -120,11 +121,6 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
         Common point declared for the padded family.
     msa_plans : sequence of IterationPlan
         Base plans, cycled over k; they may reference only indices 0..m.
-    window_bounds : callable, optional
-        Window bounds for the base indices 0..m, declared as for
-        :class:`~strav.control.CyclicSchedule`: a base index some cycled
-        plan touches defaults to the cycle length, which is always sound.
-        Padded indices n > m get 2^{n+1} automatically (inf for n >= 64).
 
     Returns
     -------
@@ -142,7 +138,7 @@ def msa_embed(operators, witness, msa_plans, *, window_bounds=None):
     plans = list(msa_plans)
     if not plans:
         raise ValueError("msa-index-error: need at least one base plan")
-    base = CyclicSchedule(plans, window_bounds)
+    base = CyclicSchedule(plans)
     for p in base.plans:
         used = p.output_indices()
         if any(i > m_top for i in used):

@@ -82,10 +82,6 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
         earlier = list(range(1, n))
         pool = inputs + earlier
         c = int(rng.integers(0, 3))
-        if c == 1:
-            max_size = min(max_width, len(pool), int(1.0 / eps))
-            if max_size < 1:
-                c = 0
         if c == 0:
             j = inputs[int(rng.integers(len(inputs)))]
             if c0_alpha_one or rng.random() < 0.4:
@@ -94,7 +90,7 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
                 alpha = float(rng.uniform(eps, 2.0 - eps))
             steps.append(StepSpec.relaxation(j, alpha))
         elif c == 1:
-            size = int(rng.integers(1, max_size + 1))
+            size = int(rng.integers(1, min(max_width, len(pool), int(1.0 / eps)) + 1))
             chosen = list(rng.choice(len(pool), size=size, replace=False))
             refs = [pool[i] for i in chosen]
             w = _combination_weights(rng, size, eps)

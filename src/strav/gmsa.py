@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .numeric import _SLACK, _admits, _within
+from .numeric import _admits, _within
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
@@ -259,7 +259,7 @@ def _plan_bound(plan, family, route, attr):
     plan.require_valid()
     for n in range(1, plan.N + 1) if family is not None else ():
         s = plan.steps[n]
-        relaxed = s.c == 0 and abs(s.alpha - 1.0) > _SLACK
+        relaxed = s.c == 0 and not _admits(s.alpha, 1.0, 1.0)
         need = 1.0 if relaxed else 0.5
         for j in s.J:
             # a positive reference is a module of this plan, judged through its own step

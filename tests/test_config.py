@@ -334,6 +334,9 @@ class TestScheduleSection:
           ("schedule.alpha", "alpha 1.0 outside [eps, 2 - eps]")]),
         ({"variant": "power_of_two", "alpha": 1.5},
          [("schedule.alpha", "alpha 1.5 outside [eps, 2 - eps]")]),
+        ({"variant": "power_of_two", "eps": 5},
+         [("schedule.eps", "eps must lie in (0, 1], got 5.0"),
+          ("schedule.alpha", "alpha 1.0 outside [eps, 2 - eps]")]),
     ])
     def test_one_input_plans_judged_at_parse(self, schedule, errors):
         # every plan of these forms relaxes one input by alpha at floor eps

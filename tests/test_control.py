@@ -65,8 +65,11 @@ class TestPowerOfTwoSchedule:
         assert PowerOfTwoSchedule().plan_metadata() == (1, 1)
 
     def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            PowerOfTwoSchedule(eps=0.0)
+        # judged by its plans, as alpha is, before any update or audit
+        s = PowerOfTwoSchedule(eps=0.0)
+        assert s.plan_at(0).validate() == ((0, "eps must lie in (0, 1], got 0.0"),)
+        with pytest.raises(ValueError, match="invalid-plan"):
+            verify_admissible(s, 10, [0])
 
 
 class TestCyclicSchedule:
@@ -81,10 +84,8 @@ class TestCyclicSchedule:
         assert s.window_bound(3) == 3
         assert s.window_bound(0) == 3
         assert s.window_bound(7) is None
-
-    def test_declared_bound_wins(self):
-        s = CyclicSchedule([one_index_plan(0, 0)], window_bounds={0: 5}.get)
-        assert s.window_bound(0) == 5
+        with pytest.raises(TypeError):  # only a CustomSchedule declares windows
+            CyclicSchedule([one_index_plan(0, 0)], window_bounds={0: 5}.get)
 
     def test_over_indices(self):
         s = CyclicSchedule.over_indices([2, 0, 1])
@@ -163,7 +164,7 @@ class TestVerifyAdmissible:
         # index 1 appears only at k = 0 and k = 4; with a declared window of
         # 3 the first full window missing it starts at k = 1
         plans = [one_index_plan(k, n) for k, n in enumerate([1, 0, 0, 0, 1, 0])]
-        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 3}.get)
+        s = CustomSchedule(lambda k: plans[k % len(plans)], window_bounds={0: 2, 1: 3}.get)
         rep = verify_admissible(s, 5, [0, 1])
         assert not rep.passed
         assert rep.worst == (1, 1)
@@ -292,7 +293,9 @@ class TestWindowAuditOracle:
         # declared windows from 1 up to past the period: some schedules violate them
         bounds = {n: int(rng.integers(1, len(templates) + 3)) for n in range(n_inputs)}
         if kind == "cyclic":
-            return CyclicSchedule(templates, window_bounds=bounds.get), n_inputs
+            # the stored templates in turn: the audit derives each one's index set once
+            schedule = CustomSchedule(lambda k: templates[k % len(templates)], window_bounds=bounds.get)
+            return schedule, n_inputs
         # a custom rule: a random sequence over the templates, and a fresh
         # plan (no shared index set) at every k
         order = rng.integers(0, len(templates), 200)
@@ -330,7 +333,7 @@ def stage_cycle(strings_per_stage, window_bounds):
         gdsa_to_gmsa(StringStage(strings, [1.0 / len(strings)] * len(strings), k=k))
         for k, strings in enumerate(strings_per_stage)
     ]
-    return CyclicSchedule(plans, window_bounds=window_bounds)
+    return CustomSchedule(lambda k: plans[k % len(plans)], window_bounds=window_bounds)
 
 
 class TestFitCheck:
@@ -348,7 +351,7 @@ class TestFitCheck:
         plans = [gdsa_to_gmsa(st) for st in stages]
         images = [set().union(*st.strings) for st in stages]
         assert [p.output_indices() for p in plans] == images
-        s = CyclicSchedule(plans, window_bounds={0: 2, 1: 2, 2: 2}.get)
+        s = CustomSchedule(lambda k: plans[k % len(plans)], window_bounds={0: 2, 1: 2, 2: 2}.get)
         rep = verify_admissible(s, 40, [0, 1, 2])
         assert rep.passed
 

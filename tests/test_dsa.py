@@ -215,6 +215,8 @@ class TestMsaEmbed:
         assert sched.window_bound(0) == 2  # cycle length for base indices
         assert sched.window_bound(5) == 2**6
         assert sched.window_bound(10**12) == np.inf  # no 10^12-bit integer is built
+        with pytest.raises(TypeError):  # base windows are the cycle's, never declared
+            msa_embed(sets, np.zeros(4), plans, window_bounds={0: 7}.get)
 
     def test_single_operator_family(self):
         s = Halfspace([1.0, 0.0], 0.0)
@@ -223,12 +225,6 @@ class TestMsaEmbed:
         x = np.array([2.0, 1.0])
         got = output_operator(sched.plan_at(1), fam).apply(x)  # f_value(1) = 1 padded
         assert_array_equal(got, s.project(x))
-
-    def test_declared_bounds_override_default(self):
-        sets, plans = self._base()
-        _, sched = msa_embed(sets, np.zeros(4), plans, window_bounds={0: 7}.get)
-        assert sched.window_bound(0) == 7
-        assert sched.window_bound(1) == 2
 
     def test_index_errors(self):
         sets, plans = self._base()

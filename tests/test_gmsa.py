@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.fixtures import random_halfspace_family, random_plan_corpus
+from strav.control import CustomSchedule
+from strav.fixtures import random_halfspace_family, random_plan_corpus, two_halfspace_family
 from strav.gmsa import (
     IterationPlan,
     StepSpec,
@@ -22,6 +23,7 @@ from strav.gmsa import (
 )
 from strav.operators import Composition, ConvexComb, OperatorNode, Relaxation
 from strav.sets import OperatorFamily
+from strav.solver import RelaxationSchedule, run
 
 
 THREE_STEPS = (
@@ -116,6 +118,10 @@ class TestValidation:
         # iterating a dict yields its keys: each step is the number 1, not a StepSpec
         p = IterationPlan(k=0, N=1, eps=1.0, steps={1: StepSpec.relaxation(0, 1.0)})
         assert p.validate() == ((1, "not a StepSpec"),)
+        # a run keys the plan by its steps and refuses it before the first update
+        relax = RelaxationSchedule.constant(1.0, 0.25, 0.5)
+        with pytest.raises(ValueError, match="^invalid-plan: step 1: not a StepSpec$"):
+            run(two_halfspace_family(), CustomSchedule(lambda k: p), relax, [1.0, 1.0])
 
     def test_forward_reference(self):
         steps = [StepSpec(2, (2, -1), order=(2, -1)), StepSpec.relaxation(0, 1.0)]
@@ -312,8 +318,15 @@ class TestBounds:
         for family in (declared_family(sqne_rho=0.4, fne_rho=1.0), relaxed_family(1.3)):
             with pytest.raises(ValueError, match="sqne-hypotheses-unmet: step 1 .* input 0"):
                 sqne_bound(RELAXED, family)
-        # alpha = 1 everywhere needs no cutter
+        # alpha = 1 everywhere needs no cutter, up to the membership slack 1e-12
         assert sqne_bound(three_step_plan(), relaxed_family(1.3)) == 0.5 / 8.0
+        for alpha in (1 - 5e-13, 1 + 5e-13, 1 - 2e-12, 1 + 2e-12):
+            plan = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, alpha)])
+            if abs(alpha - 1) < 1e-12:
+                assert sqne_bound(plan, relaxed_family(1.3)) == 0.25
+            else:
+                with pytest.raises(ValueError, match=f"step 1 relaxes input 0 by alpha {alpha}"):
+                    sqne_bound(plan, relaxed_family(1.3))
 
     def test_black_box_leaf_meets_no_hypothesis(self):
         for plan in (three_step_plan(), RELAXED):

@@ -511,6 +511,13 @@ class TestTreeMemo:
             run(two_halfspace_family(), sched, relax, np.array([3.0, 2.0]),
                 StopRule(5, None, None))
 
+    def test_power_of_two_eps_judged_by_its_first_plan(self):
+        # the schedule takes eps as given; the plan of k = 0 refuses it before the first update
+        sched = PowerOfTwoSchedule(eps=5.0)
+        relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
+        with pytest.raises(ValueError, match=r"^invalid-plan: step 0: eps must lie in \(0, 1\], got 5.0;"):
+            run(axis_halfspace_family(5), sched, relax, 3.0 * np.ones(5), StopRule(5, None, None))
+
 
 class TestSharedPlans:
     """Schedules hand out their stored plans; no run or audit may change one."""
