@@ -9,7 +9,7 @@ driver without changing a single number.
 import numpy as np
 
 from strav.control import verify_admissible
-from strav.dsa import StringStage, direct_eval, gdsa_to_gmsa, msa_embed, rho_gdsa
+from strav.dsa import StringStage, direct_eval, gdsa_to_gmsa, msa_embed
 from strav.fixtures import random_halfspace_family
 from strav.gmsa import output_operator, sqne_bound
 from strav.sets import Halfspace, OperatorFamily
@@ -25,11 +25,12 @@ def main():
     print(f"rewritten plan: N = {plan.N}, floor eps = {plan.eps}")
 
     x = rng.uniform(-2.0, 2.0, size=(6, 4))
-    gap = np.abs(output_operator(plan, family)(x) - direct_eval(stage, family, x)).max()
+    tree = output_operator(plan, family)
+    gap = np.abs(tree(x) - direct_eval(stage, family, x)).max()
     print(f"largest rewrite gap over 6 points: {gap:.2e}")
 
     print(f"plan modulus guarantee over the family's leaves: {sqne_bound(plan, family):.4f}")
-    print(f"stage modulus at gamma = 1, q = 3: {rho_gdsa([1.0], 3):.4f}")
+    print(f"stage tree's certified fne_rho (gamma = 1, longest string 3): {tree.fne_rho:.4f}")
 
     normals = rng.standard_normal((3, 4))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

@@ -81,8 +81,8 @@ schedule references must be one the family holds; ``power_of_two`` relaxes
 every input in turn, so it needs a generator family.  The ``stages``
 variant cycles string-averaging stages: each string is a nonempty list of
 nats applied first-to-last, and the stage averages its strings with the
-given ``weights``, one number in (0, 1] per string, summing to 1 (at least
-``eps``, a number in (0, 1], when a stage gives it).
+given ``weights``, one number in (0, 1] per string, summing to 1.  A stage
+has no ``eps``: its plan's floor is its least weight.
 
 A PLAN gives its floor ``eps`` (a number in (0, 1]) and its steps, the
 n-th record being step n::

@@ -247,7 +247,7 @@ _STEP = (
     ("order", [_int], None),
 )
 _PLAN = (("eps", _real, _REQUIRED), ("steps", [_STEP], _REQUIRED))
-_STAGE = (("strings", [[_int]], _REQUIRED, 0), ("weights", [_real], _REQUIRED), ("eps", _real, None))
+_STAGE = (("strings", [[_int]], _REQUIRED, 0), ("weights", [_real], _REQUIRED))
 _SCHEDULE = {"variant": {
     "power_of_two": (("eps", _real, 1.0), ("alpha", _real, 1.0)),
     # one form: indices, relaxed by alpha at floor eps (each None: 1.0), or plans

@@ -23,7 +23,6 @@ __all__ = [
     "StringStage",
     "direct_eval",
     "gdsa_to_gmsa",
-    "rho_gdsa",
     "msa_embed",
 ]
 
@@ -32,12 +31,11 @@ class StringStage:
     """Weighted set of strings used at one iteration.
 
     ``strings`` holds each string as a tuple of input indices, the first
-    applied first.  Weights are positive and sum to 1; with an explicit
-    ``eps`` in (0, 1] they must additionally stay >= eps, matching the
-    plan-level floor the stage translates into.
+    applied first.  Weights lie in (0, 1] and sum to 1; the least of them
+    is the floor ``eps`` of the plan the stage translates into.
     """
 
-    def __init__(self, strings, weights, k=0, eps=None):
+    def __init__(self, strings, weights, k=0):
         self.strings = tuple(tuple(int(i) for i in s) for s in strings)
         if not all(self.strings):
             raise ValueError("strings must be nonempty")
@@ -49,14 +47,10 @@ class StringStage:
             raise ValueError("a stage needs at least one string")
         if len(self.strings) != len(self.weights):
             raise ValueError("one weight per string required")
-        floor = float(eps) if eps is not None else 0.0
-        if eps is not None and not 0.0 < floor <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {floor}")
-        if not all(w > 0.0 and _admits(w, floor, 1.0) for w in self.weights):
-            raise ValueError(f"weights {self.weights} outside ({floor}, 1]")
+        if not all(w > 0.0 and _admits(w, 0.0, 1.0) for w in self.weights):
+            raise ValueError(f"weights {self.weights} outside (0, 1]")
         if not _within(abs(sum(self.weights) - 1.0)):
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
-        self.eps = floor if eps is not None else min(*self.weights, 1.0)
 
 
 def direct_eval(stage, family, x):
@@ -75,33 +69,15 @@ def gdsa_to_gmsa(stage):
     """Rewrite a string stage as an equivalent iteration plan.
 
     Steps 1..|strings| compose the strings (application order preserved);
-    step |strings|+1 averages them with the stage weights.  The plan always
-    has that final combination step, even for a single string.
+    step |strings|+1 averages them with the stage weights, the least of
+    which is the plan's floor.  The plan always has that final combination
+    step, even for a single string.
     """
     orders = [tuple(-i for i in s) for s in stage.strings]
     steps = [StepSpec(2, set(order), order=order) for order in orders]
     refs = range(1, len(steps) + 1)
     steps.append(StepSpec(1, refs, weights=dict(zip(refs, stage.weights))))
-    return IterationPlan(k=stage.k, N=len(steps), eps=stage.eps, steps=steps)
-
-
-def rho_gdsa(gammas, q):
-    """Stage modulus ``min(q^{-1} * inf_n (2 - gamma_n) * gamma_n, 1)``.
-
-    ``gammas`` are the projection relaxations actually materialized (or any
-    certified sub-collection bounding the infimum from below) and ``q`` the
-    longest string length.  The per-leaf term ``(2 - gamma) * gamma`` is at
-    most the leaf's certified ``(2 - gamma)/gamma`` for gamma <= 1, with
-    equality at gamma = 1.  Validate empirically via ``check_fne`` before
-    relying on it at gamma > 1.
-    """
-    q = int(q)
-    if q < 1:
-        raise ValueError("string length bound must be positive")
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise ValueError("need at least one relaxation value")
-    return min(min((2.0 - g) * g for g in gammas) / q, 1.0)
+    return IterationPlan(k=stage.k, N=len(steps), eps=min(*stage.weights, 1.0), steps=steps)
 
 
 def msa_embed(operators, witness, msa_plans):
@@ -133,12 +109,7 @@ def msa_embed(operators, witness, msa_plans):
     """
     ops = list(operators)
     m_top = len(ops) - 1
-    if m_top < 0:
-        raise ValueError("msa-index-error: need at least one operator")
-    plans = list(msa_plans)
-    if not plans:
-        raise ValueError("msa-index-error: need at least one base plan")
-    base = CyclicSchedule(plans)
+    base = CyclicSchedule(msa_plans)
     for p in base.plans:
         used = p.output_indices()
         if any(i > m_top for i in used):

@@ -33,6 +33,7 @@ box) meets neither condition.
 from __future__ import annotations
 
 import math
+import sys
 
 from .numeric import _admits, _within
 from .operators import Composition, ConvexComb, Relaxation
@@ -254,8 +255,8 @@ def output_operator(plan, family):
 
 
 def _plan_bound(plan, family, route, attr):
-    # eps / (2 * prod P_i) once, over ``family``, every input a step references carries
-    # ``attr`` >= 1/2 and every input a kind-0 step relaxes with alpha != 1 carries it >= 1
+    # eps / (2 * prod P_i) (0.0 past the float range) once, over ``family``, every input a step
+    # references carries ``attr`` >= 1/2 and every one a kind-0 step relaxes with alpha != 1, >= 1
     plan.require_valid()
     for n in range(1, plan.N + 1) if family is not None else ():
         s = plan.steps[n]
@@ -269,7 +270,7 @@ def _plan_bound(plan, family, route, attr):
                 raise ValueError(
                     f"{route}-hypotheses-unmet: step {n} {what}, whose {attr} is {rho}, not at least {need}"
                 )
-    return plan.eps / (2.0 * plan.width_product())
+    return plan.eps / (2.0 * min(plan.width_product(), sys.float_info.max))
 
 
 def sqne_bound(plan, family=None):
@@ -294,10 +295,10 @@ def fne_bound(plan, family=None):
 
 
 def rho_uniform(K, M, eps):
-    """Uniform modulus ``eps / (2 * M^K)`` covering every plan with N <= K, P <= M."""
+    """Uniform modulus ``eps / (2 * M^K)``, 0.0 past the float range, for every plan with N <= K, P <= M."""
     K, M = int(K), int(M)
     if K < 1 or M < 1:
         raise ValueError(f"bounds K, M must be positive, got K={K}, M={M}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return eps / (2.0 * M**K)
+    return eps / (2.0 * min(M**K, sys.float_info.max))

@@ -217,8 +217,8 @@ class AlternativesReport:
 
     ``outcome`` is ``alternative-1`` (the run ended at a declared
     minimizer), ``alternative-2`` (strict distance decrease toward every
-    minimizer from ``k0`` on), or ``inconclusive`` (neither certified;
-    a legitimate verdict, never an error).
+    minimizer from ``k0`` on), or ``inconclusive`` (neither certified,
+    with no ``violating_k`` for a run too short to judge; never an error).
     """
 
     outcome: str
@@ -232,6 +232,8 @@ class AlternativesReport:
             return f"ALTERNATIVE-1 (final iterate at a minimizer, gap {self.final_gap:.3e})"
         if self.outcome == "alternative-2":
             return f"ALTERNATIVE-2 (strict decrease from k0={self.k0})"
+        if self.violating_k is None:
+            return f"INCONCLUSIVE (fewer than {_MIN_TAIL} updates)"
         return (
             f"INCONCLUSIVE (decrease broken at k={self.violating_k}, "
             f"witness {self.violating_witness})"
@@ -261,7 +263,7 @@ def alternatives_diagnostic(trace, oracle):
         raise ValueError("full iterates unavailable (record_stride > 1); rerun with stride 1")
     K = trace.n_updates
     if K < _MIN_TAIL:
-        return AlternativesReport("inconclusive", violating_k=K, violating_witness=None)
+        return AlternativesReport("inconclusive")
 
     last_bad, bad_w = -1, None
     for idx, w in enumerate(witnesses):

@@ -321,6 +321,21 @@ class TestErrorHandling:
         assert code in (0, 2)
         assert "Traceback" not in err and kv(out)["driver"] == "perturbed"
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_stage_whose_uniform_modulus_leaves_the_float_range(self, capsys, tmp_path, command):
+        # 143 one-set strings: M^K = 143^144 passes the float range, so the derived rho is 0.0
+        stage = {"strings": [[0]] * 143, "weights": [1.0 / 143] * 143}
+        doc = solve_doc(schedule={"variant": "stages", "stages": [stage]},
+                        relaxation={"eps": 0.5}, monitored_indices=[0])
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert "\n  relaxation.lambda: step size 1.0 outside [0.5, 0.5]" in err
+        # the one step size rho = 0.0 leaves runs
+        doc["relaxation"]["lambda"] = {"kind": "constant", "value": 0.5}
+        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("index, window", [("30", "2147483648"), ("20000", "inf")])
     def test_power_of_two_index_beyond_the_horizon_refused_by_name(
         self, capsys, tmp_path, index, window

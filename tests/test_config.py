@@ -374,14 +374,15 @@ class TestScheduleSection:
         with pytest.raises(ConfigError, match="schedule.stages\\[0\\]"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("eps", [0, -0.5, 1.5])
-    def test_stage_eps_outside_unit_interval_located(self, eps):
+    @pytest.mark.parametrize("eps", [0, -0.5, 1.5, 0.5])
+    def test_stage_eps_refused_as_unknown_field(self, eps):
+        # a stage's floor is its least weight, so a stage record has no eps
         stage = {"strings": [[0], [1]], "weights": [0.5, 0.5], "eps": eps}
         doc = minimal_doc(schedule={"variant": "stages", "stages": [stage]})
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert info.value.errors == [
-            ("schedule.stages[0]", f"eps must lie in (0, 1], got {float(eps)}"),
+            ("schedule.stages[0].eps", "unknown field (expected ['strings', 'weights'])"),
         ]
 
     def test_plan_validation_failures_located(self):

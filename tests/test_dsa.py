@@ -15,12 +15,10 @@ from strav.dsa import (
     direct_eval,
     gdsa_to_gmsa,
     msa_embed,
-    rho_gdsa,
 )
 from strav.fixtures import random_halfspace_family
 from strav.gmsa import fne_bound, output_operator, sqne_bound
-from strav.operators import Identity, check_fne
-from strav.operators import SampleBudget
+from strav.operators import Identity, SampleBudget, check_fne
 from strav.sets import Halfspace, OperatorFamily
 
 
@@ -47,18 +45,22 @@ class TestStringStage:
             StringStage([(0,)], [1.0, 0.0])  # count mismatch
 
     def test_eps_floor(self):
-        with pytest.raises(ValueError):
+        # the floor is derived from the weights, never declared
+        with pytest.raises(TypeError):
             StringStage([(0,), (1,)], [0.9, 0.1], eps=0.2)
+        with pytest.raises(TypeError):
+            StringStage([(0,)], [1.0], eps=1.0)
         st = StringStage([(0,), (1,)], [0.7, 0.3])
-        assert st.eps == 0.3
+        assert gdsa_to_gmsa(st).eps == 0.3
 
-    @pytest.mark.parametrize("weights, eps", [
-        ([0.2 * (1 - 1e-13), 1 - 0.2 * (1 - 1e-13)], 0.2),  # a rounding below the floor
-        ([1.0 + 1e-13], None),  # a rounding above 1, whose plan floor stays 1
+    @pytest.mark.parametrize("weights", [
+        [0.2 * (1 - 1e-13), 1 - 0.2 * (1 - 1e-13)],  # a least weight just below 0.2
+        [1.0 + 1e-13],  # a rounding above 1, whose plan floor stays 1
     ])
-    def test_stage_is_judged_as_its_plan(self, weights, eps):
-        st = StringStage([(i,) for i in range(len(weights))], weights, eps=eps)
-        assert gdsa_to_gmsa(st).validate() == ()
+    def test_stage_is_judged_as_its_plan(self, weights):
+        plan = gdsa_to_gmsa(StringStage([(i,) for i in range(len(weights))], weights))
+        assert plan.validate() == ()
+        assert plan.eps == min(*weights, 1.0)
 
     def test_image_unions_strings(self):
         st = StringStage([(0, 1), (3,)], [0.5, 0.5])
@@ -105,7 +107,7 @@ class TestPlanRewrite:
         assert plan.steps[2].weights == (1.0,)
 
     def test_eps_carried_to_plan(self):
-        st = StringStage([(0,), (1,)], [0.6, 0.4], eps=0.4)
+        st = StringStage([(0,), (1,)], [0.6, 0.4])  # the least weight is the floor
         assert gdsa_to_gmsa(st).eps == 0.4
 
     def test_application_order_preserved(self):
@@ -124,16 +126,16 @@ class TestPlanRewrite:
 
 
 class TestStageModulus:
-    def test_known_values(self):
-        assert rho_gdsa([1.0], 1) == 1.0
-        assert rho_gdsa([1.0], 4) == 0.25
-        assert_allclose(rho_gdsa([2.0 / 3.0], 2), 4.0 / 9.0, rtol=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rho_gdsa([1.0], 0)
-        with pytest.raises(ValueError):
-            rho_gdsa([], 2)
+    @pytest.mark.parametrize("gamma", [1.0, 2.0 / 3.0, 1.3])
+    def test_stage_tree_certifies_its_string_length(self, gamma):
+        # q relaxed projections composed: the tree certifies (2 - gamma) / gamma / q
+        fam = random_halfspace_family(3, 3, seed=56, gammas=lambda n: gamma)
+        for q in (1, 2, 3):
+            node = output_operator(gdsa_to_gmsa(StringStage([tuple(range(q))], [1.0])), fam)
+            want = (2.0 - gamma) / gamma / q
+            assert_allclose(node.fne_rho, want, rtol=1e-15)
+            rep = check_fne(node, node.fne_rho, SampleBudget(count=300, seed=q), center=np.zeros(3))
+            assert rep.passed, str(rep)
 
     def test_string_composition_keeps_one_over_2q(self):
         # q plain projections composed: firmly nonexpansive at 1/(2q)
@@ -143,6 +145,11 @@ class TestStageModulus:
             node = output_operator(plan, fam)
             rep = check_fne(node, 1.0 / (2.0 * q), SampleBudget(count=300, seed=q), center=np.zeros(3))
             assert rep.passed, str(rep)
+
+    def test_bound_past_the_float_range_is_zero(self):
+        # 120 strings, each 400 long: the width product 120 * 400^120 passes the largest float
+        plan = gdsa_to_gmsa(StringStage([tuple(range(400))] * 120, [1.0 / 120] * 120))
+        assert sqne_bound(plan) == fne_bound(plan) == 0.0
 
     def test_stage_keeps_min_over_strings(self):
         fam = random_halfspace_family(3, 4, seed=57)
@@ -232,5 +239,5 @@ class TestMsaEmbed:
             msa_embed(sets[:2], np.zeros(4), plans)  # plans touch index 2
         with pytest.raises(ValueError, match="msa-index-error"):
             msa_embed([], np.zeros(4), plans)
-        with pytest.raises(ValueError, match="msa-index-error"):
+        with pytest.raises(ValueError, match="at least one template plan"):
             msa_embed(sets, np.zeros(4), [])

@@ -54,7 +54,7 @@ def test_star_import_provides(module, names):
     ["inner", "lincomb", "validate_plan", "index_set", "fit_check", "Tolerance", "DEFAULT_TOL",
      "structurally_equal", "build_module", "convergence_report", "ConvergenceReport", "step_to_record", "step_from_record", "plan_to_record", "plan_from_record",
      "axis_halfspace_family", "PairSample",
-     "AdmissibilityReport", "PlanValidation", "StringSpec"],
+     "AdmissibilityReport", "PlanValidation", "StringSpec", "rho_gdsa"],
 )
 def test_not_exported(name):
     assert name not in strav.__all__

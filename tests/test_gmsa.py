@@ -340,6 +340,12 @@ class TestBounds:
         assert_allclose(rho_uniform(3, 4, 0.5), 0.5 / (2.0 * 64.0), rtol=1e-15)
         assert rho_uniform(1, 1, 1.0) == 0.5
 
+    def test_rho_uniform_past_the_float_range_is_zero(self):
+        # 143^144 passes the largest float: the sound floor 0.0, not an OverflowError
+        assert rho_uniform(144, 143, 0.5) == 0.0
+        # just inside the range the value keeps its bits
+        assert rho_uniform(133, 199, 0.5) == 0.5 / (2.0 * float(199**133))
+
     def test_rho_uniform_validation(self):
         with pytest.raises(ValueError):
             rho_uniform(0, 3, 0.5)

@@ -254,11 +254,15 @@ class TestAlternativesDiagnostic:
         rep = alternatives_diagnostic(synthetic_trace(xs), self.phi)
         assert rep.outcome == "inconclusive"
         assert rep.violating_k is not None
+        assert str(rep) == "INCONCLUSIVE (decrease broken at k=37, witness 0)"
 
     def test_short_tail_is_inconclusive(self):
+        # 4 strict decreases are too few to judge, which is not a broken decrease
         xs = (0.9 ** np.arange(5))[:, None] * np.array([1.0, 1.0]) + 0.5
         rep = alternatives_diagnostic(synthetic_trace(xs), self.phi)
         assert rep.outcome == "inconclusive"
+        assert rep.violating_k is None and rep.violating_witness is None
+        assert str(rep) == "INCONCLUSIVE (fewer than 10 updates)"
 
     def test_scan_requires_full_iterates(self):
         xs = (0.9 ** np.arange(30))[:, None] * np.array([1.0, 1.0]) + 0.5
