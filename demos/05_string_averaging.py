@@ -9,7 +9,7 @@ driver without changing a single number.
 import numpy as np
 
 from strav.control import verify_admissible
-from strav.dsa import StringStage, direct_eval, gdsa_to_gmsa, msa_embed
+from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import random_halfspace_family
 from strav.gmsa import output_operator, sqne_bound
 from strav.sets import Halfspace, OperatorFamily
@@ -26,7 +26,14 @@ def main():
 
     x = rng.uniform(-2.0, 2.0, size=(6, 4))
     tree = output_operator(plan, family)
-    gap = np.abs(tree(x) - direct_eval(stage, family, x)).max()
+    # the stage evaluated directly: each string composed in order, then the weighted sum
+    direct = 0.0
+    for w, string in zip(stage.weights, stage.strings):
+        y = x
+        for i in string:
+            y = family.operator(i).apply(y)
+        direct = direct + w * y
+    gap = np.abs(tree(x) - direct).max()
     print(f"largest rewrite gap over 6 points: {gap:.2e}")
 
     print(f"plan modulus guarantee over the family's leaves: {sqne_bound(plan, family):.4f}")

@@ -11,8 +11,6 @@ conditions hold over all indices.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
 from .numeric import _admits, _within
@@ -21,7 +19,6 @@ from .sets import OperatorFamily
 
 __all__ = [
     "StringStage",
-    "direct_eval",
     "gdsa_to_gmsa",
     "msa_embed",
 ]
@@ -51,18 +48,6 @@ class StringStage:
             raise ValueError(f"weights {self.weights} outside (0, 1]")
         if not _within(abs(sum(self.weights) - 1.0)):
             raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
-
-
-def direct_eval(stage, family, x):
-    """Evaluate the stage operator directly: sum_t w_t * (U_{t_q} ... U_{t_1})(x)."""
-    x = np.asarray(x, dtype=float)
-    out = None
-    for w, s in zip(stage.weights, stage.strings):
-        y = x
-        for i in s:
-            y = family.operator(i).apply(y)
-        out = w * y if out is None else out + w * y
-    return out
 
 
 def gdsa_to_gmsa(stage):

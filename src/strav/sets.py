@@ -14,6 +14,9 @@ own arithmetic row by row.
 Axis-aligned normals therefore give the per-set values bit for bit; other
 normals agree to rounding, because a matrix-vector product may sum its
 terms in another order than the per-set dot product.
+A (B, d) block of points gets each row's one-point bits: ``np.matmul``
+runs one matrix-vector product per stacked point, where ``X @ normals.T``
+would not, and the rest is elementwise, row-wise or asked point by point.
 """
 
 from __future__ import annotations
@@ -241,23 +244,24 @@ class OperatorFamily:
         raise ValueError(f"family-error: no set distance available for index {n}")
 
     def distances(self, indices, x):
-        """Distances from one point x to the sets at ``indices``, in that order.
+        """Distances from a point x (d,) to the sets at ``indices``, in that order: (m,).
 
         Agrees with ``[self.distance(n, x) for n in indices]`` to rounding
-        (see the module docstring).  The first call for an index tuple
-        materializes its operators and stacks their polyhedral sets; later
-        calls reuse the stacks.
+        (see the module docstring).  A block x of shape (B, d) gives (B, m),
+        row i bitwise the call at ``x[i]``.  The first call for an index
+        tuple materializes its operators, refuses one with no set distance
+        and stacks their polyhedral sets; later calls reuse the stacks.
         """
         key = tuple(indices)
         stack = self._stacks.get(key)
         if stack is None:
             stack = self._stacks.setdefault(key, _DistanceStack(self, key))
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(
-                f"dim-mismatch: expected one point of dimension {self.dim}, got shape {x.shape}"
+                f"dim-mismatch: expected (d,) or (B, d) points with d = {self.dim}, got {x.shape}"
             )
-        return stack.distances(self, x)
+        return stack.distances(self, x.reshape(-1, self.dim)).reshape(*x.shape[:-1], len(key))
 
     @property
     def materialized(self):
@@ -289,10 +293,10 @@ class OperatorFamily:
 class _DistanceStack:
     """The sets at one index tuple, grouped for :meth:`OperatorFamily.distances`.
 
-    The halfspaces and hyperplanes repeat their ``project`` arithmetic, then
-    ``distance``'s norm of ``x - project(x)``.  Every other index (boxes,
-    balls, affine subspaces, identity pads, operator nodes without a set) is
-    asked of the family's per-set ``distance``.
+    On a (B, d) block of points, the halfspaces and hyperplanes repeat their
+    ``project`` arithmetic, then ``distance``'s norm of ``x - project(x)``.
+    Boxes, balls, affine subspaces and identity pads are asked of the per-set
+    ``distance`` one point at a time; any other node is refused at build.
     """
 
     def __init__(self, family, indices):
@@ -302,8 +306,10 @@ class _DistanceStack:
             s = op.set if isinstance(op, Primitive) else None
             if isinstance(s, _LinearConstraint):
                 linear.append((pos, s))
-            else:
+            elif s is not None or isinstance(op, Identity):
                 self.rest.append((pos, n))
+            else:
+                raise ValueError(f"family-error: no set distance available for index {n}")
         self.size = len(indices)
         self.linear_pos = np.array([pos for pos, _ in linear], dtype=np.intp)
         self.normals = np.array([s.a for _, s in linear])
@@ -313,11 +319,13 @@ class _DistanceStack:
         self.floor = np.array([0.0 if s._one_sided else -np.inf for _, s in linear])
 
     def distances(self, family, x):
-        out = np.empty(self.size)
+        out = np.empty((len(x), self.size))
         if self.linear_pos.size:
-            offset = np.maximum(self.normals @ x - self.offsets, self.floor)
-            diff = x - (x - (offset / self.asq)[:, None] * self.normals)
-            out[self.linear_pos] = norm(diff)
+            offset = np.matmul(self.normals, x[:, :, None])[:, :, 0]  # normals @ x, row by row
+            step = (np.maximum(offset - self.offsets, self.floor) / self.asq)[:, :, None] * self.normals
+            xs = x[:, None, :]
+            np.subtract(xs, step, out=step)  # x - (x - step), each written over the steps
+            out[:, self.linear_pos] = norm(np.subtract(xs, step, out=step))
         for pos, n in self.rest:
-            out[pos] = family.distance(n, x)
+            out[:, pos] = [family.distance(n, p) for p in x]
         return out

@@ -9,17 +9,17 @@ optional (u^k = x^k exactly when beta_k = 0).  The plain, perturbed, and
 superiorized entry points all share this kernel, so reductions between
 them hold bitwise, not just to rounding.
 
-Each iterate's scalars are one float64 row of a flat ``array("d")``, in
-the CSV's column order (residual, step, witness distance, monotonicity
-slack, m monitored distances, then objective and perturbation size when
-present): at most 8 * (4 + m + 2) bytes per update.  A perturbed update
-adds 8 * (1 + d) bytes, beta_k at the end of its row and v^k in a second
+Each iterate's scalars are one float64 row of a flat ``array("d")``
+(residual, step, witness distance, monotonicity slack, then objective and
+perturbation size when present) and its m monitored distances one row of
+a second: at most 8 * (4 + m + 2) bytes per update.  A perturbed update
+adds 8 * (1 + d) bytes, beta_k at the end of its row and v^k in a third
 buffer; each full iterate kept (every ``record_stride``-th, and the final
-one) adds 8 * d bytes to a third.
-The monitored distances of one iterate come from one
-:meth:`~strav.sets.OperatorFamily.distances` call, which answers the
-halfspaces and hyperplanes with one stacked matrix-vector product instead
-of one projection per set.
+one) adds 8 * d bytes to a fourth.  The distances are measured a block of
+B = max(1, 4096 // (m * d)) iterates at a time, by one
+:meth:`~strav.sets.OperatorFamily.distances` call whose rows keep the bits
+of one-iterate calls; the block and the call's (B, m, d) temporaries, about
+three alive at once, add about 8 * B * d * (1 + 3 * m) bytes to any run.
 
 A run builds one output operator per plan structure: ``_drive`` keeps a
 dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
@@ -258,8 +258,8 @@ class Trace:
     perturbation was applied), ``dist_witness[k] = ||x^k - z||``, and
     ``fejer_slack[k]`` is the strong-monotonicity surplus at the run's own
     constant.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold the
-    aggregate perturbations actually applied, for bitwise replay.  The
-    scalar columns, ``pert_betas`` included, view one float64 table.
+    aggregate perturbations applied, for bitwise replay.  The scalar columns,
+    ``pert_betas`` included, view one float64 table; ``set_distances`` another.
 
     ``stop_reason == "residual"`` means the residual at ``u^k`` met the
     tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did
@@ -335,9 +335,13 @@ def _drive(
     z = family.witness
     c_fejer = relax.fejer_constant
     monitored = tuple(int(n) for n in monitored)
+    m = len(monitored)
 
-    # float64 buffers: one row per iterate (the CSV's columns, then beta_k), kept iterates, v^k
-    rows, kept, directions = array("d"), array("d"), array("d")
+    # float64 buffers: scalar rows (then beta_k), monitored distances, kept iterates, v^k
+    rows, dists, kept, directions = array("d"), array("d"), array("d"), array("d")
+    # j iterates not yet measured; measuring none refuses a bad monitored index before k = 0
+    block, j = np.empty((max(1, 4096 // (m * x.size)) if m else 0, x.size)), 0
+    family.distances(monitored, block[:0])
 
     trees = {}
     clean = not np.signbit(x[x == 0.0]).any()  # x^k holds no -0.0 (see the module docstring)
@@ -402,8 +406,11 @@ def _drive(
             sl = dz**2 - dz_next**2 - c_fejer * st**2
 
         rows.extend((res, st, dz, sl))
-        if monitored:
-            rows.frombytes(family.distances(monitored, x).tobytes())
+        if m:
+            block[j] = x
+            j = (j + 1) % len(block)
+            if not j:
+                dists.frombytes(family.distances(monitored, block).tobytes())
         if objective is not None:
             rows.append(float(objective.value(x)))
         if pert is not None:
@@ -417,8 +424,8 @@ def _drive(
 
     if k % record_stride:
         kept.frombytes(x.tobytes())
+    dists.frombytes(family.distances(monitored, block[:j]).tobytes())
     table = np.frombuffer(rows).reshape(k + 1, -1)
-    m = len(monitored)
 
     return Trace(
         n_updates=k,
@@ -427,9 +434,9 @@ def _drive(
         step=table[:, 1],
         dist_witness=table[:, 2],
         fejer_slack=table[:, 3],
-        set_distances=table[:, 4 : 4 + m],
+        set_distances=np.frombuffer(dists).reshape(k + 1, m),
         monitored=monitored,
-        phi=table[:, 4 + m] if objective is not None else None,
+        phi=table[:, 4] if objective is not None else None,
         pert_mag=table[:, -2] if pert is not None else None,
         pert_betas=table[:, -1] if pert is not None else None,
         pert_vectors=np.frombuffer(directions).reshape(-1, x.size) if pert is not None else None,

@@ -19,7 +19,7 @@ from strav.control import (
     uniform_modulus,
     verify_admissible,
 )
-from strav.dsa import StringStage, direct_eval, gdsa_to_gmsa, msa_embed
+from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import (
     axis_halfspace_family,
     box_linear_fixture,
@@ -51,6 +51,7 @@ from strav.superiorize import (
     linear_objective,
     run_superiorized,
 )
+from test_dsa import direct_eval
 
 
 def composition_schedule():

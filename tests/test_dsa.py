@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from strav.control import f_value, verify_admissible
 from strav.dsa import (
     StringStage,
-    direct_eval,
     gdsa_to_gmsa,
     msa_embed,
 )
@@ -20,6 +19,18 @@ from strav.fixtures import random_halfspace_family
 from strav.gmsa import fne_bound, output_operator, sqne_bound
 from strav.operators import Identity, SampleBudget, check_fne
 from strav.sets import Halfspace, OperatorFamily
+
+
+def direct_eval(stage, family, x):
+    """Evaluate the stage operator directly: sum_t w_t * (U_{t_q} ... U_{t_1})(x)."""
+    x = np.asarray(x, dtype=float)
+    out = None
+    for w, s in zip(stage.weights, stage.strings):
+        y = x
+        for i in s:
+            y = family.operator(i).apply(y)
+        out = w * y if out is None else out + w * y
+    return out
 
 
 class TestStringStage:

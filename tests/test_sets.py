@@ -354,7 +354,8 @@ class TestFamilyDistances:
             got = fam.distances(range(60), x)
             assert np.all(_within(np.abs(got - self._oracle(fam, range(60), x)), norm(x)))
 
-    def test_mixed_family_keeps_order(self):
+    @staticmethod
+    def _mixed_family():
         sets = [
             Ball([0.0, 0.0, 0.2], 1.0),
             Halfspace([1.0, 1.0, 0.0], 1.0),
@@ -365,8 +366,10 @@ class TestFamilyDistances:
             Box([-0.5, -2.0, -0.5], [0.5, 2.0, 0.5]),
             AffineSubspace([[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0]),
         ]
-        fam = OperatorFamily.from_sets(sets, np.zeros(3))
-        indices = (4, 3, 0, 6, 2, 1, 7, 5, 3)
+        return OperatorFamily.from_sets(sets, np.zeros(3)), (4, 3, 0, 6, 2, 1, 7, 5, 3)
+
+    def test_mixed_family_keeps_order(self):
+        fam, indices = self._mixed_family()
         for x in np.random.default_rng(41).standard_normal((40, 3)) * 2.0:
             got = fam.distances(indices, x)
             assert got.shape == (len(indices),)
@@ -387,3 +390,33 @@ class TestFamilyDistances:
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
             axis_halfspace_family(3).distances((0, 1), np.zeros(4))
+
+    @pytest.mark.parametrize("points", [np.zeros((4, 4)), np.zeros((2, 4, 3))], ids=["wide", "3-D"])
+    def test_block_shape_checked(self, points):
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            axis_halfspace_family(3).distances((0, 1), points)
+
+    @pytest.mark.parametrize("case", ["axis", "random-0", "random-1", "random-2", "mixed"])
+    def test_block_rows_keep_one_point_bits(self, case):
+        # a (B, d) block gives (B, m), each row bitwise the one-point call at its point
+        if case == "axis":
+            fam, indices = axis_halfspace_family(5), tuple(range(21))
+        elif case == "mixed":
+            fam, indices = self._mixed_family()
+        else:
+            fam, indices = random_halfspace_family(20, 60, int(case[-1])), tuple(range(60))
+        rng = np.random.default_rng(42)
+        points = rng.standard_normal((37, fam.dim)) * 10.0 ** rng.integers(-3, 7, size=(37, 1))
+        got = fam.distances(indices, points)
+        assert got.shape == (37, len(indices))
+        want = np.array([fam.distances(indices, x) for x in points])
+        assert got.tobytes() == want.tobytes()
+        if case.startswith("random"):
+            # the halfspace arithmetic spelled out for one point, with one matrix-vector product
+            sets = [fam.operator(n).set for n in indices]
+            normals = np.array([h.a for h in sets])
+            for x, row in zip(points, got):
+                offset = np.maximum(normals @ x - [h.b for h in sets], 0.0) / [h._asq for h in sets]
+                assert row.tobytes() == norm(x - (x - offset[:, None] * normals)).tobytes()
+        for rows in (points[:1], points[:0]):
+            assert fam.distances(indices, rows).tobytes() == want[: len(rows)].tobytes()

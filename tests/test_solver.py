@@ -31,7 +31,7 @@ from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import as_vector, norm
-from strav.operators import Identity
+from strav.operators import Identity, Primitive, Relaxation
 from strav.sets import Box, Halfspace, OperatorFamily
 from strav.solver import (
     PerturbationSchedule,
@@ -717,6 +717,78 @@ class TestTraceRecording:
         assert rebuilt.read_bytes() == path.read_bytes()
         with pytest.raises(TypeError):
             Trace(**fields, iterations=20)
+
+
+class TestMonitoredBlocks:
+    """Monitored distances are measured a block of iterates at a time; no edge shows in a trace.
+
+    The seeded stage config monitors its 60 halfspaces in R^20, so a block
+    holds 4096 // (60 * 20) = 3 iterates.  Runs of 100, 101 and 102 updates
+    span 33 or 34 full blocks and end one, two or no rows into the next.
+    """
+
+    @staticmethod
+    def _stage():
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        cfg = parse_config(runpy.run_path(str(path))["stage_config"](0))
+        assert len(cfg.monitored) == 60 and cfg.family.dim == 20
+        return cfg
+
+    @staticmethod
+    def _assert_rows_are_one_iterate_calls(cfg, tr):
+        assert tr.record_stride == 1 and tr.set_distances.shape == (tr.n_rows, 60)
+        for x, row in zip(tr.xs, tr.set_distances):
+            assert row.tobytes() == cfg.family.distances(cfg.monitored, x).tobytes()
+
+    @pytest.mark.parametrize("updates", [100, 101, 102])
+    def test_rows_and_strides_keep_their_bits(self, updates):
+        cfg = self._stage()
+        args = (cfg.family, cfg.schedule, cfg.relax, cfg.start, StopRule(updates, None, None))
+        tr = run(*args, monitored=cfg.monitored)
+        assert tr.n_updates == updates
+        self._assert_rows_are_one_iterate_calls(cfg, tr)
+        strided = run(*args, monitored=cfg.monitored, record_stride=7)
+        assert strided.set_distances.tobytes() == tr.set_distances.tobytes()
+
+    @pytest.mark.parametrize("kind", ["perturbed", "superiorized"])
+    def test_monitoring_leaves_the_other_columns(self, kind):
+        cfg = self._stage()
+        oracle = linear_objective(np.random.default_rng(3).standard_normal(20))
+
+        def drive(**kw):
+            args = (cfg.family, cfg.schedule, cfg.relax)
+            stop = StopRule(101, None, None)
+            if kind == "superiorized":
+                return run_superiorized(*args, oracle, BetaGrid.geometric(0.5, M=2), cfg.start,
+                                        stop, **kw)
+            # a fresh seeded direction stream for each run
+            pert = PerturbationSchedule.power(0.5, 2.0, random_unit_directions(20, seed=4))
+            return run_perturbed(*args, pert, cfg.start, stop, **kw)
+
+        tr = drive(monitored=cfg.monitored)
+        self._assert_rows_are_one_iterate_calls(cfg, tr)
+        assert (tr.pert_mag > 0.0).all()
+        if kind == "superiorized":
+            assert [oracle.value(x) for x in tr.xs] == tr.phi.tolist()
+        bare = drive()
+        assert bare.set_distances.shape == (102, 0)
+        for name in ("residual", "step", "dist_witness", "fejer_slack", "phi", "pert_mag",
+                     "pert_betas", "pert_vectors", "xs"):
+            got, want = getattr(tr, name), getattr(bare, name)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+
+    def test_index_without_a_distance_is_refused_before_the_first_update(self):
+        fam = OperatorFamily.from_sets(
+            [Halfspace([1.0, 0.0], 0.0), Relaxation(Primitive(Box([-1.0, -1.0], [1.0, 1.0])), 0.5)],
+            np.zeros(2),
+        )
+        sched, lookups = CyclicSchedule.over_indices([0, 1]), []
+        plan_at = sched.plan_at
+        sched.plan_at = lambda k: lookups.append(k) or plan_at(k)
+        relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
+        with pytest.raises(ValueError, match="^family-error: no set distance available for index 1$"):
+            run(fam, sched, relax, np.array([2.0, 3.0]), StopRule(200, None, None), monitored=(0, 1))
+        assert lookups == []
 
 
 def test_recorder_memory_per_update():
