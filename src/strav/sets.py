@@ -321,11 +321,19 @@ class _DistanceStack:
     def distances(self, family, x):
         out = np.empty((len(x), self.size))
         if self.linear_pos.size:
-            offset = np.matmul(self.normals, x[:, :, None])[:, :, 0]  # normals @ x, row by row
-            step = (np.maximum(offset - self.offsets, self.floor) / self.asq)[:, :, None] * self.normals
-            xs = x[:, None, :]
+            # numpy buffers a broadcast ufunc operand, a copy of the whole block at this size;
+            # a broadcast assignment needs no buffer, so every operand below is a full array
+            coef = np.matmul(self.normals, x[:, :, None])[:, :, 0]  # normals @ x, row by row
+            coef -= self.offsets
+            np.divide(np.maximum(coef, self.floor, out=coef), self.asq, out=coef)
+            step, xs = np.empty((2, len(x)) + self.normals.shape)
+            step[...], xs[...] = coef[:, :, None], self.normals
+            step *= xs
+            xs[...] = x[:, None, :]
             np.subtract(xs, step, out=step)  # x - (x - step), each written over the steps
-            out[:, self.linear_pos] = norm(np.subtract(xs, step, out=step))
+            np.subtract(xs, step, out=step)
+            step *= step  # norm's squares and sum, in place
+            out[:, self.linear_pos] = np.sqrt(np.add.reduce(step, axis=-1, out=coef), out=coef)
         for pos, n in self.rest:
             out[:, pos] = [family.distance(n, p) for p in x]
         return out

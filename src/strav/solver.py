@@ -9,17 +9,23 @@ optional (u^k = x^k exactly when beta_k = 0).  The plain, perturbed, and
 superiorized entry points all share this kernel, so reductions between
 them hold bitwise, not just to rounding.
 
-Each iterate's scalars are one float64 row of a flat ``array("d")``
-(residual, step, witness distance, monotonicity slack, then objective and
-perturbation size when present) and its m monitored distances one row of
-a second: at most 8 * (4 + m + 2) bytes per update.  A perturbed update
-adds 8 * (1 + d) bytes, beta_k at the end of its row and v^k in a third
-buffer; each full iterate kept (every ``record_stride``-th, and the final
-one) adds 8 * d bytes to a fourth.  The distances are measured a block of
-B = max(1, 4096 // (m * d)) iterates at a time, by one
-:meth:`~strav.sets.OperatorFamily.distances` call whose rows keep the bits
-of one-iterate calls; the block and the call's (B, m, d) temporaries, about
-three alive at once, add about 8 * B * d * (1 + 3 * m) bytes to any run.
+The update loop keeps only what steers the run: the residual (the stop
+test and the divergence guard read it), lambda_k and x^{k+1}; phi(x^k)
+and beta_k wait in a list.  Every other column comes from a (B + 1, d)
+block of consecutive iterates, B = max(1, 4096 // (m * d)) for m >= 1
+monitored sets (4096 // d for none): a full block's first B rows are
+measured into one table row per iterate, and its last row starts the next
+block, so each step has its successor.  A measurement takes a row-wise
+norm for the steps ||x^{k+1} - x^k|| and one for ||x^k - z||, the slacks,
+one :meth:`~strav.sets.OperatorFamily.distances` call (two (B, m, d)
+arrays) and the kept iterates; ``pert_mag`` is one row-wise norm at the
+end.  An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d)
+for a perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.
+The bits are the one-update formulas': a row of a row-wise norm is that
+row's norm alone, and the slack is ``dz**2 - dz_next**2 - c * st**2`` in
+Python floats, whose ``v ** 2`` differs in the last bit from numpy's
+``v * v`` for about one double in a thousand; so ``check_fejer``, which
+squares with numpy, may differ from ``fejer_slack`` in the last bit.
 
 A run builds one output operator per plan structure: ``_drive`` keeps a
 dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
@@ -37,11 +43,11 @@ Whether x^k may hold a -0.0 is tracked, not scanned for: x^0 is checked
 once; a sum is -0.0 only where both terms are, so u^k = x^k + beta_k v^k
 holds one only where x^k does, and u^k + lambda_k r only where u^k does
 (lambda_k r may underflow to -0.0); u^k + lambda_k * 0.0 at lambda_k > 0
-holds none; and T_k(u^k) handed on at lambda_k = 1 may hold one.  If also
-u^k = x^k, the step is 0 and the witness distance carries over.  A moving
-update forms T_k(u^k) - u^k once and reads its step and witness distance
-from one row-wise norm of x^{k+1} against the rows [x^k; z].  Both paths
-give the general formula's bits.
+holds none; and T_k(u^k) handed on at lambda_k = 1 may hold one.  So is
+whether x^k is finite, which a fixed update at u^k = x^k would scan: x^0
+is checked, T_k(u^k) is finite once the guard passed it, and a finite
+u^k + lambda_k r cannot overflow when lambda_k ||r|| <= 1e291, below half
+an ulp (2^970) of the largest float.
 """
 
 from __future__ import annotations
@@ -255,11 +261,12 @@ class Trace:
     Rows cover iterates 0..K (K updates executed); the final row carries
     step = slack = 0 since no update follows it.  ``residual[k]`` is
     ``||T_k(u^k) - u^k||`` at the k-th input point (perturbed if a
-    perturbation was applied), ``dist_witness[k] = ||x^k - z||``, and
-    ``fejer_slack[k]`` is the strong-monotonicity surplus at the run's own
-    constant.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold the
-    aggregate perturbations applied, for bitwise replay.  The scalar columns,
-    ``pert_betas`` included, view one float64 table; ``set_distances`` another.
+    perturbation was applied), ``step[k] = ||x^{k+1} - x^k||``,
+    ``dist_witness[k] = ||x^k - z||`` and ``fejer_slack[k]`` the surplus
+    ``dist_witness[k]**2 - dist_witness[k+1]**2 - c * step[k]**2`` at the
+    run's own constant c.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold
+    the aggregate perturbations, for bitwise replay, and ``pert_mag`` their
+    sizes.  The other scalar columns view one float64 table, a row per iterate.
 
     ``stop_reason == "residual"`` means the residual at ``u^k`` met the
     tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did
@@ -316,18 +323,8 @@ class Trace:
         return text
 
 
-def _drive(
-    family,
-    schedule,
-    relax,
-    x0,
-    stop,
-    *,
-    pert=None,
-    objective=None,
-    monitored=(),
-    record_stride=1,
-):
+def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, monitored=(),
+           record_stride=1):
     record_stride = int(record_stride)
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
@@ -337,16 +334,30 @@ def _drive(
     monitored = tuple(int(n) for n in monitored)
     m = len(monitored)
 
-    # float64 buffers: scalar rows (then beta_k), monitored distances, kept iterates, v^k
-    rows, dists, kept, directions = array("d"), array("d"), array("d"), array("d")
-    # j iterates not yet measured; measuring none refuses a bad monitored index before k = 0
-    block, j = np.empty((max(1, 4096 // (m * x.size)) if m else 0, x.size)), 0
+    # float64 buffers: a row per iterate (residual, step, witness distance, slack, then phi and
+    # beta_k), monitored distances, kept iterates and v^k; loop_vals holds c values an update
+    rows, dists, kept, directions = (array("d") for _ in range(4))
+    loop_vals, c = [], 1 + (objective is not None) + (pert is not None)
+    # x^{k0}, ..., x^k fill block rows 0..j-1; measuring none refuses a bad index before k = 0
+    B = max(1, 4096 // (max(m, 1) * x.size))
+    block, j = np.empty((B + 1, x.size)), 0
     family.distances(monitored, block[:0])
+
+    def measure(k0, n, final=False):
+        # record rows 0..n-1 of the block; the row after them, unless final, gives the last step
+        xs = block[: n + (not final)]
+        dz = norm(xs - z).tolist()
+        st = norm(xs[1:] - xs[:-1]).tolist() + [0.0] * final  # no update follows the final row
+        sl = [p**2 - q**2 - c_fejer * s**2 for p, q, s in zip(dz, dz[1:], st)] + [0.0] * final
+        loop = [loop_vals[i::c] for i in range(c)]  # residual, then phi and beta_k
+        rows.fromlist([v for row in zip(loop[0], st, dz, sl, *loop[1:]) for v in row])
+        loop_vals.clear()
+        dists.frombytes(family.distances(monitored, block[:n]).tobytes())
+        kept.frombytes(block[-k0 % record_stride : n : record_stride].tobytes())
 
     trees = {}
     clean = not np.signbit(x[x == 0.0]).any()  # x^k holds no -0.0 (see the module docstring)
-    dz = float(norm(x - z))
-    xz = np.stack([x, z])  # row 0 tracks x^k: one row-wise norm of x^{k+1} - xz gives step and dz
+    bounded = True  # x^k is finite (see the module docstring)
     pending = reason = None
     k = 0
     while True:
@@ -355,20 +366,19 @@ def _drive(
         T = trees.get(key)
         if T is None:
             T = trees[key] = output_operator(plan, family)
-        u, mag = x, 0.0
+        u = x
         if pert is not None:
             b, v = pert(k, x)
             directions.frombytes(v.tobytes())
             if b != 0.0:
-                p = b * v
-                u, mag = x + p, float(norm(p))
+                u = x + b * v
         tu = T.apply(u)
         fixed = tu is u  # T_k fixes u exactly: the update is a zero step
         if fixed:
             # the scalar r keeps the bits of u - u below; norm(u - u) would be NaN exactly at
-            # a non-finite u, which a finite dz rules out for u = x
+            # a non-finite u
             r = res = 0.0
-            finite = u is x and math.isfinite(dz) or np.all(np.isfinite(u))
+            finite = u is x and bounded or np.all(np.isfinite(u))
         else:
             r = tu - u
             res = float(norm(r))
@@ -376,8 +386,11 @@ def _drive(
             finite = math.isfinite(res) or np.all(np.isfinite(tu))
         if not finite:
             raise ValueError(f"numerical-divergence: non-finite iterate at k={k}")
-        if k % record_stride == 0:
-            kept.frombytes(x.tobytes())
+        block[j] = x
+        j += 1
+        if j > B:
+            measure(k - B, B)
+            block[0], j = x, 1
 
         if pending is not None:
             reason = pending
@@ -389,64 +402,43 @@ def _drive(
             reason = "residual"
         elif k >= stop.max_iters:
             reason = "max_iters"
-        st = sl = 0.0
-        if reason is None:
-            lam = relax.lam(k)
-            if lam == 1.0 or fixed and clean:  # at a fixed point tu is u
-                x_next, clean = tu, clean and fixed
-            else:
-                x_next, clean = u + lam * r, clean or fixed and lam > 0.0
-            if fixed and u is x:
-                # x_next differs from x at most in the sign of a zero, which no square sees,
-                # so xz[0] may keep x
-                st, dz_next = 0.0, dz
-            else:
-                st, dz_next = norm(x_next - xz).tolist()
-                xz[0] = x_next
-            sl = dz**2 - dz_next**2 - c_fejer * st**2
-
-        rows.extend((res, st, dz, sl))
-        if m:
-            block[j] = x
-            j = (j + 1) % len(block)
-            if not j:
-                dists.frombytes(family.distances(monitored, block).tobytes())
+        loop_vals.append(res)
         if objective is not None:
-            rows.append(float(objective.value(x)))
+            loop_vals.append(float(objective.value(x)))
         if pert is not None:
-            rows.extend((mag, b))
+            loop_vals.append(b)
         if reason is not None:
             break
-        x, dz = x_next, dz_next
-        k += 1
-        if stop.step_tol is not None and st <= stop.step_tol:
+        lam = relax.lam(k)
+        if lam == 1.0 or fixed and clean:  # at a fixed point tu is u
+            x_next, clean, bounded = tu, clean and fixed, True
+        else:
+            x_next, clean = u + lam * r, clean or fixed and lam > 0.0
+            bounded = fixed or lam * res <= 1e291  # see the module docstring
+        # a fixed update at u = x moves at most the sign of a zero: its step is 0
+        if stop.step_tol is not None and (
+            fixed and u is x or float(norm(x_next - x)) <= stop.step_tol
+        ):
             pending = "step"
+        x = x_next
+        k += 1
 
+    measure(k - j + 1, j, final=True)
     if k % record_stride:
         kept.frombytes(x.tobytes())
-    dists.frombytes(family.distances(monitored, block[:j]).tobytes())
     table = np.frombuffer(rows).reshape(k + 1, -1)
+    betas = table[:, -1] if pert is not None else None
+    vectors = np.frombuffer(directions).reshape(-1, x.size) if pert is not None else None
 
     return Trace(
-        n_updates=k,
-        stop_reason=reason,
-        residual=table[:, 0],
-        step=table[:, 1],
-        dist_witness=table[:, 2],
-        fejer_slack=table[:, 3],
-        set_distances=np.frombuffer(dists).reshape(k + 1, m),
-        monitored=monitored,
+        n_updates=k, stop_reason=reason, residual=table[:, 0], step=table[:, 1],
+        dist_witness=table[:, 2], fejer_slack=table[:, 3],
+        set_distances=np.frombuffer(dists).reshape(k + 1, m), monitored=monitored,
         phi=table[:, 4] if objective is not None else None,
-        pert_mag=table[:, -2] if pert is not None else None,
-        pert_betas=table[:, -1] if pert is not None else None,
-        pert_vectors=np.frombuffer(directions).reshape(-1, x.size) if pert is not None else None,
-        xs=np.frombuffer(kept).reshape(-1, x.size),
-        xs_k=np.append(np.arange(0, k, record_stride), k),
-        witness=z.copy(),
-        fejer_constant=c_fejer,
-        eps=relax.eps,
-        rho=relax.rho,
-        record_stride=record_stride,
+        pert_mag=norm(betas[:, None] * vectors) if pert is not None else None,
+        pert_betas=betas, pert_vectors=vectors, xs=np.frombuffer(kept).reshape(-1, x.size),
+        xs_k=np.append(np.arange(0, k, record_stride), k), witness=z.copy(),
+        fejer_constant=c_fejer, eps=relax.eps, rho=relax.rho, record_stride=record_stride,
         family=family,
     )
 

@@ -47,6 +47,16 @@ class TestInnerNorm:
         assert_array_equal(norm(x), np.linalg.norm(x, axis=-1))
 
 
+    @pytest.mark.parametrize("d", [1, 5, 7, 8, 9, 20, 127, 128, 129, 2000])
+    @pytest.mark.parametrize("rows", [1, 2, 39, 401])
+    def test_row_norms_are_one_point_norms_bitwise(self, d, rows):
+        # a run measures a block of iterates at once; its traces rest on this identity
+        rng = np.random.default_rng(d * 1000 + rows)
+        X = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-150, 150, size=(rows, 1))
+        got = norm(X)
+        assert got.tobytes() == np.array([norm(x) for x in X]).tobytes()
+
+
 class TestWithin:
     def test_slack_grows_with_the_scale(self):
         assert _within(1e-9) and not _within(2e-9)

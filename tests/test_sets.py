@@ -5,6 +5,7 @@ nearest point: p = P_C(x) iff p is in C and <x - p, c - p> <= 0 for all
 c in C.  Each set type is probed against it with sampled feasible points.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -395,6 +396,22 @@ class TestFamilyDistances:
     def test_block_shape_checked(self, points):
         with pytest.raises(ValueError, match="dim-mismatch"):
             axis_halfspace_family(3).distances((0, 1), points)
+
+    @pytest.mark.parametrize("m, d, rows", [(15, 5, 54), (21, 5, 39), (60, 20, 3), (60, 200, 1)])
+    def test_scratch_is_two_block_arrays(self, m, d, rows):
+        # a call on B rows holds the (B, m, d) steps, the points broadcast to that shape, the
+        # (B, m) coefficients and the (B, m) result, and a few KB of interpreter objects: numpy
+        # buffers no broadcast operand, which would add a copy of the block per operand
+        fam = random_halfspace_family(d, m, 0)
+        x = np.random.default_rng(3).standard_normal((rows, d))
+        fam.distances(range(m), x)  # the first call builds the stack
+        tracemalloc.start()
+        try:
+            fam.distances(range(m), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * rows * m * d + 2 * rows * m) + 8192
 
     @pytest.mark.parametrize("case", ["axis", "random-0", "random-1", "random-2", "mixed"])
     def test_block_rows_keep_one_point_bits(self, case):

@@ -28,7 +28,7 @@ from strav.control import (
     verify_admissible,
 )
 from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
-from strav.fixtures import axis_halfspace_family, two_halfspace_family
+from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import as_vector, norm
 from strav.operators import Identity, Primitive, Relaxation
@@ -723,8 +723,8 @@ class TestMonitoredBlocks:
     """Monitored distances are measured a block of iterates at a time; no edge shows in a trace.
 
     The seeded stage config monitors its 60 halfspaces in R^20, so a block
-    holds 4096 // (60 * 20) = 3 iterates.  Runs of 100, 101 and 102 updates
-    span 33 or 34 full blocks and end one, two or no rows into the next.
+    measures 4096 // (60 * 20) = 3 iterates.  Runs of 100, 101 and 102
+    updates end with a last block of two, three and one rows.
     """
 
     @staticmethod
@@ -966,7 +966,10 @@ class TestDriverParity:
             StopRule(300, 1e-10, None), monitored=range(5), record_stride=3,
         )
 
-    def test_fixed_point_updates_take_no_norm(self, monkeypatch):
+    @pytest.mark.parametrize("updates", [200, 2000])
+    def test_norm_calls_grow_with_blocks_not_with_fixed_updates(self, monkeypatch, updates):
+        # every update is at a fixed point and takes no norm; each block of 4096 // 5 = 819
+        # iterates (and the last, partial one) takes two: its steps and its witness distances
         calls = []
 
         def counting_norm(x):
@@ -976,9 +979,9 @@ class TestDriverParity:
         monkeypatch.setattr(strav.solver, "norm", counting_norm)
         sched, relax = self._power_of_two()
         tr = run(axis_halfspace_family(5), sched, relax, np.full(5, -1.0),
-                 StopRule(200, None, None))
-        assert tr.n_updates == 200
-        assert len(calls) == 1  # the initial distance to the witness
+                 StopRule(updates, None, None))
+        assert tr.n_updates == updates and not tr.residual.any()
+        assert len(calls) == 2 * (updates // 819 + 1)
 
     def test_lambda_one_hands_on_a_negative_zero(self, monkeypatch):
         # the lambda-1 projection hands T(u) on with the start's -0.0; the fixed update
@@ -1039,3 +1042,34 @@ class TestDriverParity:
             np.array([-0.0, 2.0, -0.0, 0.5, 3.0]), StopRule(100, None, None), record_stride=7,
         )
         assert len(tr.xs) == 16
+
+    @staticmethod
+    def _r20(updates, step_tol=None):
+        """Twelve random halfspaces in R^20, eight of them monitored: blocks of 4096 // 160 = 25.
+
+        The start lies along the sum of the normals, outside every halfspace.
+        """
+        fam = random_halfspace_family(20, 12, seed=0)
+        outward = sum(fam.operator(n).set.a for n in range(12))
+        rng = np.random.default_rng(6)
+        vs = rng.standard_normal((80, 20))
+        vs /= norm(vs)[:, None]
+        betas = [0.0 if k % 4 == 3 else 0.5 / (k + 1) ** 2 for k in range(80)]
+        args = (fam, CyclicSchedule.over_indices(range(12)),
+                RelaxationSchedule.constant(0.8, 0.25, 0.5),
+                PerturbationSchedule.from_lists(betas, vs), 3.0 * outward / norm(outward),
+                StopRule(updates, None, step_tol))
+        return args, {"monitored": range(8), "record_stride": 7}
+
+    # the last block is full (49), ends at a block's end (50), one past it (51) or mid-block (62)
+    @pytest.mark.parametrize("updates", [49, 50, 51, 62])
+    def test_perturbed_run_in_r20_ends_anywhere_in_a_block(self, monkeypatch, updates):
+        args, kw = self._r20(updates)
+        tr = self._assert_parity(monkeypatch, strav.solver, run_perturbed, *args, **kw)
+        assert tr.n_updates == updates and (tr.step[:-1] > 0.0).all()
+        assert (tr.pert_betas == 0.0).any() and (tr.pert_mag > 0.0).any()
+
+    def test_step_stop_in_r20(self, monkeypatch):
+        args, kw = self._r20(10**4, step_tol=1e-3)
+        tr = self._assert_parity(monkeypatch, strav.solver, run_perturbed, *args, **kw)
+        assert tr.stop_reason == "step" and tr.n_updates > 25
