@@ -157,10 +157,7 @@ def _indices(text):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="strav",
-        description="feasibility seeking by relaxed string averaging",
-    )
+    parser = argparse.ArgumentParser(prog="strav", description="feasibility seeking by relaxed string averaging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, doc in (
         ("solve", cmd_solve, "run the feasibility iteration and report the trace"),
@@ -171,15 +168,10 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, help="override the config seed")
         if name == "verify":
-            p.add_argument(
-                "--horizon", type=int, default=200,
-                help="audit iterations 0..N inclusive (default 200)",
-            )
-            p.add_argument(
-                "--indices", type=_indices,
-                help="comma separated input indices to audit "
-                "(default: monitored_indices from the config)",
-            )
+            p.add_argument("--horizon", type=int, default=200,
+                           help="audit iterations 0..N inclusive (default 200)")
+            p.add_argument("--indices", type=_indices, help="comma separated input indices to audit "
+                           "(default: monitored_indices from the config)")
             p.set_defaults(out=None, stride=None)  # verify writes no trace
         else:
             p.add_argument("--out", help="write the CSV trace here (overrides output.trace)")
@@ -221,19 +213,19 @@ def _finish(cfg, trace):
     return 0 if trace.stop_reason in ("residual", "step") else 2
 
 
+def _run(cfg, driver, *args):
+    # the config's run; args (the perturbation, or the oracle and grid) go before the start
+    return driver(cfg.family, cfg.schedule, cfg.relax, *args, cfg.start, cfg.stop,
+                  monitored=cfg.monitored, record_stride=cfg.stride)
+
+
 def cmd_solve(cfg, args):
     if cfg.perturb is not None:
-        trace = run_perturbed(
-            cfg.family, cfg.schedule, cfg.relax, cfg.perturb, cfg.start,
-            cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
-        )
+        trace = _run(cfg, run_perturbed, cfg.perturb)
         _emit("driver", "perturbed")
         _emit("total perturbation", f"{float(trace.pert_mag.sum()):.6e}")
     else:
-        trace = run(
-            cfg.family, cfg.schedule, cfg.relax, cfg.start,
-            cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
-        )
+        trace = _run(cfg, run)
         _emit("driver", "plain")
         rep = check_fejer(trace, cfg.family.witness, trace.fejer_constant)
         _emit("fejer audit", rep)
@@ -242,20 +234,11 @@ def cmd_solve(cfg, args):
 
 def cmd_superiorize(cfg, args):
     if cfg.oracle is None or cfg.grid is None:
-        print(
-            "error: superiorize needs both 'objective' and 'superiorization' "
-            "sections in the config",
-            file=sys.stderr,
-        )
+        print("error: superiorize needs both 'objective' and 'superiorization' sections in the config",
+              file=sys.stderr)
         return 1
-    baseline = run(
-        cfg.family, cfg.schedule, cfg.relax, cfg.start,
-        cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
-    )
-    trace = run_superiorized(
-        cfg.family, cfg.schedule, cfg.relax, cfg.oracle, cfg.grid, cfg.start,
-        cfg.stop, monitored=cfg.monitored, record_stride=cfg.stride,
-    )
+    baseline = _run(cfg, run)
+    trace = _run(cfg, run_superiorized, cfg.oracle, cfg.grid)
     _emit("driver", "superiorized")
     plain, superiorized = cfg.oracle.value(baseline.final_x), cfg.oracle.value(trace.final_x)
     _emit("objective at plain final", f"{plain:.6e}")

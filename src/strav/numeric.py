@@ -38,7 +38,13 @@ def _within(excess, scale=1.0):
 
 def _admits(v, lo, hi):
     """True when ``lo <= v <= hi`` up to ``_SLACK``: relative to ``lo`` below, absolute above."""
-    return lo - _SLACK * lo <= v <= hi + _SLACK
+    lo, hi = _admitted(lo, hi)
+    return lo <= v <= hi
+
+
+def _admitted(lo, hi):
+    """The closed interval :func:`_admits` tests ``v`` against, for a caller that tests many."""
+    return lo - _SLACK * lo, hi + _SLACK
 
 
 def as_vector(x, dim=None):

@@ -8,6 +8,13 @@ construction and never recomputed.  So is a pass-through node's ``apply``,
 with no frame of its own: a projection at gamma 1 applies its set's
 ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
 identity's); a point it fixes comes back as the very array passed in.
+:func:`_through` is the one single-point formula of a halfspace or
+hyperplane projection.  Its set's ``project`` runs it on one row, and a
+:class:`Composition` whose every child applies the library's own linear
+``project`` (no override) runs it once over all their rows for one point:
+the same float operations in the same order, so the same bits, and a point
+every set holds still comes back as the very array.  A batch, and any
+other composition, goes child by child.
 
 Constants attached to a node
 ----------------------------
@@ -79,6 +86,15 @@ __all__ = [
     "check_fne",
     "check_nonexpansive",
 ]
+
+
+def _through(x, rows):
+    # x (d,) through the rows (a, b, a @ a, one-sided) in order, handed on where a set holds it
+    for a, b, asq, one_sided in rows:
+        t = float(x.dot(a)) - b  # x.dot(a) is x @ a with less dispatch
+        if not (t == 0.0 or t < 0.0 and one_sided):  # a NaN t steps, to NaN
+            x = x - (t / asq) * a
+    return x
 
 
 def _relaxed_constant(rho, alpha):
@@ -257,9 +273,14 @@ class Composition(OperatorNode):
         m = max(m, 1)  # identities only: both constants stay +inf
         self.sqne_rho = None if sqne is None else sqne / m
         self.fne_rho = None if fne is None else fne / m
+        from .sets import _LinearConstraint  # sets imports this module: the rows of one string
+        linear = all(getattr(c.apply, "__func__", None) is _LinearConstraint.project for c in children)
+        self._rows = tuple(r for c in children for r in c.apply.__self__._rows) if linear else ()
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)
+        if self._rows and out.shape == self._rows[0][0].shape:  # one point: see the module docstring
+            return _through(out, self._rows)
         for child in self.children_:
             out = child.apply(out)
         return out

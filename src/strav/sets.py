@@ -4,7 +4,9 @@ Every set variant carries an exact nearest-point rule.  ``project`` accepts
 a single vector or a row-stacked batch and returns the same shape; a point
 already inside comes back unchanged (bitwise for the polyhedral variants).
 A single point inside a halfspace may come back as the very array passed
-in, so a caller must not modify a projection in place.
+in, so a caller must not modify a projection in place.  A single point's
+halfspace or hyperplane projection is :func:`strav.operators._through` on
+the set's row, built at construction: the loop a string of them runs.
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
 
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from .numeric import _within, as_vector, norm
-from .operators import Identity, OperatorNode, Primitive
+from .operators import Identity, OperatorNode, Primitive, _through
 
 __all__ = [
     "ProjectableSet",
@@ -77,16 +79,12 @@ class _LinearConstraint(ProjectableSet):
         if not math.isfinite(self._asq):
             raise ValueError(f"{name} normal's squared norm overflows")
         self.dim = self.a.shape[0]
+        self._rows = ((self.a, self.b, self._asq, self._one_sided),)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape == self.a.shape:
-            # one point, one dot product (x.dot(a) is x @ a with less dispatch);
-            # a point of the set (t == 0, or t < 0 in a halfspace) is handed back
-            t = float(x.dot(self.a)) - self.b
-            if t == 0.0 or (t < 0.0 and self._one_sided):
-                return x
-            return x - (t / self._asq) * self.a
+        if x.shape == self.a.shape:  # one point: the formula of strav.operators._through
+            return _through(x, self._rows)
         self._check_dim(x)
         offset = x @ self.a - self.b
         if self._one_sided:

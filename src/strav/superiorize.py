@@ -101,9 +101,7 @@ def max_affine_objective(rows, offsets, argmin_witnesses=None):
 
 
 def _freeze(witnesses):
-    if witnesses is None:
-        return None
-    return tuple(as_vector(w) for w in witnesses)
+    return None if witnesses is None else tuple(as_vector(w) for w in witnesses)
 
 
 class BetaGrid:
@@ -170,18 +168,8 @@ def inner_directions(oracle, y, betas):
     return out
 
 
-def run_superiorized(
-    family,
-    schedule,
-    relax,
-    oracle,
-    grid,
-    y0,
-    stop=StopRule(),
-    *,
-    monitored=(),
-    record_stride=1,
-):
+def run_superiorized(family, schedule, relax, oracle, grid, y0, stop=StopRule(), *, monitored=(),
+                     record_stride=1):
     """Feasibility run with objective-reducing inner perturbations.
 
     Per iteration: the :func:`inner_directions` of ``oracle`` and the sizes
@@ -234,10 +222,7 @@ class AlternativesReport:
             return f"ALTERNATIVE-2 (strict decrease from k0={self.k0})"
         if self.violating_k is None:
             return f"INCONCLUSIVE (fewer than {_MIN_TAIL} updates)"
-        return (
-            f"INCONCLUSIVE (decrease broken at k={self.violating_k}, "
-            f"witness {self.violating_witness})"
-        )
+        return f"INCONCLUSIVE (decrease broken at k={self.violating_k}, witness {self.violating_witness})"
 
 
 def alternatives_diagnostic(trace, oracle):

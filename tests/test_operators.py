@@ -1,4 +1,4 @@
-"""Operator trees: the derived constants and the sampling checkers.
+"""Operator trees: the derived constants, the single-point string loop and the sampling checkers.
 
 Every derived constant asserted here is recomputed in the test from the
 construction rules, so a regression in the calculus cannot hide behind a
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import strav.operators
 from strav.fixtures import random_halfspace_family, random_plan_corpus
 from strav.gmsa import fne_bound, output_operator, sqne_bound
 from strav.numeric import _within, as_vector, norm
@@ -28,7 +29,7 @@ from strav.operators import (
     check_nonexpansive,
     check_sqne,
 )
-from strav.sets import Halfspace, Hyperplane
+from strav.sets import Ball, Halfspace, Hyperplane
 
 
 def _halfspace_proj(dim=3, gamma=1.0, seed=3):
@@ -666,3 +667,131 @@ class TestSharedSample:
         assert node.applied == [(10,)] * 2
         assert not np.array_equal(xs, ys)
         assert not ys.flags.writeable and not ty.flags.writeable
+
+
+def _child_by_child(node, x):
+    # the composition's children applied one after another, as a batch is
+    for child in node.children():
+        x = child.apply(x)
+    return x
+
+
+def _spelled_out(sets, x):
+    # the single-point halfspace / hyperplane projection, one set at a time
+    for s in sets:
+        t = float(x @ s.a) - s.b
+        if not (t == 0.0 or (t < 0.0 and isinstance(s, Halfspace))):
+            x = x - (t / float(s.a @ s.a)) * s.a
+    return x
+
+
+def _linear_sets(rng, dim, count):
+    # halfspaces and hyperplanes with seeded normals and offsets, about one in three an equality
+    return [
+        (Hyperplane if rng.random() < 1 / 3 else Halfspace)(rng.standard_normal(dim), rng.normal())
+        for _ in range(count)
+    ]
+
+
+class TestStringLoop:
+    """One point takes a string of halfspace and hyperplane projections in one loop."""
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        # counts the composition loop's runs; a set's own project binds the loop by another name
+        calls = []
+        loop = strav.operators._through
+        monkeypatch.setattr(strav.operators, "_through", lambda x, rows: calls.append(1) or loop(x, rows))
+        return calls
+
+    @pytest.mark.parametrize("dim", [1, 5, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_point_gets_the_bits_of_the_children(self, loops, dim, seed):
+        rng = np.random.default_rng(seed)
+        for count in (1, 2, 6, 12):
+            sets = _linear_sets(rng, dim, count)
+            # gamma-1 projections, some behind a pass-through relaxation
+            T = Composition([Relaxation(Primitive(s), 1.0) if i % 3 == 2 else Primitive(s)
+                             for i, s in enumerate(sets)])
+            for x in rng.standard_normal((8, dim)) * 3.0:
+                before = len(loops)
+                got = T.apply(x)
+                assert len(loops) == before + 1
+                assert got.tobytes() == _child_by_child(T, x).tobytes()
+                assert got.tobytes() == _spelled_out(sets, x).tobytes()
+
+    def test_a_point_on_a_set_is_handed_on(self, loops):
+        # t == 0 exactly on every set: the very array comes back, -0.0 included
+        x = np.array([-0.0, 1.5, -2.25])
+        sets = [Halfspace([1.0, 0.0, 0.0], 0.0), Hyperplane([0.0, 1.0, 0.0], 1.5),
+                Halfspace([0.0, 0.0, 2.0], -4.5), Hyperplane([0.0, 2.0, 1.0], 0.75)]
+        T = Composition([Primitive(s) for s in sets])
+        assert T.apply(x) is x and loops == [1]
+        assert np.signbit(T.apply(x)[0])
+
+    def test_every_set_holding_the_point_hands_back_the_very_array(self, loops):
+        rng = np.random.default_rng(7)
+        sets = [Halfspace(rng.standard_normal(5), 50.0) for _ in range(6)]
+        T = Composition([Primitive(s) for s in sets])
+        for x in rng.standard_normal((20, 5)):
+            assert T.apply(x) is x
+        assert len(loops) == 20
+
+    def test_a_negative_zero_keeps_its_bits(self):
+        # the first set holds x; the second (t > 0) subtracts +0.0 from each -0.0, which stays,
+        # and the third (t < 0) subtracts -0.0, which turns it into +0.0, as one projection does
+        x = np.array([-0.0, 2.0, -0.0, 1.0])
+        sets = [Halfspace([1.0, 1.0, 0.0, 0.0], 5.0), Halfspace([0.0, 1.0, 0.0, 1.0], 1.0),
+                Hyperplane([0.0, 0.0, 0.0, 1.0], 0.5)]
+        for n, signed in ((2, True), (3, False)):
+            T = Composition([Primitive(s) for s in sets[:n]])
+            got = T.apply(x)
+            assert got.tobytes() == _child_by_child(T, x).tobytes() == _spelled_out(sets[:n], x).tobytes()
+            assert np.signbit(got[[0, 2]]).tolist() == [signed, signed]
+
+    def test_a_nan_offset_projects_to_nan(self):
+        x = np.array([1.0, -2.0, 0.5])
+        for nan_set in (Halfspace([1.0, 0.0, 0.0], math.nan), Hyperplane([0.0, 1.0, 1.0], math.nan)):
+            sets = [Halfspace([0.0, 0.0, 1.0], 9.0), nan_set, Halfspace([1.0, 1.0, 0.0], 0.0)]
+            T = Composition([Primitive(s) for s in sets])
+            got = T.apply(x)
+            assert np.isnan(got).all()
+            assert got.tobytes() == _child_by_child(T, x).tobytes()
+
+    def test_a_batch_goes_child_by_child(self, loops):
+        rng = np.random.default_rng(3)
+        T = Composition([Primitive(s) for s in _linear_sets(rng, 5, 6)])
+        X = rng.standard_normal((7, 5)) * 3.0
+        assert T.apply(X).tobytes() == _child_by_child(T, X).tobytes()
+        assert T.apply(X[:1]).shape == (1, 5) and loops == []
+
+    def test_a_point_of_another_dimension_is_refused_by_the_sets(self):
+        T = Composition([Primitive(Halfspace([1.0, 0.0], 0.0)), Primitive(Hyperplane([0.0, 1.0], 0.0))])
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            T.apply(np.ones(3))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda: Primitive(Halfspace([0.3, -1.0, 0.2], 0.1), 0.5),
+            lambda: Relaxation(Primitive(Hyperplane([1.0, 1.0, 0.0], 0.4)), 1.5),
+            lambda: Primitive(Ball([0.0, 0.0, 0.0], 1.0)),
+            lambda: Identity(),
+            lambda: Composition([Primitive(Halfspace([0.0, 1.0, 1.0], -0.2)),
+                                 Primitive(Hyperplane([1.0, 0.0, 0.5], 0.3))]),
+            lambda: Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)),
+        ],
+        ids=["relaxed-leaf", "relaxation", "ball", "identity", "nested", "subclass"],
+    )
+    def test_any_other_child_sends_a_point_child_by_child(self, loops, other):
+        rng = np.random.default_rng(11)
+        sets = _linear_sets(rng, 3, 4)
+        T = Composition([Primitive(sets[0]), Primitive(sets[1]), other(), Primitive(sets[2]),
+                         Primitive(sets[3])])
+        # only a nested string runs the loop, once per apply of the outer one
+        runs = 1 if isinstance(T.children()[2], Composition) else 0
+        for x in rng.standard_normal((10, 3)) * 3.0:
+            loops.clear()
+            got = T.apply(x)
+            assert len(loops) == runs
+            assert got.tobytes() == _child_by_child(T, x).tobytes()

@@ -6,6 +6,7 @@ not merely to a tolerance.
 """
 
 import dataclasses
+import hashlib
 import math
 import runpy
 import sys
@@ -30,7 +31,7 @@ from strav.control import (
 from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
-from strav.numeric import as_vector, norm
+from strav.numeric import _admits, _within, as_vector, norm
 from strav.operators import Identity, Primitive, Relaxation
 from strav.sets import Box, Halfspace, OperatorFamily
 from strav.solver import (
@@ -142,6 +143,37 @@ class TestRelaxationSchedule:
         with pytest.raises(ValueError, match="at least 2 points"):
             RelaxationSchedule.sweep(0.1, 0.05, points=points)
 
+    @staticmethod
+    def _edges(lo, hi):
+        # each end of the admitted window, written two ways, and the floats one ulp around it
+        ends = (lo * (1.0 - 1e-12), lo - 1e-12 * lo, hi + 1e-12, lo, hi)
+        return sorted({v for e in ends for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))})
+
+    @staticmethod
+    def _verdict(make):
+        try:
+            return make()
+        except ValueError as exc:
+            assert "outside" in str(exc)
+            return None
+
+    @pytest.mark.parametrize("eps, rho", [(0.25, 0.05), (1e-13, 0.5), (0.5, 0.0), (1.0, 1.0), (0.1, 3.7)])
+    def test_lam_admits_exactly_what_the_membership_rule_admits(self, eps, rho):
+        lo, hi = RelaxationSchedule.interval(eps, rho)
+        for v in self._edges(lo, hi):
+            v = float(v)
+            want = v if _admits(v, lo, hi) else None
+            assert self._verdict(lambda: RelaxationSchedule(lambda k: v, eps, rho).lam(3)) == want, v
+            assert self._verdict(lambda: RelaxationSchedule.constant(v, eps, rho).lam(0)) == want, v
+            assert self._verdict(lambda: RelaxationSchedule.cycle([lo, v], eps, rho).lam(1)) == want, v
+        # a sweep's grid, its computed top end included, is admitted value for value
+        for points in (2, 17, 10**18):
+            r = RelaxationSchedule.sweep(eps, rho, points=points)
+            span, den = hi - lo, points - 1
+            for k in (0, 1, points - 2, points - 1):
+                v = lo + span * k / den
+                assert _admits(v, lo, hi) and r.lam(k) == v
+
 
 class TestPerturbationSchedule:
     def test_power_betas(self):
@@ -204,6 +236,67 @@ class TestPerturbationSchedule:
         p = PerturbationSchedule.power(0.5, 2.0, lambda k, x: np.array(v))
         with pytest.raises(ValueError, match="at k=4, iterate shape"):
             p.at(4, np.array([-3.0, -3.0]))
+
+    @staticmethod
+    def _accepts(sched, x):
+        try:
+            sched.at(0, x)
+        except ValueError as exc:
+            assert "exceeds 1" in str(exc) or "iterate shape" in str(exc)
+            return False
+        return True
+
+    @staticmethod
+    def _norm_rule(v):
+        # the exact test: the direction's norm exceeds 1 by at most the slack
+        return bool(_within(float(norm(v)) - 1.0))
+
+    def test_direction_accepted_exactly_as_by_its_norm(self):
+        edge = 1.0 + (1e-9 + 1e-12)  # the largest excess the norm test admits
+        sizes = [1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 2e-9, edge]
+        sizes += [np.nextafter(s, toward) for s in (1.0 + 1e-9, edge) for toward in (0.0, 2.0)]
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 5, 20):
+            units = [np.eye(dim)[0]] + [u / norm(u) for u in rng.standard_normal((3, dim))]
+            for unit in units:
+                for size in sizes:
+                    v = float(size) * unit
+                    p = PerturbationSchedule(lambda k: 0.5, lambda k, x, v=v: v)
+                    assert self._accepts(p, np.zeros(dim)) == self._norm_rule(v), (dim, size)
+        # along an axis the norm is the coordinate itself: both sides of each edge are met
+        axis = [self._accepts(PerturbationSchedule(lambda k: 0.5, lambda k, x, s=s: np.array([0.0, s])),
+                              np.zeros(2)) for s in map(float, sizes)]
+        assert axis == [True, True, True, False, True, True, True, True, False]
+        # many random directions near the unit sphere, at both sides of the tolerance
+        for dim in (5, 20):
+            for v in rng.standard_normal((2000, dim)):
+                v = v / norm(v) * (1.0 + rng.uniform(-2e-9, 3e-9))
+                p = PerturbationSchedule(lambda k: 0.5, lambda k, x, v=v: v)
+                assert self._accepts(p, np.zeros(dim)) == self._norm_rule(v)
+
+    @pytest.mark.parametrize(
+        "v, ok",
+        [([math.nan, 0.0], False), ([0.0, math.inf], False), ([-math.inf, 0.0], False),
+         ([0.0, 0.0], True), ([0.6, -0.8], True), ([1.0], False), ([0.5, 0.5, 0.0], False)],
+        ids=["nan", "inf", "-inf", "zero", "unit", "short", "long"],
+    )
+    def test_direction_edge_values(self, v, ok):
+        p = PerturbationSchedule(lambda k: 0.5, lambda k, x: np.array(v))
+        assert self._accepts(p, np.zeros(2)) == ok
+
+    def test_a_refilled_buffer_is_checked_again(self):
+        # a rule that hands back one buffer, refilled: nothing is cached by the array's identity
+        buf = np.empty(2)
+
+        def direction(k, x):
+            buf[:] = (0.6, 0.8) if k == 0 else (3.0, 4.0)
+            return buf
+
+        p = PerturbationSchedule(lambda k: 0.5, direction)
+        b, v = p.at(0, np.zeros(2))
+        assert v is buf
+        with pytest.raises(ValueError, match="direction norm 5.0 exceeds 1 at k=1"):
+            p.at(1, np.zeros(2))
 
     def test_from_lists_replay(self):
         betas = [0.5, 0.25]
@@ -423,6 +516,25 @@ def composition_schedule():
 
     return CustomSchedule(
         rule, window_bounds=lambda n: 1 if n <= 4 else 2 ** (n - 4), metadata=(1, 6)
+    )
+
+
+def test_perturbed_composition_run_keeps_its_csv_bits(tmp_path):
+    # criterion 07's first run, pinned byte for byte: 10,259 updates of the 6-leaf composition,
+    # each from a perturbed point, with 21 monitored sets
+    sched = composition_schedule()
+    relax = RelaxationSchedule.constant(0.95, 0.05, uniform_modulus(sched, 1.0))
+    rng = np.random.default_rng(0)
+    x0 = 3.0 + rng.uniform(0.0, 2.0, size=5)
+    v = np.abs(rng.standard_normal(5))
+    v /= np.linalg.norm(v)
+    pert = PerturbationSchedule.power(1e-2, 2.0, constant_direction(v))
+    tr = run_perturbed(axis_halfspace_family(5), sched, relax, pert, x0, StopRule(10**5, 1e-10, None),
+                       monitored=range(21))
+    text = tr.to_csv(tmp_path / "trace.csv")
+    assert (tr.n_updates, tr.stop_reason, len(text)) == (10259, "residual", 2967834)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1aed43322eef048121056fdfdea18fbb53361d19c8657f1b7fd5a601eae49b06"
     )
 
 
