@@ -89,21 +89,18 @@ def _random_plan(rng, k, n_inputs, eps, max_steps=3, max_width=4, c0_alpha_one=F
             else:
                 alpha = float(rng.uniform(eps, 2.0 - eps))
             steps.append(StepSpec.relaxation(j, alpha))
-        elif c == 1:
-            size = int(rng.integers(1, min(max_width, len(pool), int(1.0 / eps)) + 1))
-            chosen = list(rng.choice(len(pool), size=size, replace=False))
-            refs = [pool[i] for i in chosen]
-            w = _combination_weights(rng, size, eps)
-            steps.append(StepSpec(1, refs, weights=dict(zip(sorted(refs), w))))
         else:
-            size = int(rng.integers(1, min(max_width, len(pool)) + 1))
-            chosen = list(rng.choice(len(pool), size=size, replace=False))
-            refs = [pool[i] for i in chosen]
-            width = int(rng.integers(size, max_width + 1))
-            extra = [refs[int(rng.integers(size))] for _ in range(width - size)]
-            order = list(refs) + extra
-            rng.shuffle(order)
-            steps.append(StepSpec(2, refs, order=tuple(order)))
+            size = int(rng.integers(1, min(max_width, len(pool), int(1.0 / eps) if c == 1 else max_width) + 1))
+            refs = [pool[i] for i in rng.choice(len(pool), size=size, replace=False)]
+            if c == 1:
+                w = _combination_weights(rng, size, eps)
+                steps.append(StepSpec(1, refs, weights=dict(zip(sorted(refs), w))))
+            else:
+                width = int(rng.integers(size, max_width + 1))
+                extra = [refs[int(rng.integers(size))] for _ in range(width - size)]
+                order = list(refs) + extra
+                rng.shuffle(order)
+                steps.append(StepSpec(2, refs, order=tuple(order)))
     return IterationPlan(k=k, N=N, eps=eps, steps=steps)
 
 

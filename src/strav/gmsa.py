@@ -61,7 +61,7 @@ class StepSpec:
 
     def __init__(self, c, J, alpha=None, weights=None, order=None):
         self.c = int(c)
-        self.J = tuple(sorted({int(j) for j in J}))
+        self.J = tuple(sorted(set(map(int, J))))
         self.alpha = None if alpha is None else float(alpha)
         if weights is not None and not isinstance(weights, dict):
             raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
@@ -72,7 +72,7 @@ class StepSpec:
         for j in weights or ():
             if j not in self.J:
                 raise ValueError(f"invalid-plan: weight for reference {j} outside J")
-        self.order = None if order is None else tuple(int(o) for o in order)
+        self.order = None if order is None else tuple(map(int, order))
 
     @property
     def P(self):
@@ -132,7 +132,9 @@ class IterationPlan:
         family, so a driver may build one tree per key.
         """
         if self._key is None:
-            steps = tuple((n, _step_key(s)) for n, s in sorted(self.steps.items()))
+            # a step that is not a StepSpec fails validation, so no tree is built for it
+            steps = tuple((s.c, s.J, s.alpha, s.weights, s.order) if isinstance(s, StepSpec) else (id(s),)
+                          for s in self.steps.values())
             self._key = (self.N, self.eps, steps)
         return self._key
 
@@ -166,12 +168,6 @@ class IterationPlan:
         """Product of the step widths P_1 ... P_N."""
         self.require_valid()
         return math.prod(self.steps[n].P for n in range(1, self.N + 1))
-
-
-def _step_key(s):
-    if isinstance(s, StepSpec):
-        return (s.c, s.J, s.alpha, s.weights, s.order)
-    return (id(s),)  # not a StepSpec: the plan fails validation, so no tree is built for it
 
 
 def _validate(plan):

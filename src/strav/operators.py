@@ -131,6 +131,7 @@ class OperatorNode:
     sqne_rho = None
     fne_rho = None
     dim = None
+    children_ = ()
 
     @property
     def is_nonexpansive(self):
@@ -148,7 +149,7 @@ class OperatorNode:
         return norm(self.apply(x) - x)
 
     def children(self):
-        return ()
+        return self.children_
 
     def __repr__(self):
         return f"<{type(self).__name__} sqne={self.sqne_rho} fne={self.fne_rho}>"
@@ -206,6 +207,7 @@ class Relaxation(OperatorNode):
         if not _admits(alpha, 0.0, 2.0):
             raise ValueError(f"relaxation parameter must lie in [0, 2], got {alpha}")
         self.child = child
+        self.children_ = (child,)
         self.alpha = alpha
         self.dim = child.dim
         direct = _relaxed_constant(child.sqne_rho, alpha)
@@ -218,9 +220,6 @@ class Relaxation(OperatorNode):
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         return x + self.alpha * (self.child.apply(x) - x)
-
-    def children(self):
-        return (self.child,)
 
 
 def _common_dim(children):
@@ -256,9 +255,6 @@ class ConvexComb(OperatorNode):
             out = out + w * child.apply(x)
         return out
 
-    def children(self):
-        return self.children_
-
 
 class Composition(OperatorNode):
     """Composition of children applied left to right (first listed, first applied)."""
@@ -284,9 +280,6 @@ class Composition(OperatorNode):
         for child in self.children_:
             out = child.apply(out)
         return out
-
-    def children(self):
-        return self.children_
 
 
 # ---------------------------------------------------------------------------

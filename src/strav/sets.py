@@ -228,8 +228,7 @@ class OperatorFamily:
             raise ValueError(
                 f"family-error: declared common point not fixed by operator {n} (residual {rz:.3e})"
             )
-        self._ops.setdefault(n, node)
-        return self._ops[n]
+        return self._ops.setdefault(n, node)
 
     def distance(self, n, x):
         """Distance from x to the n-th set (0 for an identity pad)."""

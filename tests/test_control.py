@@ -1,10 +1,13 @@
 """Control schedules and the exhaustive window audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from strav import control
 from strav.control import (
+    ControlSchedule,
     CustomSchedule,
     CyclicSchedule,
     PowerOfTwoSchedule,
@@ -325,6 +328,150 @@ class TestWindowAuditOracle:
             assert rep.worst == (None if rep.passed else (n, start))
             verdicts.add(rep.passed)
         assert verdicts == {True, False}
+
+
+class _Forwarding(ControlSchedule):
+    """Hands on what the wrapped schedule says, as a tracing wrapper does; counts its lookups."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = 0
+
+    def plan_at(self, k):
+        self.asked += 1
+        return self.inner.plan_at(k)
+
+    def window_bound(self, n):
+        return self.inner.window_bound(n)
+
+    def plan_metadata(self):
+        return self.inner.plan_metadata()
+
+
+class _DeclaredCycle(CyclicSchedule):
+    """A cycle whose windows are declared, not its period: it keeps the cycle's ``plan_at``."""
+
+    def __init__(self, templates, bounds):
+        super().__init__(templates)
+        self.bounds = bounds
+
+    def window_bound(self, n):
+        return self.bounds.get(n)
+
+
+class _ShiftedCycle(_DeclaredCycle):
+    def plan_at(self, k):
+        return self.plans[(int(k) + 1) % len(self.plans)]
+
+
+class _HeldPowerOfTwo(PowerOfTwoSchedule):
+    def plan_at(self, k):
+        return super().plan_at(int(k) // 2)  # each plan runs twice in a row
+
+
+def _random_templates(rng):
+    n_inputs = int(rng.integers(2, 7))
+    templates = []
+    for t in range(int(rng.integers(1, 10))):
+        width = int(rng.integers(1, min(n_inputs, 3) + 1))
+        refs = tuple(-int(n) for n in rng.choice(n_inputs, width, replace=False))
+        w = 1.0 / len(refs)
+        steps = [StepSpec(1, refs, weights={r: w for r in refs})]
+        templates.append(IterationPlan(k=t, N=1, eps=w, steps=steps))
+    return templates, n_inputs
+
+
+def _audited_as_oracle(schedule, horizon, indices):
+    """The audit's report, checked against ``_audit_oracle`` and, field for field,
+    against the report for the same schedule behind a wrapper asked at every k."""
+    rep = verify_admissible(schedule, horizon, indices)
+    oracle = _audit_oracle(schedule, horizon, indices)
+    n, excess, start, _ = max(oracle, key=lambda t: t[1], default=(None, 0, None, False))
+    assert rep.samples == len(oracle)
+    assert rep.max_violation == float(excess)
+    assert rep.passed == (excess <= 0)
+    assert rep.worst == (None if rep.passed else (n, start))
+    wrapped = _Forwarding(schedule)
+    assert verify_admissible(wrapped, horizon, indices) == rep
+    assert wrapped.asked == horizon + 1
+    return rep
+
+
+class TestStridedAudit:
+    """A cyclic or power-of-two schedule's own ``plan_at`` is read by its progressions."""
+
+    def test_cycles_agree_with_brute_force(self):
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(40):
+            templates, n_inputs = _random_templates(rng)
+            L = len(templates)
+            used = sorted(set().union(*(t.output_indices() for t in templates)))
+            for horizon in sorted({max(L - 2, 0), L - 1, L, L + 1, int(rng.integers(L, 4 * L + 5))}):
+                if horizon >= L - 1:  # the period fits the horizon
+                    _audited_as_oracle(CyclicSchedule(templates), horizon, used)
+                # declared windows from 1 up to past the period, as far as the horizon holds them
+                bounds = {n: int(rng.integers(1, min(L + 2, horizon + 1) + 1)) for n in range(n_inputs)}
+                rep = _audited_as_oracle(_DeclaredCycle(templates, bounds), horizon, range(n_inputs))
+                verdicts.add(rep.passed)
+        assert verdicts == {True, False}
+
+    def test_power_of_two_agrees_with_brute_force(self):
+        edges = {2**n + d for n in range(1, 13) for d in (-2, -1, 0)}
+        for horizon in sorted(set(range(71)) | edges | {5000}):
+            # every index whose window 2^(n+1) fits the horizon
+            indices = range((horizon + 1).bit_length() - 1)
+            assert _audited_as_oracle(PowerOfTwoSchedule(), horizon, indices).passed
+
+    @pytest.mark.parametrize("make, distinct", [
+        (lambda: CyclicSchedule([one_index_plan(k, k % 3) for k in range(4)]), 4),
+        (PowerOfTwoSchedule, 10),
+    ])
+    def test_one_lookup_per_plan(self, monkeypatch, make, distinct):
+        calls = []
+        output_indices = IterationPlan.output_indices
+        monkeypatch.setattr(
+            IterationPlan, "output_indices", lambda plan: calls.append(plan) or output_indices(plan)
+        )
+        verify_admissible(make(), 1000, [])
+        assert len(calls) == distinct
+        calls.clear()
+        verify_admissible(_Forwarding(make()), 1000, [])
+        assert len(calls) == 1001
+
+    def test_subclasses_are_audited_through_their_own_plan_at(self):
+        templates = [one_index_plan(k, k) for k in range(3)]
+        bounds = {0: 2, 1: 2, 2: 2}
+        shifted = _audited_as_oracle(_ShiftedCycle(templates, bounds), 20, range(3))
+        plain = _audited_as_oracle(_DeclaredCycle(templates, bounds), 20, range(3))
+        assert (shifted.worst, plain.worst) == ((0, 0), (0, 1))
+        held = _audited_as_oracle(_HeldPowerOfTwo(), 40, range(4))
+        assert not held.passed and _audited_as_oracle(PowerOfTwoSchedule(), 40, range(4)).passed
+
+    def test_only_plans_within_the_horizon_are_validated(self):
+        s = _DeclaredCycle([one_index_plan(0, 0), one_index_plan(1, 0, eps=1.5)], {0: 1})
+        for schedule in (s, _Forwarding(s)):
+            assert verify_admissible(schedule, 0, [0]).passed  # k = 1 runs the invalid plan
+            with pytest.raises(ValueError, match="step 0: eps must lie in"):
+                verify_admissible(schedule, 1, [0])
+
+    @pytest.mark.parametrize("make, indices, parent_peak", [
+        (PowerOfTwoSchedule, range(16), 2_102_769),
+        (lambda: CyclicSchedule([one_index_plan(k, k) for k in range(3)]), range(3), 1_968_745),
+    ])
+    def test_peak_memory(self, make, indices, parent_peak):
+        # the code array stays the only horizon-sized allocation besides the per-index
+        # arrays: the bounds are the peaks that the per-k audit, before the strided one
+        # existed, read in this very test (CPython 3.11, numpy 2.4)
+        schedule = make()
+        verify_admissible(schedule, 100_000, indices)  # the plans and their index sets exist
+        tracemalloc.start()
+        try:
+            verify_admissible(schedule, 100_000, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
 
 
 def stage_cycle(strings_per_stage, window_bounds):
