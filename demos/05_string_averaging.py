@@ -9,7 +9,7 @@ driver without changing a single number.
 import numpy as np
 
 from strav.control import verify_admissible
-from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
+from strav.dsa import gdsa_to_gmsa, msa_embed
 from strav.fixtures import random_halfspace_family
 from strav.gmsa import output_operator, sqne_bound
 from strav.sets import Halfspace, OperatorFamily
@@ -19,16 +19,16 @@ def main():
     rng = np.random.default_rng(1)
     family = random_halfspace_family(4, 5, seed=8)
 
-    stage = StringStage([(0, 1, 2), (3,), (4, 0)], [0.5, 0.3, 0.2], k=0)
-    plan = gdsa_to_gmsa(stage)
-    print(f"stage with strings {list(stage.strings)}")
+    strings, weights = [(0, 1, 2), (3,), (4, 0)], [0.5, 0.3, 0.2]
+    plan = gdsa_to_gmsa(strings, weights, k=0)
+    print(f"stage with strings {strings}")
     print(f"rewritten plan: N = {plan.N}, floor eps = {plan.eps}")
 
     x = rng.uniform(-2.0, 2.0, size=(6, 4))
     tree = output_operator(plan, family)
     # the stage evaluated directly: each string composed in order, then the weighted sum
     direct = 0.0
-    for w, string in zip(stage.weights, stage.strings):
+    for w, string in zip(weights, strings):
         y = x
         for i in string:
             y = family.operator(i).apply(y)
@@ -42,7 +42,7 @@ def main():
     normals = rng.standard_normal((3, 4))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     ops = [Halfspace(a, 0.0) for a in normals]
-    base = [gdsa_to_gmsa(StringStage([(0, 1), (2,)], [0.5, 0.5], k=0))]
+    base = [gdsa_to_gmsa([(0, 1), (2,)], [0.5, 0.5], k=0)]
     fam_inf, sched_inf = msa_embed(ops, np.zeros(4), base)
 
     probe = rng.uniform(-2.0, 2.0, size=(5, 4))

@@ -82,7 +82,9 @@ every input in turn, so it needs a generator family.  The ``stages``
 variant cycles string-averaging stages: each string is a nonempty list of
 nats applied first-to-last, and the stage averages its strings with the
 given ``weights``, one number in (0, 1] per string, summing to 1.  A stage
-has no ``eps``: its plan's floor is its least weight.
+has no ``eps``: its plan's floor is its least weight, so a weight <= 0
+reads as a floor ``eps`` outside (0, 1].  A stage is judged as its plan: a
+string's problem is reported under ``strings[j]``, any other under ``weights``.
 
 A PLAN gives its floor ``eps`` (a number in (0, 1]) and its steps, the
 n-th record being step n::

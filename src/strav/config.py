@@ -23,7 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
-from .dsa import StringStage, gdsa_to_gmsa
+from .dsa import gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, sqne_bound
 from .numeric import as_vector
 from .operators import Primitive
@@ -330,9 +330,14 @@ def plan_from_record(rec, path, errors):
     if None in steps:
         return None
     plan = IterationPlan(k=0, N=len(steps), eps=v["eps"], steps=steps)
-    issues = plan.validate()
+    return _judged(plan, lambda n: f"{path}.steps[{n - 1}]" if n else path, errors)
+
+
+def _judged(plan, where, errors):
+    """``plan``, or None once it is None or each ``validate()`` issue of step n is under ``where(n)``."""
+    issues = () if plan is None else plan.validate()
     for n, msg in issues:
-        errors.append((path if n == 0 else f"{path}.steps[{n - 1}]", msg))
+        errors.append((where(n), msg))
     return None if issues else plan
 
 
@@ -418,9 +423,12 @@ def _build_schedule(v, family, errors):
     else:
         if variant == "stages":
             where = "schedule.stages"
-            stages = [_make(f"{where}[{i}]", errors, StringStage, k=i, **s)
-                      for i, s in enumerate(v["stages"])]
-            plans = [None if s is None else gdsa_to_gmsa(s) for s in stages]
+            plans = []
+            for i, s in enumerate(v["stages"]):  # step j composes string j - 1; the rest is the weights'
+                at = f"{where}[{i}]"
+                plan = _make(at, errors, gdsa_to_gmsa, s["strings"], s["weights"], i)
+                plans.append(_judged(plan, lambda n: f"{at}.strings[{n - 1}]" if 0 < n < plan.N
+                                     else f"{at}.weights", errors))
         else:
             where = "schedule.plans"
             for key in ("eps", "alpha"):
@@ -431,8 +439,7 @@ def _build_schedule(v, family, errors):
         schedule = None if None in plans else _make("schedule", errors, CyclicSchedule, plans)
     if schedule is not None and where in (None, "schedule.indices"):
         # power_of_two and indices plans differ only in their input: plan 0 judges eps and alpha
-        for n, msg in schedule.plan_at(0).validate():
-            _refuse(errors, "schedule.alpha" if n else "schedule.eps", msg)
+        _judged(schedule.plan_at(0), lambda n: "schedule.alpha" if n else "schedule.eps", errors)
     if schedule is not None and family is not None:
         _ask_family(family, where, ((i, -j) for i, p in enumerate(schedule.plans or ())
                                     for s in p.steps.values() for j in s.J if j <= 0), errors)

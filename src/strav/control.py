@@ -207,6 +207,8 @@ def verify_admissible(schedule, horizon, indices):
     for n, M in zip(ns, bounds):
         if M is None:
             raise ValueError(f"window bound for index {n} not declared; refusing to guess")
+        if isinstance(M, bool) or not isinstance(M, (int, float, np.integer, np.floating)) or M % 1 > 0:
+            raise ValueError(f"window bound {M!r} for index {n} is not a whole number")  # inf % 1 is NaN
         if not 1 <= M <= horizon + 1:
             raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
     distinct, codes = _plan_codes(schedule, horizon)

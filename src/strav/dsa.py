@@ -1,68 +1,48 @@
-"""String stages as averaged compositions, plus their plan embeddings.
+"""String-averaging stages rewritten as plans, plus their infinite embedding.
 
 A string is a finite index sequence; its operator composes the referenced
 inputs, first index applied first.  A stage averages several strings with
-positive weights.  ``gdsa_to_gmsa`` rewrites a stage as an equivalent
-iteration plan (one composition step per string, one final combination
-step), and ``msa_embed`` extends a finite-family schedule to an infinite
-one by padding with identities under a power-of-two tail so the window
-conditions hold over all indices.
+positive weights.  ``gdsa_to_gmsa`` rewrites a stage's strings and weights
+as an equivalent iteration plan, and ``msa_embed`` extends a finite-family
+schedule to an infinite one by padding with identities under a
+power-of-two tail so the window conditions hold over all indices.
 """
 
 from __future__ import annotations
 
 from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
-from .numeric import _admits, _within
 from .operators import Identity
 from .sets import OperatorFamily
 
 __all__ = [
-    "StringStage",
     "gdsa_to_gmsa",
     "msa_embed",
 ]
 
 
-class StringStage:
-    """Weighted set of strings used at one iteration.
+def gdsa_to_gmsa(strings, weights, k=0):
+    """Rewrite the stage averaging ``strings`` (index sequences, first applied first)
+    with ``weights``, one per string, as an equivalent iteration plan.
 
-    ``strings`` holds each string as a tuple of input indices, the first
-    applied first.  Weights lie in (0, 1] and sum to 1; the least of them
-    is the floor ``eps`` of the plan the stage translates into.
+    Steps 1..|strings| compose the strings; step |strings|+1, there even for
+    one string, averages them with the weights, the least of which is the
+    plan's floor.  Refused here is only what the plan would misread: no
+    string, an index below 0, or a weight count other than the string count.
+    The plan's ``validate`` judges an empty string and the weights.
     """
-
-    def __init__(self, strings, weights, k=0):
-        self.strings = tuple(tuple(int(i) for i in s) for s in strings)
-        if not all(self.strings):
-            raise ValueError("strings must be nonempty")
-        if any(i < 0 for s in self.strings for i in s):
-            raise ValueError("string indices are input-operator indices, >= 0")
-        self.weights = tuple(float(w) for w in weights)
-        self.k = int(k)
-        if not self.strings:
-            raise ValueError("a stage needs at least one string")
-        if len(self.strings) != len(self.weights):
-            raise ValueError("one weight per string required")
-        if not all(w > 0.0 and _admits(w, 0.0, 1.0) for w in self.weights):
-            raise ValueError(f"weights {self.weights} outside (0, 1]")
-        if not _within(abs(sum(self.weights) - 1.0)):
-            raise ValueError(f"weights sum to {sum(self.weights)}, need 1")
-
-
-def gdsa_to_gmsa(stage):
-    """Rewrite a string stage as an equivalent iteration plan.
-
-    Steps 1..|strings| compose the strings (application order preserved);
-    step |strings|+1 averages them with the stage weights, the least of
-    which is the plan's floor.  The plan always has that final combination
-    step, even for a single string.
-    """
-    orders = [tuple(-i for i in s) for s in stage.strings]
-    steps = [StepSpec(2, set(order), order=order) for order in orders]
+    orders = [tuple(-int(i) for i in s) for s in strings]
+    weights = [float(w) for w in weights]
+    if not orders:
+        raise ValueError("a stage needs at least one string")
+    if any(j > 0 for order in orders for j in order):
+        raise ValueError("string indices are input-operator indices, >= 0")
+    if len(orders) != len(weights):
+        raise ValueError("one weight per string required")
+    steps = [StepSpec(2, order, order=order) for order in orders]
     refs = range(1, len(steps) + 1)
-    steps.append(StepSpec(1, refs, weights=dict(zip(refs, stage.weights))))
-    return IterationPlan(k=stage.k, N=len(steps), eps=min(*stage.weights, 1.0), steps=steps)
+    steps.append(StepSpec(1, refs, weights=dict(zip(refs, weights))))
+    return IterationPlan(k=k, N=len(steps), eps=min(*weights, 1.0), steps=steps)
 
 
 def msa_embed(operators, witness, msa_plans):

@@ -9,12 +9,12 @@ with no frame of its own: a projection at gamma 1 applies its set's
 ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
 identity's); a point it fixes comes back as the very array passed in.
 :func:`_through` is the one single-point formula of a halfspace or
-hyperplane projection.  Its set's ``project`` runs it on one row, and a
-:class:`Composition` whose every child applies the library's own linear
-``project`` (no override) runs it once over all their rows for one point:
-the same float operations in the same order, so the same bits, and a point
-every set holds still comes back as the very array.  A batch, and any
-other composition, goes child by child.
+hyperplane projection.  A node's ``_rows`` are the rows it applies, none by
+default: its set's at gamma 1 where :mod:`strav.sets` offers them, its
+child's at alpha 1, and its children's, in order, for a :class:`Composition`
+whose children all have rows (nested strings too) and whose ``apply`` is
+its class's own.  For one point ``_through`` runs them in the float
+operations of child by child, so the same bits; a batch goes child by child.
 
 Constants attached to a node
 ----------------------------
@@ -132,6 +132,7 @@ class OperatorNode:
     fne_rho = None
     dim = None
     children_ = ()
+    _rows = ()  # (a, b, a @ a, one-sided) of each projection apply runs, in order; see _through
 
     @property
     def is_nonexpansive(self):
@@ -178,6 +179,7 @@ class Primitive(OperatorNode):
         self.fne_rho = rho
         if gamma == 1.0:
             self.apply = set_.project
+            self._rows = getattr(set_, "_rows", ())
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)  # so a list's point inside comes back as its array's bits
@@ -216,6 +218,7 @@ class Relaxation(OperatorNode):
         self.sqne_rho = _best(direct, two_point)
         if alpha in (0.0, 1.0):  # the identity, or the child itself
             self.apply = child.apply if alpha else Identity().apply
+        self._rows = child._rows if alpha == 1.0 else ()
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -269,9 +272,8 @@ class Composition(OperatorNode):
         m = max(m, 1)  # identities only: both constants stay +inf
         self.sqne_rho = None if sqne is None else sqne / m
         self.fne_rho = None if fne is None else fne / m
-        from .sets import _LinearConstraint  # sets imports this module: the rows of one string
-        linear = all(getattr(c.apply, "__func__", None) is _LinearConstraint.project for c in children)
-        self._rows = tuple(r for c in children for r in c.apply.__self__._rows) if linear else ()
+        if type(self).apply is Composition.apply and all(c._rows for c in children):
+            self._rows = tuple(r for c in children for r in c._rows)
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)

@@ -6,7 +6,8 @@ already inside comes back unchanged (bitwise for the polyhedral variants).
 A single point inside a halfspace may come back as the very array passed
 in, so a caller must not modify a projection in place.  A single point's
 halfspace or hyperplane projection is :func:`strav.operators._through` on
-the set's row, built at construction: the loop a string of them runs.
+the set's row, built at construction: the loop a string of them runs, offered
+as ``_rows`` only while ``project`` is the library's own, not an override.
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
 
@@ -79,12 +80,13 @@ class _LinearConstraint(ProjectableSet):
         if not math.isfinite(self._asq):
             raise ValueError(f"{name} normal's squared norm overflows")
         self.dim = self.a.shape[0]
-        self._rows = ((self.a, self.b, self._asq, self._one_sided),)
+        self._row = ((self.a, self.b, self._asq, self._one_sided),)
+        self._rows = self._row if type(self).project is _LinearConstraint.project else ()
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape == self.a.shape:  # one point: the formula of strav.operators._through
-            return _through(x, self._rows)
+            return _through(x, self._row)
         self._check_dim(x)
         offset = x @ self.a - self.b
         if self._one_sided:
@@ -112,7 +114,7 @@ class Ball(ProjectableSet):
     def __init__(self, center, radius):
         self.center = as_vector(center)
         self.radius = float(radius)
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN too; an infinite radius is the whole space
             raise ValueError("ball radius must be positive")
         self.dim = self.center.shape[0]
 

@@ -252,8 +252,9 @@ class StopRule:
     step_tol: float | None = 1e-12
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("iteration cap must be nonnegative")
+        cap = self.max_iters  # k >= cap is the stop test: NaN or inf never fires, 2.5 fires at 3
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
+            raise ValueError(f"iteration cap must be an integer >= 0, got {cap!r}")
         for name in ("residual_tol", "step_tol"):
             v = getattr(self, name)
             if v is not None and (isinstance(v, bool) or not isinstance(v, Real) or not v >= 0.0):

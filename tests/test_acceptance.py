@@ -19,7 +19,7 @@ from strav.control import (
     uniform_modulus,
     verify_admissible,
 )
-from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
+from strav.dsa import gdsa_to_gmsa, msa_embed
 from strav.fixtures import (
     axis_halfspace_family,
     box_linear_fixture,
@@ -249,9 +249,9 @@ def test_10_string_averaging_rewrite_and_infinite_embedding():
             for _ in range(rng.integers(1, 5))
         ]
         w = rng.uniform(0.2, 1.0, size=len(strings))
-        stage = StringStage(strings, w / w.sum(), k=t)
-        T = output_operator(gdsa_to_gmsa(stage), family)
-        diff = np.abs(T(points) - direct_eval(stage, family, points))
+        weights = w / w.sum()
+        T = output_operator(gdsa_to_gmsa(strings, weights, k=t), family)
+        diff = np.abs(T(points) - direct_eval(strings, weights, family, points))
         worst = max(worst, float(diff.max()))
     assert worst <= 1e-12
 
@@ -262,8 +262,8 @@ def test_10_string_averaging_rewrite_and_infinite_embedding():
     ops = [Halfspace(a, 0.0) for a in normals]
     witness = np.zeros(4)
     base_plans = [
-        gdsa_to_gmsa(StringStage([(0, 1), (2,)], [0.5, 0.5], k=0)),
-        gdsa_to_gmsa(StringStage([(1, 2)], [1.0], k=1)),
+        gdsa_to_gmsa([(0, 1), (2,)], [0.5, 0.5], k=0),
+        gdsa_to_gmsa([(1, 2)], [1.0], k=1),
     ]
     fam_inf, sched_inf = msa_embed(ops, witness, base_plans)
     fam_base = OperatorFamily.from_sets(ops, witness)

@@ -374,6 +374,22 @@ class TestScheduleSection:
         with pytest.raises(ConfigError, match="schedule.stages\\[0\\]"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("stage, errors", [
+        ({"strings": [[0]], "weights": [0.5]}, [("schedule.stages[0].weights", "weights sum to 0.5, need 1")]),
+        ({"strings": [[0], []], "weights": [0.5, 0.5]}, [("schedule.stages[0].strings[1]", "empty reference set")]),
+        ({"strings": [[0], [1]], "weights": [1.2, -0.2]}, [
+            ("schedule.stages[0].weights", "eps must lie in (0, 1], got -0.2"),
+            ("schedule.stages[0].weights", "weights (1.2, -0.2) outside [eps, 1]"),
+        ]),
+        ({"strings": [[0]], "weights": [1.0, 0.0]}, [("schedule.stages[0]", "one weight per string required")]),
+    ])
+    def test_stage_judged_as_its_plan(self, stage, errors):
+        # a string's issue under its own path; the combination's and the floor's under weights
+        doc = minimal_doc(schedule={"variant": "stages", "stages": [stage]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == errors
+
     @pytest.mark.parametrize("eps", [0, -0.5, 1.5, 0.5])
     def test_stage_eps_refused_as_unknown_field(self, eps):
         # a stage's floor is its least weight, so a stage record has no eps

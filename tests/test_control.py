@@ -15,7 +15,7 @@ from strav.control import (
     uniform_modulus,
     verify_admissible,
 )
-from strav.dsa import StringStage, gdsa_to_gmsa
+from strav.dsa import gdsa_to_gmsa
 from strav.gmsa import IterationPlan, StepSpec
 
 FIRST_TWENTY = [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4, 0, 1, 0, 2]
@@ -200,7 +200,15 @@ class TestVerifyAdmissible:
         assert (s.window_bound(62), s.window_bound(63), s.window_bound(64)) == (2**63, 2**64, np.inf)
 
     @pytest.mark.parametrize(
-        "bounds, message", [({0: 2}, "not declared"), ({0: 2, 1: 12}, "does not fit")]
+        "bounds, message",
+        [
+            ({0: 2}, "not declared"),
+            ({0: 2, 1: 12}, "does not fit"),
+            # the audit judges int(M): 2.5 would read as 2 and True as 1
+            ({0: 2, 1: 2.5}, "window bound 2.5 for index 1 is not a whole number"),
+            ({0: True, 1: 2}, "window bound True for index 0 is not a whole number"),
+            ({0: 2, 1: "3"}, "window bound '3' for index 1 is not a whole number"),
+        ],
     )
     def test_refuses_a_bound_before_any_plan_lookup(self, bounds, message):
         looked_up = []
@@ -477,7 +485,7 @@ class TestStridedAudit:
 def stage_cycle(strings_per_stage, window_bounds):
     # one single-weight (or evenly weighted) string stage per entry, cycled
     plans = [
-        gdsa_to_gmsa(StringStage(strings, [1.0 / len(strings)] * len(strings), k=k))
+        gdsa_to_gmsa(strings, [1.0 / len(strings)] * len(strings), k=k)
         for k, strings in enumerate(strings_per_stage)
     ]
     return CustomSchedule(lambda k: plans[k % len(plans)], window_bounds=window_bounds)
@@ -491,12 +499,9 @@ class TestFitCheck:
     """
 
     def test_stage_sequence_passes(self):
-        stages = [
-            StringStage([(0, 1)], [1.0]),
-            StringStage([(2,), (0,)], [0.5, 0.5]),
-        ]
-        plans = [gdsa_to_gmsa(st) for st in stages]
-        images = [set().union(*st.strings) for st in stages]
+        stages = [([(0, 1)], [1.0]), ([(2,), (0,)], [0.5, 0.5])]
+        plans = [gdsa_to_gmsa(strings, weights) for strings, weights in stages]
+        images = [set().union(*strings) for strings, _ in stages]
         assert [p.output_indices() for p in plans] == images
         s = CustomSchedule(lambda k: plans[k % len(plans)], window_bounds={0: 2, 1: 2, 2: 2}.get)
         rep = verify_admissible(s, 40, [0, 1, 2])
@@ -515,7 +520,7 @@ class TestFitCheck:
 
     def test_callable_stages(self):
         s = CustomSchedule(
-            lambda k: gdsa_to_gmsa(StringStage([(k % 2,)], [1.0], k=k)),
+            lambda k: gdsa_to_gmsa([(k % 2,)], [1.0], k=k),
             window_bounds={0: 2, 1: 2}.get,
         )
         rep = verify_admissible(s, 20, [0, 1])

@@ -10,22 +10,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.control import f_value, verify_admissible
-from strav.dsa import (
-    StringStage,
-    gdsa_to_gmsa,
-    msa_embed,
-)
+from strav.dsa import gdsa_to_gmsa, msa_embed
 from strav.fixtures import random_halfspace_family
 from strav.gmsa import fne_bound, output_operator, sqne_bound
 from strav.operators import Identity, SampleBudget, check_fne
 from strav.sets import Halfspace, OperatorFamily
 
 
-def direct_eval(stage, family, x):
+def direct_eval(strings, weights, family, x):
     """Evaluate the stage operator directly: sum_t w_t * (U_{t_q} ... U_{t_1})(x)."""
     x = np.asarray(x, dtype=float)
     out = None
-    for w, s in zip(stage.weights, stage.strings):
+    for w, s in zip(weights, strings):
         y = x
         for i in s:
             y = family.operator(i).apply(y)
@@ -35,64 +31,68 @@ def direct_eval(stage, family, x):
 
 class TestStringStage:
     def test_strings_are_index_tuples(self):
-        st = StringStage([(2, 0, 2), np.array([1, 3])], [0.5, 0.5])
-        assert st.strings == ((2, 0, 2), (1, 3))
-        assert all(type(i) is int for s in st.strings for i in s)
+        plan = gdsa_to_gmsa([(2, 0, 2), np.array([1, 3])], [0.5, 0.5])
+        assert [plan.steps[n].order for n in (1, 2)] == [(-2, 0, -2), (-1, -3)]
+        assert all(type(j) is int for n in (1, 2) for j in plan.steps[n].order)
 
-    def test_empty_string_rejected(self):
-        with pytest.raises(ValueError, match="strings must be nonempty"):
-            StringStage([(0,), ()], [0.5, 0.5])
+    def test_empty_string_judged_by_the_plan(self):
+        assert gdsa_to_gmsa([(0,), ()], [0.5, 0.5]).validate() == ((2, "empty reference set"),)
 
-    def test_negative_index_rejected(self):
+    def test_refused_before_a_plan_is_built(self):
         with pytest.raises(ValueError, match="input-operator indices, >= 0"):
-            StringStage([(0, -1)], [1.0])
+            gdsa_to_gmsa([(0, -1)], [1.0])
+        with pytest.raises(ValueError, match="at least one string"):
+            gdsa_to_gmsa([], [])
+        with pytest.raises(ValueError, match="one weight per string required"):
+            gdsa_to_gmsa([(0,)], [1.0, 0.0])  # count mismatch
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            StringStage([(0,)], [0.9])  # does not sum to 1
-        with pytest.raises(ValueError):
-            StringStage([(0,), (1,)], [1.2, -0.2])
-        with pytest.raises(ValueError):
-            StringStage([(0,)], [1.0, 0.0])  # count mismatch
+    def test_weights_judged_by_the_plan(self):
+        assert gdsa_to_gmsa([(0,)], [0.9]).validate() == ((2, "weights sum to 0.9, need 1"),)
+        assert gdsa_to_gmsa([(0,), (1,)], [1.2, -0.2]).validate() == (
+            (0, "eps must lie in (0, 1], got -0.2"),
+            (3, "weights (1.2, -0.2) outside [eps, 1]"),
+        )
+        # a zero weight is a floor of 0
+        assert gdsa_to_gmsa([(0,), (1,)], [1.0, 0.0]).validate() == ((0, "eps must lie in (0, 1], got 0.0"),)
 
     def test_eps_floor(self):
         # the floor is derived from the weights, never declared
         with pytest.raises(TypeError):
-            StringStage([(0,), (1,)], [0.9, 0.1], eps=0.2)
+            gdsa_to_gmsa([(0,), (1,)], [0.9, 0.1], eps=0.2)
         with pytest.raises(TypeError):
-            StringStage([(0,)], [1.0], eps=1.0)
-        st = StringStage([(0,), (1,)], [0.7, 0.3])
-        assert gdsa_to_gmsa(st).eps == 0.3
+            gdsa_to_gmsa([(0,)], [1.0], eps=1.0)
+        assert gdsa_to_gmsa([(0,), (1,)], [0.7, 0.3]).eps == 0.3
 
     @pytest.mark.parametrize("weights", [
         [0.2 * (1 - 1e-13), 1 - 0.2 * (1 - 1e-13)],  # a least weight just below 0.2
         [1.0 + 1e-13],  # a rounding above 1, whose plan floor stays 1
     ])
     def test_stage_is_judged_as_its_plan(self, weights):
-        plan = gdsa_to_gmsa(StringStage([(i,) for i in range(len(weights))], weights))
+        plan = gdsa_to_gmsa([(i,) for i in range(len(weights))], weights)
         assert plan.validate() == ()
         assert plan.eps == min(*weights, 1.0)
 
+    def test_label_is_the_plan_k(self):
+        assert gdsa_to_gmsa([(0,)], [1.0], k=7).k == 7
+        assert gdsa_to_gmsa([(0,)], [1.0]).k == 0
+
     def test_image_unions_strings(self):
-        st = StringStage([(0, 1), (3,)], [0.5, 0.5])
-        assert gdsa_to_gmsa(st).output_indices() == {0, 1, 3}
+        assert gdsa_to_gmsa([(0, 1), (3,)], [0.5, 0.5]).output_indices() == {0, 1, 3}
 
 
 class TestDirectEval:
     fam = random_halfspace_family(3, 4, seed=51)
 
     def test_single_string_is_composition(self):
-        st = StringStage([(0, 2)], [1.0])
         x = np.random.default_rng(52).standard_normal(3) * 2.0
         want = self.fam.operator(2).apply(self.fam.operator(0).apply(x))
-        assert_array_equal(direct_eval(st, self.fam, x), 1.0 * want)
+        assert_array_equal(direct_eval([(0, 2)], [1.0], self.fam, x), 1.0 * want)
 
     def test_average_of_strings(self):
-        st = StringStage([(0,), (1, 2)], [0.25, 0.75])
         x = np.random.default_rng(53).standard_normal(3) * 2.0
         a = self.fam.operator(0).apply(x)
         b = self.fam.operator(2).apply(self.fam.operator(1).apply(x))
-        assert_array_equal(direct_eval(st, self.fam, x), 0.25 * a + 0.75 * b)
+        assert_array_equal(direct_eval([(0,), (1, 2)], [0.25, 0.75], self.fam, x), 0.25 * a + 0.75 * b)
 
 
 class TestPlanRewrite:
@@ -100,26 +100,25 @@ class TestPlanRewrite:
 
     def test_reference_example(self):
         # two strings (0, 1) and (2,), equal weights
-        st = StringStage([(0, 1), (2,)], [0.5, 0.5])
-        plan = gdsa_to_gmsa(st)
+        strings, weights = [(0, 1), (2,)], [0.5, 0.5]
+        plan = gdsa_to_gmsa(strings, weights)
         assert plan.output_indices() == {0, 1, 2}
         assert plan.N == 3
         node = output_operator(plan, self.fam)
         rng = np.random.default_rng(55)
         for _ in range(100):
             x = rng.standard_normal(3) * 3.0
-            assert_allclose(node.apply(x), direct_eval(st, self.fam, x),
+            assert_allclose(node.apply(x), direct_eval(strings, weights, self.fam, x),
                             rtol=0.0, atol=1e-12)
 
     def test_single_string_still_gets_combination_step(self):
-        plan = gdsa_to_gmsa(StringStage([(1, 0)], [1.0]))
+        plan = gdsa_to_gmsa([(1, 0)], [1.0])
         assert plan.N == 2
         assert plan.steps[2].c == 1
         assert plan.steps[2].weights == (1.0,)
 
     def test_eps_carried_to_plan(self):
-        st = StringStage([(0,), (1,)], [0.6, 0.4])  # the least weight is the floor
-        assert gdsa_to_gmsa(st).eps == 0.4
+        assert gdsa_to_gmsa([(0,), (1,)], [0.6, 0.4]).eps == 0.4  # the least weight is the floor
 
     def test_application_order_preserved(self):
         # string (0, 1): operator 0 first; projections onto nested
@@ -127,10 +126,9 @@ class TestPlanRewrite:
         a0 = Halfspace(np.array([1.0, 1.0]) / np.sqrt(2.0), 0.0)
         a1 = Halfspace(np.array([1.0, 0.0]), 0.0)
         fam = OperatorFamily.from_sets([a0, a1], np.array([0.0, -1.0]))
-        st = StringStage([(0, 1)], [1.0])
         x = np.array([2.0, 0.5])
         want = fam.operator(1).apply(fam.operator(0).apply(x))
-        got = output_operator(gdsa_to_gmsa(st), fam).apply(x)
+        got = output_operator(gdsa_to_gmsa([(0, 1)], [1.0]), fam).apply(x)
         assert_array_equal(got, want)
         reverse = fam.operator(0).apply(fam.operator(1).apply(x))
         assert not np.allclose(got, reverse)
@@ -142,7 +140,7 @@ class TestStageModulus:
         # q relaxed projections composed: the tree certifies (2 - gamma) / gamma / q
         fam = random_halfspace_family(3, 3, seed=56, gammas=lambda n: gamma)
         for q in (1, 2, 3):
-            node = output_operator(gdsa_to_gmsa(StringStage([tuple(range(q))], [1.0])), fam)
+            node = output_operator(gdsa_to_gmsa([tuple(range(q))], [1.0]), fam)
             want = (2.0 - gamma) / gamma / q
             assert_allclose(node.fne_rho, want, rtol=1e-15)
             rep = check_fne(node, node.fne_rho, SampleBudget(count=300, seed=q), center=np.zeros(3))
@@ -152,20 +150,19 @@ class TestStageModulus:
         # q plain projections composed: firmly nonexpansive at 1/(2q)
         fam = random_halfspace_family(3, 4, seed=56)
         for q, string in [(2, (0, 1)), (3, (0, 1, 2)), (4, (3, 2, 1, 0))]:
-            plan = gdsa_to_gmsa(StringStage([string], [1.0]))
+            plan = gdsa_to_gmsa([string], [1.0])
             node = output_operator(plan, fam)
             rep = check_fne(node, 1.0 / (2.0 * q), SampleBudget(count=300, seed=q), center=np.zeros(3))
             assert rep.passed, str(rep)
 
     def test_bound_past_the_float_range_is_zero(self):
         # 120 strings, each 400 long: the width product 120 * 400^120 passes the largest float
-        plan = gdsa_to_gmsa(StringStage([tuple(range(400))] * 120, [1.0 / 120] * 120))
+        plan = gdsa_to_gmsa([tuple(range(400))] * 120, [1.0 / 120] * 120)
         assert sqne_bound(plan) == fne_bound(plan) == 0.0
 
     def test_stage_keeps_min_over_strings(self):
         fam = random_halfspace_family(3, 4, seed=57)
-        st = StringStage([(0, 1), (2,)], [0.5, 0.5])
-        node = output_operator(gdsa_to_gmsa(st), fam)
+        node = output_operator(gdsa_to_gmsa([(0, 1), (2,)], [0.5, 0.5]), fam)
         rep = check_fne(node, 0.25, SampleBudget(count=300, seed=58), center=np.zeros(3))
         assert rep.passed, str(rep)
 
@@ -179,8 +176,8 @@ class TestMsaEmbed:
             a /= np.linalg.norm(a)
             sets.append(Halfspace(a, 0.0))
         plans = [
-            gdsa_to_gmsa(StringStage([(0, 1), (2,)], [0.5, 0.5], k=0)),
-            gdsa_to_gmsa(StringStage([(1,), (2, 0)], [0.25, 0.75], k=1)),
+            gdsa_to_gmsa([(0, 1), (2,)], [0.5, 0.5], k=0),
+            gdsa_to_gmsa([(1,), (2, 0)], [0.25, 0.75], k=1),
         ]
         return sets, plans
 
@@ -238,7 +235,7 @@ class TestMsaEmbed:
 
     def test_single_operator_family(self):
         s = Halfspace([1.0, 0.0], 0.0)
-        plan = gdsa_to_gmsa(StringStage([(0,)], [1.0]))
+        plan = gdsa_to_gmsa([(0,)], [1.0])
         fam, sched = msa_embed([s], np.array([0.0, 0.0]), [plan])
         x = np.array([2.0, 1.0])
         got = output_operator(sched.plan_at(1), fam).apply(x)  # f_value(1) = 1 padded

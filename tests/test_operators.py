@@ -777,21 +777,47 @@ class TestStringLoop:
             lambda: Relaxation(Primitive(Hyperplane([1.0, 1.0, 0.0], 0.4)), 1.5),
             lambda: Primitive(Ball([0.0, 0.0, 0.0], 1.0)),
             lambda: Identity(),
-            lambda: Composition([Primitive(Halfspace([0.0, 1.0, 1.0], -0.2)),
-                                 Primitive(Hyperplane([1.0, 0.0, 0.5], 0.3))]),
             lambda: Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)),
         ],
-        ids=["relaxed-leaf", "relaxation", "ball", "identity", "nested", "subclass"],
+        ids=["relaxed-leaf", "relaxation", "ball", "identity", "subclass"],
     )
     def test_any_other_child_sends_a_point_child_by_child(self, loops, other):
         rng = np.random.default_rng(11)
         sets = _linear_sets(rng, 3, 4)
         T = Composition([Primitive(sets[0]), Primitive(sets[1]), other(), Primitive(sets[2]),
                          Primitive(sets[3])])
-        # only a nested string runs the loop, once per apply of the outer one
-        runs = 1 if isinstance(T.children()[2], Composition) else 0
+        assert T._rows == ()
         for x in rng.standard_normal((10, 3)) * 3.0:
             loops.clear()
             got = T.apply(x)
-            assert len(loops) == runs
+            assert loops == []
+            assert got.tobytes() == _child_by_child(T, x).tobytes()
+
+    def test_a_subclass_applies_its_own_apply(self, loops):
+        # like a set's own project, a composition subclass's own apply offers no rows
+        rng = np.random.default_rng(12)
+        p = [Primitive(s) for s in _linear_sets(rng, 3, 4)]
+        counting = CountingComposition(p[1:3])
+        T = Composition([p[0], counting, p[3]])
+        assert counting._rows == T._rows == ()
+        for x in rng.standard_normal((5, 3)) * 3.0:
+            assert T.apply(x).tobytes() == _child_by_child(T, x).tobytes()
+        assert loops == [] and counting.applied == [()] * 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_nested_string_joins_the_loop(self, monkeypatch, seed):
+        # a string inside a string, bare or behind an alpha-1 relaxation, and two levels deep:
+        # one loop over all nine rows per apply, with the bits of the children one by one
+        rows = []
+        loop = strav.operators._through
+        monkeypatch.setattr(strav.operators, "_through", lambda x, r: rows.append(len(r)) or loop(x, r))
+        rng = np.random.default_rng(seed)
+        p = [Primitive(s) for s in _linear_sets(rng, 4, 9)]
+        inner = Composition([p[2], Relaxation(Composition([p[3], p[4]]), 1.0)])
+        T = Composition([p[0], Composition([p[1]]), inner, Relaxation(Composition(p[5:8]), 1.0), p[8]])
+        assert len(T._rows) == 9
+        for x in rng.standard_normal((10, 4)) * 3.0:
+            rows.clear()
+            got = T.apply(x)
+            assert rows == [9]
             assert got.tobytes() == _child_by_child(T, x).tobytes()

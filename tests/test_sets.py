@@ -198,6 +198,10 @@ class TestBall:
     def test_radius_positive(self):
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)
+        with pytest.raises(ValueError):  # a NaN radius projected nothing: the whole space
+            Ball(np.zeros(2), np.nan)
+        # an infinite radius is the whole space, a closed convex set
+        assert Ball(np.zeros(2), np.inf).project(np.array([5.0, 5.0])).tolist() == [5.0, 5.0]
 
 
 class TestBox:

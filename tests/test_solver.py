@@ -28,7 +28,7 @@ from strav.control import (
     uniform_modulus,
     verify_admissible,
 )
-from strav.dsa import StringStage, gdsa_to_gmsa, msa_embed
+from strav.dsa import gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import _admits, _within, as_vector, norm
@@ -323,6 +323,15 @@ class TestStopRule:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             StopRule(max_iters=-1)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 2.5, True, "3"])
+    def test_cap_must_be_a_whole_number(self, cap):
+        # NaN and inf never stopped a run, 2.5 ran 3 updates and True ran 1
+        with pytest.raises(ValueError, match=f"iteration cap must be an integer >= 0, got {cap!r}"):
+            StopRule(max_iters=cap, residual_tol=None, step_tol=None)
+
+    def test_numpy_integer_cap_accepted(self):
+        assert StopRule(max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("field", ["residual_tol", "step_tol"])
     @pytest.mark.parametrize("bad", ["1e-10", -1.0, -1, float("nan"), True, [1e-10]])
@@ -654,8 +663,8 @@ class TestSharedPlans:
         normals = rng.standard_normal((3, 4))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         plans = [
-            gdsa_to_gmsa(StringStage([(0, 1), (2,)], [0.5, 0.5], k=0)),
-            gdsa_to_gmsa(StringStage([(1, 2)], [1.0], k=1)),
+            gdsa_to_gmsa([(0, 1), (2,)], [0.5, 0.5], k=0),
+            gdsa_to_gmsa([(1, 2)], [1.0], k=1),
         ]
         fam, sched = msa_embed([Halfspace(a, 0.0) for a in normals], np.zeros(4), plans)
         relax = RelaxationSchedule.sweep(0.5, uniform_modulus(sched, 0.5))

@@ -1,0 +1,99 @@
+"""Earlier schemes as plans: each runs through ``run`` bitwise as its hand loop.
+
+The paper's modular string averaging has "a variety of earlier algorithms
+as special cases".  Each test below writes one of them as an iteration
+plan, cycles it for 50 updates at step size 1 (so x^{k+1} = T(x^k)), and
+compares every iterate, byte for byte, with a short hand loop that spells
+out the scheme's own arithmetic in the order the plan's tree performs it.
+"""
+
+import numpy as np
+
+from strav.control import CyclicSchedule
+from strav.dsa import gdsa_to_gmsa
+from strav.fixtures import random_halfspace_family
+from strav.gmsa import IterationPlan, StepSpec
+from strav.solver import RelaxationSchedule, StopRule, run
+
+UPDATES = 50
+FAMILY = random_halfspace_family(4, 6, seed=3)  # halfspaces <a_i, x> <= 0 with unit normals
+X0 = np.random.default_rng(4).standard_normal(4) * 3.0
+
+
+def _project(x, i):
+    # the projection onto halfspace i: x - (t / <a, a>) a where t = <a, x> - b > 0
+    s = FAMILY.operator(i).set
+    t = float(x @ s.a) - s.b
+    return x - (t / float(s.a @ s.a)) * s.a if t > 0.0 else x
+
+
+def _assert_runs_as(plan, scheme):
+    trace = run(FAMILY, CyclicSchedule([plan]), RelaxationSchedule.constant(1.0, 0.5, 0.5), X0,
+                StopRule(UPDATES, None, None), record_stride=1)
+    xs = [X0]
+    for _ in range(UPDATES):
+        xs.append(scheme(xs[-1]))
+    assert trace.n_updates == UPDATES
+    assert trace.xs.tobytes() == np.array(xs).tobytes()
+
+
+def test_kaczmarz_art():
+    """Kaczmarz (1937); ART of Gordon, Bender and Herman (1970): one sweep of
+    relaxed projections at alpha 1.5, input 0 first, as a composition of kind-0 steps."""
+    steps = [StepSpec.relaxation(-i, 1.5) for i in range(6)]
+    plan = IterationPlan(0, 7, 0.5, [*steps, StepSpec(2, range(1, 7), order=range(1, 7))])
+
+    def sweep(x):
+        for i in range(6):
+            x = x + 1.5 * (_project(x, i) - x)
+        return x
+
+    _assert_runs_as(plan, sweep)
+
+
+def test_cimmino():
+    """Cimmino (1938): the weighted mean of all projections, one kind-1 step.  Its
+    sum runs in the plan's sorted-J order, -5 to 0, so input 5 comes first."""
+    w = [0.1, 0.15, 0.2, 0.25, 0.2, 0.1]
+    plan = IterationPlan(0, 1, 0.1, [StepSpec(1, range(-5, 1), weights={-i: w[i] for i in range(6)})])
+
+    def mean(x):
+        out = w[5] * _project(x, 5)
+        for i in range(4, -1, -1):
+            out = out + w[i] * _project(x, i)
+        return out
+
+    _assert_runs_as(plan, mean)
+
+
+def test_string_averaging_projections():
+    """String-averaging projections of Censor, Elfving and Herman (2001), built by
+    ``gdsa_to_gmsa``: each string's projections in its order, then the weighted sum
+    of the string ends, the first string's term first."""
+    strings, weights = [(0, 1, 2), (3, 4), (5, 0, 3)], [0.5, 0.3, 0.2]
+
+    def average(x):
+        out = None
+        for string, w in zip(strings, weights):
+            y = x
+            for i in string:
+                y = _project(y, i)
+            out = w * y if out is None else out + w * y
+        return out
+
+    _assert_runs_as(gdsa_to_gmsa(strings, weights), average)
+
+
+def test_nested_strings_run_as_one_string():
+    """A composition of two strings (steps 1 and 2) is the string of their
+    inputs in order, 0 to 4, projected one after another with no sum."""
+    plan = IterationPlan(0, 3, 1.0, [StepSpec(2, (0, -1, -2), order=(0, -1, -2)),
+                                     StepSpec(2, (-3, -4), order=(-3, -4)),
+                                     StepSpec(2, (1, 2), order=(1, 2))])
+
+    def string(x):
+        for i in range(5):
+            x = _project(x, i)
+        return x
+
+    _assert_runs_as(plan, string)
