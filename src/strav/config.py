@@ -18,14 +18,14 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, sqne_bound
-from .numeric import as_vector
+from .numeric import _whole, as_vector
 from .operators import Primitive
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
@@ -88,14 +88,12 @@ _MAX = sys.float_info.max
 
 
 def _int(v, path, errors):
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if type(v) is int or isinstance(v, Integral) and not isinstance(v, bool):
-        # like _real: a count beyond the float range overflows wherever it meets a float
-        if abs(v) <= _MAX:
-            return int(v)
-        return _refuse(errors, path, "need an integer within the float range")
-    return _refuse(errors, path, f"need an integer, got {v!r}")
+    try:  # the grammar reads a whole float such as 100000.0 as its int
+        v = _whole(int(v) if isinstance(v, float) and v.is_integer() else v, path)
+    except ValueError:
+        return _refuse(errors, path, f"need an integer, got {v!r}")
+    # like _real: a count beyond the float range overflows wherever it meets a float
+    return v if abs(v) <= _MAX else _refuse(errors, path, "need an integer within the float range")
 
 
 def _real(v, path, errors):
@@ -211,7 +209,7 @@ def axis_halfspace_family(dim=5):
     margin (the witness), all thresholds are distinct, and within each
     coordinate class the first (tightest) constraint is the binding one.
     """
-    dim = int(dim)
+    dim = _whole(dim, "dimension", lo=1)
 
     def generator(n):
         j = n % dim
@@ -354,7 +352,7 @@ def _build_leaf(rec, dim, gamma, path, errors):
     if v is None:
         return None
     del v["kind"]
-    # a halfspace or hyperplane constructor checks only its normal
+    # _real refused a non-finite offset: a halfspace or hyperplane constructor refuses only its normal
     where = f"{path}.a" if table is _LINEAR else path
     s = _make(where, errors, cls, **v)
     if s is not None and s.dim != dim:

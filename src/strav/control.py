@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsa import IterationPlan, StepSpec, rho_uniform
+from .numeric import _whole
 from .operators import _report
 
 __all__ = [
@@ -50,7 +51,7 @@ def f_value(i):
 
 def _dyadic_window(n):
     """M_n = 2^{n+1}, and inf for n >= 64, far beyond any audit horizon: no n-bit integer is built."""
-    return 2 ** (int(n) + 1) if int(n) < 64 else np.inf
+    return 2 ** (n + 1) if n < 64 else np.inf
 
 
 class ControlSchedule:
@@ -104,7 +105,7 @@ class CyclicSchedule(ControlSchedule):
     def over_indices(cls, indices, eps=1.0, alpha=1.0):
         """One relaxation step per index, cycled in the given order."""
         templates = [
-            IterationPlan(k=i, N=1, eps=eps, steps=[StepSpec.relaxation(-int(n), alpha)])
+            IterationPlan(k=i, N=1, eps=eps, steps=[StepSpec.relaxation(-_whole(n, "input index", lo=0), alpha)])
             for i, n in enumerate(indices)
         ]
         return cls(templates)
@@ -137,7 +138,7 @@ class PowerOfTwoSchedule(ControlSchedule):
         return ((2**n - 1, 2 ** (n + 1), self.plan_at(2**n - 1)) for n in range((horizon + 1).bit_length()))
 
     def window_bound(self, n):
-        return _dyadic_window(n)
+        return _dyadic_window(_whole(n, "input index", lo=0))
 
     def plan_metadata(self):
         return (1, 1)
@@ -167,8 +168,7 @@ def uniform_modulus(schedule, eps):
     meta = schedule.plan_metadata()
     if meta is None:
         raise ValueError("schedule declares no (K, M) metadata; pass rho explicitly")
-    K, M = meta
-    return rho_uniform(K, M, eps)
+    return rho_uniform(*meta, eps)
 
 
 def _plan_codes(schedule, horizon):
@@ -197,19 +197,15 @@ def verify_admissible(schedule, horizon, indices):
     read a slice per plan (under 0.2 s at the ceiling on 2 cores), any other at
     every k (about 10 s); a plan met at several k derives its indices once.
     """
-    horizon = int(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be a natural number")
+    horizon = _whole(horizon, "horizon", lo=0)
     if horizon > _MAX_HORIZON:
         raise ValueError(f"horizon above the audit ceiling {_MAX_HORIZON:,}")
-    ns = sorted(int(n) for n in indices)
+    ns = sorted(_whole(n, "input index", lo=0) for n in indices)
     bounds = [schedule.window_bound(n) for n in ns]
     for n, M in zip(ns, bounds):
         if M is None:
             raise ValueError(f"window bound for index {n} not declared; refusing to guess")
-        if isinstance(M, bool) or not isinstance(M, (int, float, np.integer, np.floating)) or M % 1 > 0:
-            raise ValueError(f"window bound {M!r} for index {n} is not a whole number")  # inf % 1 is NaN
-        if not 1 <= M <= horizon + 1:
+        if M == np.inf or _whole(M, f"window bound for index {n}", lo=1) > horizon + 1:
             raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
     distinct, codes = _plan_codes(schedule, horizon)
     viol, starts = [], []  # per index: g_n - M_n + 1, start of its first longest miss run
@@ -219,6 +215,6 @@ def verify_admissible(schedule, horizon, indices):
         fence = np.concatenate(([-1], np.flatnonzero(hit), [horizon + 1]))
         gaps = np.diff(fence) - 1
         i = int(np.argmax(gaps))
-        viol.append(float(gaps[i] - int(M) + 1))
+        viol.append(float(gaps[i] - M + 1))
         starts.append(fence[i] + 1)
     return _report(f"windows(horizon={horizon})", np.array(viol), 0.0, (np.array(ns), np.array(starts)))

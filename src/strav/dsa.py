@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
+from .numeric import _whole
 from .operators import Identity
 from .sets import OperatorFamily
 
@@ -31,12 +32,10 @@ def gdsa_to_gmsa(strings, weights, k=0):
     string, an index below 0, or a weight count other than the string count.
     The plan's ``validate`` judges an empty string and the weights.
     """
-    orders = [tuple(-int(i) for i in s) for s in strings]
+    orders = [tuple(-_whole(i, "string index", lo=0) for i in s) for s in strings]
     weights = [float(w) for w in weights]
     if not orders:
         raise ValueError("a stage needs at least one string")
-    if any(j > 0 for order in orders for j in order):
-        raise ValueError("string indices are input-operator indices, >= 0")
     if len(orders) != len(weights):
         raise ValueError("one weight per string required")
     steps = [StepSpec(2, order, order=order) for order in orders]
@@ -78,9 +77,7 @@ def msa_embed(operators, witness, msa_plans):
     for p in base.plans:
         used = p.output_indices()
         if any(i > m_top for i in used):
-            raise ValueError(
-                f"msa-index-error: base plan touches index {max(used)}, family ends at {m_top}"
-            )
+            raise ValueError(f"msa-index-error: base plan touches index {max(used)}, family ends at {m_top}")
 
     def generator(n):
         return ops[n] if n <= m_top else Identity()
@@ -96,7 +93,7 @@ def msa_embed(operators, witness, msa_plans):
         return IterationPlan(plan.k, plan.N + 1, plan.eps, [*plan.steps.values(), pad])
 
     def bound(n):
-        n = int(n)
+        n = _whole(n, "input index", lo=0)
         return _dyadic_window(n) if n > m_top else base.window_bound(n)
 
     K, M = base.plan_metadata()

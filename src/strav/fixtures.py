@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
+from .numeric import _whole
 from .operators import Primitive
 from .sets import Box, Halfspace, OperatorFamily
 from .superiorize import linear_objective
@@ -36,7 +37,7 @@ def random_halfspace_family(dim, count, seed, witness=None, gammas=None):
     rng = np.random.default_rng(seed)
     w = np.zeros(dim) if witness is None else np.asarray(witness, dtype=float)
     sets = []
-    for n in range(int(count)):
+    for n in range(_whole(count, "set count", lo=0)):
         a = rng.standard_normal(dim)
         a /= np.linalg.norm(a)
         h = Halfspace(a, float(a @ w))
@@ -108,7 +109,7 @@ def random_plan_corpus(size, seed, n_inputs=8, eps_choices=(0.1, 0.5, 1.0), **kw
     """A seeded list of random valid plans; eps cycles through the choices."""
     rng = np.random.default_rng(seed)
     plans = []
-    for k in range(int(size)):
+    for k in range(_whole(size, "corpus size", lo=0)):
         eps = float(rng.choice(eps_choices))
         plans.append(_random_plan(rng, k, n_inputs, eps, **kw))
     return plans

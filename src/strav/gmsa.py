@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .numeric import _admits, _within
+from .numeric import _admits, _whole, _within
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
@@ -60,8 +60,8 @@ class StepSpec:
     __slots__ = ("c", "J", "alpha", "weights", "order")
 
     def __init__(self, c, J, alpha=None, weights=None, order=None):
-        self.c = int(c)
-        self.J = tuple(sorted(set(map(int, J))))
+        self.c = _whole(c, "step kind c")
+        self.J = tuple(sorted({_whole(j, "reference") for j in J}))
         self.alpha = None if alpha is None else float(alpha)
         if weights is not None and not isinstance(weights, dict):
             raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
@@ -70,9 +70,9 @@ class StepSpec:
         except KeyError as exc:
             raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
         for j in weights or ():
-            if j not in self.J:
+            if _whole(j, "weight reference") not in self.J:
                 raise ValueError(f"invalid-plan: weight for reference {j} outside J")
-        self.order = None if order is None else tuple(map(int, order))
+        self.order = None if order is None else tuple([_whole(j, "order reference") for j in order])
 
     @property
     def P(self):
@@ -117,8 +117,8 @@ class IterationPlan:
     """
 
     def __init__(self, k, N, eps, steps):
-        self.k = int(k)
-        self.N = int(N)
+        self.k = _whole(k, "plan label k")
+        self.N = _whole(N, "step count N")
         self.eps = float(eps)
         self.steps = dict(enumerate(steps, start=1))
         self._validation = None
@@ -292,9 +292,7 @@ def fne_bound(plan, family=None):
 
 def rho_uniform(K, M, eps):
     """Uniform modulus ``eps / (2 * M^K)``, 0.0 past the float range, for every plan with N <= K, P <= M."""
-    K, M = int(K), int(M)
-    if K < 1 or M < 1:
-        raise ValueError(f"bounds K, M must be positive, got K={K}, M={M}")
+    K, M = _whole(K, "bound K", lo=1), _whole(M, "bound M", lo=1)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return eps / (2.0 * min(M**K, sys.float_info.max))

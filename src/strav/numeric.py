@@ -19,6 +19,10 @@ constants (step sizes, alpha, weight floors): they are chosen, not
 computed, so they need room only for the rounding of the bound itself.
 :func:`_admits` is the one membership rule: its slack is relative at the
 positive floor, so a floor of 1e-13 refuses 0, and absolute at the top.
+
+:func:`_whole` refuses, never truncates, a count, index or reference other than
+an int (not a bool) or numpy integer.  ``config._int`` still reads ``100000.0``,
+the per-update ``int(k)`` saves a call, and ``BetaGrid`` keeps its step counts.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ def _within(excess, scale=1.0):
     """True where ``excess <= 1e-9 + 1e-12 * scale`` at a finite scale, elementwise."""
     # an infinite scale would pass any excess, an overflowed one included
     return (excess <= 1e-9 + 1e-12 * scale) & (scale < np.inf)
+
+
+def _whole(v, what, lo=None):
+    """``int(v)`` for an int (not a bool) or numpy integer not below ``lo``; else ValueError naming ``what``."""
+    if (type(v) is int or isinstance(v, (int, np.integer)) and type(v) is not bool) and (lo is None or v >= lo):
+        return int(v)
+    raise ValueError(f"{what} must be an integer{'' if lo is None else f' >= {lo}'}, got {v!r}")
 
 
 def _admits(v, lo, hi):

@@ -71,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import _admits, _within, as_vector, norm
+from .numeric import _admits, _whole, _within, as_vector, norm
 
 __all__ = [
     "OperatorNode",
@@ -302,8 +302,7 @@ class SampleBudget:
     radius: float = 2.0
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ValueError(f"sample count must be a positive integer, got {self.count!r}")
+        _whole(self.count, "sample count", lo=1)
         if not 0.0 < self.radius <= 1e150:
             raise ValueError(f"sampling radius must be finite and positive, at most 1e150, got {self.radius!r}")
 

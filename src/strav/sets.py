@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .numeric import _within, as_vector, norm
+from .numeric import _whole, _within, as_vector, norm
 from .operators import Identity, OperatorNode, Primitive, _through
 
 __all__ = [
@@ -79,6 +79,8 @@ class _LinearConstraint(ProjectableSet):
             raise ValueError(f"{name} normal must be nonzero")
         if not math.isfinite(self._asq):
             raise ValueError(f"{name} normal's squared norm overflows")
+        if not math.isfinite(self.b):  # a NaN offset projects to NaN, an infinite one is empty or all
+            raise ValueError(f"{name} offset must be finite, got {self.b}")
         self.dim = self.a.shape[0]
         self._row = ((self.a, self.b, self._asq, self._one_sided),)
         self._rows = self._row if type(self).project is _LinearConstraint.project else ()
@@ -201,9 +203,7 @@ class OperatorFamily:
 
     def operator(self, n):
         """Materialize (once) and return the input operator U_n."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"family-error: operator index must be a natural number, got {n}")
+        n = _whole(n, "family-error: operator index", lo=0)
         node = self._ops.get(n)
         if node is not None:
             return node

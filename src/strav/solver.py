@@ -61,7 +61,7 @@ from numbers import Real
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import _admits, _admitted, _within, as_vector, norm
+from .numeric import _admits, _admitted, _whole, _within, as_vector, norm
 from .operators import _report
 
 __all__ = [
@@ -143,14 +143,26 @@ class RelaxationSchedule:
     @classmethod
     def sweep(cls, eps, rho, points=17):
         """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
-        if points < 2:
-            raise ValueError(f"a sweep needs at least 2 points, got {points}")
+        points = _whole(points, "sweep points", lo=2)
         if points > sys.float_info.max:  # the grid divides by points - 1 as a float
             raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
         lo, hi = cls.interval(float(eps), float(rho))
         # each grid value is computed at use, so a huge ``points`` costs nothing
         span, den = hi - lo, points - 1
         return cls(lambda k: lo + span * (k % points) / den, eps, rho)
+
+
+def _perturbation(k, x, b, v):
+    """``(b, v)``, checked as a perturbation of ``x`` at update ``k`` (see :class:`PerturbationSchedule`)."""
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"perturbation magnitude {b} at k={k} must be finite and nonnegative")
+    if v.shape != np.shape(x):
+        raise ValueError(f"direction of shape {v.shape} at k={k}, iterate shape {np.shape(x)}")
+    if not (v.ndim == 1 and v.dot(v) <= 1.0):  # a NaN fails both tests
+        nv = float(norm(v))
+        if not _within(nv - 1.0):
+            raise ValueError(f"direction norm {nv} exceeds 1 at k={k}")
+    return b, v
 
 
 class PerturbationSchedule:
@@ -170,17 +182,7 @@ class PerturbationSchedule:
         self._direction = direction
 
     def at(self, k, x):
-        b = float(self._beta(int(k)))
-        if not 0.0 <= b < math.inf:
-            raise ValueError(f"perturbation magnitude {b} at k={k} must be finite and nonnegative")
-        v = np.asarray(self._direction(int(k), x), dtype=float)
-        if v.shape != np.shape(x):
-            raise ValueError(f"direction of shape {v.shape} at k={k}, iterate shape {np.shape(x)}")
-        if not (v.ndim == 1 and v.dot(v) <= 1.0):  # a NaN fails both tests
-            nv = float(norm(v))
-            if not _within(nv - 1.0):
-                raise ValueError(f"direction norm {nv} exceeds 1 at k={k}")
-        return b, v
+        return _perturbation(k, x, float(self._beta(int(k))), np.asarray(self._direction(int(k), x), float))
 
     @classmethod
     def power(cls, c, p, direction):
@@ -252,9 +254,7 @@ class StopRule:
     step_tol: float | None = 1e-12
 
     def __post_init__(self):
-        cap = self.max_iters  # k >= cap is the stop test: NaN or inf never fires, 2.5 fires at 3
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
-            raise ValueError(f"iteration cap must be an integer >= 0, got {cap!r}")
+        _whole(self.max_iters, "iteration cap", lo=0)  # k >= cap stops: never at NaN or inf, 2.5 at 3
         for name in ("residual_tol", "step_tol"):
             v = getattr(self, name)
             if v is not None and (isinstance(v, bool) or not isinstance(v, Real) or not v >= 0.0):
@@ -332,13 +332,11 @@ class Trace:
 
 def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, monitored=(),
            record_stride=1):
-    record_stride = int(record_stride)
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+    record_stride = _whole(record_stride, "record_stride", lo=1)
     x = as_vector(x0, family.dim)
     z = family.witness
     c_fejer = relax.fejer_constant
-    monitored = tuple(int(n) for n in monitored)
+    monitored = tuple(_whole(n, "monitored index", lo=0) for n in monitored)
     m = len(monitored)
 
     # float64 buffers: a row per iterate (residual, step, witness distance, slack, then phi and

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import _within, as_vector, norm
-from .solver import StopRule, _drive
+from .solver import StopRule, _drive, _perturbation
 
 __all__ = [
     "ObjectiveOracle",
@@ -190,10 +190,11 @@ def run_superiorized(family, schedule, relax, oracle, grid, y0, stop=StopRule(),
         if beta_k == np.inf:
             raise ValueError(f"inner steps at k={k} sum to inf; beta_k must be finite")
         vs = inner_directions(oracle, y, betas)
-        shift = betas[0] * vs[0]
+        e = -np.frexp(beta_k)[1]  # times 2^e the sum keeps its bits, and a subnormal product its precision
+        shift = np.ldexp(betas[0], e) * vs[0]
         for b, v in zip(betas[1:], vs[1:]):
-            shift = shift + b * v
-        return beta_k, shift / beta_k
+            shift = shift + np.ldexp(b, e) * v
+        return _perturbation(k, y, beta_k, shift / np.ldexp(beta_k, e))
 
     return _drive(family, schedule, relax, y0, stop, pert=pert, objective=oracle,
                   monitored=monitored, record_stride=record_stride)

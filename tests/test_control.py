@@ -205,9 +205,9 @@ class TestVerifyAdmissible:
             ({0: 2}, "not declared"),
             ({0: 2, 1: 12}, "does not fit"),
             # the audit judges int(M): 2.5 would read as 2 and True as 1
-            ({0: 2, 1: 2.5}, "window bound 2.5 for index 1 is not a whole number"),
-            ({0: True, 1: 2}, "window bound True for index 0 is not a whole number"),
-            ({0: 2, 1: "3"}, "window bound '3' for index 1 is not a whole number"),
+            ({0: 2, 1: 2.5}, "window bound for index 1 must be an integer >= 1, got 2.5"),
+            ({0: True, 1: 2}, "window bound for index 0 must be an integer >= 1, got True"),
+            ({0: 2, 1: "3"}, "window bound for index 1 must be an integer >= 1, got '3'"),
         ],
     )
     def test_refuses_a_bound_before_any_plan_lookup(self, bounds, message):

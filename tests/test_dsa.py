@@ -39,7 +39,7 @@ class TestStringStage:
         assert gdsa_to_gmsa([(0,), ()], [0.5, 0.5]).validate() == ((2, "empty reference set"),)
 
     def test_refused_before_a_plan_is_built(self):
-        with pytest.raises(ValueError, match="input-operator indices, >= 0"):
+        with pytest.raises(ValueError, match="string index must be an integer >= 0, got -1"):
             gdsa_to_gmsa([(0, -1)], [1.0])
         with pytest.raises(ValueError, match="at least one string"):
             gdsa_to_gmsa([], [])

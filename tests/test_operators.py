@@ -362,7 +362,7 @@ class TestSamplingCheckers:
 
     @pytest.mark.parametrize("count", [2.5, True, False, 3.0, "3"])
     def test_budget_refuses_a_count_not_an_integer(self, count):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
             SampleBudget(count=count)
 
     def test_budget_takes_a_numpy_integer_count(self):
@@ -749,10 +749,11 @@ class TestStringLoop:
             assert got.tobytes() == _child_by_child(T, x).tobytes() == _spelled_out(sets[:n], x).tobytes()
             assert np.signbit(got[[0, 2]]).tolist() == [signed, signed]
 
-    def test_a_nan_offset_projects_to_nan(self):
-        x = np.array([1.0, -2.0, 0.5])
-        for nan_set in (Halfspace([1.0, 0.0, 0.0], math.nan), Hyperplane([0.0, 1.0, 1.0], math.nan)):
-            sets = [Halfspace([0.0, 0.0, 1.0], 9.0), nan_set, Halfspace([1.0, 1.0, 0.0], 0.0)]
+    def test_a_nan_point_projects_to_nan(self):
+        # a set refuses a NaN offset, so a NaN reaches a string only through the point
+        x = np.array([math.nan, -2.0, 0.5])
+        for mid in (Halfspace([1.0, 0.0, 0.0], 1.0), Hyperplane([0.0, 1.0, 1.0], 1.0)):
+            sets = [Halfspace([0.0, 0.0, 1.0], 9.0), mid, Halfspace([1.0, 1.0, 0.0], 0.0)]
             T = Composition([Primitive(s) for s in sets])
             got = T.apply(x)
             assert np.isnan(got).all()

@@ -105,6 +105,16 @@ class TestHalfspace:
             with pytest.raises(ValueError, match="overflows"):
                 cls([1e308, 0.0], 0.0)
 
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected_without_warning(self, cls, b):
+        # a NaN offset projected every point to NaN; an infinite one is an empty set or
+        # the whole space, and projected [5, 1] to [+-inf, nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{cls.__name__.lower()} offset must be finite, got {b}"):
+                cls([1.0, 0.0], b)
+
     def test_inactive_point_returns_its_values(self):
         s = Halfspace([1.0, -2.0, 0.5], 0.25)
         x = np.array([-3.0, 1.5, 0.7])

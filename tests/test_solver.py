@@ -140,7 +140,7 @@ class TestRelaxationSchedule:
 
     @pytest.mark.parametrize("points", [1, 0, -3])
     def test_sweep_needs_two_points(self, points):
-        with pytest.raises(ValueError, match="at least 2 points"):
+        with pytest.raises(ValueError, match="sweep points must be an integer >= 2"):
             RelaxationSchedule.sweep(0.1, 0.05, points=points)
 
     @staticmethod

@@ -13,9 +13,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 import strav.superiorize
 from strav.control import CyclicSchedule
 from strav.fixtures import box_linear_fixture, two_halfspace_family
-from strav.solver import PerturbationSchedule, RelaxationSchedule, StopRule, run
+from strav.solver import PerturbationSchedule, RelaxationSchedule, StopRule, run, run_perturbed
 from strav.superiorize import (
     BetaGrid,
+    ObjectiveOracle,
     alternatives_diagnostic,
     inner_directions,
     linear_objective,
@@ -186,6 +187,24 @@ class TestSuperiorizedDriver:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=r"inner steps at k=0 sum to inf"):
                 run_superiorized(self.fam, self.sched, self.relax, self.phi, grid, self.y0)
+
+    def test_direction_of_another_shape_refused(self):
+        # (1,)-shaped inner directions broadcast into a shift of norm sqrt(2) * beta_k, and
+        # the run died assembling its trace; run_perturbed refuses such a direction at k=0
+        phi = ObjectiveOracle(lambda x: 0.0, lambda x: np.array([1.0]))
+        grid, stop = BetaGrid.geometric(0.5, M=2), StopRule(5, None, None)
+        with pytest.raises(ValueError, match=r"direction of shape \(1,\) at k=0"):
+            run_superiorized(two_halfspace_family(), self.sched, self.relax, phi, grid, self.y0, stop)
+
+    def test_subnormal_inner_steps_replay_through_perturbed_driver(self):
+        # 5e-324 * v rounds each coordinate of v = -(1, 1) / sqrt(2) to -5e-324, so the
+        # aggregate shift / beta_k was -(1, 1), of norm sqrt(2), which the replay refused
+        grid, stop = BetaGrid(1, lambda k, n: 5e-324), StopRule(4, None, None)
+        tr = run_superiorized(self.fam, self.sched, self.relax, self.phi, grid, self.y0, stop)
+        assert_array_equal(tr.pert_vectors[0], inner_directions(self.phi, self.y0, grid.betas(0))[0])
+        replay = PerturbationSchedule.from_lists(tr.pert_betas, tr.pert_vectors)
+        tr2 = run_perturbed(self.fam, self.sched, self.relax, replay, self.y0, stop)
+        assert_array_equal(tr2.xs, tr.xs)
 
     def test_zero_inner_steps_equals_plain_run(self):
         grid = BetaGrid(0, lambda k, n: 0.1)
