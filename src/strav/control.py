@@ -42,9 +42,8 @@ def f_value(i):
     once in each block of 2^{n+1} consecutive indices, which is what makes
     the power-of-two schedule cover an infinite family with finite windows.
     """
-    i = int(i)
-    if i < 0:
-        raise ValueError(f"index must be a natural number, got {i}")
+    if type(i) is not int or i < 0:  # an int pays one test, not a call
+        i = _whole(i, "index", lo=0)
     v = i + 1
     return (v & -v).bit_length() - 1
 
@@ -88,7 +87,8 @@ class CyclicSchedule(ControlSchedule):
             raise ValueError("cyclic schedule needs at least one template plan")
 
     def plan_at(self, k):
-        return self.plans[int(k) % len(self.plans)]
+        k = k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)
+        return self.plans[k % len(self.plans)]
 
     def _strides(self, horizon):
         return ((i, len(self.plans), p) for i, p in enumerate(self.plans[: horizon + 1]))
@@ -154,7 +154,7 @@ class CustomSchedule(ControlSchedule):
         self._metadata = metadata
 
     def plan_at(self, k):
-        return self._rule(int(k))
+        return self._rule(k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0))
 
     def window_bound(self, n):
         return self._bound(n)

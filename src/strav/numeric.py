@@ -21,8 +21,8 @@ computed, so they need room only for the rounding of the bound itself.
 positive floor, so a floor of 1e-13 refuses 0, and absolute at the top.
 
 :func:`_whole` refuses, never truncates, a count, index or reference other than
-an int (not a bool) or numpy integer.  ``config._int`` still reads ``100000.0``,
-the per-update ``int(k)`` saves a call, and ``BetaGrid`` keeps its step counts.
+an int (not a bool) or numpy integer; ``f_value`` and ``plan_at`` call it only for a k
+not an int >= 0.  ``config._int`` still reads ``100000.0``; ``BetaGrid.M`` truncates a callable's count.
 """
 
 from __future__ import annotations

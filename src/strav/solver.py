@@ -10,22 +10,21 @@ superiorized entry points all share this kernel, so reductions between
 them hold bitwise, not just to rounding.
 
 The update loop keeps only what steers the run: the residual (the stop
-test and the divergence guard read it), lambda_k and x^{k+1}; phi(x^k)
-and beta_k wait in a list.  Every other column comes from a (B + 1, d)
-block of consecutive iterates, B = max(1, 4096 // (m * d)) for m >= 1
-monitored sets (4096 // d for none): a full block's first B rows are
-measured into one table row per iterate, and its last row starts the next
-block, so each step has its successor.  A measurement takes a row-wise
-norm for the steps ||x^{k+1} - x^k|| and one for ||x^k - z||, the slacks,
-one :meth:`~strav.sets.OperatorFamily.distances` call (two (B, m, d)
-arrays) and the kept iterates; ``pert_mag`` is one row-wise norm at the
-end.  An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d)
-for a perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.
-The bits are the one-update formulas': a row of a row-wise norm is that
-row's norm alone, and the slack is ``dz**2 - dz_next**2 - c * st**2`` in
-Python floats, whose ``v ** 2`` differs in the last bit from numpy's
-``v * v`` for about one double in a thousand; so ``check_fejer``, which
-squares with numpy, may differ from ``fejer_slack`` in the last bit.
+test and the divergence guard read it), lambda_k and x^{k+1}.  phi(x^k)
+and beta_k wait in a list, and x^k is held by reference (the driver
+never writes an iterate in place).  Each B = max(1, 4096 // d) held
+iterates, with the next one for the last step, are stacked once and
+measured in numpy: a row-wise norm for the steps ||x^{k+1} - x^k||, one for
+||x^k - z||, the slacks, and the m monitored distances, max(1, B // m) rows
+at a time, so the two (rows, m, d) scratch arrays of
+:meth:`~strav.sets.OperatorFamily.distances` keep a 4096-float budget or one row.
+An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d) for a
+perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.  The
+bits are the one-update formulas': a row of a row-wise norm is that
+row's norm alone, and the slack ``dz**2 - dz_next**2 - c * st**2``
+squares with ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit for bit;
+numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit
+for about one double in a thousand.
 
 A run builds one output operator per plan structure: ``_drive`` keeps a
 dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
@@ -343,22 +342,25 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
     # beta_k), monitored distances, kept iterates and v^k; loop_vals holds c values an update
     rows, dists, kept, directions = (array("d") for _ in range(4))
     loop_vals, c = [], 1 + (objective is not None) + (pert is not None)
-    # x^{k0}, ..., x^k fill block rows 0..j-1; measuring none refuses a bad index before k = 0
-    B = max(1, 4096 // (max(m, 1) * x.size))
-    block, j = np.empty((B + 1, x.size)), 0
-    family.distances(monitored, block[:0])
+    # held: x^{k0}, ..., x^k by reference; measuring none refuses a bad index before k = 0
+    B = max(1, 4096 // x.size)
+    held, chunk = [], max(1, B // max(m, 1))
+    family.distances(monitored, np.empty((0, x.size)))
 
     def measure(k0, n, final=False):
-        # record rows 0..n-1 of the block; the row after them, unless final, gives the last step
-        xs = block[: n + (not final)]
-        dz = norm(xs - z).tolist()
-        st = norm(xs[1:] - xs[:-1]).tolist() + [0.0] * final  # no update follows the final row
-        sl = [p**2 - q**2 - c_fejer * s**2 for p, q, s in zip(dz, dz[1:], st)] + [0.0] * final
-        loop = [loop_vals[i::c] for i in range(c)]  # residual, then phi and beta_k
-        rows.fromlist([v for row in zip(loop[0], st, dz, sl, *loop[1:]) for v in row])
+        # record x^{k0}, ..., x^{k0+n-1}; the iterate after them, unless final, gives the last step
+        xs = np.array(held[: n + (not final)])
+        del held[:n]  # the held arrays go before the temporaries below add to the peak
+        dz, st = norm(xs - z), norm(xs[1:] - xs[:-1])
+        sq = np.float_power(dz, 2.0)  # Python's v ** 2, bit for bit; numpy's v * v is not
+        sl = sq[:-1] - sq[1:] - c_fejer * np.float_power(st, 2.0)
+        st, sl = np.append(st, [0.0] * final), np.append(sl, [0.0] * final)  # no update follows the final row
+        loop = np.array(loop_vals).reshape(n, c)  # residual, then phi and beta_k
+        rows.frombytes(np.column_stack((loop[:, 0], st, dz[:n], sl, loop[:, 1:])).tobytes())
         loop_vals.clear()
-        dists.frombytes(family.distances(monitored, block[:n]).tobytes())
-        kept.frombytes(block[-k0 % record_stride : n : record_stride].tobytes())
+        for i in range(0, n, chunk):  # two (chunk, m, d) scratch arrays: 4096 floats, or one row
+            dists.frombytes(family.distances(monitored, xs[i : min(i + chunk, n)]).tobytes())
+        kept.frombytes(xs[-k0 % record_stride : n : record_stride].tobytes())
 
     trees = {}
     clean = not np.signbit(x[x == 0.0]).any()  # x^k holds no -0.0 (see the module docstring)
@@ -391,11 +393,9 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
             finite = math.isfinite(res) or np.all(np.isfinite(tu))
         if not finite:
             raise ValueError(f"numerical-divergence: non-finite iterate at k={k}")
-        block[j] = x
-        j += 1
-        if j > B:
+        held.append(x)  # the driver never writes an iterate in place
+        if len(held) > B:
             measure(k - B, B)
-            block[0], j = x, 1
 
         if pending is not None:
             reason = pending
@@ -428,7 +428,7 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
         x = x_next
         k += 1
 
-    measure(k - j + 1, j, final=True)
+    measure(k - len(held) + 1, len(held), final=True)
     if k % record_stride:
         kept.frombytes(x.tobytes())
     table = np.frombuffer(rows).reshape(k + 1, -1)

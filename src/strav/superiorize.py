@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import _within, as_vector, norm
+from .numeric import _whole, _within, as_vector, norm
 from .solver import StopRule, _drive, _perturbation
 
 __all__ = [
@@ -110,11 +110,11 @@ class BetaGrid:
     The built-in :meth:`geometric` form ``c * 2^{-k} / M_k``, over the integer
     M_k that :meth:`M` reads, makes the double series sum to ``2c``.  A custom
     grid is trusted to be summable; the driver cannot verify an infinite tail.
-    A step count above ``_MAX_INNER_STEPS`` is refused, a constant one at once.
+    A step count above ``_MAX_INNER_STEPS`` is refused, a constant one (an int >= 0) at once.
     """
 
     def __init__(self, M, beta):
-        self._M = M if callable(M) else (lambda k, m=int(M): m)
+        self._M = M if callable(M) else (lambda k, m=_whole(M, "inner step count", lo=0): m)
         self._beta = beta
         if not callable(M):
             self.M(0)

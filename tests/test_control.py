@@ -50,6 +50,15 @@ class TestFValue:
         with pytest.raises(ValueError):
             f_value(-1)
 
+    @pytest.mark.parametrize("i", [2.9, 2.0, True, "3", np.float64(3.0)])
+    def test_only_a_whole_index_is_read(self, i):
+        # a fraction is refused, not truncated: f_value(2.9) read as f_value(2) would be 0
+        with pytest.raises(ValueError, match="^index must be an integer >= 0, got "):
+            f_value(i)
+
+    def test_numpy_integer_index_accepted(self):
+        assert f_value(np.int64(7)) == 3 and type(f_value(np.int64(7))) is int
+
 
 class TestPowerOfTwoSchedule:
     def test_plan_targets_f_value(self):
@@ -73,6 +82,30 @@ class TestPowerOfTwoSchedule:
         assert s.plan_at(0).validate() == ((0, "eps must lie in (0, 1], got 0.0"),)
         with pytest.raises(ValueError, match="invalid-plan"):
             verify_admissible(s, 10, [0])
+
+
+class TestPlanAtReadsAWholeK:
+    """``plan_at`` of a cyclic or custom schedule refuses a k that is not an integer >= 0."""
+
+    @staticmethod
+    def _schedules():
+        cyclic = CyclicSchedule.over_indices([0, 1])
+        return cyclic, CustomSchedule(cyclic.plan_at)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, -1, None])
+    def test_refused(self, k):
+        # 1.5 and True once returned plans[1], and -1 the last plan
+        for sched in self._schedules():
+            with pytest.raises(ValueError, match="^iteration k must be an integer >= 0, got "):
+                sched.plan_at(k)
+
+    def test_ints_and_numpy_integers_accepted(self):
+        cyclic, custom = self._schedules()
+        for sched in (cyclic, custom):
+            assert sched.plan_at(3) is sched.plan_at(np.int64(3)) is cyclic.plans[1]
+        seen = []
+        CustomSchedule(lambda k: seen.append(k) or cyclic.plans[0]).plan_at(np.int32(4))
+        assert seen == [4] and type(seen[0]) is int
 
 
 class TestCyclicSchedule:

@@ -33,7 +33,7 @@ from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_h
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import _admits, _within, as_vector, norm
 from strav.operators import Identity, Primitive, Relaxation
-from strav.sets import Box, Halfspace, OperatorFamily
+from strav.sets import Box, Halfspace, Hyperplane, OperatorFamily
 from strav.solver import (
     PerturbationSchedule,
     RelaxationSchedule,
@@ -844,8 +844,9 @@ class TestMonitoredBlocks:
     """Monitored distances are measured a block of iterates at a time; no edge shows in a trace.
 
     The seeded stage config monitors its 60 halfspaces in R^20, so a block
-    measures 4096 // (60 * 20) = 3 iterates.  Runs of 100, 101 and 102
-    updates end with a last block of two, three and one rows.
+    holds 4096 // 20 = 204 iterates and its distances are taken 204 // 60 = 3
+    rows at a time.  Runs of 100, 101 and 102 updates end with a last chunk of
+    two, three and one rows.
     """
 
     @staticmethod
@@ -898,6 +899,49 @@ class TestMonitoredBlocks:
             got, want = getattr(tr, name), getattr(bare, name)
             assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("n_sets, chunk", [(40, 5), (60, 3), (600, 1)])
+    def test_distances_are_taken_a_chunk_of_rows_at_a_time(self, monkeypatch, n_sets, chunk):
+        # 302 updates: a block of 204 iterates whatever the monitored count, then a last block
+        # of 99; each block takes two norms (steps, witness distances) and its distances in
+        # chunks of 204 // n_sets rows, the last one short where the block is not a multiple
+        norms = []
+        monkeypatch.setattr(strav.solver, "norm", lambda x: norms.append(1) or norm(x))
+        fam = random_halfspace_family(20, n_sets, seed=1)
+        distances, rows = fam.distances, []
+        fam.distances = lambda indices, x: rows.append(len(x)) or distances(indices, x)
+        run(fam, CyclicSchedule.over_indices(range(n_sets)), RelaxationSchedule.constant(0.8, 0.25, 0.5),
+            np.ones(20), StopRule(302, None, None), monitored=range(n_sets))
+        per_block = [chunk] * (204 // chunk) + [204 % chunk] * (204 % chunk > 0)
+        assert rows == [0] + per_block + [chunk] * (99 // chunk) + [99 % chunk] * (99 % chunk > 0)
+        assert len(norms) == 4
+
+    @pytest.mark.parametrize("n_sets, chunk", [(60, 3), (600, 1)])
+    def test_distance_scratch_keeps_its_budget(self, n_sets, chunk):
+        # two (chunk, m, d) arrays of at most 4096 floats, or of one row where a row is
+        # larger (600 * 20 = 12,000 floats), and two (chunk, m) ones
+        fam = random_halfspace_family(20, n_sets, seed=1)
+        fam.distances(range(n_sets), np.zeros(20))  # the stacks are built before the count
+        distances, peaks = fam.distances, []
+
+        def traced(indices, x):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = distances(indices, x)
+            peaks.append((len(x), tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        fam.distances = traced
+        tracemalloc.start()
+        try:
+            run(fam, CyclicSchedule.over_indices(range(n_sets)),
+                RelaxationSchedule.constant(0.8, 0.25, 0.5), np.ones(20), StopRule(250, None, None),
+                monitored=range(n_sets))
+        finally:
+            tracemalloc.stop()
+        assert max(rows for rows, _ in peaks) == chunk
+        bound = 8 * (2 * max(4096, n_sets * 20) + 2 * chunk * n_sets) + 8192
+        assert max(peak for _, peak in peaks) <= bound
+
     def test_index_without_a_distance_is_refused_before_the_first_update(self):
         fam = OperatorFamily.from_sets(
             [Halfspace([1.0, 0.0], 0.0), Relaxation(Primitive(Box([-1.0, -1.0], [1.0, 1.0])), 0.5)],
@@ -925,6 +969,35 @@ def test_recorder_memory_per_update():
         tracemalloc.stop()
     assert tr.n_updates == 2000 and tr.set_distances.shape == (2001, 15)
     assert peak <= 250 * 2000, f"{peak / 2000:.0f} B per update"
+
+
+def test_recorder_memory_per_update_when_every_update_moves():
+    # every update projects onto a hyperplane the iterate is off, so each one builds a new
+    # array and the block holds 4096 // 5 = 819 distinct iterates by reference
+    normals = np.random.default_rng(0).standard_normal((15, 5))
+    fam = OperatorFamily.from_sets([Hyperplane(a, 0.0) for a in normals], np.zeros(5))
+    fam.distances(range(15), np.zeros(5))
+    relax = RelaxationSchedule.constant(0.5, 0.25, 1.0)
+    tracemalloc.start()
+    try:
+        tr = run(fam, CyclicSchedule.over_indices(range(15)), relax, np.array([3.0, 1.0, 4.0, 1.0, 5.0]),
+                 StopRule(2000, None, None), monitored=tuple(range(15)), record_stride=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.n_updates == 2000 and (tr.residual > 0.0).all() and (tr.step[:-1] > 0.0).all()
+    assert peak <= 250 * 2000, f"{peak / 2000:.0f} B per update"
+
+
+def test_float_power_squares_as_python_does():
+    # the Fejer slack squares with np.float_power(v, 2.0) and keeps the bits of Python's
+    # v ** 2 (C pow); numpy's v * v differs in the last bit for some values.  Where this
+    # fails, the platform's pow differs and the slack column would change its bits.
+    rng = np.random.default_rng(0)
+    v = np.exp(rng.uniform(math.log(1e-320), math.log(1.34e154), 100_000))
+    v = np.concatenate([v, [1e-320, 1.34e154, 0.0, -0.0, math.inf, math.nan]])
+    want = np.array([x**2 for x in v.tolist()])
+    assert np.float_power(v, 2.0).tobytes() == want.tobytes()
 
 
 def reference_csv(tr):
@@ -1166,7 +1239,7 @@ class TestDriverParity:
 
     @staticmethod
     def _r20(updates, step_tol=None):
-        """Twelve random halfspaces in R^20, eight of them monitored: blocks of 4096 // 160 = 25.
+        """Twelve random halfspaces in R^20, eight of them monitored: distances 204 // 8 = 25 rows at a time.
 
         The start lies along the sum of the normals, outside every halfspace.
         """
@@ -1182,7 +1255,7 @@ class TestDriverParity:
                 StopRule(updates, None, step_tol))
         return args, {"monitored": range(8), "record_stride": 7}
 
-    # the last block is full (49), ends at a block's end (50), one past it (51) or mid-block (62)
+    # 50, 51, 52 and 63 rows: the last chunk of 25 distance rows is full or holds 1, 2 or 13
     @pytest.mark.parametrize("updates", [49, 50, 51, 62])
     def test_perturbed_run_in_r20_ends_anywhere_in_a_block(self, monkeypatch, updates):
         args, kw = self._r20(updates)
@@ -1194,3 +1267,30 @@ class TestDriverParity:
         args, kw = self._r20(10**4, step_tol=1e-3)
         tr = self._assert_parity(monkeypatch, strav.solver, run_perturbed, *args, **kw)
         assert tr.stop_reason == "step" and tr.n_updates > 25
+
+    # a block holds 4096 // 20 = 204 iterates; 60 sets take distances 3 rows at a time, 600
+    # sets 1.  100 updates end in the first block (mid-chunk for 60 sets: 101 = 33 * 3 + 2);
+    # 302 cross a block edge and end mid-block, with a last block of 99 rows; stride 7 keeps
+    # iterates on both sides of the edge at 204
+    @pytest.mark.parametrize("updates, stride", [(100, 1), (302, 1), (302, 7)])
+    @pytest.mark.parametrize("kind", ["plain", "perturbed", "superiorized"])
+    @pytest.mark.parametrize("n_sets", [60, 600])
+    def test_monitored_blocks_in_r20(self, monkeypatch, n_sets, kind, updates, stride):
+        fam = random_halfspace_family(20, n_sets, seed=1)
+        outward = sum(fam.operator(n).set.a for n in range(n_sets))
+        args = (fam, CyclicSchedule.over_indices(range(n_sets)), RelaxationSchedule.constant(0.8, 0.25, 0.5))
+        x0, stop = 3.0 * outward / norm(outward), StopRule(updates, None, None)
+        kw = {"monitored": range(n_sets), "record_stride": stride}
+        if kind == "plain":
+            tr = self._assert_parity(monkeypatch, strav.solver, run, *args, x0, stop, **kw)
+        elif kind == "perturbed":
+            vs = np.random.default_rng(7).standard_normal((updates + 1, 20))
+            pert = PerturbationSchedule.from_lists([0.5 / (k + 1) ** 2 for k in range(updates + 1)],
+                                                   vs / norm(vs)[:, None])
+            tr = self._assert_parity(monkeypatch, strav.solver, run_perturbed, *args, pert, x0, stop, **kw)
+        else:
+            oracle = linear_objective(np.random.default_rng(3).standard_normal(20))
+            tr = self._assert_parity(monkeypatch, strav.superiorize, run_superiorized, *args, oracle,
+                                     BetaGrid.geometric(0.5, M=2), x0, stop, **kw)
+        assert tr.n_updates == updates and tr.set_distances.shape == (updates + 1, n_sets)
+        assert (tr.step > 0.0).sum() > 50

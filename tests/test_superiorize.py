@@ -97,10 +97,19 @@ class TestBetaGrid:
         with pytest.raises(ValueError, match=r"inner step count at k=0 exceeds"):
             BetaGrid.geometric(1.0, M=ceiling + 1)
         with pytest.raises(ValueError, match=r"inner step count at k=0 exceeds"):
-            BetaGrid(1e308, lambda k, n: 0.1)
+            BetaGrid(10**308, lambda k, n: 0.1)
         grid = BetaGrid(lambda k: 10**k, lambda k, n: 0.1)
         with pytest.raises(ValueError, match=r"inner step count at k=5 exceeds"):
             grid.betas(5)
+
+    @pytest.mark.parametrize("M", [2.5, 2.0, 1e308, True, -1, "2"])
+    def test_constant_count_must_be_a_whole_number(self, M):
+        # 2.5 once built a grid of 2 steps; a float is refused however whole its value
+        with pytest.raises(ValueError, match="^inner step count must be an integer >= 0, got "):
+            BetaGrid(M, lambda k, n: 0.1)
+
+    def test_numpy_integer_count_accepted(self):
+        assert BetaGrid(np.int64(2), lambda k, n: 0.1).betas(0) == [0.1, 0.1]
 
     @pytest.mark.parametrize("b", [np.nan, np.inf])
     def test_non_finite_step_refused(self, b):
