@@ -60,8 +60,8 @@ class StepSpec:
     __slots__ = ("c", "J", "alpha", "weights", "order")
 
     def __init__(self, c, J, alpha=None, weights=None, order=None):
-        self.c = _whole(c, "step kind c")
-        self.J = tuple(sorted({_whole(j, "reference") for j in J}))
+        self.c = c if type(c) is int else _whole(c, "step kind c")
+        self.J = tuple(sorted({j if type(j) is int else _whole(j, "reference") for j in J}))
         self.alpha = None if alpha is None else float(alpha)
         if weights is not None and not isinstance(weights, dict):
             raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
@@ -70,9 +70,10 @@ class StepSpec:
         except KeyError as exc:
             raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
         for j in weights or ():
-            if _whole(j, "weight reference") not in self.J:
+            if (j if type(j) is int else _whole(j, "weight reference")) not in self.J:
                 raise ValueError(f"invalid-plan: weight for reference {j} outside J")
-        self.order = None if order is None else tuple([_whole(j, "order reference") for j in order])
+        self.order = None if order is None else tuple([j if type(j) is int else _whole(j, "order reference")
+                                                       for j in order])
 
     @property
     def P(self):
@@ -117,8 +118,8 @@ class IterationPlan:
     """
 
     def __init__(self, k, N, eps, steps):
-        self.k = _whole(k, "plan label k")
-        self.N = _whole(N, "step count N")
+        self.k = k if type(k) is int else _whole(k, "plan label k")
+        self.N = N if type(N) is int else _whole(N, "step count N")
         self.eps = float(eps)
         self.steps = dict(enumerate(steps, start=1))
         self._validation = None
@@ -133,8 +134,8 @@ class IterationPlan:
         """
         if self._key is None:
             # a step that is not a StepSpec fails validation, so no tree is built for it
-            steps = tuple((s.c, s.J, s.alpha, s.weights, s.order) if isinstance(s, StepSpec) else (id(s),)
-                          for s in self.steps.values())
+            steps = tuple([(s.c, s.J, s.alpha, s.weights, s.order) if isinstance(s, StepSpec) else (id(s),)
+                           for s in self.steps.values()])
             self._key = (self.N, self.eps, steps)
         return self._key
 

@@ -203,7 +203,7 @@ class OperatorFamily:
 
     def operator(self, n):
         """Materialize (once) and return the input operator U_n."""
-        n = _whole(n, "family-error: operator index", lo=0)
+        n = n if type(n) is int and n >= 0 else _whole(n, "family-error: operator index", lo=0)  # before _ops
         node = self._ops.get(n)
         if node is not None:
             return node

@@ -107,7 +107,8 @@ class RelaxationSchedule:
         return eps, 1.0 + rho - eps
 
     def lam(self, k):
-        return self._admit(float(self._rule(int(k))), k)
+        k = k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)
+        return self._admit(float(self._rule(k)), k)
 
     def _admit(self, v, k=None):
         lo, hi = self._admitted
@@ -155,7 +156,7 @@ def _perturbation(k, x, b, v):
     """``(b, v)``, checked as a perturbation of ``x`` at update ``k`` (see :class:`PerturbationSchedule`)."""
     if not 0.0 <= b < math.inf:
         raise ValueError(f"perturbation magnitude {b} at k={k} must be finite and nonnegative")
-    if v.shape != np.shape(x):
+    if v.shape != (x.shape if type(x) is np.ndarray else np.shape(x)):  # np.shape costs a call
         raise ValueError(f"direction of shape {v.shape} at k={k}, iterate shape {np.shape(x)}")
     if not (v.ndim == 1 and v.dot(v) <= 1.0):  # a NaN fails both tests
         nv = float(norm(v))
@@ -181,7 +182,8 @@ class PerturbationSchedule:
         self._direction = direction
 
     def at(self, k, x):
-        return _perturbation(k, x, float(self._beta(int(k))), np.asarray(self._direction(int(k), x), float))
+        k = k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)
+        return _perturbation(k, x, float(self._beta(k)), np.asarray(self._direction(k, x), float))
 
     @classmethod
     def power(cls, c, p, direction):
@@ -206,14 +208,8 @@ class PerturbationSchedule:
         """Replay recorded (beta_k, v^k) pairs verbatim."""
         betas = [float(b) for b in betas]
         vectors = [np.asarray(v, dtype=float) for v in vectors]
-
-        def beta(k):
-            return betas[k] if k < len(betas) else 0.0
-
-        def direction(k, x):
-            return vectors[k] if k < len(vectors) else np.zeros_like(x)
-
-        return cls(beta, direction)
+        return cls(lambda k: betas[k] if k < len(betas) else 0.0,
+                   lambda k, x: vectors[k] if k < len(vectors) else np.zeros_like(x))
 
 
 def constant_direction(v):

@@ -120,7 +120,7 @@ class BetaGrid:
             self.M(0)
 
     def M(self, k):
-        m = int(self._M(int(k)))
+        m = int(self._M(k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)))
         if m < 0:
             raise ValueError(f"inner step count must be nonnegative, got {m} at k={k}")
         if m > _MAX_INNER_STEPS:
@@ -128,7 +128,8 @@ class BetaGrid:
         return m
 
     def beta(self, k, n):
-        b = float(self._beta(int(k), int(n)))
+        k = k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)
+        b = float(self._beta(k, n if type(n) is int and n >= 1 else _whole(n, "inner step n", lo=1)))
         if not 0.0 <= b < np.inf:
             raise ValueError(f"inner step {b} at (k={k}, n={n}) must be finite and nonnegative")
         return b

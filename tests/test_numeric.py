@@ -12,7 +12,8 @@ from strav.gmsa import IterationPlan, StepSpec, rho_uniform
 from strav.numeric import _whole, _within, as_vector, norm
 from strav.operators import SampleBudget
 from strav.sets import Halfspace
-from strav.solver import RelaxationSchedule, StopRule, run
+from strav.solver import PerturbationSchedule, RelaxationSchedule, StopRule, constant_direction, run
+from strav.superiorize import BetaGrid
 
 
 class TestAsVector:
@@ -114,6 +115,14 @@ def _window_audit(bound):
     return verify_admissible(CustomSchedule(plan_at, window_bounds=lambda n: bound), 10, [0])
 
 
+def _lam(k):
+    return RelaxationSchedule.cycle([0.5, 0.7], 0.25, 1.0).lam(k)
+
+
+def _perturbation_at(k):
+    return PerturbationSchedule.power(1.0, 2.0, constant_direction([0.6, 0.8])).at(k, np.zeros(2))
+
+
 def _padded_window(n):
     base = [IterationPlan(0, 1, 1.0, [StepSpec.relaxation(0, 1.0)])]
     _, schedule = msa_embed([Halfspace([1.0, 0.0], 0.0)], [0.0, 0.0], base)
@@ -146,6 +155,11 @@ _SITES = [
     ("axis_halfspace_family", lambda v: axis_halfspace_family(v), 2, 1),
     ("random_halfspace_family", lambda v: random_halfspace_family(2, v, 0), 2, 0),
     ("random_plan_corpus", lambda v: random_plan_corpus(v, 0), 2, 0),
+    ("RelaxationSchedule.lam", _lam, 1, 0),
+    ("PerturbationSchedule.at", _perturbation_at, 2, 0),
+    ("BetaGrid.M", lambda v: BetaGrid.geometric(0.5, M=2).M(v), 1, 0),
+    ("BetaGrid.beta.k", lambda v: BetaGrid.geometric(0.5, M=2).beta(v, 1), 1, 0),
+    ("BetaGrid.beta.n", lambda v: BetaGrid.geometric(0.5, M=2).beta(1, v), 1, 1),
 ]
 _IDS = [site for site, *_ in _SITES]
 
@@ -164,11 +178,26 @@ class TestEverySiteReadsWholeNumbers:
             lambda: StepSpec(0, (-1.7,), alpha=1.0),  # was input 1
             lambda: gdsa_to_gmsa([(1.5, 2.9)], [1.0]),  # a valid plan over inputs 1 and 2
             lambda: _window_audit(3.0),  # a whole float passed the window audit
+            lambda: _lam(1.5),  # was lam(1), 0.7
+            lambda: _perturbation_at(2.5),  # was at(2, x)
+            lambda: BetaGrid.geometric(0.5, M=2).betas(1.5),  # was betas(1)
+            lambda: BetaGrid.geometric(0.5, M=2).beta(1, 1.5),  # was beta(1, 1)
         ],
     )
     def test_a_fraction_once_truncated_is_refused(self, call):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize("call", [lambda: _lam(True), lambda: _lam(-1)])
+    def test_a_step_size_is_read_at_its_own_k(self, call):
+        # lam(True) and lam(-1) returned lam(1), 0.7
+        with pytest.raises(ValueError, match="iteration k must be an integer >= 0"):
+            call()
+
+    def test_a_negative_k_is_refused_by_name(self):
+        # (k + 1) ** p at k = -1 ended in a bare "math domain error"
+        with pytest.raises(ValueError, match="iteration k must be an integer >= 0, got -1"):
+            _perturbation_at(-1)
 
     def test_a_bool_weight_key_is_refused(self):
         # the key True found the weight of reference 1

@@ -640,6 +640,95 @@ class TestTreeMemo:
             run(axis_halfspace_family(5), sched, relax, 3.0 * np.ones(5), StopRule(5, None, None))
 
 
+class TestFreshPlans:
+    """A custom rule may build a new, equal plan at every k: it keys, builds and runs as one plan."""
+
+    fam = axis_halfspace_family(5)
+    relax = RelaxationSchedule.constant(0.95, 0.05, uniform_modulus(composition_schedule(), 1.0))
+    stop = StopRule(10**5, 1e-10, None)
+
+    @staticmethod
+    def _memoized():
+        # composition_schedule's plans, one per f_value, handed out again at every later k
+        fresh, plans = composition_schedule(), {}
+
+        def rule(k):
+            n = f_value(k)
+            if n not in plans:
+                plans[n] = fresh.plan_at(k)
+            return plans[n]
+
+        return CustomSchedule(rule, window_bounds=fresh.window_bound, metadata=(1, 6))
+
+    def _start(self):
+        rng = np.random.default_rng(5)
+        x0 = 3.0 + rng.uniform(0.0, 2.0, size=5)
+        v = np.abs(rng.standard_normal(5))
+        return x0, v / np.linalg.norm(v)
+
+    def test_a_fresh_plan_at_every_k_builds_one_tree_per_structure(self, monkeypatch):
+        built = TestTreeMemo._spy(monkeypatch)
+        tr = run(self.fam, composition_schedule(), self.relax, self._start()[0],
+                 StopRule(1000, None, None))
+        assert tr.n_updates == 1000
+        assert built == [2**n - 1 for n in range(10)]  # first k with f_value(k) = n
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_a_fresh_plan_runs_as_the_memoized_one_bitwise(self, perturbed, tmp_path):
+        x0, v = self._start()
+        texts = []
+        for sched in (composition_schedule(), self._memoized()):
+            if perturbed:
+                pert = PerturbationSchedule.power(1e-4, 2.0, constant_direction(v))
+                tr = run_perturbed(self.fam, sched, self.relax, pert, x0, self.stop, monitored=range(21))
+            else:
+                tr = run(self.fam, sched, self.relax, x0, self.stop, monitored=range(21))
+            assert tr.stop_reason == "residual" and tr.n_updates > 5
+            texts.append((tr.to_csv(tmp_path / "trace.csv"), tr.xs.tobytes()))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("v", [-1.0, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: StepSpec(0, (v,), alpha=1.0),
+            lambda v: StepSpec(2, (0, -1), order=(0, v)),
+            # the key hashes as its reference, so it found that reference's weight
+            lambda v: StepSpec(1, (0, int(v)), weights={0: 0.5, v: 0.5}),
+            lambda v: StepSpec(v, (-1,), alpha=1.0),
+            lambda v: IterationPlan(k=v, N=1, eps=1.0, steps=[StepSpec(0, (-1,), alpha=1.0)]),
+            lambda v: IterationPlan(k=0, N=v, eps=1.0, steps=[StepSpec(0, (-1,), alpha=1.0)]),
+        ],
+        ids=["J", "order", "weight key", "c", "k", "N"],
+    )
+    def test_a_reference_that_is_no_int_is_refused_at_construction(self, make, v):
+        with pytest.raises(ValueError, match=f"must be an integer, got {v!r}"):
+            make(v)
+
+    def test_a_numpy_reference_keys_as_the_plain_int(self):
+        def plan(i):
+            return IterationPlan(k=i(0), N=i(2), eps=0.5, steps=[
+                StepSpec(i(2), (i(0), i(-1)), order=(i(-1), i(0), i(-1))),
+                StepSpec(i(1), (i(1), i(-2)), weights={i(1): 0.5, i(-2): 0.5}),
+            ])
+
+        plain, numpy = plan(int), plan(np.int64)
+        assert numpy.structure_key() == plain.structure_key()
+        assert hash(numpy.structure_key()) == hash(plain.structure_key())
+        ints = [numpy.k, numpy.N] + [v for s in numpy.steps.values() for v in (s.c, *s.J, *(s.order or ()))]
+        assert all(type(v) is int for v in ints)
+        x, (a, b) = np.full(5, 3.0), (output_operator(p, self.fam) for p in (numpy, plain))
+        assert a.apply(x).tobytes() == b.apply(x).tobytes()
+
+    @pytest.mark.parametrize("n", [1.0, True])
+    def test_the_family_memo_refuses_what_hashes_as_an_index(self, n):
+        # 1.0 and True hash as 1: a memo lookup first would hand out input 1
+        fam = two_halfspace_family()
+        assert fam.operator(1) is fam.operator(np.int64(1))
+        with pytest.raises(ValueError, match=f"operator index must be an integer >= 0, got {n!r}"):
+            fam.operator(n)
+
+
 class TestSharedPlans:
     """Schedules hand out their stored plans; no run or audit may change one."""
 

@@ -5,14 +5,19 @@ as special cases".  Each test below writes one of them as an iteration
 plan, cycles it for 50 updates at step size 1 (so x^{k+1} = T(x^k)), and
 compares every iterate, byte for byte, with a short hand loop that spells
 out the scheme's own arithmetic in the order the plan's tree performs it.
+
+The last test does the same for any plan: a recursive evaluator written from
+the step fields and each set's ``project`` alone is run against the tree
+:func:`~strav.gmsa.output_operator` builds, on seeded random corpora.
 """
 
 import numpy as np
 
 from strav.control import CyclicSchedule
 from strav.dsa import gdsa_to_gmsa
-from strav.fixtures import random_halfspace_family
-from strav.gmsa import IterationPlan, StepSpec
+from strav.fixtures import random_halfspace_family, random_plan_corpus
+from strav.gmsa import IterationPlan, StepSpec, output_operator
+from strav.numeric import _within, norm
 from strav.solver import RelaxationSchedule, StopRule, run
 
 UPDATES = 50
@@ -97,3 +102,45 @@ def test_nested_strings_run_as_one_string():
         return x
 
     _assert_runs_as(plan, string)
+
+
+CORPUS_FAMILY = random_halfspace_family(4, 8, seed=5)  # random_plan_corpus draws inputs 0..7
+
+
+def _evaluate(plan, m, x):
+    """Module m of ``plan`` at x, one point or a (B, d) batch, by the formulas of the step kinds:
+    a relaxation ``x + alpha (y - x)``, a combination summed in the stored order of ``J``,
+    a composition in ``order``; a leaf is its set's ``project``."""
+    if m <= 0:
+        return CORPUS_FAMILY.operator(-m).set.project(x)
+    s = plan.steps[m]
+    if s.c == 0:
+        return x + s.alpha * (_evaluate(plan, s.J[0], x) - x)
+    if s.c == 1:
+        terms = [w * _evaluate(plan, j, x) for j, w in zip(s.J, s.weights)]
+        return sum(terms[1:], terms[0])
+    for o in s.order:
+        x = _evaluate(plan, o, x)
+    return x
+
+
+def test_reference_evaluator_matches_every_built_tree():
+    """1,500 seeded plans, each at one point and at a batch of 8 rows."""
+    rng = np.random.default_rng(6)
+    bitwise = 0
+    for seed in range(5):
+        for plan in random_plan_corpus(300, seed=seed):
+            tree = output_operator(plan, CORPUS_FAMILY)
+            # a relaxation at alpha 1 hands its child's point y on, where the evaluator sums
+            # x + (y - x): another order, equal to y only to rounding.  Everywhere else both
+            # sum the same terms in the same order, so the bits must agree.
+            exact = not any(s.c == 0 and s.alpha == 1.0 for s in plan.steps.values())
+            for x in (rng.standard_normal(4) * 3.0, rng.standard_normal((8, 4)) * 3.0):
+                got, want = tree.apply(x), _evaluate(plan, plan.N, x)
+                assert got.shape == want.shape
+                if exact:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.all(_within(norm(got - want), norm(x)))
+            bitwise += exact
+    assert bitwise > 1000  # 1,022 of the 1,500 plans are compared bit for bit
