@@ -22,9 +22,9 @@ positive floor, so a floor of 1e-13 refuses 0, and absolute at the top.
 
 :func:`_whole` refuses, never truncates, a count, index or reference other than an int (not a
 bool) or numpy integer; ``config._int`` still reads ``100000.0``, ``BetaGrid.M`` truncates a
-callable's count.  Per update and per fresh plan (``f_value``, ``plan_at``, ``lam``, ``at``,
-``BetaGrid``, ``StepSpec``, ``IterationPlan``, ``OperatorFamily.operator``) it runs only past
-``type(v) is int``, and a memo is read after that test: ``1.0`` and ``True`` hash as ``1``.
+callable's count.  On hot paths (``f_value``, ``plan_at``, ``lam``, ``at``, ``BetaGrid``,
+``StepSpec``, ``IterationPlan``, ``OperatorFamily.operator`` and ``.distances``) it runs only
+past ``type(v) is int``, and a memo is read after that test: ``1.0`` and ``True`` hash as ``1``.
 """
 
 from __future__ import annotations

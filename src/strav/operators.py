@@ -25,10 +25,8 @@ Constants attached to a node
 ``fne_rho``
     The node satisfies the two-point strengthening
     ``||T(x)-T(y)||^2 <= ||x-y||^2 - rho*||(x-T(x))-(y-T(y))||^2``.
-``is_nonexpansive``
-    Plain Lipschitz-1 guarantee, read off ``fne_rho`` by a property: the
-    two-point inequality at ``rho >= 0`` implies it, and the calculus never
-    derives a negative ``rho``.
+    At ``rho >= 0`` this implies nonexpansiveness, ``||T(x)-T(y)|| <=
+    ||x-y||``, and the calculus never derives a negative ``rho``.
 
 The identity carries ``+inf`` for both constants (it satisfies the
 inequalities for every rho) and is skipped when counting composition or
@@ -133,10 +131,6 @@ class OperatorNode:
     dim = None
     children_ = ()
     _rows = ()  # (a, b, a @ a, one-sided) of each projection apply runs, in order; see _through
-
-    @property
-    def is_nonexpansive(self):
-        return self.fne_rho is not None
 
     def apply(self, x):
         raise NotImplementedError

@@ -252,6 +252,8 @@ class OperatorFamily:
         and stacks their polyhedral sets; later calls reuse the stacks.
         """
         key = tuple(indices)
+        if not all(type(n) is int for n in key):  # read before the memo, as in operator
+            key = tuple(_whole(n, "family-error: operator index", lo=0) for n in key)
         stack = self._stacks.get(key)
         if stack is None:
             stack = self._stacks.setdefault(key, _DistanceStack(self, key))

@@ -1,6 +1,7 @@
 """End-to-end runs of the ``strav`` command line, in process."""
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import strav.cli
 import strav.operators
 from strav.cli import main
 from strav.config import ConfigError, parse_config
+from strav.gmsa import fne_bound, output_operator, sqne_bound
 
 
 def write(tmp_path, doc, name="cfg.json"):
@@ -199,9 +201,9 @@ class TestVerify:
 
 
 class TestVerifyChecks:
-    """``verify`` calls the checkers through ``strav.cli``'s names, as the
-    benchmark tracer rebinds them, and each probed tree draws one probe
-    inside the SQNE check, which the pair checks share."""
+    """``verify`` checks each probed tree at its own ``sqne_rho`` and ``fne_rho``,
+    through ``strav.cli``'s names, as the benchmark tracer rebinds them; each
+    probed tree draws one probe inside the SQNE check, which the FNE check shares."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -229,36 +231,86 @@ class TestVerifyChecks:
         monkeypatch.setattr(strav.operators, "_ball_samples", counting_draw)
         return events
 
-    def test_one_draw_per_plan_structure(self, capsys, tmp_path, events):
-        # the demo's two plan structures each get all three checks
-        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, demo_doc()))
-        assert code == 0
-        draw = (strav.cli._PROBE_SAMPLES, "check_sqne")
-        per_plan = ["check_sqne", draw, "check_fne", "check_nonexpansive"]
-        assert events == per_plan * 2
-        assert kv(out)["plan 1 sqne"].endswith(f"{strav.cli._PROBE_SAMPLES} samples)")
-
-    def test_unmet_hypotheses_skip_both_routes(self, capsys, tmp_path, events):
-        # plan 0 relaxes input 0, a projection at gamma 1.3 (both constants 0.54), by
-        # alpha 1.5: neither bound holds, so its nonexpansive check draws its probe; plan 1
-        # relaxes input 1 by alpha 1 and keeps its three checks: still one draw per plan
-        plans = [
-            {"eps": 0.5, "steps": [{"c": 0, "J": [-j], "alpha": alpha}]}
-            for j, alpha in ((0, 1.5), (1, 1.0))
-        ]
+    @staticmethod
+    def _relaxed_leaves_doc(gamma, eps, alpha):
+        # both inputs projections relaxed by gamma; plan 0 relaxes input 0 by alpha, plan 1 input 1 by 1
+        plans = [{"eps": eps, "steps": [{"c": 0, "J": [-j], "alpha": a}]} for j, a in ((0, alpha), (1, 1.0))]
         relaxation = {"eps": 0.25, "rho": 0.02, "lambda": {"kind": "constant", "value": 0.5}}
         doc = solve_doc(schedule={"variant": "cyclic", "plans": plans}, relaxation=relaxation)
-        doc["family"]["gammas"] = [1.3]
+        doc["family"]["gammas"] = [gamma]
+        return doc
+
+    @staticmethod
+    def _trees(doc, ks):
+        cfg = parse_config(doc)
+        return [output_operator(cfg.schedule.plan_at(k), cfg.family) for k in ks]
+
+    def test_one_draw_per_plan_structure(self, capsys, tmp_path, events):
+        # the demo's two plan structures each get both checks, at their trees' constants
+        doc = demo_doc()
         code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
         assert code == 0
-        for route in ("sqne", "fne"):
-            unmet = f"{route}-hypotheses-unmet: step 1 relaxes input 0 by alpha 1.5, whose {route}_rho is 0.53"
-            assert kv(out)[f"plan 0 {route}"].startswith(f"skipped ({unmet}")
-        lines = [key for key in kv(out) if key.startswith("plan ")]
-        assert lines == [f"plan {k} {check}" for k in (0, 1) for check in ("sqne", "fne", "nonexpansive")]
         count = strav.cli._PROBE_SAMPLES
-        per_plan = ["check_sqne", (count, "check_sqne"), "check_fne", "check_nonexpansive"]
-        assert events == ["check_nonexpansive", (count, "check_nonexpansive")] + per_plan
+        assert events == ["check_sqne", (count, "check_sqne"), "check_fne"] * 2
+        got = kv(out)
+        assert [key for key in got if key.startswith("plan ")] == [
+            f"plan {k} {route}" for k in (0, 1) for route in ("sqne", "fne")]
+        for k, T in enumerate(self._trees(doc, (0, 1))):
+            assert got[f"plan {k} sqne"] == f"sqne(rho={T.sqne_rho}): pass (max violation 0.000e+00, {count} samples)"
+            assert got[f"plan {k} fne"].startswith(f"fne(rho={T.fne_rho}): pass")
+        assert got["plan 0 fne"].startswith("fne(rho=0.5): pass")
+        assert "nonexpansive" not in out
+
+    def test_unmet_hypotheses_checked_at_tree_constants(self, capsys, tmp_path, events):
+        # plan 0 relaxes input 0, a projection at gamma 1.3 (both constants 0.54), by
+        # alpha 1.5: neither plan bound holds, yet its tree carries (1 + 0.54 - 1.5) / 1.5
+        # = 0.0256 on both routes, and both checks pass there; plan 1 relaxes input 1 by
+        # alpha 1 and keeps the leaf's 0.54.  One draw per plan.
+        doc = self._relaxed_leaves_doc(1.3, 0.5, 1.5)
+        cfg = parse_config(doc)
+        for bound in (sqne_bound, fne_bound):
+            with pytest.raises(ValueError, match="hypotheses-unmet: step 1 relaxes input 0 by alpha 1.5"):
+                bound(cfg.schedule.plan_at(0), cfg.family)
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0
+        trees = self._trees(doc, (0, 1))
+        assert round(trees[0].sqne_rho, 4) == round(trees[0].fne_rho, 4) == 0.0256
+        got = kv(out)
+        assert [key for key in got if key.startswith("plan ")] == [
+            f"plan {k} {route}" for k in (0, 1) for route in ("sqne", "fne")]
+        for k, T in enumerate(trees):
+            assert got[f"plan {k} sqne"].startswith(f"sqne(rho={T.sqne_rho}): pass")
+            assert got[f"plan {k} fne"].startswith(f"fne(rho={T.fne_rho}): pass")
+        count = strav.cli._PROBE_SAMPLES
+        assert events == ["check_sqne", (count, "check_sqne"), "check_fne"] * 2
+
+    def test_no_certified_constant_skips_both_routes(self, capsys, tmp_path, events):
+        # alpha 1.6 past 1 + rho = 1.5 of a projection at gamma 4/3: the calculus gives
+        # the tree no constant on either route, so neither is checked; plan 1 still is
+        doc = self._relaxed_leaves_doc(4.0 / 3.0, 0.25, 1.6)
+        skipped, checked = self._trees(doc, (0, 1))
+        assert (skipped.sqne_rho, skipped.fne_rho) == (None, None)
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0
+        got = kv(out)
+        assert got["plan 0 sqne"] == got["plan 0 fne"] == "skipped (no certified constant)"
+        assert got["plan 1 fne"].startswith(f"fne(rho={checked.fne_rho}): pass")
+        count = strav.cli._PROBE_SAMPLES
+        assert events == ["check_sqne", (count, "check_sqne"), "check_fne"]
+
+    @pytest.mark.parametrize("tilt", [6.0, 0.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benchmark_stage_configs_pass(self, capsys, tmp_path, seed, tilt):
+        # the seeded stage configs of the benchmark's stage_cli workload, tilted and not:
+        # every probed tree passes at its own constants
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        doc = runpy.run_path(str(path))["stage_config"](seed, tilt=tilt)
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0
+        got = kv(out)
+        assert got["verdict"] == "pass"
+        assert sum(key.startswith("plan ") for key in got) == 16
+        assert "skipped" not in out
 
 
 class TestErrorHandling:

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,10 @@ from pathlib import Path
 import pytest
 
 import strav
+import strav.cli
+import strav.config
+import strav.solver
+import strav.superiorize
 
 MODULES = (
     "numeric", "operators", "sets", "gmsa", "control", "solver", "superiorize", "dsa", "config",
@@ -68,3 +73,17 @@ def test_library_does_not_import_fixtures():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, strav, strav.cli; assert 'strav.fixtures' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_names_the_benchmark_tracer_rebinds_exist():
+    """``bench/tracing.py`` rebinds module-level names of the library while a traced run is
+    active, and puts each back after; a name a refactor removes fails here, not only when the
+    benchmark runs traced."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracing.py"))
+    modules = (strav.cli, strav.config, strav.solver, strav.superiorize)
+    before = [dict(vars(m)) for m in modules]
+    calls = tracing["Calls"](tracing["Tracer"]())
+    with calls.installed():
+        assert strav.cli.check_sqne is calls.check_sqne
+        assert strav.cli.check_nonexpansive is calls.check_nonexpansive
+    assert [dict(vars(m)) for m in modules] == before

@@ -45,7 +45,6 @@ class TestPrimitiveConstants:
         assert p.sqne_rho == 1.0
         assert p.fne_rho == 1.0
         assert p.sqne_rho >= 1
-        assert p.is_nonexpansive
 
     def test_underrelaxed_two_thirds(self):
         # (2 - 2/3) / (2/3) = 2, the underrelaxed projection is twice as strong
@@ -77,7 +76,6 @@ class TestIdentity:
         i = Identity()
         assert i.sqne_rho == np.inf
         assert i.fne_rho == np.inf
-        assert i.is_nonexpansive
 
     def test_apply_noop(self):
         x = np.array([1.0, -2.0, 3.0])
@@ -246,32 +244,23 @@ class TestCompositionConstants:
                 assert node.sqne_rho >= node.fne_rho
 
 
-def _stored_nonexpansive(node):
-    # the flag each constructor once stored: leaves are nonexpansive, a
-    # relaxation when its two-point constant is set or it underrelaxes a
-    # nonexpansive child, a combination or composition when all children are
-    if isinstance(node, (Primitive, Identity)):
-        return True
-    if isinstance(node, Relaxation):
-        return node.fne_rho is not None or (_stored_nonexpansive(node.child) and node.alpha <= 1.0)
-    return all(_stored_nonexpansive(c) for c in node.children())
-
-
 def _nodes(node):
     yield node
     for c in node.children():
         yield from _nodes(c)
 
 
-class TestNonexpansiveFlag:
-    """``is_nonexpansive`` is read off ``fne_rho``; it agrees with the old stored rule."""
+class TestTwoPointConstantIsNonnegative:
+    """The calculus never derives a negative ``fne_rho``, so a tree with a two-point
+    constant is nonexpansive: ``strav verify``'s FNE check at that constant implies
+    ``||T(x) - T(y)|| <= ||x - y||`` on the pairs it samples."""
 
     def _check(self, trees):
         verdicts = set()
         for tree in trees:
             for node in _nodes(tree):
-                assert node.is_nonexpansive == _stored_nonexpansive(node), node
-                verdicts.add(node.is_nonexpansive)
+                assert node.fne_rho is None or node.fne_rho >= 0.0, node
+                verdicts.add(node.fne_rho is None)
         assert verdicts == {True, False}
 
     def test_plan_corpora_over_plain_and_relaxed_leaves(self):
@@ -296,6 +285,21 @@ class TestNonexpansiveFlag:
                     trees.append(Relaxation(Composition([inner, Identity()]), b))
                     trees.append(Relaxation(ConvexComb([inner, Identity()], [0.5, 0.5]), b))
         self._check(trees)
+
+    def test_fne_pass_at_the_tree_constant_comes_with_nonexpansiveness(self):
+        # on the pairs one probe samples, over leaves relaxed up to gamma 4/3
+        gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
+        family = random_halfspace_family(5, 8, seed=7, gammas=gammas.__getitem__)
+        checked = 0
+        for plan in random_plan_corpus(60, seed=16, n_inputs=8):
+            T = output_operator(plan, family)
+            if T.fne_rho is None:
+                continue
+            budget = SampleBudget(count=100, seed=plan.k)
+            assert check_fne(T, T.fne_rho, budget, center=family.witness).passed
+            assert check_nonexpansive(T, budget, center=family.witness).passed
+            checked += 1
+        assert checked > 30
 
 
 class TestSamplingCheckers:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from strav.fixtures import axis_halfspace_family, random_halfspace_family
+from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.numeric import _within, norm
 from strav.operators import Identity, Primitive, Relaxation
 from strav.sets import (
@@ -405,6 +405,23 @@ class TestFamilyDistances:
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
             axis_halfspace_family(3).distances((0, 1), np.zeros(4))
+
+    @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+    def test_index_refused_after_a_stack_exists(self, index):
+        # 1.0 and True hash as 1: the indices are read before the stack memo is
+        fam, x = two_halfspace_family(), np.array([3.0, 4.0])
+        assert_array_equal(fam.distances((1,), x), [4.0])
+        with pytest.raises(ValueError, match=f"^family-error: operator index must be an integer >= 0, got {index!r}$"):
+            fam.distances((index,), x)
+
+    def test_numpy_integer_shares_the_int_stack(self):
+        # whichever comes first, one stack under a key of plain ints serves both
+        x = np.array([3.0, 4.0])
+        for first in ((0, 1), (np.int64(0), np.int64(1))):
+            fam = two_halfspace_family()
+            want = fam.distances(first, x)
+            assert fam.distances((np.int64(0), 1), x).tobytes() == want.tobytes()
+            assert [[type(n) for n in key] for key in fam._stacks] == [[int, int]]
 
     @pytest.mark.parametrize("points", [np.zeros((4, 4)), np.zeros((2, 4, 3))], ids=["wide", "3-D"])
     def test_block_shape_checked(self, points):

@@ -1,15 +1,18 @@
 """Earlier schemes as plans: each runs through ``run`` bitwise as its hand loop.
 
 The paper's modular string averaging has "a variety of earlier algorithms
-as special cases".  Each test below writes one of them as an iteration
-plan, cycles it for 50 updates at step size 1 (so x^{k+1} = T(x^k)), and
-compares every iterate, byte for byte, with a short hand loop that spells
-out the scheme's own arithmetic in the order the plan's tree performs it.
+as special cases".  Each test below writes one of them as iteration
+plans, cycles them for 50 updates, most at step size 1 (so x^{k+1} =
+T(x^k)), and compares every iterate, byte for byte, with a short hand loop
+that spells out the scheme's own arithmetic in the order the plan's tree
+performs it.  One more scheme nests modules as no classical one does.
 
 The last test does the same for any plan: a recursive evaluator written from
 the step fields and each set's ``project`` alone is run against the tree
 :func:`~strav.gmsa.output_operator` builds, on seeded random corpora.
 """
+
+import itertools
 
 import numpy as np
 
@@ -32,9 +35,14 @@ def _project(x, i):
     return x - (t / float(s.a @ s.a)) * s.a if t > 0.0 else x
 
 
-def _assert_runs_as(plan, scheme):
-    trace = run(FAMILY, CyclicSchedule([plan]), RelaxationSchedule.constant(1.0, 0.5, 0.5), X0,
-                StopRule(UPDATES, None, None), record_stride=1)
+def _relax(x, i, alpha):
+    # x + alpha (P_i(x) - x), as a kind-0 step's tree computes it
+    return x + alpha * (_project(x, i) - x)
+
+
+def _assert_runs_as(plans, scheme, relax=RelaxationSchedule.constant(1.0, 0.5, 0.5)):
+    # the plans cycled; scheme is the hand update, called once per update in turn
+    trace = run(FAMILY, CyclicSchedule(plans), relax, X0, StopRule(UPDATES, None, None), record_stride=1)
     xs = [X0]
     for _ in range(UPDATES):
         xs.append(scheme(xs[-1]))
@@ -50,10 +58,10 @@ def test_kaczmarz_art():
 
     def sweep(x):
         for i in range(6):
-            x = x + 1.5 * (_project(x, i) - x)
+            x = _relax(x, i, 1.5)
         return x
 
-    _assert_runs_as(plan, sweep)
+    _assert_runs_as([plan], sweep)
 
 
 def test_cimmino():
@@ -68,7 +76,7 @@ def test_cimmino():
             out = out + w[i] * _project(x, i)
         return out
 
-    _assert_runs_as(plan, mean)
+    _assert_runs_as([plan], mean)
 
 
 def test_string_averaging_projections():
@@ -86,7 +94,7 @@ def test_string_averaging_projections():
             out = w * y if out is None else out + w * y
         return out
 
-    _assert_runs_as(gdsa_to_gmsa(strings, weights), average)
+    _assert_runs_as([gdsa_to_gmsa(strings, weights)], average)
 
 
 def test_nested_strings_run_as_one_string():
@@ -101,7 +109,53 @@ def test_nested_strings_run_as_one_string():
             x = _project(x, i)
         return x
 
-    _assert_runs_as(plan, string)
+    _assert_runs_as([plan], string)
+
+
+def test_block_iterative_projections():
+    """Block-iterative projections of Aharoni and Censor (1989): each update averages the
+    projections onto one block of sets and relaxes the average by lambda_k = 1.5; the
+    blocks, which may overlap, are cycled.  Each block is one kind-1 plan, the driver's
+    step size is the relaxation, and a block's sum runs in sorted-J order, its largest
+    input first."""
+    blocks = [{2: 0.5, 1: 0.25, 0: 0.25}, {3: 0.6, 2: 0.4}, {5: 0.3, 4: 0.3, 0: 0.4}]
+    plans = [IterationPlan(k, 1, min(w.values()), [StepSpec(1, [-i for i in w], weights={-i: v for i, v in w.items()})])
+             for k, w in enumerate(blocks)]
+    turn = itertools.cycle(blocks)
+
+    def block_step(x):
+        w = next(turn)
+        terms = [v * _project(x, i) for i, v in w.items()]  # the dicts list each block's inputs downward
+        return x + 1.5 * (sum(terms[1:], terms[0]) - x)
+
+    # an average of projections carries sqne_rho 1, so lambda may range over [eps, 2 - eps]
+    _assert_runs_as(plans, block_step, RelaxationSchedule.constant(1.5, 0.25, 1.0))
+
+
+def test_composition_of_averages_of_strings_of_relaxations():
+    """A nested scheme that none of the classical ones covers, though the paper's modular
+    averaging admits it: six relaxed projections (steps 1-6), three strings of them (7-9,
+    step 1 shared by strings 7 and 9), two averages of strings (10, 11, string 8 in both),
+    and the composition of the two averages (12).  Every sum runs in the order the tree's
+    does, so the iterates agree bit for bit."""
+    alphas = [1.5, 0.5, 1.2, 1.5, 0.8, 1.5]
+    strings = {7: (1, 2), 8: (4, 3), 9: (5, 6, 1)}  # module numbers; module m relaxes input m - 1
+    steps = [StepSpec.relaxation(-i, a) for i, a in enumerate(alphas)]
+    steps += [StepSpec(2, order, order=order) for order in strings.values()]
+    steps += [StepSpec(1, (7, 8), weights={7: 0.6, 8: 0.4}), StepSpec(1, (8, 9), weights={8: 0.5, 9: 0.5}),
+              StepSpec(2, (10, 11), order=(10, 11))]
+    plan = IterationPlan(0, 12, 0.4, steps)
+
+    def string(x, m):
+        for module in strings[m]:
+            x = _relax(x, module - 1, alphas[module - 1])
+        return x
+
+    def nested(x):
+        x = 0.6 * string(x, 7) + 0.4 * string(x, 8)
+        return 0.5 * string(x, 8) + 0.5 * string(x, 9)
+
+    _assert_runs_as([plan], nested)
 
 
 CORPUS_FAMILY = random_halfspace_family(4, 8, seed=5)  # random_plan_corpus draws inputs 0..7
