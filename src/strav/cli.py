@@ -107,14 +107,16 @@ numbers.
 ``relaxation``::
 
     {"eps": 0.1,                    # number in (0, 1] (1.0)
-     "rho": 0.05,                   # number >= 0; omit to derive from the schedule
+     "rho": 0.05,                   # number >= 0; omit to derive from the plans
      "lambda": {"kind": "constant", "value": 1.0}
                 | {"kind": "cycle", "values": [...]}
                 | {"kind": "sweep", "points": 17}}     # int >= 2
 
 Every ``value`` and each entry of ``values`` is a number that must lie in
 the certified interval ``[eps, 1 + rho - eps]``; an absent ``lambda`` is the
-constant 1.0 and must lie there too.
+constant 1.0 and must lie there too.  A derived ``rho`` is the least tree
+constant ``verify`` checks (a plan with none is refused), ``eps / 2`` for
+``power_of_two``; ``solve`` and ``superiorize`` print the ``rho`` they ran under.
 
 ``perturbation``::
 
@@ -208,6 +210,7 @@ def _emit(key, value):
 def _finish(cfg, trace):
     _emit("stop reason", trace.stop_reason)
     _emit("iterations", trace.n_updates)
+    _emit("rho", trace.rho)
     _emit("final residual", f"{trace.residual[-1]:.6e}")
     _emit("distance to witness", f"{trace.dist_witness[-1]:.6e}")
     for j, n in enumerate(trace.monitored):

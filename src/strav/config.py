@@ -24,7 +24,7 @@ import numpy as np
 
 from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
 from .dsa import gdsa_to_gmsa
-from .gmsa import IterationPlan, StepSpec, sqne_bound
+from .gmsa import IterationPlan, StepSpec, output_operator
 from .numeric import _whole, as_vector
 from .operators import Primitive
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
@@ -261,7 +261,7 @@ _SCHEDULE = {"variant": {
 _DEFAULT_LAMBDA = {"kind": "constant", "value": 1.0}
 _RELAXATION = (
     ("eps", _real, 1.0),
-    ("rho", _real, None, 0.0),  # None: derived from the schedule
+    ("rho", _real, None, 0.0),  # None: derived from the plans
     ("lambda", {"kind": {
         "constant": (("value", _real, _REQUIRED),),
         # RelaxationSchedule.cycle checks its list of step sizes
@@ -444,27 +444,22 @@ def _build_schedule(v, family, errors):
     return schedule if len(errors) == before else None
 
 
-def _derived_rho(schedule, family, eps):
-    """``uniform_modulus``, refused unless every plan's leaves meet the hypotheses of its bound."""
-    # a power-of-two schedule stores no plans; its generator family's projections meet both
-    for i, plan in enumerate(schedule.plans or ()):
-        try:
-            sqne_bound(plan, family)
-        except ValueError as exc:
-            raise ValueError(f"plan {i}: {exc}; give rho explicitly") from None
-    return uniform_modulus(schedule, eps)
+def _derived_rho(schedule, family):
+    """The least ``sqne_rho`` of the stored plans' trees, the only T_k run; else ``uniform_modulus``."""
+    if schedule.plans is None:
+        return uniform_modulus(schedule, schedule.eps)
+    rhos = [output_operator(p, family).sqne_rho for p in schedule.plans]
+    if None in rhos:
+        raise ValueError(f"plan {rhos.index(None)}: no certified constant; give rho explicitly")
+    return min(rhos + [_MAX])  # a leaf at a subnormal gamma carries inf
 
 
 def _build_relax(v, schedule, family, errors):
-    if v is None or (v["rho"] is None and schedule is None):
+    if v is None or (v["rho"] is None and (schedule is None or family is None)):
         return None
-    rho = v["rho"]
+    rho = _make("relaxation.rho", errors, _derived_rho, schedule, family) if v["rho"] is None else v["rho"]
     if rho is None:
-        # the eps floor of the plans; a power-of-two schedule keeps no plan list
-        floor = min(p.eps for p in schedule.plans) if schedule.plans else schedule.eps
-        rho = _make("relaxation.rho", errors, _derived_rho, schedule, family, floor)
-        if rho is None:
-            return None
+        return None
     kw = dict(eps=v["eps"], rho=rho)
     # rho is read as nonnegative, so the interval can only refuse eps
     if _make("relaxation.eps", errors, RelaxationSchedule.interval, **kw) is None:

@@ -94,6 +94,7 @@ class CyclicSchedule(ControlSchedule):
         return ((i, len(self.plans), p) for i, p in enumerate(self.plans[: horizon + 1]))
 
     def window_bound(self, n):
+        n = _whole(n, "input index", lo=0)
         return len(self.plans) if any(n in t.output_indices() for t in self.plans) else None
 
     def plan_metadata(self):

@@ -257,7 +257,7 @@ def _plan_bound(plan, family, route, attr):
     plan.require_valid()
     for n in range(1, plan.N + 1) if family is not None else ():
         s = plan.steps[n]
-        relaxed = s.c == 0 and not _admits(s.alpha, 1.0, 1.0)
+        relaxed = s.c == 0 and s.alpha != 1.0  # exactly: only alpha 1 passes its input's constant on
         need = 1.0 if relaxed else 0.5
         for j in s.J:
             # a positive reference is a module of this plan, judged through its own step

@@ -106,6 +106,20 @@ class TestSolve:
         assert code == 0
         assert "trace written" not in out
 
+    @pytest.mark.parametrize("command, name, rho", [
+        ("solve", "stage_solve.json", "0.5"),
+        ("superiorize", "box_superiorize.json", "1.0"),
+        ("solve", None, "0.125"),
+    ])
+    def test_prints_the_rho_it_ran_under(self, capsys, tmp_path, command, name, rho):
+        # a derived rho is the least tree constant: both stage_solve trees carry 0.5, and the
+        # box projection 1.0; an explicit rho is run as given
+        doc = demo_doc(name) if name else solve_doc(
+            relaxation={"eps": 0.25, "rho": 0.125, "lambda": {"kind": "constant", "value": 0.7}})
+        code, out, _ = run_cli(capsys, command, "--config", write(tmp_path, doc))
+        assert code in (0, 2)
+        assert kv(out)["rho"] == rho
+
     def test_iteration_cap_exits_2(self, capsys, tmp_path):
         doc = solve_doc(stop={"max_iters": 3, "residual_tol": None, "step_tol": None})
         code, out, _ = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
@@ -374,19 +388,16 @@ class TestErrorHandling:
         assert "Traceback" not in err and kv(out)["driver"] == "perturbed"
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_stage_whose_uniform_modulus_leaves_the_float_range(self, capsys, tmp_path, command):
-        # 143 one-set strings: M^K = 143^144 passes the float range, so the derived rho is 0.0
+    def test_stage_of_143_strings_runs_at_its_tree_constant(self, capsys, tmp_path, command):
+        # 143 one-set strings: M^K = 143^144 passes the float range, but each string is one
+        # projection, so the stage's tree carries 1.0 and the default step size 1.0 runs
         stage = {"strings": [[0]] * 143, "weights": [1.0 / 143] * 143}
         doc = solve_doc(schedule={"variant": "stages", "stages": [stage]},
                         relaxation={"eps": 0.5}, monitored_indices=[0])
         code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
-        assert (code, out) == (1, "")
-        assert "Traceback" not in err
-        assert "\n  relaxation.lambda: step size 1.0 outside [0.5, 0.5]" in err
-        # the one step size rho = 0.0 leaves runs
-        doc["relaxation"]["lambda"] = {"kind": "constant", "value": 0.5}
-        code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
         assert (code, err) == (0, "")
+        key, value = ("rho", "1.0") if command == "solve" else ("verdict", "pass")
+        assert kv(out)[key] == value
 
     @pytest.mark.parametrize("index, window", [("30", "2147483648"), ("20000", "inf")])
     def test_power_of_two_index_beyond_the_horizon_refused_by_name(
@@ -480,7 +491,6 @@ class TestErrorHandling:
             ("ambient_dim", True),
             ("relaxation.lambda.value", 2.0),
             ("relaxation.lambda.value", -1),
-            ("relaxation.lambda", None),  # the default 1.0 exceeds the derived 1 + rho - eps
             ("relaxation.lambda", {"kind": "cycle", "values": []}),
             ("monitored_indices[1]", 3),
             ("monitored_indices[1]", -1),
@@ -549,11 +559,12 @@ class TestErrorHandling:
         {"variant": "cyclic", "indices": [1, 0], "eps": 0.5, "alpha": 1.5},
     ])
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_derived_rho_refused_over_a_projection_relaxed_past_one(
+    def test_derived_rho_over_a_projection_relaxed_past_one(
         self, capsys, tmp_path, schedule, command
     ):
         # alpha 1.5 on a projection at gamma 1.3, which is neither a cutter nor firmly
-        # nonexpansive: the derived rho 0.25 does not hold (its own Fejer audit failed)
+        # nonexpansive: its tree carries (1 + 0.54 - 1.5) / 1.5 = 0.0256, and the interval
+        # that leaves refuses the default step size 1.0
         doc = solve_doc(schedule=schedule, relaxation={"eps": 0.25}, start=[3.0, 4.0])
         doc["family"]["gammas"] = [1.3]
         code, out, err = run_cli(capsys, command, "--config", write(tmp_path, doc))
@@ -564,12 +575,12 @@ class TestErrorHandling:
             refusal = ("schedule.variant", "power_of_two relaxes every input in turn; the family has 2 sets")
             assert err == "invalid configuration:\n  %s: %s\n" % refusal
         else:
-            j = schedule.get("indices", [0])[0]
-            unmet = f"sqne-hypotheses-unmet: step 1 relaxes input {j} by alpha 1.5, whose sqne_rho is 0.53"
-            assert f"\n  relaxation.rho: plan 0: {unmet}" in err
-            assert "; give rho explicitly\n" in err
-        # an explicit rho, alpha 1 or gamma 1 is not refused, unless the schedule is
-        for rho, alpha, gamma in ((0.02, 1.5, 1.3), (None, 1.0, 1.3), (None, 1.5, 1.0)):
+            rho = (1.0 + (2.0 - 1.3) / 1.3 - 1.5) / 1.5
+            assert round(rho, 4) == 0.0256
+            refusal = ("relaxation.lambda", f"step size 1.0 outside [0.25, {1.0 + rho - 0.25}]")
+            assert err == "invalid configuration:\n  %s: %s\n" % refusal
+        # an explicit rho is run as given, and a derived one is the tree's constant
+        for rho, alpha, gamma in ((0.02, 1.5, 1.3), (None, 1.5, 1.3), (None, 1.0, 1.3), (None, 1.5, 1.0)):
             doc["relaxation"] = {"eps": 0.25, "rho": rho, "lambda": {"kind": "constant", "value": 0.5}}
             doc["family"]["gammas"] = [gamma]
             text = json.dumps(doc).replace('"alpha": 1.5', f'"alpha": {alpha}')
@@ -578,7 +589,8 @@ class TestErrorHandling:
                     parse_config(text)
                 assert info.value.errors == [refusal]
             else:
-                assert parse_config(text).relax.rho == (0.25 if rho is None else rho)
+                tree = (1.0 + (2.0 - gamma) / gamma - alpha) / alpha
+                assert parse_config(text).relax.rho == (tree if rho is None else rho)
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_plan_past_the_family_refused_by_path(self, capsys, tmp_path, command):

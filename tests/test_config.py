@@ -4,6 +4,8 @@ record round-trips, and a generated mutation corpus over every field."""
 import copy
 import json
 import math
+import runpy
+import sys
 import time
 from pathlib import Path
 
@@ -12,9 +14,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
-from strav.control import CyclicSchedule, PowerOfTwoSchedule
+from strav.control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
 from strav.fixtures import random_plan_corpus
-from strav.gmsa import rho_uniform
+from strav.gmsa import output_operator
+from strav.operators import SampleBudget, check_sqne
 
 
 def plan_record(plan):
@@ -422,16 +425,72 @@ class TestScheduleSection:
         ]
 
 
+def stage_config(seed, tilt):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    return runpy.run_path(str(path))["stage_config"](seed, tilt=tilt)
+
+
+def demo_config(name):
+    return json.loads((Path(__file__).resolve().parent.parent / "demos" / "configs" / name).read_text())
+
+
 class TestRelaxationSection:
-    def test_rho_derived_from_schedule_floor(self):
+    def test_rho_derived_from_the_plans_trees(self):
+        # a schedule that stores its plans runs only those, so the least tree constant
+        # holds for every T_k: here alpha 1.5 on a projection, (1 + 1 - 1.5) / 1.5 = 1/3
         plan = random_plan_corpus(1, seed=63, n_inputs=2, eps_choices=(0.4,))[0]
-        doc = minimal_doc(
-            schedule={"variant": "cyclic", "plans": [plan_record(plan)]},
-            relaxation={"eps": 0.25, "lambda": {"kind": "constant", "value": 0.5}},
-        )
+        relaxed = {"eps": 0.25, "steps": [{"c": 0, "J": [-1], "alpha": 1.5}]}
+        for plans in ([plan_record(plan)], [plan_record(plan), relaxed]):
+            doc = minimal_doc(
+                schedule={"variant": "cyclic", "plans": plans},
+                relaxation={"eps": 0.25, "lambda": {"kind": "constant", "value": 0.5}},
+            )
+            cfg = parse_config(doc)
+            rhos = [output_operator(p, cfg.family).sqne_rho for p in cfg.schedule.plans]
+            assert cfg.relax.rho == min(rhos)
+        assert rhos[1] == 1.0 / 3.0 < rhos[0]
+
+    def test_power_of_two_rho_is_its_uniform_modulus(self):
+        # it stores no plans: every one of its infinitely many is priced by eps / (2 M^K)
+        doc = minimal_doc(ambient_dim=5, start=[1.0] * 5, schedule={"variant": "power_of_two", "eps": 0.5},
+                          relaxation={"eps": 0.25, "lambda": {"kind": "constant", "value": 0.5}})
+        doc["family"] = {"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}}
         cfg = parse_config(doc)
-        K, M = cfg.schedule.plan_metadata()
-        assert cfg.relax.rho == rho_uniform(K, M, 0.4)
+        assert cfg.relax.rho == uniform_modulus(cfg.schedule, 0.5) == 0.25
+
+    @pytest.mark.parametrize("source, rho", [
+        ("stage_solve.json", 0.5),
+        ("box_superiorize.json", 1.0),
+        *(((seed, tilt), 1.0 / 15.0) for tilt in (6.0, 0.0) for seed in range(5)),
+    ])
+    def test_derived_rho_holds_for_every_stored_plan(self, source, rho):
+        # a demo config, or the benchmark's stage config (seed, tilt): its strings compose
+        # 15 projections, so each stage tree is 1/15-SQNE
+        cfg = parse_config(demo_config(source) if isinstance(source, str) else stage_config(*source))
+        assert cfg.relax.rho == rho
+        budget = SampleBudget(200, seed=cfg.seed)
+        for plan in cfg.schedule.plans:
+            T = output_operator(plan, cfg.family)
+            assert check_sqne(T, cfg.relax.rho, cfg.family.witness, budget).passed
+
+    def test_derived_rho_stays_a_float(self):
+        # a projection at a subnormal gamma carries (2 - gamma) / gamma = inf, which would
+        # leave the Fejer constant eps / (1 + rho - eps) at 0
+        doc = minimal_doc()
+        doc["family"]["gammas"] = [5e-324]
+        relax = parse_config(doc).relax
+        assert relax.rho == sys.float_info.max and relax.fejer_constant > 0.0
+
+    def test_plan_with_no_certified_constant_refused(self):
+        # alpha 1.6 past 1 + rho of a projection at gamma 1.3 (rho 0.54): its tree carries None
+        plans = [{"eps": 0.2, "steps": [{"c": 0, "J": [-j], "alpha": 1.6}]} for j in (0, 1)]
+        doc = minimal_doc(schedule={"variant": "cyclic", "plans": plans})
+        doc["family"]["gammas"] = [1.3]
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("relaxation.rho", "plan 0: no certified constant; give rho explicitly")]
+        doc["relaxation"]["rho"] = 0.02
+        assert parse_config(doc).relax.rho == 0.02
 
     def test_explicit_rho_wins(self):
         doc = minimal_doc(

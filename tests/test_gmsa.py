@@ -318,15 +318,15 @@ class TestBounds:
         for family in (declared_family(sqne_rho=0.4, fne_rho=1.0), relaxed_family(1.3)):
             with pytest.raises(ValueError, match="sqne-hypotheses-unmet: step 1 .* input 0"):
                 sqne_bound(RELAXED, family)
-        # alpha = 1 everywhere needs no cutter, up to the membership slack 1e-12
+        # alpha = 1 everywhere needs no cutter; any other alpha does, within the
+        # membership slack 1e-12 of 1 too, as Relaxation passes on its child's constant
+        # only at alpha 1 exactly
         assert sqne_bound(three_step_plan(), relaxed_family(1.3)) == 0.5 / 8.0
         for alpha in (1 - 5e-13, 1 + 5e-13, 1 - 2e-12, 1 + 2e-12):
             plan = IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec.relaxation(0, alpha)])
-            if abs(alpha - 1) < 1e-12:
-                assert sqne_bound(plan, relaxed_family(1.3)) == 0.25
-            else:
-                with pytest.raises(ValueError, match=f"step 1 relaxes input 0 by alpha {alpha}"):
-                    sqne_bound(plan, relaxed_family(1.3))
+            with pytest.raises(ValueError, match=f"step 1 relaxes input 0 by alpha {alpha}"):
+                sqne_bound(plan, relaxed_family(1.3))
+            assert sqne_bound(plan, relaxed_family(1.0)) == 0.25
 
     def test_black_box_leaf_meets_no_hypothesis(self):
         for plan in (three_step_plan(), RELAXED):
@@ -379,24 +379,39 @@ class TestBounds:
         so the output's constant is at least eps / (2 prod P_i), the bound.  The
         two-point route runs the same rules on ``fne_rho``, and ``sqne_rho`` takes the
         larger of its own route and ``fne_rho``.  Over 6,000 plans, 11,904 bounds hold.
+
+        A kind-0 alpha a rounding away from 1 is not alpha 1: the tree's constant falls
+        below its input's, so the bound needs a cutter input.  Over leaves at gamma 4/3
+        (constant 0.5) a plan at eps 1 would otherwise be bounded by 0.5, above its tree.
         """
         gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)  # criterion 04's family
         families = (random_halfspace_family(5, 8, seed=7),
                     random_halfspace_family(5, 8, seed=7, gammas=lambda n: gammas[n]))
-        held = 0
-        for seed in range(5):
-            for alpha_one in (False, True):
-                for plan in random_plan_corpus(300, seed=seed, c0_alpha_one=alpha_one):
-                    for family in families:
-                        tree = output_operator(plan, family)
-                        for bound, rho in ((sqne_bound, tree.sqne_rho), (fne_bound, tree.fne_rho)):
-                            try:
-                                b = bound(plan, family)
-                            except ValueError:
-                                continue
-                            assert rho is not None and rho >= b, (plan.k, bound.__name__, rho, b)
-                            held += 1
-        assert held == 11_904
+
+        def held(plans, families):
+            count = 0
+            for plan in plans:
+                for family in families:
+                    tree = output_operator(plan, family)
+                    for bound, rho in ((sqne_bound, tree.sqne_rho), (fne_bound, tree.fne_rho)):
+                        try:
+                            b = bound(plan, family)
+                        except ValueError:
+                            continue
+                        assert rho is not None and rho >= b, (plan.k, bound.__name__, rho, b)
+                        count += 1
+            return count
+
+        corpus = [plan for seed in range(5) for alpha_one in (False, True)
+                  for plan in random_plan_corpus(300, seed=seed, c0_alpha_one=alpha_one)]
+        assert held(corpus, families) == 11_904
+        near_one = [IterationPlan(k=n, N=1, eps=eps, steps=[StepSpec.relaxation(-n, alpha)])
+                    for alpha in (1 - 5e-13, 1 + 5e-13, 1 - 2e-12, 1 + 2e-12)
+                    for eps in (0.5, 1.0) for n in range(8)]
+        near_one = [plan for plan in near_one if not plan.validate()]  # eps 1 admits 1 +- 5e-13 only
+        steep = random_halfspace_family(5, 8, seed=7, gammas=lambda n: 4.0 / 3.0)
+        assert len(near_one) == 48
+        assert held(near_one, (*families, steep)) == 180
 
 
 class TestStructureKey:

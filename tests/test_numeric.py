@@ -145,6 +145,7 @@ _SITES = [
     ("verify_admissible.index", lambda v: verify_admissible(CyclicSchedule.over_indices([0]), 10, [v]), 0, 0),
     ("window bound", _window_audit, 1, 1),
     ("PowerOfTwoSchedule.window_bound", lambda v: PowerOfTwoSchedule().window_bound(v), 3, 0),
+    ("CyclicSchedule.window_bound", lambda v: CyclicSchedule.over_indices([0, 1]).window_bound(v), 1, 0),
     ("msa_embed window bound", _padded_window, 3, 0),
     ("OperatorFamily.operator", lambda v: two_halfspace_family().operator(v), 1, 0),
     ("StopRule", lambda v: StopRule(v), 3, 0),
@@ -182,6 +183,10 @@ class TestEverySiteReadsWholeNumbers:
             lambda: _perturbation_at(2.5),  # was at(2, x)
             lambda: BetaGrid.geometric(0.5, M=2).betas(1.5),  # was betas(1)
             lambda: BetaGrid.geometric(0.5, M=2).beta(1, 1.5),  # was beta(1, 1)
+            lambda: CyclicSchedule.over_indices([0, 1]).window_bound(1.0),  # was the window 2
+            lambda: CyclicSchedule.over_indices([0, 1]).window_bound(True),  # was the window 2
+            lambda: CyclicSchedule.over_indices([0, 1]).window_bound("1"),  # was None, no window
+            lambda: CyclicSchedule.over_indices([0, 1]).window_bound(-1),  # was None, no window
         ],
     )
     def test_a_fraction_once_truncated_is_refused(self, call):
