@@ -265,13 +265,11 @@ def cmd_verify(cfg, args):
     _emit("coverage", reports[0])
 
     budget = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed)
-    probed = set()  # one probe per plan structure, labelled by its first k
+    probed = {}  # one probe per tree (the family keeps one per plan structure), labelled by its first k
     for k in range(min(args.horizon, _PROBE_PLANS - 1) + 1):
-        plan = cfg.schedule.plan_at(k)
-        if plan.structure_key() in probed:
+        T = output_operator(cfg.schedule.plan_at(k), cfg.family)
+        if probed.setdefault(T, k) != k:
             continue
-        probed.add(plan.structure_key())
-        T = output_operator(plan, cfg.family)
         for route, rho in (("sqne", T.sqne_rho), ("fne", T.fne_rho)):
             if rho is None:
                 _emit(f"plan {k} {route}", "skipped (no certified constant)")

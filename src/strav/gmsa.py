@@ -129,8 +129,8 @@ class IterationPlan:
     def structure_key(self):
         """Hashable identity of the plan without ``k``: plain data, which hashes in C.
 
-        Plans with equal keys validate alike and build equal trees over one
-        family, so a driver may build one tree per key.
+        Plans with equal keys validate alike and share one tree over a family:
+        :func:`output_operator` keeps each valid plan's tree there under its key.
         """
         if self._key is None:
             # a step that is not a StepSpec fails validation, so no tree is built for it
@@ -227,11 +227,11 @@ def _validate(plan):
 def output_operator(plan, family):
     """The plan's output operator: module ``N`` over the given family.
 
-    Sub-modules are memoized per call, so a step referenced from several
-    places is built exactly once and shared inside the tree.
+    The family keeps a valid plan's tree under its :meth:`~IterationPlan.structure_key`, so each
+    structure's tree is built once, with a step referenced from several places as one shared node.
     """
     plan.require_valid()
-    memo = {}
+    memo = family._trees.setdefault(plan.structure_key(), {})  # only a valid plan is keyed
 
     def build(m):
         if m <= 0:

@@ -182,10 +182,11 @@ class OperatorFamily:
         witness is fixed by U_n (at scale ``||witness||``); a violation is a
         construction error, not a silent degradation.
 
-    ``size`` is the number of inputs of a finite family (see
-    :meth:`from_sets`) and None for a generated one.  Two concurrent
-    materializations of the same index are harmless: the memo insert is
-    idempotent and nodes are immutable.
+    ``size`` is the number of inputs of a finite family (see :meth:`from_sets`) and None for a
+    generated one.  Two concurrent materializations of the same index are harmless: the memo
+    insert is idempotent and nodes are immutable.  The family also keeps the tree that
+    :func:`~strav.gmsa.output_operator` builds for each plan structure: that memo grows by one
+    tree per distinct structure ever built, as ``_ops`` grows per input; ROADMAP item 9 bounds both.
     """
 
     size = None
@@ -200,6 +201,7 @@ class OperatorFamily:
         self.dim = self.witness.shape[0]
         self._ops = {}
         self._stacks = {}
+        self._trees = {}  # plan structure key -> its modules, filled by gmsa.output_operator
 
     def operator(self, n):
         """Materialize (once) and return the input operator U_n."""

@@ -26,12 +26,10 @@ squares with ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit for bit;
 numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit
 for about one double in a thousand.
 
-A run builds one output operator per plan structure: ``_drive`` keeps a
-dict from :meth:`~strav.gmsa.IterationPlan.structure_key` to the tree
-:func:`~strav.gmsa.output_operator` built, for that run only.  The key
-leaves out ``k`` and keeps ``eps``, so an invalid plan never meets a tree
-built for a valid one.  A power-of-two run of 20,000 updates builds 15
-trees instead of 20,001.
+A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
+structure and keeps the answer for that run.  The family keeps every tree
+built over it, so a config's run applies the trees ``parse_config`` built to
+derive rho, and a power-of-two run of 20,000 updates builds 15, not 20,001.
 
 An update at a fixed point does no vector arithmetic.  When T_k hands u^k
 back as the same array (an inactive halfspace or hyperplane, a relaxation
@@ -147,9 +145,11 @@ class RelaxationSchedule:
         if points > sys.float_info.max:  # the grid divides by points - 1 as a float
             raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
         lo, hi = cls.interval(float(eps), float(rho))
-        # each grid value is computed at use, so a huge ``points`` costs nothing
+        # computed at use, so a huge ``points`` costs nothing; lo + span * i / den where span * i fits
         span, den = hi - lo, points - 1
-        return cls(lambda k: lo + span * (k % points) / den, eps, rho)
+        fits = math.isfinite(span * den)  # then every span * i fits; else divide first where one overflows
+        return cls(lambda k: lo + (span * (k % points) / den if fits or math.isfinite(span * (k % points))
+                                   else span * (k % points / den)), eps, rho)
 
 
 def _perturbation(k, x, b, v):

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import strav.cli
+import strav.config
+import strav.gmsa
 import strav.operators
+import strav.solver
 from strav.cli import main
 from strav.config import ConfigError, parse_config
 from strav.gmsa import fne_bound, output_operator, sqne_bound
@@ -212,6 +215,50 @@ class TestVerify:
         probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
         assert probes == ["plan 0 sqne", "plan 1 sqne"]
         assert kv(out)["verdict"] == "pass"
+
+
+class TestTreesBuiltOnce:
+    """A config's trees are built once, when ``parse_config`` derives rho from them; the
+    run applies those very trees and ``verify`` probes them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class CountedComb(strav.gmsa.ConvexComb):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(strav.gmsa, "ConvexComb", CountedComb)  # the root of each stage tree
+        return built
+
+    @staticmethod
+    def _recorder(monkeypatch, module):
+        got, real = [], module.output_operator
+
+        def record(plan, family):
+            got.append(real(plan, family))
+            return got[-1]
+
+        monkeypatch.setattr(module, "output_operator", record)
+        return got
+
+    def test_solve_and_verify_build_each_stage_tree_once(self, capsys, tmp_path, monkeypatch, built):
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        cfg = write(tmp_path, runpy.run_path(str(path))["stage_config"](0))
+        derived = self._recorder(monkeypatch, strav.config)
+        applied = self._recorder(monkeypatch, strav.solver)
+        assert run_cli(capsys, "solve", "--config", cfg)[0] == 0
+        assert len(built) == len(derived) == len(applied) == 8
+        assert all(T is U is C for T, U, C in zip(applied, derived, built))
+        built.clear()
+        derived.clear()
+        probed = self._recorder(monkeypatch, strav.cli)
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0 and kv(out)["verdict"] == "pass"
+        assert len(built) == len(derived) == len(probed) == 8
+        assert all(T is U for T, U in zip(probed, derived))
 
 
 class TestVerifyChecks:

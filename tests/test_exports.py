@@ -87,3 +87,17 @@ def test_names_the_benchmark_tracer_rebinds_exist():
         assert strav.cli.check_sqne is calls.check_sqne
         assert strav.cli.check_nonexpansive is calls.check_nonexpansive
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_the_benchmark_tracer_sees_every_tree_a_run_applies():
+    """The tracer counts builds and applies through the name ``strav.solver.output_operator``,
+    which the driver calls once per plan structure and run.  A driver that took its trees
+    from anywhere else would run untraced here: no build and no apply counted."""
+    root = Path(__file__).resolve().parent.parent
+    tracing = runpy.run_path(str(root / "bench" / "tracing.py"))
+    tracer = tracing["Tracer"]()
+    with tracing["Calls"](tracer).installed():
+        assert strav.cli.main(["solve", "--config", str(root / "demos" / "configs" / "stage_solve.json")]) == 0
+    assert tracer.counts["updates"] > 0
+    assert tracer.calls["operators.apply"] == tracer.counts["updates"] + 1  # one per row
+    assert tracer.calls["gmsa.output_operator"] == len(tracer.plans) == 2  # the config's two stages

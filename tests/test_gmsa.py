@@ -272,6 +272,35 @@ class TestBuild:
             output_operator(three_step_plan(eps=0.0), self.fam)
 
 
+class TestFamilyKeepsTrees:
+    """``output_operator`` builds each plan structure's tree once per family and hands it back."""
+
+    def test_one_tree_per_structure_and_family(self):
+        first = random_halfspace_family(4, 6, seed=23)
+        second = OperatorFamily.from_sets([first.operator(n) for n in range(6)], first.witness)
+        T = output_operator(three_step_plan(k=0), first)
+        assert output_operator(three_step_plan(k=5), first) is T
+        U = output_operator(three_step_plan(k=5), second)
+        assert U is not T and output_operator(three_step_plan(k=0), second) is U
+        x = np.random.default_rng(29).standard_normal((8, 4)) * 2.0
+        assert_array_equal(U.apply(x), T.apply(x))
+        other = output_operator(three_step_plan(eps=0.25), first)  # eps is part of the structure
+        assert other is not T
+
+    def test_an_invalid_twin_is_refused_after_the_valid_tree_exists(self):
+        fam = random_halfspace_family(4, 6, seed=23)
+        output_operator(three_step_plan(), fam)
+        with pytest.raises(ValueError, match="invalid-plan: step 0: eps"):
+            output_operator(three_step_plan(eps=0.0), fam)
+        # the last step's attributes, on an object that is not a StepSpec
+        s = THREE_STEPS[2]
+        twin = type("Twin", (), {a: getattr(s, a) for a in StepSpec.__slots__})()
+        plan = IterationPlan(k=0, N=3, eps=0.5, steps=[*THREE_STEPS[:2], twin])
+        with pytest.raises(ValueError, match="invalid-plan: step 3: not a StepSpec"):
+            output_operator(plan, fam)
+        assert len(fam._trees) == 1
+
+
 class TestBounds:
     def test_width_product_by_hand(self):
         plan = three_step_plan()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import strav.gmsa
 import strav.solver
 import strav.superiorize
 from strav.config import parse_config
@@ -126,6 +127,17 @@ class TestRelaxationSchedule:
         lo, hi = RelaxationSchedule.interval(0.1, 0.05)
         grid = [lo + (hi - lo) * i / 16 for i in range(17)]
         assert [r.lam(k) for k in range(41)] == [grid[k % 17] for k in range(41)]
+
+    def test_sweep_near_the_float_ceiling_stays_finite(self):
+        # span * i overflows from i = 2 on, where the value divides first; below that it
+        # keeps the bits of lo + span * i / den
+        r = RelaxationSchedule.sweep(0.25, 1e308, points=17)
+        lo, hi = RelaxationSchedule.interval(0.25, 1e308)
+        vals = [r.lam(k) for k in range(17)]
+        assert all(math.isfinite(v) and _admits(v, lo, hi) for v in vals)
+        assert vals == sorted(vals) and vals[-1] == hi
+        assert vals[:2] == [lo, lo + (hi - lo) * 1 / 16]
+        assert [r.lam(k) for k in range(17, 34)] == vals
 
     @pytest.mark.parametrize("values", [0.5, [0.5, True], [0.5, "0.5"], [None]])
     def test_cycle_refuses_anything_but_a_list_of_numbers(self, values):
@@ -610,6 +622,28 @@ class TestTreeMemo:
         assert built == [0, 1]
         run(fam, sched, relax, np.array([3.0, 2.0]), StopRule(30, None, None))
         assert built == [0, 1, 0, 1]  # the memo lives for one run
+
+    def test_runs_over_one_family_build_each_structure_once(self, monkeypatch):
+        # each run asks for its trees again; the family answers from the trees it keeps
+        asked = self._spy(monkeypatch)
+        built = []
+
+        class CountedRelaxation(Relaxation):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(strav.gmsa, "Relaxation", CountedRelaxation)
+        fam = axis_halfspace_family(5)
+        for _ in range(3):
+            sched = PowerOfTwoSchedule(eps=0.1)  # fresh plans of the same structures
+            relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+            run(fam, sched, relax, 3.0 * np.ones(5), StopRule(1000, None, None))
+        assert asked == [2**n - 1 for n in range(10)] * 3
+        assert len(built) == 10
+        other = axis_halfspace_family(5)  # another family builds its own trees
+        run(other, sched, relax, 3.0 * np.ones(5), StopRule(1000, None, None))
+        assert len(built) == 20
 
     def test_memoized_trees_give_the_fresh_build_iterates(self):
         fam = axis_halfspace_family(5)
