@@ -158,7 +158,7 @@ _PROBE_SAMPLES = 200
 
 def _indices(text):
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not all(tok.isdecimal() for tok in tokens):
+    if not tokens or not all(tok.isdecimal() for tok in tokens):
         raise argparse.ArgumentTypeError(f"need comma separated natural numbers, got {text!r}")
     return [int(tok) for tok in tokens]
 

@@ -10,8 +10,8 @@ Each audited index n is one sample of a ``CheckReport``: with ``g_n`` the
 longest run of consecutive k in 0..horizon whose plans all miss n, its
 excess ``g_n - M_n + 1`` is judged at scale 0, and is positive exactly when
 some full window (start i with ``i + M_n - 1 <= horizon``) misses n.
-The audit reads both built-in schedules by their progressions: plan i of a
-cycle of L at k = i (mod L), template n at k = 2^n - 1 (mod 2^{n+1}).
+The audit reads each index's touches off one period of a built-in schedule:
+plan i of a cycle of L runs at k = i (mod L), template n at 2^n - 1 (mod 2^{n+1}).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
     "verify_admissible",
 ]
 
-_MAX_HORIZON = 10**7  # one intp code per k, 80 MB; verify_admissible says how long a lookup takes
+_MAX_HORIZON = 10**7  # a per-k audit's codes, one intp per k, take 80 MB; verify_admissible says how long
 
 
 def f_value(i):
@@ -173,17 +173,16 @@ def uniform_modulus(schedule, eps):
 
 
 def _plan_codes(schedule, horizon):
-    """``(distinct, codes)``: the output index sets of the plans of k = 0..horizon, each
-    mapped to its code in the order k first meets it, and the code of every k's set."""
+    """``(distinct, codes, ks, steps)``: the output index sets of the plans of k = 0..horizon, coded in the
+    order k first meets them; set ``codes[j]`` runs at ``ks[j]`` and every ``steps[j]`` k on (all the plans
+    that hold an index share one step), or, with ``ks`` None, at k = j alone."""
     distinct = {}
-    if type(schedule).plan_at in (CyclicSchedule.plan_at, PowerOfTwoSchedule.plan_at):
-        codes = np.empty(horizon + 1, dtype=np.intp)
-        for start, step, plan in schedule._strides(horizon):
-            codes[start::step] = distinct.setdefault(plan.output_indices(), len(distinct))
-        return distinct, codes
-    return distinct, np.fromiter(
-        (distinct.setdefault(schedule.plan_at(k).output_indices(), len(distinct)) for k in range(horizon + 1)),
-        dtype=np.intp, count=horizon + 1)
+    if type(schedule).plan_at in (CyclicSchedule.plan_at, PowerOfTwoSchedule.plan_at):  # by its progressions
+        sites = (v for k, step, p in schedule._strides(horizon)
+                 for v in (distinct.setdefault(p.output_indices(), len(distinct)), k, step))
+        return (distinct, *np.fromiter(sites, dtype=np.intp).reshape(-1, 3).T)
+    codes = (distinct.setdefault(schedule.plan_at(k).output_indices(), len(distinct)) for k in range(horizon + 1))
+    return distinct, np.fromiter(codes, dtype=np.intp, count=horizon + 1), None, horizon + 1
 
 
 def verify_admissible(schedule, horizon, indices):
@@ -194,26 +193,27 @@ def verify_admissible(schedule, horizon, indices):
     says; a failing report's ``worst`` is ``(n, i)``, the index that
     exceeds most and the first k of its longest miss run.  A horizon above
     ``_MAX_HORIZON`` is refused, and every bound is checked, before any
-    plan is looked up.  A cyclic or power-of-two schedule's own ``plan_at`` is
-    read a slice per plan (under 0.2 s at the ceiling on 2 cores), any other at
-    every k (about 10 s); a plan met at several k derives its indices once.
+    plan is looked up.  A cyclic or power-of-two schedule's own ``plan_at`` is read once per
+    plan of a period, whatever the horizon; any other at every k (about 10 s at the ceiling).
     """
     horizon = _whole(horizon, "horizon", lo=0)
     if horizon > _MAX_HORIZON:
         raise ValueError(f"horizon above the audit ceiling {_MAX_HORIZON:,}")
-    ns = sorted(_whole(n, "input index", lo=0) for n in indices)
+    ns = sorted({_whole(n, "input index", lo=0) for n in indices})
     bounds = [schedule.window_bound(n) for n in ns]
     for n, M in zip(ns, bounds):
         if M is None:
             raise ValueError(f"window bound for index {n} not declared; refusing to guess")
         if M == np.inf or _whole(M, f"window bound for index {n}", lo=1) > horizon + 1:
             raise ValueError(f"window {M} for index {n} does not fit horizon {horizon}")
-    distinct, codes = _plan_codes(schedule, horizon)
+    distinct, codes, ks, steps = _plan_codes(schedule, horizon)
     viol, starts = [], []  # per index: g_n - M_n + 1, start of its first longest miss run
     for n, M in zip(ns, bounds):
         hit = np.fromiter((n in s for s in distinct), dtype=bool, count=len(distinct))[codes]
-        # the touches fenced by -1 and horizon + 1: the gaps between them are the miss runs
-        fence = np.concatenate(([-1], np.flatnonzero(hit), [horizon + 1]))
+        r, period = (np.flatnonzero(hit), steps) if ks is None else (ks[hit], steps[hit][:1])
+        rep = r[:1] + period  # n's first touch, one period on: past the horizon when read per k
+        # the touches up to rep, fenced: each later miss run repeats one of their gaps or cuts one short
+        fence = np.concatenate(([-1], r, rep[rep <= horizon], [min([horizon, *rep]) + 1]))
         gaps = np.diff(fence) - 1
         i = int(np.argmax(gaps))
         viol.append(float(gaps[i] - M + 1))

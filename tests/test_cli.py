@@ -200,7 +200,7 @@ class TestVerify:
         assert code == 1
         assert "no indices to audit" in err
 
-    @pytest.mark.parametrize("indices", ["zz", "-1", "0,1.5"])
+    @pytest.mark.parametrize("indices", ["zz", "-1", "0,1.5", "", ",,"])
     def test_indices_must_be_natural_numbers(self, capsys, tmp_path, indices):
         cfg = write(tmp_path, solve_doc())
         code, out, err = run_cli(capsys, "verify", "--config", cfg, "--indices", indices)

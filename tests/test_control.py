@@ -195,6 +195,7 @@ class TestVerifyAdmissible:
         assert rep.name == "windows(horizon=200)"
         assert (rep.samples, rep.max_violation, rep.worst) == (5, 0.0, None)
         assert [s.window_bound(n) for n in range(5)] == [2 ** (n + 1) for n in range(5)]
+        assert verify_admissible(s, 100, [0, 0, 1]).samples == 2  # each index is one sample
 
     def test_detects_missed_window(self):
         # index 1 appears only at k = 0 and k = 4; with a declared window of
@@ -410,6 +411,17 @@ class _HeldPowerOfTwo(PowerOfTwoSchedule):
         return super().plan_at(int(k) // 2)  # each plan runs twice in a row
 
 
+class _DeclaredPowerOfTwo(PowerOfTwoSchedule):
+    """The power-of-two plans under declared windows: it keeps the schedule's ``plan_at``."""
+
+    def __init__(self, bounds):
+        super().__init__()
+        self.bounds = bounds
+
+    def window_bound(self, n):
+        return self.bounds.get(n)
+
+
 def _random_templates(rng):
     n_inputs = int(rng.integers(2, 7))
     templates = []
@@ -457,6 +469,20 @@ class TestStridedAudit:
                 verdicts.add(rep.passed)
         assert verdicts == {True, False}
 
+    def test_declared_power_of_two_windows_agree_with_brute_force(self):
+        # windows from 1 up to 2^(n+1), as far as the horizon holds them, some indices at the
+        # largest, and at times one index past the last touched one: failing audits read off
+        # one period, with their worst start
+        rng = np.random.default_rng(31)
+        edges = {2**n + d for n in range(1, 13) for d in (-2, -1, 0)}
+        verdicts = set()
+        for horizon in sorted(set(range(301)) | edges):
+            indices = range((horizon + 1).bit_length() + int(rng.integers(0, 2)))
+            top = {n: min(2 ** (n + 1), horizon + 1) for n in indices}
+            bounds = {n: int(rng.integers(1, M + 1)) if rng.random() < 0.3 else M for n, M in top.items()}
+            verdicts.add(_audited_as_oracle(_DeclaredPowerOfTwo(bounds), horizon, indices).passed)
+        assert verdicts == {True, False}
+
     def test_power_of_two_agrees_with_brute_force(self):
         edges = {2**n + d for n in range(1, 13) for d in (-2, -1, 0)}
         for horizon in sorted(set(range(71)) | edges | {5000}):
@@ -501,9 +527,9 @@ class TestStridedAudit:
         (lambda: CyclicSchedule([one_index_plan(k, k) for k in range(3)]), range(3), 1_968_745),
     ])
     def test_peak_memory(self, make, indices, parent_peak):
-        # the code array stays the only horizon-sized allocation besides the per-index
-        # arrays: the bounds are the peaks that the per-k audit, before the strided one
-        # existed, read in this very test (CPython 3.11, numpy 2.4)
+        # the bounds are the peaks that the per-k audit, before the strided one existed,
+        # read in this very test (CPython 3.11, numpy 2.4); the audit at the ceiling below
+        # shows that the strided one allocates nothing of the horizon's length
         schedule = make()
         verify_admissible(schedule, 100_000, indices)  # the plans and their index sets exist
         tracemalloc.start()
@@ -513,6 +539,24 @@ class TestStridedAudit:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak
+
+    @pytest.mark.parametrize("make, indices", [
+        (PowerOfTwoSchedule, range(23)),
+        (lambda: CyclicSchedule([one_index_plan(k, k % 3) for k in range(4)]), range(3)),
+    ])
+    def test_ceiling_audit_reads_one_period(self, make, indices):
+        # each index's touches come off one period of its plans: one intp per k would take
+        # 80 MB here, and the audit that built per-k arrays peaked at 205 MB
+        schedule = make()
+        verify_admissible(schedule, 1000, [0])  # the plans and their index sets exist
+        tracemalloc.start()
+        try:
+            rep = verify_admissible(schedule, control._MAX_HORIZON, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.passed, rep.samples) == (True, len(indices))
+        assert peak <= 64 * 1024
 
 
 def stage_cycle(strings_per_stage, window_bounds):
