@@ -97,9 +97,9 @@ class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
     Everything derived from the plan depends on its structure only (``N``,
-    ``eps`` and the step contents), never on ``k``, and is
-    computed once per plan: the validation issues, the output indices and
-    :meth:`structure_key`.  A schedule hands out the plans it stores, so
+    ``eps`` and the step contents), never on ``k``, and is computed once
+    per plan: the validation issues, the output indices, the width product
+    and :meth:`structure_key`.  A schedule hands out the plans it stores, so
     one plan serves every iteration that runs it.
 
     Parameters
@@ -123,7 +123,7 @@ class IterationPlan:
         self.eps = float(eps)
         self.steps = dict(enumerate(steps, start=1))
         self._validation = None
-        self._outputs = None  # made on first use: many plans are only validated
+        self._outputs = self._width = None  # made on first use: many plans are only validated
         self._key = None
 
     def structure_key(self):
@@ -166,9 +166,11 @@ class IterationPlan:
         return self._outputs
 
     def width_product(self):
-        """Product of the step widths P_1 ... P_N."""
-        self.require_valid()
-        return math.prod(self.steps[n].P for n in range(1, self.N + 1))
+        """Product of the step widths P_1 ... P_N, derived on the first call."""
+        if self._width is None:
+            self.require_valid()
+            self._width = math.prod(self.steps[n].P for n in range(1, self.N + 1))
+        return self._width
 
 
 def _validate(plan):

@@ -61,27 +61,15 @@ def _admitted(lo, hi):
 
 
 def as_vector(x, dim=None):
-    """Validate ``x`` as a finite 1-D float vector and return a copy-safe array.
-
-    Parameters
-    ----------
-    x : array_like
-        Coordinates of a single point.
-    dim : int, optional
-        Require this exact dimension.
-
-    Raises
-    ------
-    ValueError
-        On non-1-D input, empty input, non-finite coordinates, or a
-        dimension mismatch.
+    """``x`` as a 1-D float array: nonempty, finite and, given ``dim``, of that dimension;
+    otherwise ValueError.  It is ``np.asarray(x, dtype=float)``: ``x`` itself when already one.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("vectors must have positive dimension")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite coordinate in vector")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dim-mismatch: expected dimension {dim}, got {v.shape[0]}")

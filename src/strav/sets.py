@@ -2,12 +2,13 @@
 
 Every set variant carries an exact nearest-point rule.  ``project`` accepts
 a single vector or a row-stacked batch and returns the same shape; a point
-already inside comes back unchanged (bitwise for the polyhedral variants).
-A single point inside a halfspace may come back as the very array passed
-in, so a caller must not modify a projection in place.  A single point's
-halfspace or hyperplane projection is :func:`strav.operators._through` on
-the set's row, built at construction: the loop a string of them runs, offered
-as ``_rows`` only while ``project`` is the library's own, not an override.
+already inside comes back unchanged (bitwise for the polyhedral variants),
+a single one perhaps as the very array passed in (see ``project``).  A single
+point's halfspace or hyperplane projection is :func:`strav.operators._through`
+on the set's row, built at construction: the loop a string of them runs, offered
+as ``_rows`` only while ``project`` is the library's own, not an override.  A
+batch's step is the outer product ``np.einsum("...,j->...j", t / (a @ a), a)`` of
+its offsets ``t``: each entry one exact product, as broadcasting gives, in one pass.
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
 
@@ -95,7 +96,7 @@ class _LinearConstraint(ProjectableSet):
             offset = np.maximum(offset, 0.0)
         # adding 0.0 turns the -0.0 of a zero offset times a negative a_i
         # into 0.0, so x - step keeps a -0.0 coordinate of an inactive row
-        step = (offset / self._asq)[..., None] * self.a
+        step = np.einsum("...,j->...j", offset / self._asq, self.a)
         step += 0.0
         return np.subtract(x, step, out=step)
 

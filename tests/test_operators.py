@@ -5,7 +5,10 @@ construction rules, so a regression in the calculus cannot hide behind a
 matching regression in the expectation.
 """
 
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -639,7 +642,7 @@ class TestSharedSample:
         check_nonexpansive(node, budget, center=np.ones(3))
         rep = check_sqne(node, 1.0, np.zeros(3), budget)
         assert node.applied == [(10,), (), (10,)]
-        xs, _ = _probe(node, budget, np.zeros(3).tobytes())
+        xs, _, _ = _probe(node, budget, np.zeros(3).tobytes())
         assert (norm(xs) <= budget.radius).all()
         assert not np.array_equal(xs, _probe(node, budget, np.ones(3).tobytes())[0])
         _probe.cache_clear()
@@ -666,11 +669,102 @@ class TestSharedSample:
     def test_another_seed_draws_anew(self):
         node = CountingComposition([_halfspace_proj(seed=5)])
         ones = np.ones(3).tobytes()
-        xs, _ = _probe(node, SampleBudget(count=10), ones)
-        ys, ty = _probe(node, SampleBudget(count=10, seed=1), ones)
+        xs, _, _ = _probe(node, SampleBudget(count=10), ones)
+        ys, ty, _ = _probe(node, SampleBudget(count=10, seed=1), ones)
         assert node.applied == [(10,)] * 2
         assert not np.array_equal(xs, ys)
         assert not ys.flags.writeable and not ty.flags.writeable
+
+    def test_pair_differences_built_once_per_probe(self):
+        # check_fne derives the partners and h, g from the probe; check_nonexpansive on the
+        # same probe reads those very arrays instead of building its own
+        node, budget, center = _halfspace_proj(seed=5), SampleBudget(count=20), np.ones(3)
+        assert check_fne(node, 0.5, budget, center=center).passed
+        first = list(_pairs(node, budget, center))
+        assert check_nonexpansive(node, budget, center=center).passed
+        second = _pairs(node, budget, center)
+        assert len(second) == 4
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(a.flags.writeable for a in second)
+        xs, tx, held = _probe(node, budget, center.tobytes())
+        assert held is second and first[0] is xs
+        assert first[1].tobytes() == np.roll(xs, -1, axis=0).tobytes()
+        assert first[3].tobytes() == (tx - np.roll(tx, -1, axis=0)).tobytes()
+
+    def test_cache_clear_drops_the_pair_differences(self):
+        node, budget, center = _halfspace_proj(seed=5), SampleBudget(count=20), np.ones(3)
+        check_nonexpansive(node, budget, center=center)
+        refs = [weakref.ref(a) for a in _pairs(node, budget, center)]
+        _probe.cache_clear()
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+        # the next check derives them anew, bitwise as before
+        check_fne(node, 0.5, budget, center=center)
+        fresh = _pairs(node, budget, center)
+        _probe.cache_clear()
+        assert [a.tobytes() for a in fresh] == [a.tobytes() for a in _pairs(node, budget, center)]
+
+
+# SHA-256 over every field of the 2,000 reports of _report_corpus, each worst sample's bytes included
+_REPORT_CORPUS_SHA256 = "9fde1685267fb2d30e5916e0bc075616519648fc5eb1250ea6afe7ba8a2701f1"
+
+
+def _report_corpus():
+    # the five checks of each of 200 corpus plans, on plain leaves and on gamma-relaxed leaves
+    gammas = np.random.default_rng(99).uniform(0.05, 4.0 / 3.0, 8)
+    plans = random_plan_corpus(200, seed=13)
+    for family in (random_halfspace_family(5, 8, 7), random_halfspace_family(5, 8, 7, gammas=lambda n: gammas[n])):
+        z = family.witness
+        for plan in plans:
+            T = output_operator(plan, family)
+            budget = SampleBudget(count=200, seed=plan.k)
+            yield check_sqne(T, sqne_bound(plan), z, budget)
+            yield check_sqne(T, 1e3, z, budget)
+            yield check_fne(T, fne_bound(plan), budget, center=z)
+            yield check_fne(T, 50 * fne_bound(plan), budget, center=z)
+            yield check_nonexpansive(T, budget, center=z)
+
+
+class TestReportBits:
+    """The sampling checkers' reports keep their bits: a pinned hash over every field."""
+
+    def test_report_corpus_hash_pinned(self):
+        digest, reports = hashlib.sha256(), list(_report_corpus())
+        for r in reports:
+            digest.update(repr((r.name, r.passed, r.max_violation.hex(), r.samples)).encode())
+            for p in r.worst or ():
+                digest.update(p.tobytes())
+        # failing reports (the 1e3 and 50x moduli) pin their worst samples too
+        assert len(reports) == 2000 and sum(not r.passed for r in reports) == 690
+        assert digest.hexdigest() == _REPORT_CORPUS_SHA256
+
+
+class TestReadOnlyBatch:
+    """A batched apply writes only to arrays it allocated, never to the batch it was given."""
+
+    @pytest.mark.parametrize("kind", [
+        "halfspace", "hyperplane", "relaxed leaf", "relaxation 1.5", "convex comb", "string", "composition",
+    ])
+    def test_apply_leaves_a_read_only_batch_unchanged(self, kind):
+        rng = np.random.default_rng(8)
+        hs, hp = Halfspace(rng.standard_normal(4), 0.2), Hyperplane(rng.standard_normal(4), -0.1)
+        node = {
+            "halfspace": Primitive(hs),
+            "hyperplane": Primitive(hp),
+            "relaxed leaf": Primitive(hs, 0.7),
+            "relaxation 1.5": Relaxation(Primitive(hp), 1.5),
+            "convex comb": ConvexComb([Identity(), Primitive(hs), Primitive(hp, 1.2)], [0.25, 0.25, 0.5]),
+            "string": Composition([Primitive(hs), Primitive(hp)]),
+            "composition": Composition([Primitive(hs), Primitive(Ball(np.zeros(4), 1.0))]),
+        }[kind]
+        assert bool(node._rows) == (kind in ("halfspace", "hyperplane", "string"))
+        x = rng.standard_normal((30, 4))
+        x[::3] = 0.0  # inside the halfspace and the ball: rows that some nodes fix
+        before = x.tobytes()
+        x.flags.writeable = False
+        out = node.apply(x)
+        assert x.tobytes() == before
+        assert out.shape == x.shape and not np.shares_memory(out, x)
 
 
 def _child_by_child(node, x):
