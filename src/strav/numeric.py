@@ -2,7 +2,9 @@
 
 Vectors are plain 1-D numpy float arrays.  All helpers broadcast over
 leading axes so a batch of points, stacked row-wise, can be pushed through
-in a single call; reductions run along the last axis.
+in a single call; reductions run along the last axis.  numpy sums a row shorter than 8 in order
+(a longer one pairwise), so :func:`norm` sums a batch of short rows a column at a time: the same
+bits, in one inner loop per column rather than per row.
 
 Tolerances
 ----------
@@ -28,6 +30,8 @@ past ``type(v) is int``, and a memo is read after that test: ``1.0`` and ``True`
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -82,6 +86,8 @@ def norm(x):
     The same sum of squares ``np.linalg.norm(x, axis=-1)`` computes for real
     input, bit for bit, without its dispatch cost.
     """
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    sq = np.square(np.asarray(x, dtype=float))
+    if sq.ndim > 1 and 0 < sq.shape[-1] < 8:  # see the module docstring
+        return np.sqrt(reduce(np.add, sq.T).T)
+    return np.sqrt(np.add.reduce(sq, axis=-1))
 

@@ -274,10 +274,8 @@ class OperatorFamily:
     def check_common_point(self, z):
         """Whether z is fixed by every materialized operator, at scale ``||z||``."""
         z = as_vector(z, self.dim)
-        worst = 0.0
-        for n in self.materialized:
-            worst = max(worst, float(self._ops[n].residual(z)))
-        return _within(worst, float(norm(z)))
+        scale = float(norm(z))
+        return all(_within(float(self._ops[n].residual(z)), scale) for n in self.materialized)  # NaN fails
 
     @classmethod
     def from_sets(cls, sets, witness):

@@ -158,7 +158,7 @@ def _perturbation(k, x, b, v):
         raise ValueError(f"perturbation magnitude {b} at k={k} must be finite and nonnegative")
     if v.shape != (x.shape if type(x) is np.ndarray else np.shape(x)):  # np.shape costs a call
         raise ValueError(f"direction of shape {v.shape} at k={k}, iterate shape {np.shape(x)}")
-    if not (v.ndim == 1 and v.dot(v) <= 1.0):  # a NaN fails both tests
+    if not (v.ndim == 1 and v.dot(v) <= 1.0 + 1e-9):  # a NaN fails both tests
         nv = float(norm(v))
         if not _within(nv - 1.0):
             raise ValueError(f"direction norm {nv} exceeds 1 at k={k}")
@@ -171,10 +171,11 @@ class PerturbationSchedule:
     ``beta`` maps k to a finite beta_k >= 0.  ``direction`` always takes
     ``(k, x)``, so adversarial rules can react to the current iterate; a
     rule that ignores x still accepts it.  Each direction is checked at use:
-    x's shape, and norm <= 1 within slack.  ``v.dot(v) <= 1`` accepts a 1-D
-    direction at once: a sum of d squares errs by a relative d * 2**-53 at
-    most, so the norm test (slack 1e-9 + 1e-12) would pass it too whenever
-    ``d * 2**-53 <= 1e-9``.  Nothing is cached: a rule may refill one buffer.
+    x's shape, and norm <= 1 within slack.  ``v.dot(v) <= 1 + 1e-9`` accepts a
+    1-D direction at once: a sum of d squares errs by a relative d * 2**-53 at
+    most, so its norm is at most 1 + 5e-10 + d * 2**-53, which the norm test
+    (slack 1e-9 + 1e-12) passes whenever ``d * 2**-53 <= 5e-10``.  Nothing is
+    cached: a rule may refill one buffer.
     """
 
     def __init__(self, beta, direction):
@@ -445,28 +446,13 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
 
 
 def run(family, schedule, relax, x0, stop=StopRule(), *, monitored=(), record_stride=1):
-    """Plain driver: x^{k+1} = x^k + lambda_k (T_k(x^k) - x^k).
+    """Plain driver: x^{k+1} = x^k + lambda_k (T_k(x^k) - x^k) from ``x0``; returns a :class:`Trace`.
 
-    Parameters
-    ----------
-    family : OperatorFamily
-        Input operators with their declared common point.
-    schedule : ControlSchedule
-        Supplies the per-iteration plan.
-    relax : RelaxationSchedule
-        Step sizes, validated against the certified interval.
-    x0 : array_like
-        Starting point.
-    stop : StopRule
-        Cap / residual / step criteria; first hit wins.
-    monitored : iterable of int
-        Set indices whose distances are recorded every iteration.
-    record_stride : int
-        Keep every stride-th full iterate (final always kept).
-
-    Returns
-    -------
-    Trace
+    ``family`` (an :class:`~strav.sets.OperatorFamily`) holds the inputs and their declared
+    common point, ``schedule`` hands the plan of each k, ``relax`` the step sizes, validated
+    against the certified interval, and ``stop`` the cap, residual and step criteria, the first to
+    fire winning.  The distances to the ``monitored`` sets are recorded at every iterate, and every
+    ``record_stride``-th full iterate is kept, the final one always.
     """
     return _drive(
         family, schedule, relax, x0, stop, monitored=monitored, record_stride=record_stride

@@ -68,6 +68,40 @@ class TestInnerNorm:
         assert got.tobytes() == np.array([norm(x) for x in X]).tobytes()
 
 
+class TestShortRowSum:
+    """A batch of rows shorter than 8 is summed a column at a time, with numpy's bits."""
+
+    @staticmethod
+    def _entries(rng, shape):
+        # signed zeros, subnormals, squares that overflow, infinities and NaN among ordinary values
+        special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -3e154, np.inf, -np.inf, np.nan, -np.nan])
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-170, 170, size=shape)
+        return np.where(rng.random(shape) < 0.3, rng.choice(special, size=shape), x)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("lead", [(40,), (6, 7)])
+    def test_norm_keeps_the_bits_of_add_reduce(self, n, lead):
+        rng = np.random.default_rng(100 * n + len(lead))
+        for _ in range(20):
+            x = self._entries(rng, lead + (n,))
+            with np.errstate(over="ignore"):
+                want = np.sqrt(np.add.reduce(x * x, axis=-1))
+                got = norm(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_row_that_matters_to_the_order(self):
+        # (1 + 1e-16) + 1e-16 is 1, while 1 + (1e-16 + 1e-16) is not: numpy sums such a row in
+        # order, and so does the column sum
+        x = np.sqrt(np.array([[1.0, 1e-16, 1e-16], [1e-16, 1e-16, 1.0]]))
+        assert norm(x).tobytes() == np.sqrt(np.add.reduce(x * x, axis=-1)).tobytes()
+        assert norm(x[:1])[0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (4, 0, 3)])
+    def test_empty_batches_keep_their_shape(self, shape):
+        x = np.zeros(shape)
+        assert norm(x).shape == np.add.reduce(x, axis=-1).shape
+
+
 class TestWithin:
     def test_slack_grows_with_the_scale(self):
         assert _within(1e-9) and not _within(2e-9)

@@ -739,6 +739,121 @@ class TestReportBits:
         assert digest.hexdigest() == _REPORT_CORPUS_SHA256
 
 
+class NaNAway(Identity):
+    """Fixes the origin and maps every other point to NaN."""
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x == 0.0).all(axis=-1, keepdims=True), x, np.nan)
+
+
+class Scaled(Identity):
+    """``x -> c * x``: expands every pair by the factor c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def apply(self, x):
+        return self.c * np.asarray(x, dtype=float)
+
+
+_CHECKS = {
+    "sqne": lambda node, rho, budget, c: check_sqne(node, rho, c, budget),
+    "fne": lambda node, rho, budget, c: check_fne(node, rho, budget, center=c),
+    "nonexpansive": lambda node, rho, budget, c: check_nonexpansive(node, budget, center=c),
+}
+
+
+class TestLazyJudgement:
+    """A sampling check whose largest violation is within the absolute slack passes with no scale
+    formed; every other is judged sample by sample at its own scale, and a failure keeps its worst."""
+
+    @staticmethod
+    def _lazy_and_full(monkeypatch, check):
+        # the check's report, and the one _report makes from the same violations with every
+        # scale formed first; also those scales
+        seen, real = [], strav.operators._report
+        monkeypatch.setattr(strav.operators, "_report", lambda *a: seen.append(a) or real(*a))
+        lazy = check()
+        ((name, viol, scale, points),) = seen
+        scales = scale()
+        return lazy, real(name, viol, scales, points), scales
+
+    @staticmethod
+    def _same(a, b):
+        assert (a.name, a.passed, a.samples) == (b.name, b.passed, b.samples)
+        assert a.max_violation.hex() == b.max_violation.hex()
+        assert [p.tobytes() for p in a.worst or ()] == [p.tobytes() for p in b.worst or ()]
+
+    @pytest.mark.parametrize("kind", sorted(_CHECKS))
+    @pytest.mark.parametrize(
+        "center",
+        [[0.0, 0.0], [1e154, -3e150], [2.0**510, 1.0], [1e160, -3e155], [1e300, -1e300],
+         [1.7976931348623157e308, -1e308]],
+    )
+    def test_a_center_of_any_size_reports_what_the_full_judgement_reports(self, monkeypatch, kind, center):
+        # far beyond 1e150 (where a sample rounds to the center's grid) every scale stays finite
+        # and the report is the full judgement's, whichever path it took
+        budget, center = SampleBudget(count=200, seed=8, radius=1e150), np.array(center)
+        if kind == "sqne" and np.abs(center).max() > 1e154:
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="witness-not-fixed"):
+                check_sqne(Identity(), 1.0, center, budget)  # the witness check's scale ||z|| overflows
+            return
+        nodes = [(Identity(), 1.0), (Primitive(Halfspace([0.0, 1.0], center[1])), 1.0)]
+        nodes += [(Primitive(Halfspace([0.0, 1.0], center[1])), 1e3), (Relaxation(Identity(), 0.5), 0.0)]
+        if kind != "sqne" and np.abs(center).max() < 1e300:
+            nodes.append((Scaled(1.5), 0.0))  # it fixes no far center, and 1.5 * center must be finite
+        for node, rho in nodes:
+            lazy, full, scales = self._lazy_and_full(monkeypatch, lambda: _CHECKS[kind](node, rho, budget, center))
+            assert np.isfinite(scales).all() and scales.max() < 1.7e301
+            self._same(lazy, full)
+            monkeypatch.undo()
+
+    def test_the_far_centers_meet_both_paths(self):
+        budget = SampleBudget(count=200, seed=8, radius=1e150)
+        center = np.array([1e160, -3e155])
+        node = Primitive(Halfspace([0.0, 1.0], center[1]))
+        assert check_fne(node, 1.0, budget, center=center).passed
+        rep = check_fne(Scaled(1.5), 0.0, budget, center=center)
+        assert not rep.passed and rep.worst is not None
+
+    @pytest.mark.parametrize("kind", sorted(_CHECKS))
+    def test_a_nan_violation_fails(self, kind):
+        rep = _CHECKS[kind](NaNAway(), 1.0, SampleBudget(count=30, seed=4), np.zeros(2))
+        assert not rep.passed and math.isnan(rep.max_violation)
+        assert rep.worst is not None and all(np.isfinite(p).all() for p in rep.worst)
+
+    @pytest.mark.parametrize("kind", sorted(_CHECKS))
+    def test_a_failing_check_keeps_its_worst(self, monkeypatch, kind):
+        node, budget = Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), SampleBudget(count=100, seed=5)
+        lazy, full, _ = self._lazy_and_full(monkeypatch, lambda: _CHECKS[kind](node, 1.0, budget, np.zeros(3)))
+        assert not lazy.passed and len(lazy.worst) == (1 if kind == "sqne" else 2)
+        self._same(lazy, full)
+
+    def test_a_violation_just_past_the_absolute_slack_is_judged_at_its_own_scale(self):
+        # the largest violation lies in (1e-9, 1e-9 + 1e-12], so it would pass at scale 1, but
+        # its own scale ||x - y|| is below 0.2, where it fails: only scale 0 may skip the scales
+        budget, center = SampleBudget(count=50, seed=3, radius=0.1), np.zeros(2)
+        h = _pairs(Identity(), budget, center)[2]
+        node = Scaled(1.0 + (1e-9 + 6e-13) / float(norm(h).max()))
+        rep = check_nonexpansive(node, budget, center=center)
+        assert 1e-9 + 2e-13 < rep.max_violation <= 1e-9 + 1e-12
+        assert not rep.passed
+
+    @pytest.mark.parametrize("kind, passing, failing", [("sqne", 1, 2), ("fne", 1, 2), ("nonexpansive", 2, 2)])
+    def test_a_passing_check_forms_no_scale(self, monkeypatch, kind, passing, failing):
+        # a row-wise inner product per violation; the scales <d, d> and <h, h> only past the
+        # first judgement (the nonexpansive violation needs ||x - y|| itself)
+        calls, real = [], strav.operators._dot
+        monkeypatch.setattr(strav.operators, "_dot", lambda a, b: calls.append(1) or real(a, b))
+        proj, budget = _halfspace_proj(seed=31), SampleBudget(count=60, seed=6)
+        assert _CHECKS[kind](proj, 1.0, budget, np.zeros(3)).passed
+        assert len(calls) == passing
+        calls.clear()
+        assert not _CHECKS[kind](Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), 1.0, budget, np.zeros(3)).passed
+        assert len(calls) == failing
+
+
 class TestReadOnlyBatch:
     """A batched apply writes only to arrays it allocated, never to the batch it was given."""
 

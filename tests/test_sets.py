@@ -329,6 +329,22 @@ class TestOperatorFamily:
         assert fam.check_common_point(np.zeros(3))
         assert not fam.check_common_point(np.array([9.0, 9.0, 9.0]))
 
+    def test_a_nan_residual_fails_the_common_point(self):
+        # the node fixes the origin and maps every other point to NaN, so it does not fix
+        # (-1, 0), which x_1 <= 0 holds; a fold by max() once dropped its NaN residual
+        class NaNAway(Identity):
+            def apply(self, x):
+                x = np.asarray(x, dtype=float)
+                return x if not x.any() else np.full_like(x, np.nan)
+
+        for members in ([Halfspace([1.0, 0.0], 0.0), NaNAway()], [NaNAway()]):
+            fam = OperatorFamily.from_sets(members, np.zeros(2))
+            for n in range(len(members)):
+                fam.operator(n)
+            assert np.isnan(fam.operator(len(members) - 1).residual([-1.0, 0.0]))
+            assert fam.check_common_point(np.zeros(2))
+            assert not fam.check_common_point([-1.0, 0.0])
+
     def test_overflowing_witness_is_a_family_error(self):
         # ||(1e308, 1e308)|| overflows: every audit at that scale used to pass,
         # so operator 0 materialized and the witness counted as a common point

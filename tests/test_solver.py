@@ -263,6 +263,18 @@ class TestPerturbationSchedule:
         # the exact test: the direction's norm exceeds 1 by at most the slack
         return bool(_within(float(norm(v)) - 1.0))
 
+    def test_a_unit_direction_rounded_up_skips_the_norm(self, monkeypatch):
+        # u / ||u|| whose squares sum to 1 + 2**-52: the fast test takes it, no norm computed
+        v = np.array([float.fromhex("-0x1.a85d239d9ebd7p-1"), float.fromhex("0x1.1e75c402ca532p-1")])
+        assert v.dot(v) == 1.0 + 2.0**-52 and self._norm_rule(v)
+
+        def no_norm(x):
+            raise AssertionError("norm recomputed")
+
+        monkeypatch.setattr(strav.solver, "norm", no_norm)
+        b, got = PerturbationSchedule(lambda k: 0.5, lambda k, x: v).at(0, np.zeros(2))
+        assert b == 0.5 and got is v
+
     def test_direction_accepted_exactly_as_by_its_norm(self):
         edge = 1.0 + (1e-9 + 1e-12)  # the largest excess the norm test admits
         sizes = [1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 2e-9, edge]
@@ -850,6 +862,15 @@ class TestFejerAudit:
         assert not rep.passed
         assert rep.worst == (worst,)
         assert rep.max_violation == excess.max()
+
+    def test_a_step_whose_scale_overflowed_fails(self):
+        # a trace is no sampling probe: ||x^k - z||^2 may overflow while the step stays finite,
+        # and a violation of -inf at that infinite scale fails, so no step is judged lazily
+        tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(2, None, None))
+        far = dataclasses.replace(tr, dist_witness=np.array([1e200, 10.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_fejer(far, self.fam.witness, self.relax.fejer_constant)
+        assert not rep.passed and rep.max_violation < 0.0 and rep.worst == (0,)
 
     def test_other_common_point_needs_full_iterates(self):
         tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(64, None, None),
