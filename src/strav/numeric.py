@@ -80,6 +80,15 @@ def as_vector(x, dim=None):
     return v
 
 
+def _finite_norm(x, refusal):
+    """``float(norm(x))`` of one point; ValueError ``refusal`` where it overflows, and no numpy warning."""
+    with np.errstate(over="ignore"):
+        size = float(norm(x))
+    if size == np.inf:
+        raise ValueError(refusal)
+    return size
+
+
 def norm(x):
     """Euclidean norm along the last axis.
 

@@ -35,12 +35,12 @@ derived modulus.
 
 Derivation rules
 ----------------
-* projection with relaxation ``gamma`` in (0, 4/3]: both constants equal
-  ``(2-gamma)/gamma``;
 * ``alpha``-relaxation of a child with constant ``rho``: ``(1+rho-alpha)/alpha``
   for ``alpha`` in (0, 1+rho], no guarantee beyond;
-* convex combination: minimum over non-identity children;
-* composition of m non-identity children: minimum over them divided by m.
+* projection: 1 on both routes, so its relaxation ``gamma`` in (0, 4/3] gives
+  ``(2-gamma)/gamma`` by the rule above;
+* convex combination or composition of m non-identity children: the minimum
+  over them, divided by m for a composition only.
 
 Where both the direct rule and the two-point route apply, ``sqne_rho``
 takes the larger certified value, so ``fne_rho`` set implies ``sqne_rho``
@@ -77,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import _admits, _whole, _within, as_vector, norm
+from .numeric import _admits, _finite_norm, _whole, _within, as_vector, norm
 
 __all__ = [
     "OperatorNode",
@@ -117,18 +117,14 @@ def _best(*values):
     return max((v for v in values if v is not None), default=None)
 
 
-def _min_over(values):
-    # None propagates: a single unknown child voids the guarantee.
-    values = list(values)
-    return None if None in values else min(values, default=math.inf)
-
-
-def _combined_constants(children):
-    # (sqne, fne, m): minima over the m non-identity children, with sqne
-    # taking the better of the direct and the two-point route
+def _combined_constants(children, composed):
+    # (sqne, fne): per route the least constant of the m non-identity children (None once one has
+    # none, +inf when there are none), over m for a composition; sqne takes the better route
     active = [c for c in children if not isinstance(c, Identity)]
-    fne = _min_over(c.fne_rho for c in active)
-    return _best(_min_over(c.sqne_rho for c in active), fne), fne, len(active)
+    m = max(len(active), 1) if composed else 1
+    sqne, fne = (None if None in v else min(v, default=math.inf) / m
+                 for v in ([c.sqne_rho for c in active], [c.fne_rho for c in active]))
+    return _best(sqne, fne), fne
 
 
 class OperatorNode:
@@ -173,12 +169,10 @@ class Primitive(OperatorNode):
         gamma = float(gamma)
         if not 0.0 < gamma <= 4.0 / 3.0:
             raise ValueError(f"gamma must lie in (0, 4/3], got {gamma}")
-        rho = (2.0 - gamma) / gamma
         self.set = set_
         self.gamma = gamma
         self.dim = set_.dim
-        self.sqne_rho = rho
-        self.fne_rho = rho
+        self.sqne_rho = self.fne_rho = _relaxed_constant(1.0, gamma)  # a projection carries 1
         if gamma == 1.0:
             self.apply = set_.project
             self._rows = getattr(set_, "_rows", ())
@@ -251,7 +245,7 @@ class ConvexComb(OperatorNode):
         self.children_ = children
         self.weights = weights
         self.dim = _common_dim(children)
-        self.sqne_rho, self.fne_rho, _ = _combined_constants(children)
+        self.sqne_rho, self.fne_rho = _combined_constants(children, composed=False)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -270,10 +264,7 @@ class Composition(OperatorNode):
             raise ValueError("composition needs at least one child")
         self.children_ = children
         self.dim = _common_dim(children)
-        sqne, fne, m = _combined_constants(children)
-        m = max(m, 1)  # identities only: both constants stay +inf
-        self.sqne_rho = None if sqne is None else sqne / m
-        self.fne_rho = None if fne is None else fne / m
+        self.sqne_rho, self.fne_rho = _combined_constants(children, composed=True)
         if type(self).apply is Composition.apply and all(c._rows for c in children):
             self._rows = tuple(r for c in children for r in c._rows)
 
@@ -400,8 +391,9 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     ``witness-not-fixed`` error is raised instead of reporting anything.
     """
     z = as_vector(z, node.dim)
+    scale = _finite_norm(z, "witness-not-fixed: the norm of the declared fixed point overflows")
     rz = float(node.residual(z))
-    if not _within(rz, float(norm(z))):
+    if not _within(rz, scale):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx, _ = _probe(node, budget, z.tobytes())
     d, f = xs - z, tx - xs

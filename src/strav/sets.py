@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .numeric import _whole, _within, as_vector, norm
+from .numeric import _finite_norm, _whole, _within, as_vector, norm
 from .operators import Identity, OperatorNode, Primitive, _through
 
 __all__ = [
@@ -127,9 +127,9 @@ class Ball(ProjectableSet):
         diff = x - self.center
         dist = norm(diff)
         outside = dist > self.radius
-        safe = np.where(dist == 0.0, 1.0, dist)
-        pulled = self.center + (self.radius / safe)[..., None] * diff
-        return np.where(np.asarray(outside)[..., None], pulled, x)
+        pull = np.divide(self.radius, dist, out=np.ones_like(dist), where=outside)  # below 1 where formed
+        pulled = self.center + pull[..., None] * diff
+        return np.where(outside[..., None], pulled, x)
 
 
 class Box(ProjectableSet):
@@ -195,10 +195,7 @@ class OperatorFamily:
     def __init__(self, generator, witness):
         self._generator = generator
         self.witness = as_vector(witness)
-        with np.errstate(over="ignore"):
-            self._witness_norm = float(norm(self.witness))
-        if not math.isfinite(self._witness_norm):
-            raise ValueError("family-error: the witness's norm overflows")
+        self._witness_norm = _finite_norm(self.witness, "family-error: the witness's norm overflows")
         self.dim = self.witness.shape[0]
         self._ops = {}
         self._stacks = {}
@@ -272,9 +269,9 @@ class OperatorFamily:
         return sorted(self._ops)
 
     def check_common_point(self, z):
-        """Whether z is fixed by every materialized operator, at scale ``||z||``."""
+        """Whether every materialized operator fixes z, at scale ``||z||``; refused where that overflows."""
         z = as_vector(z, self.dim)
-        scale = float(norm(z))
+        scale = _finite_norm(z, "witness-not-fixed: the norm of z overflows")
         return all(_within(float(self._ops[n].residual(z)), scale) for n in self.materialized)  # NaN fails
 
     @classmethod

@@ -123,6 +123,14 @@ class TestSolve:
         assert code in (0, 2)
         assert kv(out)["rho"] == rho
 
+    def test_a_huge_ball_solves_without_overflow(self, capsys, tmp_path):
+        # radius / ||x - center|| overflowed for points inside a ball of radius 1e308
+        doc = demo_doc()
+        doc["family"]["sets"][1]["radius"] = 1e308
+        code, out, err = run_cli(capsys, "solve", "--config", write(tmp_path, doc))
+        assert (code, err) == (0, "")
+        assert kv(out)["stop reason"] == "residual"
+
     def test_iteration_cap_exits_2(self, capsys, tmp_path):
         doc = solve_doc(stop={"max_iters": 3, "residual_tol": None, "step_tol": None})
         code, out, _ = run_cli(capsys, "solve", "--config", write(tmp_path, doc))

@@ -32,7 +32,7 @@ from strav.operators import (
     check_nonexpansive,
     check_sqne,
 )
-from strav.sets import Ball, Halfspace, Hyperplane
+from strav.sets import Ball, Halfspace, Hyperplane, OperatorFamily
 
 
 def _halfspace_proj(dim=3, gamma=1.0, seed=3):
@@ -317,6 +317,14 @@ class TestSamplingCheckers:
     def test_witness_not_fixed_refused(self):
         with pytest.raises(ValueError, match="witness-not-fixed"):
             check_sqne(Primitive(Halfspace([1.0, 0.0, 0.0], -1.0)), 1.0, np.zeros(3), self.budget)
+
+    def test_a_witness_whose_norm_overflows_is_refused_by_name(self):
+        # no scale judges the fixed-point test there; numpy warns of nothing, and no
+        # "residual 0.000e+00" is reported for a point the identity fixes
+        budget = SampleBudget(count=20, radius=1e150)
+        with pytest.raises(ValueError, match="^witness-not-fixed: the norm of the declared fixed point overflows$"):
+            check_sqne(Identity(), 1.0, [1e160, -3e155], budget)
+        assert check_sqne(Identity(), 1.0, [1e150, -3e145], budget).passed  # ||z|| is finite
 
     def test_projection_fails_at_overreaching_rho(self):
         p = _halfspace_proj(seed=27)
@@ -737,6 +745,38 @@ class TestReportBits:
         # failing reports (the 1e3 and 50x moduli) pin their worst samples too
         assert len(reports) == 2000 and sum(not r.passed for r in reports) == 690
         assert digest.hexdigest() == _REPORT_CORPUS_SHA256
+
+
+# SHA-256 over float(v).hex() ("N" for None) of sqne_rho, then fne_rho, of every tree of _constant_corpus
+_TREE_CONSTANTS_SHA256 = "cc3209dde66fb137d9c5624dd9ed106c7bd56c13d96b1ad93147a24de05ea576"
+
+
+def _constant_corpus():
+    # 4,800 plans, each built on plain, graded, overrelaxed and identity-padded leaves
+    families = [
+        random_halfspace_family(5, 8, seed=7),
+        random_halfspace_family(5, 8, seed=7, gammas=lambda n: 0.3 + 0.12 * n),
+        random_halfspace_family(5, 8, seed=7, gammas=lambda n: 4 / 3),
+        OperatorFamily(lambda n: Identity() if n % 3 == 0 else Halfspace(np.eye(5)[n % 5], 1.0), np.zeros(5)),
+    ]
+    for seed in range(6):
+        for c0_alpha_one in (False, True):
+            for plan in random_plan_corpus(400, seed=seed, c0_alpha_one=c0_alpha_one):
+                for family in families:
+                    yield output_operator(plan, family)
+
+
+class TestConstantBits:
+    """The certified constants keep their values: a pinned hash over every tree's two constants."""
+
+    def test_tree_constants_hash_pinned(self):
+        digest, count = hashlib.sha256(), 0
+        for T in _constant_corpus():
+            for v in (T.sqne_rho, T.fne_rho):
+                digest.update(("N" if v is None else float(v).hex()).encode())
+                count += 1
+        assert count == 38_400
+        assert digest.hexdigest() == _TREE_CONSTANTS_SHA256
 
 
 class NaNAway(Identity):

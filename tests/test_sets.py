@@ -205,6 +205,14 @@ class TestBall:
         c = np.array([1.0, -2.0])
         assert_array_equal(Ball(c, 0.5).project(c.copy()), c)
 
+    def test_a_point_near_the_center_of_a_huge_ball_is_kept_without_overflow(self):
+        # radius / distance overflows there; the pull factor is formed only outside
+        s = Ball(np.zeros(2), 1e308)
+        xs = np.array([[1e-10, 0.0], [0.0, 0.0], [3.0, -4.0]])
+        assert_array_equal(s.project(xs), xs)
+        assert_array_equal(s.project(xs[0]), xs[0])
+        assert_array_equal(s.distance(xs), np.zeros(3))
+
     def test_radius_positive(self):
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)
@@ -344,6 +352,14 @@ class TestOperatorFamily:
             assert np.isnan(fam.operator(len(members) - 1).residual([-1.0, 0.0]))
             assert fam.check_common_point(np.zeros(2))
             assert not fam.check_common_point([-1.0, 0.0])
+
+    def test_a_point_whose_norm_overflows_is_refused_by_name(self):
+        # x_1 <= 0 fixes (-1e160, 0), but no scale judges it: refused, with no numpy warning
+        fam = OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0)], np.zeros(2))
+        fam.operator(0)
+        with pytest.raises(ValueError, match="^witness-not-fixed: the norm of z overflows$"):
+            fam.check_common_point([-1e160, 0.0])
+        assert fam.check_common_point([-1e150, 0.0])
 
     def test_overflowing_witness_is_a_family_error(self):
         # ||(1e308, 1e308)|| overflows: every audit at that scale used to pass,

@@ -888,6 +888,13 @@ class TestFejerAudit:
         with pytest.raises(ValueError, match="witness-not-fixed"):
             check_fejer(tr, np.full(3, 50.0), self.relax.fejer_constant)
 
+    def test_refuses_a_point_whose_norm_overflows_by_name(self):
+        # both halfspaces fix (-1e160, -1e160); the audit names the overflow, and numpy warns of nothing
+        tr = run(two_halfspace_family(), CyclicSchedule.over_indices([0, 1]), self.relax,
+                 np.array([2.0, 1.0]), StopRule(8, None, None), record_stride=1)
+        with pytest.raises(ValueError, match="^witness-not-fixed: the norm of z overflows$"):
+            check_fejer(tr, np.full(2, -1e160), self.relax.fejer_constant)
+
 
 class TestTraceRecording:
     fam = two_halfspace_family()
