@@ -46,18 +46,15 @@ Where both the direct rule and the two-point route apply, ``sqne_rho``
 takes the larger certified value, so ``fne_rho`` set implies ``sqne_rho``
 set with ``sqne_rho >= fne_rho``.
 
-The sampling checkers at the bottom probe these inequalities empirically
-on seeded points and report the worst violation found.  All three judge one
-probe: ``count`` seeded points around the anchor and their images, drawn
-and applied once and memoised, so checks of one node with one budget and
-center share the draw.  :func:`check_sqne` judges the points; the two-point
-checkers judge the ``count`` pairs ``(x_i, x_{(i+1) mod count})``, whose
-arrays the first of them derives and the memo keeps with the probe.  With
-``d = x - z``, ``f = T(x) - x``, ``h = x - y``, ``g = T(x) - T(y)`` and
-``r = h - g``, a sample's violation is a row-wise inner product:
-``<f, (1+rho) f + 2d>`` at scale ``<d, d>`` (one point), ``<r, rho r - g - h>``
-at scale ``<h, h>`` (two points), or ``sqrt<g, g> - sqrt<h, h>``.  These
-factored forms cancel no two rounded squares of size ``radius^2``.  Every
+The sampling checkers at the bottom probe these inequalities on seeded
+points.  Checks of one node with one budget and center share one memoised
+probe: the one-point check judges its points, the two-point checks the
+pairs ``(x_i, x_{(i+1) mod count})``.  With ``h = x - y`` (``y = z`` for
+one point), ``g = T(x) - T(y)`` and ``r = h - g``, a modulus check's
+violation is ``<r, rho r - g - h>`` at scale ``<h, h>``, a factored form
+that cancels no two rounded squares of size ``radius^2``.  The nonexpansive
+check's is ``sqrt<g, g> - sqrt<h, h>`` at scale ``||h||``: in squared units
+the absolute slack below would hide an expansion at a small radius.  Every
 inequality audit, these checkers and :func:`strav.solver.check_fejer` on a
 trace, returns a :class:`CheckReport` judged by one rule.
 
@@ -65,8 +62,8 @@ A sampling checker judges its largest violation first: at most 1e-9, the slack a
 passes every sample at any finite scale, so no scale is formed; otherwise (NaN too) each sample is
 judged at its own.  Every scale is finite at any center: a sample ``x = fl(c + o)`` is no farther
 from ``c + o`` than the float ``c``, so ``|x_i - c_i| <= 2|o_i|``, and with ``||o|| <= radius <=
-1e150`` up to rounding, ``<d, d>`` stays below 4.1e300 and ``<h, h>`` below 1.7e301 in every
-dimension below 10^12, where a float sum of squares errs by under 0.1 %.
+1e150`` up to rounding, ``<h, h>`` stays below 4.1e300 at ``y = z`` and below 1.7e301 for a pair in
+every dimension below 10^12, where a float sum of squares errs by under 0.1 %.
 """
 
 from __future__ import annotations
@@ -143,9 +140,10 @@ class OperatorNode:
         return self.apply(x)
 
     def residual(self, x):
-        """Norm of ``T(x) - x`` along the last axis."""
+        """Norm of ``T(x) - x`` along the last axis: inf or NaN, unwarned, where it overflows."""
         x = np.asarray(x, dtype=float)
-        return norm(self.apply(x) - x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return norm(self.apply(x) - x)
 
     def children(self):
         return self.children_
@@ -347,12 +345,6 @@ def _dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _moved(f):
-    # the violation at rho = inf: +inf where the row moves, 0 where the node
-    # fixes it (the finite form would multiply inf by 0 there)
-    return np.where(f.any(axis=1), math.inf, 0.0)
-
-
 def _pairs(node, budget, center):
     # the probe's x, their successors y (wrapping around), x - y, T(x) - T(y): made once, read-only
     if budget.count < 2:
@@ -383,6 +375,13 @@ def _report(name, viol, scale, points):
     return CheckReport(name, False, top, viol.size, tuple(p[i].copy() for p in points))
 
 
+def _two_point(name, rho, h, g, points):
+    # see the module docstring; at rho = inf, +inf where r is nonzero and 0 where it is (inf * 0 is NaN)
+    r = h - g
+    viol = np.where(r.any(axis=1), math.inf, 0.0) if rho == math.inf else _dot(r, float(rho) * r - g - h)
+    return _report(name, viol, lambda: _dot(h, h), points)
+
+
 def check_sqne(node, rho, z, budget=SampleBudget()):
     """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``.
 
@@ -396,17 +395,13 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     if not _within(rz, scale):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx, _ = _probe(node, budget, z.tobytes())
-    d, f = xs - z, tx - xs
-    viol = _moved(f) if rho == math.inf else _dot(f, (1.0 + float(rho)) * f + 2.0 * d)
-    return _report(f"sqne(rho={rho})", viol, lambda: _dot(d, d), (xs,))
+    return _two_point(f"sqne(rho={rho})", rho, xs - z, tx - z, (xs,))
 
 
 def check_fne(node, rho, budget=SampleBudget(), *, center):
     """Probe the two-point inequality at modulus ``rho`` on pairs around ``center``, at scale ``||x - y||^2``."""
     xs, ys, h, g = _pairs(node, budget, center)
-    r = h - g
-    viol = _moved(r) if rho == math.inf else _dot(r, float(rho) * r - g - h)
-    return _report(f"fne(rho={rho})", viol, lambda: _dot(h, h), (xs, ys))
+    return _two_point(f"fne(rho={rho})", rho, h, g, (xs, ys))
 
 
 def check_nonexpansive(node, budget=SampleBudget(), *, center):

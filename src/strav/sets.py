@@ -223,9 +223,7 @@ class OperatorFamily:
             raise ValueError(
                 f"family-error: operator {n} has dimension {node.dim}, family has {self.dim}"
             )
-        # an overflowing residual is inf or NaN, which fails _within below
-        with np.errstate(over="ignore", invalid="ignore"):
-            rz = float(node.residual(self.witness))
+        rz = float(node.residual(self.witness))  # inf or NaN where it overflows, which fails _within
         if not _within(rz, self._witness_norm):
             raise ValueError(
                 f"family-error: declared common point not fixed by operator {n} (residual {rz:.3e})"

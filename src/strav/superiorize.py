@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import _whole, _within, as_vector, norm
+from .numeric import _finite_norm, _whole, _within, as_vector, norm
 from .solver import StopRule, _drive, _perturbation
 
 __all__ = [
@@ -64,6 +64,7 @@ class ObjectiveOracle:
 def linear_objective(c, argmin_witnesses=None):
     """phi(x) = <c, x>; the subgradient is constant."""
     c = as_vector(c)
+    _finite_norm(c, "the norm of c overflows")  # each inner step divides c by it
     return ObjectiveOracle(
         value=lambda x: float(np.asarray(x, dtype=float) @ c),
         subgradient=lambda x: c.copy(),
@@ -89,6 +90,8 @@ def max_affine_objective(rows, offsets, argmin_witnesses=None):
     b = np.asarray(offsets, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("need one offset per row")
+    for i, row in enumerate(A):
+        _finite_norm(row, f"the norm of rows[{i}] overflows")  # each inner step divides a row by it
 
     def value(x):
         return float(np.max(A @ np.asarray(x, dtype=float) + b))
@@ -101,7 +104,10 @@ def max_affine_objective(rows, offsets, argmin_witnesses=None):
 
 
 def _freeze(witnesses):
-    return None if witnesses is None else tuple(as_vector(w) for w in witnesses)
+    frozen = None if witnesses is None else tuple(as_vector(w) for w in witnesses)
+    for i, w in enumerate(frozen or ()):  # the alternatives diagnostic judges at ||w||
+        _finite_norm(w, f"the norm of argmin[{i}] overflows")
+    return frozen
 
 
 class BetaGrid:

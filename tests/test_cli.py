@@ -179,6 +179,15 @@ class TestSuperiorize:
         assert code == 2
         assert "behavior" not in kv(out)
 
+    @pytest.mark.parametrize("field", ["c", "argmin"])
+    def test_an_objective_vector_whose_norm_overflows_is_refused(self, capsys, tmp_path, field):
+        # the direction c / ||c|| and the diagnostic's ||w|| overflowed in numpy's square
+        doc = demo_doc("box_superiorize.json")
+        (doc["objective"]["c"] if field == "c" else doc["objective"]["argmin"][0])[0] = 1e308
+        code, out, err = run_cli(capsys, "superiorize", "--config", write(tmp_path, doc))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert f"objective: the norm of {field}" in err
+
     def test_needs_objective_and_grid(self, capsys, tmp_path):
         cfg = write(tmp_path, solve_doc())
         code, _, err = run_cli(capsys, "superiorize", "--config", cfg)

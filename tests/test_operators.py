@@ -326,6 +326,13 @@ class TestSamplingCheckers:
             check_sqne(Identity(), 1.0, [1e160, -3e155], budget)
         assert check_sqne(Identity(), 1.0, [1e150, -3e145], budget).passed  # ||z|| is finite
 
+    def test_a_residual_that_overflows_refuses_the_witness_without_warning(self):
+        # x_1 <= -1e154 moves (1e154, 0) by 2e154, whose square overflows: the residual is inf
+        node = Primitive(Halfspace([1.0, 0.0], -1e154))
+        assert node.residual([-1e154, 0.0]) == 0.0 and node.residual([1e154, 0.0]) == math.inf
+        with pytest.raises(ValueError, match="^witness-not-fixed: residual inf at the declared fixed point$"):
+            check_sqne(node, 1.0, [1e154, 0.0], SampleBudget(count=5))
+
     def test_projection_fails_at_overreaching_rho(self):
         p = _halfspace_proj(seed=27)
         rep = check_sqne(p, 10.0, np.zeros(3), self.budget)
@@ -546,6 +553,12 @@ class TestPairSample:
                 assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
                 assert rep.passed
 
+    def test_an_expansion_at_a_small_radius_fails_the_nonexpansive_check(self):
+        # x -> 10x stretches ||x - y|| <= 2e-6 by 9 ||x - y||, past the absolute slack 1e-9 in
+        # length units; its squared excess 99 ||x - y||^2 stays below 4e-10, under that slack
+        rep = check_nonexpansive(Scaled(10.0), SampleBudget(count=200, seed=0, radius=1e-6), center=np.zeros(3))
+        assert not rep.passed and 1e-9 < rep.max_violation <= 1.8e-5
+
     def test_overshooting_halfspace_flagged_by_every_checker(self):
         # x - 2.5 (x - P(x)) claims rho = 1 as a projection, but it is no
         # cutter and expands distances across the boundary
@@ -714,7 +727,8 @@ class TestSharedSample:
 
 
 # SHA-256 over every field of the 2,000 reports of _report_corpus, each worst sample's bytes included
-_REPORT_CORPUS_SHA256 = "9fde1685267fb2d30e5916e0bc075616519648fc5eb1250ea6afe7ba8a2701f1"
+_REPORT_CORPUS_SHA256 = "b96d3355cab24c8728a3c5c09c4abfb758e25a87bcd997c72c4ec29a8e496eb5"
+_FNE_REPORTS_SHA256 = "12d2b063242c866d250e71303d38cebd7c17a2f7e3c827957756886eb54232f5"
 
 
 def _report_corpus():
@@ -733,18 +747,26 @@ def _report_corpus():
             yield check_nonexpansive(T, budget, center=z)
 
 
+def _report_digest(reports):
+    digest = hashlib.sha256()
+    for r in reports:
+        digest.update(repr((r.name, r.passed, r.max_violation.hex(), r.samples)).encode())
+        for p in r.worst or ():
+            digest.update(p.tobytes())
+    return digest.hexdigest()
+
+
 class TestReportBits:
     """The sampling checkers' reports keep their bits: a pinned hash over every field."""
 
     def test_report_corpus_hash_pinned(self):
-        digest, reports = hashlib.sha256(), list(_report_corpus())
-        for r in reports:
-            digest.update(repr((r.name, r.passed, r.max_violation.hex(), r.samples)).encode())
-            for p in r.worst or ():
-                digest.update(p.tobytes())
+        reports = list(_report_corpus())
         # failing reports (the 1e3 and 50x moduli) pin their worst samples too
         assert len(reports) == 2000 and sum(not r.passed for r in reports) == 690
-        assert digest.hexdigest() == _REPORT_CORPUS_SHA256
+        assert _report_digest(reports) == _REPORT_CORPUS_SHA256
+        # the 800 fne reports alone keep the bits of the two-point form they have always had
+        fne = [r for r in reports if r.name.startswith("fne")]
+        assert len(fne) == 800 and _report_digest(fne) == _FNE_REPORTS_SHA256
 
 
 # SHA-256 over float(v).hex() ("N" for None) of sqne_rho, then fne_rho, of every tree of _constant_corpus
@@ -880,10 +902,19 @@ class TestLazyJudgement:
         assert 1e-9 + 2e-13 < rep.max_violation <= 1e-9 + 1e-12
         assert not rep.passed
 
+    @pytest.mark.parametrize("kind", ["sqne", "fne"])
+    def test_each_sample_is_judged_at_the_size_of_its_points(self, kind):
+        # x -> 0 at rho = 1 + 1e-13 violates by 1e-13 <h, h> with g = 0: within 1e-12 <h, h>, so it
+        # passes at radius 1e6, where a scale of <g, g> = 0 would fail it; 1 + 1e-11 fails
+        budget = SampleBudget(count=50, seed=2, radius=1e6)
+        rep = _CHECKS[kind](Scaled(0.0), 1.0 + 1e-13, budget, np.zeros(2))
+        assert rep.passed and rep.max_violation > 1e-3
+        assert not _CHECKS[kind](Scaled(0.0), 1.0 + 1e-11, budget, np.zeros(2)).passed
+
     @pytest.mark.parametrize("kind, passing, failing", [("sqne", 1, 2), ("fne", 1, 2), ("nonexpansive", 2, 2)])
     def test_a_passing_check_forms_no_scale(self, monkeypatch, kind, passing, failing):
-        # a row-wise inner product per violation; the scales <d, d> and <h, h> only past the
-        # first judgement (the nonexpansive violation needs ||x - y|| itself)
+        # a row-wise inner product per violation; the scale <h, h> only past the first judgement
+        # (the nonexpansive violation needs ||x - y|| itself)
         calls, real = [], strav.operators._dot
         monkeypatch.setattr(strav.operators, "_dot", lambda a, b: calls.append(1) or real(a, b))
         proj, budget = _halfspace_proj(seed=31), SampleBudget(count=60, seed=6)

@@ -353,6 +353,13 @@ class TestOperatorFamily:
             assert fam.check_common_point(np.zeros(2))
             assert not fam.check_common_point([-1.0, 0.0])
 
+    def test_a_residual_that_overflows_fails_the_common_point_without_warning(self):
+        # x_1 <= -1e154 moves (1e154, 0) by 2e154, whose square overflows in the residual's norm
+        fam = OperatorFamily.from_sets([Halfspace([1.0, 0.0], -1e154)], [-1e154, 0.0])
+        fam.operator(0)
+        assert not fam.check_common_point([1e154, 0.0])
+        assert fam.check_common_point([-1e154, 0.0])
+
     def test_a_point_whose_norm_overflows_is_refused_by_name(self):
         # x_1 <= 0 fixes (-1e160, 0), but no scale judges it: refused, with no numpy warning
         fam = OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0)], np.zeros(2))

@@ -62,6 +62,18 @@ class TestObjectives:
         phi = squared_distance_objective([2.0, 3.0])
         assert_array_equal(phi.witnesses()[0], [2.0, 3.0])
 
+    @pytest.mark.parametrize("make, refusal", [
+        (lambda: linear_objective([1e308, 1e308]), "c"),
+        (lambda: max_affine_objective([[1.0, 0.0], [1e308, -1e308]], [0.0, 0.0]), r"rows\[1\]"),
+        (lambda: linear_objective([1.0, 1.0], argmin_witnesses=[[0.0, 0.0], [1e308, 1e308]]), r"argmin\[1\]"),
+        (lambda: squared_distance_objective([1e308, 1e308]), r"argmin\[0\]"),  # its target
+    ], ids=["linear", "max_affine", "argmin", "squared_distance"])
+    def test_a_vector_whose_norm_overflows_is_refused_by_name(self, make, refusal):
+        # an inner step divides c or a row by its norm, and the diagnostic judges at ||w||:
+        # each overflowed in numpy's square at run time; refused at construction, with no warning
+        with pytest.raises(ValueError, match=f"^the norm of {refusal} overflows$"):
+            make()
+
 
 class TestBetaGrid:
     def test_geometric_row(self):
