@@ -8,7 +8,7 @@ it.  ``verify_admissible`` checks that promise exhaustively over a finite
 horizon; it refuses to guess bounds that were not given.
 Each audited index n is one sample of a ``CheckReport``: with ``g_n`` the
 longest run of consecutive k in 0..horizon whose plans all miss n, its
-excess ``g_n - M_n + 1`` is judged at scale 0, and is positive exactly when
+excess ``g_n - M_n + 1`` is judged at slack 0, and is positive exactly when
 some full window (start i with ``i + M_n - 1 <= horizon``) misses n.
 The audit reads each index's touches off one period of a built-in schedule:
 plan i of a cycle of L runs at k = i (mod L), template n at 2^n - 1 (mod 2^{n+1}).

@@ -8,19 +8,15 @@ bits, in one inner loop per column rather than per row.
 
 Tolerances
 ----------
-An audited inequality (a sampled modulus, Fejer monotonicity, a fixed
-point, a weight sum) holds when its excess passes :func:`_within`:
-``excess <= 1e-9 + 1e-12 * scale``, with ``scale`` the largest term of the
-inequality, which every caller already computes.  The relative part absorbs
-the rounding of large terms, so a check at radius 1e6 raises no false
-alarm, while a genuine violation grows with the terms too.  An inequality
-whose scale overflowed to infinity never passes.
-
-``_SLACK`` is the smaller slack for interval membership of exact user
-constants (step sizes, alpha, weight floors): they are chosen, not
-computed, so they need room only for the rounding of the bound itself.
-:func:`_admits` is the one membership rule: its slack is relative at the
-positive floor, so a floor of 1e-13 refuses 0, and absolute at the top.
+An audited inequality (a sampled modulus, nonexpansiveness, Fejer monotonicity) passes within a
+slack sized from its own terms, with no absolute floor (see :mod:`strav.operators`), so a scale
+neither hides a violation nor raises a false alarm.  :func:`_within` (``excess <= 1e-9 + 1e-12 *
+scale``, at a finite scale) judges what is no audited inequality: a fixed point, whose scale
+``||z||`` is 0 at the origin, a weight sum, a unit norm, orthonormal rows.  ``_SLACK`` is the
+smaller slack for interval membership of exact user constants (step sizes, alpha, weight floors):
+they are chosen, not computed, so they need room only for the rounding of the bound itself.
+:func:`_admits` is the one membership rule: its slack is relative at the positive floor, so a
+floor of 1e-13 refuses 0, and absolute at the top.
 
 :func:`_whole` refuses, never truncates, a count, index or reference other than an int (not a
 bool) or numpy integer; ``config._int`` still reads ``100000.0``, ``BetaGrid.M`` truncates a

@@ -46,30 +46,25 @@ Where both the direct rule and the two-point route apply, ``sqne_rho``
 takes the larger certified value, so ``fne_rho`` set implies ``sqne_rho``
 set with ``sqne_rho >= fne_rho``.
 
-The sampling checkers at the bottom probe these inequalities on seeded
-points.  Checks of one node with one budget and center share one memoised
-probe: the one-point check judges its points, the two-point checks the
-pairs ``(x_i, x_{(i+1) mod count})``.  With ``h = x - y`` (``y = z`` for
-one point), ``g = T(x) - T(y)`` and ``r = h - g``, a modulus check's
-violation is ``<r, rho r - g - h>`` at scale ``<h, h>``, a factored form
-that cancels no two rounded squares of size ``radius^2``.  The nonexpansive
-check's is ``sqrt<g, g> - sqrt<h, h>`` at scale ``||h||``: in squared units
-the absolute slack below would hide an expansion at a small radius.  Every
-inequality audit, these checkers and :func:`strav.solver.check_fejer` on a
-trace, returns a :class:`CheckReport` judged by one rule.
-
-A sampling checker judges its largest violation first: at most 1e-9, the slack at scale 0, it
-passes every sample at any finite scale, so no scale is formed; otherwise (NaN too) each sample is
-judged at its own.  Every scale is finite at any center: a sample ``x = fl(c + o)`` is no farther
-from ``c + o`` than the float ``c``, so ``|x_i - c_i| <= 2|o_i|``, and with ``||o|| <= radius <=
-1e150`` up to rounding, ``<h, h>`` stays below 4.1e300 at ``y = z`` and below 1.7e301 for a pair in
-every dimension below 10^12, where a float sum of squares errs by under 0.1 %.
+The sampling checkers at the bottom probe these inequalities on seeded points.  Checks of one node
+with one budget and center share one memoised probe: the one-point check judges its points, the
+two-point checks the pairs ``(x_i, x_{(i+1) mod count})``.  With ``h = x - y`` (``y = z`` for one
+point), ``g = T(x) - T(y)`` and ``r = h - g``, each check's excess is ``<r, rho r - g - h>``, a
+factored form that cancels no two rounded squares; the nonexpansive check is the two-point one at
+rho 0.  Every inequality audit, these and :func:`strav.solver.check_fejer`, passes a sample whose
+excess is at most a slack sized from its own terms, with no absolute floor: the same verdict at
+every scale.  Here it is ``1e-12 <h, h> + 1e-15 m (||h|| + ||g||)``, ``m`` the anchor's largest
+|coordinate| plus the radius: the rounding of the squares, and of ``T(x)`` computed at magnitude
+``m``; ``||g||`` counts too, as a sample may round onto ``z`` while ``T(z)`` still differs from
+``z``.  It is formed only past a largest excess above 0, ``1e-15 m`` first: finite wherever
+``1e-15 m (||h|| + ||g||)`` is, as at any anchor of finite norm while ``||g||`` stays near
+``||h|| <= 4 radius``.  A slack that overflows fails its sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -349,7 +344,6 @@ def _pairs(node, budget, center):
     # the probe's x, their successors y (wrapping around), x - y, T(x) - T(y): made once, read-only
     if budget.count < 2:
         raise ValueError("a pair check needs a sample count of at least 2")
-    center = as_vector(center, node.dim)
     xs, tx, pairs = _probe(node, budget, center.tobytes())
     if not pairs:
         ys = np.concatenate((xs[1:], xs[:1]))
@@ -359,53 +353,55 @@ def _pairs(node, budget, center):
     return pairs
 
 
-def _report(name, viol, scale, points):
-    # one sample per entry of viol; max_violation is the largest raw
-    # violation (0.0 for an empty audit, which passes); a failing report
-    # keeps the worst sample among those that fail at their own scale
-    top = float(viol.max()) if viol.size else 0.0
-    if callable(scale):  # a sampling checker's scales, all finite: formed past the first judgement only
-        if _within(top, 0.0):
-            return CheckReport(name, True, top, viol.size)
-        scale = scale()
-    ok = _within(viol, scale)
+def _report(name, excess, slack, points):
+    # one sample per entry of excess; max_violation is the largest (0.0 for an empty audit, which
+    # passes); a failing report keeps the worst sample among those past their finite slack
+    top = float(excess.max()) if excess.size else 0.0
+    if callable(slack):  # a sampling checker's: formed only past a largest excess above 0 (NaN too)
+        if top <= 0.0:
+            return CheckReport(name, True, top, excess.size)
+        slack = slack()
+    ok = (excess <= slack) & (slack < np.inf)
     if ok.all():
-        return CheckReport(name, True, top, viol.size)
-    i = int(np.argmax(np.where(ok, -np.inf, viol)))
-    return CheckReport(name, False, top, viol.size, tuple(p[i].copy() for p in points))
+        return CheckReport(name, True, top, excess.size)
+    i = int(np.argmax(np.where(ok, -np.inf, excess)))
+    return CheckReport(name, False, top, excess.size, tuple(p[i].copy() for p in points))
 
 
-def _two_point(name, rho, h, g, points):
+def _two_point(name, rho, h, g, points, anchor, radius):
     # see the module docstring; at rho = inf, +inf where r is nonzero and 0 where it is (inf * 0 is NaN)
     r = h - g
-    viol = np.where(r.any(axis=1), math.inf, 0.0) if rho == math.inf else _dot(r, float(rho) * r - g - h)
-    return _report(name, viol, lambda: _dot(h, h), points)
+    excess = np.where(r.any(axis=1), math.inf, 0.0) if rho == math.inf else _dot(r, float(rho) * r - g - h)
+
+    def slack():  # inf, unwarned, where it overflows
+        hh, m = _dot(h, h), 1e-15 * (float(np.abs(anchor).max()) + radius)
+        with np.errstate(over="ignore"):
+            return 1e-12 * hh + m * (np.sqrt(hh) + np.sqrt(_dot(g, g)))
+
+    return _report(name, excess, slack, points)
 
 
 def check_sqne(node, rho, z, budget=SampleBudget()):
-    """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``.
-
-    Each sample is judged at scale ``||x - z||^2``.  ``z`` must be fixed by
-    the node (at scale ``||z||``); otherwise the check is vacuous and a
-    ``witness-not-fixed`` error is raised instead of reporting anything.
-    """
+    """Probe the one-point inequality at modulus ``rho`` around fixed point ``z``: a ``z`` the node
+    does not fix (at scale ``||z||``) makes the check vacuous, and raises ``witness-not-fixed``."""
     z = as_vector(z, node.dim)
     scale = _finite_norm(z, "witness-not-fixed: the norm of the declared fixed point overflows")
     rz = float(node.residual(z))
     if not _within(rz, scale):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx, _ = _probe(node, budget, z.tobytes())
-    return _two_point(f"sqne(rho={rho})", rho, xs - z, tx - z, (xs,))
+    return _two_point(f"sqne(rho={rho})", rho, xs - z, tx - z, (xs,), z, budget.radius)
 
 
 def check_fne(node, rho, budget=SampleBudget(), *, center):
-    """Probe the two-point inequality at modulus ``rho`` on pairs around ``center``, at scale ``||x - y||^2``."""
+    """Probe the two-point inequality at modulus ``rho`` on pairs around ``center``."""
+    center = as_vector(center, node.dim)
     xs, ys, h, g = _pairs(node, budget, center)
-    return _two_point(f"fne(rho={rho})", rho, h, g, (xs, ys))
+    return _two_point(f"fne(rho={rho})", rho, h, g, (xs, ys), center, budget.radius)
 
 
 def check_nonexpansive(node, budget=SampleBudget(), *, center):
-    """Probe plain Lipschitz-1 behavior on pairs around ``center``, at scale ``||x - y||``."""
-    xs, ys, h, g = _pairs(node, budget, center)
-    dxy = np.sqrt(_dot(h, h))
-    return _report("nonexpansive", np.sqrt(_dot(g, g)) - dxy, lambda: dxy, (xs, ys))
+    """Probe ``||T(x) - T(y)|| <= ||x - y||`` on pairs around ``center``: :func:`check_fne` at rho 0.
+    So a pass of ``check_fne`` at any rho >= 0 on the same probe implies one here: the excess grows
+    with rho term by term, and the slack does not depend on it."""
+    return replace(check_fne(node, 0.0, budget, center=center), name="nonexpansive")

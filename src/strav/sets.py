@@ -125,9 +125,13 @@ class Ball(ProjectableSet):
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
         diff = x - self.center
-        dist = norm(diff)
+        with np.errstate(over="ignore"):
+            dist = norm(diff)
         outside = dist > self.radius
-        pull = np.divide(self.radius, dist, out=np.ones_like(dist), where=outside)  # below 1 where formed
+        if np.any(dist == np.inf):  # those rows pull along diff over its largest entry, of finite norm
+            diff = diff / np.where((dist == np.inf)[..., None], np.abs(diff).max(axis=-1, keepdims=True), 1.0)
+            dist = norm(diff)
+        pull = np.divide(self.radius, dist, out=np.ones_like(dist), where=outside)
         pulled = self.center + pull[..., None] * diff
         return np.where(outside[..., None], pulled, x)
 

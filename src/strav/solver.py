@@ -478,9 +478,9 @@ def check_fejer(trace, z, constant):
     ``z`` must be fixed by every operator materialized during the run.  For
     the run's own witness the stored per-iteration scalars suffice; any
     other z needs a stride-1 trace (full iterates).  Like every inequality
-    audit it returns a :class:`~strav.operators.CheckReport`: each step k is
-    a sample judged at scale ``||x^k - z||^2``, and a failure's ``worst`` is
-    ``(k,)`` for the worst failing step.
+    audit it returns a :class:`~strav.operators.CheckReport`: each step k is a sample, within
+    ``1e-12 d_k^2 + 1e-15 (max|z| + d_k) d_k`` at ``d_k = ||x^k - z||``, and a failure's
+    ``worst`` is ``(k,)`` for the worst failing step.
     """
     z = as_vector(z, trace.witness.shape[0])
     if not trace.family.check_common_point(z):
@@ -492,6 +492,6 @@ def check_fejer(trace, z, constant):
         if trace.record_stride != 1:
             raise ValueError("full iterates unavailable (record_stride > 1); rerun with stride 1")
         d = norm(trace.xs - z)
-    dk = d[:K] ** 2
-    excess = d[1 : K + 1] ** 2 - dk + float(constant) * trace.step[:K] ** 2
-    return _report(f"fejer(c={float(constant):.6g})", excess, dk, (np.arange(K),))
+    excess = d[1 : K + 1] ** 2 - d[:K] ** 2 + float(constant) * trace.step[:K] ** 2
+    slack = 1e-12 * d[:K] ** 2 + 1e-15 * (np.abs(z).max() + d[:K]) * d[:K]  # each term scales as d_k^2
+    return _report(f"fejer(c={float(constant):.6g})", excess, slack, (np.arange(K),))

@@ -9,6 +9,7 @@ import gc
 import hashlib
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import strav.operators
 from strav.fixtures import random_halfspace_family, random_plan_corpus
 from strav.gmsa import fne_bound, output_operator, sqne_bound
-from strav.numeric import _within, as_vector, norm
+from strav.numeric import as_vector, norm
 from strav.operators import (
     Composition,
     ConvexComb,
@@ -32,7 +33,7 @@ from strav.operators import (
     check_nonexpansive,
     check_sqne,
 )
-from strav.sets import Ball, Halfspace, Hyperplane, OperatorFamily
+from strav.sets import Ball, Box, Halfspace, Hyperplane, OperatorFamily
 
 
 def _halfspace_proj(dim=3, gamma=1.0, seed=3):
@@ -439,11 +440,11 @@ class TestCheckerScale:
         assert not check_fne(self.proj, 1.001, budget, center=np.zeros(3)).passed
 
     def test_worst_is_a_failing_sample(self):
-        # the largest raw violation passes at its own scale while a smaller
-        # one fails at unit scale; the report keeps the failing sample
+        # the largest raw excess lies within its own slack while a smaller
+        # one exceeds its; the report keeps the failing sample
         xs = np.arange(6.0).reshape(3, 2)
-        viol, scale = np.array([1e-6, 1e-8, -1.0]), np.array([1e8, 1.0, 1.0])
-        rep = _report("probe", viol, scale, (xs,))
+        excess, slack = np.array([1e-6, 1e-8, -1.0]), np.array([1e-6, 1e-9, 0.0])
+        rep = _report("probe", excess, slack, (xs,))
         assert not rep.passed
         assert rep.samples == 3
         assert rep.max_violation == 1e-6
@@ -487,6 +488,11 @@ class CountingComposition(Composition):
         return super().apply(x)
 
 
+def _slack_reference(h, g, center, budget):
+    # 1e-12 ||h||^2 + 1e-15 m (||h|| + ||g||), m the center's largest |coordinate| plus the radius
+    return 1e-12 * norm(h) ** 2 + 1e-15 * (np.abs(center).max() + budget.radius) * (norm(h) + norm(g))
+
+
 def _pairs_reference(node, budget, center):
     # the seeded draw around center and the count pairs (x_i, x_{i+1 mod
     # count}) as check_fne and check_nonexpansive form them, each half
@@ -499,6 +505,14 @@ def _pairs_reference(node, budget, center):
     xs = center + (g / lengths[:, None]) * radii[:, None]
     ys = np.roll(xs, -1, axis=0)
     return xs, ys, node.apply(xs), node.apply(ys)
+
+
+def _far_projection():
+    # a halfspace projection in R^5 through a witness of size 1e8, and that witness
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal(5) * 1e8
+    a = rng.standard_normal(5)
+    return Primitive(Halfspace(a, float(a @ w))), w
 
 
 class TestPairSample:
@@ -535,29 +549,37 @@ class TestPairSample:
             assert g.tobytes() == (tx - ty).tobytes()
             if corpus == "criterion 03":
                 rho = sqne_bound(plan)
-                dxz = norm(xs - z) ** 2
-                viol = norm(tx - z) ** 2 - dxz + rho * norm(tx - xs) ** 2
+                viol = norm(tx - z) ** 2 - norm(xs - z) ** 2 + rho * norm(tx - xs) ** 2
                 rep = check_sqne(T, rho, z, budget)
-                assert rep.passed == bool(_within(viol, dxz).all())
+                assert rep.passed == bool((viol <= _slack_reference(xs - z, tx - z, z, budget)).all())
                 assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
                 assert rep.passed
-            dxy = norm(xs - ys)
+            slack = _slack_reference(xs - ys, tx - ty, z, budget)
+            viol = norm(tx - ty) ** 2 - norm(xs - ys) ** 2  # the two-point excess at rho 0
             rep = check_nonexpansive(T, budget, center=z)
-            assert rep.passed == bool(_within(norm(tx - ty) - dxy, dxy).all())
-            assert rep.max_violation == pytest.approx(float((norm(tx - ty) - dxy).max()), abs=1e-12)
+            assert rep.passed == bool((viol <= slack).all())
+            assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
             if corpus == "criterion 04":
                 rho = fne_bound(plan)
-                viol = norm(tx - ty) ** 2 - dxy**2 + rho * norm((xs - tx) - (ys - ty)) ** 2
+                viol = viol + rho * norm((xs - tx) - (ys - ty)) ** 2
                 rep = check_fne(T, rho, budget, center=z)
-                assert rep.passed == bool(_within(viol, dxy**2).all())
+                assert rep.passed == bool((viol <= slack).all())
                 assert rep.max_violation == pytest.approx(float(viol.max()), abs=1e-12)
                 assert rep.passed
 
     def test_an_expansion_at_a_small_radius_fails_the_nonexpansive_check(self):
-        # x -> 10x stretches ||x - y|| <= 2e-6 by 9 ||x - y||, past the absolute slack 1e-9 in
-        # length units; its squared excess 99 ||x - y||^2 stays below 4e-10, under that slack
+        # x -> 10x has the squared excess 99 ||x - y||^2, below 4e-10 at ||x - y|| <= 2e-6, but its
+        # slack is sized from those very terms: about 1e-12 ||x - y||^2, with m = radius
         rep = check_nonexpansive(Scaled(10.0), SampleBudget(count=200, seed=0, radius=1e-6), center=np.zeros(3))
-        assert not rep.passed and 1e-9 < rep.max_violation <= 1.8e-5
+        assert not rep.passed and 0.0 < rep.max_violation <= 4e-10
+
+    def test_a_projection_around_a_far_witness_is_nonexpansive(self):
+        # T(x) is rounded at magnitude 1e8, about 1e-8 per coordinate: the squared excess 3.4e-11
+        # of a halfspace projection at radius 1e-3 lies within the slack's 1e-15 m (||h|| + ||g||)
+        (node, w), budget = _far_projection(), SampleBudget(count=200, seed=0, radius=1e-3)
+        rep = check_nonexpansive(node, budget, center=w)
+        assert rep.passed and 1e-11 < rep.max_violation < 1e-10
+        _assert_same_report(check_fne(node, 0.0, budget, center=w), replace(rep, name="fne(rho=0.0)"))
 
     def test_overshooting_halfspace_flagged_by_every_checker(self):
         # x - 2.5 (x - P(x)) claims rho = 1 as a projection, but it is no
@@ -727,7 +749,7 @@ class TestSharedSample:
 
 
 # SHA-256 over every field of the 2,000 reports of _report_corpus, each worst sample's bytes included
-_REPORT_CORPUS_SHA256 = "b96d3355cab24c8728a3c5c09c4abfb758e25a87bcd997c72c4ec29a8e496eb5"
+_REPORT_CORPUS_SHA256 = "d997aa417627ce5064ff930b535e6f785046eb568c152ddca37ecac1f3c3aa75"
 _FNE_REPORTS_SHA256 = "12d2b063242c866d250e71303d38cebd7c17a2f7e3c827957756886eb54232f5"
 
 
@@ -827,19 +849,19 @@ _CHECKS = {
 
 
 class TestLazyJudgement:
-    """A sampling check whose largest violation is within the absolute slack passes with no scale
-    formed; every other is judged sample by sample at its own scale, and a failure keeps its worst."""
+    """A sampling check whose largest excess is at most 0 passes with no slack formed; every other
+    is judged sample by sample against its own slack, and a failure keeps its worst."""
 
     @staticmethod
     def _lazy_and_full(monkeypatch, check):
-        # the check's report, and the one _report makes from the same violations with every
-        # scale formed first; also those scales
+        # the check's report, and the one _report makes, under the check's name, from the same
+        # excesses with every slack formed first; also those slacks
         seen, real = [], strav.operators._report
         monkeypatch.setattr(strav.operators, "_report", lambda *a: seen.append(a) or real(*a))
         lazy = check()
-        ((name, viol, scale, points),) = seen
-        scales = scale()
-        return lazy, real(name, viol, scales, points), scales
+        ((_, excess, slack, points),) = seen
+        slacks = slack()
+        return lazy, real(lazy.name, excess, slacks, points), slacks
 
     @staticmethod
     def _same(a, b):
@@ -854,7 +876,7 @@ class TestLazyJudgement:
          [1.7976931348623157e308, -1e308]],
     )
     def test_a_center_of_any_size_reports_what_the_full_judgement_reports(self, monkeypatch, kind, center):
-        # far beyond 1e150 (where a sample rounds to the center's grid) every scale stays finite
+        # far beyond 1e150 (where a sample rounds to the center's grid) every slack stays finite
         # and the report is the full judgement's, whichever path it took
         budget, center = SampleBudget(count=200, seed=8, radius=1e150), np.array(center)
         if kind == "sqne" and np.abs(center).max() > 1e154:
@@ -866,10 +888,18 @@ class TestLazyJudgement:
         if kind != "sqne" and np.abs(center).max() < 1e300:
             nodes.append((Scaled(1.5), 0.0))  # it fixes no far center, and 1.5 * center must be finite
         for node, rho in nodes:
-            lazy, full, scales = self._lazy_and_full(monkeypatch, lambda: _CHECKS[kind](node, rho, budget, center))
-            assert np.isfinite(scales).all() and scales.max() < 1.7e301
+            lazy, full, slacks = self._lazy_and_full(monkeypatch, lambda: _CHECKS[kind](node, rho, budget, center))
+            assert np.isfinite(slacks).all() and slacks.max() < 1.7e301
             self._same(lazy, full)
             monkeypatch.undo()
+
+    def test_a_slack_that_overflows_fails_its_sample_unwarned(self, monkeypatch):
+        # at (1e300, 1) the second coordinate of a sample moves: 1e-15 m ||h|| passes the float
+        # range, and x -> 1.5 x, which expands that coordinate, fails there with no numpy warning
+        budget, center = SampleBudget(count=50, seed=8, radius=1e150), np.array([1e300, 1.0])
+        lazy, full, slacks = self._lazy_and_full(monkeypatch, lambda: check_nonexpansive(Scaled(1.5), budget, center=center))
+        assert np.isinf(slacks).any() and not lazy.passed
+        self._same(lazy, full)
 
     def test_the_far_centers_meet_both_paths(self):
         budget = SampleBudget(count=200, seed=8, radius=1e150)
@@ -892,16 +922,6 @@ class TestLazyJudgement:
         assert not lazy.passed and len(lazy.worst) == (1 if kind == "sqne" else 2)
         self._same(lazy, full)
 
-    def test_a_violation_just_past_the_absolute_slack_is_judged_at_its_own_scale(self):
-        # the largest violation lies in (1e-9, 1e-9 + 1e-12], so it would pass at scale 1, but
-        # its own scale ||x - y|| is below 0.2, where it fails: only scale 0 may skip the scales
-        budget, center = SampleBudget(count=50, seed=3, radius=0.1), np.zeros(2)
-        h = _pairs(Identity(), budget, center)[2]
-        node = Scaled(1.0 + (1e-9 + 6e-13) / float(norm(h).max()))
-        rep = check_nonexpansive(node, budget, center=center)
-        assert 1e-9 + 2e-13 < rep.max_violation <= 1e-9 + 1e-12
-        assert not rep.passed
-
     @pytest.mark.parametrize("kind", ["sqne", "fne"])
     def test_each_sample_is_judged_at_the_size_of_its_points(self, kind):
         # x -> 0 at rho = 1 + 1e-13 violates by 1e-13 <h, h> with g = 0: within 1e-12 <h, h>, so it
@@ -911,18 +931,113 @@ class TestLazyJudgement:
         assert rep.passed and rep.max_violation > 1e-3
         assert not _CHECKS[kind](Scaled(0.0), 1.0 + 1e-11, budget, np.zeros(2)).passed
 
-    @pytest.mark.parametrize("kind, passing, failing", [("sqne", 1, 2), ("fne", 1, 2), ("nonexpansive", 2, 2)])
-    def test_a_passing_check_forms_no_scale(self, monkeypatch, kind, passing, failing):
-        # a row-wise inner product per violation; the scale <h, h> only past the first judgement
-        # (the nonexpansive violation needs ||x - y|| itself)
+    @pytest.mark.parametrize("kind", sorted(_CHECKS))
+    def test_only_an_excess_above_zero_forms_the_slack(self, monkeypatch, kind):
+        # a row-wise inner product for the excess; <h, h> and <g, g> for the slack only past an
+        # excess above 0: not for the exact axis projection, whose excess is at most 0, but for a
+        # rounded one that passes within its slack, and for a failing one
         calls, real = [], strav.operators._dot
         monkeypatch.setattr(strav.operators, "_dot", lambda a, b: calls.append(1) or real(a, b))
-        proj, budget = _halfspace_proj(seed=31), SampleBudget(count=60, seed=6)
-        assert _CHECKS[kind](proj, 1.0, budget, np.zeros(3)).passed
-        assert len(calls) == passing
-        calls.clear()
-        assert not _CHECKS[kind](Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), 1.0, budget, np.zeros(3)).passed
-        assert len(calls) == failing
+        far, w = _far_projection()
+        for node, center, passed, dots in [
+            (Primitive(Halfspace([1.0, 0.0, 0.0, 0.0, 0.0], 0.0)), np.zeros(5), True, 1),
+            (far, w, True, 3),
+            (Primitive(Overshoot([0.6, 0.8, 0.0, 0.0, 0.0], 0.0)), np.zeros(5), False, 3),
+        ]:
+            calls.clear()
+            rep = _CHECKS[kind](node, 1.0, SampleBudget(count=200, seed=0, radius=1e-3), center)
+            assert rep.passed == passed and (rep.max_violation > 0.0) == (dots == 3)
+            assert len(calls) == dots
+
+
+def _far_anchor_corpus():
+    # 150 trees through a witness w of magnitude 1 to 1e12 in R^2 to R^29: a halfspace, then the
+    # average of two relaxed halfspaces and a ball, then a box, each set holding w
+    rng = np.random.default_rng(7)
+    for trial in range(150):
+        d = int(rng.integers(2, 30))
+        w = rng.standard_normal(d) * 10.0 ** int(rng.integers(0, 13))
+        halves = []
+        for _ in range(3):
+            a = rng.standard_normal(d)
+            halves.append(Primitive(Halfspace(a, float(a @ w)), rng.uniform(0.3, 4 / 3)))
+        c = w + rng.standard_normal(d)
+        ball = Primitive(Ball(c, 1.5 * np.linalg.norm(w - c)))
+        average = ConvexComb([halves[1], halves[2], ball], [0.3, 0.3, 0.4])
+        yield trial, Composition([Relaxation(halves[0], 1.0), average, Primitive(Box(w - 1, w + 2))]), w
+
+
+def _scaled_tree(j):
+    # a tree like those of _far_anchor_corpus and its witness, every offset, radius and corner
+    # times 2^j and the normals as they are: each apply and each probe point scales exactly
+    rng, s = np.random.default_rng(5), 2.0**j
+    w = rng.standard_normal(4) * 1e3
+    halves = []
+    for gamma in (1.0, 0.7, 1.2):
+        a = rng.standard_normal(4)
+        halves.append(Primitive(Halfspace(a, float(a @ w) * s), gamma))
+    c = w + rng.standard_normal(4)
+    ball = Primitive(Ball(c * s, 1.5 * float(np.linalg.norm(w - c)) * s))
+    average = ConvexComb([halves[1], halves[2], ball], [0.3, 0.3, 0.4])
+    return Composition([halves[0], average, Primitive(Box((w - 1) * s, (w + 2) * s))]), w * s
+
+
+class TestScaleInvariance:
+    """Each check's slack is sized from its own terms, so no scale hides a violation or raises a
+    false alarm: small radii catch an overreach, and far anchors pass exact moduli."""
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6, 1e-9])
+    def test_an_overreach_is_caught_at_a_small_radius(self, radius):
+        proj, budget = Primitive(Halfspace([1.0, 0.0, 0.0], 0.0)), SampleBudget(radius=radius)
+        assert check_sqne(proj, 1.0, np.zeros(3), budget).passed
+        assert not check_sqne(proj, 1.01, np.zeros(3), budget).passed
+        assert check_fne(proj, 1.0, budget, center=np.zeros(3)).passed
+        assert not check_fne(proj, 1.01, budget, center=np.zeros(3)).passed
+
+    def test_the_far_anchor_corpus_raises_no_false_alarm(self):
+        # each tree at its own constants, at radii down to 1e-9 of an anchor up to 1e12
+        failed = dict.fromkeys(["sqne", "fne", "nonexpansive", "fne at 0"], 0)
+        for trial, T, w in _far_anchor_corpus():
+            for radius in (1.0, 1e-3, 1e-6, 1e-9):
+                budget = SampleBudget(count=200, seed=trial, radius=radius)
+                failed["sqne"] += not check_sqne(T, T.sqne_rho, w, budget).passed
+                failed["fne"] += not check_fne(T, T.fne_rho, budget, center=w).passed
+                failed["nonexpansive"] += not check_nonexpansive(T, budget, center=w).passed
+                failed["fne at 0"] += not check_fne(T, 0.0, budget, center=w).passed
+        assert failed == dict.fromkeys(failed, 0)
+
+    def test_a_passing_fne_check_at_nonnegative_rho_passes_the_nonexpansive_check(self):
+        # its excess is the nonexpansive one plus rho ||r||^2, term by term in the same rounding,
+        # and the slack does not depend on rho
+        verdicts = set()
+        nodes = [(T, w) for trial, T, w in _far_anchor_corpus() if trial < 40]
+        nodes += [(Primitive(Overshoot([0.6, 0.8, 0.0], 0.0)), np.zeros(3)), (Scaled(1.0 + 1e-13), np.ones(3))]
+        for i, (T, w) in enumerate(nodes):
+            for radius in (1.0, 1e-6):
+                budget = SampleBudget(count=100, seed=i, radius=radius)
+                ne = check_nonexpansive(T, budget, center=w)
+                for rho in (0.0, 0.5, T.fne_rho or 1.0, 3.0):
+                    fne = check_fne(T, rho, budget, center=w)
+                    assert fne.max_violation >= ne.max_violation
+                    assert ne.passed or not fne.passed
+                    verdicts.add((fne.passed, ne.passed))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("kind", sorted(_CHECKS))
+    def test_a_check_reads_the_same_at_every_power_of_two_scale(self, kind):
+        # every term scales by 4^j, the slack too: the verdict and max_violation / 4^j keep their bits
+        def reports(j):
+            T, w = _scaled_tree(j)
+            budget = SampleBudget(count=200, seed=1, radius=1e-3 * 2.0**j)
+            return [(r.passed, (r.max_violation / 4.0**j).hex())
+                    for r in (_CHECKS[kind](T, rho, budget, w) for rho in (T.fne_rho, 1e3))]
+
+        base = reports(0)
+        assert base[0][0] and float.fromhex(base[0][1]) > 0.0  # a pass that formed its slack
+        if kind != "nonexpansive":
+            assert not base[1][0]
+        for j in range(-100, 101):
+            assert reports(j) == base, j
 
 
 class TestReadOnlyBatch:

@@ -213,6 +213,21 @@ class TestBall:
         assert_array_equal(s.project(xs[0]), xs[0])
         assert_array_equal(s.distance(xs), np.zeros(3))
 
+    def test_a_far_point_projects_to_the_sphere_without_overflow(self):
+        # ||x - center||^2 overflows there: the row pulls along x - center over its largest entry
+        s = Ball([0.0, 0.0, 0.2], 1.0)
+        assert_allclose(s.project([1e308, 1e308, 0.0]), [0.5**0.5, 0.5**0.5, 0.2], rtol=1e-15)
+        assert_allclose(Ball(np.zeros(2), 10.0).project([-1e308, 3e307]), [-10.0, 3.0] / np.hypot(1.0, 0.3), rtol=1e-15)
+
+    def test_a_far_row_leaves_the_other_rows_their_bits(self):
+        s = Ball([0.0, 0.0, 0.2], 1.0)
+        near = np.random.default_rng(4).standard_normal((5, 3)) * [[1.0], [0.1], [1e150], [3.0], [0.5]]
+        got = s.project(np.vstack([near[:2], [[1e308, 1e308, 0.0]], near[2:]]))
+        assert_allclose(got[2], [0.5**0.5, 0.5**0.5, 0.2], rtol=1e-15)
+        kept = np.delete(got, 2, axis=0)
+        assert kept.tobytes() == s.project(near).tobytes()
+        assert kept.tobytes() == np.array([s.project(x) for x in near]).tobytes()
+
     def test_radius_positive(self):
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)

@@ -872,6 +872,52 @@ class TestFejerAudit:
             rep = check_fejer(far, self.fam.witness, self.relax.fejer_constant)
         assert not rep.passed and rep.max_violation < 0.0 and rep.worst == (0,)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_an_overreach_is_caught_at_a_small_scale(self, scale):
+        # cyclic projections onto x_1 <= 0 and x_2 <= 0 from (3s, 4s) hold the Fejer inequality at
+        # c = 1 with equality: the certified 1/3 and 1 pass at every scale s, and so does 1 + 1e-13,
+        # within the slack's 1e-12 ||x^k - z||^2; 1.01 fails
+        tr = run(two_halfspace_family(), CyclicSchedule.over_indices([0, 1]),
+                 RelaxationSchedule.constant(1.0, 0.5, 1.0), np.array([3.0, 4.0]) * scale, StopRule(10, None, None))
+        z = np.zeros(2)
+        assert all(check_fejer(tr, z, c).passed for c in (tr.fejer_constant, 1.0, 1.0 + 1e-13))
+        rep = check_fejer(tr, z, 1.01)
+        assert not rep.passed and rep.worst == (1,)  # the step of length 4s
+
+    def test_the_audit_reads_the_same_at_every_power_of_two_scale(self):
+        # offsets, start and witness times 2^j, the normals as they are: every iterate scales
+        # exactly, so the verdict and max_violation / 4^j keep their bits (c = 1.5 is a true violation)
+        normals, w = np.array([[1.0, 0.0], [0.6, 0.8]]), np.array([1.0, -2.0])
+
+        def reports(j):
+            s = 2.0**j
+            fam = OperatorFamily.from_sets([Halfspace(a, float(a @ w) * s) for a in normals], w * s)
+            tr = run(fam, CyclicSchedule.over_indices([0, 1]), RelaxationSchedule.constant(1.0, 0.5, 1.0),
+                     (w + [3.0, 4.0]) * s, StopRule(10, None, None))
+            return [(r.passed, (r.max_violation / 4.0**j).hex()) for r in
+                    (check_fejer(tr, fam.witness, c) for c in (tr.fejer_constant, 1.0, 1.5))]
+
+        base = reports(0)
+        assert [passed for passed, _ in base] == [True, True, False]
+        for j in range(-100, 101):
+            assert reports(j) == base, j
+
+    def test_a_far_witness_raises_no_false_alarm(self):
+        # cyclic relaxed projections onto 6 halfspaces through a witness w of magnitude 1 to 1e12
+        # in R^2 to R^500, from starts 1 to 1e-9 times max|w| away: each iterate is rounded at
+        # magnitude max|w|, which the slack's 1e-15 (max|z| + d_k) d_k covers
+        rng, failed = np.random.default_rng(3), 0
+        for _ in range(40):
+            d = int(rng.choice([2, 20, 500]))
+            w = rng.standard_normal(d) * 10.0 ** int(rng.integers(0, 13))
+            fam = OperatorFamily.from_sets([Halfspace(a, float(a @ w)) for a in rng.standard_normal((6, d))], w)
+            for s in (1.0, 1e-3, 1e-6, 1e-9):
+                x0 = w + rng.standard_normal(d) * s * np.abs(w).max()
+                relax = RelaxationSchedule.constant(float(rng.uniform(0.3, 1.7)), 0.25, 1.0)
+                tr = run(fam, CyclicSchedule.over_indices(list(range(6))), relax, x0, StopRule(60, None, None))
+                failed += not check_fejer(tr, w, tr.fejer_constant).passed
+        assert failed == 0
+
     def test_other_common_point_needs_full_iterates(self):
         tr = run(self.fam, self.sched, self.relax, self.x0, StopRule(64, None, None),
                  record_stride=1)
