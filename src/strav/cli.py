@@ -264,7 +264,7 @@ def cmd_verify(cfg, args):
     reports = [verify_admissible(cfg.schedule, args.horizon, indices)]
     _emit("coverage", reports[0])
 
-    budget = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed)
+    budget, w = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed), cfg.family.witness
     probed = {}  # one probe per tree (the family keeps one per plan structure), labelled by its first k
     for k in range(min(args.horizon, _PROBE_PLANS - 1) + 1):
         T = output_operator(cfg.schedule.plan_at(k), cfg.family)
@@ -274,10 +274,7 @@ def cmd_verify(cfg, args):
             if rho is None:
                 _emit(f"plan {k} {route}", "skipped (no certified constant)")
                 continue
-            if route == "sqne":
-                reports.append(check_sqne(T, rho, cfg.family.witness, budget))
-            else:
-                reports.append(check_fne(T, rho, budget, center=cfg.family.witness))
+            reports.append(check_sqne(T, rho, w, budget) if route == "sqne" else check_fne(T, rho, budget, center=w))
             _emit(f"plan {k} {route}", reports[-1])
     passed = all(r.passed for r in reports)
     _emit("verdict", "pass" if passed else "FAIL")

@@ -174,12 +174,11 @@ def _read(kind, v, path, errors, lo=None):
         if not isinstance(kind, list):
             v = _record(v, kind, path, errors)
         elif isinstance(v, list):
-            if kind[0] is _real and lo is None:
-                # a list of plain finite numbers reads in one pass, with no path per entry;
-                # any other entry sends the list through _real, which names it by path
-                out = [float(x) if type(x) in _NUMBERS and abs(x) <= _MAX else None for x in v]
-                if None not in out:
-                    return out
+            # plain finite numbers (plain ints for an int list) none below lo read in one pass, with no
+            # path per entry; any other entry sends the list entry by entry, which names it by path
+            plain, low = (int,) if kind[0] is _int else _NUMBERS, -_MAX if lo is None else lo
+            if kind[0] in (_real, _int) and all(type(x) in plain and low <= x <= _MAX for x in v):
+                return list(map(float, v)) if kind[0] is _real else list(v)
             v = [_read(kind[0], x, f"{path}[{i}]", errors, lo) for i, x in enumerate(v)]
         else:
             _refuse(errors, path, "not a list")

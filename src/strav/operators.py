@@ -8,13 +8,13 @@ construction and never recomputed.  So is a pass-through node's ``apply``,
 with no frame of its own: a projection at gamma 1 applies its set's
 ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
 identity's); a point it fixes comes back as the very array passed in.
-:func:`_through` is the one single-point formula of a halfspace or
-hyperplane projection.  A node's ``_rows`` are the rows it applies, none by
-default: its set's at gamma 1 where :mod:`strav.sets` offers them, its
-child's at alpha 1, and its children's, in order, for a :class:`Composition`
-whose children all have rows (nested strings too) and whose ``apply`` is
-its class's own.  For one point ``_through`` runs them in the float
-operations of child by child, so the same bits; a batch goes child by child.
+:func:`_through` (one point) and :func:`_sweep` (a batch) are the one
+formula of a halfspace or hyperplane projection.  A node's ``_rows`` are the
+rows it applies, none by default: its set's at gamma 1 where :mod:`strav.sets`
+offers them, its child's at alpha 1, and its children's, in order, for a
+:class:`Composition` whose children all have rows (nested strings too) and
+whose ``apply`` is its class's own: it runs them in one loop, in the float
+operations of child by child, so the same bits.
 
 Constants attached to a node
 ----------------------------
@@ -46,18 +46,18 @@ Where both the direct rule and the two-point route apply, ``sqne_rho``
 takes the larger certified value, so ``fne_rho`` set implies ``sqne_rho``
 set with ``sqne_rho >= fne_rho``.
 
-The sampling checkers at the bottom probe these inequalities on seeded points.  Checks of one node
-with one budget and center share one memoised probe: the one-point check judges its points, the
-two-point checks the pairs ``(x_i, x_{(i+1) mod count})``.  With ``h = x - y`` (``y = z`` for one
-point), ``g = T(x) - T(y)`` and ``r = h - g``, each check's excess is ``<r, rho r - g - h>``, a
-factored form that cancels no two rounded squares; the nonexpansive check is the two-point one at
-rho 0.  Every inequality audit, these and :func:`strav.solver.check_fejer`, passes a sample whose
-excess is at most a slack sized from its own terms, with no absolute floor: the same verdict at
-every scale.  Here it is ``1e-12 <h, h> + 1e-15 m (||h|| + ||g||)``, ``m`` the anchor's largest
-|coordinate| plus the radius: the rounding of the squares, and of ``T(x)`` computed at magnitude
-``m``; ``||g||`` counts too, as a sample may round onto ``z`` while ``T(z)`` still differs from
-``z``.  It is formed only past a largest excess above 0, ``1e-15 m`` first: finite wherever
-``1e-15 m (||h|| + ||g||)`` is, as at any anchor of finite norm while ``||g||`` stays near
+The sampling checkers at the bottom probe these inequalities on seeded points.  Checks at one budget
+and center share one memoised draw, and checks of one node there one memoised probe: the one-point
+check judges its points, the two-point checks the pairs ``(x_i, x_{(i+1) mod count})``.  With
+``h = x - y`` (``y = z`` for one point), ``g = T(x) - T(y)`` and ``r = h - g``, each check's excess
+is ``<r, rho r - g - h>``, a factored form that cancels no two rounded squares; the nonexpansive check
+is the two-point one at rho 0.  Every inequality audit, these and :func:`strav.solver.check_fejer`,
+passes a sample whose excess is at most a slack sized from its own terms, with no absolute floor:
+the same verdict at every scale.  Here it is ``1e-12 <h, h> + 1e-15 m (||h|| + ||g||)``, ``m`` the
+anchor's largest |coordinate| plus the radius: the rounding of the squares, and of ``T(x)`` computed
+at magnitude ``m``; ``||g||`` counts too, as a sample may round onto ``z`` while ``T(z)`` still
+differs from ``z``.  It is formed only past a largest excess above 0, ``1e-15 m`` first: finite
+wherever ``1e-15 m (||h|| + ||g||)`` is, as at any anchor of finite norm while ``||g||`` stays near
 ``||h|| <= 4 radius``.  A slack that overflows fails its sample.
 """
 
@@ -92,6 +92,15 @@ def _through(x, rows):
         t = float(x.dot(a)) - b  # x.dot(a) is x @ a with less dispatch
         if not (t == 0.0 or t < 0.0 and one_sided):  # a NaN t steps, to NaN
             x = x - (t / asq) * a
+    return x
+
+
+def _sweep(x, rows):
+    # a batch x (..., d) through the rows in order, each step as strav.sets states it, x - step over it
+    for a, b, asq, one_sided in rows:
+        t = x @ a - b
+        step = np.einsum("...,j->...j", (np.maximum(t, 0.0) if one_sided else t) / asq, a)
+        x = np.subtract(x, step, out=step)
     return x
 
 
@@ -263,8 +272,8 @@ class Composition(OperatorNode):
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)
-        if self._rows and out.shape == self._rows[0][0].shape:  # one point: see the module docstring
-            return _through(out, self._rows)
+        if self._rows and out.ndim and out.shape[-1] == self.dim:  # see the module docstring
+            return (_through if out.ndim == 1 else _sweep)(out, self._rows)
         for child in self.children_:
             out = child.apply(out)
         return out
@@ -308,30 +317,32 @@ class CheckReport:
         return f"{self.name}: {verdict} (max violation {self.max_violation:.3e}, {self.samples} samples)"
 
 
-def _ball_samples(rng, center, radius, count):
-    d = center.shape[0]
-    g = rng.standard_normal((count, d))
+@lru_cache(maxsize=1)
+def _draw(budget, center):
+    # budget.count seeded points in the radius's ball around center (float64 bytes), read-only (count, d)
+    center, rng = np.frombuffer(center), np.random.default_rng(budget.seed)
+    g = rng.standard_normal((budget.count, center.shape[0]))
     lengths = norm(g)
     lengths[lengths == 0.0] = 1.0
-    radii = radius * rng.random(count) ** (1.0 / d)
+    radii = budget.radius * rng.random(budget.count) ** (1.0 / center.shape[0])
     g /= lengths[:, None]  # center + (g / lengths) * radii, in place on the fresh draw
     g *= radii[:, None]
-    return np.add(g, center, out=g)
+    xs = np.add(g, center, out=g)
+    xs.flags.writeable = False
+    return xs
 
 
 @lru_cache(maxsize=1)
 def _probe(node, budget, center):
-    """``budget.count`` seeded points around ``center`` (float64 bytes), their images under
-    ``node``, each a read-only ``(count, d)`` array, and a list that :func:`_pairs` fills once.
+    """:func:`_draw`'s points around ``center`` (float64 bytes), which every node's probe there
+    shares, their read-only images under ``node``, and a list that :func:`_pairs` fills once.
 
-    The draw is pure, so a memo hit returns bitwise what a fresh call would.  The memo keys the
-    node by identity and keeps it alive, with one probe until the next: 40 KB at 500 points in R^5
-    (100 KB once paired), 6.4 MB at 200 points in R^2000 (16 MB once paired).
-    """
-    rng = np.random.default_rng(budget.seed)
-    xs = _ball_samples(rng, np.frombuffer(center), budget.radius, budget.count)
+    The draw is pure, so a memo hit returns bitwise what a fresh call would.  The memo keys the node
+    by identity and keeps it alive, with one probe until the next: 40 KB at 500 points in R^5 (100 KB
+    once paired) and 6.4 MB at 200 points in R^2000 (16 MB once paired), the draw included."""
+    xs = _draw(budget, center)
     tx = node.apply(xs)
-    xs.flags.writeable = tx.flags.writeable = False
+    tx.flags.writeable = False
     return xs, tx, []  # _pairs fills the list on the first two-point check
 
 

@@ -3,12 +3,12 @@
 Every set variant carries an exact nearest-point rule.  ``project`` accepts
 a single vector or a row-stacked batch and returns the same shape; a point
 already inside comes back unchanged (bitwise for the polyhedral variants),
-a single one perhaps as the very array passed in (see ``project``).  A single
-point's halfspace or hyperplane projection is :func:`strav.operators._through`
-on the set's row, built at construction: the loop a string of them runs, offered
-as ``_rows`` only while ``project`` is the library's own, not an override.  A
-batch's step is the outer product ``np.einsum("...,j->...j", t / (a @ a), a)`` of
-its offsets ``t``: each entry one exact product, as broadcasting gives, in one pass.
+a single one perhaps as the very array passed in (see ``project``).  A halfspace or hyperplane
+projects one point by :func:`strav.operators._through` and a batch by :func:`strav.operators._sweep`
+on its row, built at construction: the loops a string of them runs, offered as ``_rows`` only while
+``project`` is the library's own.  A batch's step is the outer product
+``np.einsum("...,j->...j", t / (a @ a), a)`` of its offsets ``t``, each entry one exact product
+added onto einsum's zeroed output: +0.0 for a zero offset, so an inactive row keeps its -0.0s.
 ``distance`` is always the norm of ``x - project(x)`` so the two operations
 can never disagree.
 
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .numeric import _finite_norm, _whole, _within, as_vector, norm
-from .operators import Identity, OperatorNode, Primitive, _through
+from .operators import Identity, OperatorNode, Primitive, _sweep, _through
 
 __all__ = [
     "ProjectableSet",
@@ -91,14 +91,7 @@ class _LinearConstraint(ProjectableSet):
         if x.shape == self.a.shape:  # one point: the formula of strav.operators._through
             return _through(x, self._row)
         self._check_dim(x)
-        offset = x @ self.a - self.b
-        if self._one_sided:
-            offset = np.maximum(offset, 0.0)
-        # adding 0.0 turns the -0.0 of a zero offset times a negative a_i
-        # into 0.0, so x - step keeps a -0.0 coordinate of an inactive row
-        step = np.einsum("...,j->...j", offset / self._asq, self.a)
-        step += 0.0
-        return np.subtract(x, step, out=step)
+        return _sweep(x, self._row)
 
 
 class Halfspace(_LinearConstraint):

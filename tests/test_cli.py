@@ -1,9 +1,12 @@
 """End-to-end runs of the ``strav`` command line, in process."""
 
+import functools
+import hashlib
 import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import strav.cli
@@ -280,8 +283,8 @@ class TestTreesBuiltOnce:
 
 class TestVerifyChecks:
     """``verify`` checks each probed tree at its own ``sqne_rho`` and ``fne_rho``,
-    through ``strav.cli``'s names, as the benchmark tracer rebinds them; each
-    probed tree draws one probe inside the SQNE check, which the FNE check shares."""
+    through ``strav.cli``'s names, as the benchmark tracer rebinds them; one ``verify``
+    draws its points once, inside its first SQNE check, and every later check shares them."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -300,13 +303,14 @@ class TestVerifyChecks:
 
         for name in ("check_sqne", "check_fne", "check_nonexpansive"):
             monkeypatch.setattr(strav.cli, name, counting(name, getattr(strav.cli, name)))
-        draw = strav.operators._ball_samples
+        draw = strav.operators._draw.__wrapped__
 
-        def counting_draw(rng, center, radius, count):
-            events.append((count, active[-1] if active else None))
-            return draw(rng, center, radius, count)
+        @functools.lru_cache(maxsize=1)  # a memo of its own: an earlier test's draw is no hit here
+        def counting_draw(budget, center):
+            events.append((budget.count, active[-1] if active else None))
+            return draw(budget, center)
 
-        monkeypatch.setattr(strav.operators, "_ball_samples", counting_draw)
+        monkeypatch.setattr(strav.operators, "_draw", counting_draw)
         return events
 
     @staticmethod
@@ -323,13 +327,14 @@ class TestVerifyChecks:
         cfg = parse_config(doc)
         return [output_operator(cfg.schedule.plan_at(k), cfg.family) for k in ks]
 
-    def test_one_draw_per_plan_structure(self, capsys, tmp_path, events):
-        # the demo's two plan structures each get both checks, at their trees' constants
+    def test_one_draw_per_verify(self, capsys, tmp_path, events):
+        # the demo's two plan structures each get both checks, at their trees' constants, on the
+        # points the first check drew
         doc = demo_doc()
         code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
         assert code == 0
         count = strav.cli._PROBE_SAMPLES
-        assert events == ["check_sqne", (count, "check_sqne"), "check_fne"] * 2
+        assert events == ["check_sqne", (count, "check_sqne"), "check_fne", "check_sqne", "check_fne"]
         got = kv(out)
         assert [key for key in got if key.startswith("plan ")] == [
             f"plan {k} {route}" for k in (0, 1) for route in ("sqne", "fne")]
@@ -343,7 +348,7 @@ class TestVerifyChecks:
         # plan 0 relaxes input 0, a projection at gamma 1.3 (both constants 0.54), by
         # alpha 1.5: neither plan bound holds, yet its tree carries (1 + 0.54 - 1.5) / 1.5
         # = 0.0256 on both routes, and both checks pass there; plan 1 relaxes input 1 by
-        # alpha 1 and keeps the leaf's 0.54.  One draw per plan.
+        # alpha 1 and keeps the leaf's 0.54.  One draw, which both plans' checks share.
         doc = self._relaxed_leaves_doc(1.3, 0.5, 1.5)
         cfg = parse_config(doc)
         for bound in (sqne_bound, fne_bound):
@@ -360,7 +365,7 @@ class TestVerifyChecks:
             assert got[f"plan {k} sqne"].startswith(f"sqne(rho={T.sqne_rho}): pass")
             assert got[f"plan {k} fne"].startswith(f"fne(rho={T.fne_rho}): pass")
         count = strav.cli._PROBE_SAMPLES
-        assert events == ["check_sqne", (count, "check_sqne"), "check_fne"] * 2
+        assert events == ["check_sqne", (count, "check_sqne"), "check_fne", "check_sqne", "check_fne"]
 
     def test_no_certified_constant_skips_both_routes(self, capsys, tmp_path, events):
         # alpha 1.6 past 1 + rho = 1.5 of a projection at gamma 4/3: the calculus gives
@@ -389,6 +394,58 @@ class TestVerifyChecks:
         assert got["verdict"] == "pass"
         assert sum(key.startswith("plan ") for key in got) == 16
         assert "skipped" not in out
+
+
+def _halfspace_stage_doc(seed=4, n_sets=60, dim=20, stages=8, strings=4):
+    # seeded unit normals tilted along one direction, halfspaces through the origin, and stages of
+    # four strings over a permutation of the sets each
+    rng = np.random.default_rng(seed)
+    e = np.ones(dim) / np.sqrt(dim)
+    normals = rng.standard_normal((n_sets, dim)) + 6.0 * e
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    perms = [rng.permutation(n_sets) for _ in range(stages)]
+    return {
+        "ambient_dim": dim,
+        "seed": seed,
+        "family": {"witness": [0.0] * dim,
+                   "sets": [{"kind": "halfspace", "a": a.tolist(), "b": 0.0} for a in normals]},
+        "schedule": {"variant": "stages", "stages": [
+            {"strings": [p[i::strings].tolist() for i in range(strings)], "weights": [1.0 / strings] * strings}
+            for p in perms]},
+        "relaxation": {"eps": 0.25, "lambda": {"kind": "constant", "value": 0.7}},
+        "monitored_indices": list(range(n_sets)),
+        "start": (3.0 * e).tolist(),
+    }
+
+
+class TestVerifyOutputPinned:
+    """``verify`` prints the same bytes for the demo configs and a 60-halfspace stage config, and
+    its sampling checks report the same bits: one SHA-256 over the stdout and every report field."""
+
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            ("stage_solve.json", "30e21ea68fba9ffa854cbc778a9fcbacf275aa90ac4f351846399c20119eca55"),
+            ("box_superiorize.json", "f7ce1b043c753abac2c1240e07a8368e9d26fee655d5dca029e707ae39446035"),
+            ("halfspace stages", "edecd82e395540ba7bd947153cababdf7aac3ff14bd71d8197deb9f8b1ec0f68"),
+        ],
+    )
+    def test_stdout_sha256(self, capsys, tmp_path, monkeypatch, name, sha256):
+        reports = []
+
+        def recorded(check):
+            return lambda *args, **kw: reports.append(check(*args, **kw)) or reports[-1]
+
+        for check in ("check_sqne", "check_fne"):
+            monkeypatch.setattr(strav.cli, check, recorded(getattr(strav.cli, check)))
+        doc = _halfspace_stage_doc() if name == "halfspace stages" else demo_doc(name)
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0 and reports
+        digest = hashlib.sha256(out.encode())
+        for r in reports:
+            digest.update(repr((r.name, r.passed, r.max_violation.hex(), r.samples)).encode())
+            digest.update(b"".join(p.tobytes() for p in r.worst or ()))
+        assert digest.hexdigest() == sha256, out
 
 
 class TestErrorHandling:

@@ -656,6 +656,23 @@ class TestStopStartOutput:
         assert [p for p, _ in info.value.errors] == [path]
         assert info.value.errors[0][1].startswith("need at least 0, got -")
 
+    @pytest.mark.parametrize(
+        "bad, msg",
+        [(True, "need an integer, got True"), (2.5, "need an integer, got 2.5"), (-1, "need at least 0, got -1"),
+         (2**1100, "need an integer within the float range")],
+        ids=["bool", "fraction", "negative", "past-float-range"],
+    )
+    def test_a_bad_string_entry_is_reported_at_its_own_path(self, bad, msg):
+        # a list of plain ints reads in one pass; one entry that is not sends the list entry by entry
+        strings = [[0, 1], [1, 0.0, bad, 0]]
+        doc = minimal_doc(schedule={"variant": "stages", "stages": [{"strings": strings, "weights": [0.5, 0.5]}]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("schedule.stages[0].strings[1][2]", msg)]
+        strings[1][2] = 1.0  # a whole float reads as its int
+        cfg = parse_config(doc)
+        assert [cfg.schedule.plan_at(0).steps[n].order for n in (1, 2)] == [(0, -1), (-1, 0, -1, 0)]
+
     def test_start_missing(self):
         doc = minimal_doc()
         del doc["start"]

@@ -26,6 +26,7 @@ from strav.operators import (
     Primitive,
     Relaxation,
     SampleBudget,
+    _draw,
     _pairs,
     _probe,
     _report,
@@ -740,11 +741,17 @@ class TestSharedSample:
         refs = [weakref.ref(a) for a in _pairs(node, budget, center)]
         _probe.cache_clear()
         gc.collect()
+        # the draw's own memo still holds the points; the pairs went with the probe
+        assert refs[0]() is _draw(budget, center.tobytes())
+        assert [r() for r in refs[1:]] == [None] * 3
+        _draw.cache_clear()
+        gc.collect()
         assert [r() for r in refs] == [None] * 4
-        # the next check derives them anew, bitwise as before
+        # the next check draws and derives them anew, bitwise as before
         check_fne(node, 0.5, budget, center=center)
         fresh = _pairs(node, budget, center)
         _probe.cache_clear()
+        _draw.cache_clear()
         assert [a.tobytes() for a in fresh] == [a.tobytes() for a in _pairs(node, budget, center)]
 
 
@@ -1084,6 +1091,17 @@ def _spelled_out(sets, x):
     return x
 
 
+def _spelled_out_batch(sets, x):
+    # each set's batch projection one after another: the offsets, clamped for a halfspace, over
+    # a @ a, times a by broadcasting, plus 0.0, subtracted
+    for s in sets:
+        t = x @ s.a - s.b
+        if isinstance(s, Halfspace):
+            t = np.maximum(t, 0.0)
+        x = x - ((t / float(s.a @ s.a))[..., None] * s.a + 0.0)
+    return x
+
+
 def _linear_sets(rng, dim, count):
     # halfspaces and hyperplanes with seeded normals and offsets, about one in three an equality
     return [
@@ -1093,7 +1111,7 @@ def _linear_sets(rng, dim, count):
 
 
 class TestStringLoop:
-    """One point takes a string of halfspace and hyperplane projections in one loop."""
+    """One point, or one batch, takes a string of halfspace and hyperplane projections in one loop."""
 
     @pytest.fixture
     def loops(self, monkeypatch):
@@ -1158,17 +1176,80 @@ class TestStringLoop:
             assert np.isnan(got).all()
             assert got.tobytes() == _child_by_child(T, x).tobytes()
 
-    def test_a_batch_goes_child_by_child(self, loops):
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        # the row count of each run of the composition's batch loop
+        rows = []
+        loop = strav.operators._sweep
+        monkeypatch.setattr(strav.operators, "_sweep", lambda x, r: rows.append(len(r)) or loop(x, r))
+        return rows
+
+    def _assert_one_sweep(self, sets, x, sweeps):
+        # a batch through the string runs one loop over its rows, with the bits of the sets one by one
+        T = Composition([Primitive(s) for s in sets])
+        sweeps.clear()
+        got = T.apply(x)
+        assert sweeps == [len(sets)] and got.shape == x.shape
+        assert got.tobytes() == _spelled_out_batch(sets, x).tobytes() == _child_by_child(T, x).tobytes()
+        return got
+
+    def test_a_batch_runs_one_loop(self, loops, sweeps):
         rng = np.random.default_rng(3)
-        T = Composition([Primitive(s) for s in _linear_sets(rng, 5, 6)])
-        X = rng.standard_normal((7, 5)) * 3.0
-        assert T.apply(X).tobytes() == _child_by_child(T, X).tobytes()
-        assert T.apply(X[:1]).shape == (1, 5) and loops == []
+        sets = _linear_sets(rng, 5, 6)
+        self._assert_one_sweep(sets, rng.standard_normal((7, 5)) * 3.0, sweeps)
+        assert loops == []
+
+    def test_a_batch_keeps_the_negative_zeros_of_inactive_rows(self, sweeps):
+        # every set holds rows 0 and 1, whose zero offsets times a negative a_i are -0.0 as products;
+        # rows 2 and 3 step through the last two sets, whose zero a_0 leaves column 0's signs
+        sets = [Halfspace([1.0, -2.0, 0.5], 0.25), Halfspace([0.0, 1.0, -1.0], 0.0),
+                Hyperplane([0.0, 0.0, -4.0], 0.0)]
+        x = np.array([[-0.0, -0.0, -0.0], [-3.0, -0.0, -0.0], [-0.0, 2.0, -0.0], [-1.0, 3.0, -0.0]])
+        got = self._assert_one_sweep(sets, x, sweeps)
+        assert got[:2].tobytes() == x[:2].tobytes()
+        assert np.signbit(got[:, 0]).all()
+
+    def test_a_nan_row_stays_apart(self, sweeps):
+        rng = np.random.default_rng(5)
+        sets = _linear_sets(rng, 4, 5)
+        x = rng.standard_normal((6, 4)) * 3.0
+        x[2, 1] = math.nan
+        got = self._assert_one_sweep(sets, x, sweeps)
+        assert np.isnan(got[2]).all() and not np.isnan(np.delete(got, 2, axis=0)).any()
+
+    def test_hyperplanes_step_at_a_negative_offset(self, sweeps):
+        # every row starts with <a, x> - b < 0 for each set: halfspaces hold them all, and the first
+        # hyperplane moves every row onto itself
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 4))
+        x = rng.standard_normal((5, 4))
+        b = (x @ a.T).max(axis=0) + 1.0
+        got = self._assert_one_sweep([Hyperplane(r, v) for r, v in zip(a, b)], x, sweeps)
+        assert not (got == x).all(axis=1).any()
+        assert self._assert_one_sweep([Halfspace(r, v) for r, v in zip(a, b)], x, sweeps).tobytes() == x.tobytes()
+
+    def test_a_stacked_batch_of_batches(self, sweeps):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 4, 5)) * 3.0
+        self._assert_one_sweep(_linear_sets(rng, 5, 6), x, sweeps)
+
+    def test_a_one_row_batch(self, loops, sweeps):
+        rng = np.random.default_rng(8)
+        sets = _linear_sets(rng, 5, 6)
+        x = rng.standard_normal((1, 5)) * 3.0
+        self._assert_one_sweep(sets, x, sweeps)
+        assert loops == []
 
     def test_a_point_of_another_dimension_is_refused_by_the_sets(self):
         T = Composition([Primitive(Halfspace([1.0, 0.0], 0.0)), Primitive(Hyperplane([0.0, 1.0], 0.0))])
         with pytest.raises(ValueError, match="dim-mismatch"):
             T.apply(np.ones(3))
+
+    def test_a_batch_of_another_dimension_is_refused_by_the_sets(self, sweeps):
+        T = Composition([Primitive(Halfspace([1.0, 0.0], 0.0)), Primitive(Hyperplane([0.0, 1.0], 0.0))])
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            T.apply(np.ones((4, 3)))
+        assert sweeps == []
 
     @pytest.mark.parametrize(
         "other",
