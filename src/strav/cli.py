@@ -3,15 +3,15 @@
 Every subcommand reads one JSON config file (``--config``) and takes
 ``--seed`` to override its seed.  ``solve`` and ``superiorize`` also take
 ``--out`` (the CSV trace path) and ``--stride``; ``verify`` takes
-``--horizon`` (at most 10,000,000) and ``--indices`` (natural numbers)
-and probes each distinct plan structure among the first eight plans
-once, under the first ``k`` that uses it: ``check_sqne`` at the tree's
-``sqne_rho`` and ``check_fne`` at its ``fne_rho`` (at rho >= 0 this
-implies nonexpansiveness), on one draw of points around the witness; a
-route whose constant the calculus leaves None is reported ``skipped (no
-certified constant)``.  Output is a block of ``key: value`` lines on
-stdout plus an optional CSV trace; given an identical config and seed
-the CSV is reproduced bit for bit.
+``--indices`` (natural numbers) and ``--horizon`` (at most 10,000,000),
+which bounds only the coverage audit.  It probes each distinct tree of the
+stored plans (a ``power_of_two`` schedule's first eight) under its first
+plan, on one draw of points around the witness, in two lines: ``check_sqne``
+at its ``sqne_rho`` and ``check_fne`` at its ``fne_rho`` (at rho >= 0 this
+implies nonexpansiveness), or ``skipped (no certified constant)``.  Its
+``rho`` line compares rho, explicit or derived, with the least of those
+``sqne_rho``.  Output is ``key: value`` lines on stdout plus an optional
+CSV trace, reproduced bit for bit from an identical config and seed.
 
 Exit codes: 0 when the run stopped on a residual or step criterion (for
 ``verify``: all audits passed) and after ``--help``, 2 when the iteration
@@ -145,7 +145,7 @@ import sys
 from .config import ConfigError, _decode, parse_config
 from .control import verify_admissible
 from .gmsa import output_operator
-from .operators import SampleBudget, check_fne, check_sqne
+from .operators import CheckReport, SampleBudget, check_fne, check_sqne
 from .operators import check_nonexpansive  # noqa: F401 -- not called here; bench/tracing.py rebinds the name
 from .solver import check_fejer, run, run_perturbed
 from .superiorize import alternatives_diagnostic, run_superiorized
@@ -265,17 +265,20 @@ def cmd_verify(cfg, args):
     _emit("coverage", reports[0])
 
     budget, w = SampleBudget(count=_PROBE_SAMPLES, seed=cfg.seed), cfg.family.witness
-    probed = {}  # one probe per tree (the family keeps one per plan structure), labelled by its first k
-    for k in range(min(args.horizon, _PROBE_PLANS - 1) + 1):
-        T = output_operator(cfg.schedule.plan_at(k), cfg.family)
+    probed = {}  # one probe per tree (the family keeps one per plan structure), labelled by its first plan
+    for k, plan in enumerate(cfg.schedule.plans or map(cfg.schedule.plan_at, range(_PROBE_PLANS))):
+        T = output_operator(plan, cfg.family)
         if probed.setdefault(T, k) != k:
             continue
         for route, rho in (("sqne", T.sqne_rho), ("fne", T.fne_rho)):
-            if rho is None:
-                _emit(f"plan {k} {route}", "skipped (no certified constant)")
-                continue
-            reports.append(check_sqne(T, rho, w, budget) if route == "sqne" else check_fne(T, rho, budget, center=w))
-            _emit(f"plan {k} {route}", reports[-1])
+            if rho is not None:
+                reports.append(check_sqne(T, rho, w, budget) if route == "sqne" else check_fne(T, rho, budget, center=w))
+            _emit(f"plan {k} {route}", reports[-1] if rho is not None else "skipped (no certified constant)")
+    rho, consts = cfg.relax.rho, [T.sqne_rho for T in probed if T.sqne_rho is not None]
+    if consts:  # the run steps in [eps, 1 + rho - eps], which each of these trees must certify
+        least = min(consts)
+        reports.append(CheckReport(f"{rho} <= least tree sqne_rho {least}", rho <= least, rho - least, len(consts)))
+    _emit("rho", reports[-1] if consts else "skipped (no certified constant)")
     passed = all(r.passed for r in reports)
     _emit("verdict", "pass" if passed else "FAIL")
     return 0 if passed else 1

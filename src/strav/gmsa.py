@@ -20,14 +20,11 @@ of the output is ``eps / (2 * P_1 * ... * P_N)``, and a whole schedule of
 plans is covered uniformly by ``eps / (2 * M^K)`` where ``K`` bounds the
 step counts and ``M`` the widths.
 
-These guarantees need the input operators behind the leaves to be strong
-enough, which :func:`sqne_bound` and :func:`fne_bound` read off the leaves
-of a given family: every input a step references must carry a constant of
-at least 1/2, and every input a kind-0 step relaxes with alpha != 1 one of
-at least 1 (a cutter on the one-point route, firmly nonexpansive on the
-two-point route).  :func:`sqne_bound` reads each leaf's ``sqne_rho``,
-:func:`fne_bound` its ``fne_rho``; a leaf whose constant is None (a black
-box) meets neither condition.
+These guarantees need strong enough inputs behind the leaves, as
+:func:`sqne_bound` (on each leaf's ``sqne_rho``) and :func:`fne_bound` (its
+``fne_rho``) check over a given family: every input a step references must
+carry a constant of at least 1/2, every input a kind-0 step relaxes with
+alpha != 1 one of at least 1; a leaf whose constant is None meets neither.
 """
 
 from __future__ import annotations

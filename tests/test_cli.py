@@ -236,6 +236,52 @@ class TestVerify:
         assert probes == ["plan 0 sqne", "plan 1 sqne"]
         assert kv(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("horizon", ["1", "200"])
+    def test_power_of_two_probes_its_first_eight_plans_at_any_horizon(self, capsys, tmp_path, horizon):
+        # the schedule stores no plans: plans 0-7 hold four trees, first met at k = 0, 1, 3 and 7
+        doc = solve_doc(
+            family={"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}},
+            schedule={"variant": "power_of_two", "eps": 1.0},
+            relaxation={"eps": 0.5},
+            monitored_indices=[0],
+            ambient_dim=5,
+            start=[3.0] * 5,
+        )
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc), "--horizon", horizon)
+        assert code == 0
+        probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
+        assert probes == [f"plan {k} sqne" for k in (0, 1, 3, 7)]
+        assert kv(out)["rho"].startswith("0.5 <= least tree sqne_rho 1.0: pass")
+
+    def test_a_repeated_stored_plan_is_probed_once(self, capsys, tmp_path):
+        # plan 2 relaxes input 0 as plan 0 does, so it shares plan 0's tree
+        doc = solve_doc(schedule={"variant": "cyclic", "indices": [0, 1, 0]})
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0
+        probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
+        assert probes == ["plan 0 sqne", "plan 1 sqne"]
+
+    def test_an_overstated_rho_fails(self, capsys, tmp_path):
+        # rho 5 admits the step size 5.5, past the 1 + 0.5 the stage trees certify (solve diverges)
+        doc = demo_doc()
+        doc["relaxation"].update({"rho": 5.0, "lambda": {"kind": "constant", "value": 5.5}})
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 1
+        got = kv(out)
+        assert got["plan 0 sqne"].startswith("sqne(rho=0.5): pass")
+        assert got["rho"] == "5.0 <= least tree sqne_rho 0.5: FAIL (max violation 4.500e+00, 2 samples)"
+        assert got["verdict"] == "FAIL"
+
+    def test_rho_skipped_when_no_probed_tree_carries_a_constant(self, capsys, tmp_path):
+        # both inputs are projections at gamma 4/3, each plan relaxes one past 1 + 0.5 by alpha 1.6
+        plans = [{"eps": 0.25, "steps": [{"c": 0, "J": [-j], "alpha": 1.6}]} for j in (0, 1)]
+        relaxation = {"eps": 0.25, "rho": 0.02, "lambda": {"kind": "constant", "value": 0.5}}
+        doc = solve_doc(schedule={"variant": "cyclic", "plans": plans}, relaxation=relaxation)
+        doc["family"]["gammas"] = [4.0 / 3.0]
+        code, out, _ = run_cli(capsys, "verify", "--config", write(tmp_path, doc))
+        assert code == 0
+        assert kv(out)["rho"] == "skipped (no certified constant)"
+
 
 class TestTreesBuiltOnce:
     """A config's trees are built once, when ``parse_config`` derives rho from them; the
@@ -344,6 +390,22 @@ class TestVerifyChecks:
         assert got["plan 0 fne"].startswith("fne(rho=0.5): pass")
         assert "nonexpansive" not in out
 
+    @pytest.mark.parametrize("horizon", [[], ["--horizon", "8"]])
+    def test_every_stored_plan_is_probed(self, capsys, tmp_path, events, horizon):
+        # eight single projections cycle inputs 0 and 1, then plan 8 composes both: its tree
+        # carries 0.5, the derived rho, and is probed at every horizon the coverage audit accepts
+        plans = [{"eps": 1.0, "steps": [{"c": 0, "J": [-(k % 2)], "alpha": 1.0}]} for k in range(8)]
+        plans.append({"eps": 1.0, "steps": [{"c": 2, "J": [0, -1], "order": [0, -1]}]})
+        cfg = write(tmp_path, solve_doc(schedule={"variant": "cyclic", "plans": plans}))
+        assert kv(run_cli(capsys, "solve", "--config", cfg)[1])["rho"] == "0.5"
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg, *horizon)
+        assert code == 0
+        got = kv(out)
+        assert got["plan 8 sqne"] == "sqne(rho=0.5): pass (max violation 0.000e+00, 200 samples)"
+        assert got["plan 8 fne"].startswith("fne(rho=0.5): pass")
+        assert got["rho"].startswith("0.5 <= least tree sqne_rho 0.5: pass")
+        assert events.count("check_sqne") == 3
+
     def test_unmet_hypotheses_checked_at_tree_constants(self, capsys, tmp_path, events):
         # plan 0 relaxes input 0, a projection at gamma 1.3 (both constants 0.54), by
         # alpha 1.5: neither plan bound holds, yet its tree carries (1 + 0.54 - 1.5) / 1.5
@@ -425,10 +487,11 @@ class TestVerifyOutputPinned:
     @pytest.mark.parametrize(
         "name, sha256",
         [
-            ("stage_solve.json", "30e21ea68fba9ffa854cbc778a9fcbacf275aa90ac4f351846399c20119eca55"),
-            ("box_superiorize.json", "f7ce1b043c753abac2c1240e07a8368e9d26fee655d5dca029e707ae39446035"),
-            ("halfspace stages", "edecd82e395540ba7bd947153cababdf7aac3ff14bd71d8197deb9f8b1ec0f68"),
+            ("stage_solve.json", "b24e1483b1c6a4023fa0c9b1c6db45a86e227c13f7fb03db5ad80bdc8faac6f4"),
+            ("box_superiorize.json", "70ed98741ca849f35c7051838bcf41c9c106f242652d8dd29512dd6b5d8e9af8"),
+            ("halfspace stages", "ba08854eb6eecd7523482a035f0d379a53edb468e2ba41149f0877434ec11bdb"),
         ],
+        ids=["stage_solve.json", "box_superiorize.json", "halfspace stages"],  # a restated hash keeps its id
     )
     def test_stdout_sha256(self, capsys, tmp_path, monkeypatch, name, sha256):
         reports = []

@@ -1,5 +1,6 @@
 """Smoke runs of the shipped examples: the demo configs and the quick demos."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -31,3 +32,12 @@ def test_demo_config(capsys, command, config, code):
 def test_demo_script(capsys, script):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start(capsys):
+    # README's first python block, run as written: its last line is the Fejer audit's pass
+    text = (DEMOS.parent / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"fejer\(c=[0-9.]+\): pass \(max violation .+, 20000 samples\)", last), last
