@@ -323,9 +323,7 @@ def plan_from_record(rec, path, errors):
         return None
     if not v["steps"]:
         return _refuse(errors, f"{path}.steps", "need at least one step")
-    steps = [_make(f"{path}.steps[{i}]", errors, StepSpec, **s) for i, s in enumerate(v["steps"])]
-    if None in steps:
-        return None
+    steps = [StepSpec(**s) for s in v["steps"]]  # the rows read ints: each step problem is a validate() issue
     plan = IterationPlan(k=0, N=len(steps), eps=v["eps"], steps=steps)
     return _judged(plan, lambda n: f"{path}.steps[{n - 1}]" if n else path, errors)
 
@@ -443,20 +441,24 @@ def _build_schedule(v, family, errors):
     return schedule if len(errors) == before else None
 
 
-def _derived_rho(schedule, family):
-    """The least ``sqne_rho`` of the stored plans' trees, the only T_k run; else ``uniform_modulus``."""
-    if schedule.plans is None:
+def _checked_rho(rho, schedule, family):
+    """``rho``, refused above the least ``sqne_rho`` of the stored plans' trees, the only T_k run, or of plan 0's
+    for power_of_two, whose plans differ only in input; None derives it (``uniform_modulus`` for power_of_two)."""
+    if rho is None and schedule.plans is None:
         return uniform_modulus(schedule, schedule.eps)
-    rhos = [output_operator(p, family).sqne_rho for p in schedule.plans]
-    if None in rhos:
+    rhos = [output_operator(p, family).sqne_rho for p in schedule.plans or (schedule.plan_at(0),)]
+    if rho is None and None in rhos:
         raise ValueError(f"plan {rhos.index(None)}: no certified constant; give rho explicitly")
-    return min(rhos + [_MAX])  # a leaf at a subnormal gamma carries inf
+    least = min([r for r in rhos if r is not None] + [_MAX])  # a leaf at a subnormal gamma carries inf
+    if rho is not None and rho > least:
+        raise ValueError(f"{rho} exceeds the sqne_rho {least} of plan {rhos.index(least)}'s tree")
+    return least if rho is None else rho
 
 
 def _build_relax(v, schedule, family, errors):
-    if v is None or (v["rho"] is None and (schedule is None or family is None)):
-        return None
-    rho = _make("relaxation.rho", errors, _derived_rho, schedule, family) if v["rho"] is None else v["rho"]
+    rho = None if v is None else v["rho"]
+    if v is not None and schedule is not None and family is not None:
+        rho = _make("relaxation.rho", errors, _checked_rho, rho, schedule, family)
     if rho is None:
         return None
     kw = dict(eps=v["eps"], rho=rho)

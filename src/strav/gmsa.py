@@ -51,7 +51,8 @@ class StepSpec:
     ``J`` is stored sorted; combination ``weights`` are given as a
     ``{reference: weight}`` mapping with one key per reference in ``J``,
     and stored aligned with the sorted ``J`` so two plans with equal
-    content build identical trees.
+    content build identical trees.  :meth:`IterationPlan.validate` judges
+    the keys: a reference with no weight reads None, and each key outside ``J`` follows the weights.
     """
 
     __slots__ = ("c", "J", "alpha", "weights", "order")
@@ -60,15 +61,14 @@ class StepSpec:
         self.c = c if type(c) is int else _whole(c, "step kind c")
         self.J = tuple(sorted({j if type(j) is int else _whole(j, "reference") for j in J}))
         self.alpha = None if alpha is None else float(alpha)
-        if weights is not None and not isinstance(weights, dict):
-            raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
-        try:
-            self.weights = None if weights is None else tuple(float(weights[j]) for j in self.J)
-        except KeyError as exc:
-            raise ValueError(f"invalid-plan: weight missing for reference {exc}") from exc
-        for j in weights or ():
-            if (j if type(j) is int else _whole(j, "weight reference")) not in self.J:
-                raise ValueError(f"invalid-plan: weight for reference {j} outside J")
+        self.weights = None
+        if weights is not None:
+            if not isinstance(weights, dict):
+                raise TypeError(f"weights must map each reference to its weight, got {weights!r}")
+            keys = [j if type(j) is int else _whole(j, "weight reference") for j in weights]
+            self.weights = tuple([float(weights[j]) if j in weights else None for j in self.J])
+            if len(keys) != len(self.J) or None in self.weights:  # then a key may lie outside J
+                self.weights += tuple(sorted(set(keys).difference(self.J)))
         self.order = None if order is None else tuple([j if type(j) is int else _whole(j, "order reference")
                                                        for j in order])
 
@@ -170,6 +170,9 @@ class IterationPlan:
         return self._width
 
 
+_PARAMETERS = ("alpha", "weights", "order")  # a step of kind c reads _PARAMETERS[c] and carries neither other
+
+
 def _validate(plan):
     issues = []
     if plan.N < 1:
@@ -189,37 +192,33 @@ def _validate(plan):
             continue
         if max(s.J) > n - 1:
             issues.append((n, f"references {s.J} must stay below step {n}"))
-        if s.c == 0:
-            if len(s.J) != 1 or s.J[0] > 0:
-                issues.append((n, "kind-0 steps take exactly one input reference (j <= 0)"))
-            if s.alpha is None:
-                issues.append((n, "kind-0 steps need alpha"))
-            elif not _admits(s.alpha, plan.eps, 2.0 - plan.eps):
-                issues.append((n, f"alpha {s.alpha} outside [eps, 2 - eps]"))
-            if s.weights is not None or s.order is not None:
-                issues.append((n, "kind-0 steps carry neither weights nor order"))
-        elif s.c == 1:
-            if s.weights is None:
-                issues.append((n, "kind-1 steps need weights"))
-            else:
-                if not all(_admits(w, plan.eps, 1.0) for w in s.weights):
-                    issues.append((n, f"weights {s.weights} outside [eps, 1]"))
-                if not _within(abs(sum(s.weights) - 1.0)):
-                    issues.append((n, f"weights sum to {sum(s.weights)}, need 1"))
-            if s.alpha is not None or s.order is not None:
-                issues.append((n, "kind-1 steps carry neither alpha nor order"))
-        elif s.c == 2:
-            if s.order is None:
-                issues.append((n, "kind-2 steps need an application order"))
-            else:
-                if set(s.order) != set(s.J):
-                    issues.append((n, f"order {s.order} must be onto the reference set {s.J}"))
-                if len(s.order) < len(s.J):
-                    issues.append((n, "order must be at least as long as the reference set"))
-            if s.alpha is not None or s.weights is not None:
-                issues.append((n, "kind-2 steps carry neither alpha nor weights"))
-        else:
+        if s.c not in (0, 1, 2):
             issues.append((n, f"unknown step kind {s.c}"))
+            continue
+        if s.c == 0 and (len(s.J) != 1 or s.J[0] > 0):
+            issues.append((n, "kind-0 steps take exactly one input reference (j <= 0)"))
+        given = (s.alpha, s.weights, s.order)
+        own = given[s.c]
+        if own is None:
+            issues.append((n, f"kind-{s.c} steps need {'an application order' if s.c == 2 else _PARAMETERS[s.c]}"))
+        elif s.c == 0 and not _admits(own, plan.eps, 2.0 - plan.eps):
+            issues.append((n, f"alpha {own} outside [eps, 2 - eps]"))
+        elif s.c == 1 and (len(own) > len(s.J) or None in own):  # weights are judged once the keys are J
+            issues += [(n, f"weight missing for reference {j}") for j, w in zip(s.J, own) if w is None]
+            issues += [(n, f"weight for reference {j} outside J") for j in own[len(s.J):]]
+        elif s.c == 1:
+            if not all(_admits(w, plan.eps, 1.0) for w in own):
+                issues.append((n, f"weights {own} outside [eps, 1]"))
+            if not _within(abs(sum(own) - 1.0)):
+                issues.append((n, f"weights sum to {sum(own)}, need 1"))
+        elif s.c == 2:
+            if set(own) != set(s.J):
+                issues.append((n, f"order {own} must be onto the reference set {s.J}"))
+            if len(own) < len(s.J):
+                issues.append((n, "order must be at least as long as the reference set"))
+        if given.count(None) + (own is not None) < 3:  # another parameter is given
+            others = " nor ".join(p for c, p in enumerate(_PARAMETERS) if c != s.c)
+            issues.append((n, f"kind-{s.c} steps carry neither {others}"))
     return tuple(issues)
 
 

@@ -326,6 +326,7 @@ class Trace:
         return text
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guard and the trace judge a non-finite value
 def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, monitored=(),
            record_stride=1):
     record_stride = _whole(record_stride, "record_stride", lo=1)
@@ -472,6 +473,7 @@ def run_perturbed(
                   record_stride=record_stride)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_fejer(trace, z, constant):
     """Audit ``||x^{k+1}-z||^2 <= ||x^k-z||^2 - c * ||x^{k+1}-x^k||^2`` on a trace.
 

@@ -421,7 +421,18 @@ class TestScheduleSection:
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
         assert info.value.errors == [
-            ("schedule.plans[1].steps[0]", "invalid-plan: weight for reference -3 outside J"),
+            ("schedule.plans[1].steps[0]", "weight for reference -3 outside J"),
+        ]
+
+    def test_a_weight_key_problem_hides_no_other_problem_of_its_plan(self):
+        # the weight keys are judged with every other rule of the plan, so each issue is reported
+        steps = [{"c": 1, "J": [0, -1], "weights": {"0": 0.5}}, {"c": 0, "J": [0], "alpha": 5.0}]
+        doc = minimal_doc(schedule={"variant": "cyclic", "plans": [{"eps": 0.5, "steps": steps}]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [
+            ("schedule.plans[0].steps[0]", "weight missing for reference -1"),
+            ("schedule.plans[0].steps[1]", "alpha 5.0 outside [eps, 2 - eps]"),
         ]
 
 
@@ -497,6 +508,29 @@ class TestRelaxationSection:
             relaxation={"eps": 0.25, "rho": 0.125, "lambda": {"kind": "constant", "value": 0.7}}
         )
         assert parse_config(doc).relax.rho == 0.125
+
+    def test_explicit_rho_above_a_tree_constant_refused(self):
+        # each stored plan projects onto one halfspace, a tree that carries 1.0: rho 1.0 is
+        # admitted, and any rho above it is refused with the tree that bounds it
+        doc = minimal_doc(relaxation={"eps": 0.25, "rho": 1.0})
+        assert parse_config(doc).relax.rho == 1.0
+        doc["relaxation"]["rho"] = 1.5
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("relaxation.rho", "1.5 exceeds the sqne_rho 1.0 of plan 0's tree")]
+
+    def test_power_of_two_explicit_rho_judged_by_plan_0s_tree(self):
+        # its plans differ only in their input: plan 0 relaxes input 0 by alpha 1.5 at gamma 1,
+        # a tree that carries (2 - 1.5) / 1.5 = 1/3
+        doc = minimal_doc(ambient_dim=5, start=[1.0] * 5,
+                          schedule={"variant": "power_of_two", "eps": 0.5, "alpha": 1.5},
+                          relaxation={"eps": 0.25, "rho": 0.5, "lambda": {"kind": "constant", "value": 0.5}})
+        doc["family"] = {"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("relaxation.rho", f"0.5 exceeds the sqne_rho {1 / 3} of plan 0's tree")]
+        doc["relaxation"]["rho"] = 1 / 3
+        assert parse_config(doc).relax.rho == 1 / 3
 
     def test_permissive_is_an_unknown_field(self):
         # a step interval wider than [eps, 1 + rho - eps] is not certified, so no field opens one

@@ -23,7 +23,7 @@ from strav.gmsa import (
 )
 from strav.operators import Composition, ConvexComb, OperatorNode, Relaxation
 from strav.sets import OperatorFamily
-from strav.solver import RelaxationSchedule, run
+from strav.solver import RelaxationSchedule, StopRule, run
 
 
 THREE_STEPS = (
@@ -79,12 +79,17 @@ class TestStepSpec:
             StepSpec(1, (-1, -2), weights=(0.5, 0.5))
 
     def test_weight_missing_for_ref(self):
-        with pytest.raises(ValueError, match="invalid-plan"):
-            StepSpec(1, (1, 2), weights={1: 1.0})
+        # the step is built; its plan's validation names the reference with no weight
+        s = StepSpec(1, (1, 2), weights={1: 1.0})
+        assert s.weights == (1.0, None)
+        plan = IterationPlan(k=0, N=3, eps=0.5, steps=[*THREE_STEPS[:2], s])
+        assert plan.validate() == ((3, "weight missing for reference 2"),)
 
     def test_weight_outside_refs_refused(self):
-        with pytest.raises(ValueError, match="invalid-plan: weight for reference -3 outside J"):
-            StepSpec(1, (-1, -2), weights={-1: 0.5, -2: 0.5, -3: 0.2})
+        s = StepSpec(1, (-1, -2), weights={-1: 0.5, -2: 0.5, -3: 0.2})
+        plan = IterationPlan(k=0, N=1, eps=0.25, steps=[s])
+        with pytest.raises(ValueError, match="^invalid-plan: step 1: weight for reference -3 outside J$"):
+            plan.require_valid()
 
     def test_widths(self):
         assert StepSpec.relaxation(-3, 1.0).P == 1
@@ -470,3 +475,18 @@ class TestStructureKey:
             return type(v) in (int, float, bool, type(None)) or type(v) is tuple and all(map(plain, v))
 
         assert all(plain(p.structure_key()) for p in plans)
+
+    def test_a_stray_weight_key_is_part_of_the_key(self):
+        # a plan whose weights carry one key outside J keys apart from its valid twin, so it never
+        # runs on the twin's tree: a run that alternates them refuses it at k = 1
+        def plan(weights):
+            return IterationPlan(k=0, N=1, eps=0.5, steps=[StepSpec(1, (0, -1), weights=weights)])
+
+        valid, stray = plan({0: 0.5, -1: 0.5}), plan({0: 0.5, -1: 0.5, -2: 0.5})
+        assert valid.validate() == () and valid.structure_key() != stray.structure_key()
+        seen = []
+        sched = CustomSchedule(lambda k: seen.append(k) or (valid, stray)[k % 2])
+        relax = RelaxationSchedule.constant(0.9, 0.25, 0.5)
+        with pytest.raises(ValueError, match="^invalid-plan: step 1: weight for reference -2 outside J$"):
+            run(two_halfspace_family(), sched, relax, [3.0, 2.0], StopRule(5, None, None))
+        assert seen == [0, 1]
