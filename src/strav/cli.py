@@ -115,8 +115,8 @@ numbers.
 Every ``value`` and each entry of ``values`` is a number that must lie in
 the certified interval ``[eps, 1 + rho - eps]``; an absent ``lambda`` is the
 constant 1.0 and must lie there too.  A derived ``rho`` is the least tree
-constant ``verify`` checks (a plan with none is refused), ``eps / 2`` for
-``power_of_two``; parse refuses an explicit one above the least tree constant.
+constant ``verify`` checks (a plan with none is refused), plan 0's for
+``power_of_two``, and parse refuses an explicit one above it.
 
 ``perturbation``::
 

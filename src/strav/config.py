@@ -22,7 +22,7 @@ from numbers import Real
 
 import numpy as np
 
-from .control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
+from .control import CyclicSchedule, PowerOfTwoSchedule
 from .dsa import gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, output_operator
 from .numeric import _whole, as_vector
@@ -442,10 +442,9 @@ def _build_schedule(v, family, errors):
 
 
 def _checked_rho(rho, schedule, family):
-    """``rho``, refused above the least ``sqne_rho`` of the stored plans' trees, the only T_k run, or of plan 0's
-    for power_of_two, whose plans differ only in input; None derives it (``uniform_modulus`` for power_of_two)."""
-    if rho is None and schedule.plans is None:
-        return uniform_modulus(schedule, schedule.eps)
+    """``rho``, refused above the least ``sqne_rho`` of the stored plans' trees, the only T_k run; None derives it.
+    power_of_two stores none, but its inputs are exact projections (``axis_halfspaces``; a generator takes no
+    ``gammas``), so every plan's tree carries plan 0's constant ``(2 - alpha) / alpha``: plan 0 stands for all."""
     rhos = [output_operator(p, family).sqne_rho for p in schedule.plans or (schedule.plan_at(0),)]
     if rho is None and None in rhos:
         raise ValueError(f"plan {rhos.index(None)}: no certified constant; give rho explicitly")

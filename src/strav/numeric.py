@@ -51,13 +51,7 @@ def _whole(v, what, lo=None):
 
 def _admits(v, lo, hi):
     """True when ``lo <= v <= hi`` up to ``_SLACK``: relative to ``lo`` below, absolute above."""
-    lo, hi = _admitted(lo, hi)
-    return lo <= v <= hi
-
-
-def _admitted(lo, hi):
-    """The closed interval :func:`_admits` tests ``v`` against, for a caller that tests many."""
-    return lo - _SLACK * lo, hi + _SLACK
+    return lo - _SLACK * lo <= v <= hi + _SLACK
 
 
 def as_vector(x, dim=None):
@@ -77,10 +71,10 @@ def as_vector(x, dim=None):
 
 
 def _finite_norm(x, refusal):
-    """``float(norm(x))`` of one point; ValueError ``refusal`` where it overflows, and no numpy warning."""
+    """``float(norm(x))`` of one point; ValueError ``refusal`` where it is not finite, and no numpy warning."""
     with np.errstate(over="ignore"):
         size = float(norm(x))
-    if size == np.inf:
+    if not size < np.inf:
         raise ValueError(refusal)
     return size
 

@@ -30,6 +30,9 @@ A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
 structure and keeps the answer for that run.  The family keeps every tree
 built over it, so a config's run applies the trees ``parse_config`` built to
 derive rho, and a power-of-two run of 20,000 updates builds 15, not 20,001.
+A ``constant``, ``cycle`` or ``sweep`` of at most 4,096 points admits each
+step size once, at construction, and ``lam(k)`` reads it from a table; a
+caller's own rule and a longer sweep are computed and admitted at each use.
 
 An update at a fixed point does no vector arithmetic.  When T_k hands u^k
 back as the same array (an inactive halfspace or hyperplane, a relaxation
@@ -58,7 +61,7 @@ from numbers import Real
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import _admits, _admitted, _whole, _within, as_vector, norm
+from .numeric import _admits, _whole, _within, as_vector, norm
 from .operators import _report
 
 __all__ = [
@@ -79,18 +82,15 @@ class RelaxationSchedule:
     """Step sizes lambda_k = rule(k) kept inside the certified interval.
 
     The monotonicity theory needs ``lambda_k in [eps, 1 + rho - eps]`` for a
-    uniform modulus ``rho`` of the plan outputs; every value the rule emits
-    is checked against that interval at use.  ``constant`` and ``cycle``
-    also check their values at construction.
+    uniform modulus ``rho`` of the plan outputs.  A table's values (``constant``,
+    ``cycle``, a short ``sweep``) are admitted once, at construction, a rule's at each use.
     """
 
     def __init__(self, rule, eps, rho):
-        eps, rho = float(eps), float(rho)
-        self.lo, self.hi = self.interval(eps, rho)
-        self._admitted = _admitted(self.lo, self.hi)  # _admits's verdict, its bounds computed once
-        self.eps = eps
-        self.rho = rho
+        self.eps, self.rho = float(eps), float(rho)
+        self.lo, self.hi = self.interval(self.eps, self.rho)
         self._rule = rule
+        self._table = None  # a cycle's admitted values, read as table[k % len(table)]
 
     @staticmethod
     def interval(eps, rho):
@@ -106,11 +106,12 @@ class RelaxationSchedule:
 
     def lam(self, k):
         k = k if type(k) is int and k >= 0 else _whole(k, "iteration k", lo=0)
-        return self._admit(float(self._rule(k)), k)
+        if self._table is None:
+            return self._admit(float(self._rule(k)), k)
+        return self._table[k % len(self._table)]
 
     def _admit(self, v, k=None):
-        lo, hi = self._admitted
-        if not lo <= v <= hi:
+        if not _admits(v, self.lo, self.hi):
             where = "" if k is None else f" at iteration {k}"
             raise ValueError(f"step size {v}{where} outside [{self.lo}, {self.hi}]")
         return v
@@ -130,12 +131,10 @@ class RelaxationSchedule:
             isinstance(v, bool) or not isinstance(v, Real) for v in values
         ):
             raise ValueError(f"a cycle needs a list of real step sizes, got {values!r}")
-        vals = [float(v) for v in values]
-        if not vals:
+        if not values:
             raise ValueError("a cycle needs at least one step size")
-        relax = cls(lambda k: vals[k % len(vals)], eps, rho)
-        for v in vals:
-            relax._admit(v)
+        relax = cls(None, eps, rho)
+        relax._table = [relax._admit(float(v)) for v in values]
         return relax
 
     @classmethod
@@ -145,11 +144,16 @@ class RelaxationSchedule:
         if points > sys.float_info.max:  # the grid divides by points - 1 as a float
             raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
         lo, hi = cls.interval(float(eps), float(rho))
-        # computed at use, so a huge ``points`` costs nothing; lo + span * i / den where span * i fits
+        # lo + span * i / den where span * i fits: up to 4,096 points admitted once, past that at each use
         span, den = hi - lo, points - 1
         fits = math.isfinite(span * den)  # then every span * i fits; else divide first where one overflows
-        return cls(lambda k: lo + (span * (k % points) / den if fits or math.isfinite(span * (k % points))
-                                   else span * (k % points / den)), eps, rho)
+
+        def grid(i):
+            return lo + (span * i / den if fits or math.isfinite(span * i) else span * (i / den))
+
+        if points <= 4096:
+            return cls.cycle([grid(i) for i in range(points)], eps, rho)
+        return cls(lambda k: grid(k % points), eps, rho)
 
 
 def _perturbation(k, x, b, v):

@@ -158,14 +158,14 @@ def inner_directions(oracle, y, betas):
     Direction m is the negated normalized subgradient taken at
     ``y + sum_{i<m} betas[i] * v^i``; a subgradient of norm <= 1e-12 is
     treated as 0 in the subdifferential and yields the zero direction (the
-    shift for that inner step is skipped).
+    shift for that inner step is skipped); one whose norm is not finite is refused.
     """
     y = np.asarray(y, dtype=float)
     point = y
     out = []
     for b in betas:
         s = np.asarray(oracle.subgradient(point), dtype=float)
-        ns = float(norm(s))
+        ns = _finite_norm(s, "numerical-divergence: objective subgradient norm is not finite")
         if ns <= _ZERO_TOL:
             v = np.zeros_like(y)
         else:
@@ -196,7 +196,10 @@ def run_superiorized(family, schedule, relax, oracle, grid, y0, stop=StopRule(),
             return 0.0, np.zeros_like(y)
         if beta_k == np.inf:
             raise ValueError(f"inner steps at k={k} sum to inf; beta_k must be finite")
-        vs = inner_directions(oracle, y, betas)
+        try:
+            vs = inner_directions(oracle, y, betas)
+        except ValueError as exc:  # name the update that met it
+            raise ValueError(f"{exc} at k={k}") from None
         e = -np.frexp(beta_k)[1]  # times 2^e the sum keeps its bits, and a subnormal product its precision
         shift = np.ldexp(betas[0], e) * vs[0]
         for b, v in zip(betas[1:], vs[1:]):

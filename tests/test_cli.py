@@ -253,7 +253,7 @@ class TestVerify:
         assert code == 0
         probes = [line.split(":")[0] for line in out.splitlines() if " sqne:" in line]
         assert probes == [f"plan {k} sqne" for k in (0, 1, 3, 7)]
-        assert kv(out)["rho"] == "0.5"  # derived, eps / 2: below the 1.0 of every probed tree
+        assert kv(out)["rho"] == "1.0"  # derived from plan 0's tree: the 1.0 of every probed tree
 
     def test_a_repeated_stored_plan_is_probed_once(self, capsys, tmp_path):
         # plan 2 relaxes input 0 as plan 0 does, so it shares plan 0's tree
@@ -550,6 +550,18 @@ class TestErrorHandling:
             warnings.simplefilter("error", RuntimeWarning)
             got = run_cli(capsys, command, "--config", write(tmp_path, doc))
         assert (got[0], got[2]) == (code, "")
+
+    def test_an_overflowing_subgradient_is_named(self, capsys, tmp_path):
+        # 2 (x - t) at x[0] = 1e308 overflows: the inner loop refuses its norm by name, where
+        # -s / ||s|| used to reach the perturbation check as a direction of norm nan
+        doc = demo_doc("box_superiorize.json")
+        doc["objective"] = {"kind": "squared_distance", "target": [0.5, 0.5]}
+        doc["start"][0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, "superiorize", "--config", write(tmp_path, doc))
+        assert code == 1 and "Traceback" not in err
+        assert err == "error: numerical-divergence: objective subgradient norm is not finite at k=0\n"
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_refused_before_any_output(self, capsys, tmp_path, where):

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
-from strav.control import CyclicSchedule, PowerOfTwoSchedule, uniform_modulus
+from strav.control import CyclicSchedule, PowerOfTwoSchedule
 from strav.fixtures import random_plan_corpus
 from strav.gmsa import output_operator
 from strav.operators import SampleBudget, check_sqne
@@ -461,13 +461,17 @@ class TestRelaxationSection:
             assert cfg.relax.rho == min(rhos)
         assert rhos[1] == 1.0 / 3.0 < rhos[0]
 
-    def test_power_of_two_rho_is_its_uniform_modulus(self):
-        # it stores no plans: every one of its infinitely many is priced by eps / (2 M^K)
-        doc = minimal_doc(ambient_dim=5, start=[1.0] * 5, schedule={"variant": "power_of_two", "eps": 0.5},
+    @pytest.mark.parametrize("alpha, rho", [(1.0, 1.0), (1.5, 1 / 3)])
+    def test_power_of_two_derives_plan_0s_tree_constant(self, alpha, rho):
+        # it stores no plans, and each of its infinitely many relaxes one exact projection by
+        # alpha: every tree carries plan 0's (2 - alpha) / alpha, the rho an explicit one is judged by
+        doc = minimal_doc(ambient_dim=5, start=[1.0] * 5,
+                          schedule={"variant": "power_of_two", "eps": 0.5, "alpha": alpha},
                           relaxation={"eps": 0.25, "lambda": {"kind": "constant", "value": 0.5}})
         doc["family"] = {"witness": [0.0] * 5, "generator": {"kind": "axis_halfspaces"}}
         cfg = parse_config(doc)
-        assert cfg.relax.rho == uniform_modulus(cfg.schedule, 0.5) == 0.25
+        trees = [output_operator(cfg.schedule.plan_at(2**n - 1), cfg.family) for n in range(8)]
+        assert cfg.relax.rho == rho and {T.sqne_rho for T in trees} == {rho}
 
     @pytest.mark.parametrize("source, rho", [
         ("stage_solve.json", 0.5),

@@ -62,7 +62,7 @@ class TestRelaxationSchedule:
 
     def test_lam_outside_interval_rejected(self):
         r = RelaxationSchedule(lambda k: 1.5, 0.25, 0.05)  # hi = 0.8
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"step size 1.5 at iteration 0 outside"):
             r.lam(0)
 
     @pytest.mark.parametrize(
@@ -138,6 +138,22 @@ class TestRelaxationSchedule:
         assert vals == sorted(vals) and vals[-1] == hi
         assert vals[:2] == [lo, lo + (hi - lo) * 1 / 16]
         assert [r.lam(k) for k in range(17, 34)] == vals
+
+    @pytest.mark.parametrize("make, period, per_call", [
+        (lambda: RelaxationSchedule.constant(0.5, 0.1, 0.05), 1, 0),
+        (lambda: RelaxationSchedule.cycle([0.3, 0.6, 0.9], 0.1, 0.05), 3, 0),
+        (lambda: RelaxationSchedule.sweep(0.1, 0.05, points=17), 17, 0),
+        (lambda: RelaxationSchedule(lambda k: 0.2 + 0.1 * (k % 5), 0.1, 0.05), 5, 1),
+        (lambda: RelaxationSchedule.sweep(0.1, 0.05, points=10**18), 17, 1),  # 51 calls, no period
+    ], ids=["constant", "cycle", "sweep-17", "rule", "sweep-1e18"])
+    def test_a_table_admits_each_step_size_once(self, make, period, per_call):
+        # a table is admitted at construction and read by lam; a rule is admitted at every call
+        r = make()
+        admitted, admit = [], r._admit
+        r._admit = lambda v, k=None: admitted.append(k) or admit(v, k)
+        got = [r.lam(k) for k in range(3 * period)]
+        assert admitted == list(range(3 * period)) * per_call
+        assert all(r.lo <= v <= r.hi for v in got)
 
     @pytest.mark.parametrize("values", [0.5, [0.5, True], [0.5, "0.5"], [None]])
     def test_cycle_refuses_anything_but_a_list_of_numbers(self, values):
