@@ -8,13 +8,23 @@ construction and never recomputed.  So is a pass-through node's ``apply``,
 with no frame of its own: a projection at gamma 1 applies its set's
 ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
 identity's); a point it fixes comes back as the very array passed in.
-:func:`_through` (one point) and :func:`_sweep` (a batch) are the one
+:func:`_each` (one point) and :func:`_sweep` (a batch) are the one
 formula of a halfspace or hyperplane projection.  A node's ``_rows`` are the
 rows it applies, none by default: its set's at gamma 1 where :mod:`strav.sets`
 offers them, its child's at alpha 1, and its children's, in order, for a
 :class:`Composition` whose children all have rows (nested strings too) and
-whose ``apply`` is its class's own: it runs them in one loop, in the float
-operations of child by child, so the same bits.
+whose ``apply`` is its class's own: it runs them in one loop, :func:`_through`
+or :func:`_sweep`, in the float operations of child by child, so the same bits.
+
+A long string reads ahead at one point: after a row whose set holds x, it
+takes the dots of the next ``4096 // d`` rows at most in one
+``np.matmul(normals[:, None, :], x)`` and goes on at the first row that moves
+x.  A stacked (1, d) @ (d,) product runs numpy's dot on each row, so it is
+``x.dot(a)`` bit for bit, but for the sign of an exactly-zero dot, which moves
+no row on either path (t is then -b, or a zero that hands x on).  A read costs
+about five dots, so only a string of more than 8 rows, at ``4096 // d >= 8``,
+is long, and it stacks its rows at its first read; any other keeps a plain
+tuple of rows and stacks none.
 
 Constants attached to a node
 ----------------------------
@@ -86,13 +96,56 @@ __all__ = [
 ]
 
 
-def _through(x, rows):
+def _each(x, rows):
     # x (d,) through the rows (a, b, a @ a, one-sided) in order, handed on where a set holds it
     for a, b, asq, one_sided in rows:
         t = float(x.dot(a)) - b  # x.dot(a) is x @ a with less dispatch
         if not (t == 0.0 or t < 0.0 and one_sided):  # a NaN t steps, to NaN
             x = x - (t / asq) * a
     return x
+
+
+def _through(x, rows):
+    # a composition's rows at one point: a long string reads ahead (see the module docstring)
+    return rows.through(x) if type(rows) is _String else _each(x, rows)
+
+
+_AHEAD = 8  # the fewest rows a read-ahead takes (see the module docstring)
+
+
+class _String(tuple):
+    """A composition's rows, more than ``_AHEAD`` at ``4096 // d >= _AHEAD``: a string that reads
+    ahead, its normals (n, 1, d) and offsets stacked at its first read."""
+
+    _stack = None
+
+    def through(self, x):
+        i, n = 0, len(self)
+        while i < n:
+            a, b, asq, one_sided = self[i]
+            i += 1
+            t = float(x.dot(a)) - b
+            if not (t == 0.0 or t < 0.0 and one_sided):
+                x = x - (t / asq) * a
+            elif n - i >= _AHEAD:
+                i = self.ahead(x, i)
+        return x
+
+    def ahead(self, x, i):
+        # the first of rows i, ..., i + 4096 // d - 1 that moves x, or the row past them: by the signs
+        # of dot - b, a set holds x where dot <= b (one-sided) or dot == b (a NaN dot moves x)
+        if self._stack is None:  # the hyperplanes' offsets bound dot from below, as -inf a halfspace's
+            a, b, _, one_sided = zip(*self)
+            lo = None if all(one_sided) else np.where(one_sided, -math.inf, b)[:, None]
+            self._stack = np.array(a)[:, None, :], np.array(b)[:, None], lo
+        normals, hi, lo = self._stack
+        j = min(i + 4096 // x.size, len(self))
+        dots = np.matmul(normals[i:j], x)  # (j - i, 1): x.dot(a) row by row, see the module docstring
+        hold = dots <= hi[i:j]
+        if lo is not None:
+            hold &= dots >= lo[i:j]
+        k = int(hold.argmin())
+        return j if hold[k, 0] else i + k
 
 
 def _sweep(x, rows):
@@ -102,6 +155,17 @@ def _sweep(x, rows):
         step = np.einsum("...,j->...j", (np.maximum(t, 0.0) if one_sided else t) / asq, a)
         x = np.subtract(x, step, out=step)
     return x
+
+
+def _gap(tx, x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm(tx - x)
+
+
+def _residual_at(node, z):
+    # the residual at a finite z (as_vector's): 0.0, with no arithmetic, where node hands z back
+    tz = node.apply(z)
+    return 0.0 if tz is z else float(_gap(tz, z))
 
 
 def _relaxed_constant(rho, alpha):
@@ -146,8 +210,7 @@ class OperatorNode:
     def residual(self, x):
         """Norm of ``T(x) - x`` along the last axis: inf or NaN, unwarned, where it overflows."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return norm(self.apply(x) - x)
+        return _gap(self.apply(x), x)
 
     def children(self):
         return self.children_
@@ -268,7 +331,8 @@ class Composition(OperatorNode):
         self.dim = _common_dim(children)
         self.sqne_rho, self.fne_rho = _combined_constants(children, composed=True)
         if type(self).apply is Composition.apply and all(c._rows for c in children):
-            self._rows = tuple(r for c in children for r in c._rows)
+            rows = tuple(r for c in children for r in c._rows)
+            self._rows = _String(rows) if len(rows) > _AHEAD and 4096 // self.dim >= _AHEAD else rows
 
     def apply(self, x):
         out = np.asarray(x, dtype=float)
@@ -397,7 +461,7 @@ def check_sqne(node, rho, z, budget=SampleBudget()):
     does not fix (at scale ``||z||``) makes the check vacuous, and raises ``witness-not-fixed``."""
     z = as_vector(z, node.dim)
     scale = _finite_norm(z, "witness-not-fixed: the norm of the declared fixed point overflows")
-    rz = float(node.residual(z))
+    rz = _residual_at(node, z)
     if not _within(rz, scale):
         raise ValueError(f"witness-not-fixed: residual {rz:.3e} at the declared fixed point")
     xs, tx, _ = _probe(node, budget, z.tobytes())

@@ -4,7 +4,7 @@ Every set variant carries an exact nearest-point rule.  ``project`` accepts
 a single vector or a row-stacked batch and returns the same shape; a point
 already inside comes back unchanged (bitwise for the polyhedral variants),
 a single one perhaps as the very array passed in (see ``project``).  A halfspace or hyperplane
-projects one point by :func:`strav.operators._through` and a batch by :func:`strav.operators._sweep`
+projects one point by :func:`strav.operators._each` and a batch by :func:`strav.operators._sweep`
 on its row, built at construction: the loops a string of them runs, offered as ``_rows`` only while
 ``project`` is the library's own.  A batch's step is the outer product
 ``np.einsum("...,j->...j", t / (a @ a), a)`` of its offsets ``t``, each entry one exact product
@@ -21,6 +21,13 @@ terms in another order than the per-set dot product.
 A (B, d) block of points gets each row's one-point bits: ``np.matmul``
 runs one matrix-vector product per stacked point, where ``X @ normals.T``
 would not, and the rest is elementwise, row-wise or asked point by point.
+The (B, m) offsets are taken for the whole block, in the result where every
+set is linear; the projection arithmetic runs only on the (point, set) pairs
+whose clamped offset is nonzero, and the others get +0.0, which it would give
+them at a finite point.  So the scratch is the offsets and 2 d + 5 floats per
+active pair.  A block with a row holding inf or NaN runs every pair in two
+(B, m, d) arrays, and so does one whose active pairs outweigh it: a pair costs
+the sparse path about 6 floats more.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 import numpy as np
 
 from .numeric import _finite_norm, _whole, _within, as_vector, norm
-from .operators import Identity, OperatorNode, Primitive, _sweep, _through
+from .operators import Identity, OperatorNode, Primitive, _each, _residual_at, _sweep
 
 __all__ = [
     "ProjectableSet",
@@ -88,8 +95,8 @@ class _LinearConstraint(ProjectableSet):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape == self.a.shape:  # one point: the formula of strav.operators._through
-            return _through(x, self._row)
+        if x.shape == self.a.shape:  # one point: the formula of strav.operators._each
+            return _each(x, self._row)
         self._check_dim(x)
         return _sweep(x, self._row)
 
@@ -220,7 +227,7 @@ class OperatorFamily:
             raise ValueError(
                 f"family-error: operator {n} has dimension {node.dim}, family has {self.dim}"
             )
-        rz = float(node.residual(self.witness))  # inf or NaN where it overflows, which fails _within
+        rz = _residual_at(node, self.witness)  # inf or NaN where it overflows, which fails _within
         if not _within(rz, self._witness_norm):
             raise ValueError(
                 f"family-error: declared common point not fixed by operator {n} (residual {rz:.3e})"
@@ -267,7 +274,7 @@ class OperatorFamily:
         """Whether every materialized operator fixes z, at scale ``||z||``; refused where that overflows."""
         z = as_vector(z, self.dim)
         scale = _finite_norm(z, "witness-not-fixed: the norm of z overflows")
-        return all(_within(float(self._ops[n].residual(z)), scale) for n in self.materialized)  # NaN fails
+        return all(_within(_residual_at(self._ops[n], z), scale) for n in self.materialized)  # NaN fails
 
     @classmethod
     def from_sets(cls, sets, witness):
@@ -314,20 +321,36 @@ class _DistanceStack:
 
     def distances(self, family, x):
         out = np.empty((len(x), self.size))
-        if self.linear_pos.size:
-            # numpy buffers a broadcast ufunc operand, a copy of the whole block at this size;
-            # a broadcast assignment needs no buffer, so every operand below is a full array
-            coef = np.matmul(self.normals, x[:, :, None])[:, :, 0]  # normals @ x, row by row
+        if self.linear_pos.size:  # an all-linear stack takes its offsets in out, in order
+            coef = np.empty((len(x), len(self.normals))) if self.rest else out
+            np.matmul(self.normals, x[:, :, None], out=coef[:, :, None])  # normals @ x, row by row
             coef -= self.offsets
             np.divide(np.maximum(coef, self.floor, out=coef), self.asq, out=coef)
-            step, xs = np.empty((2, len(x)) + self.normals.shape)
-            step[...], xs[...] = coef[:, :, None], self.normals
-            step *= xs
-            xs[...] = x[:, None, :]
+            # numpy buffers a broadcast ufunc operand, a copy of the block at this size, where a
+            # broadcast assignment or a take into out (mode "clip") needs no buffer
+            d, m = x.shape[1], len(self.normals)
+            if np.count_nonzero(coef) * (d + 6) <= coef.size * d and np.isfinite(x).all():
+                live = np.flatnonzero(coef)  # the active pairs alone (see the module docstring)
+                dist = coef.take(live)
+                coef.fill(0.0)
+                step, xs = np.empty((2, live.size, d))
+                step[...] = dist[:, None]
+                step *= np.take(self.normals, live % m, axis=0, out=xs, mode="clip")
+                np.take(x, live // m, axis=0, out=xs, mode="clip")
+            else:  # every pair
+                live, dist = None, coef
+                step, xs = np.empty((2, len(x)) + self.normals.shape)
+                step[...], xs[...] = coef[:, :, None], self.normals
+                step *= xs
+                xs[...] = x[:, None, :]
             np.subtract(xs, step, out=step)  # x - (x - step), each written over the steps
             np.subtract(xs, step, out=step)
             step *= step  # norm's squares and sum, in place
-            out[:, self.linear_pos] = np.sqrt(np.add.reduce(step, axis=-1, out=coef), out=coef)
+            np.sqrt(np.add.reduce(step, axis=-1, out=dist), out=dist)
+            if live is not None:
+                np.put(coef, live, dist)
+            if self.rest:
+                out[:, self.linear_pos] = coef
         for pos, n in self.rest:
             out[:, pos] = [family.distance(n, p) for p in x]
         return out

@@ -16,8 +16,10 @@ never writes an iterate in place).  Each B = max(1, 4096 // d) held
 iterates, with the next one for the last step, are stacked once and
 measured in numpy: a row-wise norm for the steps ||x^{k+1} - x^k||, one for
 ||x^k - z||, the slacks, and the m monitored distances, max(1, B // m) rows
-at a time, so the two (rows, m, d) scratch arrays of
-:meth:`~strav.sets.OperatorFamily.distances` keep a 4096-float budget or one row.
+at a time.  :meth:`~strav.sets.OperatorFamily.distances` then runs the
+projection arithmetic on the active (row, set) pairs of its (rows, m) offsets
+alone, or on all of them in two (rows, m, d) arrays where too many are active
+or a row is not finite: a 4096-float budget, or one row, either way.
 An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d) for a
 perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.  The
 bits are the one-update formulas': a row of a row-wise norm is that
@@ -360,7 +362,7 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
         loop = np.array(loop_vals).reshape(n, c)  # residual, then phi and beta_k
         rows.frombytes(np.column_stack((loop[:, 0], st, dz[:n], sl, loop[:, 1:])).tobytes())
         loop_vals.clear()
-        for i in range(0, n, chunk):  # two (chunk, m, d) scratch arrays: 4096 floats, or one row
+        for i in range(0, n, chunk):  # at most two (chunk, m, d) scratch arrays: 4096 floats, or one row
             dists.frombytes(family.distances(monitored, xs[i : min(i + chunk, n)]).tobytes())
         kept.frombytes(xs[-k0 % record_stride : n : record_stride].tobytes())
 

@@ -1302,3 +1302,110 @@ class TestStringLoop:
             got = T.apply(x)
             assert rows == [9]
             assert got.tobytes() == _child_by_child(T, x).tobytes()
+
+
+class TestReadAhead:
+    """A long string reads the offsets of the rows behind a row that holds x in one stacked product.
+
+    ``np.matmul(normals[:, None, :], x)`` runs numpy's dot on each row, so it decides bit for bit as
+    ``x.dot(a)`` does, but for the sign of an exactly-zero dot, which moves no row either way.
+    """
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        # the rows each read-ahead took, as (first, past the last read)
+        got, ahead = [], strav.operators._String.ahead
+
+        def spy(rows, x, i):
+            got.append((i, min(i + 4096 // x.size, len(rows))))
+            return ahead(rows, x, i)
+
+        monkeypatch.setattr(strav.operators._String, "ahead", spy)
+        return got
+
+    @staticmethod
+    def _case(rng, d):
+        # a string of 1-40 rows and a point inside every set, some or none of them, perhaps strided,
+        # perhaps with -0.0s, perhaps with an inf or a NaN entry
+        base = rng.standard_normal(2 * d) * 10.0 ** rng.integers(-3, 4)
+        x = base[::2] if rng.random() < 0.5 else base[:d].copy()
+        if rng.random() < 0.3:
+            x[rng.random(d) < 0.5] = -0.0
+        normals = rng.standard_normal((int(rng.integers(1, 41)), d))
+        where = rng.choice(["every", "some", "none"])
+        sets = []
+        for a in normals:
+            dot = float(x.dot(a))
+            inside = where == "every" or where == "some" and rng.random() < 0.8
+            if rng.random() < 0.25:  # a hyperplane through x, or off it
+                sets.append(Hyperplane(a, dot if inside else dot + 1.0))
+            else:
+                sets.append(Halfspace(a, dot + (abs(rng.normal()) if inside else -1.0)))
+        if rng.random() < 0.15:
+            x[rng.integers(d)] = rng.choice([math.inf, -math.inf, math.nan])
+        return sets, x
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 64])
+    def test_the_bits_of_the_per_row_loop(self, reads, d):
+        rng = np.random.default_rng(1000 + d)
+        for _ in range(120):
+            sets, x = self._case(rng, d)
+            T = Composition([Primitive(s) for s in sets])
+            with np.errstate(all="ignore"):
+                want, got = _spelled_out(sets, x), T.apply(x)
+            assert got.tobytes() == want.tobytes()
+            assert np.signbit(got).tolist() == np.signbit(want).tolist()
+            assert (got is x) == (want is x)
+        # the 4096-float span covers every string here, and strings of 9 rows or more read ahead
+        assert reads and all(j - i >= strav.operators._AHEAD for i, j in reads)
+
+    def test_a_string_of_eight_rows_or_fewer_keeps_a_plain_tuple(self, reads):
+        rng = np.random.default_rng(5)
+        for count in range(1, 10):
+            T = Composition([Primitive(Halfspace(a, 10.0)) for a in rng.standard_normal((count, 3))])
+            x = np.zeros(3)
+            assert T.apply(x) is x and type(T._rows) is (tuple if count <= 8 else strav.operators._String)
+        assert reads == [(1, 9)]
+
+    def test_a_wide_point_reads_no_rows_ahead(self, reads):
+        # 4096 // 600 = 6 rows a read could take: below the eight that pay for one
+        rng = np.random.default_rng(6)
+        T = Composition([Primitive(Halfspace(a, 100.0)) for a in rng.standard_normal((20, 600))])
+        x = np.zeros(600)
+        assert T.apply(x) is x and reads == [] and type(T._rows) is tuple
+
+    def test_a_long_string_stacks_its_rows_once(self, reads):
+        rng = np.random.default_rng(7)
+        T = Composition([Primitive(Halfspace(a, 10.0)) for a in rng.standard_normal((30, 4))])
+        x = np.zeros(4)
+        assert T._rows._stack is None
+        assert T.apply(x) is x
+        stack = T._rows._stack
+        assert T.apply(x) is x and T._rows._stack is stack and reads == [(1, 30), (1, 30)]
+        assert stack[2] is None  # halfspaces only: no lower bound
+
+    def test_an_all_negative_zero_point_whose_stacked_dots_flip_the_sign_of_zero(self, reads):
+        # in R^1, x.dot(a) at x = [-0.0] is -0.0 for a > 0, the stacked product +0.0: every set
+        # still holds x, on either reading, and the very array comes back
+        a = np.array([[1.0], [2.0], [-3.0]] * 4)
+        x = np.array([-0.0])
+        stacked = np.matmul(a[:, None, :], x)[:, 0]
+        each = np.array([x.dot(r) for r in a])
+        assert (np.signbit(stacked) != np.signbit(each)).any() and (stacked == each).all()
+        sets = [(Hyperplane if i % 3 == 0 else Halfspace)(r, 0.0) for i, r in enumerate(a)]
+        T = Composition([Primitive(s) for s in sets])
+        assert T.apply(x) is x and reads == [(1, 12)]
+        assert np.signbit(T.apply(x)[0])
+
+    def test_the_first_row_that_moves_x_is_where_the_loop_goes_on(self, reads):
+        # rows 0-9 hold x, row 10 moves it: a read of rows 1-19 goes on at row 10, whose dot moves x;
+        # row 11 holds the new point, and a read of the eight rows behind it finds none that moves it
+        a = np.eye(3)[np.arange(20) % 3]
+        b = np.full(20, 5.0)
+        b[10] = -1.0
+        sets = [Halfspace(r, v) for r, v in zip(a, b)]
+        T = Composition([Primitive(s) for s in sets])
+        x = np.zeros(3)
+        got = T.apply(x)
+        assert got.tobytes() == _spelled_out(sets, x).tobytes() and got[1] == -1.0
+        assert reads == [(1, 20), (12, 20)]

@@ -5,6 +5,7 @@ nearest point: p = P_C(x) iff p is in C and <x - p, c - p> <= 0 for all
 c in C.  Each set type is probed against it with sampled feasible points.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -522,3 +523,90 @@ class TestFamilyDistances:
                 assert row.tobytes() == norm(x - (x - offset[:, None] * normals)).tobytes()
         for rows in (points[:1], points[:0]):
             assert fam.distances(indices, rows).tobytes() == want[: len(rows)].tobytes()
+
+
+def _dense_distances(sets, x):
+    # the whole-block formula for a (B, d) block and m halfspaces or hyperplanes: each pair's
+    # clamped offset times its normal, written over (B, m, d) arrays, then the norm of x - (x - step)
+    normals = np.array([s.a for s in sets])
+    floor = np.array([0.0 if isinstance(s, Halfspace) else -np.inf for s in sets])
+    coef = np.matmul(normals, x[:, :, None])[:, :, 0] - [s.b for s in sets]
+    coef = np.maximum(coef, floor) / [s._asq for s in sets]
+    step, xs = np.empty((2, len(x)) + normals.shape)
+    step[...], xs[...] = coef[:, :, None], normals
+    step *= xs
+    xs[...] = x[:, None, :]
+    step = xs - (xs - step)
+    return np.sqrt(np.add.reduce(step * step, axis=-1))
+
+
+class TestSparseDistances:
+    """A block's halfspace and hyperplane distances run their arithmetic on the active pairs only.
+
+    A pair whose clamped offset is zero gets +0.0, which the whole-block formula gives it at a
+    finite point; a block with a row holding inf or NaN takes that formula whole.
+    """
+
+    @staticmethod
+    def _family(rng, x, m, active):
+        # m sets through the witness 0 over the block x, a halfspace holding about a share
+        # 1 - active of its rows; a hyperplane holds a row only where it passes through it
+        sets = []
+        for a in rng.standard_normal((m, x.shape[1])):
+            if rng.random() < 0.2:
+                sets.append(Hyperplane(a, 0.0))
+            else:
+                sets.append(Halfspace(a, max(0.0, float(np.quantile(np.matmul(x, a), 1.0 - active)))))
+        return OperatorFamily.from_sets(sets, np.zeros(x.shape[1])), sets
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 64])
+    @pytest.mark.parametrize("active", [0.0, 0.05, 0.3, 0.9])
+    def test_the_bits_of_the_whole_block_formula(self, d, active):
+        rng = np.random.default_rng(int(100 * d + 100 * active))
+        for trial in range(6):
+            x = rng.standard_normal((int(rng.integers(1, 40)), d)) * 10.0 ** rng.integers(-3, 4)
+            x[rng.random(x.shape) < 0.2] = -0.0
+            fam, sets = self._family(rng, x, int(rng.integers(1, 30)), active)
+            if trial % 3 == 2:  # a row holding an inf or a NaN
+                x[rng.integers(len(x)), rng.integers(d)] = rng.choice([math.inf, -math.inf, math.nan])
+            with np.errstate(all="ignore"):
+                got, want = fam.distances(range(len(sets)), x), _dense_distances(sets, x)
+            assert got.tobytes() == want.tobytes()
+
+    def test_an_inactive_pair_at_a_negative_zero_is_positive_zero(self):
+        x = np.array([[-0.0, -0.0], [-0.0, 3.0]])
+        sets = [Halfspace([1.0, -1.0], 5.0), Hyperplane([-2.0, 1.0], 0.0), Halfspace([0.0, 1.0], 1.0)]
+        got = OperatorFamily.from_sets(sets, np.zeros(2)).distances(range(3), x)
+        assert got.tobytes() == _dense_distances(sets, x).tobytes()
+        assert got[0].tolist() == [0.0, 0.0, 0.0] and not np.signbit(got[0]).any()
+
+    def test_an_offset_that_underflows_to_negative_zero_gives_positive_zero(self):
+        # t = -5e-324 over a @ a = 4 is -0.0: no pair is active, and each distance is +0.0
+        x, sets = np.zeros((8, 1)), [Hyperplane([2.0], 5e-324)]
+        got = OperatorFamily.from_sets(sets, np.zeros(1)).distances((0,), x)
+        assert got.tobytes() == _dense_distances(sets, x).tobytes() == np.zeros((8, 1)).tobytes()
+
+    @pytest.mark.parametrize("active_sets", [0, 1, 3])
+    def test_the_scratch_grows_with_the_active_pairs(self, active_sets):
+        # a block inside every set of an all-linear stack allocates its (rows, m) offsets, in the
+        # result; each active pair adds its step, its point, its distance and its index, with one
+        # index in the making: at most 2 d + 5 floats
+        rows, m, d = 50, 40, 20
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((rows, d)) + 10.0 * np.eye(d)[0]
+        normals = rng.standard_normal((m, d))
+        normals[:active_sets] = np.eye(d)[0] + 0.1 * normals[:active_sets]  # 1 >= <a, 0>, below every <a, x>
+        offsets = np.maximum((x @ normals.T).max(axis=0), 0.0) + 1.0
+        offsets[:active_sets] = 1.0
+        fam = OperatorFamily.from_sets([Halfspace(a, b) for a, b in zip(normals, offsets)], np.zeros(d))
+        fam.distances(range(m), x)  # the first call builds the stack
+        tracemalloc.start()
+        try:
+            got = fam.distances(range(m), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(got) == rows * active_sets
+        # the result, which holds the offsets, with numpy's buffer for their broadcast operands (one
+        # more (rows, m) block) before any pair is taken; never the whole-block (rows, m, d) arrays
+        assert peak <= 8 * (rows * m + max(rows * m, (2 * d + 5) * rows * active_sets)) + 8192
