@@ -57,9 +57,10 @@ class ControlSchedule:
     """Base schedule: ``plan_at``, ``window_bound`` and ``plan_metadata``.
 
     ``plan_at(k)`` returns the plan iteration k runs, for every k >= 0: a
-    schedule never ends.  A schedule that stores its plans hands out those
-    very objects, so one plan serves every iteration that runs it and its
-    ``k`` is only the label it was built with; callers must not modify a plan.
+    schedule never ends.  A schedule that stores its plans hands out those very
+    objects, so one plan serves every iteration that runs it and its ``k`` is
+    only the label it was built with.  Callers must not modify a plan; a run
+    writes its one memo, ``_tree``, which changes no derived value.
 
     Every subclass also gives ``window_bound(n)``, the window M_n for input
     index n or None when unknown, and ``plan_metadata()``, (K, M) = (max

@@ -94,10 +94,10 @@ class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
     Everything derived from the plan depends on its structure only (``N``,
-    ``eps`` and the step contents), never on ``k``, and is computed once
-    per plan: the validation issues, the output indices, the width product
-    and :meth:`structure_key`.  A schedule hands out the plans it stores, so
-    one plan serves every iteration that runs it.
+    ``eps`` and the step contents), never on ``k``, and is computed once per
+    plan: the validation issues, the output indices, the width product,
+    :meth:`structure_key` and, in ``_tree``, a run's tree.  A schedule hands
+    out the plans it stores, so one plan serves every iteration that runs it.
 
     Parameters
     ----------
@@ -114,14 +114,14 @@ class IterationPlan:
         a dict keyed 1..N.
     """
 
+    _tree = (None, None)  # (run memo, tree), written by a run that builds this plan's tree
+
     def __init__(self, k, N, eps, steps):
         self.k = k if type(k) is int else _whole(k, "plan label k")
         self.N = N if type(N) is int else _whole(N, "step count N")
         self.eps = float(eps)
         self.steps = dict(enumerate(steps, start=1))
-        self._validation = None
-        self._outputs = self._width = None  # made on first use: many plans are only validated
-        self._key = None
+        self._validation = self._outputs = self._width = self._key = None  # made on first use
 
     def structure_key(self):
         """Hashable identity of the plan without ``k``: plain data, which hashes in C.

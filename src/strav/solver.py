@@ -13,7 +13,7 @@ The update loop keeps only what steers the run: the residual (the stop
 test and the divergence guard read it), lambda_k and x^{k+1}.  phi(x^k)
 and beta_k wait in a list, and x^k is held by reference (the driver
 never writes an iterate in place).  Each B = max(1, 4096 // d) held
-iterates, with the next one for the last step, are stacked once and
+iterates, with the next one for the last step, are joined as bytes and
 measured in numpy: a row-wise norm for the steps ||x^{k+1} - x^k||, one for
 ||x^k - z||, the slacks, and the m monitored distances, max(1, B // m) rows
 at a time.  :meth:`~strav.sets.OperatorFamily.distances` then runs the
@@ -29,12 +29,12 @@ numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit
 for about one double in a thousand.
 
 A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
-structure and keeps the answer for that run.  The family keeps every tree
-built over it, so a config's run applies the trees ``parse_config`` built to
-derive rho, and a power-of-two run of 20,000 updates builds 15, not 20,001.
-A ``constant``, ``cycle`` or ``sweep`` of at most 4,096 points admits each
-step size once, at construction, and ``lam(k)`` reads it from a table; a
-caller's own rule and a longer sweep are computed and admitted at each use.
+structure and keeps the answer for that run, by structure key and in the
+``_tree`` slot of the plan that built it.  The family keeps every tree built
+over it, so a config's run applies the trees ``parse_config`` built for rho,
+and a power-of-two run of 20,000 updates builds 15 trees, not 20,001.  A table
+(``constant``, ``cycle``, a ``sweep`` of at most 4,096 points) admits each step
+size once and ``lam(k)`` reads it; any other rule is admitted at each use.
 
 An update at a fixed point does no vector arithmetic.  When T_k hands u^k
 back as the same array (an inactive halfspace or hyperplane, a relaxation
@@ -336,7 +336,7 @@ class Trace:
 def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, monitored=(),
            record_stride=1):
     record_stride = _whole(record_stride, "record_stride", lo=1)
-    x = as_vector(x0, family.dim)
+    x = np.ascontiguousarray(as_vector(x0, family.dim))  # measure joins the iterates' bytes
     z = family.witness
     c_fejer = relax.fejer_constant
     monitored = tuple(_whole(n, "monitored index", lo=0) for n in monitored)
@@ -348,12 +348,14 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
     loop_vals, c = [], 1 + (objective is not None) + (pert is not None)
     # held: x^{k0}, ..., x^k by reference; measuring none refuses a bad index before k = 0
     B = max(1, 4096 // x.size)
-    held, chunk = [], max(1, B // max(m, 1))
+    held, chunk, stack = [], max(1, B // max(m, 1)), bytearray(8 * (B + 1) * x.size)  # a block's bytes
     family.distances(monitored, np.empty((0, x.size)))
 
     def measure(k0, n, final=False):
         # record x^{k0}, ..., x^{k0+n-1}; the iterate after them, unless final, gives the last step
-        xs = np.array(held[: n + (not final)])
+        for i in range(0, len(held), 64):  # a join holds an 80 B buffer view per row: 64 rows a join
+            stack[8 * x.size * i : 8 * x.size * min(i + 64, len(held))] = b"".join(held[i : i + 64])
+        xs = np.frombuffer(stack, count=len(held) * x.size).reshape(-1, x.size)  # np.array(held)'s bits
         del held[:n]  # the held arrays go before the temporaries below add to the peak
         dz, st = norm(xs - z), norm(xs[1:] - xs[:-1])
         sq = np.float_power(dz, 2.0)  # Python's v ** 2, bit for bit; numpy's v * v is not
@@ -373,10 +375,13 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
     k = 0
     while True:
         plan = schedule.plan_at(k)
-        key = plan.structure_key()
-        T = trees.get(key)
-        if T is None:
-            T = trees[key] = output_operator(plan, family)
+        memo, T = plan._tree
+        if memo is not trees:  # the plan's slot holds no tree of this run
+            key = plan.structure_key()
+            T = trees.get(key)
+            if T is None:
+                T = trees[key] = output_operator(plan, family)
+                plan._tree = trees, T
         u = x
         if pert is not None:
             b, v = pert(k, x)
@@ -461,14 +466,12 @@ def run(family, schedule, relax, x0, stop=StopRule(), *, monitored=(), record_st
     fire winning.  The distances to the ``monitored`` sets are recorded at every iterate, and every
     ``record_stride``-th full iterate is kept, the final one always.
     """
-    return _drive(
-        family, schedule, relax, x0, stop, monitored=monitored, record_stride=record_stride
-    )
+    return _drive(family, schedule, relax, x0, stop, monitored=monitored,
+                  record_stride=record_stride)
 
 
-def run_perturbed(
-    family, schedule, relax, perturb, y0, stop=StopRule(), *, monitored=(), record_stride=1
-):
+def run_perturbed(family, schedule, relax, perturb, y0, stop=StopRule(), *, monitored=(),
+                  record_stride=1):
     """Perturbation-resilient variant: each update starts from y^k + beta_k v^k.
 
     The k-th update applies the lambda_k-relaxation of T_k to the perturbed

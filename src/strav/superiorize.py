@@ -177,16 +177,12 @@ def inner_directions(oracle, y, betas):
 
 def run_superiorized(family, schedule, relax, oracle, grid, y0, stop=StopRule(), *, monitored=(),
                      record_stride=1):
-    """Feasibility run with objective-reducing inner perturbations.
+    """Feasibility run with objective-reducing inner perturbations; returns a :class:`~strav.solver.Trace`.
 
     Per iteration: the :func:`inner_directions` of ``oracle`` and the sizes
     from ``grid``, aggregated into a single perturbation, then the relaxed
     feasibility update.  The trace gains ``phi`` (objective at each iterate)
     and ``pert_mag`` columns, plus the raw aggregates for bitwise replay.
-
-    Returns
-    -------
-    Trace
     """
 
     def pert(k, y):

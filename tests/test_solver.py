@@ -694,6 +694,37 @@ class TestTreeMemo:
             run(two_halfspace_family(), sched, relax, np.array([3.0, 2.0]),
                 StopRule(5, None, None))
 
+    def test_a_stored_plan_is_keyed_once_per_run(self, monkeypatch):
+        # after the build, the driver reads a stored plan's tree from its slot, not by key
+        keyed, key = [], IterationPlan.structure_key
+        monkeypatch.setattr(IterationPlan, "structure_key", lambda plan: keyed.append(plan.k) or key(plan))
+
+        def build(plan, family):  # output_operator keys the plan it builds: not the driver's call
+            n = len(keyed)
+            T = output_operator(plan, family)
+            del keyed[n:]
+            return T
+
+        monkeypatch.setattr(strav.solver, "output_operator", build)
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        for _ in range(2):
+            run(axis_halfspace_family(5), sched, relax, 3.0 * np.ones(5), StopRule(1000, None, None))
+        assert keyed == [2**n - 1 for n in range(10)] * 2  # the memo lives for one run
+
+    def test_a_plan_shared_by_two_families_takes_each_familys_tree(self):
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        families = axis_halfspace_family(5), random_halfspace_family(5, 16, seed=3)
+        fresh = [run(fam, PowerOfTwoSchedule(eps=0.1), relax, 3.0 * np.ones(5), StopRule(1000, None, None))
+                 for fam in families]
+        assert fresh[0].xs.tobytes() != fresh[1].xs.tobytes()
+        for fam, want in [*zip(families, fresh)] * 2:  # the slots alternate between the families
+            tr = run(fam, sched, relax, 3.0 * np.ones(5), StopRule(1000, None, None))
+            assert tr.xs.tobytes() == want.xs.tobytes() and tr.residual.tobytes() == want.residual.tobytes()
+            assert all(sched.plan_at(2**n - 1)._tree[1] is output_operator(sched.plan_at(2**n - 1), fam)
+                       for n in range(10))
+
     def test_power_of_two_eps_judged_by_its_first_plan(self):
         # the schedule takes eps as given; the plan of k = 0 refuses it before the first update
         sched = PowerOfTwoSchedule(eps=5.0)
@@ -734,6 +765,13 @@ class TestFreshPlans:
                  StopRule(1000, None, None))
         assert tr.n_updates == 1000
         assert built == [2**n - 1 for n in range(10)]  # first k with f_value(k) = n
+
+    def test_a_fresh_plan_writes_a_slot_only_where_it_builds(self, monkeypatch):
+        built, made, rule = TestTreeMemo._spy(monkeypatch), [], composition_schedule().plan_at
+        sched = CustomSchedule(lambda k: made.append(rule(k)) or made[-1])
+        run(self.fam, sched, self.relax, self._start()[0], StopRule(1000, None, None))
+        assert len(made) == 1001
+        assert [p.k for p in made if "_tree" in vars(p)] == built == [2**n - 1 for n in range(10)]
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_a_fresh_plan_runs_as_the_memoized_one_bitwise(self, perturbed, tmp_path):
@@ -792,7 +830,11 @@ class TestFreshPlans:
 
 
 class TestSharedPlans:
-    """Schedules hand out their stored plans; no run or audit may change one."""
+    """Schedules hand out their stored plans; no run or audit may change one.
+
+    A run writes one memo on a plan, its ``_tree`` slot, and that changes no value derived
+    from the plan: the state compared below (label, steps and the key) leaves it out.
+    """
 
     @staticmethod
     def _stage_schedule():
@@ -1449,6 +1491,24 @@ class TestDriverParity:
             np.array([-0.0, 2.0, -0.0, 0.5, 3.0]), StopRule(100, None, None), record_stride=7,
         )
         assert len(tr.xs) == 16
+
+    # a block holds B = 4096 // 5 = 819 iterates, joined as bytes: runs end one short of a block,
+    # at its edge and one past it, and keep every iterate, every third, or only the first and last
+    @pytest.mark.parametrize("stride", [1, 3, 820])
+    @pytest.mark.parametrize("updates", [818, 819, 820])
+    def test_a_strided_start_keeps_the_bits_of_its_contiguous_twin(self, monkeypatch, updates, stride):
+        sched, relax = self._power_of_two()
+        base = np.full(10, np.nan)
+        base[::2] = [-0.0, 3.0, 4.5, -0.0, 3.25]
+        x0 = base[::2]
+        assert not x0.flags.c_contiguous
+        args = (axis_halfspace_family(5), sched, relax)
+        twin = run(*args, np.array(x0), StopRule(updates, None, None), record_stride=stride)
+        tr = self._assert_parity(monkeypatch, strav.solver, run, *args, x0, StopRule(updates, None, None),
+                                 record_stride=stride)
+        assert tr.n_updates == updates and np.signbit(tr.xs[0, [0, 3]]).all()
+        for name in ("xs", "step", "dist_witness", "fejer_slack"):
+            assert getattr(tr, name).tobytes() == getattr(twin, name).tobytes(), name
 
     @staticmethod
     def _r20(updates, step_tol=None):
