@@ -1,29 +1,26 @@
 """Operator trees with a confidence calculus for contraction-type moduli.
 
-A node is one of five kinds: a relaxed metric projection onto a convex set
-(``Primitive``), the identity, a relaxation of a child, a convex
-combination of children, or a composition applied left to right.  Nodes
-are immutable; the quantitative constants below are derived once at
-construction and never recomputed.  So is a pass-through node's ``apply``,
-with no frame of its own: a projection at gamma 1 applies its set's
-``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the
-identity's); a point it fixes comes back as the very array passed in.
-:func:`_each` (one point) and :func:`_sweep` (a batch) are the one
-formula of a halfspace or hyperplane projection.  A node's ``_rows`` are the
-rows it applies, none by default: its set's at gamma 1 where :mod:`strav.sets`
-offers them, its child's at alpha 1, and its children's, in order, for a
-:class:`Composition` whose children all have rows (nested strings too) and
-whose ``apply`` is its class's own: it runs them in one loop, :func:`_through`
-or :func:`_sweep`, in the float operations of child by child, so the same bits.
+A node is one of five kinds: a relaxed metric projection onto a convex set (``Primitive``), the
+identity, a relaxation of a child, a convex combination of children, or a composition applied left
+to right.  Nodes are immutable; the quantitative constants below are derived once at construction
+and never recomputed.  So is a pass-through node's ``apply``, with no frame of its own: a projection
+at gamma 1 applies its set's ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0
+the identity's); a point it fixes comes back as the very array passed in.  :func:`_each` (one
+point) and :func:`_sweep` (a batch) are the one formula of a halfspace or hyperplane projection.
+A node's ``_rows`` are the rows it applies, none by default: its set's at gamma 1 where
+:mod:`strav.sets` offers them, its child's at alpha 1, and its children's, in order, for a
+:class:`Composition` whose children all have rows (nested strings too) and whose ``apply`` is its
+class's own: it runs them in one loop, :func:`_through` or :func:`_sweep`, in the float operations
+of child by child, so the same bits.  As a halfspace's ``project`` does, such a composition hands a
+float64 ndarray of its shape (d,) to :func:`_through` after one type test, and anything else to
+``np.asarray`` first, which hands such an array back as itself: the same object either way.
 
-A long string reads ahead at one point: after a row whose set holds x, it
-takes the dots of the next ``4096 // d`` rows at most in one
-``np.matmul(normals[:, None, :], x)`` and goes on at the first row that moves
-x.  A stacked (1, d) @ (d,) product runs numpy's dot on each row, so it is
-``x.dot(a)`` bit for bit, but for the sign of an exactly-zero dot, which moves
-no row on either path (t is then -b, or a zero that hands x on).  A read costs
-about five dots, so only a string of more than 8 rows, at ``4096 // d >= 8``,
-is long, and it stacks its rows at its first read; any other keeps a plain
+A long string reads ahead at one point: after a row whose set holds x, it takes the dots of the next
+``4096 // d`` rows at most in one ``np.matmul(normals[:, None, :], x)`` and goes on at the first row
+that moves x.  A stacked (1, d) @ (d,) product runs numpy's dot on each row, so it is ``x.dot(a)``
+bit for bit, but for the sign of an exactly-zero dot, which moves no row on either path (t is then
+-b, or a zero that hands x on).  A read costs about five dots, so only a string of more than 8 rows,
+at ``4096 // d >= 8``, is long, and it stacks its rows at its first read; any other keeps a plain
 tuple of rows and stacks none.
 
 Constants attached to a node
@@ -111,6 +108,7 @@ def _through(x, rows):
 
 
 _AHEAD = 8  # the fewest rows a read-ahead takes (see the module docstring)
+_F8 = np.dtype(float)  # a float64 array's dtype; an equal dtype of another identity takes np.asarray
 
 
 class _String(tuple):
@@ -200,6 +198,7 @@ class OperatorNode:
     dim = None
     children_ = ()
     _rows = ()  # (a, b, a @ a, one-sided) of each projection apply runs, in order; see _through
+    _shape = None  # (dim,) where a composition runs its rows at one point
 
     def apply(self, x):
         raise NotImplementedError
@@ -333,8 +332,11 @@ class Composition(OperatorNode):
         if type(self).apply is Composition.apply and all(c._rows for c in children):
             rows = tuple(r for c in children for r in c._rows)
             self._rows = _String(rows) if len(rows) > _AHEAD and 4096 // self.dim >= _AHEAD else rows
+            self._shape = (self.dim,)
 
     def apply(self, x):
+        if type(x) is np.ndarray and x.shape == self._shape and x.dtype is _F8:  # one point: see the docstring
+            return _through(x, self._rows)
         out = np.asarray(x, dtype=float)
         if self._rows and out.ndim and out.shape[-1] == self.dim:  # see the module docstring
             return (_through if out.ndim == 1 else _sweep)(out, self._rows)

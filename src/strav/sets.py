@@ -1,33 +1,31 @@
 """Projectable convex sets and the lazily materialized input-operator family.
 
-Every set variant carries an exact nearest-point rule.  ``project`` accepts
-a single vector or a row-stacked batch and returns the same shape; a point
-already inside comes back unchanged (bitwise for the polyhedral variants),
+Every set variant carries an exact nearest-point rule.  ``project`` accepts a single vector or a
+row-stacked batch and returns the same shape, and refuses any other shape (a 0-d one too) as
+``dim-mismatch``; a point already inside comes back unchanged (bitwise for the polyhedral variants),
 a single one perhaps as the very array passed in (see ``project``).  A halfspace or hyperplane
 projects one point by :func:`strav.operators._each` and a batch by :func:`strav.operators._sweep`
 on its row, built at construction: the loops a string of them runs, offered as ``_rows`` only while
-``project`` is the library's own.  A batch's step is the outer product
+``project`` is the library's own.  A float64 ndarray of the set's shape (d,) reaches ``_each`` after
+one type test; any other input (a list, another dtype or byte order, a subclass, a batch) takes
+``np.asarray`` first.  The test passes only arrays ``np.asarray`` hands back as themselves, so both
+paths give the same object, bits and errors.  A batch's step is the outer product
 ``np.einsum("...,j->...j", t / (a @ a), a)`` of its offsets ``t``, each entry one exact product
 added onto einsum's zeroed output: +0.0 for a zero offset, so an inactive row keeps its -0.0s.
-``distance`` is always the norm of ``x - project(x)`` so the two operations
-can never disagree.
+``distance`` is always the norm of ``x - project(x)``, so the two operations can never disagree.
 
-:meth:`OperatorFamily.distances` answers many sets at once: it stacks the
-halfspaces and hyperplanes into one normal matrix and repeats each set's
-own arithmetic row by row.
-Axis-aligned normals therefore give the per-set values bit for bit; other
-normals agree to rounding, because a matrix-vector product may sum its
-terms in another order than the per-set dot product.
-A (B, d) block of points gets each row's one-point bits: ``np.matmul``
-runs one matrix-vector product per stacked point, where ``X @ normals.T``
-would not, and the rest is elementwise, row-wise or asked point by point.
-The (B, m) offsets are taken for the whole block, in the result where every
-set is linear; the projection arithmetic runs only on the (point, set) pairs
-whose clamped offset is nonzero, and the others get +0.0, which it would give
-them at a finite point.  So the scratch is the offsets and 2 d + 5 floats per
-active pair.  A block with a row holding inf or NaN runs every pair in two
-(B, m, d) arrays, and so does one whose active pairs outweigh it: a pair costs
-the sparse path about 6 floats more.
+:meth:`OperatorFamily.distances` answers many sets at once: it stacks the halfspaces and hyperplanes
+into one normal matrix and repeats each set's own arithmetic row by row.  Axis-aligned normals
+therefore give the per-set values bit for bit; other normals agree to rounding, because a
+matrix-vector product may sum its terms in another order than the per-set dot product.  A (B, d)
+block of points gets each row's one-point bits: ``np.matmul`` runs one matrix-vector product per
+stacked point, where ``X @ normals.T`` would not, and the rest is elementwise, row-wise or asked
+point by point.  The (B, m) offsets are taken for the whole block, in the result where every set is
+linear; the projection arithmetic runs only on the (point, set) pairs whose clamped offset is
+nonzero, and the others get +0.0, which it would give them at a finite point.  So the scratch is the
+offsets and 2 d + 5 floats per active pair.  A block with a row holding inf or NaN runs every pair
+in two (B, m, d) arrays, and so does one whose active pairs outweigh it: a pair costs the sparse
+path about 6 floats more.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import math
 import numpy as np
 
 from .numeric import _finite_norm, _whole, _within, as_vector, norm
-from .operators import Identity, OperatorNode, Primitive, _each, _residual_at, _sweep
+from .operators import _F8, Identity, OperatorNode, Primitive, _each, _residual_at, _sweep
 
 __all__ = [
     "ProjectableSet",
@@ -68,8 +66,8 @@ class ProjectableSet:
         return norm(x - self.project(x))
 
     def _check_dim(self, x):
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"dim-mismatch: point of dimension {x.shape[-1]}, set of {self.dim}")
+        if x.shape[-1:] != (self.dim,):  # a 0-d x has no last axis
+            raise ValueError(f"dim-mismatch: point of shape {x.shape}, set of dimension {self.dim}")
 
 
 class _LinearConstraint(ProjectableSet):
@@ -89,16 +87,17 @@ class _LinearConstraint(ProjectableSet):
             raise ValueError(f"{name} normal's squared norm overflows")
         if not math.isfinite(self.b):  # a NaN offset projects to NaN, an infinite one is empty or all
             raise ValueError(f"{name} offset must be finite, got {self.b}")
-        self.dim = self.a.shape[0]
+        self.dim, self._shape = self.a.shape[0], self.a.shape
         self._row = ((self.a, self.b, self._asq, self._one_sided),)
         self._rows = self._row if type(self).project is _LinearConstraint.project else ()
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape == self.a.shape:  # one point: the formula of strav.operators._each
-            return _each(x, self._row)
-        self._check_dim(x)
-        return _sweep(x, self._row)
+        if not (type(x) is np.ndarray and x.shape == self._shape and x.dtype is _F8):  # see the docstring
+            x = np.asarray(x, dtype=float)
+            if x.shape != self._shape:
+                self._check_dim(x)
+                return _sweep(x, self._row)
+        return _each(x, self._row)  # one point: the formula of strav.operators._each
 
 
 class Halfspace(_LinearConstraint):

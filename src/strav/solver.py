@@ -9,24 +9,21 @@ optional (u^k = x^k exactly when beta_k = 0).  The plain, perturbed, and
 superiorized entry points all share this kernel, so reductions between
 them hold bitwise, not just to rounding.
 
-The update loop keeps only what steers the run: the residual (the stop
-test and the divergence guard read it), lambda_k and x^{k+1}.  phi(x^k)
-and beta_k wait in a list, and x^k is held by reference (the driver
-never writes an iterate in place).  Each B = max(1, 4096 // d) held
-iterates, with the next one for the last step, are joined as bytes and
-measured in numpy: a row-wise norm for the steps ||x^{k+1} - x^k||, one for
-||x^k - z||, the slacks, and the m monitored distances, max(1, B // m) rows
-at a time.  :meth:`~strav.sets.OperatorFamily.distances` then runs the
-projection arithmetic on the active (row, set) pairs of its (rows, m) offsets
-alone, or on all of them in two (rows, m, d) arrays where too many are active
-or a row is not finite: a 4096-float budget, or one row, either way.
-An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d) for a
-perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.  The
-bits are the one-update formulas': a row of a row-wise norm is that
-row's norm alone, and the slack ``dz**2 - dz_next**2 - c * st**2``
-squares with ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit for bit;
-numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit
-for about one double in a thousand.
+The update loop keeps only what steers the run: the residual (the stop test and the divergence guard
+read it), lambda_k and x^{k+1}.  The residual, phi(x^k) and beta_k wait in a list (it appends a
+float faster than an ``array('d')``), which ``np.fromiter`` stacks a block at a time, and x^k is
+held by reference (the driver never writes an iterate in place).  Each B = max(1, 4096 // d) held
+iterates, with the next one for the last step, are joined as bytes and measured in numpy: a row-wise
+norm for the steps ||x^{k+1} - x^k||, one for ||x^k - z||, the slacks, and the m monitored
+distances, max(1, B // m) rows at a time.  :meth:`~strav.sets.OperatorFamily.distances` then runs
+the projection arithmetic on the active (row, set) pairs of its (rows, m) offsets alone, or on all
+of them in two (rows, m, d) arrays where too many are active or a row is not finite: a 4096-float
+budget, or one row, either way.  An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d)
+for a perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.  The bits are the
+one-update formulas': a row of a row-wise norm is that row's norm alone, and the slack
+``dz**2 - dz_next**2 - c * st**2`` squares with ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit
+for bit; numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit for about one
+double in a thousand.
 
 A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
 structure and keeps the answer for that run, by structure key and in the
@@ -361,7 +358,7 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
         sq = np.float_power(dz, 2.0)  # Python's v ** 2, bit for bit; numpy's v * v is not
         sl = sq[:-1] - sq[1:] - c_fejer * np.float_power(st, 2.0)
         st, sl = np.append(st, [0.0] * final), np.append(sl, [0.0] * final)  # no update follows the final row
-        loop = np.array(loop_vals).reshape(n, c)  # residual, then phi and beta_k
+        loop = np.fromiter(loop_vals, float, n * c).reshape(n, c)  # residual, then phi and beta_k
         rows.frombytes(np.column_stack((loop[:, 0], st, dz[:n], sl, loop[:, 1:])).tobytes())
         loop_vals.clear()
         for i in range(0, n, chunk):  # at most two (chunk, m, d) scratch arrays: 4096 floats, or one row

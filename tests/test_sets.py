@@ -6,6 +6,7 @@ c in C.  Each set type is probed against it with sampled feasible points.
 """
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.numeric import _within, norm
-from strav.operators import Identity, Primitive, Relaxation
+from strav.operators import Composition, Identity, Primitive, Relaxation, _each, _String, _sweep, _through
 from strav.sets import (
     AffineSubspace,
     Ball,
@@ -283,6 +284,115 @@ class TestDimChecks:
     def test_distance_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
             Ball(np.zeros(2), 1.0).distance(np.zeros(4))
+
+    @staticmethod
+    def _every_kind():
+        return [
+            Halfspace([1.0, 0.0], 0.0),
+            Hyperplane([1.0, 0.0], 0.0),
+            Ball(np.zeros(2), 1.0),
+            Box(-np.ones(2), np.ones(2)),
+            AffineSubspace([[1.0, 0.0]], np.zeros(2)),
+        ]
+
+    @pytest.mark.parametrize("x", [3.0, np.float64(3.0), np.array(3.0), np.zeros(3), np.zeros((4, 1))])
+    @pytest.mark.parametrize("method", ["project", "distance"])
+    def test_every_set_refuses_a_point_of_another_shape_by_name(self, method, x):
+        # a 0-d point has no last axis to compare: refused by name, not by an IndexError
+        for s in self._every_kind():
+            with pytest.raises(ValueError, match=r"^dim-mismatch: point of shape \("):
+                getattr(s, method)(x)
+
+    @pytest.mark.parametrize("x", [3.0, np.array(3.0), np.zeros(3), np.zeros((4, 1))])
+    def test_a_row_composition_refuses_a_point_of_another_shape_by_name(self, x):
+        short = Composition([Primitive(Halfspace([1.0, 0.0], 0.0)), Primitive(Hyperplane([0.0, 1.0], 0.0))])
+        long = Composition([Primitive(Halfspace([1.0, float(j)], 0.0)) for j in range(12)])
+        assert type(short._rows) is tuple and type(long._rows) is _String
+        for node in (short, long):
+            with pytest.raises(ValueError, match=r"^dim-mismatch: point of shape \("):
+                node.apply(x)
+
+
+def _asarray_project(s, x):
+    # a halfspace's or hyperplane's project as every input took it before the one-point test
+    x = np.asarray(x, dtype=float)
+    if x.shape == s.a.shape:
+        return _each(x, s._row)
+    s._check_dim(x)
+    return _sweep(x, s._row)
+
+
+def _asarray_apply(node, x):
+    # a composition's apply as every input took it before the one-point test
+    out = np.asarray(x, dtype=float)
+    if node._rows and out.ndim and out.shape[-1] == node.dim:
+        return (_through if out.ndim == 1 else _sweep)(out, node._rows)
+    for child in node.children_:
+        out = child.apply(out)
+    return out
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+class TestOnePointFastPath:
+    """A float64 point of the node's shape goes straight to the row loop; every other input takes
+    np.asarray as before, with the same bits, dtype, identity and error."""
+
+    normals = np.array([[1, 2, 0, -1, 3], [0, 1, 0, 0, 0], [2, 0, -1, 1, 0], [-1, 1, 1, 0, 2],
+                        [0, 0, 3, 1, -1], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, -2, 1, 0, 1],
+                        [3, 0, 0, 1, 0], [0, 1, -1, 2, 0], [1, -1, 0, 0, 1], [0, 0, 0, 1, 0]], dtype=float)
+
+    def _nodes(self):
+        # a halfspace, a hyperplane through 0 on axis 1, a short row string, a long one that reads ahead
+        half, hyper = Halfspace(self.normals[0], 2.0), Hyperplane(self.normals[1], 0.0)
+        short = Composition([Primitive(half), Primitive(hyper), Primitive(Halfspace(self.normals[2], 1.0))])
+        long = Composition([Primitive(Hyperplane(a, 0.0) if j == 1 else Halfspace(a, float(j % 3)))
+                            for j, a in enumerate(self.normals)])
+        assert type(short._rows) is tuple and type(long._rows) is _String
+        # each node's one-point entry, and the np.asarray path it must agree with
+        return [(s.project, lambda x, s=s: _asarray_project(s, x)) for s in (half, hyper)] + [
+            (c.apply, lambda x, c=c: _asarray_apply(c, x)) for c in (short, long)]
+
+    @staticmethod
+    def _inputs(p):
+        ro = p.copy()
+        ro.flags.writeable = False
+        signed = np.where(p == 0.0, -0.0, p)
+        return [p, p.tolist(), tuple(p), p.astype(int), p.astype(np.float32), p.astype(">f8"),
+                np.repeat(p, 2)[::2], ro, signed, np.where(p == 0.0, np.inf, p), np.where(p == 0.0, np.nan, p),
+                np.where(p == 0.0, -np.inf, p), p[None], p[None][:0], np.append(p, 1.0), p[:-1],
+                p.view(_Sub), pickle.loads(pickle.dumps(p))]
+
+    @staticmethod
+    def _outcome(f, x):
+        try:
+            with np.errstate(all="ignore"):
+                return f(x)
+        except Exception as exc:  # the error is part of the contract
+            return exc
+
+    @pytest.mark.parametrize("p", [[0, 0, 0, 0, 0], [0, 0, -1, -2, 0], [5, 0, 4, 3, 2], [-3, 7, 0, 0, 1]])
+    def test_every_input_keeps_its_bits_dtype_identity_and_error(self, p):
+        for apply, asarray_path in self._nodes():
+            for x in self._inputs(np.array(p, dtype=float)):
+                got, want = self._outcome(apply, x), self._outcome(asarray_path, x)
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    continue
+                assert type(got) is type(want) is np.ndarray
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                assert (got is x) == (want is x)
+
+    def test_a_float64_point_a_set_holds_comes_back_as_itself(self):
+        for apply, _ in self._nodes():
+            for x in (np.zeros(5), np.array([-0.0, 0.0, -0.0, 0.0, -0.0])):
+                assert apply(x) is x
+                ro = x.copy()
+                ro.flags.writeable = False
+                assert apply(ro) is ro
+                assert apply(x.tolist()) is not x
 
 
 class TestOperatorFamily:

@@ -1567,3 +1567,65 @@ class TestDriverParity:
                                      BetaGrid.geometric(0.5, M=2), x0, stop, **kw)
         assert tr.n_updates == updates and tr.set_distances.shape == (updates + 1, n_sets)
         assert (tr.step > 0.0).sum() > 50
+
+    # the per-update scalars (residual, then phi and beta_k) are stacked a block of 819 rows at a
+    # time at d = 5: runs end one short of a block, at its edge, one past it and one short of two
+    @pytest.mark.parametrize("updates", [818, 819, 820, 1639])
+    @pytest.mark.parametrize("kind", ["plain", "perturbed", "superiorized"])
+    def test_loop_scalars_keep_their_bits_across_block_edges(self, monkeypatch, kind, updates):
+        # every update projects onto a hyperplane the iterate is off: no residual is 0
+        normals = np.random.default_rng(4).standard_normal((7, 5))
+        fam = OperatorFamily.from_sets([Hyperplane(a, 0.0) for a in normals], np.zeros(5))
+        args = (fam, CyclicSchedule.over_indices(range(7)), RelaxationSchedule.constant(0.9, 0.25, 1.0))
+        x0, stop = np.array([3.0, 1.0, 4.0, 1.0, 5.0]), StopRule(updates, None, None)
+        if kind == "plain":
+            tr = self._assert_parity(monkeypatch, strav.solver, run, *args, x0, stop)
+        elif kind == "perturbed":
+            vs = np.random.default_rng(2).standard_normal((updates + 1, 5))
+            pert = PerturbationSchedule.from_lists([0.5 / (k + 1) ** 1.5 for k in range(updates + 1)],
+                                                   vs / norm(vs)[:, None])
+            tr = self._assert_parity(monkeypatch, strav.solver, run_perturbed, *args, pert, x0, stop)
+            assert len(set(tr.pert_betas.tolist())) == updates + 1
+        else:
+            oracle = linear_objective(np.array([1.0, -1.0, 0.5, 0.0, 2.0]))
+            grid = BetaGrid(2, lambda k, n: 0.5 / n / (k + 1) ** 2)  # no beta_k underflows to 0
+            tr = self._assert_parity(monkeypatch, strav.superiorize, run_superiorized, *args, oracle, grid,
+                                     x0, stop)
+            assert (tr.pert_betas > 0.0).all() and len(set(tr.phi.tolist())) > updates // 2
+        assert tr.n_updates == updates and (tr.residual > 0.0).all()
+
+
+class TestApplyPerRow:
+    """The driver applies T_k once per row of its trace: n_updates + 1 calls of ``T.apply``."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+
+        class Counted:
+            def __init__(self, tree):
+                self.tree = tree
+
+            def apply(self, x):
+                calls.append(1)
+                return self.tree.apply(x)
+
+        monkeypatch.setattr(strav.solver, "output_operator", lambda plan, family: Counted(output_operator(plan, family)))
+        return calls
+
+    def test_power_of_two_run(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        sched = PowerOfTwoSchedule(eps=0.1)
+        relax = RelaxationSchedule.sweep(0.1, uniform_modulus(sched, 0.1))
+        tr = run(axis_halfspace_family(5), sched, relax, np.array([3.0, 4.5, 3.25, 4.0, 3.5]),
+                 StopRule(2000, None, None))
+        assert tr.n_updates == 2000 and len(calls) == 2001
+
+    def test_fresh_plan_custom_schedule_run(self, monkeypatch):
+        # composition_schedule's rule builds a new plan at every k; the run stops on its residual
+        calls = self._count(monkeypatch)
+        sched = composition_schedule()
+        relax = RelaxationSchedule.constant(0.95, 0.05, uniform_modulus(sched, 1.0))
+        tr = run(axis_halfspace_family(5), sched, relax, np.array([3.0, 4.5, 3.25, 4.0, 3.5]),
+                 StopRule(10**4, 1e-10, None))
+        assert tr.stop_reason == "residual" and len(calls) == tr.n_updates + 1 > 5
