@@ -31,7 +31,7 @@ def main():
 
     print("single projections")
     certified("projection", P, P.sqne_rho, z)
-    certified("gamma = 2/3 underrelaxation", Primitive(Halfspace([1.0, 1.0, 0.0], 0.0), gamma=2.0 / 3.0), 2.0, z)
+    certified("gamma = 2/3 underrelaxation", Relaxation(Primitive(Halfspace([1.0, 1.0, 0.0], 0.0)), 2.0 / 3.0), 2.0, z)
 
     print("\nrelaxation by alpha in [0, 2]")
     for alpha in (0.5, 1.0, 1.5):

@@ -26,7 +26,7 @@ from .control import CyclicSchedule, PowerOfTwoSchedule
 from .dsa import gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, output_operator
 from .numeric import _whole, as_vector
-from .operators import Primitive
+from .operators import Primitive, Relaxation
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
     PerturbationSchedule,
@@ -340,7 +340,9 @@ def _judged(plan, where, errors):
 
 
 def _build_leaf(rec, dim, gamma, path, errors):
-    """The projection at relaxation ``gamma`` onto the set of record ``rec``."""
+    """The projection onto the set of record ``rec``, relaxed by ``gamma`` where it is not 1.  A config keeps
+    gamma in (0, 4/3], where the leaf's ``(2 - gamma) / gamma`` is at least the 1/2 that ``gmsa.sqne_bound``
+    asks of an input; a library caller may relax by any alpha in ``Relaxation``'s [0, 2]."""
     kind = rec.get("kind")
     if not isinstance(kind, str) or kind not in _SETS:
         return _refuse(errors, path, f"unknown set kind {kind!r} (expected one of {list(_SETS)})")
@@ -352,9 +354,13 @@ def _build_leaf(rec, dim, gamma, path, errors):
     # _real refused a non-finite offset: a halfspace or hyperplane constructor refuses only its normal
     where = f"{path}.a" if table is _LINEAR else path
     s = _make(where, errors, cls, **v)
-    if s is not None and s.dim != dim:
+    if s is None:
+        return None
+    if s.dim != dim:
         return _refuse(errors, path, f"set has dimension {s.dim}, config says {dim}")
-    return None if s is None else _make(path, errors, Primitive, s, gamma)
+    if not 0.0 < gamma <= 4.0 / 3.0:
+        return _refuse(errors, path, f"gamma must lie in (0, 4/3], got {gamma}")
+    return Primitive(s) if gamma == 1.0 else Relaxation(Primitive(s), gamma)
 
 
 def _build_family(v, dim, errors):

@@ -19,7 +19,7 @@ import numpy as np
 from .config import axis_halfspace_family
 from .gmsa import IterationPlan, StepSpec
 from .numeric import _whole
-from .operators import Primitive
+from .operators import Primitive, Relaxation
 from .sets import Box, Halfspace, OperatorFamily
 from .superiorize import linear_objective
 
@@ -33,7 +33,8 @@ __all__ = [
 
 
 def random_halfspace_family(dim, count, seed, witness=None, gammas=None):
-    """Finite family of halfspaces through the witness; a rule ``gammas`` relaxes set n by ``gammas(n)``."""
+    """Finite family of halfspaces through the witness; a rule ``gammas`` relaxes set n by ``gammas(n)``:
+    its input is ``Relaxation(Primitive(set), gammas(n))``, or the exact projection where that is 1."""
     rng = np.random.default_rng(seed)
     w = np.zeros(dim) if witness is None else np.asarray(witness, dtype=float)
     sets = []
@@ -41,7 +42,8 @@ def random_halfspace_family(dim, count, seed, witness=None, gammas=None):
         a = rng.standard_normal(dim)
         a /= np.linalg.norm(a)
         h = Halfspace(a, float(a @ w))
-        sets.append(h if gammas is None else Primitive(h, gammas(n)))
+        gamma = 1.0 if gammas is None else gammas(n)
+        sets.append(h if gamma == 1.0 else Relaxation(Primitive(h), gamma))
     return OperatorFamily.from_sets(sets, w)
 
 

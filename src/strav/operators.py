@@ -1,15 +1,17 @@
 """Operator trees with a confidence calculus for contraction-type moduli.
 
-A node is one of five kinds: a relaxed metric projection onto a convex set (``Primitive``), the
-identity, a relaxation of a child, a convex combination of children, or a composition applied left
-to right.  Nodes are immutable; the quantitative constants below are derived once at construction
-and never recomputed.  So is a pass-through node's ``apply``, with no frame of its own: a projection
-at gamma 1 applies its set's ``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0
-the identity's); a point it fixes comes back as the very array passed in.  :func:`_each` (one
-point) and :func:`_sweep` (a batch) are the one formula of a halfspace or hyperplane projection.
-A node's ``_rows`` are the rows it applies, none by default: its set's at gamma 1 where
-:mod:`strav.sets` offers them, its child's at alpha 1, and its children's, in order, for a
-:class:`Composition` whose children all have rows (nested strings too) and whose ``apply`` is its
+A node is one of five kinds: the metric projection onto a convex set (``Primitive``), the identity,
+a relaxation of a child (a relaxed projection too: :meth:`Relaxation.apply` is the one relaxation
+rule), a convex combination of children, or a composition applied left to right.  Nodes are
+immutable; the quantitative constants below are derived once at construction and never recomputed.
+So is a pass-through node's ``apply``, with no frame of its own: a projection applies its set's
+``project``, a relaxation at alpha 1 its child's ``apply`` (at alpha 0 the identity's); a point it
+fixes comes back as the very array passed in, as does one a relaxation's child hands back.  A node's
+``set`` is its fixed-point set, if any: a projection's, passed up by a relaxation at alpha > 0.
+:func:`_each` (one point) and :func:`_sweep` (a batch) are the one formula of a halfspace or
+hyperplane projection.  A node's ``_rows`` are the rows it applies, none by default: a projection's
+set's where :mod:`strav.sets` offers them, its child's at alpha 1, and its children's, in order, for
+a :class:`Composition` whose children all have rows (nested strings too) and whose ``apply`` is its
 class's own: it runs them in one loop, :func:`_through` or :func:`_sweep`, in the float operations
 of child by child, so the same bits.  As a halfspace's ``project`` does, such a composition hands a
 float64 ndarray of its shape (d,) to :func:`_through` after one type test, and anything else to
@@ -44,8 +46,8 @@ Derivation rules
 ----------------
 * ``alpha``-relaxation of a child with constant ``rho``: ``(1+rho-alpha)/alpha``
   for ``alpha`` in (0, 1+rho], no guarantee beyond;
-* projection: 1 on both routes, so its relaxation ``gamma`` in (0, 4/3] gives
-  ``(2-gamma)/gamma`` by the rule above;
+* projection: 1 on both routes, so ``Relaxation(Primitive(set), gamma)`` carries
+  ``(2-gamma)/gamma``, at least 1/2 on a config's gamma range (0, 4/3];
 * convex combination or composition of m non-identity children: the minimum
   over them, divided by m for a composition only.
 
@@ -196,6 +198,7 @@ class OperatorNode:
     sqne_rho = None
     fne_rho = None
     dim = None
+    set = None  # the node's fixed-point set, where it has one (see the module docstring)
     children_ = ()
     _rows = ()  # (a, b, a @ a, one-sided) of each projection apply runs, in order; see _through
     _shape = None  # (dim,) where a composition runs its rows at one point
@@ -219,32 +222,15 @@ class OperatorNode:
 
 
 class Primitive(OperatorNode):
-    """Relaxed metric projection ``x + gamma*(P_C(x) - x)`` onto a convex set.
+    """Metric projection onto the convex set ``set_``: its ``apply`` is the set's ``project``, and it
+    carries 1 on both routes.  A relaxed projection is ``Relaxation(Primitive(set_), gamma)``."""
 
-    Parameters
-    ----------
-    set_ : ProjectableSet
-        Target set; only its ``project`` method and ``dim`` are used.
-    gamma : float
-        Relaxation in (0, 4/3].  gamma = 1 is the plain projection.
-    """
-
-    def __init__(self, set_, gamma=1.0):
-        gamma = float(gamma)
-        if not 0.0 < gamma <= 4.0 / 3.0:
-            raise ValueError(f"gamma must lie in (0, 4/3], got {gamma}")
+    def __init__(self, set_):
         self.set = set_
-        self.gamma = gamma
         self.dim = set_.dim
-        self.sqne_rho = self.fne_rho = _relaxed_constant(1.0, gamma)  # a projection carries 1
-        if gamma == 1.0:
-            self.apply = set_.project
-            self._rows = getattr(set_, "_rows", ())
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)  # so a list's point inside comes back as its array's bits
-        p = self.set.project(x)
-        return p if p is x else x + self.gamma * (p - x)  # p is x: x lies in the set
+        self.sqne_rho = self.fne_rho = 1.0
+        self.apply = set_.project
+        self._rows = getattr(set_, "_rows", ())
 
 
 class Identity(OperatorNode):
@@ -258,10 +244,10 @@ class Identity(OperatorNode):
 
 
 class Relaxation(OperatorNode):
-    """``x + alpha*(child(x) - x)`` for ``alpha`` in [0, 2].
+    """``x + alpha*(child(x) - x)`` for ``alpha`` in [0, 2]: the one relaxation formula.
 
-    Fixed points of the child are preserved for every alpha > 0; alpha = 2
-    is the reflection.
+    Fixed points of the child, and so its ``set``, are preserved for every alpha > 0; alpha = 2 is
+    the reflection.  A point the child hands back comes back as itself.
     """
 
     def __init__(self, child, alpha):
@@ -278,11 +264,13 @@ class Relaxation(OperatorNode):
         self.sqne_rho = _best(direct, two_point)
         if alpha in (0.0, 1.0):  # the identity, or the child itself
             self.apply = child.apply if alpha else Identity().apply
+        self.set = child.set if alpha else None
         self._rows = child._rows if alpha == 1.0 else ()
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        return x + self.alpha * (self.child.apply(x) - x)
+        x = np.asarray(x, dtype=float)  # so a list's point the child fixes comes back as its array's bits
+        p = self.child.apply(x)
+        return p if p is x else x + self.alpha * (p - x)  # p is x: the child fixes x
 
 
 def _common_dim(children):

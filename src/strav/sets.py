@@ -179,8 +179,8 @@ class OperatorFamily:
     ----------
     generator : callable
         Maps a natural number to either a :class:`ProjectableSet` (projected
-        onto at gamma 1) or an :class:`~strav.operators.OperatorNode`, such
-        as ``Primitive(set, gamma)`` for a relaxed projection.
+        onto) or an :class:`~strav.operators.OperatorNode`, such as
+        ``Relaxation(Primitive(set), gamma)`` for a relaxed projection.
     witness : array_like
         Declared common point.  Materializing index n spot-checks that the
         witness is fixed by U_n (at scale ``||witness||``); a violation is a
@@ -234,9 +234,9 @@ class OperatorFamily:
         return self._ops.setdefault(n, node)
 
     def distance(self, n, x):
-        """Distance from x to the n-th set (0 for an identity pad)."""
+        """Distance from x to the n-th set, the ``set`` of U_n (0 for an identity pad)."""
         op = self.operator(n)
-        if isinstance(op, Primitive):
+        if op.set is not None:
             return op.set.distance(x)
         if isinstance(op, Identity):
             x = np.asarray(x, dtype=float)
@@ -303,7 +303,7 @@ class _DistanceStack:
         linear, self.rest = [], []
         for pos, n in enumerate(indices):
             op = family.operator(n)
-            s = op.set if isinstance(op, Primitive) else None
+            s = op.set
             if isinstance(s, _LinearConstraint):
                 linear.append((pos, s))
             elif s is not None or isinstance(op, Identity):

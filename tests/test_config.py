@@ -17,7 +17,7 @@ from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
 from strav.control import CyclicSchedule, PowerOfTwoSchedule
 from strav.fixtures import random_plan_corpus
 from strav.gmsa import output_operator
-from strav.operators import SampleBudget, check_sqne
+from strav.operators import Primitive, Relaxation, SampleBudget, check_sqne
 
 
 def plan_record(plan):
@@ -215,11 +215,21 @@ class TestFamilySection:
         doc = minimal_doc()
         doc["family"]["gammas"] = [0.5, 1.0]
         cfg = parse_config(doc)
-        assert cfg.family.operator(0).gamma == 0.5
-        assert cfg.family.operator(1).gamma == 1.0
+        relaxed, exact = cfg.family.operator(0), cfg.family.operator(1)
+        assert type(relaxed) is Relaxation and type(relaxed.child) is Primitive and relaxed.alpha == 0.5
+        assert type(exact) is Primitive and exact.apply == exact.set.project
         doc["family"]["gammas"] = [1.2]
         family = parse_config(doc).family
-        assert [family.operator(i).gamma for i in range(family.size)] == [1.2] * family.size
+        assert [family.operator(i).alpha for i in range(family.size)] == [1.2] * family.size
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 4.0 / 3.0 + 1e-9, 2.0])
+    def test_gamma_outside_the_config_range_refused_by_path(self, gamma):
+        # a leaf's constant (2 - gamma) / gamma stays at least 1/2 on (0, 4/3]
+        doc = minimal_doc()
+        doc["family"]["gammas"] = [1.0, gamma]
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == [("family.sets[1]", f"gamma must lie in (0, 4/3], got {gamma}")]
 
     def test_axis_generator(self):
         doc = minimal_doc(ambient_dim=5, start=[1.0] * 5)

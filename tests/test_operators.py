@@ -23,6 +23,7 @@ from strav.operators import (
     Composition,
     ConvexComb,
     Identity,
+    OperatorNode,
     Primitive,
     Relaxation,
     SampleBudget,
@@ -41,7 +42,8 @@ def _halfspace_proj(dim=3, gamma=1.0, seed=3):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(dim)
     a /= np.linalg.norm(a)
-    return Primitive(Halfspace(a, 0.0), gamma=gamma)
+    p = Primitive(Halfspace(a, 0.0))
+    return p if gamma == 1.0 else Relaxation(p, gamma)
 
 
 class TestPrimitiveConstants:
@@ -63,15 +65,10 @@ class TestPrimitiveConstants:
         assert_allclose(p.sqne_rho, (2.0 - 4.0 / 3.0) / (4.0 / 3.0), rtol=1e-15)
         assert not p.sqne_rho >= 1
 
-    def test_gamma_range_enforced(self):
-        for bad in (0.0, -0.5, 4.0 / 3.0 + 1e-9, 2.0):
-            with pytest.raises(ValueError, match="gamma"):
-                _halfspace_proj(gamma=bad)
-
     def test_apply_is_relaxed_projection(self):
         rng = np.random.default_rng(4)
         s = Halfspace(np.array([1.0, 0.0]), 0.0)
-        p = Primitive(s, gamma=0.5)
+        p = Relaxation(Primitive(s), 0.5)
         x = rng.standard_normal(2) + np.array([2.0, 0.0])
         assert_allclose(p.apply(x), x + 0.5 * (s.project(x) - x), rtol=1e-15)
 
@@ -129,7 +126,7 @@ class TestRelaxationConstants:
 
 
 class TestPassThroughNodes:
-    """A projection at gamma 1 and a relaxation at alpha 1 add no frame of their own."""
+    """A projection and a relaxation at alpha 1 add no frame of their own."""
 
     H = Halfspace(np.array([1.0, -2.0, 0.5]), 0.25)
 
@@ -146,19 +143,26 @@ class TestPassThroughNodes:
     def test_apply_is_chosen_at_construction(self):
         p = Primitive(self.H)
         assert p.apply == self.H.project and Relaxation(p, 1.0).apply == self.H.project
-        assert Primitive(self.H, 0.5).apply.__func__ is Primitive.apply
+        assert Primitive.apply is OperatorNode.apply  # a projection has no formula of its own
         assert Relaxation(p, 0.5).apply.__func__ is Relaxation.apply
+
+    @pytest.mark.parametrize("point", [[-1.0, -0.0], [-math.inf, 0.0]], ids=["negative zero", "infinite"])
+    def test_a_relaxation_hands_back_a_point_its_child_fixes(self, point):
+        # x + alpha * (x - x) would turn -0.0 into +0.0, and -inf into NaN with a warning
+        u = np.array(point)
+        for alpha in (0.5, 4.0 / 3.0, 2.0):
+            assert Relaxation(Primitive(Halfspace([1.0, 0.0], 0.0)), alpha).apply(u) is u
 
     @pytest.mark.parametrize("point", [[2.0, -1.0, 3.0], [-1.0, 0.5, -0.0], [[2.0, 1.0, 0.0]] * 2])
     def test_a_list_gives_the_bits_of_an_array(self, point):
-        nodes = self._nodes() + [Primitive(self.H, 0.5), Relaxation(Primitive(self.H), 1.5)]
+        nodes = self._nodes() + [Relaxation(Primitive(self.H), 0.5), Relaxation(Primitive(self.H), 1.5)]
         for node in nodes:
             want = node.apply(np.array(point))
             assert node.apply(point).tobytes() == want.tobytes(), node
 
     def test_constants_keep_their_values(self):
         for gamma in (1.0, 0.5, 4.0 / 3.0):
-            child = Primitive(self.H, gamma)
+            child = Relaxation(Primitive(self.H), gamma)
             rho = (2.0 - gamma) / gamma
             assert child.sqne_rho == child.fne_rho == rho
             r = Relaxation(child, 1.0)  # (1 + rho - 1) / 1, which need not be rho bitwise
@@ -967,7 +971,7 @@ def _far_anchor_corpus():
         halves = []
         for _ in range(3):
             a = rng.standard_normal(d)
-            halves.append(Primitive(Halfspace(a, float(a @ w)), rng.uniform(0.3, 4 / 3)))
+            halves.append(Relaxation(Primitive(Halfspace(a, float(a @ w))), rng.uniform(0.3, 4 / 3)))
         c = w + rng.standard_normal(d)
         ball = Primitive(Ball(c, 1.5 * np.linalg.norm(w - c)))
         average = ConvexComb([halves[1], halves[2], ball], [0.3, 0.3, 0.4])
@@ -982,7 +986,7 @@ def _scaled_tree(j):
     halves = []
     for gamma in (1.0, 0.7, 1.2):
         a = rng.standard_normal(4)
-        halves.append(Primitive(Halfspace(a, float(a @ w) * s), gamma))
+        halves.append(Relaxation(Primitive(Halfspace(a, float(a @ w) * s)), gamma))
     c = w + rng.standard_normal(4)
     ball = Primitive(Ball(c * s, 1.5 * float(np.linalg.norm(w - c)) * s))
     average = ConvexComb([halves[1], halves[2], ball], [0.3, 0.3, 0.4])
@@ -1059,9 +1063,9 @@ class TestReadOnlyBatch:
         node = {
             "halfspace": Primitive(hs),
             "hyperplane": Primitive(hp),
-            "relaxed leaf": Primitive(hs, 0.7),
+            "relaxed leaf": Relaxation(Primitive(hs), 0.7),
             "relaxation 1.5": Relaxation(Primitive(hp), 1.5),
-            "convex comb": ConvexComb([Identity(), Primitive(hs), Primitive(hp, 1.2)], [0.25, 0.25, 0.5]),
+            "convex comb": ConvexComb([Identity(), Primitive(hs), Relaxation(Primitive(hp), 1.2)], [0.25, 0.25, 0.5]),
             "string": Composition([Primitive(hs), Primitive(hp)]),
             "composition": Composition([Primitive(hs), Primitive(Ball(np.zeros(4), 1.0))]),
         }[kind]
@@ -1254,7 +1258,7 @@ class TestStringLoop:
     @pytest.mark.parametrize(
         "other",
         [
-            lambda: Primitive(Halfspace([0.3, -1.0, 0.2], 0.1), 0.5),
+            lambda: Relaxation(Primitive(Halfspace([0.3, -1.0, 0.2], 0.1)), 0.5),
             lambda: Relaxation(Primitive(Hyperplane([1.0, 1.0, 0.0], 0.4)), 1.5),
             lambda: Primitive(Ball([0.0, 0.0, 0.0], 1.0)),
             lambda: Identity(),

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.numeric import _within, norm
-from strav.operators import Composition, Identity, Primitive, Relaxation, _each, _String, _sweep, _through
+from strav.operators import Composition, ConvexComb, Identity, Primitive, Relaxation, _each, _String, _sweep, _through
 from strav.sets import (
     AffineSubspace,
     Ball,
@@ -122,7 +122,7 @@ class TestHalfspace:
         x = np.array([-3.0, 1.5, 0.7])
         p = s.project(x)
         assert_array_equal(p, x)
-        assert Primitive(s, gamma=0.6).apply(x).tobytes() == x.tobytes()
+        assert Relaxation(Primitive(s), 0.6).apply(x).tobytes() == x.tobytes()
 
 
 def _row_formula(s, x):
@@ -401,7 +401,7 @@ class TestOperatorFamily:
             a = np.zeros(3)
             a[n % 3] = 1.0
             h = Halfspace(a, float(n + 1))
-            return h if gamma is None else Primitive(h, gamma(n))
+            return h if gamma is None else Relaxation(Primitive(h), gamma(n))
 
         return OperatorFamily(generator, np.zeros(3))
 
@@ -413,12 +413,14 @@ class TestOperatorFamily:
     def test_wraps_sets_as_projections(self):
         fam = self._family()
         op = fam.operator(0)
-        assert isinstance(op, Primitive)
-        assert op.gamma == 1.0
+        assert type(op) is Primitive
+        assert op.apply == op.set.project
 
     def test_generator_relaxes_its_own_leaves(self):
         fam = self._family(gamma=lambda n: 0.5 + 0.1 * n)
-        assert fam.operator(1).gamma == 0.6
+        op = fam.operator(1)
+        assert type(op) is Relaxation and type(op.child) is Primitive
+        assert op.alpha == 0.6
 
     def test_size_of_a_finite_family_only(self):
         assert self._family().size is None
@@ -556,16 +558,27 @@ class TestFamilyDistances:
             assert_array_equal(got, self._oracle(fam, indices, x))
 
     def test_non_projection_node_raises_family_error(self):
-        fam = OperatorFamily.from_sets(
-            [Halfspace([1.0, 0.0], 0.0), Relaxation(Primitive(Box([-1.0, -1.0], [1.0, 1.0])), 0.5)],
-            np.zeros(2),
-        )
+        average = ConvexComb([Primitive(Box([-1.0, -1.0], [1.0, 1.0])), Primitive(Halfspace([0.0, 1.0], 0.0))],
+                             [0.5, 0.5])
+        fam = OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0), average], np.zeros(2))
         x = np.array([2.0, 3.0])
         with pytest.raises(ValueError, match="family-error: no set distance") as oracle:
             fam.distance(1, x)
         with pytest.raises(ValueError, match="family-error: no set distance") as stacked:
             fam.distances((0, 1), x)
         assert str(stacked.value) == str(oracle.value)
+
+    def test_a_relaxed_leaf_measures_its_sets_distance(self):
+        # a relaxation at alpha > 0 fixes its child's points: its distance is its set's, bit for bit
+        box, half = Box([-1.0, -1.0], [1.0, 1.0]), Halfspace([0.0, 2.0], 0.5)
+        fam = OperatorFamily.from_sets([Relaxation(Primitive(box), 0.5), Relaxation(Primitive(half), 4.0 / 3.0)],
+                                       np.zeros(2))
+        xs = np.random.default_rng(43).standard_normal((20, 2)) * 3.0
+        want = np.array([[box.distance(x), half.distance(x)] for x in xs])
+        for x, row in zip(xs, want):
+            assert (fam.distance(0, x), fam.distance(1, x)) == tuple(row)
+            assert fam.distances((0, 1), x).tobytes() == row.tobytes()
+        assert fam.distances((0, 1), xs).tobytes() == want.tobytes()
 
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError, match="dim-mismatch"):

@@ -33,7 +33,7 @@ from strav.dsa import gdsa_to_gmsa, msa_embed
 from strav.fixtures import axis_halfspace_family, random_halfspace_family, two_halfspace_family
 from strav.gmsa import IterationPlan, StepSpec, output_operator
 from strav.numeric import _admits, _within, as_vector, norm
-from strav.operators import Identity, Primitive, Relaxation
+from strav.operators import ConvexComb, Identity, Primitive, Relaxation
 from strav.sets import Box, Halfspace, Hyperplane, OperatorFamily
 from strav.solver import (
     PerturbationSchedule,
@@ -1198,10 +1198,9 @@ class TestMonitoredBlocks:
         assert max(peak for _, peak in peaks) <= bound
 
     def test_index_without_a_distance_is_refused_before_the_first_update(self):
-        fam = OperatorFamily.from_sets(
-            [Halfspace([1.0, 0.0], 0.0), Relaxation(Primitive(Box([-1.0, -1.0], [1.0, 1.0])), 0.5)],
-            np.zeros(2),
-        )
+        average = ConvexComb([Primitive(Box([-1.0, -1.0], [1.0, 1.0])), Primitive(Halfspace([0.0, 1.0], 0.0))],
+                             [0.5, 0.5])
+        fam = OperatorFamily.from_sets([Halfspace([1.0, 0.0], 0.0), average], np.zeros(2))
         sched, lookups = CyclicSchedule.over_indices([0, 1]), []
         plan_at = sched.plan_at
         sched.plan_at = lambda k: lookups.append(k) or plan_at(k)
