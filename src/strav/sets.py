@@ -12,20 +12,18 @@ one type test; any other input (a list, another dtype or byte order, a subclass,
 paths give the same object, bits and errors.  A batch's step is the outer product
 ``np.einsum("...,j->...j", t / (a @ a), a)`` of its offsets ``t``, each entry one exact product
 added onto einsum's zeroed output: +0.0 for a zero offset, so an inactive row keeps its -0.0s.
-``distance`` is always the norm of ``x - project(x)``, so the two operations can never disagree.
 
-:meth:`OperatorFamily.distances` answers many sets at once: it stacks the halfspaces and hyperplanes
-into one normal matrix and repeats each set's own arithmetic row by row.  Axis-aligned normals
-therefore give the per-set values bit for bit; other normals agree to rounding, because a
-matrix-vector product may sum its terms in another order than the per-set dot product.  A (B, d)
-block of points gets each row's one-point bits: ``np.matmul`` runs one matrix-vector product per
-stacked point, where ``X @ normals.T`` would not, and the rest is elementwise, row-wise or asked
-point by point.  The (B, m) offsets are taken for the whole block, in the result where every set is
-linear; the projection arithmetic runs only on the (point, set) pairs whose clamped offset is
-nonzero, and the others get +0.0, which it would give them at a finite point.  So the scratch is the
-offsets and 2 d + 5 floats per active pair.  A block with a row holding inf or NaN runs every pair
-in two (B, m, d) arrays, and so does one whose active pairs outweigh it: a pair costs the sparse
-path about 6 floats more.
+A halfspace's ``distance`` is its clamped offset over the norm of its normal,
+``max(<a, x> - b, 0) / ||a||``, and a hyperplane's is ``|<a, x> - b| / ||a||``; an inactive point
+reads +0.0.  Every other set's ``distance`` is the norm of ``x - project(x)``, and so is that of a
+halfspace or hyperplane whose ``project`` a subclass overrides.
+
+:meth:`OperatorFamily.distances` answers many sets at once: it stacks the normals of the halfspaces
+and hyperplanes and takes their closed form for a whole (B, d) block, and asks every other set once
+per block.  It agrees with ``distance`` bit for bit for axis-aligned normals and to rounding
+otherwise, because a matrix-vector product may sum its terms in another order than the per-set dot
+product.  A block row keeps its one-point bits: ``np.matmul`` runs one matrix-vector product per
+stacked point, where ``X @ normals.T`` would not, and every other set projects a batch row by row.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class _LinearConstraint(ProjectableSet):
             raise ValueError(f"{name} normal's squared norm overflows")
         if not math.isfinite(self.b):  # a NaN offset projects to NaN, an infinite one is empty or all
             raise ValueError(f"{name} offset must be finite, got {self.b}")
-        self.dim, self._shape = self.a.shape[0], self.a.shape
+        self.dim, self._shape, self._norm = self.a.shape[0], self.a.shape, math.sqrt(self._asq)
         self._row = ((self.a, self.b, self._asq, self._one_sided),)
         self._rows = self._row if type(self).project is _LinearConstraint.project else ()
 
@@ -98,6 +96,14 @@ class _LinearConstraint(ProjectableSet):
                 self._check_dim(x)
                 return _sweep(x, self._row)
         return _each(x, self._row)  # one point: the formula of strav.operators._each
+
+    def distance(self, x):
+        if not self._rows:  # a subclass's own project: the gap to it
+            return super().distance(x)
+        x = np.asarray(x, dtype=float)
+        self._check_dim(x)
+        t = x @ self.a - self.b
+        return abs(np.maximum(t, 0.0) if self._one_sided else t) / self._norm  # abs: never -0.0
 
 
 class Halfspace(_LinearConstraint):
@@ -168,8 +174,8 @@ class AffineSubspace(ProjectableSet):
     def project(self, x):
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
-        shifted = x - self.offset
-        return self.offset + (shifted @ self.basis.T) @ self.basis
+        shifted = (x - self.offset)[..., None, :]  # a row's own vector-matrix products: its one-point bits
+        return self.offset + np.matmul(np.matmul(shifted, self.basis.T), self.basis)[..., 0, :]
 
 
 class OperatorFamily:
@@ -246,11 +252,12 @@ class OperatorFamily:
     def distances(self, indices, x):
         """Distances from a point x (d,) to the sets at ``indices``, in that order: (m,).
 
-        Agrees with ``[self.distance(n, x) for n in indices]`` to rounding
-        (see the module docstring).  A block x of shape (B, d) gives (B, m),
-        row i bitwise the call at ``x[i]``.  The first call for an index
-        tuple materializes its operators, refuses one with no set distance
-        and stacks their polyhedral sets; later calls reuse the stacks.
+        Agrees with ``[self.distance(n, x) for n in indices]``, bitwise for
+        axis-aligned normals (see the module docstring).  A block x of shape
+        (B, d) gives (B, m), row i bitwise the call at ``x[i]``.  The first
+        call for an index tuple materializes its operators, refuses one with
+        no set distance and stacks their polyhedral sets; later calls reuse
+        the stacks.
         """
         key = tuple(indices)
         if not all(type(n) is int for n in key):  # read before the memo, as in operator
@@ -293,10 +300,9 @@ class OperatorFamily:
 class _DistanceStack:
     """The sets at one index tuple, grouped for :meth:`OperatorFamily.distances`.
 
-    On a (B, d) block of points, the halfspaces and hyperplanes repeat their
-    ``project`` arithmetic, then ``distance``'s norm of ``x - project(x)``.
-    Boxes, balls, affine subspaces and identity pads are asked of the per-set
-    ``distance`` one point at a time; any other node is refused at build.
+    On a (B, d) block of points, the halfspaces and hyperplanes whose ``project`` is the library's
+    own take ``distance``'s closed form together.  Every other set and identity pad is asked of
+    the per-set ``distance`` once per block; any other node is refused at build.
     """
 
     def __init__(self, family, indices):
@@ -304,7 +310,7 @@ class _DistanceStack:
         for pos, n in enumerate(indices):
             op = family.operator(n)
             s = op.set
-            if isinstance(s, _LinearConstraint):
+            if isinstance(s, _LinearConstraint) and s._rows:
                 linear.append((pos, s))
             elif s is not None or isinstance(op, Identity):
                 self.rest.append((pos, n))
@@ -314,8 +320,8 @@ class _DistanceStack:
         self.linear_pos = np.array([pos for pos, _ in linear], dtype=np.intp)
         self.normals = np.array([s.a for _, s in linear])
         self.offsets = np.array([s.b for _, s in linear])
-        self.asq = np.array([s._asq for _, s in linear])
-        # np.maximum with -inf leaves an equality row's offset unclamped
+        self.norms = np.array([s._norm for _, s in linear])
+        # np.maximum with -inf leaves an equality row's offset unclamped, and abs takes |t|
         self.floor = np.array([0.0 if s._one_sided else -np.inf for _, s in linear])
 
     def distances(self, family, x):
@@ -324,32 +330,10 @@ class _DistanceStack:
             coef = np.empty((len(x), len(self.normals))) if self.rest else out
             np.matmul(self.normals, x[:, :, None], out=coef[:, :, None])  # normals @ x, row by row
             coef -= self.offsets
-            np.divide(np.maximum(coef, self.floor, out=coef), self.asq, out=coef)
-            # numpy buffers a broadcast ufunc operand, a copy of the block at this size, where a
-            # broadcast assignment or a take into out (mode "clip") needs no buffer
-            d, m = x.shape[1], len(self.normals)
-            if np.count_nonzero(coef) * (d + 6) <= coef.size * d and np.isfinite(x).all():
-                live = np.flatnonzero(coef)  # the active pairs alone (see the module docstring)
-                dist = coef.take(live)
-                coef.fill(0.0)
-                step, xs = np.empty((2, live.size, d))
-                step[...] = dist[:, None]
-                step *= np.take(self.normals, live % m, axis=0, out=xs, mode="clip")
-                np.take(x, live // m, axis=0, out=xs, mode="clip")
-            else:  # every pair
-                live, dist = None, coef
-                step, xs = np.empty((2, len(x)) + self.normals.shape)
-                step[...], xs[...] = coef[:, :, None], self.normals
-                step *= xs
-                xs[...] = x[:, None, :]
-            np.subtract(xs, step, out=step)  # x - (x - step), each written over the steps
-            np.subtract(xs, step, out=step)
-            step *= step  # norm's squares and sum, in place
-            np.sqrt(np.add.reduce(step, axis=-1, out=dist), out=dist)
-            if live is not None:
-                np.put(coef, live, dist)
+            np.abs(np.maximum(coef, self.floor, out=coef), out=coef)
+            coef /= self.norms
             if self.rest:
                 out[:, self.linear_pos] = coef
         for pos, n in self.rest:
-            out[:, pos] = [family.distance(n, p) for p in x]
+            out[:, pos] = family.distance(n, x)
         return out

@@ -15,15 +15,12 @@ float faster than an ``array('d')``), which ``np.fromiter`` stacks a block at a 
 held by reference (the driver never writes an iterate in place).  Each B = max(1, 4096 // d) held
 iterates, with the next one for the last step, are joined as bytes and measured in numpy: a row-wise
 norm for the steps ||x^{k+1} - x^k||, one for ||x^k - z||, the slacks, and the m monitored
-distances, max(1, B // m) rows at a time.  :meth:`~strav.sets.OperatorFamily.distances` then runs
-the projection arithmetic on the active (row, set) pairs of its (rows, m) offsets alone, or on all
-of them in two (rows, m, d) arrays where too many are active or a row is not finite: a 4096-float
-budget, or one row, either way.  An update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d)
-for a perturbation (beta_k, its size, v^k), and 8 * d per kept iterate.  The bits are the
-one-update formulas': a row of a row-wise norm is that row's norm alone, and the slack
-``dz**2 - dz_next**2 - c * st**2`` squares with ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit
-for bit; numpy's ``v * v``, which ``check_fejer`` uses, differs in the last bit for about one
-double in a thousand.
+distances, max(1, 4096 // m) rows at a time: a (rows, m) scratch of 4096 floats, or one row.  An
+update records 8 * (4 + m) bytes, 8 more for phi, 8 * (2 + d) for a perturbation (beta_k, its size,
+v^k), and 8 * d per kept iterate.  The bits are the one-update formulas': a row of a row-wise norm
+is that row's norm alone, and the slack ``dz**2 - dz_next**2 - c * st**2`` squares with
+``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit for bit; numpy's ``v * v``, which
+``check_fejer`` uses, differs in the last bit for about one double in a thousand.
 
 A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
 structure and keeps the answer for that run, by structure key and in the
@@ -345,7 +342,7 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
     loop_vals, c = [], 1 + (objective is not None) + (pert is not None)
     # held: x^{k0}, ..., x^k by reference; measuring none refuses a bad index before k = 0
     B = max(1, 4096 // x.size)
-    held, chunk, stack = [], max(1, B // max(m, 1)), bytearray(8 * (B + 1) * x.size)  # a block's bytes
+    held, chunk, stack = [], max(1, 4096 // max(m, 1)), bytearray(8 * (B + 1) * x.size)  # a block's bytes
     family.distances(monitored, np.empty((0, x.size)))
 
     def measure(k0, n, final=False):
@@ -361,7 +358,7 @@ def _drive(family, schedule, relax, x0, stop, *, pert=None, objective=None, moni
         loop = np.fromiter(loop_vals, float, n * c).reshape(n, c)  # residual, then phi and beta_k
         rows.frombytes(np.column_stack((loop[:, 0], st, dz[:n], sl, loop[:, 1:])).tobytes())
         loop_vals.clear()
-        for i in range(0, n, chunk):  # at most two (chunk, m, d) scratch arrays: 4096 floats, or one row
+        for i in range(0, n, chunk):
             dists.frombytes(family.distances(monitored, xs[i : min(i + chunk, n)]).tobytes())
         kept.frombytes(xs[-k0 % record_stride : n : record_stride].tobytes())
 

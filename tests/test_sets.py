@@ -266,6 +266,13 @@ class TestAffineSubspace:
         s = AffineSubspace(basis, off)
         assert_allclose(s.project(off), off, atol=1e-12)
 
+    def test_a_batch_row_keeps_its_one_point_bits(self):
+        # a block's distances to the set are asked in one call: each row takes its own products
+        s = AffineSubspace(_orthonormal_rows(3, 8), RNG.standard_normal(8))
+        xs = RNG.standard_normal((50, 8)) * 3.0
+        assert s.project(xs).tobytes() == np.array([s.project(x) for x in xs]).tobytes()
+        assert s.distance(xs).tobytes() == np.array([s.distance(x) for x in xs]).tobytes()
+
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
             AffineSubspace([[1.0, 1.0, 0.0]], np.zeros(3))
@@ -580,6 +587,54 @@ class TestFamilyDistances:
             assert fam.distances((0, 1), x).tobytes() == row.tobytes()
         assert fam.distances((0, 1), xs).tobytes() == want.tobytes()
 
+    def test_a_subclass_that_projects_elsewhere_measures_its_own_gap(self):
+        # the closed form is the library's project; a subclass's project onto <a, x> <= b - 1 is not
+        class Tightened(Halfspace):
+            def project(self, x):
+                return Halfspace(self.a, self.b - 1.0).project(x)
+
+        fam, x = OperatorFamily.from_sets([Tightened([1.0, 0.0], 2.0)], np.zeros(2)), np.array([1.5, 0.0])
+        assert fam.distance(0, x) == 0.5
+        assert fam.distances((0,), x).tolist() == [0.5]
+        assert fam.distances((0,), np.stack([x, x, np.zeros(2)])).tolist() == [[0.5], [0.5], [0.0]]
+
+    def test_a_far_point_does_not_overflow(self):
+        # ||x - project(x)|| squares 1e200; the closed form divides <a, x> - b by ||a||
+        h, x = Halfspace([1.0, 0.0], 0.0), np.array([1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert h.distance(x) == 1e200
+            assert OperatorFamily.from_sets([h], np.zeros(2)).distances((0,), x).tolist() == [1e200]
+
+    @pytest.mark.parametrize("kind", ["halfspaces", "hyperplanes", "mixed"])
+    def test_signed_zero_and_non_finite_rows(self, kind):
+        # each column is the per-set distance: bitwise where the set is no halfspace or hyperplane
+        # or its normal is axis-aligned, to rounding otherwise, and the same inf or NaN where it has one
+        if kind == "mixed":
+            fam, indices = self._mixed_family()
+        else:
+            normals = np.vstack([np.eye(3), np.random.default_rng(44).standard_normal((4, 3))])
+            cls = Halfspace if kind == "halfspaces" else Hyperplane
+            fam, indices = OperatorFamily.from_sets([cls(a, 0.0) for a in normals], np.zeros(3)), tuple(range(7))
+        inf, nan = math.inf, math.nan
+        x = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.5, -2.0], [inf, 0.0, 0.0], [-inf, -0.0, 1.0],
+                      [nan, 0.0, 0.0], [0.25, -0.0, 3.0]])
+        with np.errstate(invalid="ignore"):
+            got = fam.distances(indices, x)
+            want = np.array([[fam.distance(n, p) for n in indices] for p in x])
+        sets = [fam.operator(n).set for n in indices]
+        exact = [not isinstance(s, (Halfspace, Hyperplane)) or np.count_nonzero(s.a) == 1 for s in sets]
+        assert got[:, exact].tobytes() == want[:, exact].tobytes()
+        finite = np.isfinite(want)
+        assert_array_equal(got[~finite], want[~finite])
+        assert np.all(_within(np.abs(got[finite] - want[finite]), 5.0))
+        assert got[0].tolist() == [0.0] * len(indices) and not np.signbit(got[0]).any()  # inactive: +0.0
+        if kind != "mixed":
+            # <a, x> at a row holding inf or NaN: 0 * inf is NaN where the normal's entry is 0; a
+            # halfspace reads 0 at an offset of -inf, a hyperplane inf
+            low = 0.0 if kind == "halfspaces" else inf
+            assert_array_equal(got[2:5, :3], [[inf, nan, nan], [low, nan, nan], [nan, nan, nan]])
+
     def test_point_dimension_checked(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
             axis_halfspace_family(3).distances((0, 1), np.zeros(4))
@@ -608,9 +663,9 @@ class TestFamilyDistances:
 
     @pytest.mark.parametrize("m, d, rows", [(15, 5, 54), (21, 5, 39), (60, 20, 3), (60, 200, 1)])
     def test_scratch_is_two_block_arrays(self, m, d, rows):
-        # a call on B rows holds the (B, m, d) steps, the points broadcast to that shape, the
-        # (B, m) coefficients and the (B, m) result, and a few KB of interpreter objects: numpy
-        # buffers no broadcast operand, which would add a copy of the block per operand
+        # within the projection gap's scratch, two (B, m, d) arrays, two (B, m) ones and a few KB of
+        # interpreter objects; the closed form holds the (B, m) result and numpy's buffer for a
+        # broadcast operand
         fam = random_halfspace_family(d, m, 0)
         x = np.random.default_rng(3).standard_normal((rows, d))
         fam.distances(range(m), x)  # the first call builds the stack
@@ -638,12 +693,12 @@ class TestFamilyDistances:
         want = np.array([fam.distances(indices, x) for x in points])
         assert got.tobytes() == want.tobytes()
         if case.startswith("random"):
-            # the halfspace arithmetic spelled out for one point, with one matrix-vector product
+            # the closed form spelled out for one point, with one matrix-vector product
             sets = [fam.operator(n).set for n in indices]
             normals = np.array([h.a for h in sets])
             for x, row in zip(points, got):
-                offset = np.maximum(normals @ x - [h.b for h in sets], 0.0) / [h._asq for h in sets]
-                assert row.tobytes() == norm(x - (x - offset[:, None] * normals)).tobytes()
+                offset = np.abs(np.maximum(normals @ x - [h.b for h in sets], 0.0))
+                assert row.tobytes() == (offset / [math.sqrt(h._asq) for h in sets]).tobytes()
         for rows in (points[:1], points[:0]):
             assert fam.distances(indices, rows).tobytes() == want[: len(rows)].tobytes()
 
@@ -664,10 +719,10 @@ def _dense_distances(sets, x):
 
 
 class TestSparseDistances:
-    """A block's halfspace and hyperplane distances run their arithmetic on the active pairs only.
+    """A block's halfspace and hyperplane distances against the projection gap ``_dense_distances``.
 
-    A pair whose clamped offset is zero gets +0.0, which the whole-block formula gives it at a
-    finite point; a block with a row holding inf or NaN takes that formula whole.
+    The closed form agrees with it to rounding at a finite point, and a pair whose clamped offset
+    is zero gets +0.0, as the gap does.
     """
 
     @staticmethod
@@ -684,7 +739,9 @@ class TestSparseDistances:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 64])
     @pytest.mark.parametrize("active", [0.0, 0.05, 0.3, 0.9])
-    def test_the_bits_of_the_whole_block_formula(self, d, active):
+    def test_the_whole_block_formula_to_rounding(self, d, active):
+        # finite rows agree with the projection gap to rounding; a row holding inf or NaN, where
+        # the gap's x - (x - step) is NaN, gives the per-set closed form: inf, NaN or 0, bit for bit
         rng = np.random.default_rng(int(100 * d + 100 * active))
         for trial in range(6):
             x = rng.standard_normal((int(rng.integers(1, 40)), d)) * 10.0 ** rng.integers(-3, 4)
@@ -694,7 +751,10 @@ class TestSparseDistances:
                 x[rng.integers(len(x)), rng.integers(d)] = rng.choice([math.inf, -math.inf, math.nan])
             with np.errstate(all="ignore"):
                 got, want = fam.distances(range(len(sets)), x), _dense_distances(sets, x)
-            assert got.tobytes() == want.tobytes()
+                oracle = np.array([[s.distance(p) for s in sets] for p in x])
+            finite = np.isfinite(x).all(axis=1)
+            assert np.all(_within(np.abs(got - want)[finite], norm(x[finite])[:, None]))
+            assert got[~finite].tobytes() == oracle[~finite].tobytes()
 
     def test_an_inactive_pair_at_a_negative_zero_is_positive_zero(self):
         x = np.array([[-0.0, -0.0], [-0.0, 3.0]])
@@ -711,9 +771,8 @@ class TestSparseDistances:
 
     @pytest.mark.parametrize("active_sets", [0, 1, 3])
     def test_the_scratch_grows_with_the_active_pairs(self, active_sets):
-        # a block inside every set of an all-linear stack allocates its (rows, m) offsets, in the
-        # result; each active pair adds its step, its point, its distance and its index, with one
-        # index in the making: at most 2 d + 5 floats
+        # within the bound of a projection gap taken on the active pairs alone, 2 d + 5 floats per
+        # pair over the (rows, m) offsets; the closed form takes no per-pair scratch at all
         rows, m, d = 50, 40, 20
         rng = np.random.default_rng(9)
         x = rng.standard_normal((rows, d)) + 10.0 * np.eye(d)[0]
@@ -731,5 +790,5 @@ class TestSparseDistances:
             tracemalloc.stop()
         assert np.count_nonzero(got) == rows * active_sets
         # the result, which holds the offsets, with numpy's buffer for their broadcast operands (one
-        # more (rows, m) block) before any pair is taken; never the whole-block (rows, m, d) arrays
+        # more (rows, m) block); never (rows, m, d) arrays
         assert peak <= 8 * (rows * m + max(rows * m, (2 * d + 5) * rows * active_sets)) + 8192

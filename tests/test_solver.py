@@ -1099,9 +1099,9 @@ class TestMonitoredBlocks:
     """Monitored distances are measured a block of iterates at a time; no edge shows in a trace.
 
     The seeded stage config monitors its 60 halfspaces in R^20, so a block
-    holds 4096 // 20 = 204 iterates and its distances are taken 204 // 60 = 3
-    rows at a time.  Runs of 100, 101 and 102 updates end with a last chunk of
-    two, three and one rows.
+    holds 4096 // 20 = 204 iterates and its distances are taken 4096 // 60 = 68
+    rows at a time.  Runs of 100, 101 and 102 updates record 101, 102 and 103
+    rows in two calls each, the second of 33, 34 and 35 rows.
     """
 
     @staticmethod
@@ -1154,11 +1154,11 @@ class TestMonitoredBlocks:
             got, want = getattr(tr, name), getattr(bare, name)
             assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("n_sets, chunk", [(40, 5), (60, 3), (600, 1)])
+    @pytest.mark.parametrize("n_sets, chunk", [(40, 102), (60, 68), (600, 6)])
     def test_distances_are_taken_a_chunk_of_rows_at_a_time(self, monkeypatch, n_sets, chunk):
         # 302 updates: a block of 204 iterates whatever the monitored count, then a last block
         # of 99; each block takes two norms (steps, witness distances) and its distances in
-        # chunks of 204 // n_sets rows, the last one short where the block is not a multiple
+        # chunks of 4096 // n_sets rows, the last one short where the block is not a multiple
         norms = []
         monkeypatch.setattr(strav.solver, "norm", lambda x: norms.append(1) or norm(x))
         fam = random_halfspace_family(20, n_sets, seed=1)
@@ -1170,10 +1170,10 @@ class TestMonitoredBlocks:
         assert rows == [0] + per_block + [chunk] * (99 // chunk) + [99 % chunk] * (99 % chunk > 0)
         assert len(norms) == 4
 
-    @pytest.mark.parametrize("n_sets, chunk", [(60, 3), (600, 1)])
+    @pytest.mark.parametrize("n_sets, chunk", [(60, 68), (600, 6)])
     def test_distance_scratch_keeps_its_budget(self, n_sets, chunk):
-        # two (chunk, m, d) arrays of at most 4096 floats, or of one row where a row is
-        # larger (600 * 20 = 12,000 floats), and two (chunk, m) ones
+        # two (chunk, m) arrays of at most 4096 floats each: the result, which holds the
+        # offsets, and numpy's buffer for a broadcast operand
         fam = random_halfspace_family(20, n_sets, seed=1)
         fam.distances(range(n_sets), np.zeros(20))  # the stacks are built before the count
         distances, peaks = fam.distances, []
@@ -1194,7 +1194,7 @@ class TestMonitoredBlocks:
         finally:
             tracemalloc.stop()
         assert max(rows for rows, _ in peaks) == chunk
-        bound = 8 * (2 * max(4096, n_sets * 20) + 2 * chunk * n_sets) + 8192
+        bound = 8 * 2 * chunk * n_sets + 8192
         assert max(peak for _, peak in peaks) <= bound
 
     def test_index_without_a_distance_is_refused_before_the_first_update(self):
