@@ -536,14 +536,9 @@ def _decode(text):
 
 
 def parse_config(source):
-    """Parse a JSON document, given as text or as a mapping, into a :class:`RunConfig`.
-
-    Raises
-    ------
-    ConfigError
-        With every collected (path, message) pair; a text that does not
-        decode is reported with its line and column.
-    """
+    """Parse a JSON document, given as text or as a mapping, into a :class:`RunConfig`, or raise a
+    :class:`ConfigError` with every collected (path, message) pair; a text that does not decode is
+    reported with its line and column."""
     doc = source if isinstance(source, dict) else _decode(source)
 
     errors = []

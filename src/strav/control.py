@@ -56,16 +56,13 @@ def _dyadic_window(n):
 class ControlSchedule:
     """Base schedule: ``plan_at``, ``window_bound`` and ``plan_metadata``.
 
-    ``plan_at(k)`` returns the plan iteration k runs, for every k >= 0: a
-    schedule never ends.  A schedule that stores its plans hands out those very
-    objects, so one plan serves every iteration that runs it and its ``k`` is
-    only the label it was built with.  Callers must not modify a plan; a run
-    writes its one memo, ``_tree``, which changes no derived value.
-
-    Every subclass also gives ``window_bound(n)``, the window M_n for input
-    index n or None when unknown, and ``plan_metadata()``, (K, M) = (max
-    step count, max step width) over all plans or None.  Only a
-    :class:`CyclicSchedule` keeps a finite plan list, as ``plans``.
+    ``plan_at(k)`` returns the plan iteration k runs, for every k >= 0: a schedule never ends.  A
+    schedule that stores its plans hands out those very objects, so one plan serves every iteration
+    that runs it and its ``k`` is only the label it was built with.  Callers must not modify a plan;
+    a run writes its one memo, ``_tree``, which changes no derived value.  ``window_bound(n)`` is the
+    window M_n of input index n, or None when unknown, and ``plan_metadata()`` is (K, M) = (max step
+    count, max step width) over all plans, or None.  Only a :class:`CyclicSchedule` keeps a finite
+    plan list, as ``plans``.
     """
 
     plans = None
@@ -189,13 +186,12 @@ def _plan_codes(schedule, horizon):
 def verify_admissible(schedule, horizon, indices):
     """Exhaustively audit every full window of every requested index.
 
-    Returns a :class:`~strav.operators.CheckReport` named
-    ``windows(horizon=H)``, one sample per index as the module docstring
-    says; a failing report's ``worst`` is ``(n, i)``, the index that
-    exceeds most and the first k of its longest miss run.  A horizon above
-    ``_MAX_HORIZON`` is refused, and every bound is checked, before any
-    plan is looked up.  A cyclic or power-of-two schedule's own ``plan_at`` is read once per
-    plan of a period, whatever the horizon; any other at every k (about 10 s at the ceiling).
+    Returns a :class:`~strav.operators.CheckReport` named ``windows(horizon=H)``, one sample per index
+    as the module docstring says; a failing report's ``worst`` is ``(n, i)``, the index that exceeds
+    most and the first k of its longest miss run.  A horizon above ``_MAX_HORIZON`` is refused, and
+    every bound is checked, before any plan is looked up.  A cyclic or power-of-two schedule's own
+    ``plan_at`` is read once per plan of a period, whatever the horizon; any other at every k (about
+    10 s at the ceiling).
     """
     horizon = _whole(horizon, "horizon", lo=0)
     if horizon > _MAX_HORIZON:

@@ -52,24 +52,13 @@ def msa_embed(operators, witness, msa_plans):
     (K, M) metadata; the padding only adds what the identity tail needs:
     a padded index n > m gets the window 2^{n+1} (inf for n >= 64).
 
-    Parameters
-    ----------
-    operators : sequence
-        The finite family U_0..U_m as sets or operator nodes (index 0 is
-        conventionally the identity).  Indices beyond m become identities.
-    witness : array_like
-        Common point declared for the padded family.
-    msa_plans : sequence of IterationPlan
-        Base plans, cycled over k; they may reference only indices 0..m.
-
-    Returns
-    -------
-    (OperatorFamily, CustomSchedule)
-        At iterations whose power-of-two index f_value(k) exceeds m, the
-        base plan gains one trailing composition step with the identity
-        pad U_{f_value(k)}, which changes the touched index set but not a
-        single output value.  The metadata is the base cycle's (K, M)
-        widened by that step: (K + 1, max(M, 2)).
+    ``operators`` is the finite family U_0..U_m as sets or operator nodes (index 0 is conventionally
+    the identity); indices beyond m become identities.  ``witness`` is the padded family's declared
+    common point, and ``msa_plans`` the base plans, cycled over k, which may reference only indices
+    0..m.  Returns ``(OperatorFamily, CustomSchedule)``.  At iterations whose power-of-two index
+    f_value(k) exceeds m, the base plan gains one trailing composition step with the identity pad
+    U_{f_value(k)}, which changes the touched index set but not a single output value.  The
+    metadata is the base cycle's (K, M) widened by that step: (K + 1, max(M, 2)).
     """
     ops = list(operators)
     m_top = len(ops) - 1

@@ -99,19 +99,11 @@ class IterationPlan:
     :meth:`structure_key` and, in ``_tree``, a run's tree.  A schedule hands
     out the plans it stores, so one plan serves every iteration that runs it.
 
-    Parameters
-    ----------
-    k : int
-        Label the plan was built with, such as the first iteration meant
-        to run it (metadata only; the driver passes its own ``k``).
-    N : int
-        Number of build steps, >= 1, and the length of ``steps``.
-    eps : float
-        Plan-level floor in (0, 1]: combination weights and kind-0
-        relaxations stay in [eps, 1] resp. [eps, 2 - eps].
-    steps : sequence of StepSpec
-        The steps in order, the n-th entry step n; stored as ``self.steps``,
-        a dict keyed 1..N.
+    ``k`` is the label the plan was built with, such as the first iteration meant to run it
+    (metadata only: the driver passes its own ``k``).  ``N >= 1`` is the number of build steps.
+    ``eps`` in (0, 1] is the plan's floor: combination weights stay in [eps, 1] and kind-0
+    relaxations in [eps, 2 - eps].  ``steps`` are the N steps in order, the n-th entry step n,
+    stored as ``self.steps``, a dict keyed 1..N.
     """
 
     _tree = (None, None)  # (run memo, tree), written by a run that builds this plan's tree

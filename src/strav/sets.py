@@ -181,16 +181,11 @@ class AffineSubspace(ProjectableSet):
 class OperatorFamily:
     """Lazily materialized, memoized family ``n -> U_n`` of input operators.
 
-    Parameters
-    ----------
-    generator : callable
-        Maps a natural number to either a :class:`ProjectableSet` (projected
-        onto) or an :class:`~strav.operators.OperatorNode`, such as
-        ``Relaxation(Primitive(set), gamma)`` for a relaxed projection.
-    witness : array_like
-        Declared common point.  Materializing index n spot-checks that the
-        witness is fixed by U_n (at scale ``||witness||``); a violation is a
-        construction error, not a silent degradation.
+    ``generator`` maps a natural number to a :class:`ProjectableSet` (projected onto) or an
+    :class:`~strav.operators.OperatorNode`, such as ``Relaxation(Primitive(set), gamma)`` for a
+    relaxed projection.  ``witness`` is the declared common point: materializing index n
+    spot-checks that U_n fixes it (at scale ``||witness||``), and a violation is a construction
+    error, not a silent degradation.
 
     ``size`` is the number of inputs of a finite family (see :meth:`from_sets`) and None for a
     generated one.  Two concurrent materializations of the same index are harmless: the memo

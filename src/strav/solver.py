@@ -168,14 +168,12 @@ def _perturbation(k, x, b, v):
 class PerturbationSchedule:
     """Summable magnitudes beta_k paired with unit-ball directions.
 
-    ``beta`` maps k to a finite beta_k >= 0.  ``direction`` always takes
-    ``(k, x)``, so adversarial rules can react to the current iterate; a
-    rule that ignores x still accepts it.  Each direction is checked at use:
-    x's shape, and norm <= 1 within slack.  ``v.dot(v) <= 1 + 1e-9`` accepts a
-    1-D direction at once: a sum of d squares errs by a relative d * 2**-53 at
-    most, so its norm is at most 1 + 5e-10 + d * 2**-53, which the norm test
-    (slack 1e-9 + 1e-12) passes whenever ``d * 2**-53 <= 5e-10``.  Nothing is
-    cached: a rule may refill one buffer.
+    ``beta`` maps k to a finite beta_k >= 0.  ``direction`` always takes ``(k, x)``, so adversarial
+    rules can react to the current iterate; a rule that ignores x still accepts it.  Each direction
+    is checked at use: x's shape, and norm <= 1 within slack.  ``v.dot(v) <= 1 + 1e-9`` accepts a
+    1-D direction at once: a sum of d squares errs by a relative d * 2**-53 at most, so its norm is
+    at most 1 + 5e-10 + d * 2**-53, which the norm test (slack 1e-9 + 1e-12) passes whenever
+    ``d * 2**-53 <= 5e-10``.  Nothing is cached: a rule may refill one buffer.
     """
 
     def __init__(self, beta, direction):
@@ -261,20 +259,15 @@ class StopRule:
 class Trace:
     """Complete record of one driver run.
 
-    Rows cover iterates 0..K (K updates executed); the final row carries
-    step = slack = 0 since no update follows it.  ``residual[k]`` is
-    ``||T_k(u^k) - u^k||`` at the k-th input point (perturbed if a
-    perturbation was applied), ``step[k] = ||x^{k+1} - x^k||``,
-    ``dist_witness[k] = ||x^k - z||`` and ``fejer_slack[k]`` the surplus
-    ``dist_witness[k]**2 - dist_witness[k+1]**2 - c * step[k]**2`` at the
-    run's own constant c.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold
-    the aggregate perturbations, for bitwise replay, and ``pert_mag`` their
-    sizes.  The other scalar columns view one float64 table, a row per iterate.
-
-    ``stop_reason == "residual"`` means the residual at ``u^k`` met the
-    tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did
-    ``||T_k(x^k) - x^k||``: the reported final iterate is itself within
-    tolerance of a fixed point of ``T_k``.
+    Rows cover iterates 0..K (K updates executed); the final row carries step = slack = 0 since no
+    update follows it.  ``residual[k]`` is ``||T_k(u^k) - u^k||`` at the k-th input point (perturbed
+    if a perturbation was applied), ``step[k] = ||x^{k+1} - x^k||``, ``dist_witness[k] = ||x^k - z||``
+    and ``fejer_slack[k]`` the surplus ``dist_witness[k]**2 - dist_witness[k+1]**2 - c * step[k]**2``
+    at the run's own constant c.  ``pert_betas`` and ``pert_vectors`` (rows, d) hold the aggregate
+    perturbations, for bitwise replay, and ``pert_mag`` their sizes.  The other scalar columns view
+    one float64 table, a row per iterate.  ``stop_reason == "residual"`` means the residual at ``u^k``
+    met the tolerance and, when ``u^k`` was perturbed away from ``x^k``, so did ``||T_k(x^k) - x^k||``:
+    the reported final iterate is itself within tolerance of a fixed point of ``T_k``.
     """
 
     n_updates: int

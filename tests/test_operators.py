@@ -1114,6 +1114,15 @@ def _linear_sets(rng, dim, count):
     ]
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    # the row count of each run of a composition's batch loop, which a stacked convex combination never takes
+    rows = []
+    loop = strav.operators._sweep
+    monkeypatch.setattr(strav.operators, "_sweep", lambda x, r: rows.append(len(r)) or loop(x, r))
+    return rows
+
+
 class TestStringLoop:
     """One point, or one batch, takes a string of halfspace and hyperplane projections in one loop."""
 
@@ -1179,14 +1188,6 @@ class TestStringLoop:
             got = T.apply(x)
             assert np.isnan(got).all()
             assert got.tobytes() == _child_by_child(T, x).tobytes()
-
-    @pytest.fixture
-    def sweeps(self, monkeypatch):
-        # the row count of each run of the composition's batch loop
-        rows = []
-        loop = strav.operators._sweep
-        monkeypatch.setattr(strav.operators, "_sweep", lambda x, r: rows.append(len(r)) or loop(x, r))
-        return rows
 
     def _assert_one_sweep(self, sets, x, sweeps):
         # a batch through the string runs one loop over its rows, with the bits of the sets one by one
@@ -1413,3 +1414,132 @@ class TestReadAhead:
         got = T.apply(x)
         assert got.tobytes() == _spelled_out(sets, x).tobytes() and got[1] == -1.0
         assert reads == [(1, 20), (12, 20)]
+
+
+def _weighted_child_by_child(node, x):
+    # the combination's children applied one after another, their images summed in child order
+    out = node.weights[0] * node.children_[0].apply(x)
+    for w, child in zip(node.weights[1:], node.children_[1:]):
+        out += w * child.apply(x)
+    return out
+
+
+class TestStackedStrings:
+    """A convex combination of long strings sweeps a batch through all of them at once, stacked
+    longest first, with the bits of the strings one by one; every other case goes child by child."""
+
+    @staticmethod
+    def _node(rng, d, lengths=(9, 12, 9), weights=(0.3, 0.5, 0.2)):
+        # ragged strings of halfspaces and hyperplanes (every third row), the longest not first
+        strings = [Composition([Primitive((Hyperplane if i % 3 == 1 else Halfspace)(rng.standard_normal(d),
+                                                                                      rng.normal()))
+                                for i in range(n)]) for n in lengths]
+        return ConvexComb(strings, weights)
+
+    @staticmethod
+    def _batch(rng, shape):
+        # scaled normal entries, a quarter of them -0.0, and a +inf, a -inf and a NaN in rows of their own
+        x = rng.standard_normal(shape) * 3.0
+        flat = x.reshape(-1, shape[-1])
+        flat[rng.random(flat.shape) < 0.25] = -0.0
+        for row, v in zip((1, 3, 4), (math.inf, -math.inf, math.nan)):
+            if row < len(flat):
+                flat[row, rng.integers(shape[-1])] = v
+        return x
+
+    def _assert_stacked(self, node, x, sweeps, read_only=True):
+        before = x.tobytes()
+        x.flags.writeable = not read_only
+        sweeps.clear()
+        with np.errstate(all="ignore"):
+            got = node.apply(x)
+            assert sweeps == [] and node._stack is not None
+            want = _weighted_child_by_child(node, x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (5,), (8,), (203,), (4, 7), (0,)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_the_bits_of_the_strings_one_by_one(self, sweeps, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        for d in (1, 5, 20):
+            node = self._node(rng, d)
+            self._assert_stacked(node, self._batch(rng, shape + (d,)), sweeps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_strings_and_batches(self, sweeps, seed):
+        # string counts 1-5 of 9-20 rows, d up to 64, batches within the budget
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(8):
+            d, count = int(rng.choice([1, 2, 3, 7, 20, 64])), int(rng.integers(1, 6))
+            weights = rng.random(count) + 0.5
+            node = self._node(rng, d, rng.integers(9, 21, count), tuple(weights / weights.sum()))
+            n = int(rng.integers(1, strav.operators._STACKED // (count * d) + 1))
+            self._assert_stacked(node, self._batch(rng, (min(n, 300), d)), sweeps, read_only=rng.random() < 0.5)
+
+    def test_an_inactive_row_keeps_its_negative_zeros(self, sweeps):
+        # every set holds rows 0 and 1, whose zero steps times a negative a_i are -0.0 as products;
+        # rows 2 and 3 step, and column 0, where every normal is zero, keeps its signs
+        rng = np.random.default_rng(9)
+        normals = np.abs(rng.standard_normal((20, 3))) * [0.0, -1.0, 1.0]
+        sets = [Hyperplane(a, 0.0) if i % 5 == 4 else Halfspace(a, 1.0) for i, a in enumerate(normals)]
+        node = ConvexComb([Composition([Primitive(s) for s in sets[:9]]),
+                           Composition([Primitive(s) for s in sets[9:]])], (0.5, 0.5))
+        x = np.array([[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [-0.0, -2.0, 3.0], [-0.0, 1.0, 4.0]])
+        self._assert_stacked(node, x, sweeps)
+        got = node.apply(x)
+        assert got[:2].tobytes() == x[:2].tobytes() and np.signbit(got[:, 0]).all()
+
+    def test_the_stack_is_built_once(self, sweeps):
+        rng = np.random.default_rng(3)
+        node = self._node(rng, 6)
+        assert node._stack is None
+        node.apply(np.zeros(6))  # one point: child by child
+        assert node._stack is None and sweeps == []
+        self._assert_stacked(node, rng.standard_normal((10, 6)), sweeps)
+        stack = node._stack
+        self._assert_stacked(node, rng.standard_normal((4, 2, 6)), sweeps)
+        assert node._stack is stack
+
+    def _assert_child_by_child(self, node, x, sweeps):
+        sweeps.clear()
+        got = node.apply(x)
+        assert node._stack is None and sweeps[:1] == [len(node.children_[0]._rows)]  # its own loop
+        assert got.tobytes() == _weighted_child_by_child(node, x).tobytes()
+
+    def test_a_string_of_eight_rows_is_short(self, sweeps):
+        rng = np.random.default_rng(4)
+        node = self._node(rng, 5, (9, 8, 12))
+        assert not node._strings
+        self._assert_child_by_child(node, rng.standard_normal((6, 5)), sweeps)
+        self._assert_stacked(self._node(rng, 5, (9, 9, 12)), rng.standard_normal((6, 5)), sweeps)
+
+    def test_a_block_over_the_budget_goes_child_by_child(self, sweeps):
+        # 4 strings x 512 points x 16 floats is the budget; one point more is over it
+        rng = np.random.default_rng(5)
+        lengths, weights = (9, 9, 10, 9), (0.25,) * 4
+        self._assert_child_by_child(self._node(rng, 16, lengths, weights), rng.standard_normal((513, 16)), sweeps)
+        self._assert_stacked(self._node(rng, 16, lengths, weights), rng.standard_normal((512, 16)), sweeps)
+
+    def test_a_wide_string_is_short(self, sweeps):
+        # 4096 // 513 = 7 rows a read-ahead could take, below the eight of a long string; 512 has 8
+        rng = np.random.default_rng(6)
+        node = self._node(rng, 513, (12, 10), (0.5, 0.5))
+        assert not node._strings
+        self._assert_child_by_child(node, rng.standard_normal((2, 513)), sweeps)
+        self._assert_stacked(self._node(rng, 512, (12, 10), (0.5, 0.5)), rng.standard_normal((2, 512)), sweeps)
+
+    def test_any_other_child_sends_the_batch_child_by_child(self, sweeps):
+        rng = np.random.default_rng(7)
+        strings = self._node(rng, 4, (10, 11), (0.5, 0.5)).children_
+        for other in (Primitive(Halfspace(rng.standard_normal(4), 0.5)), Identity(),
+                      Relaxation(strings[0], 0.5), Composition([Primitive(Ball(np.zeros(4), 1.0))] * 9)):
+            node = ConvexComb(strings + (other,), (0.25, 0.25, 0.5))
+            assert not node._strings
+            self._assert_child_by_child(node, rng.standard_normal((5, 4)), sweeps)
+
+    def test_a_batch_of_another_dimension_is_refused_by_the_sets(self):
+        node = self._node(np.random.default_rng(8), 3)
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            node.apply(np.ones((4, 5)))
+        assert node._stack is None
