@@ -1,23 +1,27 @@
 """Run configuration: one JSON document in, fully validated objects out.
 
-Parsing is eager and aggregating: every plan in the document is validated
-and every problem is collected with its field path before a single
-:class:`ConfigError` is raised, so a config author sees the whole damage
-at once instead of fixing errors one re-run at a time.
+Parsing is eager and aggregating: every plan in the document is validated and every problem is
+collected with its field path before a single :class:`ConfigError` is raised, so a config author
+sees the whole damage at once instead of fixing errors one re-run at a time.
 
-Every value is read through one table per record kind.  A row is
-``(key, kind, default)`` or ``(key, kind, default, lo)``, ``lo`` being the
-least value admitted.  The tables own the types, the defaults and the
-ranges no library constructor checks; the constructors own every other
-check, and a ``ValueError`` one raises is reported under the path of its
-record.  See :mod:`strav.cli` for the field-by-field grammar.
+Every value is read through one table per record kind.  A row is ``(key, kind, default)`` or
+``(key, kind, default, lo)``, ``lo`` being the least value admitted.  The tables own the types, the
+defaults and the ranges no library constructor checks; the constructors own every other check, and
+a ``ValueError`` one raises is reported under the path of its record (:mod:`strav.cli` gives the
+field-by-field grammar).
+
+One rule reads in bulk: a list of plain numbers (ints or floats, not bools, within the float range:
+``numeric._plain``) takes one test and one pass, and so does ``family.sets`` when, with no ``gammas``,
+every record is a plain halfspace or hyperplane (the keys ``kind``, ``a`` and ``b``, ``a`` of length
+``ambient_dim``): its normals are one ``np.array``, each leaf built from its row.  Any other list, or
+a set a constructor refuses, is read entry by entry, which names each problem by its field path.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -25,7 +29,7 @@ import numpy as np
 from .control import CyclicSchedule, PowerOfTwoSchedule
 from .dsa import gdsa_to_gmsa
 from .gmsa import IterationPlan, StepSpec, output_operator
-from .numeric import _whole, as_vector
+from .numeric import _MAX, _plain, _whole, as_vector
 from .operators import Primitive, Relaxation
 from .sets import AffineSubspace, Ball, Box, Halfspace, Hyperplane, OperatorFamily
 from .solver import (
@@ -84,7 +88,6 @@ def _refuse(errors, path, msg):
 
 # ``type(v) in _NUMBERS`` answers JSON numbers without the slower ABC checks
 _NUMBERS = (int, float)
-_MAX = sys.float_info.max
 
 
 def _int(v, path, errors):
@@ -133,10 +136,9 @@ def _weights(v, path, errors):
 def _record(rec, table, path, errors):
     """Each entry of record ``rec`` read through ``table``, by key.
 
-    An absent key or a JSON null reads the row's default, and ``_REQUIRED``
-    reports it missing; a null reaches an ``_as_given`` leaf as given.
-    Each entry that was reported reads None, as does an absent one whose
-    default is None.  A key no row names is reported as unknown.
+    An absent key or a JSON null reads the row's default, and ``_REQUIRED`` reports it missing; a null
+    reaches an ``_as_given`` leaf as given.  Each entry that was reported reads None, as does an absent
+    one whose default is None.  A key no row names is reported as unknown.
     """
     if _dict(rec, path, errors) is None:
         return None
@@ -165,19 +167,15 @@ def _record(rec, table, path, errors):
 
 
 def _read(kind, v, path, errors, lo=None):
-    """``v`` read as ``kind``, or None once anything in it is reported.
-
-    ``lo`` bounds a value, or each entry of a list.
-    """
+    """``v`` read as ``kind``, or None once anything in it is reported; ``lo`` bounds a value or each list entry."""
     if isinstance(kind, (list, tuple, dict)):
         before = len(errors)
         if not isinstance(kind, list):
             v = _record(v, kind, path, errors)
         elif isinstance(v, list):
-            # plain finite numbers (plain ints for an int list) none below lo read in one pass, with no
-            # path per entry; any other entry sends the list entry by entry, which names it by path
+            # a plain list (plain ints for an int list), none below lo, reads in one pass: see the docstring
             plain, low = (int,) if kind[0] is _int else _NUMBERS, -_MAX if lo is None else lo
-            if kind[0] in (_real, _int) and all(type(x) in plain and low <= x <= _MAX for x in v):
+            if kind[0] in (_real, _int) and _plain(v, plain, low):
                 return list(map(float, v)) if kind[0] is _real else list(v)
             v = [_read(kind[0], x, f"{path}[{i}]", errors, lo) for i, x in enumerate(v)]
         else:
@@ -363,6 +361,18 @@ def _build_leaf(rec, dim, gamma, path, errors):
     return Primitive(s) if gamma == 1.0 else Relaxation(Primitive(s), gamma)
 
 
+def _linear_block(recs, dim):
+    """The leaves of plain halfspace and hyperplane records read as one block (see the module docstring), or None."""
+    if all(type(r) is dict and r.keys() == {"kind", "a", "b"} and type(r["kind"]) is str
+           and r["kind"] in ("halfspace", "hyperplane") and type(r["a"]) is list and len(r["a"]) == dim for r in recs):
+        rows, b = [r["a"] for r in recs], [r["b"] for r in recs]
+        if {*map(type, chain(b, *rows))} <= {float} or _plain(chain(b, *rows)):  # a float needs no range test:
+            try:  # its constructor refuses it where it is not finite
+                return [Primitive(_SETS[r["kind"]][0](a, b)) for r, a, b in zip(recs, np.array(rows, dtype=float), b)]
+            except ValueError:  # a non-finite entry, a zero normal or an overflowing one, named record by record
+                pass
+
+
 def _build_family(v, dim, errors):
     witness = None if v is None else _make("family.witness", errors, as_vector, v["witness"], dim)
     if witness is None:
@@ -374,8 +384,8 @@ def _build_family(v, dim, errors):
         if v["generator"] is not None:
             _refuse(errors, "family.generator", "not read with sets")
         gammas = gammas or [1.0]
-        leaves = [_build_leaf(rec, dim, gammas[i % len(gammas)], f"family.sets[{i}]", errors)
-                  for i, rec in enumerate(v["sets"])]
+        leaves = (None if v["gammas"] else _linear_block(v["sets"], dim)) or [  # see the module docstring
+            _build_leaf(r, dim, gammas[i % len(gammas)], f"family.sets[{i}]", errors) for i, r in enumerate(v["sets"])]
         if None in leaves:
             return None
         fam = _make("family", errors, OperatorFamily.from_sets, leaves, witness)
@@ -396,12 +406,10 @@ def _build_family(v, dim, errors):
 
 
 def _ask_family(family, where, refs, errors):
-    """Ask ``family`` for input n of each ``(i, n)`` in ``refs``; one it refuses is
-    reported under ``where[i]``, and one it holds is not asked again."""
-    held = set()
-    for i, n in dict.fromkeys(refs):
-        if n not in held and _make(f"{where}[{i}]", errors, family.operator, n) is not None:
-            held.add(n)
+    """Ask ``family`` for input n of each ``(i, n)`` in ``refs`` that it has not materialized;
+    one it refuses is reported under ``where[i]``, once for each i."""
+    for i, n in dict.fromkeys((i, n) for i, n in refs if n not in family._ops):
+        _make(f"{where}[{i}]", errors, family.operator, n)
 
 
 def _build_schedule(v, family, errors):

@@ -1,18 +1,16 @@
 """String-averaging stages rewritten as plans, plus their infinite embedding.
 
-A string is a finite index sequence; its operator composes the referenced
-inputs, first index applied first.  A stage averages several strings with
-positive weights.  ``gdsa_to_gmsa`` rewrites a stage's strings and weights
-as an equivalent iteration plan, and ``msa_embed`` extends a finite-family
-schedule to an infinite one by padding with identities under a
-power-of-two tail so the window conditions hold over all indices.
+A string is a finite index sequence whose operator composes its inputs, first index first, and a
+stage averages strings with positive weights: ``gdsa_to_gmsa`` rewrites a stage as a plan, and
+``msa_embed`` pads a finite family with identities under a power-of-two tail, so every index keeps
+a window.
 """
 
 from __future__ import annotations
 
 from .control import CustomSchedule, CyclicSchedule, _dyadic_window, f_value
 from .gmsa import IterationPlan, StepSpec
-from .numeric import _whole
+from .numeric import _plain, _whole
 from .operators import Identity
 from .sets import OperatorFamily
 
@@ -26,13 +24,13 @@ def gdsa_to_gmsa(strings, weights, k=0):
     """Rewrite the stage averaging ``strings`` (index sequences, first applied first)
     with ``weights``, one per string, as an equivalent iteration plan.
 
-    Steps 1..|strings| compose the strings; step |strings|+1, there even for
-    one string, averages them with the weights, the least of which is the
-    plan's floor.  Refused here is only what the plan would misread: no
-    string, an index below 0, or a weight count other than the string count.
-    The plan's ``validate`` judges an empty string and the weights.
+    Steps 1..|strings| compose the strings; step |strings|+1, there even for one string, averages them
+    with the weights, the least of which is the plan's floor.  Refused here is only what the plan would
+    misread: no string, an index below 0 (a string of plain ints >= 0 takes one test), or a weight
+    count other than the string count.  The plan's ``validate`` judges an empty string and the weights.
     """
-    orders = [tuple(-_whole(i, "string index", lo=0) for i in s) for s in strings]
+    orders = [tuple([-i for i in s]) if _plain(s, (int,), 0) else tuple(-_whole(i, "string index", lo=0) for i in s)
+              for s in map(tuple, strings)]
     weights = [float(w) for w in weights]
     if not orders:
         raise ValueError("a stage needs at least one string")

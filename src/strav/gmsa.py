@@ -1,9 +1,8 @@
 """Per-iteration blueprints for modular operator averaging.
 
-An :class:`IterationPlan` lists ``N`` recursive build steps.  Step ``n``
-consumes references ``J`` drawn from everything built before it: a
-non-positive reference ``j`` means input operator ``U_{-j}``, a positive
-one means the module produced by an earlier step.  The step kind ``c``
+An :class:`IterationPlan` lists ``N`` recursive build steps.  Step ``n`` consumes references ``J``
+drawn from everything built before it: a non-positive reference ``j`` means input operator
+``U_{-j}``, a positive one means the module produced by an earlier step.  The step kind ``c``
 selects what is done with the references:
 
 ====  =========================  ==========================
@@ -14,25 +13,22 @@ c     parameters                 resulting module
 2     order (onto J, length P)   composition, order[0] first
 ====  =========================  ==========================
 
-The plan's output operator is the module of step ``N``.  Each step carries
-a width ``P`` (1, |J|, or the composition length); the guaranteed modulus
-of the output is ``eps / (2 * P_1 * ... * P_N)``, and a whole schedule of
-plans is covered uniformly by ``eps / (2 * M^K)`` where ``K`` bounds the
+The plan's output operator is the module of step ``N``.  Each step carries a width ``P`` (1, |J|, or
+the composition length); the guaranteed modulus of the output is ``eps / (2 * P_1 * ... * P_N)``,
+and a whole schedule of plans is covered uniformly by ``eps / (2 * M^K)`` where ``K`` bounds the
 step counts and ``M`` the widths.
 
-These guarantees need strong enough inputs behind the leaves, as
-:func:`sqne_bound` (on each leaf's ``sqne_rho``) and :func:`fne_bound` (its
-``fne_rho``) check over a given family: every input a step references must
-carry a constant of at least 1/2, every input a kind-0 step relaxes with
-alpha != 1 one of at least 1; a leaf whose constant is None meets neither.
+These guarantees need strong enough inputs behind the leaves, as :func:`sqne_bound` (on each leaf's
+``sqne_rho``) and :func:`fne_bound` (its ``fne_rho``) check over a given family: every input a step
+references must carry a constant of at least 1/2, every input a kind-0 step relaxes with alpha != 1
+one of at least 1; a leaf whose constant is None meets neither.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
-from .numeric import _admits, _whole, _within
+from .numeric import _MAX, _admits, _whole, _within
 from .operators import Composition, ConvexComb, Relaxation
 
 __all__ = [
@@ -93,11 +89,10 @@ class StepSpec:
 class IterationPlan:
     """Blueprint for one iteration: N steps over inputs referenced lazily.
 
-    Everything derived from the plan depends on its structure only (``N``,
-    ``eps`` and the step contents), never on ``k``, and is computed once per
-    plan: the validation issues, the output indices, the width product,
-    :meth:`structure_key` and, in ``_tree``, a run's tree.  A schedule hands
-    out the plans it stores, so one plan serves every iteration that runs it.
+    Everything derived from the plan depends on its structure only (``N``, ``eps`` and the step
+    contents), never on ``k``, and is computed once per plan: the validation issues, the output
+    indices, the width product, :meth:`structure_key` and, in ``_tree``, a run's tree.  A schedule
+    hands out the plans it stores, so one plan serves every iteration that runs it.
 
     ``k`` is the label the plan was built with, such as the first iteration meant to run it
     (metadata only: the driver passes its own ``k``).  ``N >= 1`` is the number of build steps.
@@ -221,7 +216,7 @@ def output_operator(plan, family):
     structure's tree is built once, with a step referenced from several places as one shared node.
     """
     plan.require_valid()
-    memo = family._trees.setdefault(plan.structure_key(), {})  # only a valid plan is keyed
+    memo, ops = family._trees.setdefault(plan.structure_key(), {}), family._ops  # only a valid plan is keyed
 
     def build(m):
         if m <= 0:
@@ -231,10 +226,9 @@ def output_operator(plan, family):
             s = plan.steps[m]
             if s.c == 0:
                 node = Relaxation(build(s.J[0]), s.alpha)
-            elif s.c == 1:
-                node = ConvexComb([build(j) for j in s.J], s.weights)
-            else:
-                node = Composition([build(o) for o in s.order])
+            else:  # an input the family holds is read off its memo, with no frame; no module j > 0 has a -j there
+                nodes = [ops[-j] if -j in ops else build(j) for j in (s.J if s.c == 1 else s.order)]
+                node = ConvexComb(nodes, s.weights) if s.c == 1 else Composition(nodes)
             memo[m] = node
         return node
 
@@ -257,16 +251,15 @@ def _plan_bound(plan, family, route, attr):
                 raise ValueError(
                     f"{route}-hypotheses-unmet: step {n} {what}, whose {attr} is {rho}, not at least {need}"
                 )
-    return plan.eps / (2.0 * min(plan.width_product(), sys.float_info.max))
+    return plan.eps / (2.0 * min(plan.width_product(), _MAX))
 
 
 def sqne_bound(plan, family=None):
     """Guaranteed one-point modulus ``eps / (2 * prod P_i)`` of the output.
 
-    Over ``family``, raises ``sqne-hypotheses-unmet`` unless every input a
-    step references has ``sqne_rho >= 1/2`` and every input a kind-0 step
-    relaxes with alpha != 1 has ``sqne_rho >= 1`` (a cutter).  With no
-    family, no leaf is judged.
+    Over ``family``, raises ``sqne-hypotheses-unmet`` unless every input a step references has
+    ``sqne_rho >= 1/2`` and every input a kind-0 step relaxes with alpha != 1 has ``sqne_rho >= 1``
+    (a cutter).  With no family, no leaf is judged.
     """
     return _plan_bound(plan, family, "sqne", "sqne_rho")
 
@@ -274,9 +267,9 @@ def sqne_bound(plan, family=None):
 def fne_bound(plan, family=None):
     """Two-point modulus, same numeric value, under the two-point hypotheses.
 
-    Over ``family``, raises ``fne-hypotheses-unmet`` unless every input a
-    step references has ``fne_rho >= 1/2`` and every input a kind-0 step
-    relaxes with alpha != 1 has ``fne_rho >= 1`` (firmly nonexpansive).
+    Over ``family``, raises ``fne-hypotheses-unmet`` unless every input a step references has
+    ``fne_rho >= 1/2`` and every input a kind-0 step relaxes with alpha != 1 has ``fne_rho >= 1``
+    (firmly nonexpansive).
     """
     return _plan_bound(plan, family, "fne", "fne_rho")
 
@@ -286,4 +279,4 @@ def rho_uniform(K, M, eps):
     K, M = _whole(K, "bound K", lo=1), _whole(M, "bound M", lo=1)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return eps / (2.0 * min(M**K, sys.float_info.max))
+    return eps / (2.0 * min(M**K, _MAX))

@@ -34,6 +34,7 @@ import numpy as np
 __all__ = ["as_vector", "norm"]
 
 _SLACK = 1e-12  # float slack on interval-membership checks
+_MAX = float(np.finfo(float).max)
 
 
 def _within(excess, scale=1.0):
@@ -47,6 +48,11 @@ def _whole(v, what, lo=None):
     if (type(v) is int or isinstance(v, (int, np.integer)) and type(v) is not bool) and (lo is None or v >= lo):
         return int(v)
     raise ValueError(f"{what} must be an integer{'' if lo is None else f' >= {lo}'}, got {v!r}")
+
+
+def _plain(v, types=(int, float), low=-_MAX):
+    """Whether each entry of ``v`` is of a type in ``types`` (a bool is of none) and in [low, float max]."""
+    return all(type(x) in types and low <= x <= _MAX for x in v)
 
 
 def _admits(v, lo, hi):
@@ -80,11 +86,8 @@ def _finite_norm(x, refusal):
 
 
 def norm(x):
-    """Euclidean norm along the last axis.
-
-    The same sum of squares ``np.linalg.norm(x, axis=-1)`` computes for real
-    input, bit for bit, without its dispatch cost.
-    """
+    """Euclidean norm along the last axis: the sum of squares ``np.linalg.norm(x, axis=-1)`` computes for
+    real input, bit for bit, without its dispatch cost."""
     sq = np.square(np.asarray(x, dtype=float))
     if sq.ndim > 1 and 0 < sq.shape[-1] < 8:  # see the module docstring
         return np.sqrt(reduce(np.add, sq.T).T)

@@ -13,30 +13,27 @@ hyperplane projection.  A node's ``_rows`` are the rows it applies, none by defa
 set's where :mod:`strav.sets` offers them, its child's at alpha 1, and its children's, in order, for
 a :class:`Composition` whose children all have rows (nested strings too) and whose ``apply`` is its
 class's own: it runs them in one loop, :func:`_through` or :func:`_sweep`, in the float operations
-of child by child, so the same bits.  As a halfspace's ``project`` does, such a composition hands a
-float64 ndarray of its shape (d,) to :func:`_through` after one type test, and anything else to
-``np.asarray`` first, which hands such an array back as itself: the same object either way.
+of child by child, so the same bits, and takes one point after the type test of a halfspace's
+``project`` (see :mod:`strav.sets`): the same object either way.
 
 A long string reads ahead at one point: after a row whose set holds x, it takes the dots of the next
 ``4096 // d`` rows at most in one ``np.matmul(normals[:, None, :], x)`` and goes on at the first row
 that moves x.  A stacked (1, d) @ (d,) product runs numpy's dot on each row, so it is ``x.dot(a)``
 bit for bit, but for the sign of an exactly-zero dot, which moves no row on either path (t is then
 -b, or a zero that hands x on).  A read costs about five dots, so only a string of more than 8 rows,
-at ``4096 // d >= 8``, is long, and it stacks its rows at its first read; any other keeps a plain
-tuple of rows and stacks none.
+at ``4096 // d >= 8``, is long; it stacks its rows once, for its reads and for the combinations
+over it, and any other keeps a plain tuple of rows and stacks none.
 
 A convex combination of long strings sweeps a batch (``x.ndim > 1``) through all of them at once
-while the block (strings x points x d) holds at most ``8 * 4096`` floats, stacked longest first at
-its first such batch, so step j runs on the strings longer than j; one point, a short string or a
-larger block goes child by child.  A step keeps :func:`_sweep`'s bits: one ``np.matmul``, a gemv
-per string over its whole batch as ``x @ a`` makes, ``np.maximum`` at a floor of 0 or -inf (a
-hyperplane's t, kept) and ``np.einsum`` into a zeroed block.  Against child by child, 4 strings of
-15 rows took 0.68-0.74 times as long at 200 points in R^20, 0.88-0.95 at 24,000-32,000 floats, 1.14
-at 64,000, and 1.38 and 1.88 at d = 100 and 500; two one-row strings, 1.2 times.  A batch row is not
-the one-point bits: ``x @ a`` is one gemv whose row sums depend on the row's place in the batch
-(numpy 2.4.6: chunks of 2, 3 or 5 of 203 rows differ from the whole at d = 20 to 2,000, chunks of
-4 or 8 agree; row by row ``x.dot(a)`` differs at every d tried), so ``T.apply(xs)[i]`` is
-``T.apply(xs[i])`` only to rounding, and no path splits a string's batch.
+while the block (strings x points x d) holds at most ``8 * 4096`` floats, past which child by child
+is the faster: at its first such batch it copies its strings' stacks into one block, longest first,
+so step j runs on the strings longer than j; one point, a short string or a larger block goes child
+by child.  A step keeps :func:`_sweep`'s bits: one ``np.matmul``, a gemv per string over its whole
+batch as ``x @ a`` makes, ``np.maximum`` at a floor of 0 or -inf (a hyperplane's t, kept) and
+``np.einsum`` into a zeroed block.  A batch row is not the one-point bits: ``x @ a`` is one gemv
+whose row sums depend on the row's place in the batch (chunks of 2, 3 or 5 of 203 rows differ from
+the whole, under numpy 2.4.6), so ``T.apply(xs)[i]`` is ``T.apply(xs[i])`` only to rounding, and no
+path splits a string's batch.
 
 Constants attached to a node
 ----------------------------
@@ -88,7 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain
 
 import numpy as np
 
@@ -130,9 +127,19 @@ _STACKED = 8 * 4096  # the most floats a convex combination's stacked strings ho
 
 class _String(tuple):
     """A composition's rows, more than ``_AHEAD`` at ``4096 // d >= _AHEAD``: a string that reads
-    ahead, its normals (n, 1, d) and offsets stacked at its first read."""
+    ahead, its rows stacked once, at its first read or stacked combination."""
 
     _stack = None
+
+    def stack(self):
+        # normals (n, 1, d); the offsets (n, 1), an upper bound on dot, and the lower one, a hyperplane's
+        # offset and -inf a halfspace's, or None; and b, a @ a and t's floor (3, n): 0 clamps a halfspace's t
+        if self._stack is None:
+            a, b, asq, one_sided = zip(*self)
+            lo = None if all(one_sided) else np.where(one_sided, -math.inf, b)[:, None]
+            consts = np.array((b, asq, np.where(one_sided, 0.0, -math.inf)))  # -inf keeps a hyperplane's t
+            self._stack = np.array(a)[:, None, :], consts[0, :, None], lo, consts
+        return self._stack
 
     def through(self, x):
         i, n = 0, len(self)
@@ -149,11 +156,7 @@ class _String(tuple):
     def ahead(self, x, i):
         # the first of rows i, ..., i + 4096 // d - 1 that moves x, or the row past them: by the signs
         # of dot - b, a set holds x where dot <= b (one-sided) or dot == b (a NaN dot moves x)
-        if self._stack is None:  # the hyperplanes' offsets bound dot from below, as -inf a halfspace's
-            a, b, _, one_sided = zip(*self)
-            lo = None if all(one_sided) else np.where(one_sided, -math.inf, b)[:, None]
-            self._stack = np.array(a)[:, None, :], np.array(b)[:, None], lo
-        normals, hi, lo = self._stack
+        normals, hi, lo, _ = self.stack()
         j = min(i + 4096 // x.size, len(self))
         dots = np.matmul(normals[i:j], x)  # (j - i, 1): x.dot(a) row by row, see the module docstring
         hold = dots <= hi[i:j]
@@ -193,8 +196,8 @@ def _relaxed_constant(rho, alpha):
     return (1.0 + rho - alpha) / alpha
 
 
-def _best(*values):
-    return max((v for v in values if v is not None), default=None)
+def _best(a, b):  # the larger of two constants, either of which may be None
+    return b if a is None or b is not None and b > a else a
 
 
 def _combined_constants(children, composed):
@@ -202,9 +205,9 @@ def _combined_constants(children, composed):
     # none, +inf when there are none), over m for a composition; sqne takes the better route
     active = [c for c in children if not isinstance(c, Identity)]
     m = max(len(active), 1) if composed else 1
-    sqne, fne = (None if None in v else min(v, default=math.inf) / m
-                 for v in ([c.sqne_rho for c in active], [c.fne_rho for c in active]))
-    return _best(sqne, fne), fne
+    sqne, fne = [c.sqne_rho for c in active], [c.fne_rho for c in active]
+    fne = None if None in fne else min(fne) / m if fne else math.inf
+    return _best(None if None in sqne else min(sqne) / m if sqne else math.inf, fne), fne
 
 
 class OperatorNode:
@@ -325,13 +328,14 @@ class ConvexComb(OperatorNode):
         return out
 
     def _stacked(self, x):  # see the module docstring
-        if self._stack is None:  # pad rows (a @ a = 0, so they count as no string) are never read
-            order = sorted(range(len(self.weights)), key=lambda i: -len(self.children_[i]._rows))  # stable
-            steps = list(zip_longest(*(self.children_[i]._rows for i in order), fillvalue=(np.zeros(self.dim), 0, 0, 1)))
-            a, b, asq, one_sided = zip(*(r for step in steps for r in step))  # floor 0 clamps t, -inf keeps it
-            consts = np.array((b, asq, np.where(one_sided, 0.0, -math.inf))).reshape(3, len(steps), -1)
-            self._stack = (np.array(a).reshape(len(steps), len(order), -1), consts.transpose(1, 0, 2),
-                           np.count_nonzero(consts[1], axis=1), [order.index(i) for i in range(len(order))])
+        if self._stack is None:  # from the strings' stacks; pad rows (a @ a = 0: no string) are never read
+            stacks = [c._rows.stack() for c in self.children_]
+            order = sorted(range(len(stacks)), key=lambda i: -len(stacks[i][0]))  # stable
+            n, k = len(stacks[order[0]][0]), len(order)
+            normals, consts = np.zeros((n, k, self.dim)), np.zeros((n, 3, k))
+            for col, (a, _, _, c) in enumerate([stacks[i] for i in order]):
+                normals[: len(a), col], consts[: len(a), :, col] = a[:, 0], c.T
+            self._stack = normals, consts, np.count_nonzero(consts[:, 1], axis=1), [order.index(i) for i in range(k)]
         normals, consts, counts, place = self._stack
         lead, shape = (1,) * (x.ndim - 1), (len(place),) + x.shape
         xs, (ys, step) = np.broadcast_to(x, shape), np.empty((2,) + shape)  # x only read; 2 blocks for all steps
@@ -357,8 +361,9 @@ class Composition(OperatorNode):
         self.children_ = children
         self.dim = _common_dim(children)
         self.sqne_rho, self.fne_rho = _combined_constants(children, composed=True)
-        if type(self).apply is Composition.apply and all(c._rows for c in children):
-            rows = tuple(r for c in children for r in c._rows)
+        rows = [c._rows for c in children]
+        if type(self).apply is Composition.apply and all(rows):
+            rows = tuple(chain.from_iterable(rows))
             self._rows = _String(rows) if len(rows) > _AHEAD and 4096 // self.dim >= _AHEAD else rows
             self._shape = (self.dim,)
 

@@ -74,10 +74,11 @@ class _LinearConstraint(ProjectableSet):
     _one_sided = True
 
     def __init__(self, a, b):
-        self.a = as_vector(a)
+        a = np.asarray(a, dtype=float)
+        with np.errstate(over="ignore"):  # a @ a, with less dispatch
+            self._asq = float(a.dot(a)) if a.ndim == 1 else math.nan
+        self.a = a if a.size and math.isfinite(self._asq) else as_vector(a)  # a finite a @ a has finite entries
         self.b = float(b)
-        with np.errstate(over="ignore"):
-            self._asq = float(self.a @ self.a)
         name = type(self).__name__.lower()
         if self._asq == 0.0:
             raise ValueError(f"{name} normal must be nonzero")
@@ -247,12 +248,10 @@ class OperatorFamily:
     def distances(self, indices, x):
         """Distances from a point x (d,) to the sets at ``indices``, in that order: (m,).
 
-        Agrees with ``[self.distance(n, x) for n in indices]``, bitwise for
-        axis-aligned normals (see the module docstring).  A block x of shape
-        (B, d) gives (B, m), row i bitwise the call at ``x[i]``.  The first
-        call for an index tuple materializes its operators, refuses one with
-        no set distance and stacks their polyhedral sets; later calls reuse
-        the stacks.
+        Agrees with ``[self.distance(n, x) for n in indices]``, bitwise for axis-aligned normals
+        (see the module docstring).  A block x of shape (B, d) gives (B, m), row i bitwise the call
+        at ``x[i]``.  The first call for an index tuple materializes its operators, refuses one with
+        no set distance and stacks their polyhedral sets; later calls reuse the stacks.
         """
         key = tuple(indices)
         if not all(type(n) is int for n in key):  # read before the memo, as in operator

@@ -22,34 +22,28 @@ is that row's norm alone, and the slack ``dz**2 - dz_next**2 - c * st**2`` squar
 ``np.float_power(v, 2.0)``, Python's ``v ** 2`` bit for bit; numpy's ``v * v``, which
 ``check_fejer`` uses, differs in the last bit for about one double in a thousand.
 
-A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan
-structure and keeps the answer for that run, by structure key and in the
-``_tree`` slot of the plan that built it.  The family keeps every tree built
-over it, so a config's run applies the trees ``parse_config`` built for rho,
-and a power-of-two run of 20,000 updates builds 15 trees, not 20,001.  A table
-(``constant``, ``cycle``, a ``sweep`` of at most 4,096 points) admits each step
-size once and ``lam(k)`` reads it; any other rule is admitted at each use.
+A run asks :func:`~strav.gmsa.output_operator` for T_k once per plan structure and keeps the answer
+for that run, by structure key and in the ``_tree`` slot of the plan that built it.  The family
+keeps every tree built over it, so a config's run applies the trees ``parse_config`` built for rho,
+and a power-of-two run of 20,000 updates builds 15 trees, not 20,001.  A table (``constant``,
+``cycle``, a ``sweep`` of at most 4,096 points) admits each step size once and ``lam(k)`` reads it;
+any other rule is admitted at each use.
 
-An update at a fixed point does no vector arithmetic.  When T_k hands u^k
-back as the same array (an inactive halfspace or hyperplane, a relaxation
-with alpha 1, a composition of such nodes), the residual is 0 and u^k
-itself is x^{k+1} when lambda_k = 1 or u^k holds no -0.0; otherwise u^k +
-lambda_k * 0.0 turns each -0.0 into +0.0, as the general formula does.
-Whether x^k may hold a -0.0 is tracked, not scanned for: x^0 is checked
-once; a sum is -0.0 only where both terms are, so u^k = x^k + beta_k v^k
-holds one only where x^k does, and u^k + lambda_k r only where u^k does
-(lambda_k r may underflow to -0.0); u^k + lambda_k * 0.0 at lambda_k > 0
-holds none; and T_k(u^k) handed on at lambda_k = 1 may hold one.  So is
-whether x^k is finite, which a fixed update at u^k = x^k would scan: x^0
-is checked, T_k(u^k) is finite once the guard passed it, and a finite
-u^k + lambda_k r cannot overflow when lambda_k ||r|| <= 1e291, below half
-an ulp (2^970) of the largest float.
+An update at a fixed point does no vector arithmetic.  When T_k hands u^k back as the same array (an
+inactive halfspace or hyperplane, a relaxation with alpha 1, a composition of such nodes), the
+residual is 0 and u^k itself is x^{k+1} when lambda_k = 1 or u^k holds no -0.0; otherwise u^k +
+lambda_k * 0.0 turns each -0.0 into +0.0, as the general formula does.  Whether x^k may hold a -0.0
+is tracked, not scanned for: x^0 is checked once; a sum is -0.0 only where both terms are, so u^k =
+x^k + beta_k v^k holds one only where x^k does, and u^k + lambda_k r only where u^k does (lambda_k r
+may underflow to -0.0); u^k + lambda_k * 0.0 at lambda_k > 0 holds none; and T_k(u^k) handed on at
+lambda_k = 1 may hold one.  So is whether x^k is finite, which a fixed update at u^k = x^k would
+scan: x^0 is checked, T_k(u^k) is finite once the guard passed it, and a finite u^k + lambda_k r
+cannot overflow when lambda_k ||r|| <= 1e291, below half an ulp (2^970) of the largest float.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from numbers import Real
@@ -57,7 +51,7 @@ from numbers import Real
 import numpy as np
 
 from .gmsa import output_operator
-from .numeric import _admits, _whole, _within, as_vector, norm
+from .numeric import _MAX, _admits, _whole, _within, as_vector, norm
 from .operators import _report
 
 __all__ = [
@@ -137,8 +131,8 @@ class RelaxationSchedule:
     def sweep(cls, eps, rho, points=17):
         """Cycle a uniform grid of ``points >= 2`` values over the admissible interval."""
         points = _whole(points, "sweep points", lo=2)
-        if points > sys.float_info.max:  # the grid divides by points - 1 as a float
-            raise ValueError(f"a sweep needs at most {sys.float_info.max:.3e} points")
+        if points > _MAX:  # the grid divides by points - 1 as a float
+            raise ValueError(f"a sweep needs at most {_MAX:.3e} points")
         lo, hi = cls.interval(float(eps), float(rho))
         # lo + span * i / den where span * i fits: up to 4,096 points admitted once, past that at each use
         span, den = hi - lo, points - 1
@@ -198,7 +192,7 @@ class PerturbationSchedule:
             try:
                 return c / (k + 1) ** p
             except (OverflowError, ZeroDivisionError):  # c = 0 hands back c: the bits of 0 / (k+1)^p
-                return c and min(c / sys.float_info.max, math.exp(math.log(c) - p * math.log(k + 1)))
+                return c and min(c / _MAX, math.exp(math.log(c) - p * math.log(k + 1)))
 
         return cls(beta, direction)
 
@@ -461,9 +455,8 @@ def run_perturbed(family, schedule, relax, perturb, y0, stop=StopRule(), *, moni
                   record_stride=1):
     """Perturbation-resilient variant: each update starts from y^k + beta_k v^k.
 
-    The k-th update applies the lambda_k-relaxation of T_k to the perturbed
-    point; with beta identically 0 the arithmetic path is the plain run's,
-    so the traces agree bitwise.
+    The k-th update applies the lambda_k-relaxation of T_k to the perturbed point; with beta
+    identically 0 the arithmetic path is the plain run's, so the traces agree bitwise.
     """
     return _drive(family, schedule, relax, y0, stop, pert=perturb.at, monitored=monitored,
                   record_stride=record_stride)

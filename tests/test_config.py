@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import strav.config
 from strav.config import ConfigError, RunConfig, parse_config, plan_from_record
+from strav.config import _build_leaf as build_leaf
 from strav.control import CyclicSchedule, PowerOfTwoSchedule
+from strav.dsa import gdsa_to_gmsa
 from strav.fixtures import random_plan_corpus
 from strav.gmsa import output_operator
 from strav.operators import Primitive, Relaxation, SampleBudget, check_sqne
+from strav.sets import Halfspace, Hyperplane, OperatorFamily
 
 
 def plan_record(plan):
@@ -446,9 +450,9 @@ class TestScheduleSection:
         ]
 
 
-def stage_config(seed, tilt):
+def stage_config(seed, tilt=6.0, **kw):
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    return runpy.run_path(str(path))["stage_config"](seed, tilt=tilt)
+    return runpy.run_path(str(path))["stage_config"](seed, tilt=tilt, **kw)
 
 
 def demo_config(name):
@@ -940,3 +944,93 @@ class TestLongNumberLists:
         assert got.dtype == np.float64
         assert got.tobytes() == np.array([float(x) for x in a]).tobytes()
         assert got[:4].tolist() == [1.0, -2.0, 0.0, 1e100]
+
+
+def _entry(i, v):
+    def mutate(rec):
+        rec["a"][i] = v
+    return mutate
+
+
+def _field(key, v):
+    def mutate(rec):
+        rec[key] = v
+    return mutate
+
+
+_MAX_INT = int(sys.float_info.max) + 1  # rounds to the float maximum, yet lies past it
+
+
+class TestBulkLinearSets:
+    """A list of plain halfspace and hyperplane records reads as one block, with the bytes of leaves
+    built one at a time; any irregular record sends the list record by record, named by path."""
+
+    @staticmethod
+    def _assert_same_leaf(got, want):
+        assert type(got) is type(want)
+        for key in ("a", "b", "_asq", "_norm"):
+            assert np.asarray(getattr(got, key)).tobytes() == np.asarray(getattr(want, key)).tobytes(), key
+
+    @pytest.mark.parametrize("seed, kw", [(0, {}), (1, {}), (2, {}), (3, {}), (0, {"n_sets": 120, "dim": 200})],
+                             ids=["seed-0", "seed-1", "seed-2", "seed-3", "120-sets-in-R200"])
+    def test_leaves_and_trees_keep_their_bytes(self, seed, kw):
+        doc = stage_config(seed, **kw)
+        cfg = parse_config(json.dumps(doc))
+        recs = doc["family"]["sets"]
+        one_by_one = [Halfspace(rec["a"], rec["b"]) for rec in recs]
+        for n, want in enumerate(one_by_one):
+            self._assert_same_leaf(cfg.family.operator(n).set, want)
+        ref = OperatorFamily.from_sets(one_by_one, doc["family"]["witness"])
+        x = np.linspace(-2.0, 3.0, len(recs[0]["a"]))
+        for i, (plan, stage) in enumerate(zip(cfg.schedule.plans, doc["schedule"]["stages"])):
+            assert plan.structure_key() == gdsa_to_gmsa(stage["strings"], stage["weights"], i).structure_key()
+            tree, want = output_operator(plan, cfg.family), output_operator(plan, ref)
+            assert (tree.sqne_rho, tree.fne_rho) == (want.sqne_rho, want.fne_rho)
+            assert tree.apply(x).tobytes() == want.apply(x).tobytes()
+
+    def test_hyperplanes_and_int_entries_read_in_bulk(self):
+        doc = minimal_doc()
+        doc["family"]["sets"] = [{"kind": "hyperplane", "a": [1, 0], "b": 0}, {"kind": "halfspace", "a": [0.5, 2], "b": 1}]
+        doc["schedule"] = {"variant": "cyclic", "indices": [0, 1]}
+        sets = [parse_config(doc).family.operator(n).set for n in range(2)]
+        self._assert_same_leaf(sets[0], Hyperplane([1.0, 0.0], 0.0))
+        self._assert_same_leaf(sets[1], Halfspace([0.5, 2.0], 1.0))
+
+    def test_gammas_read_record_by_record_with_the_same_leaves(self, monkeypatch):
+        doc, read = stage_config(0), []
+        monkeypatch.setattr(strav.config, "_build_leaf", lambda *args: read.append(args) or build_leaf(*args))
+        bulk = parse_config(doc).family
+        assert read == []
+        doc["family"]["gammas"] = [1.0]
+        each = parse_config(doc).family
+        assert len(read) == 60
+        for n in range(60):
+            self._assert_same_leaf(bulk.operator(n).set, each.operator(n).set)
+
+    @pytest.mark.parametrize("mutate, errors", [
+        (_entry(3, True), [("family.sets[7].a[3]", "need a number, got True")]),
+        (_entry(3, "x"), [("family.sets[7].a[3]", "need a number, got 'x'")]),
+        (_entry(3, None), [("family.sets[7].a[3]", "need a number, got None")]),
+        (_entry(3, math.nan), [("family.sets[7].a[3]", "need a number, got nan")]),
+        (_entry(3, math.inf), [("family.sets[7].a[3]", "need a number, got inf")]),
+        (_entry(3, 10**400), [("family.sets[7].a[3]", f"need a number, got {10**400!r}")]),
+        (_entry(3, _MAX_INT), [("family.sets[7].a[3]", f"need a number, got {_MAX_INT!r}")]),
+        (lambda rec: rec["a"].pop(), [("family.sets[7]", "set has dimension 19, config says 20")]),
+        (_entry(3, [0.5]), [("family.sets[7].a[3]", "need a number, got [0.5]")]),
+        (_field("c", 1.0), [("family.sets[7].c", "unknown field (expected ['kind', 'a', 'b'])")]),
+        (_field("kind", ["halfspace"]), [("family.sets[7]", "unknown set kind ['halfspace'] "
+                                          "(expected one of ['affine', 'ball', 'box', 'halfspace', 'hyperplane'])")]),
+        (_field("a", [0.0] * 20), [("family.sets[7].a", "halfspace normal must be nonzero")]),
+        (_entry(0, 1e200), [("family.sets[7].a", "halfspace normal's squared norm overflows")]),
+        (_field("gammas", [1.0]), [("family.sets[7].gammas", "unknown field (expected ['kind', 'a', 'b'])")]),
+        (_field("b", True), [("family.sets[7].b", "need a number, got True")]),
+        (_field("b", math.nan), [("family.sets[7].b", "need a number, got nan")]),
+        (_field("a", None), [("family.sets[7].a", "missing")]),
+    ], ids=["bool", "string", "null", "nan", "infinity", "10**400", "int-past-max", "short-row", "nested-list",
+            "unknown-key", "list-kind", "zero-normal", "overflowing-normal", "gammas-entry", "b-bool", "b-nan", "a-null"])
+    def test_one_irregular_record_is_named_by_path(self, mutate, errors):
+        doc = stage_config(0)
+        mutate(doc["family"]["sets"][7])
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.errors == errors

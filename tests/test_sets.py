@@ -663,9 +663,8 @@ class TestFamilyDistances:
 
     @pytest.mark.parametrize("m, d, rows", [(15, 5, 54), (21, 5, 39), (60, 20, 3), (60, 200, 1)])
     def test_scratch_is_two_block_arrays(self, m, d, rows):
-        # within the projection gap's scratch, two (B, m, d) arrays, two (B, m) ones and a few KB of
-        # interpreter objects; the closed form holds the (B, m) result and numpy's buffer for a
-        # broadcast operand
+        # two (B, m) arrays and 8 KB: the closed form holds the (B, m) result, numpy's buffer for a
+        # broadcast operand (at most one more block) and a few KB of interpreter objects
         fam = random_halfspace_family(d, m, 0)
         x = np.random.default_rng(3).standard_normal((rows, d))
         fam.distances(range(m), x)  # the first call builds the stack
@@ -675,7 +674,7 @@ class TestFamilyDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (2 * rows * m * d + 2 * rows * m) + 8192
+        assert peak <= 16 * rows * m + 8192
 
     @pytest.mark.parametrize("case", ["axis", "random-0", "random-1", "random-2", "mixed"])
     def test_block_rows_keep_one_point_bits(self, case):
@@ -771,8 +770,7 @@ class TestSparseDistances:
 
     @pytest.mark.parametrize("active_sets", [0, 1, 3])
     def test_the_scratch_grows_with_the_active_pairs(self, active_sets):
-        # within the bound of a projection gap taken on the active pairs alone, 2 d + 5 floats per
-        # pair over the (rows, m) offsets; the closed form takes no per-pair scratch at all
+        # the closed form takes no per-pair scratch at all, whatever the active pairs
         rows, m, d = 50, 40, 20
         rng = np.random.default_rng(9)
         x = rng.standard_normal((rows, d)) + 10.0 * np.eye(d)[0]
@@ -790,5 +788,5 @@ class TestSparseDistances:
             tracemalloc.stop()
         assert np.count_nonzero(got) == rows * active_sets
         # the result, which holds the offsets, with numpy's buffer for their broadcast operands (one
-        # more (rows, m) block); never (rows, m, d) arrays
-        assert peak <= 8 * (rows * m + max(rows * m, (2 * d + 5) * rows * active_sets)) + 8192
+        # more (rows, m) block) and 8 KB; never (rows, m, d) arrays
+        assert peak <= 16 * rows * m + 8192
